@@ -23,6 +23,7 @@ import (
 	"trajmatch/internal/core"
 	"trajmatch/internal/eval"
 	"trajmatch/internal/raceflag"
+	"trajmatch/internal/vantage"
 )
 
 // benchScale sizes all figure benchmarks.
@@ -383,6 +384,70 @@ func BenchmarkTreeKNN(b *testing.B) {
 	}
 	b.ReportMetric(float64(calls)/float64(b.N), "distcalls/query")
 	b.ReportMetric(float64(abandons)/float64(b.N), "abandons/query")
+}
+
+// BenchmarkKNN10k runs the bench/ cold-search k-NN set — the same 10 000
+// trips, index options and 140 queries — directly against SearchKNN, with
+// and without vantage points: one operation is one query. It is the
+// harness for CPU profiles of the exact-search path at a size where the
+// index prunes (go test -run '^$' -bench 'KNN10k/with-vps' -cpuprofile ...),
+// and its work counters repeat exactly from run to run.
+func BenchmarkKNN10k(b *testing.B) {
+	db := trajmatch.GenerateTaxi(trajmatch.DefaultTaxiConfig(10000))
+	qcfg := trajmatch.DefaultTaxiConfig(210)
+	qcfg.Seed += 7919
+	queries := trajmatch.GenerateTaxi(qcfg)[:140]
+	for _, disable := range []bool{false, true} {
+		name := "with-vps"
+		if disable {
+			name = "without-vps"
+		}
+		b.Run(name, func(b *testing.B) {
+			tree, err := trajmatch.NewIndex(db, trajmatch.IndexOptions{Parallel: true, Seed: 1, DisableVantage: disable})
+			if err != nil {
+				b.Fatal(err)
+			}
+			var sum trajmatch.QueryStats
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				_, st, _, _ := tree.SearchKNN(queries[i%len(queries)], 10, nil, nil)
+				sum.Add(st)
+			}
+			n := float64(b.N)
+			b.ReportMetric(float64(sum.DistanceCalls)/n, "distcalls/query")
+			b.ReportMetric(float64(sum.EarlyAbandons)/n, "abandons/query")
+			b.ReportMetric(float64(sum.LowerBoundCalls)/n, "lbcalls/query")
+			b.ReportMetric(float64(sum.NodesVisited)/n, "visited/query")
+		})
+	}
+}
+
+// BenchmarkVPTopK isolates the vantage pass of one internal node at the
+// size of the bench corpus's root: one TopK selection of the 10 nearest
+// of 10 000 descriptor rows × 80 vantage points per operation. The
+// threshold is cold for the table's first k rows and warm — abandoning
+// most rows mid-sum — for the rest, as in a query.
+func BenchmarkVPTopK(b *testing.B) {
+	db := trajmatch.GenerateTaxi(trajmatch.DefaultTaxiConfig(10000))
+	vps := vantage.Select(db, 80, rand.New(rand.NewSource(1)))
+	descs := make([]float64, 0, len(db)*len(vps))
+	for _, tr := range db {
+		descs = vantage.AppendDescriptor(descs, tr, vps)
+	}
+	qcfg := trajmatch.DefaultTaxiConfig(8)
+	qcfg.Seed += 7919
+	var qds [][]float64
+	for _, q := range trajmatch.GenerateTaxi(qcfg) {
+		qds = append(qds, vantage.AppendDescriptor(nil, q, vps))
+	}
+	var vp vantage.Scratch
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if top := vp.TopK(qds[i%len(qds)], descs, 10, nil); len(top) != 10 {
+			b.Fatalf("TopK returned %d rows", len(top))
+		}
+	}
 }
 
 // BenchmarkDistanceBounded isolates the bounded kernel: the same pair

@@ -161,19 +161,6 @@ func LowerBoundBounded(q *traj.Trajectory, b Boxes, limit float64) float64 {
 // member screened.
 type SegScreen struct {
 	x0, y0, x1, y1, l []float64
-
-	// dp, nxt back ScreenLowerBoundMonotone's rolling rows; they live
-	// here so the monotone tier shares the screen's pooling.
-	dp, nxt []float64
-}
-
-// Rows returns the monotone tier's rolling rows, nb entries each.
-func (s *SegScreen) Rows(nb int) (dp, nxt []float64) {
-	if cap(s.dp) < nb {
-		s.dp = make([]float64, nb)
-		s.nxt = make([]float64, nb)
-	}
-	return s.dp[:nb], s.nxt[:nb]
 }
 
 // Reset fills the screen's arrays from q's segments.
@@ -256,80 +243,6 @@ func ScreenLowerBound(s *SegScreen, rects []float64, limit float64) float64 {
 	return sum
 }
 
-// ScreenLowerBoundMonotone tightens ScreenLowerBound by restoring the
-// monotone-assignment constraint of Theorem 2: segments must consume
-// rects in order (with free skips), exactly like LowerBoundBounded's DP,
-// but the per-cell cost stays the rect-to-segment-bounding-box gap — no
-// piecewise-quadratic DistToSegment, so a cell costs a few comparisons
-// and multiplies. The result sits between ScreenLowerBound and
-// LowerBound: still admissible against the raw cumulative EDwP, tighter
-// on members whose box chain runs a different route than the query.
-// Like LowerBoundBounded it is exact-or-above-limit: whenever the
-// returned value does not exceed limit it equals the true relaxed bound,
-// otherwise it is some value above limit (possibly +Inf).
-//
-// dp and nxt are caller-provided scratch of at least len(rects)/4
-// entries (the screen's pooled rows); they are overwritten.
-func ScreenLowerBoundMonotone(s *SegScreen, rects []float64, limit float64, dp, nxt []float64) float64 {
-	nb := len(rects) / 4
-	n := len(s.l)
-	if n == 0 || nb == 0 {
-		return 0
-	}
-	inf := math.Inf(1)
-	dp, nxt = dp[:nb], nxt[:nb]
-	for j := range dp {
-		dp[j] = 0 // free skip of any rect prefix
-	}
-	for i := 0; i < n; i++ {
-		l := s.l[i]
-		x0, y0, x1, y1 := s.x0[i], s.y0[i], s.x1[i], s.y1[i]
-		rowMin := inf
-		bestSoFar := inf
-		for j := 0; j < nb; j++ {
-			if dp[j] < bestSoFar {
-				bestSoFar = dp[j]
-			}
-			c := inf
-			if bestSoFar <= limit {
-				r := j * 4
-				dx := 0.0
-				if d := rects[r] - x1; d > 0 {
-					dx = d
-				} else if d := x0 - rects[r+2]; d > 0 {
-					dx = d
-				}
-				dy := 0.0
-				if d := rects[r+1] - y1; d > 0 {
-					dy = d
-				} else if d := y0 - rects[r+3]; d > 0 {
-					dy = d
-				}
-				if d2 := dx*dx + dy*dy; d2 > 0 {
-					c = bestSoFar + 2*math.Sqrt(d2)*l
-				} else {
-					c = bestSoFar
-				}
-				if c < rowMin {
-					rowMin = c
-				}
-			}
-			nxt[j] = c
-		}
-		if rowMin > limit {
-			return inf // row abandon: no assignment is within limit
-		}
-		dp, nxt = nxt, dp
-	}
-	best := inf
-	for j := 0; j < nb; j++ {
-		if dp[j] < best {
-			best = dp[j] // free skip of any rect suffix
-		}
-	}
-	return best
-}
-
 // AssignSegments maps each segment of t to one box of b, monotonically in
 // box order, minimising the total enlargement this trajectory would cause:
 // the cost of assigning segment i to box j is the area growth of box j when
@@ -340,59 +253,67 @@ func ScreenLowerBoundMonotone(s *SegScreen, rects []float64, limit float64, dp, 
 // keeping every point of the trajectory inside its assigned box — the
 // containment invariant that LowerBound's admissibility rests on.
 func AssignSegments(t *traj.Trajectory, b Boxes) []int {
+	return AssignSegmentsInto(nil, t, b)
+}
+
+// AssignSegmentsInto is AssignSegments writing the assignment into dst's
+// backing array when it is large enough, so a caller that only inspects
+// the result can keep it on its stack. The DP tables come from the pooled
+// scratch: the bulk load asks for one assignment per (trajectory,
+// candidate group) pair and would otherwise spend its time in the
+// allocator and the collector.
+func AssignSegmentsInto(dst []int, t *traj.Trajectory, b Boxes) []int {
 	n := t.NumSegments()
 	nb := b.Len()
 	if n == 0 || nb == 0 {
 		return nil
 	}
+	s := scratchPool.Get().(*dpScratch)
+	defer scratchPool.Put(s)
+	rects := s.lbRects(nb)
+	area, prev, cur, from := s.assignRows(n, nb)
+	for j := range rects {
+		rects[j] = b.Rect(j)
+		area[j] = rects[j].Area()
+	}
 	inf := math.Inf(1)
-	cost := make([][]float64, n)
-	from := make([][]int, n)
-	growCache := make([][]float64, n)
-	for i := range cost {
-		cost[i] = make([]float64, nb)
-		from[i] = make([]int, nb)
-		growCache[i] = make([]float64, nb)
+	// cur[j] is the cheapest cost of segments 0..i with segment i in box j;
+	// from[i*nb+j] is the box segment i-1 took on that path.
+	for i := 0; i < n; i++ {
 		e := t.Segment(i).Spatial()
-		for j := 0; j < nb; j++ {
-			r := b.Rect(j)
-			u := r.ExtendPoint(e.A).ExtendPoint(e.B)
-			growCache[i][j] = u.Area() - r.Area()
-			cost[i][j] = inf
-			from[i][j] = -1
-		}
-	}
-	for j := 0; j < nb; j++ {
-		cost[0][j] = growCache[0][j]
-	}
-	for i := 1; i < n; i++ {
-		// prefix min over cost[i-1][0..j]
-		best := inf
-		bestJ := -1
-		for j := 0; j < nb; j++ {
-			if cost[i-1][j] < best {
-				best = cost[i-1][j]
-				bestJ = j
+		best, bestJ := inf, -1 // prefix min over prev[0..j]
+		for j, r := range rects {
+			grow := r.ExtendPoint(e.A).ExtendPoint(e.B).Area() - area[j]
+			if i == 0 {
+				cur[j] = grow
+				continue
 			}
+			if prev[j] < best {
+				best, bestJ = prev[j], j
+			}
+			cur[j], from[i*nb+j] = inf, -1
 			if best < inf {
-				cost[i][j] = best + growCache[i][j]
-				from[i][j] = bestJ
+				cur[j], from[i*nb+j] = best+grow, int32(bestJ)
 			}
 		}
+		prev, cur = cur, prev
 	}
-	// Terminal: best column in last row.
-	bestJ := 0
-	for j := 1; j < nb; j++ {
-		if cost[n-1][j] < cost[n-1][bestJ] {
-			bestJ = j
+	// Terminal: best column in the last row, which the swap left in prev.
+	j := 0
+	for c := 1; c < nb; c++ {
+		if prev[c] < prev[j] {
+			j = c
 		}
 	}
-	out := make([]int, n)
-	j := bestJ
+	out := dst[:0]
+	if cap(out) < n {
+		out = make([]int, n)
+	}
+	out = out[:n]
 	for i := n - 1; i >= 0; i-- {
 		out[i] = j
 		if i > 0 {
-			j = from[i][j]
+			j = int(from[i*nb+j])
 		}
 	}
 	return out

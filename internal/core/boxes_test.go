@@ -151,6 +151,113 @@ func TestAssignSegmentsMonotone(t *testing.T) {
 	}
 }
 
+// assignSegmentsTables is the assignment DP as it was written before the
+// tables moved into the pooled scratch — one cost, back-pointer and growth
+// row per segment — kept as the oracle: the bulk load's partition follows
+// the assignment, so the pooled version must return the same indices.
+func assignSegmentsTables(t *traj.Trajectory, b Boxes) []int {
+	n := t.NumSegments()
+	nb := b.Len()
+	if n == 0 || nb == 0 {
+		return nil
+	}
+	inf := math.Inf(1)
+	cost := make([][]float64, n)
+	from := make([][]int, n)
+	growCache := make([][]float64, n)
+	for i := range cost {
+		cost[i] = make([]float64, nb)
+		from[i] = make([]int, nb)
+		growCache[i] = make([]float64, nb)
+		e := t.Segment(i).Spatial()
+		for j := 0; j < nb; j++ {
+			r := b.Rect(j)
+			u := r.ExtendPoint(e.A).ExtendPoint(e.B)
+			growCache[i][j] = u.Area() - r.Area()
+			cost[i][j] = inf
+			from[i][j] = -1
+		}
+	}
+	for j := 0; j < nb; j++ {
+		cost[0][j] = growCache[0][j]
+	}
+	for i := 1; i < n; i++ {
+		best := inf
+		bestJ := -1
+		for j := 0; j < nb; j++ {
+			if cost[i-1][j] < best {
+				best = cost[i-1][j]
+				bestJ = j
+			}
+			if best < inf {
+				cost[i][j] = best + growCache[i][j]
+				from[i][j] = bestJ
+			}
+		}
+	}
+	bestJ := 0
+	for j := 1; j < nb; j++ {
+		if cost[n-1][j] < cost[n-1][bestJ] {
+			bestJ = j
+		}
+	}
+	out := make([]int, n)
+	j := bestJ
+	for i := n - 1; i >= 0; i-- {
+		out[i] = j
+		if i > 0 {
+			j = from[i][j]
+		}
+	}
+	return out
+}
+
+func TestAssignSegmentsMatchesTables(t *testing.T) {
+	rng := rand.New(rand.NewSource(26))
+	var buf [8]int
+	for it := 0; it < 300; it++ {
+		group := make([]*traj.Trajectory, 1+rng.Intn(3))
+		for i := range group {
+			group[i] = randomSmoothTraj(rng, 2+rng.Intn(12))
+		}
+		b := boxesFor(group)
+		if it%7 == 0 {
+			b[rng.Intn(len(b))] = geom.Empty() // a box nothing was put in
+		}
+		if it%5 == 0 && len(b) > 1 {
+			b[1] = b[0] // equal growths: ties go to the earlier box
+		}
+		tr := randomSmoothTraj(rng, 2+rng.Intn(14))
+		want := assignSegmentsTables(tr, b)
+		// buf is too short for the longer trajectories: both the in-place
+		// and the fallback result must agree with the oracle.
+		got := AssignSegmentsInto(buf[:0], tr, b)
+		if len(got) != len(want) {
+			t.Fatalf("it %d: %d indices, want %d", it, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("it %d: assignment %v, want %v", it, got, want)
+			}
+		}
+		if len(want) <= len(buf) && &got[0] != &buf[0] {
+			t.Fatalf("it %d: a %d-index result left the %d-index buffer", it, len(want), len(buf))
+		}
+	}
+}
+
+func TestAssignSegmentsZeroAllocs(t *testing.T) {
+	skipIfRace(t)
+	rng := rand.New(rand.NewSource(27))
+	var b Boxes = boxesFor([]*traj.Trajectory{randomSmoothTraj(rng, 30)})
+	tr := randomSmoothTraj(rng, 20)
+	var buf [32]int
+	AssignSegmentsInto(buf[:0], tr, b)
+	if n := testing.AllocsPerRun(100, func() { AssignSegmentsInto(buf[:0], tr, b) }); n != 0 {
+		t.Errorf("AssignSegmentsInto allocates %v per run, want 0", n)
+	}
+}
+
 func TestAssignSegmentsPrefersCoveringBox(t *testing.T) {
 	// Two far-apart boxes; a segment inside the second must map there.
 	b := rectSeq{
@@ -172,70 +279,5 @@ func TestLowerBoundIsFiniteAndFast(t *testing.T) {
 	lb := LowerBound(q, b)
 	if math.IsInf(lb, 0) || math.IsNaN(lb) || lb < 0 {
 		t.Errorf("invalid bound %v", lb)
-	}
-}
-
-// flatRects builds an ordered covering rect chain for m — consecutive
-// segment groups, each collapsed to its bounding box — flattened to the
-// MinX, MinY, MaxX, MaxY quadruples the screen tier consumes (the same
-// layout the arena stores).
-func flatRects(m *traj.Trajectory, group int) []float64 {
-	var out []float64
-	n := m.NumSegments()
-	for i := 0; i < n; i += group {
-		e := m.Segment(i)
-		r := geom.RectOf(e.S1.XY(), e.S2.XY())
-		for j := i + 1; j < n && j < i+group; j++ {
-			e := m.Segment(j)
-			r = r.ExtendPoint(e.S1.XY()).ExtendPoint(e.S2.XY())
-		}
-		out = append(out, r.Min.X, r.Min.Y, r.Max.X, r.Max.Y)
-	}
-	return out
-}
-
-// TestScreenLowerBoundMonotone pins the monotone screen tier's contract:
-// it sits between the unordered screen and the true cumulative EDwP
-// (admissibility), returns 0 for a member screened against its own
-// chain, and honours exact-or-above-limit semantics for every limit.
-func TestScreenLowerBoundMonotone(t *testing.T) {
-	rng := rand.New(rand.NewSource(47))
-	scr := new(SegScreen)
-	inf := math.Inf(1)
-	for it := 0; it < 80; it++ {
-		m := randomSmoothTraj(rng, 3+rng.Intn(10))
-		q := randomSmoothTraj(rng, 3+rng.Intn(10))
-		rects := flatRects(m, 1+rng.Intn(3))
-
-		// A member against its own chain: every segment's box gap is 0.
-		own := flatRects(m, 1)
-		scr.Reset(m)
-		dp, nxt := scr.Rows(len(own) / 4)
-		if got := ScreenLowerBoundMonotone(scr, own, inf, dp, nxt); got != 0 {
-			t.Fatalf("it %d: member vs own rects = %v, want 0", it, got)
-		}
-
-		scr.Reset(q)
-		dp, nxt = scr.Rows(len(rects) / 4)
-		mono := ScreenLowerBoundMonotone(scr, rects, inf, dp, nxt)
-		free := ScreenLowerBound(scr, rects, inf)
-		d := Distance(q, m)
-		if mono > d+1e-6*(1+d) {
-			t.Fatalf("it %d: monotone screen %v exceeds EDwP %v", it, mono, d)
-		}
-		if free > mono+1e-6*(1+mono) {
-			t.Fatalf("it %d: unordered screen %v exceeds monotone %v", it, free, mono)
-		}
-		// Exact-or-above-limit, sampled across the value's range.
-		for _, frac := range []float64{0, 0.3, 0.9, 1.1} {
-			limit := mono * frac
-			got := ScreenLowerBoundMonotone(scr, rects, limit, dp, nxt)
-			if got <= limit && math.Abs(got-mono) > 1e-9*(1+mono) {
-				t.Fatalf("it %d: limit %v: got %v claims exact, want %v", it, limit, got, mono)
-			}
-			if mono > limit && got <= limit {
-				t.Fatalf("it %d: limit %v: got %v under limit but true value %v above", it, limit, got, mono)
-			}
-		}
 	}
 }

@@ -33,6 +33,12 @@ type dpScratch struct {
 	// per DP cell, and the bound's inner loop streams over a contiguous
 	// rect array.
 	rects []geom.Rect
+
+	// assign and from are AssignSegments' tables: the boxes' areas and two
+	// rolling cost rows (nb states each), and one back-pointer per
+	// (segment, box) cell.
+	assign []float64
+	from   []int32
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(dpScratch) }}
@@ -74,4 +80,16 @@ func (s *dpScratch) lbRects(nb int) []geom.Rect {
 		s.rects = make([]geom.Rect, nb)
 	}
 	return s.rects[:nb]
+}
+
+// assignRows returns AssignSegments' tables for n segments and nb boxes.
+func (s *dpScratch) assignRows(n, nb int) (area, prev, cur []float64, from []int32) {
+	if cap(s.assign) < 3*nb {
+		s.assign = make([]float64, 3*nb)
+	}
+	if cap(s.from) < n*nb {
+		s.from = make([]int32, n*nb)
+	}
+	r := s.assign[:3*nb]
+	return r[:nb:nb], r[nb : 2*nb : 2*nb], r[2*nb:], s.from[:n*nb]
 }

@@ -133,8 +133,8 @@ func (r Rect) ExtendPoint(p Point) Rect {
 		return Rect{Min: p, Max: p}
 	}
 	return Rect{
-		Min: Point{math.Min(r.Min.X, p.X), math.Min(r.Min.Y, p.Y)},
-		Max: Point{math.Max(r.Max.X, p.X), math.Max(r.Max.Y, p.Y)},
+		Min: Point{min(r.Min.X, p.X), min(r.Min.Y, p.Y)},
+		Max: Point{max(r.Max.X, p.X), max(r.Max.Y, p.Y)},
 	}
 }
 
@@ -147,8 +147,8 @@ func (r Rect) Union(q Rect) Rect {
 		return r
 	}
 	return Rect{
-		Min: Point{math.Min(r.Min.X, q.Min.X), math.Min(r.Min.Y, q.Min.Y)},
-		Max: Point{math.Max(r.Max.X, q.Max.X), math.Max(r.Max.Y, q.Max.Y)},
+		Min: Point{min(r.Min.X, q.Min.X), min(r.Min.Y, q.Min.Y)},
+		Max: Point{max(r.Max.X, q.Max.X), max(r.Max.Y, q.Max.Y)},
 	}
 }
 

@@ -77,10 +77,22 @@ func engineMatches(e *Engine, state map[int]*traj.Trajectory) bool {
 	return true
 }
 
+// cloneDB copies db's trajectories. Building an engine re-points its
+// trajectories at arena slabs, so parallel subtests that build engines
+// from one fixture each need their own copies.
+func cloneDB(db []*traj.Trajectory) []*traj.Trajectory {
+	out := make([]*traj.Trajectory, len(db))
+	for i, tr := range db {
+		out[i] = tr.Clone()
+	}
+	return out
+}
+
+// stateDB returns copies of state's trajectories in ID order.
 func stateDB(state map[int]*traj.Trajectory) []*traj.Trajectory {
 	db := make([]*traj.Trajectory, 0, len(state))
 	for _, tr := range state {
-		db = append(db, tr)
+		db = append(db, tr.Clone())
 	}
 	sort.Slice(db, func(i, j int) bool { return db[i].ID < db[j].ID })
 	return db
@@ -171,7 +183,7 @@ func TestCrashRecoverySweep(t *testing.T) {
 				// Seed disk: snapshot + a two-record WAL, written with the
 				// real filesystem. Every run below starts from a copy.
 				seedSnap, seedWAL := filepath.Join(t.TempDir(), "snap"), filepath.Join(t.TempDir(), "wal")
-				e0, err := NewEngineFromDB(db0, topt, Options{
+				e0, err := NewEngineFromDB(cloneDB(db0), topt, Options{
 					CacheSize: -1, Workers: 1, Shards: shards,
 					WALDir: seedWAL, Prefilter: true,
 				})

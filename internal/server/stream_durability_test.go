@@ -168,7 +168,7 @@ func TestCrashRecoveryStreamSweep(t *testing.T) {
 			t.Run(fmt.Sprintf("shards=%d/mode=%s", shards, modeName), func(t *testing.T) {
 				t.Parallel()
 				seedSnap, seedWAL := filepath.Join(t.TempDir(), "snap"), filepath.Join(t.TempDir(), "wal")
-				e0, err := NewEngineFromDB(db0, topt, Options{
+				e0, err := NewEngineFromDB(cloneDB(db0), topt, Options{
 					CacheSize: -1, Workers: 1, Shards: shards,
 					WALDir: seedWAL, Prefilter: true,
 				})

@@ -97,6 +97,10 @@ func (s *Seq) Bounds() geom.Rect {
 	return r
 }
 
+// assignStack is the number of segments whose assignment ExpansionCost and
+// Insert keep on their stack; longer trajectories fall back to the heap.
+const assignStack = 64
+
 // ExpansionCost returns the total volume growth that absorbing t would
 // cause — the argmin criterion of Algorithm 1, line 11 — without modifying
 // the sequence.
@@ -104,19 +108,19 @@ func (s *Seq) ExpansionCost(t *traj.Trajectory) float64 {
 	if len(s.boxes) == 0 {
 		return t.Bounds().Area()
 	}
-	assign := core.AssignSegments(t, s)
-	// Accumulate growth per box over all segments assigned to it.
-	grown := make(map[int]geom.Rect, 8)
-	for i, j := range assign {
-		e := t.Segment(i)
-		r, ok := grown[j]
-		if !ok {
-			r = s.boxes[j].Rect
-		}
-		grown[j] = r.ExtendPoint(e.S1.XY()).ExtendPoint(e.S2.XY())
-	}
+	// The assignment is monotone in box order, so the segments a box
+	// absorbs are consecutive: grow each box over its run and add the
+	// growths in ascending box order, a fixed summation order.
+	var buf [assignStack]int
+	assign := core.AssignSegmentsInto(buf[:0], t, s)
 	var growth float64
-	for j, r := range grown {
+	for i := 0; i < len(assign); {
+		j := assign[i]
+		r := s.boxes[j].Rect
+		for ; i < len(assign) && assign[i] == j; i++ {
+			e := t.Segment(i)
+			r = r.ExtendPoint(e.S1.XY()).ExtendPoint(e.S2.XY())
+		}
 		growth += r.Area() - s.boxes[j].Rect.Area()
 	}
 	return growth
@@ -132,8 +136,8 @@ func (s *Seq) Insert(t *traj.Trajectory) {
 		*s = *FromTrajectory(t, 0)
 		return
 	}
-	assign := core.AssignSegments(t, s)
-	for i, j := range assign {
+	var buf [assignStack]int
+	for i, j := range core.AssignSegmentsInto(buf[:0], t, s) {
 		e := t.Segment(i)
 		b := &s.boxes[j]
 		b.Rect = b.Rect.ExtendPoint(e.S1.XY()).ExtendPoint(e.S2.XY())

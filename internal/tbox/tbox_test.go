@@ -7,6 +7,7 @@ import (
 
 	"trajmatch/internal/core"
 	"trajmatch/internal/geom"
+	"trajmatch/internal/raceflag"
 	"trajmatch/internal/traj"
 )
 
@@ -86,6 +87,48 @@ func TestVolumeGrowsWithInsert(t *testing.T) {
 	}
 	if math.Abs((v1-v0)-cost) > 1e-6*(1+v1) {
 		t.Errorf("ExpansionCost %v != actual growth %v", cost, v1-v0)
+	}
+}
+
+// TestExpansionCostDeterministic pins the summation order: the cost of a
+// trajectory whose segments land in several boxes is the same bits on
+// every call, so near-ties between children in partition and insertAt
+// cannot flip from run to run.
+func TestExpansionCostDeterministic(t *testing.T) {
+	rng := rand.New(rand.NewSource(44))
+	for it := 0; it < 20; it++ {
+		s := FromTrajectory(randomTraj(rng, 0, 12), 0)
+		b := randomTraj(rng, 1, 12)
+		boxes := map[int]bool{}
+		for _, j := range core.AssignSegments(b, s) {
+			boxes[j] = true
+		}
+		if len(boxes) < 3 {
+			continue
+		}
+		want := s.ExpansionCost(b)
+		for rep := 0; rep < 50; rep++ {
+			if got := s.ExpansionCost(b); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("it %d rep %d: cost %v, first call gave %v", it, rep, got, want)
+			}
+		}
+		return
+	}
+	t.Fatal("no generated trajectory spanned three boxes")
+}
+
+// The bulk load calls ExpansionCost once per (trajectory, candidate group):
+// a warm call must leave nothing for the collector.
+func TestExpansionCostZeroAllocs(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("alloc counts are not meaningful under -race: sync.Pool deliberately drops Puts")
+	}
+	rng := rand.New(rand.NewSource(45))
+	s := FromTrajectory(randomTraj(rng, 0, 12), 0)
+	b := randomTraj(rng, 1, 12)
+	s.ExpansionCost(b)
+	if n := testing.AllocsPerRun(100, func() { s.ExpansionCost(b) }); n != 0 {
+		t.Errorf("ExpansionCost allocates %v per run, want 0", n)
 	}
 }
 

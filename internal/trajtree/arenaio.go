@@ -33,11 +33,11 @@ import (
 //	10 descRows   row count; -1 encodes a nil descriptor table
 //	11 maxLenBits math.Float64bits of the node's maxLen
 //
-// Descriptor rows have uniform stride vpCount (vantage.Descriptor
-// always returns one value per vantage point), so the rows need no
-// per-row offset table. Members are arena indices; trajectories
-// inserted since the last rebuild (the overlay) have no arena entry and
-// are stored in the overlay sections, referenced as -(overlay index)-1.
+// A node's descriptor rows are its in-memory slab verbatim: row-major,
+// uniform stride vpCount, no per-row offset table. Members are arena
+// indices; trajectories inserted since the last rebuild (the overlay)
+// have no arena entry and are stored in the overlay sections, referenced
+// as -(overlay index)-1.
 
 // arenaExtra is the tree-level metadata stored in the snapshot's meta
 // header.
@@ -112,14 +112,12 @@ func (t *Tree) SaveArena(w io.Writer) error {
 			rec[9] = int64(len(ts.DVals))
 			rec[10] = -1
 			if n.descs != nil {
-				rec[10] = int64(len(n.descs))
-				for _, row := range n.descs {
-					if len(row) != len(n.vps) {
-						return 0, fmt.Errorf("trajtree: save arena: descriptor row length %d != %d vantage points",
-							len(row), len(n.vps))
-					}
-					ts.DVals = append(ts.DVals, row...)
+				if len(n.descs) != len(n.members)*len(n.vps) {
+					return 0, fmt.Errorf("trajtree: save arena: descriptor slab of %d values != %d members × %d vantage points",
+						len(n.descs), len(n.members), len(n.vps))
 				}
+				rec[10] = int64(len(n.members))
+				ts.DVals = append(ts.DVals, n.descs...)
 			}
 			rec[11] = int64(math.Float64bits(n.maxLen))
 			idx := int64(len(ts.NMeta) / arena.NMetaStride)
@@ -234,13 +232,11 @@ func LoadArena(path string) (*Tree, error) {
 				}
 			}
 			if rows := rec[10]; rows >= 0 {
-				// Rows alias the descriptor slab; stride is the VP count.
-				n.descs = make([][]float64, rows)
-				stride := rec[8]
-				for ri := int64(0); ri < rows; ri++ {
-					off := rec[9] + ri*stride
-					n.descs[ri] = ts.DVals[off : off+stride : off+stride]
-				}
+				// The slab is the node's window of the descriptor section
+				// (stride is the VP count), capped so an append reallocates.
+				end := rec[9] + rows*rec[8]
+				n.descs = ts.DVals[rec[9]:end:end]
+				n.descsMapped = true
 			}
 			for ci := int64(0); ci < rec[4]; ci++ {
 				c, err := build(ts.Children[rec[3]+ci])

@@ -229,3 +229,47 @@ func TestArenaLoadCorrupt(t *testing.T) {
 		}
 	}
 }
+
+// TestArenaLoadDescriptorSlabMismatch pins the malformed-but-checksummed
+// case the bit-flip sweep cannot reach: a node record whose descriptor
+// row count (rec[10]) disagrees with its member count, re-encoded with a
+// valid checksum and in-range offsets. Ranking such a slab would pair
+// rows with the wrong members, so the load must refuse it.
+func TestArenaLoadDescriptorSlabMismatch(t *testing.T) {
+	rng := rand.New(rand.NewSource(127))
+	tree, err := New(testDB(rng, 60), testOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := arena.Open(saveArenaFile(t, tree))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := snap.Tree
+	ts.NMeta = append([]int64(nil), ts.NMeta...) // the original may be a read-only mapping
+	tampered := false
+	for off := 0; off < len(ts.NMeta); off += arena.NMetaStride {
+		if rec := ts.NMeta[off : off+arena.NMetaStride]; rec[10] > 1 && rec[8] > 0 {
+			rec[10]-- // one row short of rec[6] members
+			tampered = true
+			break
+		}
+	}
+	if !tampered {
+		t.Fatal("no node with a descriptor table to tamper with")
+	}
+	path := filepath.Join(t.TempDir(), "short.arena")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := arena.Encode(f, snap.Arena, &ts, snap.Extra); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadArena(path); !errors.Is(err, arena.ErrCorrupt) {
+		t.Fatalf("err = %v, want ErrCorrupt", err)
+	}
+}

@@ -99,8 +99,10 @@ func (t *Tree) selectPivots(D []*traj.Trajectory) []*traj.Trajectory {
 			}
 		}
 		pivots = append(pivots, p)
+		// Only a distance below the candidate's current minimum matters,
+		// so the kernel may give up (+Inf) as soon as it passes it.
 		for i, c := range cands {
-			if d := subDiv(c, p); d < minToP[i] {
+			if d, _ := core.SubDistanceBounded(c, p, minToP[i]); d < minToP[i] {
 				minToP[i] = d
 			}
 		}

@@ -59,7 +59,15 @@ func (t *Tree) Save(w io.Writer) error {
 				SeqCount: n.seq.Count(),
 				MaxLen:   n.maxLen,
 				VPs:      n.vps,
-				Descs:    n.descs,
+			}
+			if n.descs != nil {
+				// The wire format keeps one row per member; the rows
+				// alias the slab.
+				w := len(n.vps)
+				wn.Descs = make([][]float64, len(n.members))
+				for i := range wn.Descs {
+					wn.Descs[i] = n.descs[i*w : (i+1)*w]
+				}
 			}
 			for i := 0; i < n.seq.Len(); i++ {
 				wn.Boxes = append(wn.Boxes, wireBox{Rect: n.seq.Rect(i), MinL: n.seq.MinLen(i)})
@@ -107,7 +115,16 @@ func Load(r io.Reader) (*Tree, error) {
 				seq:    tbox.FromBoxes(toBoxes(wn.Boxes), wn.SeqCount),
 				maxLen: wn.MaxLen,
 				vps:    wn.VPs,
-				descs:  wn.Descs,
+			}
+			if wn.Descs != nil {
+				n.descs = make([]float64, 0, len(wn.Descs)*len(wn.VPs))
+				for _, row := range wn.Descs {
+					if len(row) != len(wn.VPs) {
+						return nil, fmt.Errorf("trajtree: load: descriptor row of %d values under %d vantage points",
+							len(row), len(wn.VPs))
+					}
+					n.descs = append(n.descs, row...)
+				}
 			}
 			for _, id := range wn.Members {
 				tr := byID[id]

@@ -32,6 +32,12 @@ var screenPool = sync.Pool{
 	New: func() any { return new(core.SegScreen) },
 }
 
+// vpPool recycles the per-query buffers of the vantage pass: the query's
+// descriptor under the current node's VPs and TopK's selection state.
+var vpPool = sync.Pool{
+	New: func() any { return new(vantage.Scratch) },
+}
+
 // begin invalidates all previous marks in O(1).
 func (v *visitSet) begin() { v.gen++ }
 
@@ -132,6 +138,9 @@ func (t *Tree) knnSearch(q *traj.Trajectory, k int, bound *SharedBound, ctl *Ctl
 		defer screenPool.Put(scr)
 	}
 
+	vp := vpPool.Get().(*vantage.Scratch)
+	defer vpPool.Put(vp)
+
 	// effLimit is the tightest admissible abandon limit currently known:
 	// the local k-th best once the answer set is full, lowered further by
 	// the shared bound when one is attached.
@@ -222,8 +231,7 @@ func (t *Tree) knnSearch(q *traj.Trajectory, k int, bound *SharedBound, ctl *Ctl
 		// it. Small subtrees skip the pass: their members are reached
 		// through bounds more cheaply (Options.VPMinMembers).
 		if c.vps != nil && (len(c.members) >= t.opt.VPMinMembers || !ans.Full()) {
-			qd := vantage.Descriptor(q, c.vps)
-			top := vantage.TopK(qd, c.descs, k, func(i int) bool {
+			top := vp.TopK(vp.Descriptor(q, c.vps), c.descs, k, func(i int) bool {
 				return processed.has(c.members[i].ID)
 			})
 			misses := 0
@@ -314,8 +322,8 @@ func (t *Tree) VPUpperBound(q *traj.Trajectory, k int) (float64, []float64) {
 	if t.root == nil || t.root.vps == nil {
 		return 0, nil
 	}
-	qd := vantage.Descriptor(q, t.root.vps)
-	top := vantage.TopK(qd, t.root.descs, k, nil)
+	var vp vantage.Scratch
+	top := vp.TopK(vp.Descriptor(q, t.root.vps), t.root.descs, k, nil)
 	ds := make([]float64, 0, len(top))
 	for _, idx := range top {
 		ds = append(ds, t.dist(q, t.root.members[idx]))

@@ -112,13 +112,20 @@ func (o Options) withDefaults() Options {
 // node is a TrajTree node. Internal nodes carry the tBoxSeq summary,
 // vantage points and the descriptors of every subtree member; leaves carry
 // only their trajectories (plus the seq used by the parent for bounding).
+//
+// descs is one row-major slab: member i's descriptor is the len(vps)
+// values from i*len(vps). On a tree loaded by LoadArena the slab aliases
+// the snapshot's descriptor section, which may be a read-only mapping;
+// descsMapped marks such a slab, and whoever mutates it moves it to the
+// heap first.
 type node struct {
-	seq      *tbox.Seq
-	children []*node
-	members  []*traj.Trajectory
-	vps      []geom.Point
-	descs    [][]float64
-	maxLen   float64
+	seq         *tbox.Seq
+	children    []*node
+	members     []*traj.Trajectory
+	vps         []geom.Point
+	descs       []float64
+	descsMapped bool
+	maxLen      float64
 }
 
 func (n *node) leaf() bool { return len(n.children) == 0 }
@@ -339,10 +346,7 @@ func (t *Tree) build(ts []*traj.Trajectory, seq *tbox.Seq, parallel bool) *node 
 	}
 	if !t.opt.DisableVantage {
 		n.vps = vantage.Select(ts, t.opt.NumVPs, t.rng)
-		n.descs = make([][]float64, len(ts))
-		for i, m := range ts {
-			n.descs[i] = vantage.Descriptor(m, n.vps)
-		}
+		n.descs = describe(ts, n.vps)
 	}
 	n.children = make([]*node, len(groups))
 	if parallel {
@@ -367,6 +371,16 @@ func (t *Tree) build(ts []*traj.Trajectory, seq *tbox.Seq, parallel bool) *node 
 		}
 	}
 	return n
+}
+
+// describe returns the descriptor slab of ts under vps: one row of
+// len(vps) VP-dists per trajectory, in order.
+func describe(ts []*traj.Trajectory, vps []geom.Point) []float64 {
+	descs := make([]float64, 0, len(ts)*len(vps))
+	for _, m := range ts {
+		descs = vantage.AppendDescriptor(descs, m, vps)
+	}
+	return descs
 }
 
 func maxLength(ts []*traj.Trajectory) float64 {
@@ -426,8 +440,9 @@ func (t *Tree) checkInvariants() error {
 		if sub != len(n.members) {
 			return fmt.Errorf("internal node members %d != children total %d", len(n.members), sub)
 		}
-		if n.descs != nil && len(n.descs) != len(n.members) {
-			return fmt.Errorf("descriptor count %d != member count %d", len(n.descs), len(n.members))
+		if n.descs != nil && len(n.descs) != len(n.members)*len(n.vps) {
+			return fmt.Errorf("descriptor slab of %d values != %d members × %d vantage points",
+				len(n.descs), len(n.members), len(n.vps))
 		}
 		return nil
 	}

@@ -6,6 +6,7 @@ package trajtree
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"trajmatch/internal/core"
@@ -374,5 +375,43 @@ func TestConcurrentQueries(t *testing.T) {
 		if len(res) != 5 {
 			t.Errorf("concurrent query returned %d results", len(res))
 		}
+	}
+}
+
+// memberOrder returns the member IDs of every node in depth-first order,
+// a fingerprint of the tree's shape and of every partition decision.
+func memberOrder(n *node, out []int) []int {
+	if n == nil {
+		return out
+	}
+	out = append(out, -len(n.members)-1) // node boundary
+	for _, m := range n.members {
+		out = append(out, m.ID)
+	}
+	for _, c := range n.children {
+		out = memberOrder(c, out)
+	}
+	return out
+}
+
+// TestBuildDeterministic pins that a build is a function of its input
+// and seed: two sequential same-seed builds place every member in the
+// same node at the same position. It depends on tbox.Seq.ExpansionCost
+// adding in a fixed order: near-ties between children must not fall
+// either way.
+func TestBuildDeterministic(t *testing.T) {
+	build := func() *Tree {
+		tree, err := New(testDB(rand.New(rand.NewSource(211)), 400), testOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tree
+	}
+	a, b := build(), build()
+	if a.String() != b.String() {
+		t.Fatalf("same-seed builds differ: %v vs %v", a, b)
+	}
+	if !slices.Equal(memberOrder(a.root, nil), memberOrder(b.root, nil)) {
+		t.Fatal("same-seed builds place members differently")
 	}
 }

@@ -51,7 +51,10 @@ func (t *Tree) insertAt(n *node, tr *traj.Trajectory) {
 		n.maxLen = l
 	}
 	if n.vps != nil {
-		n.descs = append(n.descs, vantage.Descriptor(tr, n.vps))
+		// A mapped slab is capped at its length, so the append moved it
+		// to the heap.
+		n.descs = vantage.AppendDescriptor(n.descs, tr, n.vps)
+		n.descsMapped = false
 	}
 	if n.leaf() {
 		if len(n.members) > t.opt.LeafSize {
@@ -77,10 +80,7 @@ func (t *Tree) splitLeaf(n *node) {
 	}
 	if !t.opt.DisableVantage {
 		n.vps = vantage.Select(n.members, t.opt.NumVPs, t.rng)
-		n.descs = make([][]float64, len(n.members))
-		for i, m := range n.members {
-			n.descs[i] = vantage.Descriptor(m, n.vps)
-		}
+		n.descs = describe(n.members, n.vps)
 	}
 	n.children = make([]*node, len(groups))
 	for i := range groups {
@@ -135,7 +135,16 @@ func (t *Tree) deleteFrom(n *node, id int) bool {
 	}
 	n.members = append(n.members[:idx], n.members[idx+1:]...)
 	if n.descs != nil {
-		n.descs = append(n.descs[:idx], n.descs[idx+1:]...)
+		w := len(n.vps)
+		head, tail := n.descs[:idx*w], n.descs[(idx+1)*w:]
+		if n.descsMapped {
+			// Closing the gap in place would write to the snapshot
+			// mapping, which is read-only: build the shortened slab on
+			// the heap instead.
+			head = append(make([]float64, 0, len(head)+len(tail)), head...)
+			n.descsMapped = false
+		}
+		n.descs = append(head, tail...)
 	}
 	return true
 }

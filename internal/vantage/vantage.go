@@ -9,7 +9,6 @@ package vantage
 import (
 	"math"
 	"math/rand"
-	"sort"
 
 	"trajmatch/internal/geom"
 	"trajmatch/internal/traj"
@@ -24,23 +23,26 @@ func Dist(t *traj.Trajectory, v geom.Point) float64 {
 		}
 		return math.Inf(1)
 	}
+	// The minimum is taken over squared distances and rooted once: the
+	// square root is monotone and correctly rounded, so this is the
+	// minimum of the rooted distances bit for bit.
 	best := math.Inf(1)
 	for i := 0; i < t.NumSegments(); i++ {
-		if d := t.Segment(i).Spatial().DistTo(v); d < best {
-			best = d
+		if d2 := v.Dist2(t.Segment(i).Spatial().Closest(v)); d2 < best {
+			best = d2
 		}
 	}
-	return best
+	return math.Sqrt(best)
 }
 
-// Descriptor returns the vantage descriptor T_V of Definition 7: one
-// VP-dist per vantage point.
-func Descriptor(t *traj.Trajectory, vps []geom.Point) []float64 {
-	d := make([]float64, len(vps))
-	for i, v := range vps {
-		d[i] = Dist(t, v)
+// AppendDescriptor appends the vantage descriptor T_V of Definition 7 —
+// one VP-dist per vantage point — to dst and returns the extended slice,
+// so a node's descriptor table can be one row-major slab.
+func AppendDescriptor(dst []float64, t *traj.Trajectory, vps []geom.Point) []float64 {
+	for _, v := range vps {
+		dst = append(dst, Dist(t, v))
 	}
-	return d
+	return dst
 }
 
 // VD returns the vantage distance of Eq. 13 between two descriptors:
@@ -51,12 +53,21 @@ func VD(a, b []float64) float64 {
 	if len(a) != len(b) || len(a) == 0 {
 		return math.Inf(1)
 	}
+	return vdSum(a, b, math.Inf(1)) / float64(len(a))
+}
+
+// vdSum accumulates Eq. 13's per-dimension terms of two equally long
+// descriptors in index order and returns as soon as the running sum
+// exceeds limit. Every term lies in [0, 1], so a prefix sum is a lower
+// bound of the full one: a return above limit means the full sum is above
+// limit too, any other return is the full sum.
+func vdSum(a, b []float64, limit float64) float64 {
 	var sum float64
-	for i := range a {
-		lo, hi := a[i], b[i]
-		if lo > hi {
-			lo, hi = hi, lo
-		}
+	b = b[:len(a)]
+	for i, x := range a {
+		// The builtins compile without a branch; which of the two VP-dists
+		// is larger is a coin flip the predictor loses.
+		lo, hi := min(x, b[i]), max(x, b[i])
 		switch {
 		case hi == 0:
 			// both zero: identical view from this VP
@@ -65,8 +76,11 @@ func VD(a, b []float64) float64 {
 		default:
 			sum += 1 - lo/hi
 		}
+		if sum > limit {
+			break
+		}
 	}
-	return sum / float64(len(a))
+	return sum
 }
 
 // Select picks n vantage points for a set of trajectories using the same
@@ -131,33 +145,68 @@ func Select(ts []*traj.Trajectory, n int, rng *rand.Rand) []geom.Point {
 	return out
 }
 
-// TopK returns the indices of the k descriptors closest to q under VD,
-// skipping indices for which skip returns true. Ties break by index for
-// determinism.
-func TopK(q []float64, descs [][]float64, k int, skip func(i int) bool) []int {
-	type scored struct {
-		i int
-		d float64
+// Scratch holds the buffers of one query's vantage passes — the query's
+// descriptor at the current node and the selection state of TopK — so a
+// warm pass allocates nothing. The zero value is ready to use; a Scratch
+// serves one goroutine at a time.
+type Scratch struct {
+	q   []float64 // descriptor of the query under the current node's VPs
+	vd  []float64 // the best vantage distances found so far, ascending
+	idx []int     // their row indices, parallel to vd
+}
+
+// Descriptor is AppendDescriptor into the scratch; the result is valid
+// until the next call.
+func (s *Scratch) Descriptor(t *traj.Trajectory, vps []geom.Point) []float64 {
+	s.q = AppendDescriptor(s.q[:0], t, vps)
+	return s.q
+}
+
+// TopK returns the indices of the k rows of descs closest to q under VD,
+// closest first, skipping rows for which skip returns true; ties break by
+// index. descs is a row-major table of len(q) values per row. The result
+// aliases the scratch and is valid until the next call.
+//
+// It is a selection, not a sort: the k best (VD, index) pairs seen so far
+// sit in an ordered buffer whose last entry is the threshold a later row
+// must beat. Rows arrive in index order, so a later row that merely equals
+// the threshold loses the tie-break and is dropped; a row whose partial
+// sum has passed threshold × len(q) is abandoned mid-row, because the
+// rounded quotient of a larger sum cannot fall below the threshold; and
+// skip is asked only about rows that would enter the buffer. The answer is
+// the one a full sort by (VD, index) of the unskipped rows would give.
+func (s *Scratch) TopK(q, descs []float64, k int, skip func(i int) bool) []int {
+	s.vd, s.idx = s.vd[:0], s.idx[:0]
+	dims := len(q)
+	if dims == 0 || k <= 0 {
+		return s.idx
 	}
-	var all []scored
-	for i, d := range descs {
+	n := float64(dims)
+	limit := math.Inf(1) // threshold × dims once k rows are held
+	for i, off := 0, 0; off+dims <= len(descs); i, off = i+1, off+dims {
+		sum := vdSum(q, descs[off:off+dims], limit)
+		if sum > limit {
+			continue
+		}
+		d := sum / n
+		full := len(s.vd) == k
+		if full && d >= s.vd[k-1] {
+			continue
+		}
 		if skip != nil && skip(i) {
 			continue
 		}
-		all = append(all, scored{i, VD(q, d)})
-	}
-	sort.Slice(all, func(a, b int) bool {
-		if all[a].d != all[b].d {
-			return all[a].d < all[b].d
+		if !full {
+			s.vd, s.idx = append(s.vd, d), append(s.idx, i)
 		}
-		return all[a].i < all[b].i
-	})
-	if k > len(all) {
-		k = len(all)
+		j := len(s.vd) - 1
+		for ; j > 0 && s.vd[j-1] > d; j-- {
+			s.vd[j], s.idx[j] = s.vd[j-1], s.idx[j-1]
+		}
+		s.vd[j], s.idx[j] = d, i
+		if len(s.vd) == k {
+			limit = s.vd[k-1] * n
+		}
 	}
-	out := make([]int, k)
-	for i := 0; i < k; i++ {
-		out[i] = all[i].i
-	}
-	return out
+	return s.idx
 }
