@@ -101,9 +101,9 @@
 // ("degraded": true, per-node health in /v1/stats) when a whole group
 // is down, and merges by (distance, ID) — byte-identical to one big
 // engine when every group answers. -fetch-snapshot URL|DIR warm-boots a
-// replica by shipping a peer's snapshot sections (checksum-verified,
-// manifest committed last) into -snapshot before loading. -version (or
-// GET /v1/version) prints build, role and shard map.
+// replica by shipping a peer's shard files (each verified against its
+// own checksum, manifest committed last) into -snapshot before loading.
+// -version (or GET /v1/version) prints build, role and shard map.
 //
 // Usage:
 //
@@ -152,7 +152,7 @@ func main() {
 		workers  = flag.Int("workers", 0, "batch worker-pool / shard fan-out size (0 = GOMAXPROCS)")
 		shards   = flag.Int("shards", 1, "number of hash-partitioned index shards")
 		snapshot = flag.String("snapshot", "", "snapshot directory: load on boot if present, POST /snapshot writes here")
-		mmapBoot = flag.Bool("mmap", false, "serve snapshot shards from mmap'd arena files: an O(1) warm boot that aliases the page cache instead of deserialising (falls back per shard to the gob stream when a file is missing or damaged)")
+		mmapBoot = flag.Bool("mmap", false, "map the snapshot's shard files instead of reading them onto the heap: the same files, checks and loaded state either way, with the point slabs aliasing the page cache")
 		walDir   = flag.String("wal", "", "write-ahead-log directory: mutations are logged before acknowledgement and replayed on boot")
 		walSync  = flag.String("wal-sync", "always", "WAL durability point: always (fsync per acknowledgement), interval (background fsync), never (OS page cache)")
 		walInt   = flag.Duration("wal-sync-interval", 0, "background fsync period under -wal-sync interval (0 = default 100ms)")
@@ -170,7 +170,7 @@ func main() {
 		clusterShards = flag.Int("cluster-shards", 0, "global shard count of the cluster hash placement (role shard; every node and router must agree)")
 		nodesF        = flag.String("nodes", "", "comma-separated shard-node base URLs (role router)")
 		nodeTimeout   = flag.Duration("node-timeout", 10*time.Second, "per-node request timeout of the router fan-out, and of -fetch-snapshot transfers")
-		fetchSrc      = flag.String("fetch-snapshot", "", "warm-boot source: ship this peer's (node URL or directory) snapshot sections for the served shards into -snapshot before boot, unless a snapshot is already there")
+		fetchSrc      = flag.String("fetch-snapshot", "", "warm-boot source: ship this peer's (node URL or directory) snapshot into -snapshot before boot, one verified file per served shard, unless a snapshot is already there")
 		versionF      = flag.Bool("version", false, "print build, role and placement information as JSON and exit")
 
 		prefilter  = flag.Bool("prefilter", false, "build the sketch/LSH candidate prefilter; queries opt in with \"prefilter\": true")

@@ -48,7 +48,7 @@ func main() {
 	fmt.Printf("indexed %d trips\n", idx.Size())
 
 	// 5. Persist.
-	path := filepath.Join(os.TempDir(), "trajtree.gob")
+	path := filepath.Join(os.TempDir(), "trajtree.arena")
 	f, err := os.Create(path)
 	if err != nil {
 		log.Fatal(err)

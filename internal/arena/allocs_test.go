@@ -75,7 +75,7 @@ func TestArenaViewZeroAllocs(t *testing.T) {
 
 	// Same fences on members materialised from an encoded snapshot.
 	var buf bytes.Buffer
-	if err := Encode(&buf, a, testTreeSection(), nil); err != nil {
+	if _, err := Encode(&buf, a, testTreeSection(), nil); err != nil {
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "z.arena")

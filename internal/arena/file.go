@@ -42,9 +42,8 @@ import (
 )
 
 // ErrCorrupt reports that an arena snapshot file failed verification —
-// bad magic, damaged checksum, or an internal inconsistency. Callers
-// treat it as "this file cannot be served from" and fall back to the
-// gob snapshot stream.
+// bad magic, damaged checksum, or an internal inconsistency: the file
+// cannot be served from.
 var ErrCorrupt = errors.New("arena: snapshot corrupt")
 
 const (
@@ -84,6 +83,9 @@ type Snapshot struct {
 	Arena *Arena
 	Tree  TreeSection
 	Extra json.RawMessage
+	// CRC is the file's verified trailer: the CRC32C of every byte before
+	// it, which identifies the save the file came from.
+	CRC uint32
 	// Mapped reports whether the slices alias an mmap'd file (true) or
 	// heap copies (false).
 	Mapped bool
@@ -160,7 +162,8 @@ func (a *Arena) sectionBytes(name string, ts *TreeSection) int64 {
 // metadata (the index layer's options and root) stored in the meta
 // header. A nil arena encodes as empty slabs, so a shard that has only
 // ever seen Inserts still snapshots (every member rides in the overlay).
-func Encode(w io.Writer, a *Arena, ts *TreeSection, extra json.RawMessage) error {
+// The returned value is the trailer checksum the file ends in.
+func Encode(w io.Writer, a *Arena, ts *TreeSection, extra json.RawMessage) (uint32, error) {
 	if a == nil {
 		a = &Arena{offs: make([]int64, 1), boxOffs: make([]int64, 1)}
 	}
@@ -179,7 +182,7 @@ func Encode(w io.Writer, a *Arena, ts *TreeSection, extra json.RawMessage) error
 		}
 		raw, err := json.Marshal(meta)
 		if err != nil {
-			return err
+			return 0, err
 		}
 		want := int64(16 + len(raw))
 		if want == headerLen {
@@ -189,42 +192,43 @@ func Encode(w io.Writer, a *Arena, ts *TreeSection, extra json.RawMessage) error
 	}
 	rawMeta, err := json.Marshal(meta)
 	if err != nil {
-		return err
+		return 0, err
 	}
 	h := crc32.New(fileCRC)
 	cw := io.MultiWriter(w, h)
 	if _, err := cw.Write([]byte(fileMagic)); err != nil {
-		return err
+		return 0, err
 	}
 	var b8 [8]byte
 	binary.LittleEndian.PutUint64(b8[:], uint64(len(rawMeta)))
 	if _, err := cw.Write(b8[:]); err != nil {
-		return err
+		return 0, err
 	}
 	if _, err := cw.Write(rawMeta); err != nil {
-		return err
+		return 0, err
 	}
 	pos := int64(16 + len(rawMeta))
 	if err := pad8(cw, &pos); err != nil {
-		return err
+		return 0, err
 	}
 	for si, name := range sectionOrder {
 		if pos != meta.Sections[si].Off {
-			return fmt.Errorf("arena: encode: section %s at %d, planned %d", name, pos, meta.Sections[si].Off)
+			return 0, fmt.Errorf("arena: encode: section %s at %d, planned %d", name, pos, meta.Sections[si].Off)
 		}
 		n, err := a.writeSection(cw, name, &sectionTS{ts})
 		if err != nil {
-			return err
+			return 0, err
 		}
 		pos += n
 		if err := pad8(cw, &pos); err != nil {
-			return err
+			return 0, err
 		}
 	}
+	sum := h.Sum32()
 	var trailer [4]byte
-	binary.LittleEndian.PutUint32(trailer[:], h.Sum32())
+	binary.LittleEndian.PutUint32(trailer[:], sum)
 	_, err = w.Write(trailer[:])
-	return err
+	return sum, err
 }
 
 // sectionTS exists to keep writeSection's signature small.
@@ -386,9 +390,9 @@ func decode(b []byte, mapped bool) (*Snapshot, error) {
 	if string(b[:8]) != fileMagic {
 		return nil, fmt.Errorf("%w: bad magic %q", ErrCorrupt, b[:8])
 	}
-	body, trailer := b[:len(b)-4], b[len(b)-4:]
-	if got, want := crc32.Checksum(body, fileCRC), binary.LittleEndian.Uint32(trailer); got != want {
-		return nil, fmt.Errorf("%w: checksum mismatch (trailer %08x, content %08x)", ErrCorrupt, want, got)
+	body, sum := b[:len(b)-4], binary.LittleEndian.Uint32(b[len(b)-4:])
+	if got := crc32.Checksum(body, fileCRC); got != sum {
+		return nil, fmt.Errorf("%w: checksum mismatch (trailer %08x, content %08x)", ErrCorrupt, sum, got)
 	}
 	metaLen := binary.LittleEndian.Uint64(b[8:16])
 	if metaLen > uint64(len(body)-16) {
@@ -453,7 +457,7 @@ func decode(b []byte, mapped bool) (*Snapshot, error) {
 	for i, id := range a.ids {
 		a.byID[int(id)] = int32(i)
 	}
-	return &Snapshot{Arena: a, Tree: ts, Extra: meta.Extra, Mapped: mapped}, nil
+	return &Snapshot{Arena: a, Tree: ts, Extra: meta.Extra, CRC: sum, Mapped: mapped}, nil
 }
 
 // alias reinterprets raw little-endian bytes as a []T in place on
@@ -528,7 +532,7 @@ func (a *Arena) check() error {
 		return fmt.Errorf("%w: point slabs disagree (%d offs end, %d pts, %d xs, %d ys)",
 			ErrCorrupt, a.offs[n], len(a.pts), len(a.xs), len(a.ys))
 	}
-	if int(a.boxOffs[n])*4 != len(a.boxes) {
+	if len(a.boxes)%4 != 0 || a.boxOffs[n] != int64(len(a.boxes)/4) {
 		return fmt.Errorf("%w: box slab disagrees (%d boxoffs end, %d boxes)", ErrCorrupt, a.boxOffs[n], len(a.boxes))
 	}
 	return nil
@@ -547,7 +551,7 @@ func (ts *TreeSection) check(a *Arena) error {
 			return fmt.Errorf("%w: overlay tables disagree (%d ids, %d offs, %d labels)",
 				ErrCorrupt, nOverlay, len(ts.OOffs), len(ts.OLabels))
 		}
-		if ts.OOffs[0] != 0 || int(ts.OOffs[nOverlay])*3 != len(ts.OPts) {
+		if ts.OOffs[0] != 0 || len(ts.OPts)%3 != 0 || ts.OOffs[nOverlay] != int64(len(ts.OPts)/3) {
 			return fmt.Errorf("%w: overlay offsets do not span the point slab", ErrCorrupt)
 		}
 		for i := 0; i < nOverlay; i++ {
@@ -564,10 +568,10 @@ func (ts *TreeSection) check(a *Arena) error {
 		memberOff, memberCount := m[5], m[6]
 		vpOff, vpCount := m[7], m[8]
 		descOff, descRows := m[9], m[10]
-		if boxOff < 0 || boxCount < 0 || (boxOff+boxCount)*5 > int64(len(ts.NBoxes)) {
+		if !window(boxOff, boxCount, len(ts.NBoxes)/5) {
 			return fmt.Errorf("%w: node %d box range out of bounds", ErrCorrupt, ni)
 		}
-		if childOff < 0 || childCount < 0 || childOff+childCount > int64(len(ts.Children)) {
+		if !window(childOff, childCount, len(ts.Children)) {
 			return fmt.Errorf("%w: node %d child range out of bounds", ErrCorrupt, ni)
 		}
 		for _, c := range ts.Children[childOff : childOff+childCount] {
@@ -575,7 +579,7 @@ func (ts *TreeSection) check(a *Arena) error {
 				return fmt.Errorf("%w: node %d child index %d out of range", ErrCorrupt, ni, c)
 			}
 		}
-		if memberOff < 0 || memberCount < 0 || memberOff+memberCount > int64(len(ts.Members)) {
+		if !window(memberOff, memberCount, len(ts.Members)) {
 			return fmt.Errorf("%w: node %d member range out of bounds", ErrCorrupt, ni)
 		}
 		for _, r := range ts.Members[memberOff : memberOff+memberCount] {
@@ -583,16 +587,25 @@ func (ts *TreeSection) check(a *Arena) error {
 				return fmt.Errorf("%w: node %d member ref %d out of range", ErrCorrupt, ni, r)
 			}
 		}
-		if vpOff < 0 || vpCount < 0 || (vpOff+vpCount)*2 > int64(len(ts.VPs)) {
+		if !window(vpOff, vpCount, len(ts.VPs)/2) {
 			return fmt.Errorf("%w: node %d vp range out of bounds", ErrCorrupt, ni)
 		}
 		if descRows >= 0 {
-			if descOff < 0 || descOff+descRows*vpCount > int64(len(ts.DVals)) {
+			// descRows rows of vpCount values each, from descOff.
+			if !window(descOff, 0, len(ts.DVals)) ||
+				(vpCount > 0 && descRows > (int64(len(ts.DVals))-descOff)/vpCount) {
 				return fmt.Errorf("%w: node %d descriptor range out of bounds", ErrCorrupt, ni)
 			}
 		}
 	}
 	return nil
+}
+
+// window reports whether [off, off+count) lies inside a table of n
+// entries. The values come from the file and may sit anywhere in int64,
+// so the test never forms off+count (or a multiple of it), which wraps.
+func window(off, count int64, n int) bool {
+	return off >= 0 && count >= 0 && off <= int64(n) && count <= int64(n)-off
 }
 
 // Members materialises trajectory headers over the arena's slabs: one

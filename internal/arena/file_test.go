@@ -2,6 +2,7 @@ package arena
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"math/rand"
 	"os"
@@ -48,8 +49,12 @@ func encodeTestFile(t *testing.T) (string, *Arena, *TreeSection) {
 	a := Build(testMembers(20))
 	ts := testTreeSection()
 	var buf bytes.Buffer
-	if err := Encode(&buf, a, ts, []byte(`{"k":1}`)); err != nil {
+	sum, err := Encode(&buf, a, ts, []byte(`{"k":1}`))
+	if err != nil {
 		t.Fatalf("encode: %v", err)
+	}
+	if tail := binary.LittleEndian.Uint32(buf.Bytes()[buf.Len()-4:]); sum != tail {
+		t.Fatalf("Encode returned checksum %08x, file ends in %08x", sum, tail)
 	}
 	path := filepath.Join(t.TempDir(), "x.arena")
 	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
@@ -87,6 +92,9 @@ func TestFileRoundTrip(t *testing.T) {
 		if b.boxes[i] != v {
 			t.Fatalf("box value %d mismatch", i)
 		}
+	}
+	if raw, err := os.ReadFile(path); err != nil || snap.CRC != binary.LittleEndian.Uint32(raw[len(raw)-4:]) {
+		t.Fatalf("snapshot checksum %08x is not the file's trailer (%v)", snap.CRC, err)
 	}
 	if string(snap.Extra) != `{"k":1}` {
 		t.Fatalf("extra %q", snap.Extra)
@@ -215,7 +223,7 @@ func TestFileEncodeNilArena(t *testing.T) {
 		OLabels: []int64{0},
 	}
 	var buf bytes.Buffer
-	if err := Encode(&buf, nil, ts, []byte(`{}`)); err != nil {
+	if _, err := Encode(&buf, nil, ts, []byte(`{}`)); err != nil {
 		t.Fatal(err)
 	}
 	snap, err := Decode(buf.Bytes())

@@ -66,7 +66,7 @@ type NodeInfo struct {
 // NodeHandler wraps the engine's public API handler with the cluster
 // endpoints. Mutations on foreign IDs already answer 421 not_owned at
 // the engine layer, so a node is safe to expose even to a confused
-// router; the snapshot endpoint serves only manifest/shard/arena file
+// router; the snapshot endpoint serves only manifest and shard file
 // names (allowlisted), never arbitrary paths.
 func NodeHandler(e *server.Engine, opt server.HandlerOptions) http.Handler {
 	// A node behind this handler is a shard server whatever the caller
@@ -100,8 +100,8 @@ func NodeHandler(e *server.Engine, opt server.HandlerOptions) http.Handler {
 				fmt.Sprintf("not a snapshot file: %q", name))
 			return
 		}
-		// The allowlist admits only the fixed manifest name and
-		// shard-NNNN.{tree,arena} shapes, so the join cannot escape dir.
+		// The allowlist admits only the fixed manifest name and the
+		// shard-NNNN.arena shape, so the join cannot escape dir.
 		http.ServeFile(w, r, filepath.Join(dir, name))
 	})
 	mux.Handle("/", api)

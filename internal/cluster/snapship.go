@@ -10,27 +10,24 @@ import (
 	"strings"
 
 	"trajmatch/internal/server"
+	"trajmatch/internal/trajtree"
 )
 
 // FetchSnapshot ships a snapshot from src into dstDir so a replica can
 // warm-boot instead of rebuilding: it fetches the peer's manifest,
 // checks the manifest covers every requested global shard (nil shards
-// means everything the peer has), fetches each shard's tree stream and
-// arena twin, CRC-verifies the tree streams, and only then commits by
-// writing the manifest — the same "manifest last" transaction
-// SaveSnapshot uses, so a fetch killed midway leaves no loadable
-// half-snapshot. Existing files in dstDir are overwritten; stale shard
-// files from a previous fetch are left alone (the manifest's coverage,
-// not directory listing, drives the load).
+// means everything the peer has), fetches each shard's file, verifies it
+// with the decoder that will load it, and only then commits by writing
+// the manifest — the same "manifest last" transaction SaveSnapshot uses,
+// so a fetch killed midway leaves no loadable half-snapshot. Existing
+// files in dstDir are overwritten; stale shard files from a previous
+// fetch are left alone (the manifest's coverage, not directory listing,
+// drives the load).
 //
 // src is either a node base URL (http://host:port — files come from
 // GET /cluster/v1/snapshot/{file}) or a filesystem path (an object
-// store mount or a peer's exported directory — files are copied).
-//
-// Arena files are fetched best-effort: a peer that never saved arenas
-// (or a damaged transfer) downgrades the replica to the gob boot path
-// per shard, exactly the mmap fallback a local boot has. The returned
-// SnapshotInfo describes what was shipped.
+// store mount or a peer's exported directory — files are copied). The
+// returned SnapshotInfo describes what was shipped.
 func FetchSnapshot(ctx context.Context, src, dstDir string, shards []int, client *http.Client) (server.SnapshotInfo, error) {
 	if client == nil {
 		client = &http.Client{}
@@ -70,29 +67,20 @@ func FetchSnapshot(ctx context.Context, src, dstDir string, shards []int, client
 		}
 	}
 
-	// Shard sections land under .tmp names, are verified, then renamed
-	// into place — the manifest still names nothing until the end.
-	for _, g := range shards {
-		name := server.SnapshotFiles([]int{g})[1] // tree stream
+	// Shard files land under .tmp names, are verified, then renamed into
+	// place — the manifest still names nothing until the end. A truncated
+	// or corrupted transfer is caught here rather than at boot.
+	for _, name := range server.SnapshotFiles(shards)[1:] {
 		tmp := filepath.Join(dstDir, name+".tmp")
 		if err := fetch(ctx, name, tmp); err != nil {
+			os.Remove(tmp)
 			return server.SnapshotInfo{}, fmt.Errorf("cluster: fetch %s: %w", name, err)
 		}
-		if err := server.VerifySnapshotShardFile(tmp, g); err != nil {
+		if _, _, err := trajtree.LoadArena(tmp); err != nil {
 			os.Remove(tmp)
 			return server.SnapshotInfo{}, fmt.Errorf("cluster: fetched %s: %w", name, err)
 		}
 		if err := os.Rename(tmp, filepath.Join(dstDir, name)); err != nil {
-			return server.SnapshotInfo{}, fmt.Errorf("cluster: fetch snapshot: %w", err)
-		}
-
-		arena := server.SnapshotFiles([]int{g})[2] // arena twin, best-effort
-		tmp = filepath.Join(dstDir, arena+".tmp")
-		if err := fetch(ctx, arena, tmp); err != nil {
-			os.Remove(tmp)
-			continue // gob boot path per shard; the load re-verifies
-		}
-		if err := os.Rename(tmp, filepath.Join(dstDir, arena)); err != nil {
 			return server.SnapshotInfo{}, fmt.Errorf("cluster: fetch snapshot: %w", err)
 		}
 	}

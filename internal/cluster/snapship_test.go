@@ -3,6 +3,8 @@ package cluster
 import (
 	"bytes"
 	"context"
+	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -69,43 +71,34 @@ func TestFetchSnapshotWarmBoot(t *testing.T) {
 		}
 	}
 
-	replica, err := server.LoadSnapshot(dst, server.Options{
-		CacheSize: -1,
-		Workers:   1,
-		Partition: &server.Partition{Total: total, Owned: owned},
-	})
-	if err != nil {
-		t.Fatalf("replica warm boot: %v", err)
-	}
-	defer replica.Close()
-
 	// Reference: the same partition built cold from the corpus.
 	cold := newNodeEngine(t, db, total, owned)
-	if replica.Size() != cold.Size() {
-		t.Fatalf("replica owns %d trajectories, cold build %d", replica.Size(), cold.Size())
-	}
-	for _, tr := range db {
-		if g := server.ShardOf(tr.ID, total); g != 1 && g != 3 {
-			if replica.Lookup(tr.ID) != nil {
-				t.Fatalf("replica holds foreign trajectory %d (shard %d)", tr.ID, g)
+	for _, mm := range []bool{false, true} {
+		replica, err := server.LoadSnapshot(dst, server.Options{
+			CacheSize: -1,
+			Workers:   1,
+			Mmap:      mm,
+			Partition: &server.Partition{Total: total, Owned: owned},
+		})
+		if err != nil {
+			t.Fatalf("replica warm boot (mmap=%v): %v", mm, err)
+		}
+		defer replica.Close()
+		if replica.Size() != cold.Size() {
+			t.Fatalf("replica owns %d trajectories, cold build %d", replica.Size(), cold.Size())
+		}
+		for _, tr := range db {
+			if g := server.ShardOf(tr.ID, total); g != 1 && g != 3 {
+				if replica.Lookup(tr.ID) != nil {
+					t.Fatalf("replica holds foreign trajectory %d (shard %d)", tr.ID, g)
+				}
+				continue
 			}
-			continue
+			if replica.Lookup(tr.ID) == nil {
+				t.Fatalf("replica lost owned trajectory %d", tr.ID)
+			}
 		}
-		if replica.Lookup(tr.ID) == nil {
-			t.Fatalf("replica lost owned trajectory %d", tr.ID)
-		}
-	}
-	for _, q := range testDB(4, 99) {
-		req := server.Query{Kind: server.KindKNN, K: 5}
-		want, err := cold.Search(context.Background(), q, req)
-		if err != nil {
-			t.Fatalf("cold search: %v", err)
-		}
-		got, err := replica.Search(context.Background(), q, req)
-		if err != nil {
-			t.Fatalf("replica search: %v", err)
-		}
-		sameResults(t, "warm vs cold", got.Results, want.Results)
+		sameSearch(t, fmt.Sprintf("warm (mmap=%v) vs cold", mm), replica, cold)
 	}
 }
 
@@ -121,16 +114,19 @@ func TestFetchSnapshotFromDirectory(t *testing.T) {
 	if _, err := FetchSnapshot(context.Background(), srcDir, dst, nil, nil); err != nil {
 		t.Fatalf("fetch from directory: %v", err)
 	}
-	standby, err := server.LoadSnapshot(dst, server.Options{CacheSize: -1, Workers: 1})
-	if err != nil {
-		t.Fatalf("standby boot: %v", err)
-	}
-	defer standby.Close()
-	if standby.Size() != src.Size() {
-		t.Fatalf("standby holds %d trajectories, source %d", standby.Size(), src.Size())
-	}
-	if standby.Shards() != src.Shards() {
-		t.Fatalf("standby has %d shards, source %d", standby.Shards(), src.Shards())
+	for _, mm := range []bool{false, true} {
+		standby, err := server.LoadSnapshot(dst, server.Options{CacheSize: -1, Workers: 1, Mmap: mm})
+		if err != nil {
+			t.Fatalf("standby boot (mmap=%v): %v", mm, err)
+		}
+		defer standby.Close()
+		if standby.Size() != src.Size() {
+			t.Fatalf("standby holds %d trajectories, source %d", standby.Size(), src.Size())
+		}
+		if standby.Shards() != src.Shards() {
+			t.Fatalf("standby has %d shards, source %d", standby.Shards(), src.Shards())
+		}
+		sameSearch(t, fmt.Sprintf("standby mmap=%v", mm), standby, src)
 	}
 }
 
@@ -161,17 +157,42 @@ func TestFetchSnapshotFromPartitionedPeer(t *testing.T) {
 	if _, err := FetchSnapshot(context.Background(), srv.URL, dst, owned, nil); err != nil {
 		t.Fatalf("fetch: %v", err)
 	}
-	replica, err := server.LoadSnapshot(dst, server.Options{
-		CacheSize: -1,
-		Workers:   1,
-		Partition: &server.Partition{Total: total, Owned: owned},
-	})
-	if err != nil {
-		t.Fatalf("replica boot: %v", err)
+	for _, mm := range []bool{false, true} {
+		replica, err := server.LoadSnapshot(dst, server.Options{
+			CacheSize: -1,
+			Workers:   1,
+			Mmap:      mm,
+			Partition: &server.Partition{Total: total, Owned: owned},
+		})
+		if err != nil {
+			t.Fatalf("replica boot (mmap=%v): %v", mm, err)
+		}
+		defer replica.Close()
+		if replica.Size() != peer.Size() {
+			t.Fatalf("replica holds %d trajectories, peer %d", replica.Size(), peer.Size())
+		}
+		sameSearch(t, fmt.Sprintf("replica mmap=%v", mm), replica, peer)
 	}
-	defer replica.Close()
-	if replica.Size() != peer.Size() {
-		t.Fatalf("replica holds %d trajectories, peer %d", replica.Size(), peer.Size())
+}
+
+// sameSearch requires got to answer a few k-NN queries exactly as want
+// does: same IDs, distances and order, same per-query work counters.
+func sameSearch(t *testing.T, label string, got, want *server.Engine) {
+	t.Helper()
+	for _, q := range testDB(4, 99) {
+		req := server.Query{Kind: server.KindKNN, K: 5, WithStats: true}
+		w, err := want.Search(context.Background(), q, req)
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		g, err := got.Search(context.Background(), q, req)
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		sameResults(t, label, g.Results, w.Results)
+		if g.Stats != w.Stats {
+			t.Fatalf("%s: stats %+v, want %+v", label, g.Stats, w.Stats)
+		}
 	}
 }
 
@@ -202,19 +223,36 @@ func TestFetchSnapshotRejects(t *testing.T) {
 		t.Fatalf("fetch of an uncovered shard succeeded")
 	}
 
-	// A corrupted shard stream fails its CRC during shipping.
+	// A corrupted shard file fails its checksum during shipping, and a
+	// missing one fails the fetch: neither leaves a manifest behind.
 	_, srcDir, _ := snapshotSource(t, db, total)
-	treeFile := filepath.Join(srcDir, server.SnapshotFiles([]int{1})[1])
-	data, err := os.ReadFile(treeFile)
+	shardFile := filepath.Join(srcDir, server.SnapshotFiles([]int{1})[1])
+	data, err := os.ReadFile(shardFile)
 	if err != nil {
 		t.Fatal(err)
 	}
 	data[len(data)/2] ^= 0xFF
-	if err := os.WriteFile(treeFile, data, 0o644); err != nil {
+	if err := os.WriteFile(shardFile, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := FetchSnapshot(context.Background(), srcDir, t.TempDir(), []int{1}, nil); err == nil {
-		t.Fatalf("fetch of a corrupted shard stream succeeded")
+	if err := os.Remove(filepath.Join(srcDir, server.SnapshotFiles([]int{2})[1])); err != nil {
+		t.Fatal(err)
+	}
+	for _, g := range []int{1, 2} {
+		dst := t.TempDir()
+		if _, err := FetchSnapshot(context.Background(), srcDir, dst, []int{0, g}, nil); err == nil {
+			t.Fatalf("fetch of damaged shard %d succeeded", g)
+		}
+		if server.SnapshotExists(dst) {
+			t.Fatalf("failed fetch of shard %d committed a manifest", g)
+		}
+	}
+
+	// The version-2 gob stream names are no longer served.
+	if resp, err := http.Get(srv.URL + snapshotPath + "shard-0000.tree"); err != nil || resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("GET shard-0000.tree: %v %v, want 404", resp, err)
+	} else {
+		resp.Body.Close()
 	}
 
 	// A node with no snapshot directory refuses to ship.

@@ -9,12 +9,11 @@ import (
 )
 
 // BenchmarkSnapshotBoot measures warm boot: LoadSnapshot plus the first
-// k-NN answer, mmap'd arena files against the gob streams of the same
-// directory. The mmap path skips per-sample deserialization entirely —
-// boot cost is the CRC pass over the file plus O(nodes + members)
-// pointer stitching — so its advantage grows linearly with corpus size.
-// The full 100k corpus backs the ISSUE-8 ≥10× acceptance number;
-// -short (and so `go test ./...`) drops to 5k to keep the setup cheap.
+// k-NN answer, the shard files mapped against the same files read onto
+// the heap. Both arms decode the same bytes — the CRC pass over the file
+// plus O(nodes + members) pointer stitching — so what separates them is
+// one read of the file into a buffer. -short (what CI runs) drops the
+// 100k corpus to 5k to keep the setup cheap.
 func BenchmarkSnapshotBoot(b *testing.B) {
 	n := 100_000
 	if testing.Short() {

@@ -297,12 +297,11 @@ func TestCrashRecoverySweep(t *testing.T) {
 					}
 
 					// Reboot from the wreckage with the real filesystem,
-					// through the mmap boot path: shards whose arena file
-					// survived intact map it, the rest fall back to the gob
-					// stream, and recovery must always succeed either way —
-					// every crash the injector can produce leaves a readable
-					// snapshot + WAL. (The workload boot above stays on the
-					// gob path, so both loaders see every failpoint.)
+					// through the mmap boot path, and recovery must always
+					// succeed — every crash the injector can produce leaves a
+					// readable snapshot + WAL. (The workload boot above reads
+					// the same files onto the heap through the injector, so
+					// both readers see every failpoint.)
 					rec, err := LoadSnapshotSpecs(iterSnap, nil, Options{
 						CacheSize: -1, Workers: 1, WALDir: iterWAL, Prefilter: true, Mmap: true,
 					})
@@ -426,19 +425,36 @@ func TestWALReplayAfterKill(t *testing.T) {
 
 // TestSnapshotCorruptionMatrix damages every snapshot file in every way
 // the durability layer must survive being lied to about — truncation,
-// bit flips, zeroed regions — and asserts the loader always answers
-// with a clean error: no panic, no engine serving wrong data. The
-// matrix runs with and without a WAL configured, because the
-// mixed-epoch salvage path must not be a loophole for bit rot.
+// bit flips, zeroed regions, a file from another placement — and asserts
+// the loader always answers with a clean error: no panic, no engine
+// serving wrong data. Every cell runs through both readers (heap and
+// mmap) and with and without a WAL configured, because the mixed-epoch
+// salvage path must not be a loophole for bit rot.
 func TestSnapshotCorruptionMatrix(t *testing.T) {
 	db := testDB(50, 17)
 	topt := trajtree.Options{Seed: 1, LeafSize: 5}
-	e, err := NewEngineFromDB(db, topt, Options{CacheSize: -1, Shards: 2})
+	e, err := NewEngineFromDB(db, topt, Options{CacheSize: -1, Shards: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	pristine := t.TempDir()
 	if err := e.SaveSnapshot(pristine); err != nil {
+		t.Fatal(err)
+	}
+	// The same corpus saved under 8 shards: its shard-6 file is intact
+	// and vouches for itself, but its members hash to shard 2 of 4, so
+	// under either damaged name below the placement check must refuse it
+	// even where a WAL would excuse the foreign checksum.
+	e8, err := NewEngineFromDB(cloneDB(db), topt, Options{CacheSize: -1, Shards: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	other := t.TempDir()
+	if err := e8.SaveSnapshot(other); err != nil {
+		t.Fatal(err)
+	}
+	misplaced, err := os.ReadFile(filepath.Join(other, arenaFileName(6)))
+	if err != nil {
 		t.Fatal(err)
 	}
 
@@ -460,39 +476,113 @@ func TestSnapshotCorruptionMatrix(t *testing.T) {
 			}
 			return c
 		}},
+		{"saved-under-8-shards", func([]byte) []byte { return misplaced }},
 	}
-	for _, file := range []string{shardFileName(0), shardFileName(1), manifestName} {
+	for _, file := range []string{arenaFileName(0), arenaFileName(1), manifestName} {
 		for _, c := range corruptions {
-			for _, withWAL := range []bool{false, true} {
-				t.Run(fmt.Sprintf("%s/%s/wal=%v", file, c.name, withWAL), func(t *testing.T) {
-					dir := t.TempDir()
-					copyDirT(t, pristine, dir)
-					path := filepath.Join(dir, file)
-					data, err := os.ReadFile(path)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if err := os.WriteFile(path, c.apply(data), 0o644); err != nil {
-						t.Fatal(err)
-					}
-					opt := Options{CacheSize: -1}
-					if withWAL {
-						opt.WALDir = filepath.Join(dir, "wal")
-					}
-					loaded, err := LoadSnapshot(dir, opt)
-					if err == nil {
-						loaded.Close()
-						t.Fatal("corrupt snapshot loaded without error")
-					}
-				})
+			for _, mm := range []bool{false, true} {
+				for _, withWAL := range []bool{false, true} {
+					t.Run(fmt.Sprintf("%s/%s/mmap=%v/wal=%v", file, c.name, mm, withWAL), func(t *testing.T) {
+						dir := t.TempDir()
+						copyDirT(t, pristine, dir)
+						path := filepath.Join(dir, file)
+						data, err := os.ReadFile(path)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if err := os.WriteFile(path, c.apply(data), 0o644); err != nil {
+							t.Fatal(err)
+						}
+						opt := Options{CacheSize: -1, Mmap: mm}
+						if withWAL {
+							opt.WALDir = filepath.Join(dir, "wal")
+						}
+						loaded, err := LoadSnapshot(dir, opt)
+						if err == nil {
+							loaded.Close()
+							t.Fatal("corrupt snapshot loaded without error")
+						}
+						if c.name == "saved-under-8-shards" && withWAL && file != manifestName &&
+							!strings.Contains(err.Error(), "another placement") {
+							t.Fatalf("err = %v, want the placement check's refusal", err)
+						}
+					})
+				}
 			}
 		}
 	}
 }
 
+// TestSnapshotMixedEpoch stages the one inconsistency a crashed save can
+// leave behind — a shard file of the new save under the manifest of the
+// old one — and pins both outcomes: with a WAL the directory is salvaged
+// and replay recovers exactly the acknowledged state; without one there
+// is nothing to reconcile the epochs with, and the load is refused.
+func TestSnapshotMixedEpoch(t *testing.T) {
+	db := testDB(50, 19)
+	topt := trajtree.Options{Seed: 1, LeafSize: 5}
+	old, wal := t.TempDir(), t.TempDir()
+	e, err := NewEngineFromDB(db, topt, Options{CacheSize: -1, Workers: 1, Shards: 2, WALDir: wal})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.SaveSnapshot(old); err != nil {
+		t.Fatal(err)
+	}
+	// Mutations on both shards, all acknowledged, all in the WAL.
+	for i, tr := range testDB(12, 23) {
+		tr.ID = 3000 + i
+		if err := e.Insert(tr); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !e.Delete(db[4].ID) || !e.Delete(db[5].ID) {
+		t.Fatal("delete missed")
+	}
+	// The crashed save: the new epoch's files, of which only shard 0's
+	// rename landed. The WAL is copied first — a save that commits
+	// truncates it, a save that crashes in the rename loop does not.
+	mixed, mixedWAL, next := t.TempDir(), t.TempDir(), t.TempDir()
+	copyDirT(t, old, mixed)
+	copyDirT(t, wal, mixedWAL)
+	if err := e.SaveSnapshot(next); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(filepath.Join(next, arenaFileName(0)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(mixed, arenaFileName(0)), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, mm := range []bool{false, true} {
+		_, err := LoadSnapshot(mixed, Options{CacheSize: -1, Mmap: mm})
+		if err == nil || !strings.Contains(err.Error(), "snapshot corrupt") {
+			t.Fatalf("mmap=%v, no WAL: err = %v, want snapshot corrupt", mm, err)
+		}
+		walDir := t.TempDir()
+		copyDirT(t, mixedWAL, walDir)
+		rec, err := LoadSnapshot(mixed, Options{CacheSize: -1, Workers: 1, Mmap: mm, WALDir: walDir})
+		if err != nil {
+			t.Fatalf("mmap=%v, WAL: salvage failed: %v", mm, err)
+		}
+		if rec.Size() != e.Size() {
+			t.Fatalf("mmap=%v: recovered %d trajectories, acknowledged %d", mm, rec.Size(), e.Size())
+		}
+		for it := 0; it < 8; it++ {
+			q := db[(it*7)%len(db)].Clone()
+			q.ID = 7_000_000 + it
+			sameResults(t, fmt.Sprintf("mmap=%v it=%d", mm, it), searchKNN(t, rec, q, 6), searchKNN(t, e, q, 6))
+		}
+		if err := rec.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // TestSnapshotShrinkRemovesStaleShards: re-saving into a directory that
-// previously held more shards must not leave orphan shard files behind
-// the new manifest.
+// previously held more shards — or a version-2 snapshot's gob streams —
+// must not leave orphan shard files behind the new manifest.
 func TestSnapshotShrinkRemovesStaleShards(t *testing.T) {
 	db := testDB(60, 21)
 	topt := trajtree.Options{Seed: 1, LeafSize: 5}
@@ -503,6 +593,11 @@ func TestSnapshotShrinkRemovesStaleShards(t *testing.T) {
 	}
 	if err := e8.SaveSnapshot(dir); err != nil {
 		t.Fatal(err)
+	}
+	for _, name := range []string{"shard-0000.tree", "shard-0006.tree"} {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte("TRSHRD02"), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 	e4, err := NewEngineFromDB(db, topt, Options{CacheSize: -1, Shards: 4})
 	if err != nil {
@@ -517,10 +612,6 @@ func TestSnapshotShrinkRemovesStaleShards(t *testing.T) {
 	}
 	want := map[string]bool{
 		manifestName:     true,
-		shardFileName(0): true,
-		shardFileName(1): true,
-		shardFileName(2): true,
-		shardFileName(3): true,
 		arenaFileName(0): true,
 		arenaFileName(1): true,
 		arenaFileName(2): true,

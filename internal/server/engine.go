@@ -88,12 +88,12 @@ type Options struct {
 	// SnapshotDir, when non-empty, is where POST /snapshot writes the
 	// sharded snapshot and where SaveSnapshot/LoadSnapshot default to.
 	SnapshotDir string
-	// Mmap makes LoadSnapshot serve each shard straight from its
-	// mmap-able arena file (shard-NNNN.arena) when one is present and
-	// matches the manifest: the point slabs alias the page cache instead
-	// of being deserialised, so a warm boot is O(members), not
-	// O(samples). Any verification failure falls back per shard to the
-	// gob stream — the loaded state is identical either way.
+	// Mmap makes LoadSnapshot map each shard file (shard-NNNN.arena)
+	// instead of reading it onto the heap through FS: the point slabs
+	// then alias the page cache rather than one heap buffer per shard.
+	// It selects where the file's bytes live, nothing else — both ways
+	// decode the same file, verify it the same, fail the same, and load
+	// identical state.
 	Mmap bool
 	// Prefilter builds the sketch/LSH candidate prefilter at boot: one
 	// sketch index per shard, shared across every loaded metric.

@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"errors"
+	"fmt"
 	"testing"
 
 	"trajmatch/internal/backend"
@@ -216,7 +217,7 @@ func TestPartialSnapshotRoundTrip(t *testing.T) {
 	owned := []int{0, 2}
 	dir := t.TempDir()
 	e, err := NewEngineFromDB(db, trajtree.Options{Seed: 1, LeafSize: 5},
-		Options{CacheSize: -1, Partition: &Partition{Total: total, Owned: owned}, SnapshotDir: dir})
+		Options{CacheSize: -1, Workers: 1, Partition: &Partition{Total: total, Owned: owned}, SnapshotDir: dir})
 	if err != nil {
 		t.Fatalf("engine: %v", err)
 	}
@@ -231,14 +232,21 @@ func TestPartialSnapshotRoundTrip(t *testing.T) {
 		t.Fatalf("snapshot info %+v, want 4 shards, 2 covered", info)
 	}
 
-	// Same placement loads and matches.
-	re, err := LoadSnapshot(dir, Options{CacheSize: -1, Partition: &Partition{Total: total, Owned: owned}})
-	if err != nil {
-		t.Fatalf("reload: %v", err)
-	}
-	defer re.Close()
-	if re.Size() != e.Size() {
-		t.Fatalf("reloaded %d trajectories, saved %d", re.Size(), e.Size())
+	// Same placement loads and matches, from the heap and from a mapping.
+	for _, mm := range []bool{false, true} {
+		re, err := LoadSnapshot(dir, Options{CacheSize: -1, Workers: 1, Mmap: mm, Partition: &Partition{Total: total, Owned: owned}})
+		if err != nil {
+			t.Fatalf("reload (mmap=%v): %v", mm, err)
+		}
+		defer re.Close()
+		if re.Size() != e.Size() {
+			t.Fatalf("reloaded %d trajectories, saved %d", re.Size(), e.Size())
+		}
+		for it := 0; it < 6; it++ {
+			q := db[(it*13)%len(db)].Clone()
+			q.ID = 6_100_000 + it
+			sameAnswer(t, fmt.Sprintf("mmap=%v it=%d", mm, it), re, e, q, Query{Kind: KindKNN, K: 5})
+		}
 	}
 
 	// A conflicting modulus is rejected.

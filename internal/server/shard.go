@@ -13,7 +13,7 @@ import (
 
 // treeOf is the single place the engine recognises a persistent backend:
 // today that means the concrete tree type, because the snapshot format
-// (trajtree.Save streams + manifest tree options) is tree-specific. A
+// (trajtree.Save files + manifest tree options) is tree-specific. A
 // future second persistent backend generalises this helper — and the
 // manifest — rather than scattering assertions.
 func treeOf(be backend.Backend) (*trajtree.Tree, bool) {
@@ -166,35 +166,21 @@ func (s *shard) rebuild(gen *engineGen) error {
 	return nil
 }
 
-// save serialises a tree-backed shard under the read lock, so a snapshot
-// write runs concurrently with queries and only briefly excludes updates
-// to this one shard. The returned size is captured under the same lock
-// hold as the serialisation, so the manifest can record exactly what the
-// stream contains even while writers land on this shard between save
-// calls.
-func (s *shard) save(w io.Writer) (int, error) {
+// snapshot writes a tree-backed shard's file under the read lock, so a
+// snapshot write runs concurrently with queries and only briefly
+// excludes updates to this one shard. The returned size and checksum
+// are captured under the same lock hold as the write, so the manifest
+// records exactly what the file contains even while writers land on
+// this shard between calls.
+func (s *shard) snapshot(w io.Writer) (size int, sum uint32, err error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	tree, ok := treeOf(s.be)
 	if !ok {
-		return 0, fmt.Errorf("snapshot %w", backend.ErrNotSupported)
+		return 0, 0, fmt.Errorf("snapshot %w", backend.ErrNotSupported)
 	}
-	if err := tree.Save(w); err != nil {
-		return 0, err
-	}
-	return tree.Size(), nil
-}
-
-// saveArena serialises a tree-backed shard in the mmap-able arena
-// snapshot format, under the same locking discipline as save.
-func (s *shard) saveArena(w io.Writer) error {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	tree, ok := treeOf(s.be)
-	if !ok {
-		return fmt.Errorf("snapshot %w", backend.ErrNotSupported)
-	}
-	return tree.SaveArena(w)
+	sum, err = tree.SaveCRC(w)
+	return tree.Size(), sum, err
 }
 
 // memStats returns a tree-backed shard's memory-layout counters (nil

@@ -2,13 +2,13 @@ package server
 
 import (
 	"bufio"
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"time"
 
@@ -20,40 +20,47 @@ import (
 	"trajmatch/internal/trajtree"
 )
 
-// A snapshot is a directory holding one trajtree.Save stream per shard
-// plus a JSON manifest recording the format version, the shard count,
-// the tree options, per-shard sizes and CRC32C checksums, and which
-// metric backends were persisted. Persistence is a capability: only the
-// tree-backed EDwP set streams to disk (the flat DTW/EDR indexes are
-// cheap, deterministic functions of the corpus with no build state worth
-// saving), so the manifest's Metrics list records exactly what the
-// directory can restore by itself — LoadSnapshotSpecs rebuilds any other
-// requested metric from the loaded corpus.
+// A snapshot is a directory holding one file per shard — the shard's
+// tree in its one on-disk encoding (trajtree.Save, TRARENA1) — plus a
+// JSON manifest recording the format version, the shard count, the tree
+// options, per-shard sizes and checksums, and which metric backends were
+// persisted. Persistence is a capability: only the tree-backed EDwP set
+// is written (the flat DTW/EDR indexes are cheap, deterministic
+// functions of the corpus with no build state worth saving), so the
+// manifest's Metrics list records exactly what the directory can restore
+// by itself — LoadSnapshotSpecs rebuilds any other requested metric from
+// the loaded corpus.
 //
 // The shard count is load-bearing: trajectories are hash-placed
 // (router.go), so the files only mean what they say under the shard
 // count they were written with — loading therefore adopts the manifest's
-// count regardless of what the caller's Options ask for.
+// count regardless of what the caller's Options ask for, and checks that
+// every loaded member hashes to the shard whose file held it.
 //
-// Saves are two-phase and fsync before every rename: each shard streams
-// to a temp file which is fsynced and only then renamed into place, the
-// manifest goes last, and the directory itself is fsynced after the
-// renames — a crash at any point leaves either the previous snapshot or
-// the new one readable, never a file whose rename survived but whose
-// bytes did not. The residual risk is a crash inside the rename loop,
-// which mixes epochs; the loader's per-shard checksum, size and option
-// checks reject such a directory instead of serving from it.
-//
-// Every file operation routes through the engine's faultfs.FS, so the
+// Saves are two-phase and fsync before every rename: each shard is
+// written to a temp file which is fsynced and only then renamed into
+// place, the manifest goes last, and the directory itself is fsynced
+// after the renames — a crash at any point leaves either the previous
+// snapshot or the new one readable, never a file whose rename survived
+// but whose bytes did not. The residual risk is a crash inside the
+// rename loop, which leaves new-epoch shard files under the old
+// manifest. Every shard file ends in a checksum of its own content, so
+// it vouches for itself independently of the manifest: a file that
+// verifies but whose checksum is not the manifest's is intact and from
+// another save. With a WAL configured the loader accepts such a
+// directory and replay reconciles the epochs; without one it is
+// rejected. A file whose own checksum fails is bit rot, always a hard
+// error. Every file operation routes through the engine's faultfs.FS
+// (the mmap boot excepted: a mapping cannot be fault-injected), so the
 // crash-recovery harness can kill a save at each failpoint and assert
 // the reboot invariant.
 
 // snapshotVersion is bumped whenever the manifest layout, the per-shard
-// stream format, or the placement hash changes incompatibly. Version 2
-// wraps the manifest in a checksum envelope and records per-shard
-// CRC32C checksums; version-1 directories are rejected with a clear
-// error (re-save from a live engine to upgrade).
-const snapshotVersion = 2
+// file format, or the placement hash changes incompatibly. Version 3
+// holds one shard-NNNN.arena file per shard and one checksum array;
+// directories of earlier versions are rejected with a clear error
+// (re-save from a live engine to upgrade).
+const snapshotVersion = 3
 
 // manifestName is the manifest file inside a snapshot directory.
 const manifestName = "MANIFEST.json"
@@ -64,82 +71,8 @@ const manifestName = "MANIFEST.json"
 // (writing it is the transaction's commit point).
 const SnapshotManifestName = manifestName
 
-// snapCRC is the CRC32C (Castagnoli) table shared by the manifest
-// envelope and the per-shard stream checksums.
+// snapCRC is the CRC32C (Castagnoli) table of the manifest envelope.
 var snapCRC = crc32.MakeTable(crc32.Castagnoli)
-
-// Shard files are self-describing containers, not bare tree streams:
-//
-//	[8-byte magic][uint32 shard count][uint32 shard index]
-//	[trajtree.Save gob stream]
-//	[uint32 CRC32C over header+stream]
-//
-// The trailer checksum lets a shard file vouch for itself independently
-// of the manifest. That distinction is what makes a crash between the
-// phase-2 renames recoverable: such a crash leaves new-epoch shard
-// files under the old manifest, so the manifest's checksums mismatch —
-// but each file's own checksum still verifies. With a WAL configured,
-// the loader accepts the mixed directory (salvage) and WAL replay
-// reconciles the epochs; a file whose own checksum fails is bit rot and
-// is always a hard error.
-const (
-	shardMagic     = "TRSHRD02"
-	shardHeaderLen = 16 // magic + shard count + shard index
-	shardFooterLen = 4  // CRC32C
-)
-
-func shardHeader(count, index int) []byte {
-	hdr := make([]byte, shardHeaderLen)
-	copy(hdr, shardMagic)
-	binary.LittleEndian.PutUint32(hdr[8:], uint32(count))
-	binary.LittleEndian.PutUint32(hdr[12:], uint32(index))
-	return hdr
-}
-
-// verifyShardFile streams the container once, checking magic, recorded
-// shard index, and the trailer checksum; it returns the recorded shard
-// count and the trailer CRC (which doubles as the manifest-comparison
-// value). Any inconsistency is a "snapshot corrupt" error — the caller
-// never hands an unverified byte to the decoder.
-func verifyShardFile(fsys faultfs.FS, path string, index int) (count int, sum uint32, err error) {
-	fi, err := fsys.Stat(path)
-	if err != nil {
-		return 0, 0, err
-	}
-	if fi.Size() < shardHeaderLen+shardFooterLen {
-		return 0, 0, fmt.Errorf("%d-byte file cannot hold a shard container: snapshot corrupt", fi.Size())
-	}
-	f, err := fsys.OpenFile(path, os.O_RDONLY, 0)
-	if err != nil {
-		return 0, 0, err
-	}
-	defer f.Close()
-	hdr := make([]byte, shardHeaderLen)
-	if _, err := io.ReadFull(f, hdr); err != nil {
-		return 0, 0, err
-	}
-	if string(hdr[:8]) != shardMagic {
-		return 0, 0, fmt.Errorf("bad magic %q: snapshot corrupt", hdr[:8])
-	}
-	count = int(binary.LittleEndian.Uint32(hdr[8:]))
-	if got := int(binary.LittleEndian.Uint32(hdr[12:])); got != index {
-		return 0, 0, fmt.Errorf("file records shard index %d, expected %d: snapshot corrupt", got, index)
-	}
-	h := crc32.New(snapCRC)
-	h.Write(hdr)
-	if _, err := io.CopyN(h, f, fi.Size()-shardHeaderLen-shardFooterLen); err != nil {
-		return 0, 0, err
-	}
-	var trailer [shardFooterLen]byte
-	if _, err := io.ReadFull(f, trailer[:]); err != nil {
-		return 0, 0, err
-	}
-	sum = binary.LittleEndian.Uint32(trailer[:])
-	if h.Sum32() != sum {
-		return 0, 0, fmt.Errorf("checksum mismatch (trailer %08x, content %08x): snapshot corrupt", sum, h.Sum32())
-	}
-	return count, sum, nil
-}
 
 type snapshotManifest struct {
 	Version int `json:"version"`
@@ -147,31 +80,21 @@ type snapshotManifest struct {
 	// Owned, when present, marks a partial snapshot written by a
 	// partitioned shard-node engine: the global shard indices the
 	// directory holds files for, ascending. The per-shard arrays (Sizes,
-	// Checksums, ArenaChecksums) then carry one entry per owned shard in
-	// this order, and the shard files keep their global names
-	// (shard-0003.tree for global shard 3) with headers recording the
-	// global count — byte-identical to the same shard's file in a full
+	// Checksums) then carry one entry per owned shard in this order, and
+	// the shard files keep their global names (shard-0003.arena for
+	// global shard 3) — byte-identical to the same shard's file in a full
 	// snapshot, which is what makes snapshot shipping between deployment
 	// shapes possible. Absent means the directory covers every shard.
 	Owned       []int            `json:"owned,omitempty"`
 	TreeOptions trajtree.Options `json:"tree_options"`
 	Sizes       []int            `json:"sizes"`
-	// Checksums holds one CRC32C per shard stream, over the file's
-	// exact bytes. The loader verifies them in a streaming pass before
-	// any byte reaches the gob decoder, so bit rot or a mixed-epoch
-	// directory surfaces as a clean "snapshot corrupt" error.
+	// Checksums holds, per shard file, the CRC32C the file itself ends
+	// in (over every byte before it). The loader verifies the file
+	// against its own trailer before interpreting a byte, then compares
+	// the trailer with this list to tell whether the file belongs to
+	// this manifest's save.
 	Checksums []uint32 `json:"checksums"`
-	// ArenaChecksums, when present, holds one CRC32C per shard arena
-	// file (shard-NNNN.arena, the mmap-able encoding of the same state
-	// as the gob stream): the value of the file's own content-checksum
-	// trailer. A loader booting with Options.Mmap compares the trailer
-	// against this list to tell whether the arena file belongs to this
-	// manifest's epoch; on any mismatch it falls back to the gob
-	// stream, so the field is an accelerator, never a dependency —
-	// snapshots that omit it (or whose arena files are damaged) still
-	// load.
-	ArenaChecksums []uint32 `json:"arena_checksums,omitempty"`
-	// Metrics lists the metric backends the directory holds streams for,
+	// Metrics lists the metric backends the directory holds files for,
 	// in persist order. Only tree-backed metrics are persistable today,
 	// so the list is ["edwp"]; it is recorded (rather than implied) so a
 	// loader can tell which requested metrics it must rebuild instead.
@@ -201,15 +124,6 @@ type manifestEnvelope struct {
 	Manifest json.RawMessage `json:"manifest"`
 }
 
-// persistedMetrics returns the manifest's Metrics list, defaulting to
-// the single EDwP set for manifests that omit it.
-func (m snapshotManifest) persistedMetrics() []string {
-	if len(m.Metrics) == 0 {
-		return []string{trajtree.MetricName}
-	}
-	return m.Metrics
-}
-
 // coveredShards returns the global shard indices the manifest's
 // per-shard arrays describe, ascending: Owned for a partial snapshot,
 // all of 0..Shards-1 otherwise.
@@ -226,57 +140,20 @@ func (m snapshotManifest) coveredShards() []int {
 
 // coveredPos returns the per-shard array position of global shard g, or
 // -1 when the manifest does not cover it.
-func (m snapshotManifest) coveredPos(g int) int {
-	if len(m.Owned) == 0 {
-		if g < 0 || g >= m.Shards {
-			return -1
-		}
-		return g
-	}
-	for j, o := range m.Owned {
-		if o == g {
-			return j
-		}
-	}
-	return -1
-}
+func (m snapshotManifest) coveredPos(g int) int { return slices.Index(m.coveredShards(), g) }
 
-// manifestChecksum is the canonical checksum of a manifest: CRC32C over
-// its compact JSON encoding.
-func manifestChecksum(man snapshotManifest) (uint32, error) {
-	raw, err := json.Marshal(man)
-	if err != nil {
-		return 0, err
-	}
-	return crc32.Checksum(raw, snapCRC), nil
-}
-
-func shardFileName(i int) string { return fmt.Sprintf("shard-%04d.tree", i) }
-
-// arenaFileName is the mmap-able twin of shardFileName: the same shard
-// state in the arena snapshot encoding (see internal/arena/file.go).
+// arenaFileName names global shard i's file.
 func arenaFileName(i int) string { return fmt.Sprintf("shard-%04d.arena", i) }
 
+// parseArenaFileName inverts arenaFileName, rejecting near-misses like
+// temp files (the round-trip check catches trailing garbage Sscanf
+// would forgive).
 func parseArenaFileName(name string) (int, bool) {
 	var i int
 	if n, err := fmt.Sscanf(name, "shard-%d.arena", &i); n != 1 || err != nil {
 		return 0, false
 	}
 	if arenaFileName(i) != name {
-		return 0, false
-	}
-	return i, true
-}
-
-// parseShardFileName inverts shardFileName, rejecting near-misses like
-// temp files (the round-trip check catches trailing garbage Sscanf
-// would forgive).
-func parseShardFileName(name string) (int, bool) {
-	var i int
-	if n, err := fmt.Sscanf(name, "shard-%d.tree", &i); n != 1 || err != nil {
-		return 0, false
-	}
-	if shardFileName(i) != name {
 		return 0, false
 	}
 	return i, true
@@ -301,7 +178,7 @@ func (e *Engine) persistentSet() *metricSet {
 // metric set to dir (created if needed); it fails with ErrNotSupported
 // when no loaded backend is persistent. Each shard is serialised under
 // its read lock, so queries keep flowing and updates stall only on the
-// shard currently streaming out; consequently the snapshot is per-shard
+// shard currently being written; consequently the snapshot is per-shard
 // consistent but, under a live write load, not a single global point in
 // time. Quiesce writers first if global point-in-time semantics matter.
 // (With a WAL attached the recovered state is still exact: mutations
@@ -311,9 +188,9 @@ func (e *Engine) persistentSet() *metricSet {
 // manifests from different saves.
 //
 // With a write-ahead log attached, a committed save also truncates the
-// log: a barrier taken before streaming guarantees every pre-barrier
-// record is contained in the snapshot, so the pre-barrier segments are
-// removed (oldest first) once the manifest rename lands.
+// log: a barrier taken before the shards are written guarantees every
+// pre-barrier record is contained in the snapshot, so the pre-barrier
+// segments are removed (oldest first) once the manifest rename lands.
 func (e *Engine) SaveSnapshot(dir string) error {
 	if dir == "" {
 		return fmt.Errorf("server: snapshot: no directory configured")
@@ -330,7 +207,7 @@ func (e *Engine) SaveSnapshot(dir string) error {
 	}
 	// The WAL barrier comes first, under mutMu: with no mutation between
 	// append and apply in flight, every record in a pre-barrier segment
-	// is applied, hence included in the shard streams below — which is
+	// is applied, hence included in the shard files below — which is
 	// exactly the condition for truncating those segments once the
 	// manifest commits.
 	barrier := -1
@@ -338,7 +215,7 @@ func (e *Engine) SaveSnapshot(dir string) error {
 		e.mutMu.Lock()
 		b, berr := e.wal.Barrier()
 		if berr == nil {
-			// The shard streams below carry only sealed state; live tracks
+			// The shard files below carry only sealed state; live tracks
 			// exist solely in pre-barrier append records the truncation is
 			// about to drop. Re-log each live track's full state into the
 			// post-barrier segment — still under mutMu, so no append can
@@ -354,14 +231,13 @@ func (e *Engine) SaveSnapshot(dir string) error {
 	}
 	shards := ms.shards
 	man := snapshotManifest{
-		Version:        snapshotVersion,
-		Shards:         e.place.total,
-		TreeOptions:    shards[0].options(),
-		Sizes:          make([]int, len(shards)),
-		Checksums:      make([]uint32, len(shards)),
-		ArenaChecksums: make([]uint32, len(shards)),
-		Metrics:        []string{ms.name},
-		SavedAt:        time.Now().UTC(),
+		Version:     snapshotVersion,
+		Shards:      e.place.total,
+		TreeOptions: shards[0].options(),
+		Sizes:       make([]int, len(shards)),
+		Checksums:   make([]uint32, len(shards)),
+		Metrics:     []string{ms.name},
+		SavedAt:     time.Now().UTC(),
 	}
 	if e.place.partitioned() {
 		man.Owned = e.place.ownedShards()
@@ -370,132 +246,52 @@ func (e *Engine) SaveSnapshot(dir string) error {
 		p := e.sketchParams
 		man.Sketch = &p
 	}
-	// Phase 1: stream every shard to a temp file and fsync it. No final
+	// Phase 1: write every shard to a temp file and fsync it. No final
 	// name is touched yet, so any failure here (disk full, I/O error,
 	// crash) leaves the previous snapshot fully intact. The fixed .tmp
 	// names are safe under snapMu and let an interrupted save's litter
 	// be swept by the next one.
-	tmps := make([]string, 2*len(shards))
+	final := func(i int) string { return filepath.Join(dir, arenaFileName(e.place.globalOf(i))) } // global names
 	cleanup := func() {
-		for _, t := range tmps {
-			if t != "" {
-				_ = e.fs.Remove(t)
-			}
+		for i := range shards {
+			_ = e.fs.Remove(final(i) + ".tmp")
 		}
 	}
 	err := par.ForErr(e.opt.Workers, len(shards), func(i int) error {
-		g := e.place.globalOf(i) // files carry global names and headers
-		tmp := filepath.Join(dir, shardFileName(g)+".tmp")
-		f, err := e.fs.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-		if err != nil {
-			return err
-		}
-		tmps[2*i] = tmp
-		// The trailer checksum hashes exactly the bytes the file
-		// receives (header included, trailer excluded).
-		h := crc32.New(snapCRC)
-		bw := bufio.NewWriterSize(io.MultiWriter(f, h), 1<<20)
-		if _, err := bw.Write(shardHeader(e.place.total, g)); err != nil {
-			f.Close()
-			return err
-		}
-		size, err := shards[i].save(bw)
-		if err != nil {
-			f.Close()
-			return err
-		}
-		if err := bw.Flush(); err != nil {
-			f.Close()
-			return err
-		}
-		var trailer [shardFooterLen]byte
-		binary.LittleEndian.PutUint32(trailer[:], h.Sum32())
-		if _, err := f.Write(trailer[:]); err != nil {
-			f.Close()
-			return err
-		}
-		// fsync before rename: a renamed-but-unsynced file could survive
-		// the rename yet lose its bytes on power loss.
-		if err := f.Sync(); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		man.Sizes[i] = size
-		man.Checksums[i] = h.Sum32()
-		// The arena twin: the same shard state in the mmap-able
-		// encoding, written with the same write-fsync-rename discipline.
-		// Its content checksum is the file's own trailer (the last four
-		// bytes), captured here for the manifest.
-		atmp := filepath.Join(dir, arenaFileName(g)+".tmp")
-		af, err := e.fs.OpenFile(atmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-		if err != nil {
-			return err
-		}
-		tmps[2*i+1] = atmp
-		var tail tailWriter
-		abw := bufio.NewWriterSize(io.MultiWriter(af, &tail), 1<<20)
-		if err := shards[i].saveArena(abw); err != nil {
-			af.Close()
-			return err
-		}
-		if err := abw.Flush(); err != nil {
-			af.Close()
-			return err
-		}
-		if err := af.Sync(); err != nil {
-			af.Close()
-			return err
-		}
-		if err := af.Close(); err != nil {
-			return err
-		}
-		sum, ok := tail.sum32()
-		if !ok {
-			return fmt.Errorf("arena file for shard %d too short", i)
-		}
-		man.ArenaChecksums[i] = sum
-		return nil
+		return writeFileSync(e.fs, final(i)+".tmp", func(w io.Writer) (err error) {
+			bw := bufio.NewWriterSize(w, 1<<20)
+			if man.Sizes[i], man.Checksums[i], err = shards[i].snapshot(bw); err != nil {
+				return err
+			}
+			return bw.Flush()
+		})
 	})
 	if err != nil {
 		cleanup()
 		return fmt.Errorf("server: snapshot: %w", err)
 	}
-	// Phase 2: every shard streamed successfully — rename them into
-	// place, manifest last. A crash inside this loop mixes new shard
-	// files with the old manifest; the loader's checksum, size and
-	// option checks reject such a directory rather than serving from it
-	// (or, with a WAL, salvage it — the arena files just fall back to
-	// the gob streams on their own checksum mismatch).
+	// Phase 2: every shard is on disk — rename them into place, manifest
+	// last. A crash inside this loop mixes new shard files with the old
+	// manifest, which the loader rejects or, with a WAL, salvages.
 	for i := range shards {
-		g := e.place.globalOf(i)
-		if err := e.fs.Rename(tmps[2*i], filepath.Join(dir, shardFileName(g))); err != nil {
+		if err := e.fs.Rename(final(i)+".tmp", final(i)); err != nil {
 			cleanup()
 			return fmt.Errorf("server: snapshot: %w", err)
 		}
-		tmps[2*i] = ""
-		if err := e.fs.Rename(tmps[2*i+1], filepath.Join(dir, arenaFileName(g))); err != nil {
-			cleanup()
-			return fmt.Errorf("server: snapshot: %w", err)
-		}
-		tmps[2*i+1] = ""
-	}
-	sum, err := manifestChecksum(man)
-	if err != nil {
-		return fmt.Errorf("server: snapshot: %w", err)
 	}
 	rawMan, err := json.Marshal(man)
 	if err != nil {
 		return fmt.Errorf("server: snapshot: %w", err)
 	}
-	raw, err := json.MarshalIndent(manifestEnvelope{CRC32C: sum, Manifest: rawMan}, "", "  ")
+	raw, err := json.MarshalIndent(manifestEnvelope{CRC32C: crc32.Checksum(rawMan, snapCRC), Manifest: rawMan}, "", "  ")
 	if err != nil {
 		return fmt.Errorf("server: snapshot: %w", err)
 	}
 	mtmp := filepath.Join(dir, manifestName+".tmp")
-	if err := writeFileSync(e.fs, mtmp, append(raw, '\n')); err != nil {
+	if err := writeFileSync(e.fs, mtmp, func(w io.Writer) error {
+		_, err := w.Write(append(raw, '\n'))
+		return err
+	}); err != nil {
 		return fmt.Errorf("server: snapshot: %w", err)
 	}
 	if err := e.fs.Rename(mtmp, filepath.Join(dir, manifestName)); err != nil {
@@ -524,47 +320,19 @@ func (e *Engine) SaveSnapshot(dir string) error {
 	return nil
 }
 
-// tailWriter remembers the last four bytes written through it: the
-// arena encoding ends in its content checksum, so after the stream
-// completes the tail IS the file's self-vouching CRC32C, which the
-// manifest records for epoch comparison at load.
-type tailWriter struct {
-	tail [4]byte
-	n    int64
-}
-
-func (t *tailWriter) Write(p []byte) (int, error) {
-	if len(p) >= 4 {
-		copy(t.tail[:], p[len(p)-4:])
-	} else {
-		var both [8]byte
-		k := copy(both[:], t.tail[:])
-		k += copy(both[k:], p)
-		copy(t.tail[:], both[k-4:k])
-	}
-	t.n += int64(len(p))
-	return len(p), nil
-}
-
-func (t *tailWriter) sum32() (uint32, bool) {
-	if t.n < 4 {
-		return 0, false
-	}
-	return binary.LittleEndian.Uint32(t.tail[:]), true
-}
-
-// writeFileSync writes data to name through fsys and fsyncs it before
-// closing — the write half of the write-fsync-rename commit pattern.
-func writeFileSync(fsys faultfs.FS, name string, data []byte) error {
+// writeFileSync creates name through fsys, lets write fill it, and
+// fsyncs it before closing — the write half of the write-fsync-rename
+// commit pattern: a renamed-but-unsynced file could survive the rename
+// yet lose its bytes on power loss.
+func writeFileSync(fsys faultfs.FS, name string, write func(io.Writer) error) error {
 	f, err := fsys.OpenFile(name, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return err
 	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		return err
+	if err = write(f); err == nil {
+		err = f.Sync()
 	}
-	if err := f.Sync(); err != nil {
+	if err != nil {
 		f.Close()
 		return err
 	}
@@ -574,8 +342,10 @@ func writeFileSync(fsys faultfs.FS, name string, data []byte) error {
 // cleanStaleShardFiles removes shard files outside the just-written
 // covered set, plus any temp litter from interrupted saves. Without it,
 // a save with fewer shards (or a narrower owned set) than its
-// predecessor would leave orphan shard-NNNN.tree files that a human (or
-// a future layout) could mistake for live data.
+// predecessor would leave orphan shard-NNNN.arena files that a human (or
+// a future layout) could mistake for live data. The shard-NNNN.tree
+// twins of version-2 snapshots are dead under any manifest this build
+// writes, and go too.
 func (e *Engine) cleanStaleShardFiles(dir string, covered []int) error {
 	keep := make(map[int]bool, len(covered))
 	for _, g := range covered {
@@ -587,10 +357,8 @@ func (e *Engine) cleanStaleShardFiles(dir string, covered []int) error {
 	}
 	for _, ent := range entries {
 		name := ent.Name()
-		stale := strings.HasSuffix(name, ".tmp")
-		if idx, ok := parseShardFileName(name); ok && !keep[idx] {
-			stale = true
-		}
+		stale := strings.HasSuffix(name, ".tmp") ||
+			(strings.HasPrefix(name, "shard-") && strings.HasSuffix(name, ".tree"))
 		if idx, ok := parseArenaFileName(name); ok && !keep[idx] {
 			stale = true
 		}
@@ -606,15 +374,12 @@ func (e *Engine) cleanStaleShardFiles(dir string, covered []int) error {
 
 // SnapshotExists reports whether dir holds a snapshot manifest.
 func SnapshotExists(dir string) bool {
-	if dir == "" {
-		return false
-	}
 	_, err := os.Stat(filepath.Join(dir, manifestName))
-	return err == nil
+	return dir != "" && err == nil
 }
 
-// readManifest reads and verifies MANIFEST.json: envelope checksum,
-// version, and internal consistency (shard count versus the sizes and
+// readManifest reads and verifies MANIFEST.json: version, envelope
+// checksum, and internal consistency (shard count versus the sizes and
 // checksums arrays). Every failure is a clean, specific error — a
 // corrupt directory must never panic or half-load.
 func readManifest(fsys faultfs.FS, dir string) (snapshotManifest, error) {
@@ -626,15 +391,18 @@ func readManifest(fsys faultfs.FS, dir string) (snapshotManifest, error) {
 	if err := json.Unmarshal(raw, &env); err != nil {
 		return snapshotManifest{}, fmt.Errorf("manifest: %w", err)
 	}
+	unsupported := func(version int) error {
+		return fmt.Errorf(
+			"manifest: unsupported snapshot version %d (this build reads version %d; re-save the snapshot from a live engine)",
+			version, snapshotVersion)
+	}
 	if env.Manifest == nil {
 		// Not an envelope. A version-1 manifest was the bare
 		// snapshotManifest — detect it for a clean upgrade message
 		// rather than a generic parse failure.
 		var legacy snapshotManifest
 		if json.Unmarshal(raw, &legacy) == nil && legacy.Version != 0 {
-			return snapshotManifest{}, fmt.Errorf(
-				"manifest: unsupported snapshot version %d (this build reads version %d; re-save the snapshot from a live engine)",
-				legacy.Version, snapshotVersion)
+			return snapshotManifest{}, unsupported(legacy.Version)
 		}
 		return snapshotManifest{}, fmt.Errorf("manifest: missing checksum envelope: snapshot corrupt")
 	}
@@ -642,16 +410,19 @@ func readManifest(fsys faultfs.FS, dir string) (snapshotManifest, error) {
 	if err := json.Unmarshal(env.Manifest, &man); err != nil {
 		return snapshotManifest{}, fmt.Errorf("manifest: %w", err)
 	}
-	sum, err := manifestChecksum(man)
+	// The version is judged before the checksum: the checksum is over
+	// this build's re-encoding of the manifest, which an older layout's
+	// extra fields would fail for the wrong reason.
+	if man.Version != snapshotVersion {
+		return snapshotManifest{}, unsupported(man.Version)
+	}
+	canon, err := json.Marshal(man)
 	if err != nil {
 		return snapshotManifest{}, fmt.Errorf("manifest: %w", err)
 	}
-	if sum != env.CRC32C {
+	if sum := crc32.Checksum(canon, snapCRC); sum != env.CRC32C {
 		return snapshotManifest{}, fmt.Errorf("manifest: checksum mismatch (recorded %08x, computed %08x): snapshot corrupt",
 			env.CRC32C, sum)
-	}
-	if man.Version != snapshotVersion {
-		return snapshotManifest{}, fmt.Errorf("manifest: unsupported version %d (want %d)", man.Version, snapshotVersion)
 	}
 	if man.Shards < 1 {
 		return snapshotManifest{}, fmt.Errorf("manifest: invalid shard count %d", man.Shards)
@@ -672,11 +443,9 @@ func readManifest(fsys faultfs.FS, dir string) (snapshotManifest, error) {
 	// manifest rename); a manifest that cannot vouch for every covered
 	// shard is rejected rather than partially verified.
 	covered := len(man.coveredShards())
-	if len(man.Sizes) != covered {
-		return snapshotManifest{}, fmt.Errorf("manifest: records %d sizes for %d covered shards", len(man.Sizes), covered)
-	}
-	if len(man.Checksums) != covered {
-		return snapshotManifest{}, fmt.Errorf("manifest: records %d checksums for %d covered shards", len(man.Checksums), covered)
+	if len(man.Sizes) != covered || len(man.Checksums) != covered {
+		return snapshotManifest{}, fmt.Errorf("manifest: records %d sizes and %d checksums for %d covered shards",
+			len(man.Sizes), len(man.Checksums), covered)
 	}
 	return man, nil
 }
@@ -692,7 +461,7 @@ func LoadSnapshot(dir string, opt Options) (*Engine, error) {
 
 // LoadSnapshotSpecs reconstructs a multi-metric engine from a snapshot
 // directory: metrics the manifest records as persisted load from their
-// shard streams, and every other requested spec is rebuilt from the
+// shard files, and every other requested spec is rebuilt from the
 // loaded corpus over the same hash partition (so placement agrees across
 // metrics). makeSpecs is called once with the full loaded corpus — the
 // hook where whole-database parameters (EDR's ε) are derived, exactly as
@@ -700,20 +469,18 @@ func LoadSnapshot(dir string, opt Options) (*Engine, error) {
 // so its first spec is the default metric. A nil makeSpecs means just
 // the persisted metrics.
 //
-// Every shard stream's CRC32C is verified in a streaming pass before
-// any byte reaches the decoder, and with opt.WALDir set the write-ahead
-// log replays on top of the loaded state before the engine is returned.
+// Every shard file is verified against its own checksum before a byte
+// of it is interpreted, and with opt.WALDir set the write-ahead log
+// replays on top of the loaded state before the engine is returned.
 func LoadSnapshotSpecs(dir string, makeSpecs func(db []*traj.Trajectory) ([]backend.Spec, error), opt Options) (*Engine, error) {
 	opt = opt.withDefaults()
-	fsys := opt.FS
-	man, err := readManifest(fsys, dir)
+	man, err := readManifest(opt.FS, dir)
 	if err != nil {
 		return nil, fmt.Errorf("server: load snapshot: %w", err)
 	}
-	persisted := man.persistedMetrics()
-	if len(persisted) != 1 || persisted[0] != trajtree.MetricName {
-		return nil, fmt.Errorf("server: load snapshot: unsupported persisted metrics %v (only %q streams are readable)",
-			persisted, trajtree.MetricName)
+	if len(man.Metrics) != 1 || man.Metrics[0] != trajtree.MetricName {
+		return nil, fmt.Errorf("server: load snapshot: unsupported persisted metrics %v (only %q files are readable)",
+			man.Metrics, trajtree.MetricName)
 	}
 	// The manifest's global shard count is the hash placement; a caller
 	// Partition must agree with it, and an unpartitioned caller loading a
@@ -732,81 +499,16 @@ func LoadSnapshotSpecs(dir string, makeSpecs func(db []*traj.Trajectory) ([]back
 		return nil, fmt.Errorf("server: load snapshot: partial snapshot (covers shards %v of %d); boot with a matching Options.Partition",
 			man.Owned, man.Shards)
 	}
-	// Every requested shard must be covered; pos maps local slot to its
-	// position in the manifest's per-shard arrays.
-	pos := make([]int, place.numLocal())
-	for i := range pos {
-		g := place.globalOf(i)
-		if pos[i] = man.coveredPos(g); pos[i] < 0 {
-			return nil, fmt.Errorf("server: load snapshot: shard %d not covered (snapshot covers %v)",
-				g, man.coveredShards())
-		}
-	}
 	treeShards := make([]*shard, place.numLocal())
 	err = par.ForErr(opt.Workers, place.numLocal(), func(i int) error {
-		g, j := place.globalOf(i), pos[i]
-		// Fast path: with Mmap requested and a manifest that vouches for
-		// the arena files, boot this shard straight from its mapping.
-		// Failure of any kind — missing file, wrong epoch, corruption,
-		// option or size disagreement — is not an error: the gob stream
-		// below is the authoritative fallback and loads identical state.
-		if opt.Mmap && j < len(man.ArenaChecksums) {
-			if tree, ok := loadArenaShard(dir, g, j, man); ok {
-				treeShards[i] = &shard{be: tree}
-				return nil
-			}
+		g := place.globalOf(i)
+		j := man.coveredPos(g) // position in the manifest's per-shard arrays
+		if j < 0 {
+			return fmt.Errorf("shard %d not covered (snapshot covers %v)", g, man.coveredShards())
 		}
-		path := filepath.Join(dir, shardFileName(g))
-		// Pass 1: verify the container's own trailer checksum end to end
-		// before handing a single byte to the decoder — gob must never
-		// see corrupt input. A file that fails its own checksum is bit
-		// rot (or a torn write) and is always a hard error.
-		count, sum, err := verifyShardFile(fsys, path, g)
+		tree, err := loadShardFile(filepath.Join(dir, arenaFileName(g)), g, j, man, opt)
 		if err != nil {
 			return fmt.Errorf("shard %d: %w", g, err)
-		}
-		// The file vouches for itself; now compare against the manifest.
-		// A mismatch here means the file is intact but from a different
-		// save than the manifest — a crash between the phase-2 renames.
-		// With a WAL configured the mixed directory is salvageable
-		// (replay reconciles the epochs), provided the file was written
-		// under the same shard count (same hash placement). Without a
-		// WAL there is nothing to reconcile with: reject.
-		epochMatch := sum == man.Checksums[j]
-		if !epochMatch {
-			if opt.WALDir == "" {
-				return fmt.Errorf("shard %d: checksum mismatch (manifest %08x, file %08x) and no WAL is configured to reconcile epochs: snapshot corrupt",
-					g, man.Checksums[j], sum)
-			}
-			if count != man.Shards {
-				return fmt.Errorf("shard %d: file written under %d shards, manifest records %d: resharding crash is unrecoverable, snapshot corrupt",
-					g, count, man.Shards)
-			}
-		}
-		// Pass 2: decode the verified stream (skipping the container
-		// header; the trailer sits past the gob stream's own end).
-		f, err := fsys.OpenFile(path, os.O_RDONLY, 0)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if _, err := io.CopyN(io.Discard, f, shardHeaderLen); err != nil {
-			return fmt.Errorf("shard %d: %w", g, err)
-		}
-		tree, err := trajtree.Load(bufio.NewReaderSize(f, 1<<20))
-		if err != nil {
-			return fmt.Errorf("shard %d: %w", g, err)
-		}
-		// The manifest's size only describes its own epoch's file.
-		if epochMatch && tree.Size() != man.Sizes[j] {
-			return fmt.Errorf("shard %d: size %d does not match manifest %d", g, tree.Size(), man.Sizes[j])
-		}
-		// Each stream carries its own (normalised) tree options; they
-		// must agree with the manifest, or the directory mixes shard
-		// files from differently configured engines.
-		if tree.Options() != man.TreeOptions.WithDefaults() {
-			return fmt.Errorf("shard %d: tree options %+v do not match manifest %+v",
-				g, tree.Options(), man.TreeOptions.WithDefaults())
 		}
 		treeShards[i] = &shard{be: tree}
 		return nil
@@ -814,45 +516,24 @@ func LoadSnapshotSpecs(dir string, makeSpecs func(db []*traj.Trajectory) ([]back
 	if err != nil {
 		return nil, fmt.Errorf("server: load snapshot: %w", err)
 	}
-	// collectCorpus concatenates the loaded shards' members — the corpus
-	// the non-persisted state (extra metrics, the prefilter) rebuilds
-	// from.
-	collectCorpus := func() []*traj.Trajectory {
-		var all []*traj.Trajectory
-		for _, s := range treeShards {
-			all = append(all, s.all()...)
-		}
-		return all
-	}
-	if makeSpecs == nil {
-		set := &metricSet{name: trajtree.MetricName, shards: treeShards}
-		e := newEngine([]*metricSet{set}, place, opt)
-		if man.Sketch != nil || opt.Prefilter {
-			if err := e.restorePrefilter(man, opt, collectCorpus()); err != nil {
-				return nil, fmt.Errorf("server: load snapshot: %w", err)
-			}
-		}
-		if err := e.attachWAL(); err != nil {
-			return nil, err
-		}
-		return e, nil
-	}
-	// Rebuild the non-persisted metrics per shard from the loaded trees'
-	// members: the loaded placement already is the hash placement, so
-	// each extra backend builds over exactly its shard's slice of the
-	// corpus.
+	// The loaded members are the corpus the non-persisted state (extra
+	// metrics, the prefilter) rebuilds from. The loaded placement already
+	// is the hash placement, so each extra backend builds over exactly
+	// its shard's slice of it.
 	groups := make([][]*traj.Trajectory, len(treeShards))
 	var all []*traj.Trajectory
 	for i, s := range treeShards {
 		groups[i] = s.all()
 		all = append(all, groups[i]...)
 	}
-	specs, err := makeSpecs(all)
-	if err != nil {
-		return nil, fmt.Errorf("server: load snapshot: %w", err)
-	}
-	if len(specs) == 0 {
-		return nil, fmt.Errorf("server: load snapshot: no metric backends specified")
+	specs := []backend.Spec{{Name: trajtree.MetricName}}
+	if makeSpecs != nil {
+		if specs, err = makeSpecs(all); err != nil {
+			return nil, fmt.Errorf("server: load snapshot: %w", err)
+		}
+		if len(specs) == 0 {
+			return nil, fmt.Errorf("server: load snapshot: no metric backends specified")
+		}
 	}
 	sets := make([]*metricSet, 0, len(specs))
 	seen := map[string]bool{}
@@ -861,13 +542,11 @@ func LoadSnapshotSpecs(dir string, makeSpecs func(db []*traj.Trajectory) ([]back
 			return nil, fmt.Errorf("server: load snapshot: duplicate metric %q", spec.Name)
 		}
 		seen[spec.Name] = true
-		if spec.Name == trajtree.MetricName {
-			sets = append(sets, &metricSet{name: spec.Name, shards: treeShards})
-			continue
-		}
-		shards, err := buildSpecShards(groups, spec, opt)
-		if err != nil {
-			return nil, fmt.Errorf("server: load snapshot: %w", err)
+		shards := treeShards
+		if spec.Name != trajtree.MetricName {
+			if shards, err = buildSpecShards(groups, spec, opt); err != nil {
+				return nil, fmt.Errorf("server: load snapshot: %w", err)
+			}
 		}
 		sets = append(sets, &metricSet{name: spec.Name, shards: shards})
 	}
@@ -883,47 +562,80 @@ func LoadSnapshotSpecs(dir string, makeSpecs func(db []*traj.Trajectory) ([]back
 	return e, nil
 }
 
-// loadArenaShard attempts the mmap boot of one shard (global index g,
-// manifest array position j): the arena file's trailer (its content
-// CRC32C) must match the manifest — proving file and manifest come from
-// the same save — and the mapped tree must carry the manifest's options
-// and size. The file is read through package os, not the engine's
-// faultfs: mappings cannot be fault-injected anyway, and the gob
-// fallback keeps full injection coverage.
-func loadArenaShard(dir string, g, j int, man snapshotManifest) (*trajtree.Tree, bool) {
-	path := filepath.Join(dir, arenaFileName(g))
-	f, err := os.Open(path)
+// sizedFile is an open shard file with the length Stat reported for it,
+// so trajtree.Load reads it into one exact-size buffer.
+type sizedFile struct {
+	faultfs.File
+	size int
+}
+
+func (f sizedFile) Len() int { return f.size }
+
+// openShardFile decodes the shard file at path and returns its tree and
+// checksum. opt.Mmap only decides where the file's bytes live: mapped
+// through package os (a mapping cannot be fault-injected), or read onto
+// the heap through opt.FS. Either way the file is verified against its
+// own checksum first, and damage is an error wrapping arena.ErrCorrupt.
+func openShardFile(path string, opt Options) (*trajtree.Tree, uint32, error) {
+	if opt.Mmap {
+		return trajtree.LoadArena(path)
+	}
+	fi, err := opt.FS.Stat(path)
 	if err != nil {
-		return nil, false
+		return nil, 0, err
 	}
-	fi, err := f.Stat()
-	if err != nil || fi.Size() < 4 {
-		f.Close()
-		return nil, false
-	}
-	var trailer [4]byte
-	_, err = f.ReadAt(trailer[:], fi.Size()-4)
-	f.Close()
-	if err != nil || binary.LittleEndian.Uint32(trailer[:]) != man.ArenaChecksums[j] {
-		return nil, false
-	}
-	tree, err := trajtree.LoadArena(path)
+	f, err := opt.FS.OpenFile(path, os.O_RDONLY, 0)
 	if err != nil {
-		return nil, false
+		return nil, 0, err
 	}
-	if tree.Size() != man.Sizes[j] || tree.Options() != man.TreeOptions.WithDefaults() {
-		return nil, false
+	defer f.Close()
+	return trajtree.Load(sizedFile{f, int(fi.Size())})
+}
+
+// loadShardFile loads global shard g (manifest array position j) from
+// its file and checks the tree against the manifest.
+func loadShardFile(path string, g, j int, man snapshotManifest, opt Options) (*trajtree.Tree, error) {
+	tree, sum, err := openShardFile(path, opt)
+	if err != nil {
+		return nil, err
 	}
-	return tree, true
+	// The file vouches for itself; a checksum that is not the manifest's
+	// means an intact file from another save (a crash between the phase-2
+	// renames), which only WAL replay can reconcile.
+	if sum != man.Checksums[j] {
+		if opt.WALDir == "" {
+			return nil, fmt.Errorf("checksum mismatch (manifest %08x, file %08x) and no WAL is configured to reconcile epochs: snapshot corrupt",
+				man.Checksums[j], sum)
+		}
+	} else if tree.Size() != man.Sizes[j] {
+		// The manifest's size only describes its own epoch's file.
+		return nil, fmt.Errorf("size %d does not match manifest %d", tree.Size(), man.Sizes[j])
+	}
+	// Each file carries its own (normalised) tree options; they must
+	// agree with the manifest, or the directory mixes shard files from
+	// differently configured engines.
+	if tree.Options() != man.TreeOptions.WithDefaults() {
+		return nil, fmt.Errorf("tree options %+v do not match manifest %+v", tree.Options(), man.TreeOptions.WithDefaults())
+	}
+	// So must the placement: a file written under another shard count —
+	// a crash while resharding, a misplaced copy — holds members that
+	// Lookup and Delete would route elsewhere.
+	for _, tr := range tree.All() {
+		if at := shardIndex(tr.ID, man.Shards); at != g {
+			return nil, fmt.Errorf("trajectory %d hashes to shard %d of %d: file written under another placement, snapshot corrupt",
+				tr.ID, at, man.Shards)
+		}
+	}
+	return tree, nil
 }
 
 // SnapshotInfo is the externally visible shape of a snapshot directory,
 // the metadata the cluster snapshot-shipping layer needs to decide what
 // to fetch: the global shard count (the hash placement), the covered
-// global shard indices, and when the snapshot was taken. The per-file
-// integrity story stays inside the files themselves — every shard file
-// carries a self-vouching trailer CRC and the manifest an envelope CRC,
-// so a fetched replica directory re-verifies end to end at load time.
+// global shard indices, and when the snapshot was taken. Integrity stays
+// inside the files themselves — shard files end in their own checksum,
+// the manifest sits in a checksummed envelope — so a fetched replica
+// directory re-verifies end to end at load time.
 type SnapshotInfo struct {
 	Shards  int       `json:"shards"`
 	Covered []int     `json:"covered"`
@@ -941,42 +653,25 @@ func ReadSnapshotInfo(dir string) (SnapshotInfo, error) {
 }
 
 // SnapshotFiles lists the file names a replica must fetch to boot the
-// given global shards from a snapshot directory: the manifest plus each
-// shard's tree stream and arena twin. Unknown coverage is the caller's
+// given global shards from a snapshot directory: the manifest, then one
+// file per shard in the order given. Unknown coverage is the caller's
 // problem — pair with ReadSnapshotInfo.
 func SnapshotFiles(shards []int) []string {
 	out := []string{manifestName}
 	for _, g := range shards {
-		out = append(out, shardFileName(g), arenaFileName(g))
+		out = append(out, arenaFileName(g))
 	}
 	return out
 }
 
 // IsSnapshotFileName reports whether name is a file a snapshot
-// directory legitimately serves (the manifest or a shard/arena file) —
-// the allowlist the cluster snapshot-serving endpoint checks before
+// directory legitimately serves (the manifest or a shard file) — the
+// allowlist the cluster snapshot-serving endpoint checks before
 // touching the filesystem, so a crafted request can never escape the
 // snapshot directory.
 func IsSnapshotFileName(name string) bool {
-	if name == manifestName {
-		return true
-	}
-	if _, ok := parseShardFileName(name); ok {
-		return true
-	}
 	_, ok := parseArenaFileName(name)
-	return ok
-}
-
-// VerifySnapshotShardFile checks the self-vouching trailer checksum of
-// one shard tree file (global index g) — what a replica runs on each
-// fetched section before committing the directory, so a truncated or
-// corrupted transfer is caught at fetch time rather than at boot.
-func VerifySnapshotShardFile(path string, g int) error {
-	if _, _, err := verifyShardFile(faultfs.OS{}, path, g); err != nil {
-		return fmt.Errorf("server: snapshot shard %d: %w", g, err)
-	}
-	return nil
+	return ok || name == manifestName
 }
 
 // restorePrefilter reattaches the candidate prefilter after a snapshot

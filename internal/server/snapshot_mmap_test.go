@@ -3,16 +3,14 @@ package server
 import (
 	"context"
 	"fmt"
-	"os"
-	"path/filepath"
 	"testing"
 
 	"trajmatch/internal/traj"
 	"trajmatch/internal/trajtree"
 )
 
-// searchKNN and searchRange run one query through the unified Search
-// path, failing the test on error.
+// searchKNN runs one k-NN query through the unified Search path, failing
+// the test on error.
 func searchKNN(t *testing.T, e *Engine, q *traj.Trajectory, k int) []trajtree.Result {
 	t.Helper()
 	ans, err := e.Search(context.Background(), q, Query{Kind: KindKNN, K: k})
@@ -22,37 +20,49 @@ func searchKNN(t *testing.T, e *Engine, q *traj.Trajectory, k int) []trajtree.Re
 	return ans.Results
 }
 
-func searchRange(t *testing.T, e *Engine, q *traj.Trajectory, radius float64) []trajtree.Result {
+// sameAnswer runs one query on both engines and requires the same IDs,
+// distances and order, and the same per-query work counters.
+func sameAnswer(t *testing.T, label string, got, want *Engine, q *traj.Trajectory, query Query) {
 	t.Helper()
-	ans, err := e.Search(context.Background(), q, Query{Kind: KindRange, Radius: radius})
+	query.WithStats = true
+	g, err := got.Search(context.Background(), q, query)
 	if err != nil {
-		t.Fatalf("Search range: %v", err)
+		t.Fatalf("%s: %v", label, err)
 	}
-	return ans.Results
+	w, err := want.Search(context.Background(), q, query)
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	sameResults(t, label, g.Results, w.Results)
+	if g.Stats != w.Stats {
+		t.Fatalf("%s: stats %+v, want %+v", label, g.Stats, w.Stats)
+	}
 }
 
-// TestSnapshotMmapBoot pins the warm-boot path: a snapshot loaded with
-// Options.Mmap serves every shard from its mapped arena file — visible
-// through the per-shard memory stats — and answers byte-identically to
-// the gob boot of the same directory.
+// TestSnapshotMmapBoot pins what Options.Mmap selects: a snapshot loaded
+// with it serves every shard from its mapped file, one loaded without it
+// from a heap buffer — visible through the per-shard memory stats — and
+// both answer byte-identically to the engine that saved the directory.
 func TestSnapshotMmapBoot(t *testing.T) {
 	db := testDB(120, 43)
 	topt := trajtree.Options{Seed: 1, LeafSize: 5}
 	for _, shards := range []int{1, 3} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			dir := t.TempDir()
-			e, err := NewEngineFromDB(db, topt, Options{CacheSize: -1, Shards: shards})
+			// One worker: a sequential fan-out makes the per-query work
+			// counters repeatable.
+			e, err := NewEngineFromDB(db, topt, Options{CacheSize: -1, Workers: 1, Shards: shards})
 			if err != nil {
 				t.Fatal(err)
 			}
 			if err := e.SaveSnapshot(dir); err != nil {
 				t.Fatal(err)
 			}
-			gob, err := LoadSnapshot(dir, Options{CacheSize: -1})
+			heap, err := LoadSnapshot(dir, Options{CacheSize: -1, Workers: 1})
 			if err != nil {
-				t.Fatalf("gob load: %v", err)
+				t.Fatalf("heap load: %v", err)
 			}
-			mm, err := LoadSnapshot(dir, Options{CacheSize: -1, Mmap: true})
+			mm, err := LoadSnapshot(dir, Options{CacheSize: -1, Workers: 1, Mmap: true})
 			if err != nil {
 				t.Fatalf("mmap load: %v", err)
 			}
@@ -61,16 +71,18 @@ func TestSnapshotMmapBoot(t *testing.T) {
 					t.Fatalf("shard %d not mmap-backed: %+v", i, ss.Mem)
 				}
 			}
-			for i, ss := range gob.Stats().PerShard {
+			for i, ss := range heap.Stats().PerShard {
 				if ss.Mem == nil || ss.Mem.Arena.Mapped {
-					t.Fatalf("gob-loaded shard %d claims to be mapped: %+v", i, ss.Mem)
+					t.Fatalf("heap-loaded shard %d claims to be mapped: %+v", i, ss.Mem)
 				}
 			}
 			for it := 0; it < 10; it++ {
 				q := db[(it*13)%len(db)].Clone()
 				q.ID = 6_000_000 + it
-				sameResults(t, fmt.Sprintf("KNN it=%d", it), searchKNN(t, mm, q, 6), searchKNN(t, gob, q, 6))
-				sameResults(t, fmt.Sprintf("Range it=%d", it), searchRange(t, mm, q, 30), searchRange(t, gob, q, 30))
+				for _, loaded := range []*Engine{mm, heap} {
+					sameAnswer(t, fmt.Sprintf("KNN it=%d", it), loaded, e, q, Query{Kind: KindKNN, K: 6})
+					sameAnswer(t, fmt.Sprintf("Range it=%d", it), loaded, e, q, Query{Kind: KindRange, Radius: 30})
+				}
 			}
 			// A mapped engine stays fully mutable; the rebuild folds the
 			// insert in and moves the shard onto fresh heap slabs.
@@ -86,78 +98,5 @@ func TestSnapshotMmapBoot(t *testing.T) {
 				t.Fatal("inserted trajectory lost across rebuild")
 			}
 		})
-	}
-}
-
-// TestSnapshotMmapFallback pins that the mmap path is an accelerator,
-// never a dependency: a damaged or missing arena file demotes only that
-// shard to the gob stream, with identical answers.
-func TestSnapshotMmapFallback(t *testing.T) {
-	db := testDB(100, 51)
-	topt := trajtree.Options{Seed: 1, LeafSize: 5}
-	dir := t.TempDir()
-	e, err := NewEngineFromDB(db, topt, Options{CacheSize: -1, Shards: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := e.SaveSnapshot(dir); err != nil {
-		t.Fatal(err)
-	}
-
-	// Shard 0: flip a bit mid-file. Shard 2: delete the arena file.
-	p0 := filepath.Join(dir, arenaFileName(0))
-	raw, err := os.ReadFile(p0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw[len(raw)/2] ^= 0x01
-	if err := os.WriteFile(p0, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Remove(filepath.Join(dir, arenaFileName(2))); err != nil {
-		t.Fatal(err)
-	}
-
-	mm, err := LoadSnapshot(dir, Options{CacheSize: -1, Mmap: true})
-	if err != nil {
-		t.Fatalf("mmap load over damaged arena files: %v", err)
-	}
-	wantMapped := []bool{false, true, false}
-	for i, ss := range mm.Stats().PerShard {
-		if ss.Mem == nil || ss.Mem.Arena.Mapped != wantMapped[i] {
-			t.Fatalf("shard %d mapped=%v, want %v", i, ss.Mem != nil && ss.Mem.Arena.Mapped, wantMapped[i])
-		}
-	}
-	for it := 0; it < 8; it++ {
-		q := db[(it*17)%len(db)].Clone()
-		q.ID = 6_500_000 + it
-		sameResults(t, fmt.Sprintf("KNN it=%d", it), searchKNN(t, mm, q, 5), searchKNN(t, e, q, 5))
-	}
-}
-
-// TestSnapshotMmapOldDirectory pins backward compatibility: a snapshot
-// directory without arena files or manifest checksums (simulated by
-// stripping both) still loads under Options.Mmap via the gob streams.
-func TestSnapshotMmapOldDirectory(t *testing.T) {
-	db := testDB(60, 53)
-	dir := t.TempDir()
-	e, err := NewEngineFromDB(db, trajtree.Options{Seed: 1, LeafSize: 5}, Options{CacheSize: -1, Shards: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := e.SaveSnapshot(dir); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 2; i++ {
-		if err := os.Remove(filepath.Join(dir, arenaFileName(i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	mm, err := LoadSnapshot(dir, Options{CacheSize: -1, Mmap: true})
-	if err != nil {
-		t.Fatalf("mmap load of arena-less directory: %v", err)
-	}
-	if mm.Size() != len(db) {
-		t.Fatalf("size %d, want %d", mm.Size(), len(db))
 	}
 }

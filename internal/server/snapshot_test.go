@@ -6,9 +6,11 @@ package server
 import (
 	"encoding/json"
 	"fmt"
+	"hash/crc32"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"trajmatch/internal/faultfs"
@@ -57,41 +59,52 @@ func TestSnapshotRoundTrip(t *testing.T) {
 				t.Fatalf("manifest tree options %+v did not record LeafSize 5", man.TreeOptions)
 			}
 
-			// Deliberately wrong shard count in the loader options: the
-			// manifest must win, because placement depends on it.
-			loaded, err := LoadSnapshot(dir, Options{CacheSize: -1, Shards: shards + 3})
+			// The directory holds the manifest and one file per shard.
+			entries, err := os.ReadDir(dir)
 			if err != nil {
-				t.Fatalf("load: %v", err)
+				t.Fatal(err)
 			}
-			if loaded.Shards() != shards {
-				t.Fatalf("loaded %d shards, want manifest's %d", loaded.Shards(), shards)
-			}
-			if loaded.Size() != e.Size() {
-				t.Fatalf("loaded size %d, want %d", loaded.Size(), e.Size())
-			}
-			for it := 0; it < 10; it++ {
-				q := db[(it*11)%len(db)].Clone()
-				q.ID = 5_000_000 + it
-				got, _ := loaded.KNN(q, 6)
-				want, _ := e.KNN(q, 6)
-				sameResults(t, fmt.Sprintf("KNN it=%d", it), got, want)
-				gotR, _ := loaded.RangeSearch(q, 30)
-				wantR, _ := e.RangeSearch(q, 30)
-				sameResults(t, fmt.Sprintf("Range it=%d", it), gotR, wantR)
+			if len(entries) != 1+shards {
+				t.Fatalf("snapshot directory holds %d files, want manifest + %d shard files", len(entries), shards)
 			}
 
-			// Updates keep working after a reload (hash placement must
-			// agree with what the snapshot was written under).
-			nt := testDB(121, 47)[120]
-			nt.ID = 70_000
-			if err := loaded.Insert(nt); err != nil {
-				t.Fatalf("post-load insert: %v", err)
-			}
-			if loaded.Lookup(70_000) == nil {
-				t.Fatal("post-load insert not found by lookup")
-			}
-			if !loaded.Delete(70_000) {
-				t.Fatal("post-load delete missed")
+			for _, mm := range []bool{false, true} {
+				// Deliberately wrong shard count in the loader options: the
+				// manifest must win, because placement depends on it.
+				loaded, err := LoadSnapshot(dir, Options{CacheSize: -1, Shards: shards + 3, Mmap: mm})
+				if err != nil {
+					t.Fatalf("load (mmap=%v): %v", mm, err)
+				}
+				if loaded.Shards() != shards {
+					t.Fatalf("loaded %d shards, want manifest's %d", loaded.Shards(), shards)
+				}
+				if loaded.Size() != e.Size() {
+					t.Fatalf("loaded size %d, want %d", loaded.Size(), e.Size())
+				}
+				for it := 0; it < 10; it++ {
+					q := db[(it*11)%len(db)].Clone()
+					q.ID = 5_000_000 + it
+					got, _ := loaded.KNN(q, 6)
+					want, _ := e.KNN(q, 6)
+					sameResults(t, fmt.Sprintf("KNN it=%d", it), got, want)
+					gotR, _ := loaded.RangeSearch(q, 30)
+					wantR, _ := e.RangeSearch(q, 30)
+					sameResults(t, fmt.Sprintf("Range it=%d", it), gotR, wantR)
+				}
+
+				// Updates keep working after a reload (hash placement must
+				// agree with what the snapshot was written under).
+				nt := testDB(121, 47)[120]
+				nt.ID = 70_000
+				if err := loaded.Insert(nt); err != nil {
+					t.Fatalf("post-load insert: %v", err)
+				}
+				if loaded.Lookup(70_000) == nil {
+					t.Fatal("post-load insert not found by lookup")
+				}
+				if !loaded.Delete(70_000) {
+					t.Fatal("post-load delete missed")
+				}
 			}
 		})
 	}
@@ -109,6 +122,18 @@ func TestSnapshotRejectsBadManifest(t *testing.T) {
 	}
 	if _, err := LoadSnapshot(dir, Options{}); err == nil {
 		t.Fatal("future-versioned snapshot loaded")
+	}
+
+	// A version-2 directory (enveloped manifest, gob streams beside the
+	// arena files) is refused with the upgrade instruction, not reported
+	// as corrupt and not migrated.
+	v2 := []byte(`{"version":2,"shards":1,"tree_options":{},"sizes":[3],"checksums":[1],"arena_checksums":[2],"saved_at":"2026-01-01T00:00:00Z"}`)
+	raw, _ = json.Marshal(manifestEnvelope{CRC32C: crc32.Checksum(v2, snapCRC), Manifest: v2})
+	if err := os.WriteFile(filepath.Join(dir, manifestName), raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadSnapshot(dir, Options{}); err == nil || !strings.Contains(err.Error(), "re-save the snapshot from a live engine") {
+		t.Fatalf("version-2 snapshot: err = %v, want the re-save message", err)
 	}
 }
 

@@ -12,11 +12,11 @@ import (
 	"trajmatch/internal/traj"
 )
 
-// Arena snapshot: the tree flattened next to its shard's slabs in the
-// arena package's mmap-able format (arena/file.go). Where the gob
-// stream (persist.go) decodes every sample on load, this path aliases
-// the point slabs straight out of a verified mapping and rebuilds only
-// the node structures — an O(members + nodes) warm boot.
+// The tree's one on-disk encoding: the nodes flattened next to the
+// shard's slabs in the arena package's TRARENA1 format (arena/file.go).
+// A load aliases the point slabs straight out of the verified bytes — a
+// file mapping (LoadArena) or one heap buffer (Load) — and rebuilds only
+// the node structures, an O(members + nodes) warm boot.
 //
 // Per-node metadata record (arena.NMetaStride int64s, in nmeta order):
 //
@@ -48,10 +48,17 @@ type arenaExtra struct {
 	Root    int64   `json:"root"` // node index; -1 when empty
 }
 
-// SaveArena writes the tree in the arena snapshot format. It is an
-// alternative encoding of exactly the state Save writes: a tree loaded
-// from either stream answers every query identically.
-func (t *Tree) SaveArena(w io.Writer) error {
+// Save writes the tree to w; Load and LoadArena read it back answering
+// every query identically.
+func (t *Tree) Save(w io.Writer) error {
+	_, err := t.SaveCRC(w)
+	return err
+}
+
+// SaveCRC is Save that also returns the checksum the written file ends
+// in (the value Load and LoadArena report back), which the snapshot
+// manifest records to tell one save's files from another's.
+func (t *Tree) SaveCRC(w io.Writer) (uint32, error) {
 	extra := arenaExtra{Version: 1, Options: t.opt, Size: t.size, Root: -1}
 	var ts arena.TreeSection
 	if t.root != nil {
@@ -81,7 +88,7 @@ func (t *Tree) SaveArena(w io.Writer) error {
 			}
 			oi, ok := overlayIdx[m.ID]
 			if !ok {
-				return 0, fmt.Errorf("trajtree: save arena: member %d in a node but not under the root", m.ID)
+				return 0, fmt.Errorf("trajtree: save: member %d in a node but not under the root", m.ID)
 			}
 			return -int64(oi) - 1, nil
 		}
@@ -113,7 +120,7 @@ func (t *Tree) SaveArena(w io.Writer) error {
 			rec[10] = -1
 			if n.descs != nil {
 				if len(n.descs) != len(n.members)*len(n.vps) {
-					return 0, fmt.Errorf("trajtree: save arena: descriptor slab of %d values != %d members × %d vantage points",
+					return 0, fmt.Errorf("trajtree: save: descriptor slab of %d values != %d members × %d vantage points",
 						len(n.descs), len(n.members), len(n.vps))
 				}
 				rec[10] = int64(len(n.members))
@@ -140,34 +147,62 @@ func (t *Tree) SaveArena(w io.Writer) error {
 		}
 		root, err := flatten(t.root)
 		if err != nil {
-			return err
+			return 0, err
 		}
 		extra.Root = root
 	}
 	raw, err := json.Marshal(extra)
 	if err != nil {
-		return err
+		return 0, err
 	}
 	return arena.Encode(w, t.ar, &ts, raw)
 }
 
-// LoadArena reconstructs a tree from an arena snapshot file, mmap-ing
-// the slabs when the platform allows (falling back to a heap read
-// otherwise — identical result, higher boot cost). Verification failures
-// of any kind wrap arena.ErrCorrupt; callers are expected to fall back
-// to the gob stream. The mapping is never unmapped: member trajectories
-// alias it for the life of the process.
-func LoadArena(path string) (*Tree, error) {
+// Load reads a tree written by Save from r onto the heap and returns it
+// with the file's checksum. The bytes land in one buffer that the slabs
+// then alias: sized exactly when r reports its length (a Len() int
+// method, as on bytes.Reader and bytes.Buffer, or on a file wrapped with
+// its Stat size), grown by io.ReadAll otherwise. Verification failures
+// of any kind wrap arena.ErrCorrupt.
+func Load(r io.Reader) (*Tree, uint32, error) {
+	var b []byte
+	var err error
+	if s, ok := r.(interface{ Len() int }); ok {
+		b = make([]byte, s.Len())
+		_, err = io.ReadFull(r, b)
+	} else {
+		b, err = io.ReadAll(r)
+	}
+	if err != nil {
+		return nil, 0, fmt.Errorf("trajtree: load: %w", err)
+	}
+	snap, err := arena.Decode(b)
+	if err != nil {
+		return nil, 0, fmt.Errorf("trajtree: load: %w", err)
+	}
+	return fromSnapshot(snap)
+}
+
+// LoadArena is Load for a file on disk, mmap-ing the slabs when the
+// platform allows (a heap read otherwise — identical result, higher boot
+// cost). The mapping is never unmapped: member trajectories alias it for
+// the life of the process.
+func LoadArena(path string) (*Tree, uint32, error) {
 	snap, err := arena.Open(path)
 	if err != nil {
-		return nil, fmt.Errorf("trajtree: load arena: %w", err)
+		return nil, 0, fmt.Errorf("trajtree: load: %w", err)
 	}
+	return fromSnapshot(snap)
+}
+
+// fromSnapshot rebuilds the node structures over a decoded file's slabs.
+func fromSnapshot(snap *arena.Snapshot) (*Tree, uint32, error) {
 	var extra arenaExtra
 	if err := json.Unmarshal(snap.Extra, &extra); err != nil {
-		return nil, fmt.Errorf("trajtree: load arena: meta: %v: %w", err, arena.ErrCorrupt)
+		return nil, 0, fmt.Errorf("trajtree: load: meta: %v: %w", err, arena.ErrCorrupt)
 	}
 	if extra.Version != 1 {
-		return nil, fmt.Errorf("trajtree: load arena: unsupported version %d: %w", extra.Version, arena.ErrCorrupt)
+		return nil, 0, fmt.Errorf("trajtree: load: unsupported version %d: %w", extra.Version, arena.ErrCorrupt)
 	}
 	a, ts := snap.Arena, snap.Tree
 	members := a.Members()
@@ -194,7 +229,7 @@ func LoadArena(path string) (*Tree, error) {
 	if extra.Root >= 0 {
 		nNodes := len(ts.NMeta) / arena.NMetaStride
 		if extra.Root >= int64(nNodes) {
-			return nil, fmt.Errorf("trajtree: load arena: root %d of %d nodes: %w", extra.Root, nNodes, arena.ErrCorrupt)
+			return nil, 0, fmt.Errorf("trajtree: load: root %d of %d nodes: %w", extra.Root, nNodes, arena.ErrCorrupt)
 		}
 		nodes := make([]node, nNodes)
 		built := make([]bool, nNodes)
@@ -203,7 +238,7 @@ func LoadArena(path string) (*Tree, error) {
 			if built[i] {
 				// A node reachable twice means the child table encodes a
 				// DAG or a cycle; refuse rather than recurse forever.
-				return nil, fmt.Errorf("trajtree: load arena: node %d reached twice: %w", i, arena.ErrCorrupt)
+				return nil, fmt.Errorf("trajtree: load: node %d reached twice: %w", i, arena.ErrCorrupt)
 			}
 			built[i] = true
 			rec := ts.NMeta[i*arena.NMetaStride : (i+1)*arena.NMetaStride]
@@ -249,14 +284,14 @@ func LoadArena(path string) (*Tree, error) {
 		}
 		root, err := build(extra.Root)
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		t.root = root
 	}
 	if err := t.checkInvariants(); err != nil {
-		return nil, fmt.Errorf("trajtree: load arena: %v: %w", err, arena.ErrCorrupt)
+		return nil, 0, fmt.Errorf("trajtree: load: %v: %w", err, arena.ErrCorrupt)
 	}
 	t.ar = a
 	t.overlay = len(overlay)
-	return t, nil
+	return t, snap.CRC, nil
 }

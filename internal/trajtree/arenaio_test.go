@@ -1,13 +1,17 @@
 package trajtree
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"trajmatch/internal/arena"
+	"trajmatch/internal/traj"
 )
 
 func saveArenaFile(t *testing.T, tree *Tree) string {
@@ -17,8 +21,8 @@ func saveArenaFile(t *testing.T, tree *Tree) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tree.SaveArena(f); err != nil {
-		t.Fatalf("save arena: %v", err)
+	if err := tree.Save(f); err != nil {
+		t.Fatalf("save: %v", err)
 	}
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
@@ -26,30 +30,64 @@ func saveArenaFile(t *testing.T, tree *Tree) string {
 	return path
 }
 
-// TestArenaRoundTripAnswersIdentically is the arena-snapshot twin of
-// the gob round-trip acceptance test: a tree reloaded through the
-// mmap-able format must answer KNN and RangeSearch byte-identically —
-// same IDs, distances, order, and per-query statistics — which proves
-// the reconstructed nodes, summaries, vantage descriptors, and member
-// placement are the same tree served from slab-aliased memory.
-func TestArenaRoundTripAnswersIdentically(t *testing.T) {
-	rng := rand.New(rand.NewSource(101))
-	db := testDB(rng, 130)
-	tree, err := New(db, testOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := LoadArena(saveArenaFile(t, tree))
+// loadArena saves tree to a file and reads it back through LoadArena.
+func loadArena(t *testing.T, tree *Tree) *Tree {
+	t.Helper()
+	loaded, _, err := LoadArena(saveArenaFile(t, tree))
 	if err != nil {
 		t.Fatalf("load arena: %v", err)
 	}
-	if loaded.Size() != tree.Size() || loaded.Height() != tree.Height() {
-		t.Fatalf("loaded shape %d/%d, want %d/%d", loaded.Size(), loaded.Height(), tree.Size(), tree.Height())
+	return loaded
+}
+
+// loadHeap saves tree to memory and reads it back through Load.
+func loadHeap(t *testing.T, tree *Tree) *Tree {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := tree.Save(&buf); err != nil {
+		t.Fatalf("save: %v", err)
 	}
-	if ms := loaded.MemStats(); ms.Arena.Members != tree.Size() || ms.Overlay != 0 {
-		t.Fatalf("mem stats %+v after clean load", ms)
+	loaded, _, err := Load(&buf)
+	if err != nil {
+		t.Fatalf("load: %v", err)
 	}
-	for it := 0; it < 15; it++ {
+	return loaded
+}
+
+// TestArenaRoundTripAnswersIdentically is the Save/Load acceptance
+// test: a tree reloaded through either reader — one heap buffer (Load)
+// or the file mapping (LoadArena) — must answer KNN and range searches
+// byte-identically, with identical per-query statistics and the same
+// vantage-point bound, which proves the reconstructed nodes, summaries,
+// vantage descriptors and member placement are the same tree served
+// from slab-aliased memory. It holds for a tree as built and for one
+// carrying Insert/Delete churn in its overlay, and the reloaded tree
+// stays mutable.
+func TestArenaRoundTripAnswersIdentically(t *testing.T) {
+	rng := rand.New(rand.NewSource(101))
+	db := testDB(rng, 130)
+	built, err := New(db, testOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	churned, err := New(cloneAll(db), testOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	extra := testDB(rng, 20)
+	for i, tr := range extra {
+		tr.ID = 40_000 + i
+		if err := churned.Insert(tr); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for id := 3; id < len(db); id += 11 {
+		if !churned.Delete(id) {
+			t.Fatalf("delete %d missed", id)
+		}
+	}
+	queries := make([]*traj.Trajectory, 15)
+	for it := range queries {
 		q := db[rng.Intn(len(db))].Clone()
 		q.ID = 8_000_000 + it
 		if it%2 == 0 {
@@ -58,30 +96,102 @@ func TestArenaRoundTripAnswersIdentically(t *testing.T) {
 				q.Points[i].Y += rng.NormFloat64() * 8
 			}
 		}
-		k := 1 + rng.Intn(9)
-		got, gst, _, err := loaded.SearchKNN(q, k, nil, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, wst, _, err := tree.SearchKNN(q, k, nil, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sameResults(t, "SearchKNN", got, want)
-		if gst != wst {
-			t.Fatalf("SearchKNN stats diverge after arena reload: %+v != %+v", gst, wst)
-		}
-		radius := []float64{0.05, 0.3, 1.5}[it%3]
-		gotR, _, _, err := loaded.SearchRange(q, radius, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantR, _, _, err := tree.SearchRange(q, radius, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sameResults(t, "SearchRange", gotR, wantR)
+		queries[it] = q
 	}
+	for _, in := range []struct {
+		name string
+		tree *Tree
+	}{{"built", built}, {"churned", churned}} {
+		for _, rd := range []struct {
+			name string
+			load func(*testing.T, *Tree) *Tree
+		}{{"heap", loadHeap}, {"arena", loadArena}} {
+			t.Run(in.name+"/"+rd.name, func(t *testing.T) {
+				tree, loaded := in.tree, rd.load(t, in.tree)
+				if loaded.Size() != tree.Size() || loaded.Height() != tree.Height() {
+					t.Fatalf("loaded shape %d/%d, want %d/%d", loaded.Size(), loaded.Height(), tree.Size(), tree.Height())
+				}
+				if got, want := loaded.MemStats(), tree.MemStats(); got.Overlay != want.Overlay || got.Arena.Members != want.Arena.Members {
+					t.Fatalf("mem stats %+v after load, want %+v", got, want)
+				}
+				for it, q := range queries {
+					k := 1 + it%9
+					got, gst, _, err := loaded.SearchKNN(q, k, nil, nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want, wst, _, err := tree.SearchKNN(q, k, nil, nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					sameResults(t, "SearchKNN", got, want)
+					if gst != wst {
+						// Equal stats mean the traversal — including the VP
+						// passes driven by the persisted descriptors — was
+						// identical.
+						t.Fatalf("SearchKNN stats diverge after reload: %+v != %+v", gst, wst)
+					}
+					radius := []float64{0.05, 0.3, 1.5}[it%3]
+					gotR, grst, _, err := loaded.SearchRange(q, radius, nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					wantR, wrst, _, err := tree.SearchRange(q, radius, nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					sameResults(t, "SearchRange", gotR, wantR)
+					if grst != wrst {
+						t.Fatalf("SearchRange stats diverge after reload: %+v != %+v", grst, wrst)
+					}
+					// VPUpperBound runs entirely on the root's persisted
+					// VPs and descriptor rows: same bound, same profile.
+					ub, ds := tree.VPUpperBound(q, 6)
+					lub, lds := loaded.VPUpperBound(q, 6)
+					if ub == 0 || ub != lub || fmt.Sprint(ds) != fmt.Sprint(lds) {
+						t.Fatalf("VP upper bound %v %v after reload, want %v %v", lub, lds, ub, ds)
+					}
+				}
+				// Inserts and deletes on the reloaded tree behave as on a
+				// never-persisted one.
+				for i, tr := range testDB(rand.New(rand.NewSource(105)), 20) {
+					tr.ID = 50_000 + i
+					if err := loaded.Insert(tr); err != nil {
+						t.Fatalf("insert %d: %v", i, err)
+					}
+					if i == 0 {
+						if err := loaded.Insert(tr); err == nil {
+							t.Fatal("duplicate insert into reloaded tree succeeded")
+						}
+					}
+				}
+				if !loaded.Delete(50_003) || !loaded.Delete(db[0].ID) {
+					t.Fatal("delete on reloaded tree missed")
+				}
+				if loaded.Size() != tree.Size()+20-2 {
+					t.Fatalf("size %d after churn, want %d", loaded.Size(), tree.Size()+18)
+				}
+				if err := loaded.checkInvariants(); err != nil {
+					t.Fatalf("invariants after churn on reloaded tree: %v", err)
+				}
+				got, _, _, err := loaded.SearchKNN(queries[3], 8, nil, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sameResults(t, "post-churn", got, loaded.KNNBrute(queries[3], 8))
+			})
+		}
+	}
+}
+
+// cloneAll copies db: building a tree re-points its trajectories at the
+// tree's slabs, so two trees over one corpus each need their own copies.
+func cloneAll(db []*traj.Trajectory) []*traj.Trajectory {
+	out := make([]*traj.Trajectory, len(db))
+	for i, tr := range db {
+		out[i] = tr.Clone()
+	}
+	return out
 }
 
 // TestArenaRoundTripWithOverlay pins the overlay path: members inserted
@@ -103,10 +213,7 @@ func TestArenaRoundTripWithOverlay(t *testing.T) {
 	if tree.MemStats().Overlay == 0 {
 		t.Fatal("test needs a live overlay; inserts were folded unexpectedly")
 	}
-	loaded, err := LoadArena(saveArenaFile(t, tree))
-	if err != nil {
-		t.Fatalf("load arena: %v", err)
-	}
+	loaded := loadArena(t, tree)
 	if got, want := loaded.MemStats().Overlay, tree.MemStats().Overlay; got != want {
 		t.Fatalf("overlay %d after load, want %d", got, want)
 	}
@@ -153,10 +260,7 @@ func TestArenaPureInsertTree(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	loaded, err := LoadArena(saveArenaFile(t, tree))
-	if err != nil {
-		t.Fatalf("load arena: %v", err)
-	}
+	loaded := loadArena(t, tree)
 	q := db[7].Clone()
 	q.ID = 9_100_000
 	got, _, _, err := loaded.SearchKNN(q, 3, nil, nil)
@@ -176,18 +280,22 @@ func TestArenaEmptyTree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := LoadArena(saveArenaFile(t, tree))
-	if err != nil {
-		t.Fatalf("load arena: %v", err)
-	}
-	if loaded.Size() != 0 {
-		t.Fatalf("size %d", loaded.Size())
+	for _, loaded := range []*Tree{loadArena(t, tree), loadHeap(t, tree)} {
+		if loaded.Size() != 0 {
+			t.Fatalf("size %d", loaded.Size())
+		}
 	}
 }
 
 // TestArenaLoadCorrupt pins the failure contract at this layer: damage
 // anywhere in the file — including the flattened tree payload — yields
-// an error wrapping arena.ErrCorrupt, never a panic or a wrong tree.
+// an error wrapping arena.ErrCorrupt from both readers, never a panic or
+// a wrong tree. The resealed rows are the cases a bit-flip sweep cannot
+// reach: one node-record word overwritten and the file re-encoded with a
+// valid checksum, as a hostile peer could serve it. The first is a
+// descriptor row count that disagrees with the member count (ranking
+// such a slab would pair rows with the wrong members); the others are
+// the words whose range checks used to wrap around int64 and pass.
 func TestArenaLoadCorrupt(t *testing.T) {
 	rng := rand.New(rand.NewSource(113))
 	tree, err := New(testDB(rng, 60), testOptions())
@@ -199,77 +307,66 @@ func TestArenaLoadCorrupt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dir := t.TempDir()
+	check := func(label string, bad []byte) {
+		t.Helper()
+		defer func() {
+			if r := recover(); r != nil {
+				t.Fatalf("%s: panic: %v", label, r)
+			}
+		}()
+		p := filepath.Join(t.TempDir(), "bad.arena")
+		if err := os.WriteFile(p, bad, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := LoadArena(p); !errors.Is(err, arena.ErrCorrupt) {
+			t.Errorf("%s: LoadArena err = %v, want ErrCorrupt", label, err)
+		}
+		if _, _, err := Load(bytes.NewReader(bad)); !errors.Is(err, arena.ErrCorrupt) {
+			t.Errorf("%s: Load err = %v, want ErrCorrupt", label, err)
+		}
+	}
 	step := len(good)/61 + 1
 	for off := 0; off < len(good); off += step {
 		bad := append([]byte(nil), good...)
 		bad[off] ^= 0x40
-		p := filepath.Join(dir, "bad.arena")
-		if err := os.WriteFile(p, bad, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		func() {
-			defer func() {
-				if r := recover(); r != nil {
-					t.Fatalf("offset %d: panic: %v", off, r)
-				}
-			}()
-			if _, err := LoadArena(p); !errors.Is(err, arena.ErrCorrupt) {
-				t.Errorf("offset %d: err = %v, want ErrCorrupt", off, err)
-			}
-		}()
+		check(fmt.Sprintf("bit flip at %d", off), bad)
 	}
 	for _, n := range []int{0, 10, len(good) / 2, len(good) - 2} {
-		p := filepath.Join(dir, "trunc.arena")
-		if err := os.WriteFile(p, good[:n], 0o644); err != nil {
+		check(fmt.Sprintf("truncate to %d", n), good[:n])
+	}
+
+	snap, err := arena.Decode(good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// An inner node: a descriptor table, and windows that start past 0.
+	node := -1
+	for off := 0; off < len(snap.Tree.NMeta); off += arena.NMetaStride {
+		if rec := snap.Tree.NMeta[off : off+arena.NMetaStride]; rec[10] > 1 && rec[8] > 0 && rec[5] > 0 {
+			node = off
+		}
+	}
+	if node < 0 {
+		t.Fatal("no inner node with a descriptor table to tamper with")
+	}
+	for _, c := range []struct {
+		name string
+		word int
+		val  int64
+	}{
+		{"descRows one short of the members", 10, snap.Tree.NMeta[node+10] - 1},
+		{"vpCount 2^62", 8, 1 << 62},
+		{"memberCount 2^63-1", 6, math.MaxInt64},
+		{"boxOff 2^63-1", 0, math.MaxInt64},
+		{"descOff 2^63-1", 9, math.MaxInt64},
+	} {
+		ts := snap.Tree
+		ts.NMeta = append([]int64(nil), ts.NMeta...)
+		ts.NMeta[node+c.word] = c.val
+		var buf bytes.Buffer
+		if _, err := arena.Encode(&buf, snap.Arena, &ts, snap.Extra); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := LoadArena(p); !errors.Is(err, arena.ErrCorrupt) {
-			t.Errorf("truncate %d: err = %v, want ErrCorrupt", n, err)
-		}
-	}
-}
-
-// TestArenaLoadDescriptorSlabMismatch pins the malformed-but-checksummed
-// case the bit-flip sweep cannot reach: a node record whose descriptor
-// row count (rec[10]) disagrees with its member count, re-encoded with a
-// valid checksum and in-range offsets. Ranking such a slab would pair
-// rows with the wrong members, so the load must refuse it.
-func TestArenaLoadDescriptorSlabMismatch(t *testing.T) {
-	rng := rand.New(rand.NewSource(127))
-	tree, err := New(testDB(rng, 60), testOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	snap, err := arena.Open(saveArenaFile(t, tree))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := snap.Tree
-	ts.NMeta = append([]int64(nil), ts.NMeta...) // the original may be a read-only mapping
-	tampered := false
-	for off := 0; off < len(ts.NMeta); off += arena.NMetaStride {
-		if rec := ts.NMeta[off : off+arena.NMetaStride]; rec[10] > 1 && rec[8] > 0 {
-			rec[10]-- // one row short of rec[6] members
-			tampered = true
-			break
-		}
-	}
-	if !tampered {
-		t.Fatal("no node with a descriptor table to tamper with")
-	}
-	path := filepath.Join(t.TempDir(), "short.arena")
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := arena.Encode(f, snap.Arena, &ts, snap.Extra); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadArena(path); !errors.Is(err, arena.ErrCorrupt) {
-		t.Fatalf("err = %v, want ErrCorrupt", err)
+		check("resealed "+c.name, buf.Bytes())
 	}
 }

@@ -1,7 +1,6 @@
 package trajtree
 
 import (
-	"bytes"
 	"fmt"
 	"strings"
 	"testing"
@@ -144,21 +143,8 @@ func TestKNNWorkCountersGolden(t *testing.T) {
 	churn(t, tree)
 	checkCounters(t, "churned", workCounters(t, tree, queries), goldenChurned)
 
-	loaded, err := LoadArena(saveArenaFile(t, tree))
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkCounters(t, "churned, arena-loaded", workCounters(t, loaded, queries), goldenChurned)
-
-	var buf bytes.Buffer
-	if err := tree.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	decoded, err := Load(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkCounters(t, "churned, gob-loaded", workCounters(t, decoded, queries), goldenChurned)
+	checkCounters(t, "churned, arena-loaded", workCounters(t, loadArena(t, tree), queries), goldenChurned)
+	checkCounters(t, "churned, heap-loaded", workCounters(t, loadHeap(t, tree), queries), goldenChurned)
 }
 
 // TestVPPassAllocBudget pins the pooled scratch of the vantage pass: a
@@ -194,25 +180,15 @@ func TestVPPassAllocBudget(t *testing.T) {
 // slabs: a tree booted from an arena snapshot aliases the file mapping,
 // which is read-only, so Delete must move a node's slab to the heap
 // before closing the gap (Insert's append reallocates by itself). The
-// same churn on the mapped tree and on a gob-decoded heap twin must leave
-// both answering identically, without a fault.
+// same churn on the mapped tree and on a heap-read twin must leave both
+// answering identically, without a fault.
 func TestMappedSlabCopyOnMutate(t *testing.T) {
 	tree, queries := vpPassTree(t)
-	mapped, err := LoadArena(saveArenaFile(t, tree))
-	if err != nil {
-		t.Fatal(err)
-	}
+	mapped := loadArena(t, tree)
 	if !mapped.MemStats().Arena.Mapped {
 		t.Skip("arena snapshots are not mmap'd on this platform")
 	}
-	var buf bytes.Buffer
-	if err := tree.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	heap, err := Load(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	heap := loadHeap(t, tree)
 	churn(t, mapped)
 	churn(t, heap)
 	if mapped.Size() != heap.Size() || mapped.Height() != heap.Height() {

@@ -158,7 +158,8 @@ func NewIndex(db []*Trajectory, opt IndexOptions) (*Index, error) {
 
 // LoadIndex reconstructs an index previously written with Index.Save.
 func LoadIndex(r io.Reader) (*Index, error) {
-	return trajtree.Load(r)
+	idx, _, err := trajtree.Load(r)
+	return idx, err
 }
 
 // SharedBound is an atomically tightening upper bound shared by
