@@ -386,35 +386,51 @@ func BenchmarkTreeKNN(b *testing.B) {
 	b.ReportMetric(float64(abandons)/float64(b.N), "abandons/query")
 }
 
-// BenchmarkKNN10k runs the bench/ cold-search k-NN set — the same 10 000
-// trips, index options and 140 queries — directly against SearchKNN, with
-// and without vantage points: one operation is one query. It is the
-// harness for CPU profiles of the exact-search path at a size where the
-// index prunes (go test -run '^$' -bench 'KNN10k/with-vps' -cpuprofile ...),
-// and its work counters repeat exactly from run to run.
-func BenchmarkKNN10k(b *testing.B) {
-	db := trajmatch.GenerateTaxi(trajmatch.DefaultTaxiConfig(10000))
-	qcfg := trajmatch.DefaultTaxiConfig(210)
-	qcfg.Seed += 7919
-	queries := trajmatch.GenerateTaxi(qcfg)[:140]
-	for _, disable := range []bool{false, true} {
-		name := "with-vps"
-		if disable {
-			name = "without-vps"
-		}
-		b.Run(name, func(b *testing.B) {
-			tree, err := trajmatch.NewIndex(db, trajmatch.IndexOptions{Parallel: true, Seed: 1, DisableVantage: disable})
-			if err != nil {
-				b.Fatal(err)
+// searchArm is one arm of the tree-vs-scan benchmarks: a query set, the
+// search it runs and whether its tree is built without vantage points.
+type searchArm struct {
+	name           string
+	disableVantage bool
+	queries        []*trajmatch.Trajectory
+	search         func(*trajmatch.Index, *trajmatch.Trajectory) trajmatch.QueryStats
+}
+
+func knnArm(t *trajmatch.Index, q *trajmatch.Trajectory) trajmatch.QueryStats {
+	_, st, _, _ := t.SearchKNN(q, 10, nil, nil)
+	return st
+}
+
+// scanArm is the floor the index has to beat: KNNBrute, a plain loop over
+// the same members with the same bounded kernel.
+func scanArm(t *trajmatch.Index, q *trajmatch.Trajectory) trajmatch.QueryStats {
+	t.KNNBrute(q, 10)
+	return trajmatch.QueryStats{DistanceCalls: t.Size()}
+}
+
+// runSearchArms runs each arm as a sub-benchmark over db, one query per
+// operation, reporting the work counters per query. Arms share one tree per
+// option set, built by the first arm selected.
+func runSearchArms(b *testing.B, db []*trajmatch.Trajectory, arms []searchArm) {
+	trees := map[bool]*trajmatch.Index{}
+	for _, arm := range arms {
+		b.Run(arm.name, func(b *testing.B) {
+			t := trees[arm.disableVantage]
+			if t == nil {
+				var err error
+				t, err = trajmatch.NewIndex(db, trajmatch.IndexOptions{Parallel: true, Seed: 1, DisableVantage: arm.disableVantage})
+				if err != nil {
+					b.Fatal(err)
+				}
+				trees[arm.disableVantage] = t
+				b.ResetTimer()
 			}
 			var sum trajmatch.QueryStats
-			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				_, st, _, _ := tree.SearchKNN(queries[i%len(queries)], 10, nil, nil)
-				sum.Add(st)
+				sum.Add(arm.search(t, arm.queries[i%len(arm.queries)]))
 			}
 			n := float64(b.N)
 			b.ReportMetric(float64(sum.DistanceCalls)/n, "distcalls/query")
+			b.ReportMetric(float64(sum.DistanceCalls-sum.ScreenRejects)/n, "kernelstarts/query")
 			b.ReportMetric(float64(sum.EarlyAbandons)/n, "abandons/query")
 			b.ReportMetric(float64(sum.LowerBoundCalls)/n, "lbcalls/query")
 			b.ReportMetric(float64(sum.NodesVisited)/n, "visited/query")
@@ -422,14 +438,67 @@ func BenchmarkKNN10k(b *testing.B) {
 	}
 }
 
-// BenchmarkVPTopK isolates the vantage pass of one internal node at the
-// size of the bench corpus's root: one TopK selection of the 10 nearest
-// of 10 000 descriptor rows × 80 vantage points per operation. The
+// BenchmarkKNN10k runs the bench/ cold-search request set — the same
+// 10 000 trips, index options and 210 queries (140 k-NN, 42 range, 28
+// subknn) — directly against the tree: one operation is one query. The
+// arms are k-NN with and without vantage points, range, subknn, and scan,
+// the k-NN queries through KNNBrute, so TrajTree-vs-scan is read off one
+// command. It is also the harness for CPU profiles of the exact-search
+// path at a size where the index prunes (go test -run '^$' -bench
+// 'KNN10k/with-vps' -cpuprofile ...); its work counters repeat exactly
+// from run to run.
+func BenchmarkKNN10k(b *testing.B) {
+	db := trajmatch.GenerateTaxi(trajmatch.DefaultTaxiConfig(10000))
+	qcfg := trajmatch.DefaultTaxiConfig(210)
+	qcfg.Seed += 7919
+	queries := trajmatch.GenerateTaxi(qcfg)
+	knn, rng, sub := queries[:140], queries[140:182], queries[182:]
+	runSearchArms(b, db, []searchArm{
+		{"with-vps", false, knn, knnArm},
+		{"without-vps", true, knn, knnArm},
+		{"range", false, rng, func(t *trajmatch.Index, q *trajmatch.Trajectory) trajmatch.QueryStats {
+			_, st, _, _ := t.SearchRange(q, 500, nil)
+			return st
+		}},
+		{"subknn", false, sub, func(t *trajmatch.Index, q *trajmatch.Trajectory) trajmatch.QueryStats {
+			_, st, _, _ := t.SearchSub(q, 10, nil, nil)
+			return st
+		}},
+		{"scan", false, knn, scanArm},
+	})
+}
+
+// BenchmarkKNNASL is BenchmarkKNN10k's tree-vs-scan pair on the second
+// corpus, the one the node boxes prune least: the default ASL gestures,
+// 40 points each and all overlapping in one workspace, with the first
+// recording of each of the 98 signs held out as the queries (2 548
+// indexed).
+func BenchmarkKNNASL(b *testing.B) {
+	var db, queries []*trajmatch.Trajectory
+	seen := map[int]bool{}
+	for _, tr := range trajmatch.GenerateASL(trajmatch.DefaultASLConfig()) {
+		if !seen[tr.Label] {
+			seen[tr.Label] = true
+			queries = append(queries, tr)
+		} else {
+			db = append(db, tr)
+		}
+	}
+	runSearchArms(b, db, []searchArm{
+		{"with-vps", false, queries, knnArm},
+		{"without-vps", true, queries, knnArm},
+		{"scan", false, queries, scanArm},
+	})
+}
+
+// BenchmarkVPTopK isolates the vantage pass at the size of the bench
+// corpus's root: one TopK selection of the 10 nearest of 10 000
+// descriptor rows × 16 vantage points (the default) per operation. The
 // threshold is cold for the table's first k rows and warm — abandoning
 // most rows mid-sum — for the rest, as in a query.
 func BenchmarkVPTopK(b *testing.B) {
 	db := trajmatch.GenerateTaxi(trajmatch.DefaultTaxiConfig(10000))
-	vps := vantage.Select(db, 80, rand.New(rand.NewSource(1)))
+	vps := vantage.Select(db, 16, rand.New(rand.NewSource(1)))
 	descs := make([]float64, 0, len(db)*len(vps))
 	for _, tr := range db {
 		descs = vantage.AppendDescriptor(descs, tr, vps)

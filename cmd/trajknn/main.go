@@ -34,7 +34,7 @@ func main() {
 		queryFile = flag.String("queryfile", "", "file of query trajectories")
 		k         = flag.Int("k", 10, "number of neighbours")
 		theta     = flag.Float64("theta", 0.8, "TrajTree θ (diversity drop threshold)")
-		vps       = flag.Int("vps", 80, "vantage points per node")
+		vps       = flag.Int("vps", 16, "vantage points of the root's seeding pass")
 		shards    = flag.Int("shards", 1, "number of hash-partitioned index shards")
 		verify    = flag.Bool("verify", false, "cross-check against a sequential scan")
 		cumula    = flag.Bool("cumulative", false, "use cumulative EDwP instead of EDwPavg")
@@ -97,9 +97,9 @@ func main() {
 		}
 		st := ans.Stats
 		fmt.Printf("query %d (%d points): %d results in %v "+
-			"(dist calls %d, abandons %d, bounds %d, visited %d, pruned %d)\n",
+			"(dist calls %d, abandons %d of which screened %d, bounds %d, visited %d, pruned %d)\n",
 			q.ID, q.NumPoints(), len(ans.Results), elapsed.Round(time.Microsecond),
-			st.DistanceCalls, st.EarlyAbandons, st.LowerBoundCalls, st.NodesVisited, st.NodesPruned)
+			st.DistanceCalls, st.EarlyAbandons, st.ScreenRejects, st.LowerBoundCalls, st.NodesVisited, st.NodesPruned)
 		for rank, r := range ans.Results {
 			fmt.Printf("  %2d. trajectory %-6d dist %.6g\n", rank+1, r.Traj.ID, r.Dist)
 		}

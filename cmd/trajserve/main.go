@@ -38,7 +38,8 @@
 // header naming the /v1 successor.
 //
 // GET /v1/stats includes the bounded-kernel counters (distance_calls,
-// early_abandons, lower_bound_calls, ...) accumulated over all queries,
+// early_abandons, screen_rejects, lower_bound_calls, ...) accumulated
+// over all queries,
 // a per-metric breakdown with each backend's capability set, and a
 // per-shard size/height breakdown. With -pprof the standard
 // net/http/pprof handlers are mounted under /debug/pprof/ for live CPU,
@@ -146,7 +147,7 @@ func main() {
 		dbPath   = flag.String("db", "", "database file (csv or ndjson by extension)")
 		addr     = flag.String("addr", ":8080", "listen address")
 		theta    = flag.Float64("theta", 0.8, "TrajTree θ (diversity drop threshold)")
-		vps      = flag.Int("vps", 80, "vantage points per node")
+		vps      = flag.Int("vps", 16, "vantage points of the root's seeding pass")
 		cumula   = flag.Bool("cumulative", false, "use cumulative EDwP instead of EDwPavg")
 		cache    = flag.Int("cache", 0, "LRU result-cache entries (0 = default 1024, negative disables)")
 		workers  = flag.Int("workers", 0, "batch worker-pool / shard fan-out size (0 = GOMAXPROCS)")

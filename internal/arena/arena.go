@@ -16,6 +16,9 @@
 package arena
 
 import (
+	"fmt"
+	"math"
+
 	"trajmatch/internal/geom"
 	"trajmatch/internal/tbox"
 	"trajmatch/internal/traj"
@@ -47,6 +50,11 @@ type Arena struct {
 	// quadruples.
 	boxes   []float64
 	boxOffs []int64
+	// boxLens[k] is the length of the owning member's segments assigned
+	// to box k of the boxes slab — the weights of the member side of the
+	// screen (core.ScreenMemberSide). Derived from xs/ys and boxes by
+	// deriveBoxLens at Build and at decode alike; never stored.
+	boxLens []float64
 
 	byID map[int]int32
 
@@ -107,7 +115,43 @@ func Build(members []*traj.Trajectory) *Arena {
 		m.Points = a.pts[start:end:end]
 		m.Prime(traj.View{X: a.xs[start:end:end], Y: a.ys[start:end:end]}, a.lens[i])
 	}
+	if err := a.deriveBoxLens(); err != nil {
+		// FromTrajectory builds each box as the union of a run of the
+		// member's own segments, so the walk cannot miss.
+		panic(err)
+	}
 	return a
+}
+
+// deriveBoxLens fills boxLens: every segment of every member adds its
+// length to the first box, at or after its predecessor's, that contains
+// both its end points. Any assignment of segments to boxes containing
+// them makes the member side admissible (its argument only needs the
+// segment's geometry to lie inside the box it is charged to); this walk
+// is the cheapest one that always succeeds on boxes FromTrajectory made,
+// because box k is the union of the k-th run of consecutive segments
+// and so the walk never gets ahead of a segment's own run. A segment no
+// remaining box contains means the boxes are not this member's:
+// ErrCorrupt.
+func (a *Arena) deriveBoxLens() error {
+	a.boxLens = make([]float64, len(a.boxes)/4)
+	for m := range a.ids {
+		k, end := a.boxOffs[m], a.boxOffs[m+1]
+		for p := a.offs[m]; p+1 < a.offs[m+1]; p++ {
+			ax, ay, bx, by := a.xs[p], a.ys[p], a.xs[p+1], a.ys[p+1]
+			for ; k < end; k++ {
+				if r := a.boxes[4*k : 4*k+4]; r[0] <= min(ax, bx) && max(ax, bx) <= r[2] &&
+					r[1] <= min(ay, by) && max(ay, by) <= r[3] {
+					break
+				}
+			}
+			if k == end {
+				return fmt.Errorf("%w: member %d: segment %d lies in none of its boxes", ErrCorrupt, m, p-a.offs[m])
+			}
+			a.boxLens[k] += math.Sqrt((bx-ax)*(bx-ax) + (by-ay)*(by-ay))
+		}
+	}
+	return nil
 }
 
 // Len returns the number of member trajectories in the arena.
@@ -123,6 +167,10 @@ func (a *Arena) Lookup(id int) (int, bool) {
 // trajectory's cached Length).
 func (a *Arena) Length(i int) float64 { return a.lens[i] }
 
+// LengthSlab is Length as a one-value window, the weight that pairs
+// with BBox the way BoxLens pairs with Boxes.
+func (a *Arena) LengthSlab(i int) []float64 { return a.lens[i : i+1] }
+
 // BBox returns member i's spatial bounding box as a 4-float window
 // (MinX, MinY, MaxX, MaxY) into the shared slab.
 func (a *Arena) BBox(i int) []float64 { return a.bbox[4*i : 4*i+4] }
@@ -133,26 +181,10 @@ func (a *Arena) Boxes(i int) []float64 {
 	return a.boxes[4*a.boxOffs[i] : 4*a.boxOffs[i+1]]
 }
 
-// BoxSeq returns member i's box sequence as a core.Boxes view, for the
-// exact Theorem-2 bound DP. The view is a value type aliasing the slab;
-// no per-call allocation.
-func (a *Arena) BoxSeq(i int) BoxView {
-	return BoxView{rects: a.Boxes(i)}
-}
-
-// BoxView adapts a flat rect window to the core.Boxes interface.
-type BoxView struct{ rects []float64 }
-
-// Len returns the number of rects in the view.
-func (v BoxView) Len() int { return len(v.rects) / 4 }
-
-// Rect returns the i-th rect.
-func (v BoxView) Rect(i int) geom.Rect {
-	r := v.rects[4*i : 4*i+4]
-	return geom.Rect{
-		Min: geom.Point{X: r[0], Y: r[1]},
-		Max: geom.Point{X: r[2], Y: r[3]},
-	}
+// BoxLens returns, parallel to Boxes(i), the length of member i's
+// segments inside each box; the values sum to Length(i) up to rounding.
+func (a *Arena) BoxLens(i int) []float64 {
+	return a.boxLens[a.boxOffs[i]:a.boxOffs[i+1]]
 }
 
 // MemStats describes an arena's residency for observability endpoints.
@@ -179,7 +211,7 @@ func (a *Arena) Stats() MemStats {
 	return MemStats{
 		Members: len(a.ids),
 		Points:  len(a.pts),
-		Bytes: 24*len(a.pts) + 8*(len(a.xs)+len(a.ys)+len(a.lens)+len(a.bbox)+len(a.boxes)) +
+		Bytes: 24*len(a.pts) + 8*(len(a.xs)+len(a.ys)+len(a.lens)+len(a.bbox)+len(a.boxes)+len(a.boxLens)) +
 			8*(len(a.offs)+len(a.ids)+len(a.labels)+len(a.boxOffs)),
 		Mapped: a.mapped != nil,
 	}

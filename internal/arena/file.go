@@ -450,6 +450,9 @@ func decode(b []byte, mapped bool) (*Snapshot, error) {
 	if err := a.check(); err != nil {
 		return nil, err
 	}
+	if err := a.deriveBoxLens(); err != nil {
+		return nil, err
+	}
 	if err := ts.check(a); err != nil {
 		return nil, err
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -128,6 +129,80 @@ func TestFileRoundTrip(t *testing.T) {
 				t.Fatalf("%s[%d] mismatch", name, i)
 			}
 		}
+	}
+}
+
+// TestBoxLensDerived pins the member-side weights: per member they sum to
+// its length (every segment is charged to exactly one box), a box never
+// weighs more than it can hold, and since they are derived from xs/ys and
+// boxes rather than stored, a reloaded arena — mapped or heap-decoded —
+// must re-derive them bit for bit. A file whose boxes no longer contain
+// their member's segments is corrupt, not a panic and not a silently
+// wrong weight.
+func TestBoxLensDerived(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	members := testMembers(12)
+	for i := 0; i < 12; i++ { // long enough to be coarsened, with stutters
+		var pts []traj.Point
+		x, y := rng.Float64()*100, rng.Float64()*100
+		for j, n := 0, MemberBoxes+2+rng.Intn(40); j < n; j++ {
+			if rng.Intn(5) > 0 {
+				x, y = x+rng.NormFloat64()*3, y+rng.NormFloat64()*3
+			}
+			pts = append(pts, traj.P(x, y, float64(j)))
+		}
+		members = append(members, traj.New(100+i, pts))
+	}
+	a := Build(members)
+	for i, m := range members {
+		if n := len(a.BoxLens(i)); 4*n != len(a.Boxes(i)) || n > MemberBoxes {
+			t.Fatalf("member %d: %d weights for %d box values", i, n, len(a.Boxes(i)))
+		}
+		sum := 0.0
+		for _, l := range a.BoxLens(i) {
+			sum += l
+		}
+		if diff := sum - m.Length(); diff > 1e-9*m.Length() || diff < -1e-9*m.Length() {
+			t.Fatalf("member %d: box lengths sum to %v, length %v", i, sum, m.Length())
+		}
+	}
+	var buf bytes.Buffer
+	if _, err := Encode(&buf, a, testTreeSection(), nil); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "x.arena")
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	opened, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	decoded, err := Decode(buf.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, b := range map[string]*Arena{"opened": opened.Arena, "decoded": decoded.Arena} {
+		if len(b.boxLens) != len(a.boxLens) {
+			t.Fatalf("%s: %d weights, built %d", name, len(b.boxLens), len(a.boxLens))
+		}
+		for k, l := range a.boxLens {
+			if math.Float64bits(b.boxLens[k]) != math.Float64bits(l) {
+				t.Fatalf("%s: weight %d is %v, built %v", name, k, b.boxLens[k], l)
+			}
+		}
+	}
+
+	// Shrink the last member's last box to a point away from the member.
+	bad := *decoded.Arena
+	bad.boxes = append([]float64(nil), bad.boxes...)
+	copy(bad.boxes[len(bad.boxes)-4:], []float64{-1e6, -1e6, -1e6, -1e6})
+	buf.Reset()
+	if _, err := Encode(&buf, &bad, &decoded.Tree, nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Decode(buf.Bytes()); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("Decode of a file whose box lost its segment: err = %v, want ErrCorrupt", err)
 	}
 }
 

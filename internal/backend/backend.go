@@ -55,6 +55,10 @@ type Stats struct {
 	// because no completion could beat the current pruning threshold.
 	// DistanceCalls - EarlyAbandons is the number of full evaluations.
 	EarlyAbandons int
+	// ScreenRejects counts the EarlyAbandons a lower-bound screen decided
+	// before any kernel started; DistanceCalls - ScreenRejects is the
+	// number of kernel starts. Zero for backends without a member screen.
+	ScreenRejects int
 	// PrefilterCandidates counts the candidates the sketch prefilter
 	// admitted for exact verification (zero when the query did not ask
 	// for the prefilter).
@@ -73,6 +77,7 @@ func (s *Stats) Add(o Stats) {
 	s.NodesVisited += o.NodesVisited
 	s.NodesPruned += o.NodesPruned
 	s.EarlyAbandons += o.EarlyAbandons
+	s.ScreenRejects += o.ScreenRejects
 	s.PrefilterCandidates += o.PrefilterCandidates
 	s.PrefilterSkipped += o.PrefilterSkipped
 }

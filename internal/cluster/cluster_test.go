@@ -216,7 +216,7 @@ func TestSequentialShippedBoundNoExtraEvals(t *testing.T) {
 
 	queries := testDB(8, 99)
 	req := server.Query{Kind: server.KindKNN, K: 10, WithStats: true}
-	totalSingle, totalCluster := 0, 0
+	totalSingle, totalCluster, screened := 0, 0, 0
 	for qi, q := range queries {
 		// SearchBatch with one worker runs the inline shard loop — the
 		// PR 3 shared-bound baseline the acceptance criterion names.
@@ -235,6 +235,13 @@ func TestSequentialShippedBoundNoExtraEvals(t *testing.T) {
 		}
 		totalSingle += fullEvals(base[0].Stats)
 		totalCluster += fullEvals(got.Stats)
+		screened += got.Stats.ScreenRejects
+		if got.Stats.ScreenRejects > got.Stats.EarlyAbandons {
+			t.Errorf("query %d: %d screen rejects among %d abandons", qi, got.Stats.ScreenRejects, got.Stats.EarlyAbandons)
+		}
+	}
+	if screened == 0 {
+		t.Error("the router folded no screen rejects out of its nodes' stats")
 	}
 	if totalCluster > totalSingle {
 		t.Fatalf("cluster total %d full evaluations > baseline %d", totalCluster, totalSingle)

@@ -325,6 +325,7 @@ func addStats(dst *backend.Stats, st *server.WireStats) {
 	}
 	dst.DistanceCalls += st.DistanceCalls
 	dst.EarlyAbandons += st.EarlyAbandons
+	dst.ScreenRejects += st.ScreenRejects
 	dst.LowerBoundCalls += st.LowerBoundCalls
 	dst.NodesVisited += st.NodesVisited
 	dst.NodesPruned += st.NodesPruned

@@ -25,8 +25,13 @@ type Boxes interface {
 // order, and charges 2·dist(segment, box) × length(segment); boxes may be
 // skipped freely (the paper's free prefix/suffix skipping, extended to
 // interior boxes, which is what makes the bound provably admissible under
-// arbitrary re-partitioning of members — see DESIGN.md §2). Cost is
-// O(len(q) · b.Len()).
+// arbitrary re-partitioning of members — see "Bounds" in
+// docs/ARCHITECTURE.md). Cost is O(len(q) · b.Len()).
+//
+// It is the reference the query path's bound is tested against, not the
+// bound the query path pays for: searches prune with ScreenLowerBound, a
+// relaxation of this DP that costs a sixth of it per call, and only the
+// prefilter's verification of overlay members still calls it.
 //
 // Admissibility sketch: fix a member T and an optimal EDwP(q, T) alignment.
 // Every edit matches a piece of q's segment i against geometry of T lying
@@ -35,27 +40,6 @@ type Boxes interface {
 // Summing over the pieces of segment i and taking the best single box of
 // the (monotone) run it spans yields exactly one path of this DP.
 func LowerBound(q *traj.Trajectory, b Boxes) float64 {
-	return LowerBoundBounded(q, b, math.Inf(1))
-}
-
-// LowerBoundBounded is LowerBound with early abandoning against limit:
-// the result is exact whenever it does not exceed limit, and otherwise
-// some value strictly above limit (possibly +Inf). Callers that only
-// compare the bound against a pruning threshold — the k-NN search and the
-// batched leaf pass — therefore make identical decisions while the DP
-// skips states that can no longer finish within the limit and abandons
-// outright once a whole row exceeds it.
-//
-// Admissibility of the two cuts: transition costs are non-negative, so
-// state costs are monotone non-decreasing along DP paths. A state whose
-// prefix-min already exceeds limit cannot start a completion within limit
-// (cell skip), and since every alignment passes through each row, a row
-// whose minimum exceeds limit proves the final value does too (row
-// abandon). The optimal path of any result <= limit only visits states
-// <= limit, so no such state is ever skipped and the result is exact.
-// With limit = +Inf neither cut fires and the DP is bit-identical to the
-// pre-arena LowerBound.
-func LowerBoundBounded(q *traj.Trajectory, b Boxes, limit float64) float64 {
 	n := q.NumSegments()
 	nb := b.Len()
 	if n == 0 || nb == 0 {
@@ -67,80 +51,19 @@ func LowerBoundBounded(q *traj.Trajectory, b Boxes, limit float64) float64 {
 	// evaluations allocate nothing.
 	scratch := scratchPool.Get().(*dpScratch)
 	dp, nxt := scratch.lbRows(nb)
-	rects := scratch.lbRects(nb)
-	// Pin the slice lengths to the loop bound so the row and rect accesses
-	// below compile without bounds checks.
-	dp, nxt, rects = dp[:nb], nxt[:nb], rects[:nb]
 	for j := range dp {
 		dp[j] = 0 // free skip of any box prefix
-		rects[j] = b.Rect(j)
 	}
-	hasLimit := !math.IsInf(limit, 1)
 	for i := 0; i < n; i++ {
 		e := q.Segment(i).Spatial()
 		l := e.Length()
-		// Bounding box of the segment, for the cheap prescreen below.
-		ex0, ex1 := e.A.X, e.B.X
-		if ex1 < ex0 {
-			ex0, ex1 = ex1, ex0
-		}
-		ey0, ey1 := e.A.Y, e.B.Y
-		if ey1 < ey0 {
-			ey0, ey1 = ey1, ey0
-		}
-		rowMin := inf
-		for j := range nxt {
-			nxt[j] = inf
-		}
 		bestSoFar := inf
 		for j := 0; j < nb; j++ {
 			// Pass boxes freely: entering box j can come from any j' <= j.
 			if dp[j] < bestSoFar {
 				bestSoFar = dp[j]
 			}
-			if math.IsInf(bestSoFar, 1) || bestSoFar > limit {
-				continue
-			}
-			r := rects[j]
-			if hasLimit && l > 0 {
-				// Prescreen: the rect-to-rect distance between box j and
-				// the segment's bounding box underestimates the exact
-				// rect-to-segment distance, so a cell provably above the
-				// limit skips the piecewise-quadratic DistToSegment
-				// entirely. The 1e-9 deflation keeps the estimate below
-				// any float rounding of the exact call, so no cell the
-				// reference DP would have kept is ever skipped.
-				dx, dy := 0.0, 0.0
-				if d := r.Min.X - ex1; d > 0 {
-					dx = d
-				} else if d := ex0 - r.Max.X; d > 0 {
-					dx = d
-				}
-				if d := r.Min.Y - ey1; d > 0 {
-					dy = d
-				} else if d := ey0 - r.Max.Y; d > 0 {
-					dy = d
-				}
-				if dx > 0 || dy > 0 {
-					est := bestSoFar + 2*math.Sqrt(dx*dx+dy*dy)*l*(1-1e-9)
-					if est > limit {
-						continue
-					}
-				}
-			}
-			c := bestSoFar + 2*r.DistToSegment(e)*l
-			if c < nxt[j] {
-				nxt[j] = c
-			}
-			if c < rowMin {
-				rowMin = c
-			}
-		}
-		if rowMin > limit {
-			// Row abandon: every assignment consumes segment i somewhere
-			// in this row, and no state here is within limit.
-			scratchPool.Put(scratch)
-			return inf
+			nxt[j] = bestSoFar + 2*b.Rect(j).DistToSegment(e)*l
 		}
 		dp, nxt = nxt, dp
 	}
@@ -193,18 +116,21 @@ func (s *SegScreen) Reset(q *traj.Trajectory) {
 }
 
 // ScreenLowerBound returns a cheap admissible lower bound on the raw
-// (cumulative) EDwP(q, T) for any trajectory T whose geometry lies
-// inside the given rects — a flat slab of MinX, MinY, MaxX, MaxY
-// quadruples, typically a member's arena-resident box sequence or its
-// single bounding box. It relaxes Theorem 2 twice: each query segment
-// picks its best rect independently (the monotone-assignment constraint
-// is dropped, which can only lower the value), and the rect-to-segment
+// (cumulative) EDwP(q, T) — and on EDwPsub(q, T) — for any trajectory T
+// whose geometry lies inside the given rects: a flat slab of MinX, MinY,
+// MaxX, MaxY quadruples, a node's tBoxSeq, a member's arena-resident box
+// sequence or its single bounding box. It is the one bound primitive of
+// the query path. It relaxes Theorem 2 twice: each query segment picks
+// its best rect independently (the monotone-assignment constraint is
+// dropped, which can only lower the value), and the rect-to-segment
 // distance is relaxed to the rect-to-segment-bounding-box distance
 // (again a lower bound). Both relaxations keep it below LowerBound,
-// hence below EDwP, so comparing it against an inflated raw limit is a
-// sound skip test. The running sum only grows, so the scan early-exits
-// as soon as it passes limit; the returned value is then merely "some
-// value above limit".
+// hence below EDwP; like LowerBound it charges only the query side of
+// each edit's coverage and never uses that T is consumed in full, which
+// is what makes it valid for EDwPsub and leaves room for
+// ScreenMemberSide ("Bounds" in docs/ARCHITECTURE.md). The running sum
+// only grows, so the scan early-exits as soon as it passes limit; the
+// returned value is then merely "some value above limit".
 func ScreenLowerBound(s *SegScreen, rects []float64, limit float64) float64 {
 	sum := 0.0
 	for i, l := range s.l {
@@ -214,19 +140,63 @@ func ScreenLowerBound(s *SegScreen, rects []float64, limit float64) float64 {
 		x0, y0, x1, y1 := s.x0[i], s.y0[i], s.x1[i], s.y1[i]
 		best := math.Inf(1)
 		for r := 0; r+3 < len(rects); r += 4 {
-			dx := 0.0
-			if d := rects[r] - x1; d > 0 {
-				dx = d
-			} else if d := x0 - rects[r+2]; d > 0 {
-				dx = d
+			if d2 := rectDist2(rects[r], rects[r+1], rects[r+2], rects[r+3], x0, y0, x1, y1); d2 < best {
+				best = d2
+				if best == 0 {
+					break
+				}
 			}
-			dy := 0.0
-			if d := rects[r+1] - y1; d > 0 {
-				dy = d
-			} else if d := y0 - rects[r+3]; d > 0 {
-				dy = d
+		}
+		if best > 0 {
+			sum += 2 * math.Sqrt(best) * l
+			if sum > limit {
+				return sum
 			}
-			if d2 := dx*dx + dy*dy; d2 < best {
+		}
+	}
+	return sum
+}
+
+// rectDist2 is the squared distance between two axis-parallel rectangles
+// given as min/max corners; 0 when they touch or overlap.
+func rectDist2(ax0, ay0, ax1, ay1, bx0, by0, bx1, by1 float64) float64 {
+	dx := 0.0
+	if d := ax0 - bx1; d > 0 {
+		dx = d
+	} else if d := bx0 - ax1; d > 0 {
+		dx = d
+	}
+	dy := 0.0
+	if d := ay0 - by1; d > 0 {
+		dy = d
+	} else if d := by0 - ay1; d > 0 {
+		dy = d
+	}
+	return dx*dx + dy*dy
+}
+
+// ScreenMemberSide adds the member side of the coverage to sum and
+// returns the total, early-exiting like ScreenLowerBound once it passes
+// limit. rects are boxes of one trajectory T and lens[k] the length of
+// T's segments assigned to (and lying inside) box k. EDwP charges every
+// edit rep × (|e1| + |e2|); ScreenLowerBound bounds the Σ rep·|e1| share
+// from the query's segments, and global EDwP also consumes all of T, so
+// the pieces of T inside box k carry at least lens[k] of |e2| coverage,
+// each at a rep of at least twice the distance from box k to the nearest
+// query segment's bounding box. The two shares are disjoint terms of the
+// same sum, so they add. Not valid for EDwPsub, which may skip most of T.
+func ScreenMemberSide(s *SegScreen, rects, lens []float64, sum, limit float64) float64 {
+	if len(s.l) == 0 {
+		return sum // a query without segments has no nearest segment to charge
+	}
+	for k, l := range lens {
+		if l == 0 {
+			continue
+		}
+		r := rects[4*k : 4*k+4]
+		best := math.Inf(1)
+		for i := range s.l {
+			if d2 := rectDist2(r[0], r[1], r[2], r[3], s.x0[i], s.y0[i], s.x1[i], s.y1[i]); d2 < best {
 				best = d2
 				if best == 0 {
 					break

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"trajmatch/internal/geom"
+	"trajmatch/internal/synth"
 	"trajmatch/internal/traj"
 )
 
@@ -85,6 +86,183 @@ func TestLowerBoundAdmissibleNormalised(t *testing.T) {
 				t.Fatalf("normalised LowerBound %v exceeds EDwPavg %v", lbAvg, d)
 			}
 		}
+	}
+}
+
+// flat lays a box sequence out as the MinX, MinY, MaxX, MaxY slab the
+// screens take.
+func (r rectSeq) flat() []float64 {
+	out := make([]float64, 0, 4*len(r))
+	for _, b := range r {
+		out = append(out, b.Min.X, b.Min.Y, b.Max.X, b.Max.Y)
+	}
+	return out
+}
+
+// runBoxes summarises m the way the arena summarises a member: boxes over
+// runs of 1–4 consecutive segments, and per box the length of the
+// segments in its run.
+func runBoxes(rng *rand.Rand, m *traj.Trajectory) (rects, lens []float64) {
+	for i := 0; i < m.NumSegments(); {
+		r, l := geom.Empty(), 0.0
+		for n := 1 + rng.Intn(4); n > 0 && i < m.NumSegments(); n, i = n-1, i+1 {
+			e := m.Segment(i)
+			r = r.ExtendPoint(e.S1.XY()).ExtendPoint(e.S2.XY())
+			l += e.Length()
+		}
+		rects = append(rects, r.Min.X, r.Min.Y, r.Max.X, r.Max.Y)
+		lens = append(lens, l)
+	}
+	return rects, lens
+}
+
+// stutter repeats some of t's points in place, so the copy has
+// zero-length segments.
+func stutter(rng *rand.Rand, t *traj.Trajectory) *traj.Trajectory {
+	var pts []traj.Point
+	for _, p := range t.Points {
+		pts = append(pts, p)
+		for rng.Intn(3) == 0 {
+			pts = append(pts, p)
+		}
+	}
+	return traj.New(t.ID, pts)
+}
+
+// boundCases yields (query, group) pairs over the shapes the bounds must
+// hold on: random walks at every offset from overlapping to far apart,
+// synthetic taxi trips, ASL gestures (everything overlapping, 40 points a
+// side), a short query against long members and the reverse, and
+// trajectories with zero-length segments on either side.
+func boundCases(rng *rand.Rand, visit func(name string, q *traj.Trajectory, group []*traj.Trajectory)) {
+	shift := func(t *traj.Trajectory, dx, dy float64) *traj.Trajectory {
+		c := t.Clone()
+		for i := range c.Points {
+			c.Points[i].X += dx
+			c.Points[i].Y += dy
+		}
+		return c
+	}
+	walks := func(n, lo, hi int) []*traj.Trajectory {
+		g := make([]*traj.Trajectory, n)
+		for i := range g {
+			g[i] = randomSmoothTraj(rng, lo+rng.Intn(hi-lo+1))
+		}
+		return g
+	}
+	for it := 0; it < 60; it++ {
+		q := shift(randomSmoothTraj(rng, 3+rng.Intn(8)), rng.Float64()*60, rng.Float64()*60)
+		visit("random", q, walks(1+rng.Intn(4), 3, 10))
+	}
+	for it := 0; it < 20; it++ {
+		visit("short query", shift(randomSmoothTraj(rng, 2+rng.Intn(2)), rng.Float64()*30, 0), walks(1+rng.Intn(3), 30, 60))
+		visit("long query", shift(randomSmoothTraj(rng, 30+rng.Intn(30)), rng.Float64()*30, 0), walks(1+rng.Intn(3), 2, 4))
+		g := walks(1+rng.Intn(3), 3, 10)
+		for i := range g {
+			g[i] = stutter(rng, g[i])
+		}
+		visit("zero-length segments", stutter(rng, shift(randomSmoothTraj(rng, 3+rng.Intn(6)), rng.Float64()*20, rng.Float64()*20)), g)
+		p := traj.P(rng.Float64()*40, rng.Float64()*40, 0)
+		visit("stationary query", traj.New(0, []traj.Point{p, p, p}), g)
+	}
+	taxi := synth.Taxi(synth.DefaultTaxi(80))
+	asl := synth.ASL(synth.ASLConfig{NumClasses: 8, Instances: 5, Points: 40, Jitter: 0.04, Seed: 2})
+	for _, c := range []struct {
+		name   string
+		corpus []*traj.Trajectory
+	}{{"taxi", taxi}, {"asl", asl}} {
+		for it := 0; it < 30; it++ {
+			g := make([]*traj.Trajectory, 1+rng.Intn(4))
+			for i := range g {
+				g[i] = c.corpus[(it*7+i*13)%len(c.corpus)]
+			}
+			visit(c.name, c.corpus[(it*11+5)%len(c.corpus)], g)
+		}
+	}
+}
+
+// slack is the float tolerance of the admissibility comparisons.
+func slack(d float64) float64 { return 1e-9 * (1 + d) }
+
+// The query path prunes with the flat screen instead of the Theorem-2 DP.
+// Over a node's boxes it must stay below the DP, which stays below the raw
+// EDwP of every member (properties (a)), and below EDwPsub too, because
+// neither bound uses that the alignment consumes the member in full (c).
+func TestScreenBelowLowerBoundBelowDistances(t *testing.T) {
+	var scr SegScreen
+	tight, n := 0.0, 0
+	boundCases(rand.New(rand.NewSource(31)), func(name string, q *traj.Trajectory, group []*traj.Trajectory) {
+		b := boxesFor(group)
+		scr.Reset(q)
+		screen := ScreenLowerBound(&scr, b.flat(), math.Inf(1))
+		lb := LowerBound(q, b)
+		if screen > lb+slack(lb) {
+			t.Fatalf("%s: screen %v exceeds LowerBound %v\nq=%v", name, screen, lb, q.Points)
+		}
+		if lb > 0 {
+			tight, n = tight+screen/lb, n+1
+		}
+		for _, m := range group {
+			if d := Distance(q, m); lb > d+slack(d) {
+				t.Fatalf("%s: LowerBound %v exceeds EDwP %v\nq=%v\nm=%v", name, lb, d, q.Points, m.Points)
+			}
+			if d := SubDistance(q, m); screen > d+slack(d) {
+				t.Fatalf("%s: screen %v exceeds EDwPsub %v\nq=%v\nm=%v", name, screen, d, q.Points, m.Points)
+			}
+			// The same over the member's own boxes, as the leaf screen
+			// of a sub search applies it.
+			rects, _ := runBoxes(rand.New(rand.NewSource(int64(n))), m)
+			if own, d := ScreenLowerBound(&scr, rects, math.Inf(1)), SubDistance(q, m); own > d+slack(d) {
+				t.Fatalf("%s: member screen %v exceeds EDwPsub %v\nq=%v\nm=%v", name, own, d, q.Points, m.Points)
+			}
+		}
+	})
+	t.Logf("mean screen/LowerBound over %d cases with a positive bound: %.3f", n, tight/float64(n))
+}
+
+// Property (b): over one trajectory's boxes the query side and the member
+// side add up to at most the raw EDwP — the two charge disjoint shares of
+// every edit's coverage — at the box-run tier and at the single-bounding-
+// box tier alike, and the normalised sum stays below EDwPavg.
+func TestTwoSidedScreenAdmissible(t *testing.T) {
+	var scr SegScreen
+	rng := rand.New(rand.NewSource(32))
+	gained := 0
+	boundCases(rand.New(rand.NewSource(33)), func(name string, q *traj.Trajectory, group []*traj.Trajectory) {
+		scr.Reset(q)
+		inf := math.Inf(1)
+		for _, m := range group {
+			rects, lens := runBoxes(rng, m)
+			bb := m.Bounds()
+			bbox := []float64{bb.Min.X, bb.Min.Y, bb.Max.X, bb.Max.Y}
+			d, avg := Distance(q, m), AvgDistance(q, m)
+			for tier, in := range []struct{ rects, lens []float64 }{{rects, lens}, {bbox, []float64{m.Length()}}} {
+				qs := ScreenLowerBound(&scr, in.rects, inf)
+				both := ScreenMemberSide(&scr, in.rects, in.lens, qs, inf)
+				if both < qs {
+					t.Fatalf("%s tier %d: member side lowered the sum: %v < %v", name, tier, both, qs)
+				}
+				if both > qs {
+					gained++
+				}
+				if both > d+slack(d) {
+					t.Fatalf("%s tier %d: query side %v + member side %v exceeds EDwP %v\nq=%v\nm=%v",
+						name, tier, qs, both-qs, d, q.Points, m.Points)
+				}
+				if den := q.Length() + m.Length(); den > 0 && both/den > avg+slack(avg) {
+					t.Fatalf("%s tier %d: normalised two-sided screen %v exceeds EDwPavg %v", name, tier, both/den, avg)
+				}
+				// Early exit: a limit below the sum yields some value above it.
+				if both > 0 {
+					if got := ScreenMemberSide(&scr, in.rects, in.lens, ScreenLowerBound(&scr, in.rects, both/2), both/2); got <= both/2 {
+						t.Fatalf("%s tier %d: limited sum %v not above limit %v", name, tier, got, both/2)
+					}
+				}
+			}
+		}
+	})
+	if gained == 0 {
+		t.Error("the member side never added anything")
 	}
 }
 

@@ -209,51 +209,6 @@ func runRef(t1, t2 *traj.Trajectory, mode alignMode, limit float64, cancel *Canc
 	return best, false
 }
 
-// lowerBoundRef is the pre-arena Theorem-2 DP, kept verbatim as the oracle
-// for LowerBoundBounded's exact-within-limit contract.
-func lowerBoundRef(q *traj.Trajectory, b Boxes) float64 {
-	n := q.NumSegments()
-	nb := b.Len()
-	if n == 0 || nb == 0 {
-		return 0
-	}
-	inf := math.Inf(1)
-	scratch := scratchPool.Get().(*dpScratch)
-	dp, nxt := scratch.lbRows(nb)
-	for j := range dp {
-		dp[j] = 0
-	}
-	for i := 0; i < n; i++ {
-		e := q.Segment(i).Spatial()
-		l := e.Length()
-		for j := range nxt {
-			nxt[j] = inf
-		}
-		bestSoFar := inf
-		for j := 0; j < nb; j++ {
-			if dp[j] < bestSoFar {
-				bestSoFar = dp[j]
-			}
-			if math.IsInf(bestSoFar, 1) {
-				continue
-			}
-			c := bestSoFar + 2*b.Rect(j).DistToSegment(e)*l
-			if c < nxt[j] {
-				nxt[j] = c
-			}
-		}
-		dp, nxt = nxt, dp
-	}
-	best := inf
-	for j := 0; j < nb; j++ {
-		if dp[j] < best {
-			best = dp[j]
-		}
-	}
-	scratchPool.Put(scratch)
-	return best
-}
-
 func refRandTraj(rng *rand.Rand, id int) *traj.Trajectory {
 	n := 2 + rng.Intn(18)
 	pts := make([]traj.Point, n)
@@ -307,32 +262,6 @@ func TestRunMatchesReferenceDegenerate(t *testing.T) {
 					t.Fatalf("mode %d T%d/T%d limit %v: run=(%v,%v) ref=(%v,%v)",
 						mode, c[0].ID, c[1].ID, limit, got, gotAb, want, wantAb)
 				}
-			}
-		}
-	}
-}
-
-// TestLowerBoundBoundedMatchesReference checks LowerBoundBounded against
-// the verbatim unbounded DP: exact whenever the reference value is within
-// the limit, and strictly above the limit (or +Inf) whenever not.
-func TestLowerBoundBoundedMatchesReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for iter := 0; iter < 300; iter++ {
-		q := refRandTraj(rng, 1)
-		m := refRandTraj(rng, 2)
-		b := boxesFor([]*traj.Trajectory{m, refRandTraj(rng, 3)})
-		want := lowerBoundRef(q, b)
-		if got := LowerBound(q, b); math.Float64bits(got) != math.Float64bits(want) {
-			t.Fatalf("iter %d: LowerBound=%v ref=%v", iter, got, want)
-		}
-		for _, limit := range []float64{math.Inf(1), want * 2, want, want * 0.5, 0} {
-			got := LowerBoundBounded(q, b, limit)
-			if want <= limit {
-				if math.Float64bits(got) != math.Float64bits(want) {
-					t.Fatalf("iter %d limit %v: bounded=%v want exact %v", iter, limit, got, want)
-				}
-			} else if got <= limit {
-				t.Fatalf("iter %d limit %v: bounded=%v not above limit (ref %v)", iter, limit, got, want)
 			}
 		}
 	}

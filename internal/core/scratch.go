@@ -28,10 +28,10 @@ type dpScratch struct {
 	projY []float64
 	stamp []int32
 
-	// rects is LowerBound's devirtualised copy of the box sequence: the
-	// Boxes interface is consulted once per box per call instead of once
-	// per DP cell, and the bound's inner loop streams over a contiguous
-	// rect array.
+	// rects is AssignSegments' devirtualised copy of the box sequence:
+	// the Boxes interface is consulted once per box per call instead of
+	// once per DP cell, and the inner loop streams over a contiguous rect
+	// array.
 	rects []geom.Rect
 
 	// assign and from are AssignSegments' tables: the boxes' areas and two
@@ -74,7 +74,7 @@ func (s *dpScratch) lbRows(nb int) (dp, nxt []float64) {
 	return r[:nb:nb], r[nb:]
 }
 
-// lbRects returns the devirtualised rect buffer, nb entries.
+// lbRects returns AssignSegments' devirtualised rect buffer, nb entries.
 func (s *dpScratch) lbRects(nb int) []geom.Rect {
 	if cap(s.rects) < nb {
 		s.rects = make([]geom.Rect, nb)

@@ -238,6 +238,7 @@ type Engine struct {
 	// kernels is observable in production.
 	distanceCalls   atomic.Uint64
 	earlyAbandons   atomic.Uint64
+	screenRejects   atomic.Uint64
 	lowerBoundCalls atomic.Uint64
 	nodesVisited    atomic.Uint64
 	nodesPruned     atomic.Uint64
@@ -259,6 +260,7 @@ type Engine struct {
 func (e *Engine) recordQueryStats(ms *metricSet, st backend.Stats) {
 	e.distanceCalls.Add(uint64(st.DistanceCalls))
 	e.earlyAbandons.Add(uint64(st.EarlyAbandons))
+	e.screenRejects.Add(uint64(st.ScreenRejects))
 	e.lowerBoundCalls.Add(uint64(st.LowerBoundCalls))
 	e.nodesVisited.Add(uint64(st.NodesVisited))
 	e.nodesPruned.Add(uint64(st.NodesPruned))
@@ -972,6 +974,7 @@ type MetricStats struct {
 
 	DistanceCalls   uint64 `json:"distance_calls"`
 	EarlyAbandons   uint64 `json:"early_abandons"`
+	ScreenRejects   uint64 `json:"screen_rejects"`
 	LowerBoundCalls uint64 `json:"lower_bound_calls"`
 	NodesVisited    uint64 `json:"nodes_visited"`
 	NodesPruned     uint64 `json:"nodes_pruned"`
@@ -1011,9 +1014,11 @@ type Stats struct {
 
 	// Cumulative kernel instrumentation over all non-cached queries of
 	// all metrics. EarlyAbandons / DistanceCalls is the fraction of exact
-	// evaluations the bounded kernels cut short.
+	// evaluations the bounded kernels cut short; ScreenRejects of those
+	// were decided by a lower-bound screen before any kernel started.
 	DistanceCalls   uint64 `json:"distance_calls"`
 	EarlyAbandons   uint64 `json:"early_abandons"`
+	ScreenRejects   uint64 `json:"screen_rejects"`
 	LowerBoundCalls uint64 `json:"lower_bound_calls"`
 	NodesVisited    uint64 `json:"nodes_visited"`
 	NodesPruned     uint64 `json:"nodes_pruned"`
@@ -1050,6 +1055,7 @@ func (e *Engine) Stats() Stats {
 		Workers:         e.opt.Workers,
 		DistanceCalls:   e.distanceCalls.Load(),
 		EarlyAbandons:   e.earlyAbandons.Load(),
+		ScreenRejects:   e.screenRejects.Load(),
 		LowerBoundCalls: e.lowerBoundCalls.Load(),
 		NodesVisited:    e.nodesVisited.Load(),
 		NodesPruned:     e.nodesPruned.Load(),
@@ -1080,6 +1086,7 @@ func (e *Engine) Stats() Stats {
 			CacheHits:       ms.cacheHits.Load(),
 			DistanceCalls:   ms.distanceCalls.Load(),
 			EarlyAbandons:   ms.earlyAbandons.Load(),
+			ScreenRejects:   ms.screenRejects.Load(),
 			LowerBoundCalls: ms.lowerBoundCalls.Load(),
 			NodesVisited:    ms.nodesVisited.Load(),
 			NodesPruned:     ms.nodesPruned.Load(),

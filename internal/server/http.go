@@ -51,13 +51,16 @@ func toNeighbors(rs []backend.Result) []Neighbor {
 	return out
 }
 
-// WireStats mirrors backend.Stats in snake_case JSON. The prefilter
+// WireStats mirrors backend.Stats in snake_case JSON. ScreenRejects is
+// the part of EarlyAbandons a lower-bound screen decided before any
+// kernel started: distance_calls − screen_rejects kernels ran. The prefilter
 // pair appears only on prefiltered queries: candidates admitted for
 // exact verification versus indexed trajectories skipped without any
 // bound or distance work.
 type WireStats struct {
 	DistanceCalls   int `json:"distance_calls"`
 	EarlyAbandons   int `json:"early_abandons"`
+	ScreenRejects   int `json:"screen_rejects"`
 	LowerBoundCalls int `json:"lower_bound_calls"`
 	NodesVisited    int `json:"nodes_visited"`
 	NodesPruned     int `json:"nodes_pruned"`
@@ -70,6 +73,7 @@ func toWireStats(st backend.Stats) WireStats {
 	return WireStats{
 		DistanceCalls:   st.DistanceCalls,
 		EarlyAbandons:   st.EarlyAbandons,
+		ScreenRejects:   st.ScreenRejects,
 		LowerBoundCalls: st.LowerBoundCalls,
 		NodesVisited:    st.NodesVisited,
 		NodesPruned:     st.NodesPruned,

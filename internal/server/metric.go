@@ -40,6 +40,7 @@ type metricSet struct {
 
 	distanceCalls   atomic.Uint64
 	earlyAbandons   atomic.Uint64
+	screenRejects   atomic.Uint64
 	lowerBoundCalls atomic.Uint64
 	nodesVisited    atomic.Uint64
 	nodesPruned     atomic.Uint64
@@ -51,6 +52,7 @@ type metricSet struct {
 func (ms *metricSet) recordStats(st backend.Stats) {
 	ms.distanceCalls.Add(uint64(st.DistanceCalls))
 	ms.earlyAbandons.Add(uint64(st.EarlyAbandons))
+	ms.screenRejects.Add(uint64(st.ScreenRejects))
 	ms.lowerBoundCalls.Add(uint64(st.LowerBoundCalls))
 	ms.nodesVisited.Add(uint64(st.NodesVisited))
 	ms.nodesPruned.Add(uint64(st.NodesPruned))

@@ -27,9 +27,9 @@ const (
 	KindRange QueryKind = "range"
 	// KindSubKNN is sub-trajectory search (EDwPsub, Eq. 6): the K indexed
 	// trajectories containing the contiguous sub-trajectory best matching
-	// the whole query. Answered by a bounded scan fanned across the
-	// shards — the tree's lower bounds target whole-trajectory EDwP and
-	// do not apply.
+	// the whole query. Answered by the k-NN descent ranking by EDwPsub,
+	// fanned across the shards under one shared bound — the query side of
+	// the tree's lower bounds holds for EDwPsub too.
 	KindSubKNN QueryKind = "subknn"
 )
 

@@ -166,6 +166,9 @@ func TestSearchBatchKeepsPerQueryStats(t *testing.T) {
 	if got, want := after.EarlyAbandons-before.EarlyAbandons, uint64(sum.EarlyAbandons); got != want {
 		t.Fatalf("cumulative early abandons advanced by %d, per-query sum is %d", got, want)
 	}
+	if got, want := after.ScreenRejects-before.ScreenRejects, uint64(sum.ScreenRejects); got != want {
+		t.Fatalf("cumulative screen rejects advanced by %d, per-query sum is %d", got, want)
+	}
 	if got, want := after.Queries-before.Queries, uint64(len(qs)); got != want {
 		t.Fatalf("queries counter advanced by %d, want %d", got, want)
 	}

@@ -30,6 +30,9 @@ func TestEngineAccumulatesKernelStats(t *testing.T) {
 	if got.EarlyAbandons != uint64(st.EarlyAbandons) {
 		t.Errorf("cumulative early abandons %d, want %d", got.EarlyAbandons, st.EarlyAbandons)
 	}
+	if got.ScreenRejects != uint64(st.ScreenRejects) || st.ScreenRejects > st.EarlyAbandons {
+		t.Errorf("cumulative screen rejects %d, query's %d of %d abandons", got.ScreenRejects, st.ScreenRejects, st.EarlyAbandons)
+	}
 
 	// Batch path: counters grow by the batch total, flushed once.
 	qs := make([]*traj.Trajectory, 6)
@@ -55,5 +58,13 @@ func TestEngineAccumulatesKernelStats(t *testing.T) {
 	}
 	if final.EarlyAbandons != after.EarlyAbandons+uint64(rst.EarlyAbandons) {
 		t.Errorf("early abandons %d, want %d", final.EarlyAbandons, after.EarlyAbandons+uint64(rst.EarlyAbandons))
+	}
+	// At that radius the member screen decides most of them before any
+	// kernel starts, and the per-metric row carries the same count.
+	if rst.ScreenRejects == 0 || final.ScreenRejects != after.ScreenRejects+uint64(rst.ScreenRejects) {
+		t.Errorf("screen rejects %d after a range search with %d, before %d", final.ScreenRejects, rst.ScreenRejects, after.ScreenRejects)
+	}
+	if pm := final.PerMetric[0]; pm.ScreenRejects != final.ScreenRejects {
+		t.Errorf("per-metric screen rejects %d, engine total %d", pm.ScreenRejects, final.ScreenRejects)
 	}
 }

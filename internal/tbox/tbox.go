@@ -21,18 +21,18 @@ import (
 	"trajmatch/internal/traj"
 )
 
-// Box is an st-box (Definition 4): a spatial bounding rectangle together
-// with the minimum length of the segments it encloses.
-type Box struct {
-	Rect geom.Rect
-	// MinL is the minimum length over enclosed segment pieces.
-	MinL float64
-}
-
-// Seq is a trajectory box sequence (Definition 5).
+// Seq is a trajectory box sequence (Definition 5): st-boxes
+// (Definition 4), each a spatial bounding rectangle together with the
+// minimum length of the segments it encloses.
+//
+// The rectangles live in one flat slab, the layout core.ScreenLowerBound
+// scans, and the slab is the only copy: Insert and coarsen rewrite it in
+// place, so the bound a search computes can never lag the boxes the
+// sequence holds.
 type Seq struct {
-	boxes []Box
-	count int // trajectories absorbed
+	rects []float64 // 4 per box: MinX, MinY, MaxX, MaxY
+	minL  []float64 // per box: minimum length over enclosed segment pieces
+	count int       // trajectories absorbed
 }
 
 var _ core.Boxes = (*Seq)(nil)
@@ -46,13 +46,12 @@ func FromTrajectory(t *traj.Trajectory, maxBoxes int) *Seq {
 	if n == 0 {
 		return &Seq{}
 	}
-	s := &Seq{boxes: make([]Box, n), count: 1}
+	s := &Seq{rects: make([]float64, 0, 4*n), minL: make([]float64, n), count: 1}
 	for i := 0; i < n; i++ {
 		e := t.Segment(i)
-		s.boxes[i] = Box{
-			Rect: geom.RectOf(e.S1.XY(), e.S2.XY()),
-			MinL: e.Length(),
-		}
+		r := geom.RectOf(e.S1.XY(), e.S2.XY())
+		s.rects = append(s.rects, r.Min.X, r.Min.Y, r.Max.X, r.Max.Y)
+		s.minL[i] = e.Length()
 	}
 	if maxBoxes > 0 {
 		s.coarsen(maxBoxes)
@@ -60,20 +59,35 @@ func FromTrajectory(t *traj.Trajectory, maxBoxes int) *Seq {
 	return s
 }
 
-// FromBoxes reassembles a Seq from raw boxes, for deserialisation. count
-// records how many trajectories the original sequence had absorbed.
-func FromBoxes(boxes []Box, count int) *Seq {
-	return &Seq{boxes: boxes, count: count}
+// FromFlat reassembles a Seq from its rect slab (MinX, MinY, MaxX, MaxY
+// per box) and per-box minimum lengths, for deserialisation; the Seq
+// takes ownership of both. count records how many trajectories the
+// original sequence had absorbed.
+func FromFlat(rects, minL []float64, count int) *Seq {
+	return &Seq{rects: rects, minL: minL, count: count}
 }
 
 // Len implements core.Boxes.
-func (s *Seq) Len() int { return len(s.boxes) }
+func (s *Seq) Len() int { return len(s.minL) }
 
 // Rect implements core.Boxes.
-func (s *Seq) Rect(i int) geom.Rect { return s.boxes[i].Rect }
+func (s *Seq) Rect(i int) geom.Rect {
+	r := s.rects[4*i : 4*i+4]
+	return geom.Rect{Min: geom.Point{X: r[0], Y: r[1]}, Max: geom.Point{X: r[2], Y: r[3]}}
+}
+
+func (s *Seq) setRect(i int, r geom.Rect) {
+	w := s.rects[4*i : 4*i+4]
+	w[0], w[1], w[2], w[3] = r.Min.X, r.Min.Y, r.Max.X, r.Max.Y
+}
+
+// Rects returns the boxes' rectangles as the flat MinX, MinY, MaxX, MaxY
+// slab core.ScreenLowerBound takes. It aliases the sequence and is valid
+// until the next Insert.
+func (s *Seq) Rects() []float64 { return s.rects }
 
 // MinLen returns the i-th box's minimum enclosed segment length.
-func (s *Seq) MinLen(i int) float64 { return s.boxes[i].MinL }
+func (s *Seq) MinLen(i int) float64 { return s.minL[i] }
 
 // Count returns how many trajectories the sequence has absorbed.
 func (s *Seq) Count() int { return s.count }
@@ -82,8 +96,8 @@ func (s *Seq) Count() int { return s.count }
 // (Definition 5).
 func (s *Seq) Volume() float64 {
 	var v float64
-	for _, b := range s.boxes {
-		v += b.Rect.Area()
+	for i := range s.minL {
+		v += s.Rect(i).Area()
 	}
 	return v
 }
@@ -91,8 +105,8 @@ func (s *Seq) Volume() float64 {
 // Bounds returns the union rectangle over all boxes.
 func (s *Seq) Bounds() geom.Rect {
 	r := geom.Empty()
-	for _, b := range s.boxes {
-		r = r.Union(b.Rect)
+	for i := range s.minL {
+		r = r.Union(s.Rect(i))
 	}
 	return r
 }
@@ -105,7 +119,7 @@ const assignStack = 64
 // cause — the argmin criterion of Algorithm 1, line 11 — without modifying
 // the sequence.
 func (s *Seq) ExpansionCost(t *traj.Trajectory) float64 {
-	if len(s.boxes) == 0 {
+	if len(s.minL) == 0 {
 		return t.Bounds().Area()
 	}
 	// The assignment is monotone in box order, so the segments a box
@@ -116,12 +130,13 @@ func (s *Seq) ExpansionCost(t *traj.Trajectory) float64 {
 	var growth float64
 	for i := 0; i < len(assign); {
 		j := assign[i]
-		r := s.boxes[j].Rect
+		old := s.Rect(j)
+		r := old
 		for ; i < len(assign) && assign[i] == j; i++ {
 			e := t.Segment(i)
 			r = r.ExtendPoint(e.S1.XY()).ExtendPoint(e.S2.XY())
 		}
-		growth += r.Area() - s.boxes[j].Rect.Area()
+		growth += r.Area() - old.Area()
 	}
 	return growth
 }
@@ -132,17 +147,16 @@ func (s *Seq) Insert(t *traj.Trajectory) {
 	if t.NumSegments() == 0 {
 		return
 	}
-	if len(s.boxes) == 0 {
+	if len(s.minL) == 0 {
 		*s = *FromTrajectory(t, 0)
 		return
 	}
 	var buf [assignStack]int
 	for i, j := range core.AssignSegmentsInto(buf[:0], t, s) {
 		e := t.Segment(i)
-		b := &s.boxes[j]
-		b.Rect = b.Rect.ExtendPoint(e.S1.XY()).ExtendPoint(e.S2.XY())
-		if l := e.Length(); l < b.MinL {
-			b.MinL = l
+		s.setRect(j, s.Rect(j).ExtendPoint(e.S1.XY()).ExtendPoint(e.S2.XY()))
+		if l := e.Length(); l < s.minL[j] {
+			s.minL[j] = l
 		}
 	}
 	s.count++
@@ -152,22 +166,22 @@ func (s *Seq) Insert(t *traj.Trajectory) {
 // assignment of boxes — the containment invariant. It is used by tests and
 // failure-injection checks, not on the query path.
 func (s *Seq) Contains(t *traj.Trajectory) bool {
-	if t.NumSegments() == 0 || len(s.boxes) == 0 {
-		return len(s.boxes) > 0 || t.NumSegments() == 0
+	if t.NumSegments() == 0 || len(s.minL) == 0 {
+		return len(s.minL) > 0 || t.NumSegments() == 0
 	}
 	// Greedy monotone check: each segment must fit in some box at or after
 	// the previous segment's box.
 	j := 0
 	for i := 0; i < t.NumSegments(); i++ {
 		e := t.Segment(i)
-		for j < len(s.boxes) {
-			r := s.boxes[j].Rect
+		for j < len(s.minL) {
+			r := s.Rect(j)
 			if r.Contains(e.S1.XY()) && r.Contains(e.S2.XY()) {
 				break
 			}
 			j++
 		}
-		if j == len(s.boxes) {
+		if j == len(s.minL) {
 			return false
 		}
 	}
@@ -177,23 +191,22 @@ func (s *Seq) Contains(t *traj.Trajectory) bool {
 // coarsen merges adjacent boxes until at most max remain, each merge
 // picking the pair whose union adds the least area.
 func (s *Seq) coarsen(max int) {
-	for len(s.boxes) > max {
+	for len(s.minL) > max {
 		bestI := -1
 		bestGrow := math.Inf(1)
-		for i := 0; i+1 < len(s.boxes); i++ {
-			u := s.boxes[i].Rect.Union(s.boxes[i+1].Rect)
-			grow := u.Area() - s.boxes[i].Rect.Area() - s.boxes[i+1].Rect.Area()
+		for i := 0; i+1 < len(s.minL); i++ {
+			a, b := s.Rect(i), s.Rect(i+1)
+			grow := a.Union(b).Area() - a.Area() - b.Area()
 			if grow < bestGrow {
 				bestGrow = grow
 				bestI = i
 			}
 		}
 		i := bestI
-		s.boxes[i] = Box{
-			Rect: s.boxes[i].Rect.Union(s.boxes[i+1].Rect),
-			MinL: math.Min(s.boxes[i].MinL, s.boxes[i+1].MinL),
-		}
-		s.boxes = append(s.boxes[:i+1], s.boxes[i+2:]...)
+		s.setRect(i, s.Rect(i).Union(s.Rect(i+1)))
+		s.minL[i] = math.Min(s.minL[i], s.minL[i+1])
+		s.rects = append(s.rects[:4*(i+1)], s.rects[4*(i+2):]...)
+		s.minL = append(s.minL[:i+1], s.minL[i+2:]...)
 	}
 }
 
@@ -213,5 +226,5 @@ func Build(ts []*traj.Trajectory, maxBoxes int) *Seq {
 
 // String summarises the sequence for debugging.
 func (s *Seq) String() string {
-	return fmt.Sprintf("tBoxSeq[%d boxes, %d trajs, vol %.2f]", len(s.boxes), s.count, s.Volume())
+	return fmt.Sprintf("tBoxSeq[%d boxes, %d trajs, vol %.2f]", len(s.minL), s.count, s.Volume())
 }

@@ -67,10 +67,8 @@ func (t *Tree) SaveCRC(w io.Writer) (uint32, error) {
 		overlayIdx := make(map[int]int)
 		ts.OOffs = append(ts.OOffs, 0)
 		for _, m := range t.root.members {
-			if t.ar != nil {
-				if _, ok := t.ar.Lookup(m.ID); ok {
-					continue
-				}
+			if _, ok := t.arenaIndex(m.ID); ok {
+				continue
 			}
 			overlayIdx[m.ID] = len(ts.OIDs)
 			ts.OIDs = append(ts.OIDs, int64(m.ID))
@@ -81,10 +79,8 @@ func (t *Tree) SaveCRC(w io.Writer) (uint32, error) {
 			ts.OOffs = append(ts.OOffs, int64(len(ts.OPts)/3))
 		}
 		memberRef := func(m *traj.Trajectory) (int64, error) {
-			if t.ar != nil {
-				if ai, ok := t.ar.Lookup(m.ID); ok {
-					return int64(ai), nil
-				}
+			if ai, ok := t.arenaIndex(m.ID); ok {
+				return int64(ai), nil
 			}
 			oi, ok := overlayIdx[m.ID]
 			if !ok {
@@ -243,15 +239,15 @@ func fromSnapshot(snap *arena.Snapshot) (*Tree, uint32, error) {
 			built[i] = true
 			rec := ts.NMeta[i*arena.NMetaStride : (i+1)*arena.NMetaStride]
 			n := &nodes[i]
-			boxes := make([]tbox.Box, rec[1])
-			for bi := range boxes {
+			// The file interleaves each box's rect with its MinL; the Seq
+			// keeps the rects as one slab of their own.
+			rects, minL := make([]float64, 0, 4*rec[1]), make([]float64, rec[1])
+			for bi := range minL {
 				v := ts.NBoxes[(rec[0]+int64(bi))*5:]
-				boxes[bi] = tbox.Box{
-					Rect: geom.Rect{Min: geom.Point{X: v[0], Y: v[1]}, Max: geom.Point{X: v[2], Y: v[3]}},
-					MinL: v[4],
-				}
+				rects = append(rects, v[:4]...)
+				minL[bi] = v[4]
 			}
-			n.seq = tbox.FromBoxes(boxes, int(rec[2]))
+			n.seq = tbox.FromFlat(rects, minL, int(rec[2]))
 			n.maxLen = math.Float64frombits(uint64(rec[11]))
 			if rec[6] > 0 {
 				n.members = make([]*traj.Trajectory, rec[6])

@@ -56,9 +56,10 @@ func loadHeap(t *testing.T, tree *Tree) *Tree {
 
 // TestArenaRoundTripAnswersIdentically is the Save/Load acceptance
 // test: a tree reloaded through either reader — one heap buffer (Load)
-// or the file mapping (LoadArena) — must answer KNN and range searches
-// byte-identically, with identical per-query statistics and the same
-// vantage-point bound, which proves the reconstructed nodes, summaries,
+// or the file mapping (LoadArena) — must answer KNN, range and subknn
+// searches byte-identically, with identical per-query statistics (the
+// member screen's derived weights included) and the same vantage-point
+// bound, which proves the reconstructed nodes, summaries,
 // vantage descriptors and member placement are the same tree served
 // from slab-aliased memory. It holds for a tree as built and for one
 // carrying Insert/Delete churn in its overlay, and the reloaded tree
@@ -143,6 +144,18 @@ func TestArenaRoundTripAnswersIdentically(t *testing.T) {
 					sameResults(t, "SearchRange", gotR, wantR)
 					if grst != wrst {
 						t.Fatalf("SearchRange stats diverge after reload: %+v != %+v", grst, wrst)
+					}
+					gotS, gsst, _, err := loaded.SearchSub(q, k, nil, nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					wantS, wsst, _, err := tree.SearchSub(q, k, nil, nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					sameResults(t, "SearchSub", gotS, wantS)
+					if gsst != wsst {
+						t.Fatalf("SearchSub stats diverge after reload: %+v != %+v", gsst, wsst)
 					}
 					// VPUpperBound runs entirely on the root's persisted
 					// VPs and descriptor rows: same bound, same profile.
@@ -291,11 +304,12 @@ func TestArenaEmptyTree(t *testing.T) {
 // anywhere in the file — including the flattened tree payload — yields
 // an error wrapping arena.ErrCorrupt from both readers, never a panic or
 // a wrong tree. The resealed rows are the cases a bit-flip sweep cannot
-// reach: one node-record word overwritten and the file re-encoded with a
-// valid checksum, as a hostile peer could serve it. The first is a
-// descriptor row count that disagrees with the member count (ranking
-// such a slab would pair rows with the wrong members); the others are
-// the words whose range checks used to wrap around int64 and pass.
+// reach: one word of the root's node record — the node that carries the
+// descriptor table — overwritten and the file re-encoded with a valid
+// checksum, as a hostile peer could serve it. The first is a descriptor
+// row count that disagrees with the member count (ranking such a slab
+// would pair rows with the wrong members); the others are the words
+// whose range checks used to wrap around int64 and pass.
 func TestArenaLoadCorrupt(t *testing.T) {
 	rng := rand.New(rand.NewSource(113))
 	tree, err := New(testDB(rng, 60), testOptions())
@@ -339,15 +353,14 @@ func TestArenaLoadCorrupt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// An inner node: a descriptor table, and windows that start past 0.
 	node := -1
 	for off := 0; off < len(snap.Tree.NMeta); off += arena.NMetaStride {
-		if rec := snap.Tree.NMeta[off : off+arena.NMetaStride]; rec[10] > 1 && rec[8] > 0 && rec[5] > 0 {
+		if rec := snap.Tree.NMeta[off : off+arena.NMetaStride]; rec[10] > 1 && rec[8] > 0 {
 			node = off
 		}
 	}
 	if node < 0 {
-		t.Fatal("no inner node with a descriptor table to tamper with")
+		t.Fatal("no node with a descriptor table to tamper with")
 	}
 	for _, c := range []struct {
 		name string

@@ -1,6 +1,8 @@
 package trajtree
 
 import (
+	"math"
+
 	"trajmatch/internal/arena"
 	"trajmatch/internal/backend"
 	"trajmatch/internal/core"
@@ -10,26 +12,16 @@ import (
 
 var _ backend.CandidateSearcher = (*Tree)(nil)
 
-// candLBBoxes is the box budget of the per-candidate summaries used
-// during prefilter verification. The tree's node bounds cover whole
-// subtrees, not arbitrary member subsets, so verification bounds each
-// candidate individually — a coarse budget keeps the bound DP at
-// O(len(q)·candLBBoxes) per candidate, a fraction of one exact
-// evaluation, while still rejecting most of the admitted set before any
-// kernel runs. It equals the arena's per-member budget so the summaries
-// are precomputed at build time and only overlay members (inserted
-// since the last rebuild) are summarised on the fly.
-const candLBBoxes = arena.MemberBoxes
-
 // SearchKNNIn is the backend.CandidateSearcher capability: exact EDwP
-// k-NN restricted to the prefilter's candidate IDs. Each candidate gets
-// an admissible per-member lower bound (core.LowerBound over its own
-// tbox summary — the same Theorem 2 bound the tree applies to subtrees,
-// normalized for the averaged variant exactly as Tree.lower does), so
-// the scan evaluates in tightest-first order and prunes against the
-// running k-th best and the shared bound before starting a kernel. IDs
-// not present in the tree are skipped silently; truncation and error
-// semantics match SearchKNN.
+// k-NN restricted to the prefilter's candidate IDs. The tree's node
+// bounds cover whole subtrees, not arbitrary member subsets, so
+// verification bounds each candidate individually, with the same
+// two-sided screen the descent applies to leaf members (query side plus
+// member side over the arena summaries, normalised for the averaged
+// variant); the scan evaluates in tightest-first order and prunes
+// against the running k-th best and the shared bound before starting a
+// kernel. IDs not present in the tree are skipped silently; truncation
+// and error semantics match SearchKNN.
 func (t *Tree) SearchKNNIn(q *traj.Trajectory, ids []int, k int, bound *SharedBound, ctl *Ctl) ([]Result, Stats, bool, error) {
 	var st Stats
 	if t.root == nil || k <= 0 || len(ids) == 0 {
@@ -49,37 +41,35 @@ func (t *Tree) SearchKNNIn(q *traj.Trajectory, ids []int, k int, bound *SharedBo
 		}
 	}
 	qLen := q.Length()
-	qSeq := tbox.FromTrajectory(q, candLBBoxes)
+	scr := screenPool.Get().(*core.SegScreen)
+	scr.Reset(q)
+	defer screenPool.Put(scr)
+	var qSeq *tbox.Seq // the query's own summary, built for the first overlay candidate
+	inf := math.Inf(1)
 	cands := make([]backend.Cand, len(sel))
 	for i, m := range sel {
 		if i%64 == 0 && ctl.Cancelled() {
 			return nil, st, false, ctl.Err()
 		}
 		st.LowerBoundCalls++
-		// EDwP is symmetric, so the box bound holds in both directions;
-		// the max is admissible and noticeably tighter than either side.
-		// Arena-resident members use their precomputed summary (built by
-		// the identical FromTrajectory call, so the bound — and with it
-		// the scan order — is bit-identical to summarising on the fly).
-		var mseq core.Boxes
-		if t.ar != nil {
-			if ai, ok := t.ar.Lookup(m.ID); ok {
-				mseq = t.ar.BoxSeq(ai)
+		var lb float64
+		if ai, ok := t.arenaIndex(m.ID); ok {
+			boxes := t.ar.Boxes(ai)
+			lb = core.ScreenMemberSide(scr, boxes, t.ar.BoxLens(ai), core.ScreenLowerBound(scr, boxes, inf), inf)
+		} else {
+			// Overlay members have no arena summary: bound them with the
+			// Theorem-2 DP in both directions, over the boxes a rebuild
+			// would give them. Each direction charges only its own side
+			// of the coverage, so the two add.
+			if qSeq == nil {
+				qSeq = tbox.FromTrajectory(q, arena.MemberBoxes)
 			}
+			lb = core.LowerBound(q, tbox.FromTrajectory(m, arena.MemberBoxes)) + core.LowerBound(m, qSeq)
 		}
-		if mseq == nil {
-			mseq = tbox.FromTrajectory(m, candLBBoxes)
-		}
-		lb := core.LowerBound(q, mseq)
-		if rev := core.LowerBound(m, qSeq); rev > lb {
-			lb = rev
-		}
-		if !t.opt.Cumulative {
-			if den := qLen + m.Length(); den > 0 {
-				lb /= den
-			} else {
-				lb = 0
-			}
+		if den := t.denom(false, qLen, m.Length()); den > 0 {
+			lb /= den
+		} else {
+			lb = 0
 		}
 		cands[i] = backend.Cand{I: i, ID: m.ID, LB: lb}
 	}

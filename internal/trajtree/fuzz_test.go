@@ -21,9 +21,11 @@ import (
 // answers a search; it must never panic.
 //
 // The committed corpus (testdata/fuzz/FuzzLoadArena) holds a built tree,
-// an empty one, one with an overlay, and four files whose single
-// overwritten node-record word used to wrap an int64 range check and
-// panic the loader (makeslice and three slice-bounds shapes).
+// an empty one, one with an overlay, four files whose single overwritten
+// node-record word used to wrap an int64 range check and panic the loader
+// (makeslice and three slice-bounds shapes), and one whose first member
+// box was moved off the segment it summarises, which the decode-time
+// derivation of the member-side weights must refuse as corrupt.
 func FuzzLoadArena(f *testing.F) {
 	q := traj.New(9_000_000, []traj.Point{traj.P(1, 1, 0), traj.P(4, 2, 10), traj.P(6, 6, 20)})
 	castagnoli := crc32.MakeTable(crc32.Castagnoli)

@@ -25,15 +25,15 @@ var visitPool = sync.Pool{
 	New: func() any { return &visitSet{marks: make(map[int]uint64, 64)} },
 }
 
-// screenPool recycles the per-query segment screens of the leaf-level
-// lower-bound pass; steady-state queries reset a warm screen instead of
-// allocating one.
+// screenPool recycles the per-query segment screens every bound of a
+// search is computed from; steady-state queries reset a warm screen
+// instead of allocating one.
 var screenPool = sync.Pool{
 	New: func() any { return new(core.SegScreen) },
 }
 
 // vpPool recycles the per-query buffers of the vantage pass: the query's
-// descriptor under the current node's VPs and TopK's selection state.
+// descriptor under the root's VPs and TopK's selection state.
 var vpPool = sync.Pool{
 	New: func() any { return new(vantage.Scratch) },
 }
@@ -48,9 +48,9 @@ func (v *visitSet) mark(id int) { v.marks[id] = v.gen }
 // KNN returns the exact k nearest trajectories to q under EDwPavg (or
 // cumulative EDwP when Options.Cumulative is set), together with query
 // statistics. Results are sorted by ascending distance. It implements
-// Algorithm 2: best-first traversal ordered by tBoxSeq lower bounds, with
-// vantage-point top-k evaluations tightening the upper bound at every
-// internal node.
+// Algorithm 2: best-first traversal ordered by tBoxSeq lower bounds, after
+// one vantage-point top-k evaluation at the root has seeded the upper
+// bound.
 //
 // Every exact evaluation passes the current k-th best distance to the
 // bounded kernel, which abandons the dynamic program as soon as the
@@ -66,7 +66,7 @@ func (v *visitSet) mark(id int) { v.marks[id] = v.gen }
 // the truncation flag and error dropped (both are always zero without a
 // Ctl).
 func (t *Tree) KNN(q *traj.Trajectory, k int) ([]Result, Stats) {
-	res, st, _, _ := t.knnSearch(q, k, nil, nil)
+	res, st, _, _ := t.knnSearch(q, k, false, nil, nil)
 	return res, st
 }
 
@@ -89,7 +89,7 @@ func (t *Tree) KNNWithBound(q *traj.Trajectory, k int, limit float64) ([]Result,
 	if !math.IsInf(limit, 1) {
 		bound = NewSharedBound(limit)
 	}
-	res, st, _, _ := t.knnSearch(q, k, bound, nil)
+	res, st, _, _ := t.knnSearch(q, k, false, bound, nil)
 	return res, st
 }
 
@@ -105,17 +105,22 @@ func (t *Tree) KNNWithBound(q *traj.Trajectory, k int, limit float64) ([]Result,
 // Deprecated: use SearchKNN, which takes the same shared bound plus a
 // cancellation/budget Ctl.
 func (t *Tree) KNNShared(q *traj.Trajectory, k int, bound *SharedBound) ([]Result, Stats) {
-	res, st, _, _ := t.knnSearch(q, k, bound, nil)
+	res, st, _, _ := t.knnSearch(q, k, false, bound, nil)
 	return res, st
 }
 
-// knnSearch is the common best-first search. With a nil bound it is the
-// plain Algorithm 2; with a bound it additionally prunes against — and
+// knnSearch is the one best-first descent behind SearchKNN and
+// SearchSub. sub selects the distance: false ranks by the tree's
+// whole-trajectory distance (EDwPavg, or cumulative EDwP), true by
+// EDwPsub(q, ·) — the same traversal in the raw domain, with the bounds
+// that do not rely on the member being consumed in full (see
+// Tree.denom, Tree.screenMember). With a nil bound it is the plain
+// Algorithm 2; with a bound it additionally prunes against — and
 // tightens — the shared limit. ctl (may be nil) injects cancellation —
 // polled between candidate pops here and per DP row inside the kernel —
 // and the query-wide evaluation budget; an exhausted budget stops the
 // search and marks the answer truncated.
-func (t *Tree) knnSearch(q *traj.Trajectory, k int, bound *SharedBound, ctl *Ctl) ([]Result, Stats, bool, error) {
+func (t *Tree) knnSearch(q *traj.Trajectory, k int, sub bool, bound *SharedBound, ctl *Ctl) ([]Result, Stats, bool, error) {
 	var st Stats
 	if t.root == nil || k <= 0 {
 		return nil, st, false, ctl.Err()
@@ -129,17 +134,11 @@ func (t *Tree) knnSearch(q *traj.Trajectory, k int, bound *SharedBound, ctl *Ctl
 	processed.begin()
 	defer visitPool.Put(processed)
 
-	// The member screen shares one per-query segment table across every
-	// candidate it rejects (see Tree.screenMember).
-	var scr *core.SegScreen
-	if t.ar != nil {
-		scr = screenPool.Get().(*core.SegScreen)
-		scr.Reset(q)
-		defer screenPool.Put(scr)
-	}
-
-	vp := vpPool.Get().(*vantage.Scratch)
-	defer vpPool.Put(vp)
+	// One per-query segment table serves every node bound and every
+	// member screen of the search.
+	scr := screenPool.Get().(*core.SegScreen)
+	scr.Reset(q)
+	defer screenPool.Put(scr)
 
 	// effLimit is the tightest admissible abandon limit currently known:
 	// the local k-th best once the answer set is full, lowered further by
@@ -172,16 +171,23 @@ func (t *Tree) knnSearch(q *traj.Trajectory, k int, bound *SharedBound, ctl *Ctl
 		}
 		st.DistanceCalls++
 		limit := effLimit()
-		if scr != nil && t.screenMember(scr, qLen, tr, limit) {
+		if t.screenMember(scr, sub, qLen, tr, limit) {
 			// The screen proves the bounded kernel would abandon this
 			// candidate, so the evaluation is cut before the DP starts;
-			// it is counted exactly as the abandoned evaluation it
-			// replaces, keeping the stats — and every downstream
-			// decision — identical to the unscreened search.
+			// it is counted as the abandoned evaluation it replaces —
+			// every existing counter keeps its meaning — and once more
+			// as a screen reject, so kernel starts can be told apart.
 			st.EarlyAbandons++
+			st.ScreenRejects++
 			return false
 		}
-		d, abandoned := t.distBounded(q, tr, limit, ctl.CancelFlag())
+		var d float64
+		var abandoned bool
+		if sub {
+			d, abandoned = core.SubDistanceBoundedCancel(q, tr, limit, ctl.CancelFlag())
+		} else {
+			d, abandoned = t.distBounded(q, tr, limit, ctl.CancelFlag())
+		}
 		if abandoned {
 			st.EarlyAbandons++
 			return false
@@ -224,13 +230,17 @@ func (t *Tree) knnSearch(q *traj.Trajectory, k int, bound *SharedBound, ctl *Ctl
 			}
 			continue
 		}
-		// Step 1 (Alg. 2 lines 8–10): tighten the upper bound through the
-		// node's vantage points. Candidates are evaluated in VD order and
-		// the pass stops once consecutive candidates stop improving the
-		// answer set — the bound is already as tight as this node can make
-		// it. Small subtrees skip the pass: their members are reached
-		// through bounds more cheaply (Options.VPMinMembers).
-		if c.vps != nil && (len(c.members) >= t.opt.VPMinMembers || !ans.Full()) {
+		// Step 1 (Alg. 2 lines 8–10): seed the upper bound through the
+		// vantage points. Candidates are evaluated in VD order and the
+		// pass stops once consecutive candidates stop improving the
+		// answer set. The pass only pays where it seeds: once k answers
+		// are held the bounds reach the remaining members more cheaply,
+		// so it runs at the root — the one node a built tree gives
+		// vantage points — and nowhere after the answer set has filled.
+		// Descriptors compare whole trajectories, which says little
+		// about where a fragment matches, so sub searches skip it.
+		if c.vps != nil && !sub && !ans.Full() {
+			vp := vpPool.Get().(*vantage.Scratch)
 			top := vp.TopK(vp.Descriptor(q, c.vps), c.descs, k, func(i int) bool {
 				return processed.has(c.members[i].ID)
 			})
@@ -250,14 +260,15 @@ func (t *Tree) knnSearch(q *traj.Trajectory, k int, bound *SharedBound, ctl *Ctl
 					break
 				}
 			}
+			vpPool.Put(vp)
 		}
 		// Step 2 (lines 11–13): push surviving children ordered by their
-		// lower bounds. The bounded DP abandons against the current limit;
+		// lower bounds. The screen early-exits against the current limit;
 		// surviving bounds are exact, so the queue order — and with it the
 		// result stream — is identical to the unbounded search.
 		for _, child := range c.children {
 			st.LowerBoundCalls++
-			lb := t.lowerBounded(q, qLen, child, effLimit())
+			lb := nodeBound(scr, t.denom(sub, qLen, child.maxLen), child, effLimit())
 			if lb >= effLimit() {
 				st.NodesPruned++
 				continue

@@ -43,12 +43,9 @@ func (t *Tree) rangeSeeded(q *traj.Trajectory, radius float64, ctl *Ctl) ([]Resu
 		return nil, st, false, ctl.Err()
 	}
 	qLen := q.Length()
-	var scr *core.SegScreen
-	if t.ar != nil {
-		scr = screenPool.Get().(*core.SegScreen)
-		scr.Reset(q)
-		defer screenPool.Put(scr)
-	}
+	scr := screenPool.Get().(*core.SegScreen)
+	scr.Reset(q)
+	defer screenPool.Put(scr)
 	var out []Result
 	truncated := false
 	var walk func(n *node)
@@ -67,8 +64,9 @@ func (t *Tree) rangeSeeded(q *traj.Trajectory, radius float64, ctl *Ctl) ([]Resu
 				// Leaf-level screen: members the arena summaries prove
 				// outside the radius skip the kernel, counted as the
 				// abandoned evaluations they would have been.
-				if scr != nil && t.screenMember(scr, qLen, tr, radius) {
+				if t.screenMember(scr, false, qLen, tr, radius) {
 					st.EarlyAbandons++
+					st.ScreenRejects++
 					continue
 				}
 				d, abandoned := t.distBounded(q, tr, radius, ctl.CancelFlag())
@@ -85,7 +83,7 @@ func (t *Tree) rangeSeeded(q *traj.Trajectory, radius float64, ctl *Ctl) ([]Resu
 				return
 			}
 			st.LowerBoundCalls++
-			if lb := t.lowerBounded(q, qLen, child, radius); lb > radius {
+			if lb := nodeBound(scr, t.denom(false, qLen, child.maxLen), child, radius); lb > radius {
 				st.NodesPruned++
 				continue
 			}

@@ -2,11 +2,8 @@ package trajtree
 
 import (
 	"context"
-	"math"
 
 	"trajmatch/internal/backend"
-	"trajmatch/internal/core"
-	"trajmatch/internal/pqueue"
 	"trajmatch/internal/traj"
 )
 
@@ -39,7 +36,7 @@ func NewCtl(ctx context.Context, maxEvals int) *Ctl { return backend.NewCtl(ctx,
 // (a cancelled kernel call deliberately poisons in-flight candidate
 // evaluations).
 func (t *Tree) SearchKNN(q *traj.Trajectory, k int, bound *SharedBound, ctl *Ctl) ([]Result, Stats, bool, error) {
-	return t.knnSearch(q, k, bound, ctl)
+	return t.knnSearch(q, k, false, bound, ctl)
 }
 
 // SearchRange is the context-aware range query: every indexed trajectory
@@ -51,57 +48,13 @@ func (t *Tree) SearchRange(q *traj.Trajectory, radius float64, ctl *Ctl) ([]Resu
 
 // SearchSub answers sub-trajectory k-NN under EDwPsub (Eq. 6): the k
 // indexed trajectories containing the contiguous sub-trajectory that
-// best matches the whole of q. The tree's lower bounds target
-// whole-trajectory EDwP, so this is a bounded sequential scan over the
-// members — each evaluation abandons against the running k-th best (and
-// the shared bound, when searches over disjoint trees fan out together),
-// exactly like KNNBrute does for the global distance. EDwPsub is
+// best matches the whole of q. It is SearchKNN's descent ranking by
+// EDwPsub: the query side of the screen never uses that an alignment
+// consumes the member in full, so it bounds EDwPsub at nodes and members
+// alike (the member side does not, and is left out). EDwPsub is
 // inherently cumulative; the Cumulative option does not apply.
 //
 // Truncation and error semantics match SearchKNN.
 func (t *Tree) SearchSub(q *traj.Trajectory, k int, bound *SharedBound, ctl *Ctl) ([]Result, Stats, bool, error) {
-	var st Stats
-	if t.root == nil || k <= 0 {
-		return nil, st, false, ctl.Err()
-	}
-	ans := pqueue.NewTopK[*traj.Trajectory](k)
-	truncated := false
-	for _, tr := range t.root.members {
-		if ctl.Cancelled() {
-			return nil, st, false, ctl.Err()
-		}
-		if !ctl.Take() {
-			truncated = true
-			break
-		}
-		limit := math.Inf(1)
-		if worst, full := ans.Worst(); full {
-			limit = worst
-		}
-		if bound != nil {
-			if b := bound.Load(); b < limit {
-				limit = b
-			}
-		}
-		st.DistanceCalls++
-		d, abandoned := core.SubDistanceBoundedCancel(q, tr, limit, ctl.CancelFlag())
-		if abandoned {
-			st.EarlyAbandons++
-			continue
-		}
-		if ans.Offer(tr, d) && bound != nil {
-			if worst, full := ans.Worst(); full {
-				bound.Tighten(worst)
-			}
-		}
-	}
-	if err := ctl.Err(); err != nil {
-		return nil, st, false, err
-	}
-	items := ans.Items()
-	out := make([]Result, len(items))
-	for i, it := range items {
-		out[i] = Result{Traj: it.Value, Dist: it.Priority}
-	}
-	return out, st, truncated, nil
+	return t.knnSearch(q, k, true, bound, ctl)
 }

@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"trajmatch/internal/core"
+	"trajmatch/internal/pqueue"
 	"trajmatch/internal/traj"
 )
 
@@ -51,54 +52,78 @@ func TestSearchNilCtlMatchesLegacy(t *testing.T) {
 	}
 }
 
-// SearchSub must agree with a brute-force EDwPsub scan.
+// SearchSub must agree with a brute-force EDwPsub ranking — searched as
+// one tree and fanned out over 2 and 4 disjoint trees sharing one bound,
+// unseeded and seeded with an admissible limit — while, now that it is
+// the indexed descent, evaluating fewer members than the scan it was.
 func TestSearchSubMatchesBruteScan(t *testing.T) {
 	db := testDB(rand.New(rand.NewSource(5)), 90)
-	tree, err := New(db, Options{Seed: 1, LeafSize: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for it := 0; it < 8; it++ {
-		full := db[(it*7)%len(db)]
-		// Query with a fragment of a database trajectory so sub-matching
-		// has something real to find.
-		n := len(full.Points)
-		lo, hi := n/4, n/4+max(2, n/3)
-		if hi > n {
-			hi = n
+	for _, parts := range []int{1, 2, 4} {
+		groups := make([][]*traj.Trajectory, parts)
+		for i, tr := range cloneAll(db) {
+			groups[i%parts] = append(groups[i%parts], tr)
 		}
-		q := traj.New(800_000+it, append([]traj.Point(nil), full.Points[lo:hi]...))
-		k := 1 + it%5
-
-		type pair struct {
-			id int
-			d  float64
-		}
-		ref := make([]pair, 0, len(db))
-		for _, tr := range db {
-			ref = append(ref, pair{tr.ID, core.SubDistance(q, tr)})
-		}
-		sort.Slice(ref, func(i, j int) bool {
-			if ref[i].d != ref[j].d {
-				return ref[i].d < ref[j].d
+		trees := make([]*Tree, parts)
+		for i := range trees {
+			var err error
+			if trees[i], err = New(groups[i], Options{Seed: 1, LeafSize: 5}); err != nil {
+				t.Fatal(err)
 			}
-			return ref[i].id < ref[j].id
-		})
+		}
+		for it := 0; it < 8; it++ {
+			full := db[(it*7)%len(db)]
+			// Query with a fragment of a database trajectory so sub-matching
+			// has something real to find.
+			n := len(full.Points)
+			lo, hi := n/4, n/4+max(2, n/3)
+			if hi > n {
+				hi = n
+			}
+			q := traj.New(800_000+it, append([]traj.Point(nil), full.Points[lo:hi]...))
+			k := 1 + it%5
 
-		got, st, trunc, err := tree.SearchSub(q, k, nil, nil)
-		if err != nil || trunc {
-			t.Fatalf("it=%d: SearchSub trunc=%v err=%v", it, trunc, err)
-		}
-		if len(got) != k {
-			t.Fatalf("it=%d: %d results, want %d", it, len(got), k)
-		}
-		if st.DistanceCalls != len(db) {
-			t.Fatalf("it=%d: %d distance calls, want %d (scan)", it, st.DistanceCalls, len(db))
-		}
-		for i, r := range got {
-			if diff := math.Abs(r.Dist - ref[i].d); diff > 1e-9 {
-				t.Fatalf("it=%d rank %d: dist %v, brute %v (T%d vs T%d)",
-					it, i, r.Dist, ref[i].d, r.Traj.ID, ref[i].id)
+			type pair struct {
+				id int
+				d  float64
+			}
+			ref := make([]pair, 0, len(db))
+			for _, tr := range db {
+				ref = append(ref, pair{tr.ID, core.SubDistance(q, tr)})
+			}
+			sort.Slice(ref, func(i, j int) bool {
+				if ref[i].d != ref[j].d {
+					return ref[i].d < ref[j].d
+				}
+				return ref[i].id < ref[j].id
+			})
+
+			for _, seed := range []float64{math.Inf(1), 1.5*ref[k-1].d + 1} {
+				bound := NewSharedBound(seed)
+				merged := pqueue.NewTopK[*traj.Trajectory](k)
+				calls := 0
+				for _, tree := range trees {
+					got, st, trunc, err := tree.SearchSub(q, k, bound, nil)
+					if err != nil || trunc {
+						t.Fatalf("parts=%d it=%d: SearchSub trunc=%v err=%v", parts, it, trunc, err)
+					}
+					calls += st.DistanceCalls
+					for _, r := range got {
+						merged.Offer(r.Traj, r.Dist)
+					}
+				}
+				if calls >= len(db) {
+					t.Fatalf("parts=%d it=%d: %d distance calls over %d members: the descent pruned nothing", parts, it, calls, len(db))
+				}
+				got := merged.Items()
+				if len(got) != k {
+					t.Fatalf("parts=%d it=%d: %d results, want %d", parts, it, len(got), k)
+				}
+				for i, r := range got {
+					if diff := math.Abs(r.Priority - ref[i].d); diff > 1e-9 {
+						t.Fatalf("parts=%d it=%d seed=%v rank %d: dist %v, brute %v (T%d vs T%d)",
+							parts, it, seed, i, r.Priority, ref[i].d, r.Value.ID, ref[i].id)
+					}
+				}
 			}
 		}
 	}

@@ -90,7 +90,6 @@ func TestKNNExactUnderOptionExtremes(t *testing.T) {
 		{Theta: 0.95, NumVPs: 100, LeafSize: 40, PivotCandidates: 90, Seed: 2},
 		{MaxBoxes: 2, NumVPs: 4, LeafSize: 5, PivotCandidates: 16, Seed: 3},
 		{MaxFanout: 2, NumVPs: 4, LeafSize: 5, PivotCandidates: 16, Seed: 4},
-		{VPMinMembers: 1, NumVPs: 8, LeafSize: 5, PivotCandidates: 16, Seed: 5},
 	}
 	for oi, opt := range opts {
 		tree, err := New(db, opt)

@@ -1,9 +1,10 @@
 // Package trajtree implements TrajTree (Section IV), the paper's index for
-// exact k-nearest-neighbour queries under EDwP. Internal nodes summarise
-// their subtree with a trajectory box sequence (package tbox) whose
-// EDwPsub-style lower bound (core.LowerBound, Theorem 2) prunes the search,
-// and with vantage-point descriptors (package vantage) that produce tight
-// upper bounds early (Section IV-E). Leaves hold the trajectories.
+// exact k-nearest-neighbour queries under EDwP. Every node summarises its
+// subtree with a trajectory box sequence (package tbox) whose EDwPsub-style
+// lower bound prunes the search — Theorem 2, in the flat relaxation
+// core.ScreenLowerBound — and the root carries vantage-point descriptors
+// (package vantage) that seed the upper bound before the descent starts
+// (Section IV-E). Leaves hold the trajectories.
 //
 // Queries return the exact k-NN set: candidates are visited best-first by
 // lower bound and the search stops when the smallest outstanding lower
@@ -37,8 +38,10 @@ type Options struct {
 	// Theta is the diversity-drop threshold θ of Algorithm 1 controlling
 	// the branching factor. Default 0.8.
 	Theta float64
-	// NumVPs is the number of vantage points distributed per node.
-	// Default 80.
+	// NumVPs is the number of vantage points the root's descriptor
+	// table is built over. Default 16: the pass they drive only seeds the
+	// k-th best distance, and on every corpus measured 4 to 80 of them
+	// seed it equally well.
 	NumVPs int
 	// LeafSize is the minimum node size n: nodes with at most this many
 	// trajectories become leaves. Default 10.
@@ -59,12 +62,6 @@ type Options struct {
 	Cumulative bool
 	// DisableVantage turns the VP upper-bound machinery off (ablation X1).
 	DisableVantage bool
-	// VPMinMembers skips the per-node VP top-k evaluation at nodes whose
-	// subtree holds fewer trajectories: small subtrees are cheaper to
-	// resolve through bounds alone, while the root-level evaluation — the
-	// one the paper credits with early pruning — always runs. 0 means the
-	// default of 64; set to 1 to evaluate at every internal node.
-	VPMinMembers int
 	// RebuildRatio triggers an automatic rebuild when
 	// inserts+deletes > ratio × size. 0 means the default of 0.25;
 	// negative disables auto-rebuild.
@@ -86,7 +83,7 @@ func (o Options) withDefaults() Options {
 		o.Theta = 0.8
 	}
 	if o.NumVPs == 0 {
-		o.NumVPs = 80
+		o.NumVPs = 16
 	}
 	if o.LeafSize == 0 {
 		o.LeafSize = 10
@@ -100,18 +97,17 @@ func (o Options) withDefaults() Options {
 	if o.PivotCandidates == 0 {
 		o.PivotCandidates = 64
 	}
-	if o.VPMinMembers == 0 {
-		o.VPMinMembers = 64
-	}
 	if o.RebuildRatio == 0 {
 		o.RebuildRatio = 0.25
 	}
 	return o
 }
 
-// node is a TrajTree node. Internal nodes carry the tBoxSeq summary,
-// vantage points and the descriptors of every subtree member; leaves carry
-// only their trajectories (plus the seq used by the parent for bounding).
+// node is a TrajTree node: the tBoxSeq summary its parent bounds it by,
+// its subtree's members and, on the root of a built tree, the vantage
+// points and the descriptors of every member (a file written before the
+// pass became root-only may carry them on inner nodes too; they load and
+// are kept up to date like the root's).
 //
 // descs is one row-major slab: member i's descriptor is the len(vps)
 // values from i*len(vps). On a tree loaded by LoadArena the slab aliases
@@ -173,8 +169,19 @@ func New(db []*traj.Trajectory, opt Options) (*Tree, error) {
 		// bit-identical values, so the built tree is unchanged.
 		tr.ar = arena.Build(owned)
 		tr.root = tr.build(owned, tbox.Build(owned, opt.MaxBoxes), opt.Parallel)
+		tr.seedVantage()
 	}
 	return tr, nil
+}
+
+// seedVantage gives an internal root its vantage points and descriptor
+// table. Only the root has them: the pass they drive runs once per query,
+// before the descent, to seed the k-th best distance.
+func (t *Tree) seedVantage() {
+	if r := t.root; !r.leaf() && !t.opt.DisableVantage {
+		r.vps = vantage.Select(r.members, t.opt.NumVPs, t.rng)
+		r.descs = describe(r.members, r.vps)
+	}
 }
 
 // newTreeShell builds an empty Tree with normalised options, used by Load.
@@ -239,45 +246,34 @@ func (t *Tree) distBounded(a, b *traj.Trajectory, limit float64, cancel *core.Ca
 	return core.AvgDistanceBoundedCancel(a, b, limit, cancel)
 }
 
-// lower bounds EDwP-or-EDwPavg distance from q to every member below n.
-func (t *Tree) lower(q *traj.Trajectory, qLen float64, n *node) float64 {
-	lb := core.LowerBound(q, n.seq)
-	if t.opt.Cumulative {
-		return lb
+// denom is the divisor that takes the raw cumulative domain the screens
+// sum in to the domain of the query distance against a trajectory (or
+// the longest of a node's trajectories) of length tLen: Eq. 4's
+// normaliser for EDwPavg, 1 for cumulative EDwP and for EDwPsub, which
+// is inherently cumulative.
+func (t *Tree) denom(sub bool, qLen, tLen float64) float64 {
+	if sub || t.opt.Cumulative {
+		return 1
 	}
-	den := qLen + n.maxLen
-	if den == 0 {
-		return 0
-	}
-	return lb / den
+	return qLen + tLen
 }
 
-// lowerBounded is lower with early abandoning: exact whenever the bound
-// does not exceed limit, and some value strictly above limit (possibly
-// +Inf) otherwise, so every `>= limit`/`> limit` pruning decision matches
-// lower's while the Theorem-2 DP abandons rows that can no longer matter.
-// The normalised path translates limit into the raw cumulative domain the
-// DP works in, inflated by the same relative epsilon the bounded kernel
-// uses so boundary values survive the multiplication-versus-division
+// nodeBound lower-bounds the query distance from q (in scr) to every
+// member below n: the flat screen over the node's tBoxSeq slab, divided
+// by den = denom(sub, qLen, n.maxLen). It early-exits against limit: the
+// value is exact whenever it does not exceed limit, and some value
+// strictly above limit otherwise, so every `>= limit`/`> limit` pruning
+// decision is the unbounded value's. limit is translated into the raw
+// domain inflated by the same relative epsilon the bounded kernel uses,
+// so boundary values survive the multiplication-versus-division
 // rounding difference.
-func (t *Tree) lowerBounded(q *traj.Trajectory, qLen float64, n *node, limit float64) float64 {
-	if t.opt.Cumulative {
-		raw := limit
-		if !math.IsInf(limit, 1) {
-			raw += raw * 1e-12
-		}
-		return core.LowerBoundBounded(q, n.seq, raw)
-	}
-	den := qLen + n.maxLen
+func nodeBound(scr *core.SegScreen, den float64, n *node, limit float64) float64 {
 	if den == 0 {
 		return 0
 	}
-	raw := limit
-	if !math.IsInf(limit, 1) {
-		raw = limit * den
-		raw += raw * 1e-12
-	}
-	return core.LowerBoundBounded(q, n.seq, raw) / den
+	raw := limit * den
+	raw += raw * 1e-12
+	return core.ScreenLowerBound(scr, n.seq.Rects(), raw) / den
 }
 
 // screenMember is the leaf-level lower-bound screen: it reports whether
@@ -290,30 +286,50 @@ func (t *Tree) lowerBounded(q *traj.Trajectory, qLen float64, n *node, limit flo
 // the screen's float rounding (~1e-13 relative) can never flip a
 // decision the kernel — whose own epsilon is 1e-12 — would have taken
 // the other way.
-func (t *Tree) screenMember(scr *core.SegScreen, qLen float64, tr *traj.Trajectory, limit float64) bool {
+//
+// Two tiers, both over flat slab windows: the single bounding box
+// (O(len q)) rejects far-away members, the coarsened box sequence
+// (O(len q · MemberBoxes), early-exiting) rejects most of the rest. Each
+// tier sums the query side and, for the whole-trajectory distances, the
+// member side on top of it; EDwPsub does not consume the member, so sub
+// searches get the query side alone.
+func (t *Tree) screenMember(scr *core.SegScreen, sub bool, qLen float64, tr *traj.Trajectory, limit float64) bool {
 	if math.IsInf(limit, 1) {
 		return false
 	}
-	ai, ok := t.ar.Lookup(tr.ID)
+	ai, ok := t.arenaIndex(tr.ID)
 	if !ok {
 		return false
 	}
-	raw := limit
-	if !t.opt.Cumulative {
-		den := qLen + t.ar.Length(ai)
-		if den <= 0 {
-			return false
-		}
-		raw = limit * den
+	den := t.denom(sub, qLen, t.ar.Length(ai))
+	if den <= 0 {
+		return false
 	}
+	raw := limit * den
 	raw += raw * 1e-9
-	// Two tiers, both over flat slab windows: the single bounding box
-	// (O(len q)) rejects far-away members, the coarsened box sequence
-	// (O(len q · MemberBoxes), early-exiting) rejects most of the rest.
-	if core.ScreenLowerBound(scr, t.ar.BBox(ai), raw) > raw {
-		return true
+	return screenExceeds(scr, sub, t.ar.BBox(ai), t.ar.LengthSlab(ai), raw) ||
+		screenExceeds(scr, sub, t.ar.Boxes(ai), t.ar.BoxLens(ai), raw)
+}
+
+// arenaIndex returns the arena index of the member with the given ID;
+// false for the overlay, and for every member of a tree grown purely by
+// Insert, which has no arena.
+func (t *Tree) arenaIndex(id int) (int, bool) {
+	if t.ar == nil {
+		return 0, false
 	}
-	return core.ScreenLowerBound(scr, t.ar.Boxes(ai), raw) > raw
+	return t.ar.Lookup(id)
+}
+
+// screenExceeds reports whether the screen of one trajectory's rects —
+// the query side, plus the member side weighted by lens unless sub —
+// passes the raw limit.
+func screenExceeds(scr *core.SegScreen, sub bool, rects, lens []float64, raw float64) bool {
+	sum := core.ScreenLowerBound(scr, rects, raw)
+	if sum <= raw && !sub {
+		sum = core.ScreenMemberSide(scr, rects, lens, sum, raw)
+	}
+	return sum > raw
 }
 
 // MemStats describes the tree's memory layout for the stats endpoint:
@@ -343,10 +359,6 @@ func (t *Tree) build(ts []*traj.Trajectory, seq *tbox.Seq, parallel bool) *node 
 	groups, seqs := t.partition(ts)
 	if len(groups) < 2 {
 		return n // cannot split further; oversized leaf
-	}
-	if !t.opt.DisableVantage {
-		n.vps = vantage.Select(ts, t.opt.NumVPs, t.rng)
-		n.descs = describe(ts, n.vps)
 	}
 	n.children = make([]*node, len(groups))
 	if parallel {

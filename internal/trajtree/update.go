@@ -11,11 +11,11 @@ import (
 
 // Insert adds a trajectory to the index following Section IV-F: the new
 // trajectory descends to the child whose tBoxSeq expands the least, every
-// node on the path absorbs it into its summary and descriptor table
-// (existing pivots and vantage points are reused), and overflowing leaves
-// are re-partitioned. When accumulated modifications exceed
-// RebuildRatio × size the whole index is rebuilt, approximating the
-// paper's "poor node" policy.
+// node on the path absorbs it into its summary (existing pivots are
+// reused), the root appends its descriptor under the existing vantage
+// points, and overflowing leaves are re-partitioned. When accumulated
+// modifications exceed RebuildRatio × size the whole index is rebuilt,
+// approximating the paper's "poor node" policy.
 func (t *Tree) Insert(tr *traj.Trajectory) error {
 	if err := tr.Validate(); err != nil {
 		return fmt.Errorf("trajtree: %w", err)
@@ -78,19 +78,19 @@ func (t *Tree) splitLeaf(n *node) {
 	if len(groups) < 2 {
 		return // stays an oversized leaf
 	}
-	if !t.opt.DisableVantage {
-		n.vps = vantage.Select(n.members, t.opt.NumVPs, t.rng)
-		n.descs = describe(n.members, n.vps)
-	}
 	n.children = make([]*node, len(groups))
 	for i := range groups {
 		n.children[i] = t.build(groups[i], seqs[i], false)
 	}
+	if n == t.root {
+		t.seedVantage()
+	}
 }
 
-// Delete removes the trajectory with the given ID, deleting its descriptor
-// at every node from root to leaf while leaving the tBoxSeqs unchanged
-// (Section IV-F). It reports whether the ID was present.
+// Delete removes the trajectory with the given ID from every node on its
+// path, and its descriptor from the root's table, while leaving the
+// tBoxSeqs unchanged (Section IV-F). It reports whether the ID was
+// present.
 func (t *Tree) Delete(id int) bool {
 	if t.root == nil {
 		return false
@@ -101,9 +101,7 @@ func (t *Tree) Delete(id int) bool {
 	t.gen++
 	t.size--
 	t.mods++
-	if t.ar == nil {
-		t.overlay--
-	} else if _, ok := t.ar.Lookup(id); !ok {
+	if _, ok := t.arenaIndex(id); !ok {
 		t.overlay--
 	}
 	t.maybeRebuild()

@@ -226,7 +226,8 @@ const (
 	// QueryRange returns everything within Query.Radius.
 	QueryRange = server.KindRange
 	// QuerySubKNN is sub-trajectory search under EDwPsub (Eq. 6),
-	// answered by a bounded scan fanned across the shards.
+	// answered by the k-NN descent ranking by EDwPsub, fanned across the
+	// shards.
 	QuerySubKNN = server.KindSubKNN
 )
 
