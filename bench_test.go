@@ -18,6 +18,7 @@ import (
 	"sort"
 	"sync"
 	"testing"
+	"time"
 
 	"trajmatch"
 	"trajmatch/internal/core"
@@ -466,6 +467,60 @@ func BenchmarkKNN10k(b *testing.B) {
 		}},
 		{"scan", false, knn, scanArm},
 	})
+}
+
+// BenchmarkInsertAcrossRebuild prices what a writer waits for when the
+// index rebuilds itself: one operation grows a taxi index by paced
+// inserts (one per insertPace, about the rate bench/'s ingest-mixed seals
+// tracks at) across two crossings of the 25 % rebuild threshold, until the
+// second rebuild is adopted, timing every Insert on its own. max-ms/insert
+// is the stall: a bulk load when the rebuild runs inline, the replay of a
+// few operations when it runs in the background. build-ms, adopt-ms and
+// replayed describe the last rebuild adopted: its background build, and
+// what the adopting Insert spent on it. The 10k arm takes half a minute.
+func BenchmarkInsertAcrossRebuild(b *testing.B) {
+	const insertPace = 2 * time.Millisecond
+	for _, n := range []int{3000, 10000} {
+		b.Run(fmt.Sprintf("%dk", n/1000), func(b *testing.B) {
+			cfg := trajmatch.DefaultTaxiConfig(2 * n)
+			cfg.Seed += 31
+			extra := trajmatch.GenerateTaxi(cfg)
+			for i, tr := range extra {
+				tr.ID = 2_000_000 + i
+			}
+			var lat []float64
+			var buildMs, adoptMs, replayed float64
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				t, err := trajmatch.NewIndex(trajmatch.GenerateTaxi(trajmatch.DefaultTaxiConfig(n)),
+					trajmatch.IndexOptions{Parallel: true, Seed: 1})
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				for j := 0; t.MemStats().FoldIns < 2; j++ {
+					start := time.Now()
+					if err := t.Insert(extra[j]); err != nil {
+						b.Fatal(err)
+					}
+					took := time.Since(start)
+					lat = append(lat, float64(took)/float64(time.Millisecond))
+					time.Sleep(insertPace - took)
+				}
+				ms := t.MemStats()
+				buildMs, adoptMs, replayed = ms.BuildMs, ms.AdoptMs, float64(ms.Replayed)
+				if done := t.RebuildDone(); done != nil {
+					<-done // leave no build running into the next arm
+				}
+			}
+			sort.Float64s(lat)
+			b.ReportMetric(lat[len(lat)-1], "max-ms/insert")
+			b.ReportMetric(lat[len(lat)*99/100], "p99-ms/insert")
+			b.ReportMetric(buildMs, "build-ms")
+			b.ReportMetric(adoptMs, "adopt-ms")
+			b.ReportMetric(replayed, "replayed")
+		})
+	}
 }
 
 // BenchmarkKNNASL is BenchmarkKNN10k's tree-vs-scan pair on the second

@@ -929,12 +929,12 @@ func (e *Engine) requireMutable() error {
 
 // Rebuild reconstructs every shard of every mutable metric from its
 // current members as a rolling update: shards rebuild strictly one at a
-// time, so at any moment at most one shard is write-locked and queries
-// keep flowing through the others (a k-NN fan-out stalls only on the
-// shard currently rebuilding, not on the whole index). Availability is
-// deliberately chosen over rebuild wall clock here — each shard's
-// internal build still parallelises when the tree's Parallel option is
-// set. Like Insert it requires every loaded backend to be mutable.
+// time, each in the background (trajtree/rebuild.go) — a shard keeps
+// answering and taking updates while its new tree is built, and is
+// write-locked only to start the build and to swap the result in. One
+// at a time keeps the build from competing with serving for more than
+// the CPUs a single build takes. Like Insert it requires every loaded
+// backend to be mutable.
 func (e *Engine) Rebuild() error {
 	if err := e.requireMutable(); err != nil {
 		return err
@@ -950,6 +950,18 @@ func (e *Engine) Rebuild() error {
 	return nil
 }
 
+// waitRebuilds blocks until no shard has a background build running. The
+// builds are left for whoever updates the shard next to adopt.
+func (e *Engine) waitRebuilds() {
+	for _, ms := range e.sets {
+		for _, s := range ms.shards {
+			if done := s.rebuildDone(); done != nil {
+				<-done
+			}
+		}
+	}
+}
+
 // ShardStats is one shard's slice of the index shape on GET /stats.
 type ShardStats struct {
 	Shard  int `json:"shard"`
@@ -958,8 +970,9 @@ type ShardStats struct {
 	// Mem is the shard's memory layout: arena slab residency (bytes,
 	// member and sample counts, mmap versus heap), the overlay count
 	// (members inserted since the last rebuild, not yet slab-resident),
-	// and how many rebuilds have folded an overlay in. Tree-backed
-	// shards only.
+	// how many rebuilds have folded an overlay in, whether one is being
+	// built now, and what the last one cost (build_ms in the background,
+	// adopt_ms under the shard's write lock). Tree-backed shards only.
 	Mem *trajtree.MemStats `json:"mem,omitempty"`
 }
 

@@ -3,6 +3,7 @@ package server
 import (
 	"fmt"
 	"io"
+	"log"
 	"sync"
 
 	"trajmatch/internal/backend"
@@ -24,9 +25,9 @@ func treeOf(be backend.Backend) (*trajtree.Tree, bool) {
 // shard is one independently locked partition of a metric's index: a
 // backend.Backend plus the RWMutex that serialises its updates against
 // its readers. Queries fan out across shards taking each shard's read
-// lock individually, so an Insert/Delete/Rebuild on one shard stalls only
-// the 1/N of the search space it owns while the other shards keep
-// answering.
+// lock individually, so an Insert/Delete on one shard stalls only the 1/N
+// of the search space it owns while the other shards keep answering; a
+// rebuild stalls nothing but the swap at its end.
 //
 // The optional operations — sub-trajectory search, mutation, persistence
 // — are capability-gated: the shard type-asserts the corresponding
@@ -120,49 +121,89 @@ func (s *shard) lookup(id int) *traj.Trajectory {
 	return s.be.Lookup(id)
 }
 
-// insert adds tr and bumps the engine generation while still holding the
-// shard's write lock, so any query that observes the new trajectory also
-// observes the new generation (the result-cache consistency argument in
-// engine.go depends on this ordering).
-func (s *shard) insert(tr *traj.Trajectory, gen *engineGen) error {
+// update runs fn on the shard's mutable backend under the write lock and
+// bumps the engine generation, still under it, when fn reports a change —
+// so any query that observes the change also observes the new generation
+// (the result-cache consistency argument in engine.go depends on this
+// ordering). A tree adopts a finished background rebuild inside such a
+// call; update logs it once the lock is released.
+func (s *shard) update(op string, gen *engineGen, fn func(backend.Mutable) (bool, error)) (bool, error) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	m, ok := s.be.(backend.Mutable)
 	if !ok {
-		return fmt.Errorf("insert %w", backend.ErrNotSupported)
+		s.mu.Unlock()
+		return false, fmt.Errorf("%s %w", op, backend.ErrNotSupported)
 	}
-	if err := m.Insert(tr); err != nil {
-		return err
+	tree, _ := treeOf(s.be)
+	var before, after trajtree.MemStats
+	if tree != nil {
+		before = tree.MemStats()
 	}
-	gen.bump()
-	return nil
+	changed, err := fn(m)
+	if changed {
+		gen.bump()
+	}
+	if tree != nil {
+		after = tree.MemStats()
+	}
+	size := s.be.Size()
+	s.mu.Unlock()
+	if after.FoldIns != before.FoldIns {
+		log.Printf("rebuild adopted during %s: %d members, built in %.0f ms, %.2f ms under the lock replaying %d",
+			op, size, after.BuildMs, after.AdoptMs, after.Replayed)
+	}
+	return changed, err
+}
+
+func (s *shard) insert(tr *traj.Trajectory, gen *engineGen) error {
+	_, err := s.update("insert", gen, func(m backend.Mutable) (bool, error) {
+		err := m.Insert(tr)
+		return err == nil, err
+	})
+	return err
 }
 
 func (s *shard) delete(id int, gen *engineGen) (bool, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	m, ok := s.be.(backend.Mutable)
-	if !ok {
-		return false, fmt.Errorf("delete %w", backend.ErrNotSupported)
-	}
-	if !m.Delete(id) {
-		return false, nil
-	}
-	gen.bump()
-	return true, nil
+	return s.update("delete", gen, func(m backend.Mutable) (bool, error) {
+		return m.Delete(id), nil
+	})
 }
 
+// rebuild holds the write lock only to start the tree's background build
+// and, once that has finished, to adopt it; in between the shard answers
+// and takes updates as usual. An update may adopt the build first, and
+// then nothing is left to do here.
 func (s *shard) rebuild(gen *engineGen) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	m, ok := s.be.(backend.Mutable)
-	if !ok {
-		return fmt.Errorf("rebuild %w", backend.ErrNotSupported)
-	}
-	if err := m.Rebuild(); err != nil {
+	var tree *trajtree.Tree
+	var done <-chan struct{}
+	_, err := s.update("rebuild", gen, func(m backend.Mutable) (bool, error) {
+		var ok bool
+		if tree, ok = treeOf(s.be); !ok {
+			err := m.Rebuild()
+			return err == nil, err
+		}
+		tree.StartRebuild()
+		done = tree.RebuildDone()
+		return false, nil
+	})
+	if err != nil || tree == nil {
 		return err
 	}
-	gen.bump()
+	<-done
+	_, err = s.update("rebuild", gen, func(backend.Mutable) (bool, error) {
+		return tree.AdoptRebuild()
+	})
+	return err
+}
+
+// rebuildDone returns the channel a tree-backed shard's background build
+// closes when it has finished, nil when none is running.
+func (s *shard) rebuildDone() <-chan struct{} {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	if tree, ok := treeOf(s.be); ok {
+		return tree.RebuildDone()
+	}
 	return nil
 }
 

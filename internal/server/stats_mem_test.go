@@ -38,7 +38,7 @@ func TestV1StatsMemorySection(t *testing.T) {
 		if !ok {
 			t.Fatalf("shard %d: no mem section: %#v", i, sh)
 		}
-		for _, key := range []string{"arena", "overlay", "fold_ins"} {
+		for _, key := range []string{"arena", "overlay", "fold_ins", "rebuild_in_flight", "build_ms", "adopt_ms", "replayed"} {
 			if _, ok := mem[key]; !ok {
 				t.Fatalf("shard %d: mem missing key %q: %#v", i, key, mem)
 			}
@@ -96,5 +96,10 @@ func TestV1StatsMemorySection(t *testing.T) {
 	}
 	if o, f := overlayTotal(); o != 0 || f < 1 {
 		t.Fatalf("after rebuild overlay=%v fold_ins=%v, want 0 and >=1", o, f)
+	}
+	for _, ss := range e.Stats().PerShard {
+		if ss.Mem.RebuildInFlight || ss.Mem.BuildMs <= 0 || ss.Mem.Replayed != 0 {
+			t.Fatalf("shard %d after an explicit rebuild: %+v", ss.Shard, ss.Mem)
+		}
 	}
 }

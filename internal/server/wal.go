@@ -155,11 +155,13 @@ func (e *Engine) replayRecord(rec wal.Record) error {
 }
 
 // Close releases the engine's durable resources: it stops the
-// background sealer, then flushes and fsyncs the write-ahead log (under
+// background sealer, waits for background rebuilds so that no goroutine
+// outlives the engine, then flushes and fsyncs the write-ahead log (under
 // every sync policy) and closes it. Queries still work after Close;
-// mutations fail. Engines without a WAL only stop the sealer.
+// mutations fail. Engines without a WAL stop at the rebuilds.
 func (e *Engine) Close() error {
 	e.stopSealer()
+	e.waitRebuilds()
 	if e.wal == nil {
 		return nil
 	}

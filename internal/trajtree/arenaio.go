@@ -283,6 +283,9 @@ func fromSnapshot(snap *arena.Snapshot) (*Tree, uint32, error) {
 			return nil, 0, err
 		}
 		t.root = root
+		for _, m := range root.members {
+			t.byID[m.ID] = m
+		}
 	}
 	if err := t.checkInvariants(); err != nil {
 		return nil, 0, fmt.Errorf("trajtree: load: %v: %w", err, arena.ErrCorrupt)

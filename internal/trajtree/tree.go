@@ -11,9 +11,12 @@
 // bound cannot beat the current k-th best distance.
 //
 // A Tree is immutable under queries and safe for concurrent KNN calls;
-// Insert, Delete and Rebuild require external serialisation. Package
-// server wraps a Tree in an RWMutex-guarded engine that provides exactly
-// that serialisation for concurrent workloads.
+// Insert, Delete and the rebuild calls require external serialisation.
+// Package server wraps a Tree in an RWMutex-guarded engine that provides
+// exactly that serialisation for concurrent workloads. The one goroutine
+// a Tree owns is a rebuild's background build (rebuild.go): it reads only
+// immutable point data and its result replaces the root only inside one
+// of those serialised calls.
 package trajtree
 
 import (
@@ -64,7 +67,8 @@ type Options struct {
 	DisableVantage bool
 	// RebuildRatio triggers an automatic rebuild when
 	// inserts+deletes > ratio × size. 0 means the default of 0.25;
-	// negative disables auto-rebuild.
+	// negative disables auto-rebuild. The rebuild builds in the
+	// background and is swapped in by a later update (rebuild.go).
 	RebuildRatio float64
 	// Seed drives all randomised choices, making builds reproducible.
 	Seed int64
@@ -131,9 +135,13 @@ type Tree struct {
 	root *node
 	opt  Options
 	size int
-	mods int    // inserts + deletes since the last (re)build
-	gen  uint64 // bumped by every Insert/Delete/Rebuild
+	mods int    // inserts + deletes since the last build or rebuild trigger
+	gen  uint64 // bumped by every Insert/Delete and every adopted rebuild
 	rng  *rand.Rand
+
+	// byID indexes the root's member list by trajectory ID, overlay
+	// included (the arena's own index covers slab members only).
+	byID map[int]*traj.Trajectory
 
 	// ar is the shard's arena: slab-resident samples plus the
 	// per-member summaries behind the leaf-level lower-bound screen.
@@ -144,23 +152,36 @@ type Tree struct {
 	ar      *arena.Arena
 	overlay int    // live members without an arena entry
 	foldIns uint64 // rebuilds that folded an overlay into new slabs
+
+	// Rebuild state (rebuild.go): rb is the build in flight, last what
+	// the most recent adoption cost. background marks a tree that is
+	// itself a rebuild's product: it is built on one CPU fewer and never
+	// starts a rebuild of its own. hook is nil outside tests.
+	rb         *rebuild
+	last       RebuildStats
+	background bool
+	hook       func(rebuildEvent)
 }
 
 // New bulk-loads a TrajTree over db. Every trajectory must have at least
 // two points and a unique ID; New returns an error otherwise.
 func New(db []*traj.Trajectory, opt Options) (*Tree, error) {
-	opt = opt.withDefaults()
-	seen := make(map[int]bool, len(db))
+	return newTree(db, opt, false)
+}
+
+// newTree is New; background marks the build of a rebuild (Tree.background).
+func newTree(db []*traj.Trajectory, opt Options, background bool) (*Tree, error) {
+	tr := newTreeShell(opt, len(db))
+	tr.background = background
 	for _, t := range db {
 		if err := t.Validate(); err != nil {
 			return nil, fmt.Errorf("trajtree: trajectory %d: %w", t.ID, err)
 		}
-		if seen[t.ID] {
+		if tr.byID[t.ID] != nil {
 			return nil, fmt.Errorf("trajtree: duplicate trajectory ID %d", t.ID)
 		}
-		seen[t.ID] = true
+		tr.byID[t.ID] = t
 	}
-	tr := &Tree{opt: opt, size: len(db), rng: rand.New(rand.NewSource(opt.Seed))}
 	if len(db) > 0 {
 		owned := make([]*traj.Trajectory, len(db))
 		copy(owned, db)
@@ -168,7 +189,7 @@ func New(db []*traj.Trajectory, opt Options) (*Tree, error) {
 		// already stream over the primed slab views; priming installs
 		// bit-identical values, so the built tree is unchanged.
 		tr.ar = arena.Build(owned)
-		tr.root = tr.build(owned, tbox.Build(owned, opt.MaxBoxes), opt.Parallel)
+		tr.root = tr.build(owned, tbox.Build(owned, tr.opt.MaxBoxes), tr.opt.Parallel)
 		tr.seedVantage()
 	}
 	return tr, nil
@@ -184,19 +205,21 @@ func (t *Tree) seedVantage() {
 	}
 }
 
-// newTreeShell builds an empty Tree with normalised options, used by Load.
+// newTreeShell returns a rootless Tree of the given size with normalised
+// options and an empty ID index, for New and Load to fill.
 func newTreeShell(opt Options, size int) *Tree {
 	opt = opt.withDefaults()
-	return &Tree{opt: opt, size: size, rng: rand.New(rand.NewSource(opt.Seed))}
+	return &Tree{opt: opt, size: size, rng: rand.New(rand.NewSource(opt.Seed)),
+		byID: make(map[int]*traj.Trajectory, size)}
 }
 
 // Size returns the number of indexed trajectories.
 func (t *Tree) Size() int { return t.size }
 
 // Generation returns a counter that increases on every structural update
-// (Insert, Delete, Rebuild). Readers that cache query answers can compare
-// generations to detect staleness instead of subscribing to updates; the
-// server engine keys its LRU invalidation on it. Like every Tree accessor
+// (Insert, Delete, an adopted rebuild). Readers that cache query answers
+// can compare generations to detect staleness instead of subscribing to
+// updates; the server engine keys its LRU invalidation on it. Like every Tree accessor
 // it requires the caller to serialise updates against reads.
 func (t *Tree) Generation() uint64 { return t.gen }
 
@@ -333,20 +356,27 @@ func screenExceeds(scr *core.SegScreen, sub bool, rects, lens []float64, raw flo
 }
 
 // MemStats describes the tree's memory layout for the stats endpoint:
-// the arena's slab residency plus the overlay and fold-in counters.
+// the arena's slab residency, the overlay and fold-in counters, and the
+// rebuild in flight and last adopted.
 type MemStats struct {
 	Arena arena.MemStats `json:"arena"`
 	// Overlay counts live members not resident in the arena —
-	// trajectories inserted since the last (re)build.
+	// trajectories inserted since the members of the last (re)build were
+	// frozen.
 	Overlay int `json:"overlay"`
 	// FoldIns counts rebuilds that folded an overlay into fresh slabs.
 	FoldIns uint64 `json:"fold_ins"`
+	// RebuildInFlight reports a background build started and not yet
+	// adopted.
+	RebuildInFlight bool `json:"rebuild_in_flight"`
+	RebuildStats
 }
 
 // MemStats returns the tree's memory-layout counters. Like every Tree
 // accessor it requires the caller to serialise updates against reads.
 func (t *Tree) MemStats() MemStats {
-	return MemStats{Arena: t.ar.Stats(), Overlay: t.overlay, FoldIns: t.foldIns}
+	return MemStats{Arena: t.ar.Stats(), Overlay: t.overlay, FoldIns: t.foldIns,
+		RebuildInFlight: t.rb != nil, RebuildStats: t.last}
 }
 
 // build constructs the subtree over ts, whose summary seq (already
@@ -363,7 +393,14 @@ func (t *Tree) build(ts []*traj.Trajectory, seq *tbox.Seq, parallel bool) *node 
 	n.children = make([]*node, len(groups))
 	if parallel {
 		var wg sync.WaitGroup
-		sem := make(chan struct{}, runtime.NumCPU())
+		// A background build leaves one CPU to serving. Every child draws
+		// from its own stream, so the cap changes scheduling only: the
+		// tree is the one a foreground build of the same members makes.
+		slots := runtime.NumCPU()
+		if t.background {
+			slots = max(1, slots-1)
+		}
+		sem := make(chan struct{}, slots)
 		// Children need their own RNG streams to stay deterministic-ish;
 		// derive from the parent seed.
 		for i := range groups {
@@ -463,6 +500,14 @@ func (t *Tree) checkInvariants() error {
 	}
 	if count != t.size {
 		return fmt.Errorf("leaf total %d != size %d", count, t.size)
+	}
+	if len(t.byID) != len(t.root.members) {
+		return fmt.Errorf("ID index holds %d entries for %d members", len(t.byID), len(t.root.members))
+	}
+	for _, m := range t.root.members {
+		if t.byID[m.ID] != m {
+			return fmt.Errorf("ID index does not map %d to its member", m.ID)
+		}
 	}
 	return nil
 }

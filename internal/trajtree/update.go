@@ -3,6 +3,7 @@ package trajtree
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"trajmatch/internal/tbox"
 	"trajmatch/internal/traj"
@@ -14,16 +15,22 @@ import (
 // node on the path absorbs it into its summary (existing pivots are
 // reused), the root appends its descriptor under the existing vantage
 // points, and overflowing leaves are re-partitioned. When accumulated
-// modifications exceed RebuildRatio × size the whole index is rebuilt,
-// approximating the paper's "poor node" policy.
+// modifications exceed RebuildRatio × size the whole index is rebuilt in
+// the background (rebuild.go), approximating the paper's "poor node"
+// policy.
 func (t *Tree) Insert(tr *traj.Trajectory) error {
 	if err := tr.Validate(); err != nil {
 		return fmt.Errorf("trajtree: %w", err)
 	}
-	if t.Lookup(tr.ID) != nil {
+	if t.byID[tr.ID] != nil {
 		return fmt.Errorf("trajtree: duplicate trajectory ID %d", tr.ID)
 	}
+	t.adoptIfReady()
 	t.gen++
+	t.byID[tr.ID] = tr
+	// The new member lives on the heap until a rebuild folds it into
+	// fresh arena slabs; until then the leaf screen skips it.
+	t.overlay++
 	if t.root == nil {
 		t.root = &node{
 			seq:     tbox.FromTrajectory(tr, t.opt.MaxBoxes),
@@ -31,16 +38,12 @@ func (t *Tree) Insert(tr *traj.Trajectory) error {
 			maxLen:  tr.Length(),
 		}
 		t.size = 1
-		t.overlay++
-		return nil
+	} else {
+		t.insertAt(t.root, tr)
+		t.size++
+		t.mods++
 	}
-	t.insertAt(t.root, tr)
-	t.size++
-	t.mods++
-	// The new member lives on the heap until a rebuild folds it into
-	// fresh arena slabs; until then the leaf screen skips it.
-	t.overlay++
-	t.maybeRebuild()
+	t.mutated(deltaOp{ins: tr})
 	return nil
 }
 
@@ -92,37 +95,38 @@ func (t *Tree) splitLeaf(n *node) {
 // tBoxSeqs unchanged (Section IV-F). It reports whether the ID was
 // present.
 func (t *Tree) Delete(id int) bool {
-	if t.root == nil {
+	if t.byID[id] == nil {
 		return false
 	}
-	if !t.deleteFrom(t.root, id) {
+	// Adoption replaces the member headers, and the path down the tree is
+	// found by header identity: look the header up after it.
+	t.adoptIfReady()
+	if !t.deleteFrom(t.root, t.byID[id]) {
 		return false
 	}
+	delete(t.byID, id)
 	t.gen++
 	t.size--
 	t.mods++
 	if _, ok := t.arenaIndex(id); !ok {
 		t.overlay--
 	}
-	t.maybeRebuild()
+	t.mutated(deltaOp{del: id})
 	return true
 }
 
-func (t *Tree) deleteFrom(n *node, id int) bool {
-	idx := -1
-	for i, m := range n.members {
-		if m.ID == id {
-			idx = i
-			break
-		}
-	}
+// deleteFrom removes member m from n and from the one child path that
+// holds it. Every node on the path lists the same header, so the search
+// compares pointers and never touches the members it skips.
+func (t *Tree) deleteFrom(n *node, m *traj.Trajectory) bool {
+	idx := slices.Index(n.members, m)
 	if idx < 0 {
 		return false
 	}
 	if !n.leaf() {
 		found := false
 		for _, c := range n.children {
-			if t.deleteFrom(c, id) {
+			if t.deleteFrom(c, m) {
 				found = true
 				break
 			}
@@ -148,67 +152,12 @@ func (t *Tree) deleteFrom(n *node, id int) bool {
 }
 
 // Lookup returns the indexed trajectory with the given ID, or nil.
-func (t *Tree) Lookup(id int) *traj.Trajectory {
-	n := t.root
-	if n == nil {
-		return nil
-	}
-	for _, m := range n.members {
-		if m.ID == id {
-			return m
-		}
-	}
-	return nil
-}
+func (t *Tree) Lookup(id int) *traj.Trajectory { return t.byID[id] }
 
 // All returns all indexed trajectories (the root's member list).
 func (t *Tree) All() []*traj.Trajectory {
 	if t.root == nil {
 		return nil
 	}
-	out := make([]*traj.Trajectory, len(t.root.members))
-	copy(out, t.root.members)
-	return out
-}
-
-// Rebuild reconstructs the index from its current members, restoring tight
-// summaries after many updates.
-func (t *Tree) Rebuild() error {
-	members := t.All()
-	// Current members have escaped to readers through query results, and
-	// arena.Build re-points each trajectory's Points at its new slab —
-	// a write no lock covers once a result is out. Rebuild therefore
-	// hands Build fresh headers over the same (read-only) point slices:
-	// the escaped headers are never touched, they just keep aliasing the
-	// previous slabs until their holders drop them.
-	for i, m := range members {
-		h := traj.New(m.ID, m.Points)
-		h.Label = m.Label
-		members[i] = h
-	}
-	fresh, err := New(members, t.opt)
-	if err != nil {
-		return err
-	}
-	t.root = fresh.root
-	t.size = fresh.size
-	t.mods = 0
-	t.gen++
-	// The rebuild folded every live member — overlay included — into
-	// the fresh tree's arena slabs.
-	t.ar = fresh.ar
-	t.overlay = 0
-	t.foldIns++
-	return nil
-}
-
-func (t *Tree) maybeRebuild() {
-	if t.opt.RebuildRatio < 0 || t.size == 0 {
-		return
-	}
-	if float64(t.mods) > t.opt.RebuildRatio*float64(t.size) {
-		// Rebuild over current members cannot fail validation: they were
-		// validated on entry.
-		_ = t.Rebuild()
-	}
+	return slices.Clone(t.root.members)
 }
