@@ -5,8 +5,7 @@
 // paper times. cmd/trajbench prints the full multi-column tables.
 //
 // Scales are laptop-sized; the shapes (who wins, crossovers, growth rates)
-// are the reproduction target, not the authors' absolute numbers — see
-// EXPERIMENTS.md.
+// are the reproduction target, not the authors' absolute numbers.
 package trajmatch_test
 
 import (
@@ -248,7 +247,7 @@ func BenchmarkFig6fBuildVsTheta(b *testing.B) {
 }
 
 // BenchmarkAblationVantagePoints measures the VP machinery's effect on
-// query latency (ablation X1 of DESIGN.md).
+// query latency ("Vantage pass" in docs/ARCHITECTURE.md, "Memory layout").
 func BenchmarkAblationVantagePoints(b *testing.B) {
 	db := benchTaxi()
 	queries := benchQueries(3)
@@ -599,7 +598,7 @@ func BenchmarkDistanceBounded(b *testing.B) {
 }
 
 // BenchmarkEngineKNNBatch measures the concurrent engine's batch path
-// against a sequential Tree.KNN loop over the same query set. The batch
+// against a sequential Index.SearchKNN loop over the same query set. The batch
 // fans across GOMAXPROCS workers, so "batch" should approach
 // "sequential" / NumCPU — near-linear speedup is the engine's headline
 // claim. The result cache is disabled so every query pays full price.
@@ -657,7 +656,8 @@ func BenchmarkEngineKNNBatch(b *testing.B) {
 //   - fanout-shared: a manual fan-out over round-robin partition trees
 //     sharing one SharedBound — isolates the bound-sharing machinery;
 //   - fanout-independent: the same partition trees searched with plain
-//     KNN and merged — what a naive sharded engine would do.
+//     SearchKNN (no shared bound) and merged — what a naive sharded
+//     engine would do.
 //
 // The number to watch is distcalls/query of shared vs independent: the
 // shared bound is what keeps a sharded search from paying the full k-NN
@@ -863,7 +863,7 @@ func TestBackendKNNAllocBudget(t *testing.T) {
 	}
 	const budget = 300
 	if n := testing.AllocsPerRun(50, run); n > budget {
-		t.Errorf("engine KNN allocates %v per query, budget %d", n, budget)
+		t.Errorf("engine k-NN Search allocates %v per query, budget %d", n, budget)
 	}
 }
 

@@ -8,7 +8,7 @@
 //	trajbench -exp 5j -taxi 2000 -q 20 # larger run for the timing figures
 //
 // Absolute numbers depend on this machine; the reproduction targets are the
-// shapes the paper reports (see EXPERIMENTS.md).
+// shapes the paper reports.
 package main
 
 import (

@@ -32,10 +32,7 @@
 // request runs under a deadline honoured cooperatively down to the
 // distance dynamic programs of every metric (an expiry answers 504
 // {"code": "deadline_exceeded"}), and a client disconnect cancels its
-// query the same way. The pre-versioning routes (/knn, /knn/batch,
-// /range, /insert, /delete, /rebuild, /snapshot, /stats, /healthz) keep
-// answering with their original wire shapes plus a "Deprecation: true"
-// header naming the /v1 successor.
+// query the same way.
 //
 // GET /v1/stats includes the bounded-kernel counters (distance_calls,
 // early_abandons, screen_rejects, lower_bound_calls, ...) accumulated
@@ -58,7 +55,7 @@
 // holds a manifest (skipping the bulk build entirely; the shard count
 // then comes from the manifest, not -shards; the manifest's recorded
 // sketch parameters re-arm the prefilter regardless of -prefilter) and
-// arms POST /snapshot to write one. SIGINT/SIGTERM drain in-flight
+// arms POST /v1/snapshot to write one. SIGINT/SIGTERM drain in-flight
 // requests, then flush and close the write-ahead log, before exit.
 //
 // /v1/append grows live tracks point by point: each delta is validated,
@@ -83,7 +80,7 @@
 // acknowledgement and survives power loss, "interval" fsyncs in the
 // background every -wal-sync-interval and bounds the loss window to
 // that interval, "never" leaves flushing to the OS page cache (a kill
-// -9 still loses nothing; power loss may). A committed POST /snapshot
+// -9 still loses nothing; power loss may). A committed POST /v1/snapshot
 // truncates the log segments the snapshot subsumes. GET /v1/stats
 // reports the log's counters under "wal".
 //
@@ -152,7 +149,7 @@ func main() {
 		cache    = flag.Int("cache", 0, "LRU result-cache entries (0 = default 1024, negative disables)")
 		workers  = flag.Int("workers", 0, "batch worker-pool / shard fan-out size (0 = GOMAXPROCS)")
 		shards   = flag.Int("shards", 1, "number of hash-partitioned index shards")
-		snapshot = flag.String("snapshot", "", "snapshot directory: load on boot if present, POST /snapshot writes here")
+		snapshot = flag.String("snapshot", "", "snapshot directory: load on boot if present, POST /v1/snapshot writes here")
 		mmapBoot = flag.Bool("mmap", false, "map the snapshot's shard files instead of reading them onto the heap: the same files, checks and loaded state either way, with the point slabs aliasing the page cache")
 		walDir   = flag.String("wal", "", "write-ahead-log directory: mutations are logged before acknowledgement and replayed on boot")
 		walSync  = flag.String("wal-sync", "always", "WAL durability point: always (fsync per acknowledgement), interval (background fsync), never (OS page cache)")

@@ -62,7 +62,7 @@ func main() {
 	edrIx := trajmatch.NewEDRIndex(interp, 60)
 	iq := trajmatch.Resample(query, spacing)
 	t0 = time.Now()
-	edrIx.KNN(iq, k)
+	edrIx.SearchKNN(iq, k, nil, nil)
 	tEDR := time.Since(t0)
 
 	fmt.Printf("\n%d-NN latency: TrajTree %v | EDwP scan %v | EDR-I index %v\n",

@@ -24,12 +24,11 @@ type KBest struct {
 }
 
 // NewKBest returns an accumulator retaining the k best (smallest
-// (distance, ID)) candidates.
+// (distance, ID)) candidates. k comes straight from a request, so the
+// answer set grows with what it holds rather than being sized by k: a
+// k of 2⁴⁰ must cost no more than the candidates actually offered.
 func NewKBest(k int) *KBest {
-	if k < 0 {
-		k = 0
-	}
-	return &KBest{k: k, res: make([]Result, 0, k)}
+	return &KBest{k: max(k, 0)}
 }
 
 func less(aDist float64, aID int, bDist float64, bID int) bool {

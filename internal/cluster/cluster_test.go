@@ -450,3 +450,34 @@ func TestRouterBootValidation(t *testing.T) {
 		t.Fatalf("router admitted a dead node at boot")
 	}
 }
+
+// TestRouterHugeK: k is request data, and a k far beyond the corpus must
+// answer with every member through both fan-out shapes. A merge buffer
+// sized by k would ask the runtime for 16 TiB at k = 2⁴⁰ — a fatal
+// out-of-memory error that no handler recovery can catch.
+func TestRouterHugeK(t *testing.T) {
+	db := testDB(40, 7)
+	for _, sequential := range []bool{false, true} {
+		rt, cleanup := bootCluster(t, db, 2, [][]int{{0}, {1}}, sequential)
+		front := httptest.NewServer(RouterHandler(rt))
+		body, _ := json.Marshal(server.SearchRequest{
+			Query:     server.Query{Kind: server.KindKNN, K: 1 << 40},
+			QueryTraj: wireTraj(testDB(1, 99)[0]),
+		})
+		resp, err := http.Post(front.URL+"/v1/search", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatalf("sequential=%v: %v", sequential, err)
+		}
+		var sr server.SearchResponse
+		derr := json.NewDecoder(resp.Body).Decode(&sr)
+		resp.Body.Close()
+		front.Close()
+		cleanup()
+		if resp.StatusCode != http.StatusOK || derr != nil {
+			t.Fatalf("sequential=%v: status %d (decode %v)", sequential, resp.StatusCode, derr)
+		}
+		if len(sr.Results) != len(db) {
+			t.Fatalf("sequential=%v: %d results, want every one of %d members", sequential, len(sr.Results), len(db))
+		}
+	}
+}

@@ -7,7 +7,7 @@ import (
 	"trajmatch/internal/traj"
 )
 
-// UniformDistance is the ablation counterpart of Distance (DESIGN.md, X2):
+// UniformDistance is the ablation counterpart of Distance:
 // the same dynamic program with the Coverage factor of Eq. 3 removed, so
 // every edit contributes its raw rep(·,·) cost regardless of how much of
 // the trajectories it explains. Section V-C credits Coverage with the

@@ -272,7 +272,7 @@ func TestPrefixDistance(t *testing.T) {
 
 // The DP agrees with the exact-recursion oracle on the paper's examples and
 // closely tracks it on random smooth inputs (the only divergence source is
-// the full-segment canonical projection; see DESIGN.md §2).
+// the full-segment canonical projection).
 func TestDPMatchesExactOracle(t *testing.T) {
 	cases := [][2]*traj.Trajectory{
 		{line(0, 1), line(0, 1, 2)},

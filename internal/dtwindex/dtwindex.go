@@ -201,16 +201,8 @@ func (ix *Index) SearchRange(q *traj.Trajectory, radius float64, ctl *backend.Ct
 	return res, st, truncated, err
 }
 
-// KNN returns the exact DTW k-nearest neighbours of q, sorted by
-// (distance, ID). It is SearchKNN with no shared bound and no Ctl — the
-// standalone entry point the eval harness scans with.
-func (ix *Index) KNN(q *traj.Trajectory, k int) ([]Result, Stats) {
-	res, st, _, _ := ix.SearchKNN(q, k, nil, nil)
-	return res, st
-}
-
 // KNNBrute is the unpruned scan for verification, with the same
-// (distance, ID) ordering as KNN.
+// (distance, ID) ordering as SearchKNN.
 func (ix *Index) KNNBrute(q *traj.Trajectory, k int) []Result {
 	ans := backend.NewKBest(k)
 	for _, t := range ix.db {

@@ -23,7 +23,7 @@ func TestKNNMatchesBruteForce(t *testing.T) {
 	for it := 0; it < 10; it++ {
 		q := db[rng.Intn(len(db))]
 		for _, k := range []int{1, 5, 10} {
-			got, _ := ix.KNN(q, k)
+			got, _, _, _ := ix.SearchKNN(q, k, nil, nil)
 			want := ix.KNNBrute(q, k)
 			if len(got) != len(want) {
 				t.Fatalf("k=%d: %d results, want %d", k, len(got), len(want))
@@ -99,7 +99,7 @@ func TestEarlyAbandonCertifiesBound(t *testing.T) {
 func TestPruningHappens(t *testing.T) {
 	db := smallDB(150)
 	ix := New(db)
-	_, st := ix.KNN(db[3], 5)
+	_, st, _, _ := ix.SearchKNN(db[3], 5, nil, nil)
 	if st.NodesPruned == 0 {
 		t.Error("no candidates pruned")
 	}
@@ -123,7 +123,7 @@ func TestTieOrderingDeterministic(t *testing.T) {
 	for it := 0; it < 10; it++ {
 		q := base[it*3%len(base)]
 		for _, k := range []int{1, 3, 7} {
-			got, _ := ix.KNN(q, k)
+			got, _, _, _ := ix.SearchKNN(q, k, nil, nil)
 			want := ix.KNNBrute(q, k)
 			if len(got) != len(want) {
 				t.Fatalf("k=%d: %d results, want %d", k, len(got), len(want))
@@ -146,12 +146,12 @@ func TestTieOrderingDeterministic(t *testing.T) {
 
 func TestDegenerateInputs(t *testing.T) {
 	ix := New(nil)
-	if res, _ := ix.KNN(traj.FromXY(0, 0, 0, 1, 1), 3); len(res) != 0 {
+	if res, _, _, _ := ix.SearchKNN(traj.FromXY(0, 0, 0, 1, 1), 3, nil, nil); len(res) != 0 {
 		t.Error("kNN over empty index returned results")
 	}
 	db := smallDB(4)
 	ix = New(db)
-	if res, _ := ix.KNN(db[0], 0); len(res) != 0 {
+	if res, _, _, _ := ix.SearchKNN(db[0], 0, nil, nil); len(res) != 0 {
 		t.Error("k=0 returned results")
 	}
 }

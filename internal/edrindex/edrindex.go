@@ -3,8 +3,7 @@
 // follows the pruning framework of the original EDR paper (Chen, Özsu,
 // Oria; SIGMOD 2005) with two admissible lower bounds — the sequence-length
 // difference and a grid-histogram mismatch count — and an early-abandoning
-// dynamic program ordered by those bounds (see DESIGN.md §3 for the
-// substitution note).
+// dynamic program ordered by those bounds.
 //
 // The Index implements backend.Backend (SearchKNN/SearchRange under a
 // shared bound and a cancellation Ctl), so the sharded engine of
@@ -243,16 +242,8 @@ func (ix *Index) SearchRange(q *traj.Trajectory, radius float64, ctl *backend.Ct
 	return res, st, truncated, err
 }
 
-// KNN returns the exact EDR k-nearest neighbours of q, sorted by
-// (distance, ID). It is SearchKNN with no shared bound and no Ctl — the
-// standalone entry point the eval harness scans with.
-func (ix *Index) KNN(q *traj.Trajectory, k int) ([]Result, Stats) {
-	res, st, _, _ := ix.SearchKNN(q, k, nil, nil)
-	return res, st
-}
-
 // KNNBrute is the unpruned scan, used to verify exactness, with the same
-// (distance, ID) ordering as KNN.
+// (distance, ID) ordering as SearchKNN.
 func (ix *Index) KNNBrute(q *traj.Trajectory, k int) []Result {
 	ans := backend.NewKBest(k)
 	for _, t := range ix.db {

@@ -22,7 +22,7 @@ func TestKNNMatchesBruteForce(t *testing.T) {
 	for it := 0; it < 10; it++ {
 		q := db[rng.Intn(len(db))]
 		for _, k := range []int{1, 5, 10} {
-			got, _ := ix.KNN(q, k)
+			got, _, _, _ := ix.SearchKNN(q, k, nil, nil)
 			want := ix.KNNBrute(q, k)
 			if len(got) != len(want) {
 				t.Fatalf("k=%d: %d results, want %d", k, len(got), len(want))
@@ -57,7 +57,7 @@ func TestPruningHappens(t *testing.T) {
 	db := smallDB(150)
 	ix := New(db, 60)
 	q := db[3]
-	_, st := ix.KNN(q, 5)
+	_, st, _, _ := ix.SearchKNN(q, 5, nil, nil)
 	if st.NodesPruned == 0 {
 		t.Error("no candidates pruned; bounds ineffective")
 	}
@@ -83,7 +83,7 @@ func TestTieOrderingDeterministic(t *testing.T) {
 	for it := 0; it < 10; it++ {
 		q := base[it*3%len(base)]
 		for _, k := range []int{1, 3, 7} {
-			got, _ := ix.KNN(q, k)
+			got, _, _, _ := ix.SearchKNN(q, k, nil, nil)
 			want := ix.KNNBrute(q, k)
 			if len(got) != len(want) {
 				t.Fatalf("k=%d: %d results, want %d", k, len(got), len(want))
@@ -106,15 +106,15 @@ func TestTieOrderingDeterministic(t *testing.T) {
 
 func TestEmptyAndDegenerate(t *testing.T) {
 	ix := New(nil, 10)
-	if res, _ := ix.KNN(traj.FromXY(0, 0, 0, 1, 1), 5); len(res) != 0 {
+	if res, _, _, _ := ix.SearchKNN(traj.FromXY(0, 0, 0, 1, 1), 5, nil, nil); len(res) != 0 {
 		t.Error("kNN over empty index returned results")
 	}
 	db := smallDB(5)
 	ix = New(db, 10)
-	if res, _ := ix.KNN(db[0], 0); len(res) != 0 {
+	if res, _, _, _ := ix.SearchKNN(db[0], 0, nil, nil); len(res) != 0 {
 		t.Error("k=0 returned results")
 	}
-	res, _ := ix.KNN(db[0], 100)
+	res, _, _, _ := ix.SearchKNN(db[0], 100, nil, nil)
 	if len(res) != 5 {
 		t.Errorf("k>n returned %d results", len(res))
 	}

@@ -280,8 +280,7 @@ func QueryCompetitors(db []*traj.Trajectory, queries []*traj.Trajectory, ks []in
 // execution of the other competitors in this comparison. Note that this
 // re-implementation of MA runs one assignment DP per direction, where the
 // authors' implementation evaluates five auxiliary quadratic functions —
-// their Fig. 5(j) MA curve therefore sits higher relative to the rest (see
-// EXPERIMENTS.md).
+// their Fig. 5(j) MA curve therefore sits higher relative to the rest.
 func maScan(db []*traj.Trajectory, m baseline.MA, q *traj.Trajectory, k int) {
 	ds := make([]float64, len(db))
 	for i := range db {

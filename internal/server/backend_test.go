@@ -42,7 +42,7 @@ func exactSameResults(t *testing.T, label string, got, want []backend.Result) {
 // TestEngineBackendsMatchStandaloneAcrossShards is the acceptance
 // property of the pluggable-backend redesign: Engine.Search routed to
 // the DTW and EDR backends is byte-identical to the corresponding
-// standalone Index.KNN over the whole database, across shard counts
+// standalone Index.SearchKNN over the whole database, across shard counts
 // {1, 2, 4, 8} — the shared-bound fan-out and the (distance, ID) merge
 // change nothing about the answer, only about the work.
 func TestEngineBackendsMatchStandaloneAcrossShards(t *testing.T) {
@@ -81,7 +81,7 @@ func TestEngineBackendsMatchStandaloneAcrossShards(t *testing.T) {
 				if err != nil {
 					t.Fatalf("it=%d: dtw Search: %v", it, err)
 				}
-				dref, _ := dtwRef.KNN(q, k)
+				dref, _, _, _ := dtwRef.SearchKNN(q, k, nil, nil)
 				exactSameResults(t, fmt.Sprintf("dtw it=%d k=%d", it, k), dans.Results, dref)
 				if dans.Stats.DistanceCalls == 0 {
 					t.Fatalf("it=%d: dtw search reported no distance calls", it)
@@ -91,7 +91,7 @@ func TestEngineBackendsMatchStandaloneAcrossShards(t *testing.T) {
 				if err != nil {
 					t.Fatalf("it=%d: edr Search: %v", it, err)
 				}
-				eref, _ := edrRef.KNN(q, k)
+				eref, _, _, _ := edrRef.SearchKNN(q, k, nil, nil)
 				exactSameResults(t, fmt.Sprintf("edr it=%d k=%d", it, k), eans.Results, eref)
 
 				// Range queries agree with the standalone indexes too.
@@ -171,7 +171,7 @@ func TestMetricCacheIsolation(t *testing.T) {
 	if dtw1.Cached {
 		t.Fatal("dtw query served from the edwp cache entry")
 	}
-	dtwRef, _ := dtwindex.New(db).KNN(q, 5)
+	dtwRef, _, _, _ := dtwindex.New(db).SearchKNN(q, 5, nil, nil)
 	exactSameResults(t, "dtw after cached edwp", dtw1.Results, dtwRef)
 	// Both metrics hit their own entries on repeat.
 	edwp2, _ := e.Search(ctx, q, Query{Kind: KindKNN, K: 5})

@@ -7,8 +7,6 @@
 // state after the last acknowledged mutation or that state plus exactly
 // the one mutation in flight — byte-identically to a reference engine
 // built from that state, and never anything partial.
-//
-//lint:file-ignore SA1019 exercises the deprecated per-variant queries on purpose.
 package server
 
 import (
@@ -328,11 +326,11 @@ func TestCrashRecoverySweep(t *testing.T) {
 					// built fresh from the matched state.
 					ref := refFor(matched)
 					for qi, q := range queries {
-						got, _ := rec.KNN(q, 5)
-						want, _ := ref.KNN(q, 5)
+						got := search(t, rec, q, Query{Kind: KindKNN, K: 5}).Results
+						want := search(t, ref, q, Query{Kind: KindKNN, K: 5}).Results
 						sameResults(t, fmt.Sprintf("failpoint %d KNN q%d", failAt, qi), got, want)
-						gotR, _ := rec.RangeSearch(q, 150)
-						wantR, _ := ref.RangeSearch(q, 150)
+						gotR := search(t, rec, q, Query{Kind: KindRange, Radius: 150}).Results
+						wantR := search(t, ref, q, Query{Kind: KindRange, Radius: 150}).Results
 						sameResults(t, fmt.Sprintf("failpoint %d range q%d", failAt, qi), gotR, wantR)
 					}
 					// The rebuilt prefilter serves too (recall-bounded, so
@@ -401,8 +399,8 @@ func TestWALReplayAfterKill(t *testing.T) {
 	for qi := 0; qi < 5; qi++ {
 		q := db[qi*7].Clone()
 		q.ID = 8_000_000 + qi
-		got, _ := e2.KNN(q, 6)
-		want, _ := e1.KNN(q, 6)
+		got := search(t, e2, q, Query{Kind: KindKNN, K: 6}).Results
+		want := search(t, e1, q, Query{Kind: KindKNN, K: 6}).Results
 		sameResults(t, fmt.Sprintf("post-replay KNN q%d", qi), got, want)
 	}
 
@@ -572,7 +570,7 @@ func TestSnapshotMixedEpoch(t *testing.T) {
 		for it := 0; it < 8; it++ {
 			q := db[(it*7)%len(db)].Clone()
 			q.ID = 7_000_000 + it
-			sameResults(t, fmt.Sprintf("mmap=%v it=%d", mm, it), searchKNN(t, rec, q, 6), searchKNN(t, e, q, 6))
+			sameResults(t, fmt.Sprintf("mmap=%v it=%d", mm, it), search(t, rec, q, Query{Kind: KindKNN, K: 6}).Results, search(t, e, q, Query{Kind: KindKNN, K: 6}).Results)
 		}
 		if err := rec.Close(); err != nil {
 			t.Fatal(err)

@@ -20,9 +20,7 @@
 // Cancellation threads cooperatively through the whole stack — the shard
 // fan-out skips un-started shards, the backend scans poll a flag between
 // candidate evaluations, and the DP kernels poll it per row — so a fired
-// deadline stops a query within one DP row of work. The per-variant
-// methods (KNN, RangeSearch, KNNBatch) survive as thin deprecated
-// wrappers with byte-identical answers.
+// deadline stops a query within one DP row of work.
 //
 // Trajectories hash to one of N shards per metric (router.go; placement
 // is shared across metrics), each behind its own RWMutex (shard.go), so
@@ -69,7 +67,7 @@ type Options struct {
 	// CacheSize is the maximum number of k-NN answers kept in the LRU
 	// cache. 0 means the default of 1024; negative disables caching.
 	CacheSize int
-	// Workers is the size of the KNNBatch worker pool, and the fan-out
+	// Workers is the size of the SearchBatch worker pool, and the fan-out
 	// width of a single query across shards. 0 means
 	// runtime.GOMAXPROCS(0).
 	Workers int
@@ -85,7 +83,7 @@ type Options struct {
 	// on foreign IDs answer ErrNotOwned. See the Partition type and
 	// internal/cluster for the router that reassembles the subsets.
 	Partition *Partition
-	// SnapshotDir, when non-empty, is where POST /snapshot writes the
+	// SnapshotDir, when non-empty, is where POST /v1/snapshot writes the
 	// sharded snapshot and where SaveSnapshot/LoadSnapshot default to.
 	SnapshotDir string
 	// Mmap makes LoadSnapshot map each shard file (shard-NNNN.arena)
@@ -234,7 +232,7 @@ type Engine struct {
 	// Cumulative per-query kernel instrumentation (backend.Stats summed
 	// over every non-cached query and every shard it fanned out to,
 	// across all metrics; per-metric breakdowns live on the metric sets),
-	// surfaced on GET /stats so the benefit of the bounded distance
+	// surfaced on GET /v1/stats so the benefit of the bounded distance
 	// kernels is observable in production.
 	distanceCalls   atomic.Uint64
 	earlyAbandons   atomic.Uint64
@@ -430,8 +428,8 @@ func (e *Engine) Lookup(id int) *traj.Trajectory {
 // cancellation flag between candidate evaluations, and the DP kernels
 // poll it once per row — a fired context aborts the query within one DP
 // row of work. A never-fired context leaves every answer byte-identical
-// to the deprecated per-variant methods (property-tested), and — for the
-// DTW/EDR backends — to their standalone indexes.
+// to the uncancellable search, and — for the DTW/EDR backends — to their
+// standalone indexes (property-tested).
 //
 // On success the Answer carries the (distance, ID)-sorted results, the
 // per-query stats when req.WithStats is set, and Truncated when a
@@ -470,11 +468,10 @@ func (e *Engine) Search(ctx context.Context, q *traj.Trajectory, req Query) (Ans
 
 // SearchBatch executes the same Query for len(qs) independent query
 // trajectories on the engine's worker pool, returning one Answer per
-// query in input order — unlike the deprecated KNNBatch, per-query Stats
-// survive (each Answer carries its own when req.WithStats is set). The
-// engine's cumulative counters accumulate every query's work exactly
-// once, flushed as one aggregate per batch to keep the workers off the
-// shared atomics.
+// query in input order, each carrying its own Stats when req.WithStats
+// is set. The engine's cumulative counters accumulate every query's work
+// exactly once, flushed as one aggregate per batch to keep the workers
+// off the shared atomics.
 //
 // All queries share ctx: once it fires, finished answers keep their
 // values, un-started queries are skipped, and SearchBatch returns the
@@ -546,8 +543,8 @@ func (e *Engine) searchOne(ctx context.Context, ms *metricSet, q *traj.Trajector
 		}
 	}
 	// The Ctl is only armed when it can matter — a cancellable context or
-	// an eval budget. Background-context, unbudgeted queries (the legacy
-	// wrappers) run the exact pre-redesign path with a nil Ctl.
+	// an eval budget. Background-context, unbudgeted queries (the eval
+	// harness, bench replays) run the search with a nil Ctl.
 	var ctl *backend.Ctl
 	if ctx.Done() != nil || req.MaxEvals > 0 {
 		ctl = backend.NewCtl(ctx, req.MaxEvals)
@@ -604,8 +601,8 @@ func (e *Engine) fanout(ms *metricSet, q *traj.Trajectory, req Query, ctl *backe
 	// One bound for both fan-out shapes: the k-NN kinds prune against a
 	// tightening bound seeded with the query's Limit, range needs none
 	// (its radius already is the bound). A single shard with no Limit
-	// keeps the legacy nil-bound fast path instead of a +Inf bound it
-	// could only tighten against itself.
+	// keeps the nil-bound fast path instead of a +Inf bound it could only
+	// tighten against itself.
 	var bound *backend.SharedBound
 	if req.Kind != KindRange {
 		if limit := req.seedLimit(); !math.IsInf(limit, 1) {
@@ -693,43 +690,6 @@ func mergeResults(per [][]backend.Result, k int) []backend.Result {
 		all = all[:k]
 	}
 	return all
-}
-
-// KNN answers an exact k-nearest-neighbour query under the default
-// metric, fanning out across the shards with a shared tightening bound.
-//
-// Deprecated: use Search with a KindKNN Query, which adds cancellation,
-// seed bounds, evaluation budgets and metric selection. With a
-// background context the answers are byte-identical.
-func (e *Engine) KNN(q *traj.Trajectory, k int) ([]backend.Result, backend.Stats) {
-	ans, _ := e.Search(context.Background(), q, Query{Kind: KindKNN, K: k, WithStats: true})
-	return ans.Results, ans.Stats
-}
-
-// RangeSearch returns every indexed trajectory within radius of q under
-// the default metric, sorted ascending.
-//
-// Deprecated: use Search with a KindRange Query.
-func (e *Engine) RangeSearch(q *traj.Trajectory, radius float64) ([]backend.Result, backend.Stats) {
-	ans, _ := e.Search(context.Background(), q, Query{Kind: KindRange, Radius: radius, WithStats: true})
-	return ans.Results, ans.Stats
-}
-
-// KNNBatch answers len(qs) independent k-NN queries on the engine's
-// worker pool and returns the answers in input order.
-//
-// Deprecated: use SearchBatch, which additionally returns per-query
-// Stats and honours a context.
-func (e *Engine) KNNBatch(qs []*traj.Trajectory, k int) [][]backend.Result {
-	answers, err := e.SearchBatch(context.Background(), qs, Query{Kind: KindKNN, K: k})
-	out := make([][]backend.Result, len(qs))
-	if err != nil {
-		return out // invalid k: every answer list empty, as before
-	}
-	for i, a := range answers {
-		out[i] = a.Results
-	}
-	return out
 }
 
 // Insert adds a trajectory to every loaded metric's index, blocking
@@ -962,7 +922,7 @@ func (e *Engine) waitRebuilds() {
 	}
 }
 
-// ShardStats is one shard's slice of the index shape on GET /stats.
+// ShardStats is one shard's slice of the index shape on GET /v1/stats.
 type ShardStats struct {
 	Shard  int `json:"shard"`
 	Size   int `json:"size"`
@@ -977,7 +937,7 @@ type ShardStats struct {
 }
 
 // MetricStats is one loaded metric's slice of the engine counters on
-// GET /stats: its capability set plus the traffic and kernel
+// GET /v1/stats: its capability set plus the traffic and kernel
 // instrumentation accumulated over its queries.
 type MetricStats struct {
 	Metric       string   `json:"metric"`
@@ -997,7 +957,7 @@ type MetricStats struct {
 }
 
 // Stats is a point-in-time snapshot of the engine's counters and index
-// shape, the payload of GET /stats.
+// shape, the payload of GET /v1/stats.
 type Stats struct {
 	Size   int `json:"size"`
 	Height int `json:"height"`

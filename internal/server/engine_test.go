@@ -1,9 +1,7 @@
-// Deprecated-API regression coverage:
-//
-//lint:file-ignore SA1019 pins the deprecated engine wrappers on purpose.
 package server
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -50,7 +48,7 @@ func TestEngineKNNMatchesTree(t *testing.T) {
 	for qi := 0; qi < 5; qi++ {
 		q := db[qi*13].Clone()
 		q.ID = 1_000_000 + qi
-		got, _ := e.KNN(q, 5)
+		got := search(t, e, q, Query{Kind: KindKNN, K: 5}).Results
 		want := tree.KNNBrute(q, 5)
 		if len(got) != len(want) {
 			t.Fatalf("query %d: got %d results, want %d", qi, len(got), len(want))
@@ -63,42 +61,16 @@ func TestEngineKNNMatchesTree(t *testing.T) {
 	}
 }
 
-func TestKNNBatchMatchesSequential(t *testing.T) {
-	e := newTestEngine(t, 80, Options{CacheSize: -1, Workers: 4})
-	db := testDB(80, 7)
-	qs := make([]*traj.Trajectory, 20)
-	for i := range qs {
-		qs[i] = db[(i*7)%len(db)].Clone()
-		qs[i].ID = 1_000_000 + i
-	}
-	batch := e.KNNBatch(qs, 3)
-	if len(batch) != len(qs) {
-		t.Fatalf("batch returned %d answer lists, want %d", len(batch), len(qs))
-	}
-	for i, q := range qs {
-		seq, _ := e.KNN(q, 3)
-		if len(batch[i]) != len(seq) {
-			t.Fatalf("query %d: batch %d results, sequential %d", i, len(batch[i]), len(seq))
-		}
-		for j := range seq {
-			if batch[i][j].Traj.ID != seq[j].Traj.ID || batch[i][j].Dist != seq[j].Dist {
-				t.Errorf("query %d rank %d: batch (%d, %v) != sequential (%d, %v)",
-					i, j, batch[i][j].Traj.ID, batch[i][j].Dist, seq[j].Traj.ID, seq[j].Dist)
-			}
-		}
-	}
-}
-
 func TestEngineCache(t *testing.T) {
 	e := newTestEngine(t, 60, Options{CacheSize: 16})
 	q := testDB(60, 7)[3].Clone()
 	q.ID = 1_000_000
 
-	first, _ := e.KNN(q, 4)
+	first := search(t, e, q, Query{Kind: KindKNN, K: 4}).Results
 	if hits := e.Stats().CacheHits; hits != 0 {
 		t.Fatalf("cold query reported %d cache hits", hits)
 	}
-	second, _ := e.KNN(q.Clone(), 4) // fresh object, same geometry
+	second := search(t, e, q.Clone(), Query{Kind: KindKNN, K: 4}).Results // fresh object, same geometry
 	if hits := e.Stats().CacheHits; hits != 1 {
 		t.Fatalf("repeat query reported %d cache hits, want 1", hits)
 	}
@@ -108,7 +80,7 @@ func TestEngineCache(t *testing.T) {
 		}
 	}
 	// Different k must miss.
-	e.KNN(q, 5)
+	search(t, e, q, Query{Kind: KindKNN, K: 5})
 	if hits := e.Stats().CacheHits; hits != 1 {
 		t.Fatalf("k=5 after k=4 reported %d cache hits, want 1", hits)
 	}
@@ -119,7 +91,7 @@ func TestEngineCache(t *testing.T) {
 	if err := e.Insert(nt); err != nil {
 		t.Fatal(err)
 	}
-	e.KNN(q, 4)
+	search(t, e, q, Query{Kind: KindKNN, K: 4})
 	if hits := e.Stats().CacheHits; hits != 1 {
 		t.Fatalf("post-insert query reported %d cache hits, want 1 (stale entry served)", hits)
 	}
@@ -135,7 +107,7 @@ func TestEngineInsertDeleteVisibleToQueries(t *testing.T) {
 		t.Fatal("duplicate insert succeeded")
 	}
 	q := traj.New(9999, []traj.Point{traj.P(5001, 5000, 0), traj.P(5009, 5000, 10)})
-	res, _ := e.KNN(q, 1)
+	res := search(t, e, q, Query{Kind: KindKNN, K: 1}).Results
 	if len(res) != 1 || res[0].Traj.ID != 4000 {
 		t.Fatalf("inserted trajectory not found, got %v", res)
 	}
@@ -145,14 +117,14 @@ func TestEngineInsertDeleteVisibleToQueries(t *testing.T) {
 	if e.Delete(4000) {
 		t.Fatal("second delete reported present")
 	}
-	res, _ = e.KNN(q, 1)
+	res = search(t, e, q, Query{Kind: KindKNN, K: 1}).Results
 	if len(res) == 1 && res[0].Traj.ID == 4000 {
 		t.Fatal("deleted trajectory still returned")
 	}
 }
 
 // TestEngineConcurrentKNNDuringInsert is the acceptance test for the
-// engine's concurrency claim: 8 goroutines issue KNN queries in a loop
+// engine's concurrency claim: 8 goroutines issue k-NN queries in a loop
 // while the main goroutine inserts and deletes trajectories. Run with
 // -race; the RWMutex discipline is what keeps it quiet.
 func TestEngineConcurrentKNNDuringInsert(t *testing.T) {
@@ -161,6 +133,7 @@ func TestEngineConcurrentKNNDuringInsert(t *testing.T) {
 
 	const readers = 8
 	const queriesPerReader = 30
+	ctx := context.Background()
 	var wg sync.WaitGroup
 	wg.Add(readers)
 	errs := make(chan error, readers)
@@ -170,16 +143,22 @@ func TestEngineConcurrentKNNDuringInsert(t *testing.T) {
 			for i := 0; i < queriesPerReader; i++ {
 				q := db[(r*queriesPerReader+i)%len(db)].Clone()
 				q.ID = 1_000_000 + r*queriesPerReader + i
-				res, _ := e.KNN(q, 3)
-				if len(res) == 0 {
-					errs <- fmt.Errorf("reader %d query %d: empty answer", r, i)
+				ans, err := e.Search(ctx, q, Query{Kind: KindKNN, K: 3})
+				if err != nil || len(ans.Results) == 0 {
+					errs <- fmt.Errorf("reader %d query %d: empty answer (err %v)", r, i, err)
 					return
 				}
 				if i%5 == 0 {
-					e.KNNBatch([]*traj.Trajectory{q}, 2)
+					if _, err := e.SearchBatch(ctx, []*traj.Trajectory{q}, Query{Kind: KindKNN, K: 2}); err != nil {
+						errs <- fmt.Errorf("reader %d batch %d: %v", r, i, err)
+						return
+					}
 				}
 				if i%7 == 0 {
-					e.RangeSearch(q, 50)
+					if _, err := e.Search(ctx, q, Query{Kind: KindRange, Radius: 50}); err != nil {
+						errs <- fmt.Errorf("reader %d range %d: %v", r, i, err)
+						return
+					}
 				}
 			}
 		}(r)

@@ -132,47 +132,6 @@ type SearchBatchResponse struct {
 	TookMS  float64      `json:"took_ms"`
 }
 
-// KNNRequest is the body of the deprecated POST /knn.
-type KNNRequest struct {
-	Query WireTrajectory `json:"query"`
-	K     int            `json:"k"`
-}
-
-// KNNResponse is the body of a successful POST /knn. Cached answers
-// carry zero Stats — the tree was never touched — so Cached lets clients
-// measuring pruning effectiveness discard them.
-type KNNResponse struct {
-	Results []Neighbor `json:"results"`
-	Stats   WireStats  `json:"stats"`
-	Cached  bool       `json:"cached,omitempty"`
-	TookMS  float64    `json:"took_ms"`
-}
-
-// KNNBatchRequest is the body of the deprecated POST /knn/batch.
-type KNNBatchRequest struct {
-	Queries []WireTrajectory `json:"queries"`
-	K       int              `json:"k"`
-}
-
-// KNNBatchResponse carries one answer list per query, in request order.
-type KNNBatchResponse struct {
-	Results [][]Neighbor `json:"results"`
-	TookMS  float64      `json:"took_ms"`
-}
-
-// RangeRequest is the body of the deprecated POST /range.
-type RangeRequest struct {
-	Query  WireTrajectory `json:"query"`
-	Radius float64        `json:"radius"`
-}
-
-// RangeResponse is the body of a successful POST /range.
-type RangeResponse struct {
-	Results []Neighbor `json:"results"`
-	Stats   WireStats  `json:"stats"`
-	TookMS  float64    `json:"took_ms"`
-}
-
 // InsertRequest is the body of POST /v1/insert; several trajectories may
 // be inserted in one call.
 type InsertRequest struct {
@@ -233,8 +192,7 @@ const (
 )
 
 // ErrorResponse is the consistent JSON error envelope of every non-2xx
-// answer produced under /v1 (and, since the envelope is additive, of the
-// deprecated routes too): a human-readable message plus a stable
+// answer produced under /v1: a human-readable message plus a stable
 // machine-readable code.
 type ErrorResponse struct {
 	Error string `json:"error"`
@@ -275,10 +233,7 @@ type HandlerOptions struct {
 //	GET  /v1/healthz
 //
 // Every non-2xx answer is the JSON envelope {"error": ..., "code": ...}.
-// The pre-versioning routes (/knn, /knn/batch, /range, /insert, /delete,
-// /rebuild, /snapshot, /stats, /healthz) remain as aliases with their
-// original wire formats, answering with a "Deprecation: true" header and
-// a Link to their successor.
+// Paths outside /v1 are not routed and answer net/http's plain 404.
 func NewAPIHandler(e *Engine, opt HandlerOptions) http.Handler {
 	h := &api{e: e, opt: opt}
 	mux := http.NewServeMux()
@@ -320,15 +275,6 @@ func NewAPIHandler(e *Engine, opt HandlerOptions) http.Handler {
 			fmt.Sprintf("no such endpoint: %s %s", r.Method, r.URL.Path))
 	})
 
-	mux.HandleFunc("POST /knn", deprecated("/v1/search", h.legacyKNN))
-	mux.HandleFunc("POST /knn/batch", deprecated("/v1/search", h.legacyKNNBatch))
-	mux.HandleFunc("POST /range", deprecated("/v1/search", h.legacyRange))
-	mux.HandleFunc("POST /insert", deprecated("/v1/insert", h.insert))
-	mux.HandleFunc("POST /delete", deprecated("/v1/delete", h.delete))
-	mux.HandleFunc("POST /rebuild", deprecated("/v1/rebuild", h.rebuild))
-	mux.HandleFunc("POST /snapshot", deprecated("/v1/snapshot", h.snapshot))
-	mux.HandleFunc("GET /stats", deprecated("/v1/stats", h.stats))
-	mux.HandleFunc("GET /healthz", deprecated("/v1/healthz", h.healthz))
 	return withRecovery(mux)
 }
 
@@ -356,24 +302,6 @@ func withRecovery(next http.Handler) http.Handler {
 		}()
 		next.ServeHTTP(w, r)
 	})
-}
-
-// NewHandler returns the HTTP surface over e with default options.
-//
-// Deprecated: use NewAPIHandler, which takes HandlerOptions (notably the
-// per-request query timeout).
-func NewHandler(e *Engine) http.Handler {
-	return NewAPIHandler(e, HandlerOptions{})
-}
-
-// deprecated marks a legacy route's responses with the standard
-// deprecation headers pointing at its /v1 successor.
-func deprecated(successor string, h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Deprecation", "true")
-		w.Header().Set("Link", fmt.Sprintf("<%s>; rel=\"successor-version\"", successor))
-		h(w, r)
-	}
 }
 
 // api bundles the engine and options behind the handlers.
@@ -464,98 +392,6 @@ func (h *api) search(w http.ResponseWriter, r *http.Request) {
 		out[i] = ToWireAnswer(a, req.WithStats)
 	}
 	writeJSON(w, http.StatusOK, SearchBatchResponse{Answers: out, TookMS: msSince(t0)})
-}
-
-func (h *api) legacyKNN(w http.ResponseWriter, r *http.Request) {
-	var req KNNRequest
-	if !decode(w, r, &req) {
-		return
-	}
-	q, err := req.Query.ToTrajectory()
-	if err != nil {
-		writeError(w, http.StatusBadRequest, CodeBadRequest, fmt.Sprintf("query: %v", err))
-		return
-	}
-	if req.K <= 0 {
-		writeError(w, http.StatusBadRequest, CodeBadRequest, "k must be positive")
-		return
-	}
-	ctx, cancel := h.queryCtx(r)
-	defer cancel()
-	t0 := time.Now()
-	ans, err := h.e.Search(ctx, q, Query{Kind: KindKNN, K: req.K, WithStats: true})
-	if err != nil {
-		writeSearchError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, KNNResponse{
-		Results: toNeighbors(ans.Results),
-		Stats:   toWireStats(ans.Stats),
-		Cached:  ans.Cached,
-		TookMS:  msSince(t0),
-	})
-}
-
-func (h *api) legacyKNNBatch(w http.ResponseWriter, r *http.Request) {
-	var req KNNBatchRequest
-	if !decode(w, r, &req) {
-		return
-	}
-	if req.K <= 0 {
-		writeError(w, http.StatusBadRequest, CodeBadRequest, "k must be positive")
-		return
-	}
-	qs := make([]*traj.Trajectory, len(req.Queries))
-	for i, wq := range req.Queries {
-		q, err := wq.ToTrajectory()
-		if err != nil {
-			writeError(w, http.StatusBadRequest, CodeBadRequest, fmt.Sprintf("query %d: %v", i, err))
-			return
-		}
-		qs[i] = q
-	}
-	ctx, cancel := h.queryCtx(r)
-	defer cancel()
-	t0 := time.Now()
-	answers, err := h.e.SearchBatch(ctx, qs, Query{Kind: KindKNN, K: req.K})
-	if err != nil {
-		writeSearchError(w, err)
-		return
-	}
-	out := make([][]Neighbor, len(answers))
-	for i, a := range answers {
-		out[i] = toNeighbors(a.Results)
-	}
-	writeJSON(w, http.StatusOK, KNNBatchResponse{Results: out, TookMS: msSince(t0)})
-}
-
-func (h *api) legacyRange(w http.ResponseWriter, r *http.Request) {
-	var req RangeRequest
-	if !decode(w, r, &req) {
-		return
-	}
-	q, err := req.Query.ToTrajectory()
-	if err != nil {
-		writeError(w, http.StatusBadRequest, CodeBadRequest, fmt.Sprintf("query: %v", err))
-		return
-	}
-	if req.Radius < 0 {
-		writeError(w, http.StatusBadRequest, CodeBadRequest, "radius must be non-negative")
-		return
-	}
-	ctx, cancel := h.queryCtx(r)
-	defer cancel()
-	t0 := time.Now()
-	ans, err := h.e.Search(ctx, q, Query{Kind: KindRange, Radius: req.Radius, WithStats: true})
-	if err != nil {
-		writeSearchError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, RangeResponse{
-		Results: toNeighbors(ans.Results),
-		Stats:   toWireStats(ans.Stats),
-		TookMS:  msSince(t0),
-	})
 }
 
 // writeIfImmutable answers 501 not_implemented when the engine holds a

@@ -191,3 +191,22 @@ func TestV1StatsPerMetric(t *testing.T) {
 		t.Fatalf("engine queries %d != wire %d", got.Queries, st.Queries)
 	}
 }
+
+// TestV1SearchHugeK: k is request data, and a k far beyond the corpus
+// answers 200 with every member under every metric. A DTW/EDR top-k
+// buffer sized by k would ask the runtime for 16 TiB at k = 2⁴⁰ — a
+// fatal error withRecovery cannot catch.
+func TestV1SearchHugeK(t *testing.T) {
+	srv, e := newMultiServer(t)
+	wq := wire(testDB(60, 7)[4])
+	for _, metric := range []string{"edwp", "dtw", "edr"} {
+		var got SearchResponse
+		req := SearchRequest{Query: Query{Kind: KindKNN, K: 1 << 40, Metric: metric}, QueryTraj: &wq}
+		if r := postJSON(t, srv, "/v1/search", req, &got); r.StatusCode != http.StatusOK {
+			t.Fatalf("metric %s: status %d", metric, r.StatusCode)
+		}
+		if len(got.Results) != e.Size() {
+			t.Fatalf("metric %s: %d results, want every one of %d members", metric, len(got.Results), e.Size())
+		}
+	}
+}

@@ -1,6 +1,3 @@
-// Deprecated-API regression coverage:
-//
-//lint:file-ignore SA1019 pins the deprecated NewHandler and engine wrappers on purpose.
 package server
 
 import (
@@ -42,20 +39,22 @@ func postJSON(t *testing.T, srv *httptest.Server, path string, body, dst any) *h
 
 func TestHTTPKNNRoundTrip(t *testing.T) {
 	e := newTestEngine(t, 60, Options{})
-	srv := httptest.NewServer(NewHandler(e))
+	srv := httptest.NewServer(NewAPIHandler(e, HandlerOptions{}))
 	defer srv.Close()
 
 	q := testDB(60, 7)[10].Clone()
 	q.ID = 1_000_000
-	var resp KNNResponse
-	httpResp := postJSON(t, srv, "/knn", KNNRequest{Query: wire(q), K: 5}, &resp)
+	wq := wire(q)
+	req := SearchRequest{Query: Query{Kind: KindKNN, K: 5}, QueryTraj: &wq}
+	var resp SearchResponse
+	httpResp := postJSON(t, srv, "/v1/search", req, &resp)
 	if httpResp.StatusCode != http.StatusOK {
-		t.Fatalf("POST /knn status %d", httpResp.StatusCode)
+		t.Fatalf("POST /v1/search status %d", httpResp.StatusCode)
 	}
 	if len(resp.Results) != 5 {
 		t.Fatalf("got %d results, want 5", len(resp.Results))
 	}
-	want, _ := e.KNN(q, 5)
+	want := search(t, e, q, Query{Kind: KindKNN, K: 5}).Results
 	for i, n := range resp.Results {
 		if n.ID != want[i].Traj.ID || n.Dist != want[i].Dist {
 			t.Errorf("rank %d: wire (%d, %v) != engine (%d, %v)",
@@ -72,8 +71,8 @@ func TestHTTPKNNRoundTrip(t *testing.T) {
 	}
 
 	// The identical query again is served from the cache and says so.
-	var again KNNResponse
-	postJSON(t, srv, "/knn", KNNRequest{Query: wire(q), K: 5}, &again)
+	var again SearchResponse
+	postJSON(t, srv, "/v1/search", req, &again)
 	if !again.Cached {
 		t.Error("repeat query not reported as cached")
 	}
@@ -82,57 +81,31 @@ func TestHTTPKNNRoundTrip(t *testing.T) {
 	}
 }
 
-func TestHTTPKNNBatch(t *testing.T) {
-	e := newTestEngine(t, 60, Options{Workers: 4})
-	srv := httptest.NewServer(NewHandler(e))
-	defer srv.Close()
-
-	db := testDB(60, 7)
-	req := KNNBatchRequest{K: 3}
-	for i := 0; i < 10; i++ {
-		q := db[i*5].Clone()
-		q.ID = 1_000_000 + i
-		req.Queries = append(req.Queries, wire(q))
-	}
-	var resp KNNBatchResponse
-	if r := postJSON(t, srv, "/knn/batch", req, &resp); r.StatusCode != http.StatusOK {
-		t.Fatalf("POST /knn/batch status %d", r.StatusCode)
-	}
-	if len(resp.Results) != 10 {
-		t.Fatalf("got %d answer lists, want 10", len(resp.Results))
-	}
-	for i, rs := range resp.Results {
-		if len(rs) != 3 {
-			t.Errorf("query %d: %d results, want 3", i, len(rs))
-		}
-	}
-}
-
 func TestHTTPRangeInsertStats(t *testing.T) {
 	e := newTestEngine(t, 40, Options{})
-	srv := httptest.NewServer(NewHandler(e))
+	srv := httptest.NewServer(NewAPIHandler(e, HandlerOptions{}))
 	defer srv.Close()
 
 	// Insert a trajectory far away from the grid, then range-query near it.
 	far := traj.New(7000, []traj.Point{traj.P(90_000, 90_000, 0), traj.P(90_050, 90_000, 10)})
 	var ins InsertResponse
-	if r := postJSON(t, srv, "/insert", InsertRequest{Trajectories: []WireTrajectory{wire(far)}}, &ins); r.StatusCode != http.StatusOK {
-		t.Fatalf("POST /insert status %d", r.StatusCode)
+	if r := postJSON(t, srv, "/v1/insert", InsertRequest{Trajectories: []WireTrajectory{wire(far)}}, &ins); r.StatusCode != http.StatusOK {
+		t.Fatalf("POST /v1/insert status %d", r.StatusCode)
 	}
 	if ins.Inserted != 1 || ins.Size != 41 {
 		t.Fatalf("insert response %+v, want inserted 1 size 41", ins)
 	}
 
-	probe := traj.New(7777, []traj.Point{traj.P(90_001, 90_000, 0), traj.P(90_049, 90_000, 10)})
-	var rng RangeResponse
-	if r := postJSON(t, srv, "/range", RangeRequest{Query: wire(probe), Radius: 100}, &rng); r.StatusCode != http.StatusOK {
-		t.Fatalf("POST /range status %d", r.StatusCode)
+	probe := wire(traj.New(7777, []traj.Point{traj.P(90_001, 90_000, 0), traj.P(90_049, 90_000, 10)}))
+	var rng SearchResponse
+	if r := postJSON(t, srv, "/v1/search", SearchRequest{Query: Query{Kind: KindRange, Radius: 100}, QueryTraj: &probe}, &rng); r.StatusCode != http.StatusOK {
+		t.Fatalf("range status %d", r.StatusCode)
 	}
 	if len(rng.Results) != 1 || rng.Results[0].ID != 7000 {
 		t.Fatalf("range results %+v, want exactly trajectory 7000", rng.Results)
 	}
 
-	resp, err := srv.Client().Get(srv.URL + "/stats")
+	resp, err := srv.Client().Get(srv.URL + "/v1/stats")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,13 +121,13 @@ func TestHTTPRangeInsertStats(t *testing.T) {
 
 func TestHTTPDeleteRebuild(t *testing.T) {
 	e := newTestEngine(t, 40, Options{Shards: 2})
-	srv := httptest.NewServer(NewHandler(e))
+	srv := httptest.NewServer(NewAPIHandler(e, HandlerOptions{}))
 	defer srv.Close()
 
 	// Delete two present IDs and one absent one in a single call.
 	var del DeleteResponse
-	if r := postJSON(t, srv, "/delete", DeleteRequest{IDs: []int{3, 17, 99_999}}, &del); r.StatusCode != http.StatusOK {
-		t.Fatalf("POST /delete status %d", r.StatusCode)
+	if r := postJSON(t, srv, "/v1/delete", DeleteRequest{IDs: []int{3, 17, 99_999}}, &del); r.StatusCode != http.StatusOK {
+		t.Fatalf("POST /v1/delete status %d", r.StatusCode)
 	}
 	if del.Deleted != 2 || len(del.Missing) != 1 || del.Missing[0] != 99_999 {
 		t.Fatalf("delete response %+v, want deleted 2 missing [99999]", del)
@@ -167,13 +140,13 @@ func TestHTTPDeleteRebuild(t *testing.T) {
 	}
 
 	// Empty ID list is a client error.
-	if r := postJSON(t, srv, "/delete", DeleteRequest{}, nil); r.StatusCode != http.StatusBadRequest {
-		t.Fatalf("empty /delete status %d, want 400", r.StatusCode)
+	if r := postJSON(t, srv, "/v1/delete", DeleteRequest{}, nil); r.StatusCode != http.StatusBadRequest {
+		t.Fatalf("empty /v1/delete status %d, want 400", r.StatusCode)
 	}
 
 	var reb RebuildResponse
-	if r := postJSON(t, srv, "/rebuild", nil, &reb); r.StatusCode != http.StatusOK {
-		t.Fatalf("POST /rebuild status %d", r.StatusCode)
+	if r := postJSON(t, srv, "/v1/rebuild", nil, &reb); r.StatusCode != http.StatusOK {
+		t.Fatalf("POST /v1/rebuild status %d", r.StatusCode)
 	}
 	if reb.Size != 38 || reb.Shards != 2 {
 		t.Fatalf("rebuild response %+v, want size 38 shards 2", reb)
@@ -185,7 +158,7 @@ func TestHTTPDeleteRebuild(t *testing.T) {
 	// The rebuilt index still answers correctly.
 	q := testDB(40, 7)[5].Clone()
 	q.ID = 1_000_000
-	res, _ := e.KNN(q, 3)
+	res := search(t, e, q, Query{Kind: KindKNN, K: 3}).Results
 	if len(res) != 3 {
 		t.Fatalf("post-rebuild KNN returned %d results", len(res))
 	}
@@ -198,48 +171,38 @@ func TestHTTPDeleteRebuild(t *testing.T) {
 
 func TestHTTPHealthz(t *testing.T) {
 	e := newTestEngine(t, 20, Options{})
-	srv := httptest.NewServer(NewHandler(e))
+	srv := httptest.NewServer(NewAPIHandler(e, HandlerOptions{}))
 	defer srv.Close()
-	resp, err := srv.Client().Get(srv.URL + "/healthz")
+	resp, err := srv.Client().Get(srv.URL + "/v1/healthz")
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("GET /healthz status %d", resp.StatusCode)
+		t.Fatalf("GET /v1/healthz status %d", resp.StatusCode)
 	}
 }
 
 func TestHTTPErrors(t *testing.T) {
 	e := newTestEngine(t, 20, Options{})
-	srv := httptest.NewServer(NewHandler(e))
+	srv := httptest.NewServer(NewAPIHandler(e, HandlerOptions{}))
 	defer srv.Close()
 
-	q := testDB(20, 7)[0]
+	q := wire(testDB(20, 7)[0])
+	point := WireTrajectory{ID: 1, Points: [][3]float64{{0, 0, 0}}}
 	cases := []struct {
 		name, path string
 		body       any
-		wantCode   int
 	}{
-		{"k zero", "/knn", KNNRequest{Query: wire(q), K: 0}, http.StatusBadRequest},
-		{"single point query", "/knn", KNNRequest{Query: WireTrajectory{ID: 1, Points: [][3]float64{{0, 0, 0}}}, K: 1}, http.StatusBadRequest},
-		{"negative radius", "/range", RangeRequest{Query: wire(q), Radius: -1}, http.StatusBadRequest},
-		{"duplicate insert", "/insert", InsertRequest{Trajectories: []WireTrajectory{wire(q)}}, http.StatusBadRequest},
-		{"unknown field", "/knn", map[string]any{"query": wire(q), "k": 1, "bogus": true}, http.StatusBadRequest},
+		{"k zero", "/v1/search", SearchRequest{Query: Query{Kind: KindKNN}, QueryTraj: &q}},
+		{"single point query", "/v1/search", SearchRequest{Query: Query{Kind: KindKNN, K: 1}, QueryTraj: &point}},
+		{"negative radius", "/v1/search", SearchRequest{Query: Query{Kind: KindRange, Radius: -1}, QueryTraj: &q}},
+		{"duplicate insert", "/v1/insert", InsertRequest{Trajectories: []WireTrajectory{q}}},
+		{"unknown field", "/v1/search", map[string]any{"kind": "knn", "query": q, "k": 1, "bogus": true}},
 	}
 	for _, tc := range cases {
-		if resp := postJSON(t, srv, tc.path, tc.body, nil); resp.StatusCode != tc.wantCode {
-			t.Errorf("%s: status %d, want %d", tc.name, resp.StatusCode, tc.wantCode)
+		if resp := postJSON(t, srv, tc.path, tc.body, nil); resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400", tc.name, resp.StatusCode)
 		}
-	}
-
-	// Wrong method on a POST-only route.
-	resp, err := srv.Client().Get(srv.URL + "/knn")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusMethodNotAllowed {
-		t.Errorf("GET /knn status %d, want 405", resp.StatusCode)
 	}
 }

@@ -228,47 +228,40 @@ func TestV1SearchTimeout(t *testing.T) {
 	}
 }
 
-// TestLegacyRoutesDeprecatedButIntact: the unversioned routes still
-// answer with their original wire shapes, now flagged with the
-// deprecation headers pointing at /v1.
-func TestLegacyRoutesDeprecatedButIntact(t *testing.T) {
+// TestLegacyRoutesRemoved: the nine pre-/v1 routes are gone — each old
+// method and path answers 404 — while their /v1 successors are routed.
+func TestLegacyRoutesRemoved(t *testing.T) {
 	e := newTestEngine(t, 40, Options{})
 	srv := httptest.NewServer(NewAPIHandler(e, HandlerOptions{}))
 	defer srv.Close()
 
-	q := testDB(40, 7)[4].Clone()
-	q.ID = 1_000_000
-	var resp KNNResponse
-	r := postJSON(t, srv, "/knn", KNNRequest{Query: wire(q), K: 4}, &resp)
-	if r.StatusCode != http.StatusOK || len(resp.Results) != 4 {
-		t.Fatalf("legacy /knn: status %d results %d", r.StatusCode, len(resp.Results))
-	}
-	if r.Header.Get("Deprecation") != "true" {
-		t.Fatalf("legacy /knn missing Deprecation header (got %q)", r.Header.Get("Deprecation"))
-	}
-	if link := r.Header.Get("Link"); link != `</v1/search>; rel="successor-version"` {
-		t.Fatalf("legacy /knn Link header %q", link)
-	}
-
-	// /v1 answers carry no deprecation marks.
-	wq := wire(q)
-	r2 := postRaw(t, srv, "/v1/search", SearchRequest{Query: Query{Kind: KindKNN, K: 4}, QueryTraj: &wq})
-	if r2.Header.Get("Deprecation") != "" {
-		t.Fatal("/v1/search wrongly marked deprecated")
-	}
-
-	// Every remaining legacy route is marked too.
-	for _, probe := range []struct{ method, path string }{
-		{"GET", "/stats"},
-		{"GET", "/healthz"},
+	for _, probe := range []struct{ method, path, successor string }{
+		{"POST", "/knn", "/v1/search"}, {"POST", "/knn/batch", "/v1/search"},
+		{"POST", "/range", "/v1/search"}, {"POST", "/insert", "/v1/insert"},
+		{"POST", "/delete", "/v1/delete"}, {"POST", "/rebuild", "/v1/rebuild"},
+		{"POST", "/snapshot", "/v1/snapshot"}, {"GET", "/stats", "/v1/stats"},
+		{"GET", "/healthz", "/v1/healthz"},
 	} {
-		resp, err := srv.Client().Get(srv.URL + probe.path)
+		req, err := http.NewRequest(probe.method, srv.URL+probe.path, bytes.NewReader([]byte("{}")))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := srv.Client().Do(req)
 		if err != nil {
 			t.Fatal(err)
 		}
 		resp.Body.Close()
-		if resp.Header.Get("Deprecation") != "true" {
-			t.Fatalf("legacy %s missing Deprecation header", probe.path)
+		if resp.StatusCode != http.StatusNotFound {
+			t.Fatalf("%s %s status %d, want 404", probe.method, probe.path, resp.StatusCode)
+		}
+		// A GET reaches every successor's route (405 for the POST ones).
+		succ, err := srv.Client().Get(srv.URL + probe.successor)
+		if err != nil {
+			t.Fatal(err)
+		}
+		succ.Body.Close()
+		if succ.StatusCode == http.StatusNotFound {
+			t.Fatalf("GET %s status 404: successor of %s not routed", probe.successor, probe.path)
 		}
 	}
 }

@@ -122,7 +122,7 @@ func TestBackgroundRebuildRace(t *testing.T) {
 	for qi := 0; qi < 8; qi++ {
 		q := extra[qi*9].Clone()
 		q.ID = 4_900_000 + qi
-		sameResults(t, fmt.Sprintf("post-churn q%d", qi), searchKNN(t, e, q, 7), ref.KNNBrute(q, 7))
+		sameResults(t, fmt.Sprintf("post-churn q%d", qi), search(t, e, q, Query{Kind: KindKNN, K: 7}).Results, ref.KNNBrute(q, 7))
 	}
 	if _, err := LoadSnapshot(e.SnapshotDir(), Options{CacheSize: -1}); err != nil {
 		t.Fatalf("loading mid-churn snapshot: %v", err)
@@ -175,7 +175,7 @@ func TestCrashWithRebuildInFlight(t *testing.T) {
 	want := make([][]trajtree.Result, len(probes))
 	for i, q := range probes {
 		q.ID = 8_000_000 + i
-		want[i] = searchKNN(t, e1, q, 6)
+		want[i] = search(t, e1, q, Query{Kind: KindKNN, K: 6}).Results
 	}
 	// kill -9: e1 is abandoned with its build still running.
 
@@ -193,7 +193,7 @@ func TestCrashWithRebuildInFlight(t *testing.T) {
 		}
 	}
 	for i, q := range probes {
-		sameResults(t, fmt.Sprintf("post-reboot q%d", i), searchKNN(t, e2, q, 6), want[i])
+		sameResults(t, fmt.Sprintf("post-reboot q%d", i), search(t, e2, q, Query{Kind: KindKNN, K: 6}).Results, want[i])
 	}
 	e1.waitRebuilds() // the test must not leave its goroutine behind
 }

@@ -1,6 +1,3 @@
-// Deprecated-API regression coverage:
-//
-//lint:file-ignore SA1019 compares Search against the deprecated wrappers on purpose.
 package server
 
 import (
@@ -17,65 +14,6 @@ import (
 	"trajmatch/internal/traj"
 	"trajmatch/internal/trajtree"
 )
-
-// TestSearchMatchesLegacyAcrossShards is the acceptance property of the
-// API redesign: with a never-cancelled context, Engine.Search answers
-// are byte-identical to the legacy per-variant methods — and to a single
-// reference tree — across shard counts {1, 2, 4, 8}.
-func TestSearchMatchesLegacyAcrossShards(t *testing.T) {
-	db := testDB(160, 11)
-	topt := trajtree.Options{Seed: 1, LeafSize: 5}
-	ref, err := trajtree.New(db, topt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	rng := rand.New(rand.NewSource(41))
-	for _, shards := range []int{1, 2, 4, 8} {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			e, err := NewEngineFromDB(db, topt, Options{CacheSize: -1, Shards: shards})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for it := 0; it < 15; it++ {
-				q := db[rng.Intn(len(db))].Clone()
-				q.ID = 3_000_000 + it
-				if it%3 == 0 {
-					for i := range q.Points {
-						q.Points[i].X += rng.NormFloat64() * 15
-						q.Points[i].Y += rng.NormFloat64() * 15
-					}
-				}
-				k := 1 + rng.Intn(10)
-
-				ans, err := e.Search(ctx, q, Query{Kind: KindKNN, K: k, WithStats: true})
-				if err != nil {
-					t.Fatalf("it=%d: Search: %v", it, err)
-				}
-				if ans.Truncated || ans.Cached {
-					t.Fatalf("it=%d: unexpected disposition %+v", it, ans)
-				}
-				legacy, lst := e.KNN(q, k)
-				sameResults(t, fmt.Sprintf("KNN it=%d k=%d vs legacy", it, k), ans.Results, legacy)
-				refRes, _ := ref.KNN(q, k)
-				sameResults(t, fmt.Sprintf("KNN it=%d k=%d vs ref tree", it, k), ans.Results, refRes)
-				if ans.Stats.DistanceCalls == 0 || lst.DistanceCalls == 0 {
-					t.Fatalf("it=%d: zero distance calls reported", it)
-				}
-
-				radius := []float64{5, 20, 80}[it%3]
-				rans, err := e.Search(ctx, q, Query{Kind: KindRange, Radius: radius, WithStats: true})
-				if err != nil {
-					t.Fatalf("it=%d: range Search: %v", it, err)
-				}
-				rlegacy, _ := e.RangeSearch(q, radius)
-				sameResults(t, fmt.Sprintf("Range it=%d r=%v vs legacy", it, radius), rans.Results, rlegacy)
-				refR, _ := ref.RangeSearch(q, radius)
-				sameResults(t, fmt.Sprintf("Range it=%d r=%v vs ref tree", it, radius), rans.Results, refR)
-			}
-		})
-	}
-}
 
 // TestSearchSubKNNMatchesBrute verifies kind subknn against a
 // brute-force EDwPsub scan, across shard counts (the fan-out must not
@@ -129,10 +67,11 @@ func TestSearchSubKNNMatchesBrute(t *testing.T) {
 	}
 }
 
-// TestSearchBatchKeepsPerQueryStats is the regression test for the
-// KNNBatch stats loss: SearchBatch returns one Answer per query carrying
-// that query's stats, and the engine's cumulative counters advance by
-// exactly the per-query sum — each query accumulated once.
+// TestSearchBatchKeepsPerQueryStats: SearchBatch returns one Answer per
+// query carrying that query's stats, the engine's cumulative counters
+// advance by exactly the per-query sum — each query accumulated once —
+// and each answer, computed by the batch path's inline shard loop,
+// equals the concurrent fan-out of a single-query Search.
 func TestSearchBatchKeepsPerQueryStats(t *testing.T) {
 	db := testDB(120, 23)
 	e, err := NewEngineFromDB(db, trajtree.Options{Seed: 1, LeafSize: 5}, Options{CacheSize: -1, Shards: 4, Workers: 4})

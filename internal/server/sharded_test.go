@@ -1,9 +1,7 @@
-// Deprecated-API regression coverage:
-//
-//lint:file-ignore SA1019 pins the deprecated engine wrappers across shard counts on purpose.
 package server
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -34,8 +32,8 @@ func sameResults(t *testing.T, label string, got, want []trajtree.Result) {
 
 // TestShardedKNNMatchesSingleTree is the acceptance property of the
 // sharded engine: for shard counts 1, 2, 4 and 8 over the same corpus,
-// KNN and RangeSearch answers are identical to the single reference
-// tree's, query for query.
+// k-NN and range answers of Search are identical to the single
+// reference tree's, query for query.
 func TestShardedKNNMatchesSingleTree(t *testing.T) {
 	db := testDB(160, 11)
 	topt := trajtree.Options{Seed: 1, LeafSize: 5}
@@ -66,40 +64,19 @@ func TestShardedKNNMatchesSingleTree(t *testing.T) {
 					}
 				}
 				k := 1 + rng.Intn(10)
-				got, st := e.KNN(q, k)
-				want, _ := ref.KNN(q, k)
-				sameResults(t, fmt.Sprintf("KNN it=%d k=%d", it, k), got, want)
-				if st.DistanceCalls == 0 {
+				ans := search(t, e, q, Query{Kind: KindKNN, K: k})
+				want, _, _, _ := ref.SearchKNN(q, k, nil, nil)
+				sameResults(t, fmt.Sprintf("KNN it=%d k=%d", it, k), ans.Results, want)
+				if ans.Stats.DistanceCalls == 0 {
 					t.Fatalf("it=%d: fan-out reported zero distance calls", it)
 				}
 
 				radius := []float64{5, 20, 80}[it%3]
-				gotR, _ := e.RangeSearch(q, radius)
-				wantR, _ := ref.RangeSearch(q, radius)
+				gotR := search(t, e, q, Query{Kind: KindRange, Radius: radius}).Results
+				wantR, _, _, _ := ref.SearchRange(q, radius, nil)
 				sameResults(t, fmt.Sprintf("Range it=%d r=%v", it, radius), gotR, wantR)
 			}
 		})
-	}
-}
-
-// TestShardedBatchAndBruteAgree cross-checks the batch path (inline
-// sequential fan-out per worker) against the concurrent single-query
-// fan-out on a sharded engine.
-func TestShardedBatchAndBruteAgree(t *testing.T) {
-	db := testDB(120, 23)
-	e, err := NewEngineFromDB(db, trajtree.Options{Seed: 1, LeafSize: 5}, Options{CacheSize: -1, Shards: 4, Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	qs := make([]*traj.Trajectory, 16)
-	for i := range qs {
-		qs[i] = db[(i*7)%len(db)].Clone()
-		qs[i].ID = 2_000_000 + i
-	}
-	batch := e.KNNBatch(qs, 4)
-	for i, q := range qs {
-		single, _ := e.KNN(q, 4)
-		sameResults(t, fmt.Sprintf("batch query %d", i), batch[i], single)
 	}
 }
 
@@ -156,13 +133,13 @@ func TestShardedUpdatesRouteAndStayExact(t *testing.T) {
 	}
 	q := db[5].Clone()
 	q.ID = 3_000_000
-	got, _ := e.KNN(q, 7)
+	got := search(t, e, q, Query{Kind: KindKNN, K: 7}).Results
 	sameResults(t, "post-churn KNN", got, ref.KNNBrute(q, 7))
 
 	if err := e.Rebuild(); err != nil {
 		t.Fatalf("rebuild: %v", err)
 	}
-	got, _ = e.KNN(q, 7)
+	got = search(t, e, q, Query{Kind: KindKNN, K: 7}).Results
 	sameResults(t, "post-rebuild KNN", got, ref.KNNBrute(q, 7))
 }
 
@@ -178,6 +155,7 @@ func TestShardedConcurrentReadersAndWriters(t *testing.T) {
 		t.Fatal(err)
 	}
 	const readers = 6
+	ctx := context.Background()
 	var wg sync.WaitGroup
 	wg.Add(readers)
 	errs := make(chan error, readers)
@@ -187,15 +165,21 @@ func TestShardedConcurrentReadersAndWriters(t *testing.T) {
 			for i := 0; i < 25; i++ {
 				q := db[(r*25+i)%len(db)].Clone()
 				q.ID = 4_000_000 + r*25 + i
-				if res, _ := e.KNN(q, 3); len(res) == 0 {
-					errs <- fmt.Errorf("reader %d query %d: empty answer", r, i)
+				if ans, err := e.Search(ctx, q, Query{Kind: KindKNN, K: 3}); err != nil || len(ans.Results) == 0 {
+					errs <- fmt.Errorf("reader %d query %d: empty answer (err %v)", r, i, err)
 					return
 				}
 				if i%5 == 0 {
-					e.KNNBatch([]*traj.Trajectory{q}, 2)
+					if _, err := e.SearchBatch(ctx, []*traj.Trajectory{q}, Query{Kind: KindKNN, K: 2}); err != nil {
+						errs <- fmt.Errorf("reader %d batch %d: %v", r, i, err)
+						return
+					}
 				}
 				if i%7 == 0 {
-					e.RangeSearch(q, 50)
+					if _, err := e.Search(ctx, q, Query{Kind: KindRange, Radius: 50}); err != nil {
+						errs <- fmt.Errorf("reader %d range %d: %v", r, i, err)
+						return
+					}
 				}
 			}
 		}(r)
@@ -232,7 +216,7 @@ func TestShardedConcurrentReadersAndWriters(t *testing.T) {
 	}
 	probe := db[0].Clone()
 	probe.ID = 4_900_000
-	if res, _ := loaded.KNN(probe, 3); len(res) == 0 {
+	if res := search(t, loaded, probe, Query{Kind: KindKNN, K: 3}).Results; len(res) == 0 {
 		t.Fatal("mid-churn snapshot answers nothing")
 	}
 

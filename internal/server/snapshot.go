@@ -184,7 +184,7 @@ func (e *Engine) persistentSet() *metricSet {
 // (With a WAL attached the recovered state is still exact: mutations
 // landing during the save are replayed idempotently on top.)
 // Concurrent SaveSnapshot calls serialise against each other, so
-// overlapping POST /snapshot requests cannot interleave shard files and
+// overlapping POST /v1/snapshot requests cannot interleave shard files and
 // manifests from different saves.
 //
 // With a write-ahead log attached, a committed save also truncates the

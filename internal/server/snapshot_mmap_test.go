@@ -9,15 +9,16 @@ import (
 	"trajmatch/internal/trajtree"
 )
 
-// searchKNN runs one k-NN query through the unified Search path, failing
-// the test on error.
-func searchKNN(t *testing.T, e *Engine, q *traj.Trajectory, k int) []trajtree.Result {
+// search runs one query through Engine.Search with stats on, failing the
+// test on error. Call it from the test goroutine only.
+func search(t testing.TB, e *Engine, q *traj.Trajectory, query Query) Answer {
 	t.Helper()
-	ans, err := e.Search(context.Background(), q, Query{Kind: KindKNN, K: k})
+	query.WithStats = true
+	ans, err := e.Search(context.Background(), q, query)
 	if err != nil {
-		t.Fatalf("Search knn: %v", err)
+		t.Fatalf("Search %s: %v", query.Kind, err)
 	}
-	return ans.Results
+	return ans
 }
 
 // sameAnswer runs one query on both engines and requires the same IDs,

@@ -1,6 +1,3 @@
-// Deprecated-API regression coverage:
-//
-//lint:file-ignore SA1019 pins the deprecated engine wrappers across snapshots on purpose.
 package server
 
 import (
@@ -18,7 +15,7 @@ import (
 )
 
 // TestSnapshotRoundTrip saves a sharded engine and reloads it, asserting
-// the reloaded engine answers KNN and RangeSearch byte-identically, the
+// the reloaded engine answers k-NN and range queries byte-identically, the
 // manifest records what it should, and the shard count is adopted from
 // the manifest regardless of the loader's options.
 func TestSnapshotRoundTrip(t *testing.T) {
@@ -84,11 +81,11 @@ func TestSnapshotRoundTrip(t *testing.T) {
 				for it := 0; it < 10; it++ {
 					q := db[(it*11)%len(db)].Clone()
 					q.ID = 5_000_000 + it
-					got, _ := loaded.KNN(q, 6)
-					want, _ := e.KNN(q, 6)
+					got := search(t, loaded, q, Query{Kind: KindKNN, K: 6}).Results
+					want := search(t, e, q, Query{Kind: KindKNN, K: 6}).Results
 					sameResults(t, fmt.Sprintf("KNN it=%d", it), got, want)
-					gotR, _ := loaded.RangeSearch(q, 30)
-					wantR, _ := e.RangeSearch(q, 30)
+					gotR := search(t, loaded, q, Query{Kind: KindRange, Radius: 30}).Results
+					wantR := search(t, e, q, Query{Kind: KindRange, Radius: 30}).Results
 					sameResults(t, fmt.Sprintf("Range it=%d", it), gotR, wantR)
 				}
 
@@ -137,24 +134,24 @@ func TestSnapshotRejectsBadManifest(t *testing.T) {
 	}
 }
 
-// TestHTTPSnapshotEndpoint exercises POST /snapshot end to end: 412
+// TestHTTPSnapshotEndpoint exercises POST /v1/snapshot end to end: 412
 // without a configured directory, then a real write that a fresh engine
 // loads and answers from.
 func TestHTTPSnapshotEndpoint(t *testing.T) {
 	unarmed := newTestEngine(t, 30, Options{})
-	srv := httptest.NewServer(NewHandler(unarmed))
-	if resp := postJSON(t, srv, "/snapshot", nil, nil); resp.StatusCode != 412 {
-		t.Fatalf("unarmed /snapshot status %d, want 412", resp.StatusCode)
+	srv := httptest.NewServer(NewAPIHandler(unarmed, HandlerOptions{}))
+	if resp := postJSON(t, srv, "/v1/snapshot", nil, nil); resp.StatusCode != 412 {
+		t.Fatalf("unarmed /v1/snapshot status %d, want 412", resp.StatusCode)
 	}
 	srv.Close()
 
 	dir := t.TempDir()
 	e := newTestEngine(t, 40, Options{Shards: 2, SnapshotDir: dir})
-	srv = httptest.NewServer(NewHandler(e))
+	srv = httptest.NewServer(NewAPIHandler(e, HandlerOptions{}))
 	defer srv.Close()
 	var resp SnapshotResponse
-	if r := postJSON(t, srv, "/snapshot", nil, &resp); r.StatusCode != 200 {
-		t.Fatalf("POST /snapshot status %d", r.StatusCode)
+	if r := postJSON(t, srv, "/v1/snapshot", nil, &resp); r.StatusCode != 200 {
+		t.Fatalf("POST /v1/snapshot status %d", r.StatusCode)
 	}
 	if resp.Dir != dir || resp.Shards != 2 || resp.Size != 40 {
 		t.Fatalf("snapshot response %+v", resp)
@@ -165,7 +162,7 @@ func TestHTTPSnapshotEndpoint(t *testing.T) {
 	}
 	q := testDB(40, 7)[3].Clone()
 	q.ID = 6_000_000
-	got, _ := loaded.KNN(q, 3)
-	want, _ := e.KNN(q, 3)
+	got := search(t, loaded, q, Query{Kind: KindKNN, K: 3}).Results
+	want := search(t, e, q, Query{Kind: KindKNN, K: 3}).Results
 	sameResults(t, "endpoint snapshot KNN", got, want)
 }

@@ -1,9 +1,7 @@
-// Deprecated-API regression coverage:
-//
-//lint:file-ignore SA1019 pins stats accumulation of the deprecated wrappers on purpose.
 package server
 
 import (
+	"context"
 	"testing"
 
 	"trajmatch/internal/traj"
@@ -19,7 +17,7 @@ func TestEngineAccumulatesKernelStats(t *testing.T) {
 
 	q := db[3].Clone()
 	q.ID = 900_000
-	_, st := e.KNN(q, 5)
+	st := search(t, e, q, Query{Kind: KindKNN, K: 5}).Stats
 	got := e.Stats()
 	if got.DistanceCalls == 0 || got.DistanceCalls != uint64(st.DistanceCalls) {
 		t.Errorf("cumulative distance calls %d, want %d", got.DistanceCalls, st.DistanceCalls)
@@ -41,7 +39,9 @@ func TestEngineAccumulatesKernelStats(t *testing.T) {
 		qs[i] = db[(i*11)%len(db)].Clone()
 		qs[i].ID = 910_000 + i
 	}
-	e.KNNBatch(qs, 5)
+	if _, err := e.SearchBatch(context.Background(), qs, Query{Kind: KindKNN, K: 5}); err != nil {
+		t.Fatal(err)
+	}
 	after := e.Stats()
 	if after.DistanceCalls <= wantDist {
 		t.Errorf("batch did not advance distance calls: %d -> %d", wantDist, after.DistanceCalls)
@@ -51,7 +51,7 @@ func TestEngineAccumulatesKernelStats(t *testing.T) {
 	}
 
 	// Range search accumulates too, and a tight radius forces abandons.
-	_, rst := e.RangeSearch(q, 1e-6)
+	rst := search(t, e, q, Query{Kind: KindRange, Radius: 1e-6}).Stats
 	final := e.Stats()
 	if rst.EarlyAbandons == 0 {
 		t.Error("tight-radius range search never abandoned")

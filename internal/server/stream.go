@@ -557,7 +557,7 @@ func (e *Engine) LiveTrack(id int) (stream.Snap, bool) {
 	return e.buffer.Get(id)
 }
 
-// StreamStats is the live-ingest slice of GET /stats.
+// StreamStats is the live-ingest slice of GET /v1/stats.
 type StreamStats struct {
 	// LiveTracks and LivePoints size the mutable buffer.
 	LiveTracks int `json:"live_tracks"`

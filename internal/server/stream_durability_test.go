@@ -322,11 +322,11 @@ func TestCrashRecoveryStreamSweep(t *testing.T) {
 
 					ref := refFor(matched)
 					for qi, q := range queries {
-						got, _ := rec.KNN(q, 5)
-						want, _ := ref.KNN(q, 5)
+						got := search(t, rec, q, Query{Kind: KindKNN, K: 5}).Results
+						want := search(t, ref, q, Query{Kind: KindKNN, K: 5}).Results
 						sameResults(t, fmt.Sprintf("failpoint %d KNN q%d", failAt, qi), got, want)
-						gotR, _ := rec.RangeSearch(q, 150)
-						wantR, _ := ref.RangeSearch(q, 150)
+						gotR := search(t, rec, q, Query{Kind: KindRange, Radius: 150}).Results
+						wantR := search(t, ref, q, Query{Kind: KindRange, Radius: 150}).Results
 						sameResults(t, fmt.Sprintf("failpoint %d range q%d", failAt, qi), gotR, wantR)
 					}
 					if _, err := rec.Search(context.Background(), queries[0],

@@ -1,8 +1,8 @@
 // Package synth generates the synthetic datasets that stand in for the
-// paper's Beijing-cab and ASL corpora (see DESIGN.md §3 for the
-// substitution rationale) and implements the four noise-injection
-// procedures of Section V-C verbatim: inter-trajectory sampling variance,
-// intra-trajectory variance, phase variation and spatial perturbation.
+// paper's Beijing-cab and ASL corpora and implements the four
+// noise-injection procedures of Section V-C verbatim: inter-trajectory
+// sampling variance, intra-trajectory variance, phase variation and
+// spatial perturbation.
 package synth
 
 import (

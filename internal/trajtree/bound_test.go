@@ -1,6 +1,3 @@
-// Deprecated-API regression coverage:
-//
-//lint:file-ignore SA1019 exercises the deprecated KNN/KNNWithBound/KNNShared wrappers on purpose.
 package trajtree
 
 import (
@@ -46,32 +43,11 @@ func TestSharedBoundTightensMonotonically(t *testing.T) {
 	}
 }
 
-// TestKNNWithBoundInfMatchesKNN pins the compatibility contract: an
-// infinite seed bound is exactly the plain search.
-func TestKNNWithBoundInfMatchesKNN(t *testing.T) {
-	rng := rand.New(rand.NewSource(111))
-	db := testDB(rng, 100)
-	tree, err := New(db, testOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for it := 0; it < 10; it++ {
-		q := db[rng.Intn(len(db))].Clone()
-		q.ID = 10_000_000 + it
-		got, gst := tree.KNNWithBound(q, 6, math.Inf(1))
-		want, wst := tree.KNN(q, 6)
-		sameResults(t, "KNNWithBound(+Inf)", got, want)
-		if gst != wst {
-			t.Fatalf("stats diverge: %+v != %+v", gst, wst)
-		}
-	}
-}
-
-// TestKNNWithBoundPrunesAboveLimit seeds the search with a finite
+// TestSeededBoundPrunesAboveLimit seeds SearchKNN with a finite
 // admissible bound and checks two things: every returned distance is
 // within the bound, and the results agree with the plain search's
 // results filtered to the bound — the seed prunes work, never answers.
-func TestKNNWithBoundPrunesAboveLimit(t *testing.T) {
+func TestSeededBoundPrunesAboveLimit(t *testing.T) {
 	rng := rand.New(rand.NewSource(113))
 	db := testDB(rng, 120)
 	tree, err := New(db, testOptions())
@@ -83,7 +59,7 @@ func TestKNNWithBoundPrunesAboveLimit(t *testing.T) {
 		q := db[rng.Intn(len(db))].Clone()
 		q.ID = 11_000_000 + it
 		k := 4 + rng.Intn(6)
-		full, _ := tree.KNN(q, k)
+		full, _, _, _ := tree.SearchKNN(q, k, nil, nil)
 		// Seed with the median answer distance: a valid upper bound on
 		// the k/2-th best, so querying for k/2 neighbours must return
 		// exactly the first k/2 of the full answer.
@@ -92,8 +68,8 @@ func TestKNNWithBoundPrunesAboveLimit(t *testing.T) {
 			continue
 		}
 		limit := full[half-1].Dist
-		got, st := tree.KNNWithBound(q, half, limit)
-		sameResults(t, "KNNWithBound(seeded)", got, full[:half])
+		got, st, _, _ := tree.SearchKNN(q, half, NewSharedBound(limit), nil)
+		sameResults(t, "SearchKNN(seeded)", got, full[:half])
 		for _, r := range got {
 			if r.Dist > limit {
 				t.Fatalf("result %v exceeds seed bound %v", r.Dist, limit)
@@ -108,13 +84,13 @@ func TestKNNWithBoundPrunesAboveLimit(t *testing.T) {
 	}
 }
 
-// TestKNNSharedPartitionsMatchSingleTree is the trajtree-level fan-out
+// TestSharedBoundPartitionsMatchSingleTree is the trajtree-level fan-out
 // property behind the sharded engine: partition one corpus into disjoint
-// trees, run KNNShared over all partitions with one shared bound, merge
+// trees, run SearchKNN over all partitions with one shared bound, merge
 // with a k-bounded heap, and compare with the single tree over the whole
 // corpus. Run both sequentially and with goroutines (the latter matters
 // under -race).
-func TestKNNSharedPartitionsMatchSingleTree(t *testing.T) {
+func TestSharedBoundPartitionsMatchSingleTree(t *testing.T) {
 	rng := rand.New(rand.NewSource(117))
 	db := testDB(rng, 150)
 	whole, err := New(db, testOptions())
@@ -136,7 +112,7 @@ func TestKNNSharedPartitionsMatchSingleTree(t *testing.T) {
 			q := db[rng.Intn(len(db))].Clone()
 			q.ID = 12_000_000 + it
 			k := 1 + rng.Intn(9)
-			want, _ := whole.KNN(q, k)
+			want, _, _, _ := whole.SearchKNN(q, k, nil, nil)
 
 			for _, concurrent := range []bool{false, true} {
 				bound := NewSharedBound(math.Inf(1))
@@ -147,13 +123,13 @@ func TestKNNSharedPartitionsMatchSingleTree(t *testing.T) {
 						wg.Add(1)
 						go func(i int) {
 							defer wg.Done()
-							per[i], _ = trees[i].KNNShared(q, k, bound)
+							per[i], _, _, _ = trees[i].SearchKNN(q, k, bound, nil)
 						}(i)
 					}
 					wg.Wait()
 				} else {
 					for i := range trees {
-						per[i], _ = trees[i].KNNShared(q, k, bound)
+						per[i], _, _, _ = trees[i].SearchKNN(q, k, bound, nil)
 					}
 				}
 				merged := pqueue.NewTopK[*traj.Trajectory](k)

@@ -1,6 +1,3 @@
-// Deprecated-API regression coverage:
-//
-//lint:file-ignore SA1019 pins the deprecated wrappers against the bounded kernel on purpose.
 package trajtree
 
 import (
@@ -33,7 +30,7 @@ func referenceKNN(db []*traj.Trajectory, q *traj.Trajectory, k int, cumulative b
 	return out
 }
 
-// referenceRange is the seed RangeSearch semantics by unbounded scan.
+// referenceRange is the seed range semantics by unbounded scan.
 func referenceRange(db []*traj.Trajectory, q *traj.Trajectory, radius float64) []Result {
 	var out []Result
 	for _, tr := range db {
@@ -85,8 +82,8 @@ func TestBoundedKNNMatchesSeedScan(t *testing.T) {
 			}
 		}
 		k := 1 + rng.Intn(12)
-		got, st := tree.KNN(q, k)
-		sameResults(t, "KNN", got, referenceKNN(db, q, k, false))
+		got, st, _, _ := tree.SearchKNN(q, k, nil, nil)
+		sameResults(t, "SearchKNN", got, referenceKNN(db, q, k, false))
 		brute := tree.KNNBrute(q, k)
 		sameResults(t, "KNNBrute", brute, referenceKNN(db, q, k, false))
 		totalAbandons += st.EarlyAbandons
@@ -111,12 +108,12 @@ func TestBoundedKNNMatchesSeedScanCumulative(t *testing.T) {
 	for it := 0; it < 10; it++ {
 		q := db[rng.Intn(len(db))].Clone()
 		q.ID = 5_000_000 + it
-		got, _ := tree.KNN(q, 8)
-		sameResults(t, "KNN(cumulative)", got, referenceKNN(db, q, 8, true))
+		got, _, _, _ := tree.SearchKNN(q, 8, nil, nil)
+		sameResults(t, "SearchKNN(cumulative)", got, referenceKNN(db, q, 8, true))
 	}
 }
 
-// TestBoundedRangeMatchesSeedScan checks RangeSearch under the radius
+// TestBoundedRangeMatchesSeedScan checks SearchRange under the radius
 // bound: identical membership, distances and order versus the unbounded
 // linear scan, with abandons observed for out-of-range members.
 func TestBoundedRangeMatchesSeedScan(t *testing.T) {
@@ -132,8 +129,8 @@ func TestBoundedRangeMatchesSeedScan(t *testing.T) {
 		q.ID = 6_000_000 + it
 		// Radii spanning tiny (abandon-heavy) to generous (most kept).
 		for _, radius := range []float64{0.01, 0.05, 0.2, 1.0} {
-			got, st := tree.RangeSearch(q, radius)
-			sameResults(t, "RangeSearch", got, referenceRange(db, q, radius))
+			got, st, _, _ := tree.SearchRange(q, radius, nil)
+			sameResults(t, "SearchRange", got, referenceRange(db, q, radius))
 			totalAbandons += st.EarlyAbandons
 		}
 	}
@@ -152,9 +149,9 @@ func TestVisitSetReuseAcrossQueries(t *testing.T) {
 	}
 	q := db[7].Clone()
 	q.ID = 7_000_000
-	first, _ := tree.KNN(q, 9)
+	first, _, _, _ := tree.SearchKNN(q, 9, nil, nil)
 	for it := 0; it < 30; it++ {
-		again, _ := tree.KNN(q, 9)
+		again, _, _, _ := tree.SearchKNN(q, 9, nil, nil)
 		sameResults(t, "repeat", again, first)
 	}
 	if first[0].Dist != 0 {

@@ -45,70 +45,6 @@ func (v *visitSet) has(id int) bool { return v.marks[id] == v.gen }
 
 func (v *visitSet) mark(id int) { v.marks[id] = v.gen }
 
-// KNN returns the exact k nearest trajectories to q under EDwPavg (or
-// cumulative EDwP when Options.Cumulative is set), together with query
-// statistics. Results are sorted by ascending distance. It implements
-// Algorithm 2: best-first traversal ordered by tBoxSeq lower bounds, after
-// one vantage-point top-k evaluation at the root has seeded the upper
-// bound.
-//
-// Every exact evaluation passes the current k-th best distance to the
-// bounded kernel, which abandons the dynamic program as soon as the
-// candidate provably cannot enter the answer set (Stats.EarlyAbandons
-// counts those). The answer is identical to the unbounded search: a
-// candidate is only ever rejected when its exact distance could not have
-// displaced an answer.
-//
-// KNN is safe for concurrent use provided no Insert/Delete/Rebuild runs.
-//
-// Deprecated: use SearchKNN, which additionally supports cancellation
-// and evaluation budgets. KNN(q, k) is SearchKNN(q, k, nil, nil) with
-// the truncation flag and error dropped (both are always zero without a
-// Ctl).
-func (t *Tree) KNN(q *traj.Trajectory, k int) ([]Result, Stats) {
-	res, st, _, _ := t.knnSearch(q, k, false, nil, nil)
-	return res, st
-}
-
-// KNNWithBound is KNN seeded with an external upper bound: candidates
-// whose distance exceeds limit are pruned from the very first evaluation,
-// and subtrees whose lower bound is not below limit are never opened —
-// even before the local answer set holds k members. The returned results
-// therefore contain only distances ≤ limit (possibly fewer than k).
-// KNNWithBound(q, k, +Inf) is identical to KNN(q, k).
-//
-// The caller's limit must be admissible: it must be a known upper bound
-// on the global k-th-best distance (for example a k-th best already found
-// in another shard of a partitioned corpus), otherwise true neighbours
-// can be cut off.
-//
-// Deprecated: use SearchKNN with a bound seeded at limit
-// (NewSharedBound(limit), or nil for an infinite limit).
-func (t *Tree) KNNWithBound(q *traj.Trajectory, k int, limit float64) ([]Result, Stats) {
-	var bound *SharedBound
-	if !math.IsInf(limit, 1) {
-		bound = NewSharedBound(limit)
-	}
-	res, st, _, _ := t.knnSearch(q, k, false, bound, nil)
-	return res, st
-}
-
-// KNNShared is the fan-out entry point: the search prunes against
-// bound in addition to its local k-th best, and publishes its own local
-// k-th best back through bound.Tighten the moment its answer set fills.
-// Concurrent KNNShared calls on disjoint trees therefore tighten each
-// other: a close neighbour found in one shard abandons DP work in every
-// other shard's search. The union of the per-shard results is a superset
-// of the global k-NN set (see SharedBound for the admissibility
-// argument); callers merge it with a k-bounded heap.
-//
-// Deprecated: use SearchKNN, which takes the same shared bound plus a
-// cancellation/budget Ctl.
-func (t *Tree) KNNShared(q *traj.Trajectory, k int, bound *SharedBound) ([]Result, Stats) {
-	res, st, _, _ := t.knnSearch(q, k, false, bound, nil)
-	return res, st
-}
-
 // knnSearch is the one best-first descent behind SearchKNN and
 // SearchSub. sub selects the distance: false ranks by the tree's
 // whole-trajectory distance (EDwPavg, or cumulative EDwP), true by

@@ -6,33 +6,6 @@ import (
 	"trajmatch/internal/traj"
 )
 
-// RangeSearch returns every indexed trajectory within the given EDwP (or
-// EDwPavg) distance of q, sorted ascending. It reuses the k-NN machinery's
-// admissible lower bounds: a subtree is visited only when its bound does
-// not exceed the radius, so the result is exact. This is the similarity
-// counterpart of the interval queries TB-tree and SETI answer (Section VI);
-// the paper's index supports it for free and so does this one.
-//
-// Every exact evaluation passes the radius to the bounded kernel: members
-// outside the radius are abandoned part-way through the dynamic program
-// (Stats.EarlyAbandons), while members inside it get their exact distance.
-//
-// The radius is the seed bound of the whole search: unlike k-NN — whose
-// pruning threshold only tightens as answers accumulate — a range query
-// starts maximally tight, so fanning one query out over the shards of a
-// partitioned corpus needs no shared state at all. Each shard search is
-// seeded with the same radius and the per-shard result lists merge by
-// concatenation; the sharded engine in internal/server does exactly that.
-//
-// Deprecated: use SearchRange, which additionally supports cancellation
-// and evaluation budgets. RangeSearch(q, r) is SearchRange(q, r, nil)
-// with the truncation flag and error dropped (both are always zero
-// without a Ctl).
-func (t *Tree) RangeSearch(q *traj.Trajectory, radius float64) ([]Result, Stats) {
-	res, st, _, _ := t.rangeSeeded(q, radius, nil)
-	return res, st
-}
-
 // rangeSeeded walks the tree pruning subtrees whose lower bound exceeds
 // the seed limit and abandoning member evaluations at it. ctl (may be
 // nil) injects cancellation — polled once per visited node and per DP

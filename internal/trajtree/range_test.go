@@ -1,6 +1,3 @@
-// Deprecated-API regression coverage:
-//
-//lint:file-ignore SA1019 pins the deprecated RangeSearch wrapper on purpose.
 package trajtree
 
 import (
@@ -24,7 +21,7 @@ func TestRangeSearchExact(t *testing.T) {
 		// non-trivial.
 		knn := tree.KNNBrute(q, 10)
 		radius := knn[len(knn)-1].Dist
-		got, st := tree.RangeSearch(q, radius)
+		got, st, _, _ := tree.SearchRange(q, radius, nil)
 		// Brute-force reference.
 		var want int
 		for _, tr := range tree.All() {
@@ -57,11 +54,11 @@ func TestRangeSearchEmptyAndZeroRadius(t *testing.T) {
 		t.Fatal(err)
 	}
 	empty, _ := New(nil, testOptions())
-	if got, _ := empty.RangeSearch(db[0], 100); len(got) != 0 {
+	if got, _, _, _ := empty.SearchRange(db[0], 100, nil); len(got) != 0 {
 		t.Error("range on empty tree returned results")
 	}
 	// Zero radius returns at least the query itself when indexed.
-	got, _ := tree.RangeSearch(db[3], 0)
+	got, _, _, _ := tree.SearchRange(db[3], 0, nil)
 	found := false
 	for _, r := range got {
 		if r.Traj.ID == db[3].ID {
@@ -116,8 +113,8 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	for it := 0; it < 5; it++ {
 		q := testDB(rng, 1)[0]
 		q.ID = 8000 + it
-		a, _ := tree.KNN(q, 7)
-		b, _ := loaded.KNN(q, 7)
+		a, _, _, _ := tree.SearchKNN(q, 7, nil, nil)
+		b, _, _, _ := loaded.SearchKNN(q, 7, nil, nil)
 		if len(a) != len(b) {
 			t.Fatalf("result counts differ: %d vs %d", len(a), len(b))
 		}

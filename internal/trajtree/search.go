@@ -21,13 +21,30 @@ type Ctl = backend.Ctl
 // Ctl when the query finishes to detach the context watcher.
 func NewCtl(ctx context.Context, maxEvals int) *Ctl { return backend.NewCtl(ctx, maxEvals) }
 
-// SearchKNN is the context-aware k-nearest-neighbour entry point, the
-// search every legacy KNN variant is now a wrapper over. bound may be nil
-// (self-contained search), seeded with a finite admissible limit
-// (KNNWithBound semantics), or shared across concurrent searches of
-// disjoint trees (KNNShared semantics — each search publishes its local
-// k-th best through it). ctl may be nil for an uncancellable, unbudgeted
-// search.
+// SearchKNN returns the exact k nearest trajectories to q under EDwPavg
+// (or cumulative EDwP when Options.Cumulative is set), sorted by
+// ascending distance, together with query statistics. It implements
+// Algorithm 2: best-first traversal ordered by tBoxSeq lower bounds,
+// after one vantage-point top-k evaluation at the root has seeded the
+// upper bound. Every exact evaluation passes the current k-th best
+// distance to the bounded kernel, which abandons the dynamic program as
+// soon as the candidate provably cannot enter the answer set
+// (Stats.EarlyAbandons counts those); the answer is that of the
+// unbounded search.
+//
+// bound may be nil (a self-contained search), or carry an external upper
+// bound: candidates whose distance exceeds it are pruned from the very
+// first evaluation and subtrees whose lower bound is not below it are
+// never opened, so the results hold only distances ≤ the bound (possibly
+// fewer than k). Its limit must be admissible — a known upper bound on
+// the global k-th best, for example one already found in another shard
+// of a partitioned corpus — or true neighbours can be cut off. A bound
+// shared across concurrent searches of disjoint trees is also tightened
+// by each search the moment its answer set fills, so a close neighbour
+// found in one shard abandons DP work in every other; the union of the
+// per-shard results is a superset of the global k-NN set (see
+// SharedBound), which callers merge with a k-bounded heap. ctl may be
+// nil for an uncancellable, unbudgeted search.
 //
 // The third return reports truncation: the Ctl's evaluation budget ran
 // out and the answer holds only the neighbours confirmed so far — a
@@ -35,13 +52,30 @@ func NewCtl(ctx context.Context, maxEvals int) *Ctl { return backend.NewCtl(ctx,
 // error; the other returns are then meaningless and must be discarded
 // (a cancelled kernel call deliberately poisons in-flight candidate
 // evaluations).
+//
+// SearchKNN is safe for concurrent use provided no Insert/Delete/Rebuild
+// runs.
 func (t *Tree) SearchKNN(q *traj.Trajectory, k int, bound *SharedBound, ctl *Ctl) ([]Result, Stats, bool, error) {
 	return t.knnSearch(q, k, false, bound, ctl)
 }
 
 // SearchRange is the context-aware range query: every indexed trajectory
-// within radius of q, sorted by (distance, ID). Truncation and error
-// semantics match SearchKNN.
+// within radius of q under the tree's distance, sorted by (distance, ID).
+// It reuses the k-NN machinery's admissible lower bounds — a subtree is
+// visited only when its bound does not exceed the radius, so the result
+// is exact — and passes the radius to the bounded kernel, which abandons
+// members outside it part-way through the dynamic program. This is the
+// similarity counterpart of the interval queries TB-tree and SETI answer
+// (Section VI).
+//
+// The radius is the seed bound of the whole search: unlike k-NN — whose
+// pruning threshold only tightens as answers accumulate — a range query
+// starts maximally tight, so fanning one query out over the shards of a
+// partitioned corpus needs no shared state at all. Each shard search is
+// seeded with the same radius and the per-shard result lists merge by
+// concatenation; the sharded engine in internal/server does exactly that.
+//
+// Truncation and error semantics match SearchKNN.
 func (t *Tree) SearchRange(q *traj.Trajectory, radius float64, ctl *Ctl) ([]Result, Stats, bool, error) {
 	return t.rangeSeeded(q, radius, ctl)
 }

@@ -1,6 +1,3 @@
-// Deprecated-API regression coverage:
-//
-//lint:file-ignore SA1019 compares the new Search API against the deprecated wrappers on purpose.
 package trajtree
 
 import (
@@ -15,42 +12,6 @@ import (
 	"trajmatch/internal/pqueue"
 	"trajmatch/internal/traj"
 )
-
-// A nil Ctl must leave the new Search* entry points byte-identical to
-// the legacy methods they replace.
-func TestSearchNilCtlMatchesLegacy(t *testing.T) {
-	db := testDB(rand.New(rand.NewSource(3)), 150)
-	tree, err := New(db, Options{Seed: 1, LeafSize: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for it := 0; it < 12; it++ {
-		q := db[(it*13)%len(db)].Clone()
-		q.ID = 700_000 + it
-		k := 1 + it%9
-
-		res, st, trunc, serr := tree.SearchKNN(q, k, nil, nil)
-		want, wst := tree.KNN(q, k)
-		if serr != nil || trunc {
-			t.Fatalf("it=%d: SearchKNN(nil ctl) reported trunc=%v err=%v", it, trunc, serr)
-		}
-		sameResults(t, "SearchKNN", res, want)
-		if st != wst {
-			t.Fatalf("it=%d: stats diverge: %+v != %+v", it, st, wst)
-		}
-
-		radius := []float64{5, 25, 90}[it%3]
-		rres, rst, rtrunc, rerr := tree.SearchRange(q, radius, nil)
-		rwant, rwst := tree.RangeSearch(q, radius)
-		if rerr != nil || rtrunc {
-			t.Fatalf("it=%d: SearchRange(nil ctl) reported trunc=%v err=%v", it, rtrunc, rerr)
-		}
-		sameResults(t, "SearchRange", rres, rwant)
-		if rst != rwst {
-			t.Fatalf("it=%d: range stats diverge: %+v != %+v", it, rst, rwst)
-		}
-	}
-}
 
 // SearchSub must agree with a brute-force EDwPsub ranking — searched as
 // one tree and fanned out over 2 and 4 disjoint trees sharing one bound,
@@ -167,7 +128,7 @@ func TestSearchBudgetTruncates(t *testing.T) {
 	q := db[17].Clone()
 	q.ID = 900_002
 
-	_, full, _, _ := tree.SearchKNN(q, 10, nil, nil)
+	want, full, _, _ := tree.SearchKNN(q, 10, nil, nil)
 	budget := full.DistanceCalls / 2
 	if budget == 0 {
 		t.Fatalf("full search made no distance calls")
@@ -197,7 +158,6 @@ func TestSearchBudgetTruncates(t *testing.T) {
 	if err != nil || trunc2 {
 		t.Fatalf("exact-budget search trunc=%v err=%v", trunc2, err)
 	}
-	want, _ := tree.KNN(q, 10)
 	sameResults(t, "exact-budget", res2, want)
 	if st2.DistanceCalls != full.DistanceCalls {
 		t.Fatalf("exact-budget made %d calls, want %d", st2.DistanceCalls, full.DistanceCalls)

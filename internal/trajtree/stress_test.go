@@ -1,6 +1,3 @@
-// Deprecated-API regression coverage:
-//
-//lint:file-ignore SA1019 pins the deprecated KNN wrapper under churn on purpose.
 package trajtree
 
 import (
@@ -69,7 +66,7 @@ func TestInterleavedUpdatesStayExact(t *testing.T) {
 		}
 		q := testDB(rng, 1)[0]
 		q.ID = 100_000 + batch
-		got, _ := tree.KNN(q, 5)
+		got, _, _, _ := tree.SearchKNN(q, 5, nil, nil)
 		ref := tree.KNNBrute(q, 5)
 		for i := range got {
 			if math.Abs(got[i].Dist-ref[i].Dist) > 1e-9*(1+ref[i].Dist) {
@@ -99,7 +96,7 @@ func TestKNNExactUnderOptionExtremes(t *testing.T) {
 		if err := tree.checkInvariants(); err != nil {
 			t.Fatalf("opts %d: %v", oi, err)
 		}
-		got, _ := tree.KNN(q, 9)
+		got, _, _, _ := tree.SearchKNN(q, 9, nil, nil)
 		want := tree.KNNBrute(q, 9)
 		for i := range got {
 			if math.Abs(got[i].Dist-want[i].Dist) > 1e-9*(1+want[i].Dist) {
@@ -124,7 +121,7 @@ func TestDuplicateGeometry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _ := tree.KNN(base[0], 11)
+	got, _, _, _ := tree.SearchKNN(base[0], 11, nil, nil)
 	if len(got) != 11 {
 		t.Fatalf("got %d results", len(got))
 	}

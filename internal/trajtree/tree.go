@@ -10,7 +10,7 @@
 // lower bound and the search stops when the smallest outstanding lower
 // bound cannot beat the current k-th best distance.
 //
-// A Tree is immutable under queries and safe for concurrent KNN calls;
+// A Tree is immutable under queries and safe for concurrent searches;
 // Insert, Delete and the rebuild calls require external serialisation.
 // Package server wraps a Tree in an RWMutex-guarded engine that provides
 // exactly that serialisation for concurrent workloads. The one goroutine
@@ -257,9 +257,9 @@ func (t *Tree) dist(a, b *traj.Trajectory) float64 {
 // the kernel abandon the dynamic program early; the second return reports
 // whether a +Inf came from the limit (counted as Stats.EarlyAbandons)
 // rather than from a genuinely infinite distance. Every query path passes
-// its current pruning threshold (the k-th best distance for KNN, the
-// radius for RangeSearch) so candidates that cannot enter the answer are
-// rejected at a fraction of a full evaluation's cost. cancel (may be
+// its current pruning threshold (the k-th best distance for SearchKNN,
+// the radius for SearchRange) so candidates that cannot enter the answer
+// are rejected at a fraction of a full evaluation's cost. cancel (may be
 // nil) is the query's cooperative cancellation flag, polled by the
 // kernel once per DP row.
 func (t *Tree) distBounded(a, b *traj.Trajectory, limit float64, cancel *core.Cancel) (float64, bool) {

@@ -1,6 +1,3 @@
-// Deprecated-API regression coverage:
-//
-//lint:file-ignore SA1019 pins the deprecated KNN wrapper on purpose.
 package trajtree
 
 import (
@@ -71,7 +68,7 @@ func TestEmptyTree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res, _ := tree.KNN(traj.FromXY(0, 0, 0, 1, 1), 5); len(res) != 0 {
+	if res, _, _, _ := tree.SearchKNN(traj.FromXY(0, 0, 0, 1, 1), 5, nil, nil); len(res) != 0 {
 		t.Errorf("kNN on empty tree returned %d results", len(res))
 	}
 }
@@ -89,7 +86,7 @@ func TestKNNExactlyMatchesBruteForce(t *testing.T) {
 		q := testDB(rng, 1)[0]
 		q.ID = 10_000 + it
 		for _, k := range []int{1, 5, 10} {
-			got, _ := tree.KNN(q, k)
+			got, _, _, _ := tree.SearchKNN(q, k, nil, nil)
 			want := tree.KNNBrute(q, k)
 			if len(got) != len(want) {
 				t.Fatalf("k=%d: %d results, want %d", k, len(got), len(want))
@@ -116,7 +113,7 @@ func TestKNNExactWithVantageDisabled(t *testing.T) {
 	}
 	q := testDB(rng, 1)[0]
 	q.ID = 9999
-	got, _ := tree.KNN(q, 10)
+	got, _, _, _ := tree.SearchKNN(q, 10, nil, nil)
 	want := tree.KNNBrute(q, 10)
 	for i := range got {
 		if math.Abs(got[i].Dist-want[i].Dist) > 1e-9 {
@@ -136,7 +133,7 @@ func TestKNNCumulativeMode(t *testing.T) {
 	}
 	q := testDB(rng, 1)[0]
 	q.ID = 9999
-	got, _ := tree.KNN(q, 5)
+	got, _, _, _ := tree.SearchKNN(q, 5, nil, nil)
 	want := tree.KNNBrute(q, 5)
 	for i := range got {
 		if math.Abs(got[i].Dist-want[i].Dist) > 1e-6*(1+want[i].Dist) {
@@ -158,7 +155,7 @@ func TestKNNPrunes(t *testing.T) {
 	}
 	q := testDB(rng, 1)[0]
 	q.ID = 9999
-	_, st := tree.KNN(q, 5)
+	_, st, _, _ := tree.SearchKNN(q, 5, nil, nil)
 	if st.DistanceCalls >= len(db) {
 		t.Errorf("no pruning: %d distance calls for %d trajectories", st.DistanceCalls, len(db))
 	}
@@ -181,7 +178,7 @@ func TestKNNParallelBuildSameAnswers(t *testing.T) {
 	}
 	q := testDB(rng, 1)[0]
 	q.ID = 9999
-	got, _ := par.KNN(q, 8)
+	got, _, _, _ := par.SearchKNN(q, 8, nil, nil)
 	want := par.KNNBrute(q, 8)
 	for i := range got {
 		if math.Abs(got[i].Dist-want[i].Dist) > 1e-9*(1+want[i].Dist) {
@@ -199,7 +196,7 @@ func TestKNNKLargerThanDB(t *testing.T) {
 	}
 	q := testDB(rng, 1)[0]
 	q.ID = 9999
-	got, _ := tree.KNN(q, 50)
+	got, _, _, _ := tree.SearchKNN(q, 50, nil, nil)
 	if len(got) != len(db) {
 		t.Errorf("k>n returned %d results, want %d", len(got), len(db))
 	}
@@ -232,7 +229,7 @@ func TestInsertThenQuery(t *testing.T) {
 	}
 	q := testDB(rng, 1)[0]
 	q.ID = 9999
-	got, _ := tree.KNN(q, 10)
+	got, _, _, _ := tree.SearchKNN(q, 10, nil, nil)
 	want := tree.KNNBrute(q, 10)
 	for i := range got {
 		if math.Abs(got[i].Dist-want[i].Dist) > 1e-9*(1+want[i].Dist) {
@@ -265,7 +262,7 @@ func TestInsertIntoEmpty(t *testing.T) {
 	if tree.Size() != 1 {
 		t.Errorf("Size = %d", tree.Size())
 	}
-	got, _ := tree.KNN(traj.FromXY(2, 0, 0, 5, 6), 1)
+	got, _, _, _ := tree.SearchKNN(traj.FromXY(2, 0, 0, 5, 6), 1, nil, nil)
 	if len(got) != 1 || got[0].Traj.ID != 1 {
 		t.Errorf("kNN after insert = %v", got)
 	}
@@ -295,7 +292,7 @@ func TestDelete(t *testing.T) {
 	// Deleted trajectory never appears in results.
 	q := testDB(rng, 1)[0]
 	q.ID = 9999
-	got, _ := tree.KNN(q, 50)
+	got, _, _, _ := tree.SearchKNN(q, 50, nil, nil)
 	for _, r := range got {
 		if r.Traj.ID == db[7].ID {
 			t.Error("deleted trajectory returned by kNN")
@@ -366,7 +363,7 @@ func TestConcurrentQueries(t *testing.T) {
 		q := q
 		q.ID += 50_000
 		go func() {
-			res, _ := tree.KNN(q, 5)
+			res, _, _, _ := tree.SearchKNN(q, 5, nil, nil)
 			done <- res
 		}()
 	}

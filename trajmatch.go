@@ -163,11 +163,11 @@ func LoadIndex(r io.Reader) (*Index, error) {
 }
 
 // SharedBound is an atomically tightening upper bound shared by
-// concurrent searches over disjoint indexes; see Index.KNNShared.
+// concurrent searches over disjoint indexes; see Index.SearchKNN.
 type SharedBound = trajtree.SharedBound
 
 // NewSharedBound returns a shared bound seeded at limit (+Inf for an
-// unconstrained search). Concurrent Index.KNNShared calls over disjoint
+// unconstrained search). Concurrent Index.SearchKNN calls over disjoint
 // partitions of one corpus tighten it cooperatively; the per-partition
 // answers merge into the exact global k-NN set.
 func NewSharedBound(limit float64) *SharedBound { return trajtree.NewSharedBound(limit) }
@@ -242,7 +242,7 @@ var ErrInvalidQuery = server.ErrInvalidQuery
 // EngineOptions configure an Engine; the zero value enables a 1024-entry
 // cache, GOMAXPROCS batch workers and a single shard. Set Shards for
 // per-shard update locking and parallel builds, SnapshotDir to arm
-// POST /snapshot, Prefilter (optionally tuning Sketch) to build the
+// POST /v1/snapshot, Prefilter (optionally tuning Sketch) to build the
 // sketch/LSH candidate prefilter that Query.Prefilter opts into, and
 // WALDir (with WALSync choosing the durability point) to log every
 // accepted mutation before acknowledgement and replay the log on boot.
@@ -324,23 +324,13 @@ type HandlerOptions = server.HandlerOptions
 // POST /v1/search (one endpoint — the query kind travels in the body,
 // and a "queries" array batches), /v1/insert, /v1/delete, /v1/rebuild,
 // /v1/snapshot and GET /v1/stats, /v1/healthz, all with JSON bodies and
-// a consistent {"error", "code"} envelope on failure. The pre-versioning
-// routes remain as aliases answering with a Deprecation header.
+// a consistent {"error", "code"} envelope on failure.
 func NewAPIHandler(e *Engine, opt HandlerOptions) http.Handler {
 	return server.NewAPIHandler(e, opt)
 }
 
-// NewHTTPHandler returns the trajserve HTTP API over e with default
-// options.
-//
-// Deprecated: use NewAPIHandler, which takes HandlerOptions (notably
-// the per-request query timeout).
-func NewHTTPHandler(e *Engine) http.Handler {
-	return server.NewAPIHandler(e, server.HandlerOptions{})
-}
-
 // LoadEngineSnapshot reconstructs an engine from a sharded snapshot
-// directory written by Engine.SaveSnapshot (or POST /snapshot). The
+// directory written by Engine.SaveSnapshot (or POST /v1/snapshot). The
 // shard count comes from the snapshot's manifest; the remaining options
 // apply as given.
 func LoadEngineSnapshot(dir string, eopt EngineOptions) (*Engine, error) {
@@ -478,7 +468,7 @@ func DefaultTaxiConfig(n int) TaxiConfig { return synth.DefaultTaxi(n) }
 func DefaultASLConfig() ASLConfig { return synth.DefaultASL() }
 
 // GenerateTaxi produces the synthetic stand-in for the paper's Beijing cab
-// dataset (see DESIGN.md §3).
+// dataset.
 func GenerateTaxi(cfg TaxiConfig) []*Trajectory { return synth.Taxi(cfg) }
 
 // GenerateASL produces the labelled stand-in for the Australian Sign

@@ -58,13 +58,13 @@ func TestFacadeIndexAndGenerators(t *testing.T) {
 	}
 
 	edr := trajmatch.NewEDRIndex(db, 60)
-	eres, _ := edr.KNN(q, 5)
+	eres, _, _, _ := edr.SearchKNN(q, 5, nil, nil)
 	if len(eres) != 5 || eres[0].Traj.ID != q.ID {
 		t.Errorf("EDR index kNN = %v", eres)
 	}
 
 	dtw := trajmatch.NewDTWIndex(db)
-	dres, _ := dtw.KNN(q, 5)
+	dres, _, _, _ := dtw.SearchKNN(q, 5, nil, nil)
 	if len(dres) != 5 || dres[0].Traj.ID != q.ID {
 		t.Errorf("DTW index kNN = %v", dres)
 	}
