@@ -23,7 +23,6 @@ import (
 	"trajmatch/internal/core"
 	"trajmatch/internal/eval"
 	"trajmatch/internal/raceflag"
-	"trajmatch/internal/vantage"
 )
 
 // benchScale sizes all figure benchmarks.
@@ -146,7 +145,7 @@ func BenchmarkFig5jQueryVsK(b *testing.B) {
 		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				ss, err := eval.QueryCompetitors(db, queries, []int{k},
-					trajmatch.IndexOptions{NumVPs: 20, PivotCandidates: 32, Seed: 1})
+					trajmatch.IndexOptions{PivotCandidates: 32, Seed: 1})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -171,7 +170,7 @@ func BenchmarkFig6aQueryVsDBSize(b *testing.B) {
 			}
 			for i := 0; i < b.N; i++ {
 				ss, err := eval.QueryCompetitors(db, queries, []int{10},
-					trajmatch.IndexOptions{NumVPs: 20, PivotCandidates: 32, Seed: 1})
+					trajmatch.IndexOptions{PivotCandidates: 32, Seed: 1})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -196,10 +195,7 @@ func BenchmarkFig6bQueryVsTheta(b *testing.B) {
 // vantage points grow, with the random baseline.
 func BenchmarkFig6cUBFactorVsVPs(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		ss, err := eval.UBFactorVsVPs(benchScale, []int{10, 40, 80})
-		if err != nil {
-			b.Fatal(err)
-		}
+		ss := eval.UBFactorVsVPs(benchScale, []int{10, 40, 80})
 		reportSeries(b, "ubf", ss)
 	}
 }
@@ -207,10 +203,7 @@ func BenchmarkFig6cUBFactorVsVPs(b *testing.B) {
 // BenchmarkFig6dUBFactorVsK reproduces Fig. 6(d).
 func BenchmarkFig6dUBFactorVsK(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		ss, err := eval.UBFactorVsK(benchScale, []int{5, 25, 50}, 40)
-		if err != nil {
-			b.Fatal(err)
-		}
+		ss := eval.UBFactorVsK(benchScale, []int{5, 25, 50}, 40)
 		reportSeries(b, "ubf", ss)
 	}
 }
@@ -223,7 +216,7 @@ func BenchmarkFig6eBuildVsDBSize(b *testing.B) {
 			db := trajmatch.GenerateTaxi(trajmatch.DefaultTaxiConfig(n))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := trajmatch.NewIndex(db, trajmatch.IndexOptions{NumVPs: 20, PivotCandidates: 32, Seed: 1}); err != nil {
+				if _, err := trajmatch.NewIndex(db, trajmatch.IndexOptions{PivotCandidates: 32, Seed: 1}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -238,40 +231,10 @@ func BenchmarkFig6fBuildVsTheta(b *testing.B) {
 	for _, th := range []float64{0.4, 0.8, 0.95} {
 		b.Run(fmt.Sprintf("theta=%.2f", th), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := trajmatch.NewIndex(db, trajmatch.IndexOptions{Theta: th, NumVPs: 20, PivotCandidates: 32, Seed: 1}); err != nil {
+				if _, err := trajmatch.NewIndex(db, trajmatch.IndexOptions{Theta: th, PivotCandidates: 32, Seed: 1}); err != nil {
 					b.Fatal(err)
 				}
 			}
-		})
-	}
-}
-
-// BenchmarkAblationVantagePoints measures the VP machinery's effect on
-// query latency ("Vantage pass" in docs/ARCHITECTURE.md, "Memory layout").
-func BenchmarkAblationVantagePoints(b *testing.B) {
-	db := benchTaxi()
-	queries := benchQueries(3)
-	for _, disable := range []bool{false, true} {
-		name := "with-vps"
-		if disable {
-			name = "without-vps"
-		}
-		b.Run(name, func(b *testing.B) {
-			tree, err := trajmatch.NewIndex(db, trajmatch.IndexOptions{
-				NumVPs: 20, PivotCandidates: 32, Seed: 1, DisableVantage: disable,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			calls := 0
-			for i := 0; i < b.N; i++ {
-				for _, q := range queries {
-					_, st, _, _ := tree.SearchKNN(q, 10, nil, nil)
-					calls += st.DistanceCalls
-				}
-			}
-			b.ReportMetric(float64(calls)/float64(b.N*len(queries)), "distcalls/query")
 		})
 	}
 }
@@ -352,7 +315,7 @@ func BenchmarkDistanceThroughput(b *testing.B) {
 // the standing index.
 func BenchmarkIndexKNN(b *testing.B) {
 	db := benchTaxi()
-	tree, err := trajmatch.NewIndex(db, trajmatch.IndexOptions{NumVPs: 20, PivotCandidates: 32, Seed: 1})
+	tree, err := trajmatch.NewIndex(db, trajmatch.IndexOptions{PivotCandidates: 32, Seed: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -370,7 +333,7 @@ func BenchmarkIndexKNN(b *testing.B) {
 // fast-path benefit visible next to the timing.
 func BenchmarkTreeKNN(b *testing.B) {
 	db := benchTaxi()
-	tree, err := trajmatch.NewIndex(db, trajmatch.IndexOptions{NumVPs: 20, PivotCandidates: 32, Seed: 1})
+	tree, err := trajmatch.NewIndex(db, trajmatch.IndexOptions{PivotCandidates: 32, Seed: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -386,13 +349,12 @@ func BenchmarkTreeKNN(b *testing.B) {
 	b.ReportMetric(float64(abandons)/float64(b.N), "abandons/query")
 }
 
-// searchArm is one arm of the tree-vs-scan benchmarks: a query set, the
-// search it runs and whether its tree is built without vantage points.
+// searchArm is one arm of the tree-vs-scan benchmarks: a query set and
+// the search it runs.
 type searchArm struct {
-	name           string
-	disableVantage bool
-	queries        []*trajmatch.Trajectory
-	search         func(*trajmatch.Index, *trajmatch.Trajectory) trajmatch.QueryStats
+	name    string
+	queries []*trajmatch.Trajectory
+	search  func(*trajmatch.Index, *trajmatch.Trajectory) trajmatch.QueryStats
 }
 
 func knnArm(t *trajmatch.Index, q *trajmatch.Trajectory) trajmatch.QueryStats {
@@ -408,20 +370,18 @@ func scanArm(t *trajmatch.Index, q *trajmatch.Trajectory) trajmatch.QueryStats {
 }
 
 // runSearchArms runs each arm as a sub-benchmark over db, one query per
-// operation, reporting the work counters per query. Arms share one tree per
-// option set, built by the first arm selected.
+// operation, reporting the work counters per query. Arms share one tree,
+// built by the first arm selected.
 func runSearchArms(b *testing.B, db []*trajmatch.Trajectory, arms []searchArm) {
-	trees := map[bool]*trajmatch.Index{}
+	var t *trajmatch.Index
 	for _, arm := range arms {
 		b.Run(arm.name, func(b *testing.B) {
-			t := trees[arm.disableVantage]
 			if t == nil {
 				var err error
-				t, err = trajmatch.NewIndex(db, trajmatch.IndexOptions{Parallel: true, Seed: 1, DisableVantage: arm.disableVantage})
+				t, err = trajmatch.NewIndex(db, trajmatch.IndexOptions{Parallel: true, Seed: 1})
 				if err != nil {
 					b.Fatal(err)
 				}
-				trees[arm.disableVantage] = t
 				b.ResetTimer()
 			}
 			var sum trajmatch.QueryStats
@@ -441,12 +401,11 @@ func runSearchArms(b *testing.B, db []*trajmatch.Trajectory, arms []searchArm) {
 // BenchmarkKNN10k runs the bench/ cold-search request set — the same
 // 10 000 trips, index options and 210 queries (140 k-NN, 42 range, 28
 // subknn) — directly against the tree: one operation is one query. The
-// arms are k-NN with and without vantage points, range, subknn, and scan,
-// the k-NN queries through KNNBrute, so TrajTree-vs-scan is read off one
-// command. It is also the harness for CPU profiles of the exact-search
-// path at a size where the index prunes (go test -run '^$' -bench
-// 'KNN10k/with-vps' -cpuprofile ...); its work counters repeat exactly
-// from run to run.
+// arms are k-NN, range, subknn, and scan, the k-NN queries through
+// KNNBrute, so TrajTree-vs-scan is read off one command. It is also the
+// harness for CPU profiles of the exact-search path at a size where the
+// index prunes (go test -run '^$' -bench 'KNN10k/knn' -cpuprofile ...);
+// its work counters repeat exactly from run to run.
 func BenchmarkKNN10k(b *testing.B) {
 	db := trajmatch.GenerateTaxi(trajmatch.DefaultTaxiConfig(10000))
 	qcfg := trajmatch.DefaultTaxiConfig(210)
@@ -454,17 +413,16 @@ func BenchmarkKNN10k(b *testing.B) {
 	queries := trajmatch.GenerateTaxi(qcfg)
 	knn, rng, sub := queries[:140], queries[140:182], queries[182:]
 	runSearchArms(b, db, []searchArm{
-		{"with-vps", false, knn, knnArm},
-		{"without-vps", true, knn, knnArm},
-		{"range", false, rng, func(t *trajmatch.Index, q *trajmatch.Trajectory) trajmatch.QueryStats {
+		{"knn", knn, knnArm},
+		{"range", rng, func(t *trajmatch.Index, q *trajmatch.Trajectory) trajmatch.QueryStats {
 			_, st, _, _ := t.SearchRange(q, 500, nil)
 			return st
 		}},
-		{"subknn", false, sub, func(t *trajmatch.Index, q *trajmatch.Trajectory) trajmatch.QueryStats {
+		{"subknn", sub, func(t *trajmatch.Index, q *trajmatch.Trajectory) trajmatch.QueryStats {
 			_, st, _, _ := t.SearchSub(q, 10, nil, nil)
 			return st
 		}},
-		{"scan", false, knn, scanArm},
+		{"scan", knn, scanArm},
 	})
 }
 
@@ -539,38 +497,9 @@ func BenchmarkKNNASL(b *testing.B) {
 		}
 	}
 	runSearchArms(b, db, []searchArm{
-		{"with-vps", false, queries, knnArm},
-		{"without-vps", true, queries, knnArm},
-		{"scan", false, queries, scanArm},
+		{"knn", queries, knnArm},
+		{"scan", queries, scanArm},
 	})
-}
-
-// BenchmarkVPTopK isolates the vantage pass at the size of the bench
-// corpus's root: one TopK selection of the 10 nearest of 10 000
-// descriptor rows × 16 vantage points (the default) per operation. The
-// threshold is cold for the table's first k rows and warm — abandoning
-// most rows mid-sum — for the rest, as in a query.
-func BenchmarkVPTopK(b *testing.B) {
-	db := trajmatch.GenerateTaxi(trajmatch.DefaultTaxiConfig(10000))
-	vps := vantage.Select(db, 16, rand.New(rand.NewSource(1)))
-	descs := make([]float64, 0, len(db)*len(vps))
-	for _, tr := range db {
-		descs = vantage.AppendDescriptor(descs, tr, vps)
-	}
-	qcfg := trajmatch.DefaultTaxiConfig(8)
-	qcfg.Seed += 7919
-	var qds [][]float64
-	for _, q := range trajmatch.GenerateTaxi(qcfg) {
-		qds = append(qds, vantage.AppendDescriptor(nil, q, vps))
-	}
-	var vp vantage.Scratch
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if top := vp.TopK(qds[i%len(qds)], descs, 10, nil); len(top) != 10 {
-			b.Fatalf("TopK returned %d rows", len(top))
-		}
-	}
 }
 
 // BenchmarkDistanceBounded isolates the bounded kernel: the same pair
@@ -605,7 +534,7 @@ func BenchmarkDistanceBounded(b *testing.B) {
 func BenchmarkEngineKNNBatch(b *testing.B) {
 	db := benchTaxi()
 	queries := benchQueries(32)
-	iopt := trajmatch.IndexOptions{NumVPs: 20, PivotCandidates: 32, Seed: 1}
+	iopt := trajmatch.IndexOptions{PivotCandidates: 32, Seed: 1}
 
 	b.Run("sequential", func(b *testing.B) {
 		tree, err := trajmatch.NewIndex(db, iopt)
@@ -668,7 +597,7 @@ func BenchmarkEngineKNNBatch(b *testing.B) {
 func BenchmarkShardedKNN(b *testing.B) {
 	db := benchTaxi()
 	queries := benchQueries(32)
-	iopt := trajmatch.IndexOptions{NumVPs: 20, PivotCandidates: 32, Seed: 1}
+	iopt := trajmatch.IndexOptions{PivotCandidates: 32, Seed: 1}
 
 	mergeTopK := func(per [][]trajmatch.Result, k int) []trajmatch.Result {
 		var all []trajmatch.Result
@@ -844,7 +773,7 @@ func TestBackendKNNAllocBudget(t *testing.T) {
 	db := benchTaxi()
 	queries := benchQueries(16)
 	engine, err := trajmatch.NewEngine(db,
-		trajmatch.IndexOptions{NumVPs: 20, PivotCandidates: 32, Seed: 1},
+		trajmatch.IndexOptions{PivotCandidates: 32, Seed: 1},
 		trajmatch.EngineOptions{CacheSize: -1})
 	if err != nil {
 		t.Fatal(err)
@@ -870,7 +799,7 @@ func TestBackendKNNAllocBudget(t *testing.T) {
 func BenchmarkBackendKNN(b *testing.B) {
 	db := benchTaxi()
 	queries := benchQueries(16)
-	iopt := trajmatch.IndexOptions{NumVPs: 20, PivotCandidates: 32, Seed: 1}
+	iopt := trajmatch.IndexOptions{PivotCandidates: 32, Seed: 1}
 	engine, err := trajmatch.NewMultiEngine(db,
 		[]string{trajmatch.MetricNameEDwP, trajmatch.MetricNameDTW, trajmatch.MetricNameEDR},
 		iopt, trajmatch.EngineOptions{CacheSize: -1})

@@ -87,14 +87,12 @@ func main() {
 		fmt.Println()
 	}
 	if run("6c") {
-		ss, err := eval.UBFactorVsVPs(sc, nil)
-		exitOn(err)
+		ss := eval.UBFactorVsVPs(sc, nil)
 		fmt.Print(eval.FormatSeries("Fig. 6c — UB-Factor vs number of VPs (k=10)", "VPs", ss))
 		fmt.Println()
 	}
 	if run("6d") {
-		ss, err := eval.UBFactorVsK(sc, nil, 80)
-		exitOn(err)
+		ss := eval.UBFactorVsK(sc, nil, 80)
 		fmt.Print(eval.FormatSeries("Fig. 6d — UB-Factor vs k (80 VPs)", "k", ss))
 		fmt.Println()
 	}
@@ -189,7 +187,7 @@ func print5j(sc eval.Scale) {
 		queries[i] = q
 	}
 	ss, err := eval.QueryCompetitors(db, queries, []int{5, 10, 20, 30, 40, 50},
-		trajtree.Options{Seed: sc.Seed, NumVPs: 40, PivotCandidates: 32, Parallel: true})
+		trajtree.Options{Seed: sc.Seed, PivotCandidates: 32, Parallel: true})
 	exitOn(err)
 	fmt.Print(eval.FormatSeries("Fig. 5j — mean query seconds vs k", "k", ss))
 	fmt.Println()
@@ -208,7 +206,7 @@ func print6a(sc eval.Scale) {
 			queries[i] = q
 		}
 		ss, err := eval.QueryCompetitors(db, queries, []int{10},
-			trajtree.Options{Seed: sc.Seed, NumVPs: 40, PivotCandidates: 32, Parallel: true})
+			trajtree.Options{Seed: sc.Seed, PivotCandidates: 32, Parallel: true})
 		exitOn(err)
 		if si == 0 {
 			for _, s := range ss {

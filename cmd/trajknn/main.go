@@ -34,7 +34,6 @@ func main() {
 		queryFile = flag.String("queryfile", "", "file of query trajectories")
 		k         = flag.Int("k", 10, "number of neighbours")
 		theta     = flag.Float64("theta", 0.8, "TrajTree θ (diversity drop threshold)")
-		vps       = flag.Int("vps", 16, "vantage points of the root's seeding pass")
 		shards    = flag.Int("shards", 1, "number of hash-partitioned index shards")
 		verify    = flag.Bool("verify", false, "cross-check against a sequential scan")
 		cumula    = flag.Bool("cumulative", false, "use cumulative EDwP instead of EDwPavg")
@@ -50,7 +49,6 @@ func main() {
 	t0 := time.Now()
 	engine, err := trajmatch.NewEngine(db, trajmatch.IndexOptions{
 		Theta:      *theta,
-		NumVPs:     *vps,
 		Cumulative: *cumula,
 		Parallel:   true,
 		Seed:       1,

@@ -144,7 +144,6 @@ func main() {
 		dbPath   = flag.String("db", "", "database file (csv or ndjson by extension)")
 		addr     = flag.String("addr", ":8080", "listen address")
 		theta    = flag.Float64("theta", 0.8, "TrajTree θ (diversity drop threshold)")
-		vps      = flag.Int("vps", 16, "vantage points of the root's seeding pass")
 		cumula   = flag.Bool("cumulative", false, "use cumulative EDwP instead of EDwPavg")
 		cache    = flag.Int("cache", 0, "LRU result-cache entries (0 = default 1024, negative disables)")
 		workers  = flag.Int("workers", 0, "batch worker-pool / shard fan-out size (0 = GOMAXPROCS)")
@@ -271,7 +270,7 @@ func main() {
 	switch {
 	case trajmatch.EngineSnapshotExists(*snapshot):
 		if *dbPath != "" {
-			log.Printf("warning: snapshot %s exists; ignoring -db %s and the build flags (-theta/-vps/-cumulative/-seed) — remove the snapshot directory to rebuild from the database", *snapshot, *dbPath)
+			log.Printf("warning: snapshot %s exists; ignoring -db %s and the build flags (-theta/-cumulative/-seed) — remove the snapshot directory to rebuild from the database", *snapshot, *dbPath)
 		}
 		// The snapshot persists the tree-backed EDwP set; any other
 		// requested metric is rebuilt from the loaded corpus.
@@ -289,7 +288,6 @@ func main() {
 		db := readFile(*dbPath)
 		engine, err = trajmatch.NewMultiEngine(db, metricNames, trajmatch.IndexOptions{
 			Theta:      *theta,
-			NumVPs:     *vps,
 			Cumulative: *cumula,
 			Parallel:   true,
 			Seed:       *seed,

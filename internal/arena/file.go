@@ -9,7 +9,7 @@
 //
 //	[8]  magic "TRARENA1"
 //	[8]  uint64 meta length
-//	[..] meta JSON: {"version":1,"sections":[{name,off,len}...],"extra":...}
+//	[..] meta JSON: {"version":2,"sections":[{name,off,len}...],"extra":...}
 //	     (zero-padded to the next 8-byte boundary)
 //	[..] sections, each starting on an 8-byte boundary
 //	[4]  uint32 CRC32C (Castagnoli) over every preceding byte
@@ -47,11 +47,13 @@ import (
 var ErrCorrupt = errors.New("arena: snapshot corrupt")
 
 const (
-	fileMagic   = "TRARENA1"
-	fileVersion = 1
+	fileMagic = "TRARENA1"
+	// fileVersion 2 dropped the vantage-point sections and the four
+	// node-record words that indexed them; version-1 files are refused.
+	fileVersion = 2
 	// NMetaStride is the number of int64s in one node's metadata record
 	// inside the nmeta section (see package trajtree for field order).
-	NMetaStride = 12
+	NMetaStride = 8
 )
 
 var fileCRC = crc32.MakeTable(crc32.Castagnoli)
@@ -64,8 +66,6 @@ type TreeSection struct {
 	NMeta    []int64   // NMetaStride int64s per node
 	Children []int64   // child node indices, flat
 	Members  []int64   // member refs, flat: arena index, or -(overlay index)-1
-	VPs      []float64 // vantage points, 2 per point
-	DVals    []float64 // descriptor values, flat (stride = node's VP count)
 
 	// Overlay members: trajectories inserted since the last rebuild have
 	// no arena entry, so their samples are stored here and materialised
@@ -108,7 +108,7 @@ type fileMeta struct {
 var sectionOrder = []string{
 	"pts", "xs", "ys", "offs", "ids", "labels", "lens", "bbox",
 	"boxes", "boxoffs",
-	"nboxes", "nmeta", "children", "members", "vps", "dvals",
+	"nboxes", "nmeta", "children", "members",
 	"opts", "ooffs", "oids", "olabels",
 }
 
@@ -142,10 +142,6 @@ func (a *Arena) sectionBytes(name string, ts *TreeSection) int64 {
 		return int64(len(ts.Children)) * 8
 	case "members":
 		return int64(len(ts.Members)) * 8
-	case "vps":
-		return int64(len(ts.VPs)) * 8
-	case "dvals":
-		return int64(len(ts.DVals)) * 8
 	case "opts":
 		return int64(len(ts.OPts)) * 8
 	case "ooffs":
@@ -265,10 +261,6 @@ func (a *Arena) writeSection(w io.Writer, name string, s *sectionTS) (int64, err
 		return writeI64s(w, ts.Children)
 	case "members":
 		return writeI64s(w, ts.Members)
-	case "vps":
-		return writeF64s(w, ts.VPs)
-	case "dvals":
-		return writeF64s(w, ts.DVals)
 	case "opts":
 		return writeF64s(w, ts.OPts)
 	case "ooffs":
@@ -441,8 +433,6 @@ func decode(b []byte, mapped bool) (*Snapshot, error) {
 	ts.NMeta = alias[int64](get("nmeta"), 8)
 	ts.Children = alias[int64](get("children"), 8)
 	ts.Members = alias[int64](get("members"), 8)
-	ts.VPs = alias[float64](get("vps"), 8)
-	ts.DVals = alias[float64](get("dvals"), 8)
 	ts.OPts = alias[float64](get("opts"), 8)
 	ts.OOffs = alias[int64](get("ooffs"), 8)
 	ts.OIDs = alias[int64](get("oids"), 8)
@@ -569,8 +559,6 @@ func (ts *TreeSection) check(a *Arena) error {
 		boxOff, boxCount := m[0], m[1]
 		childOff, childCount := m[3], m[4]
 		memberOff, memberCount := m[5], m[6]
-		vpOff, vpCount := m[7], m[8]
-		descOff, descRows := m[9], m[10]
 		if !window(boxOff, boxCount, len(ts.NBoxes)/5) {
 			return fmt.Errorf("%w: node %d box range out of bounds", ErrCorrupt, ni)
 		}
@@ -588,16 +576,6 @@ func (ts *TreeSection) check(a *Arena) error {
 		for _, r := range ts.Members[memberOff : memberOff+memberCount] {
 			if r >= int64(len(a.ids)) || (r < 0 && int(-r-1) >= nOverlay) {
 				return fmt.Errorf("%w: node %d member ref %d out of range", ErrCorrupt, ni, r)
-			}
-		}
-		if !window(vpOff, vpCount, len(ts.VPs)/2) {
-			return fmt.Errorf("%w: node %d vp range out of bounds", ErrCorrupt, ni)
-		}
-		if descRows >= 0 {
-			// descRows rows of vpCount values each, from descOff.
-			if !window(descOff, 0, len(ts.DVals)) ||
-				(vpCount > 0 && descRows > (int64(len(ts.DVals))-descOff)/vpCount) {
-				return fmt.Errorf("%w: node %d descriptor range out of bounds", ErrCorrupt, ni)
 			}
 		}
 	}

@@ -33,10 +33,8 @@ func testMembers(n int) []*traj.Trajectory {
 func testTreeSection() *TreeSection {
 	return &TreeSection{
 		NBoxes:   []float64{0, 0, 1, 1, 0.5},
-		NMeta:    []int64{0, 1, 3, 0, 0, 0, 2, 0, 1, 0, 2, 0},
+		NMeta:    []int64{0, 1, 3, 0, 0, 0, 2, 0},
 		Members:  []int64{0, -1},
-		VPs:      []float64{0.5, 0.5},
-		DVals:    []float64{1.5, 2.5},
 		OPts:     []float64{1, 2, 0, 3, 4, 1},
 		OOffs:    []int64{0, 2},
 		OIDs:     []int64{99},
@@ -120,8 +118,6 @@ func TestFileRoundTrip(t *testing.T) {
 	}
 	for name, pair := range map[string][2][]float64{
 		"nboxes": {ts.NBoxes, got.NBoxes},
-		"vps":    {ts.VPs, got.VPs},
-		"dvals":  {ts.DVals, got.DVals},
 		"opts":   {ts.OPts, got.OPts},
 	} {
 		for i := range pair[0] {

@@ -459,3 +459,24 @@ func scaleTraj(t *traj.Trajectory, f float64) *traj.Trajectory {
 	}
 	return c
 }
+
+// TestDistancesFiniteAtMaxCoord pins the claim behind traj.MaxCoord: two
+// trajectories that zigzag between opposite corners of the accepted
+// coordinate range still have finite whole, average and sub-trajectory
+// distances.
+func TestDistancesFiniteAtMaxCoord(t *testing.T) {
+	zigzag := func(id int, s float64) *traj.Trajectory {
+		pts := make([]traj.Point, 64)
+		for i := range pts {
+			pts[i] = traj.P(s*traj.MaxCoord, -s*traj.MaxCoord, float64(i))
+			s = -s
+		}
+		return traj.New(id, pts)
+	}
+	a, b := zigzag(1, 1), zigzag(2, -1)
+	for _, d := range []float64{Distance(a, b), AvgDistance(a, b), SubDistance(a, b)} {
+		if math.IsInf(d, 0) || math.IsNaN(d) {
+			t.Errorf("distance at ±MaxCoord = %v, want finite", d)
+		}
+	}
+}

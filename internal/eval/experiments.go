@@ -289,77 +289,62 @@ func maScan(db []*traj.Trajectory, m baseline.MA, q *traj.Trajectory, k int) {
 	_ = ds
 }
 
-// UBFactorVsVPs reproduces Fig. 6(c): the root-level UB-Factor (Eq. 15) as
-// the number of vantage points grows, against the random-selection
-// baseline.
-func UBFactorVsVPs(sc Scale, vpCounts []int) ([]Series, error) {
+// UBFactorVsVPs reproduces Fig. 6(c): the UB-Factor (Eq. 15) of the
+// VP-based upper bound over the whole database as the number of vantage
+// points grows, against the random-selection baseline.
+func UBFactorVsVPs(sc Scale, vpCounts []int) []Series {
 	if vpCounts == nil {
 		vpCounts = []int{10, 20, 40, 80, 160}
 	}
 	db := synth.Taxi(synth.DefaultTaxi(sc.TaxiN))
 	rng := rand.New(rand.NewSource(sc.Seed + 23))
 	queries := sampleQueries(db, sc.Queries, rng)
-	m := baseline.EDwP{}
-	const k = 10
-
 	vpSeries := Series{Name: "TrajTree VPs"}
 	rndSeries := Series{Name: "Random"}
 	for _, nv := range vpCounts {
-		opt := trajtree.Options{NumVPs: nv, Seed: sc.Seed, PivotCandidates: 32}
-		tree, err := trajtree.New(db, opt)
-		if err != nil {
-			return nil, err
-		}
-		var ubf, rnd []float64
-		for _, q := range queries {
-			ub, _ := tree.VPUpperBound(q, k)
-			kth := KthNNDistance(db, m, q, k)
-			if kth > 0 {
-				ubf = append(ubf, ub/kth)
-			}
-			rnd = append(rnd, RandomUBFactor(db, m, q, k, rng))
-		}
+		vp, rnd := ubFactors(db, newVPTable(db, nv, rand.New(rand.NewSource(sc.Seed))), queries, 10, rng)
 		vpSeries.X = append(vpSeries.X, float64(nv))
-		vpSeries.Y = append(vpSeries.Y, stats.Mean(ubf))
+		vpSeries.Y = append(vpSeries.Y, vp)
 		rndSeries.X = append(rndSeries.X, float64(nv))
-		rndSeries.Y = append(rndSeries.Y, stats.Mean(rnd))
+		rndSeries.Y = append(rndSeries.Y, rnd)
 	}
-	return []Series{vpSeries, rndSeries}, nil
+	return []Series{vpSeries, rndSeries}
 }
 
 // UBFactorVsK reproduces Fig. 6(d): UB-Factor against k at a fixed VP
 // count, with the random baseline.
-func UBFactorVsK(sc Scale, ks []int, numVPs int) ([]Series, error) {
+func UBFactorVsK(sc Scale, ks []int, numVPs int) []Series {
 	if ks == nil {
 		ks = []int{5, 10, 25, 50, 100}
 	}
 	db := synth.Taxi(synth.DefaultTaxi(sc.TaxiN))
 	rng := rand.New(rand.NewSource(sc.Seed + 29))
 	queries := sampleQueries(db, sc.Queries, rng)
-	m := baseline.EDwP{}
-	opt := trajtree.Options{NumVPs: numVPs, Seed: sc.Seed, PivotCandidates: 32}
-	tree, err := trajtree.New(db, opt)
-	if err != nil {
-		return nil, err
-	}
+	tab := newVPTable(db, numVPs, rand.New(rand.NewSource(sc.Seed)))
 	vpSeries := Series{Name: "TrajTree VPs"}
 	rndSeries := Series{Name: "Random"}
 	for _, k := range ks {
-		var ubf, rnd []float64
-		for _, q := range queries {
-			ub, _ := tree.VPUpperBound(q, k)
-			kth := KthNNDistance(db, m, q, k)
-			if kth > 0 {
-				ubf = append(ubf, ub/kth)
-			}
-			rnd = append(rnd, RandomUBFactor(db, m, q, k, rng))
-		}
+		vp, rnd := ubFactors(db, tab, queries, k, rng)
 		vpSeries.X = append(vpSeries.X, float64(k))
-		vpSeries.Y = append(vpSeries.Y, stats.Mean(ubf))
+		vpSeries.Y = append(vpSeries.Y, vp)
 		rndSeries.X = append(rndSeries.X, float64(k))
-		rndSeries.Y = append(rndSeries.Y, stats.Mean(rnd))
+		rndSeries.Y = append(rndSeries.Y, rnd)
 	}
-	return []Series{vpSeries, rndSeries}, nil
+	return []Series{vpSeries, rndSeries}
+}
+
+// ubFactors returns the mean UB-Factor (Eq. 15) under EDwP over queries
+// at k of tab's upper bound and of the random baseline.
+func ubFactors(db []*traj.Trajectory, tab vpTable, queries []*traj.Trajectory, k int, rng *rand.Rand) (vp, random float64) {
+	m := baseline.EDwP{}
+	var ubf, rnd []float64
+	for _, q := range queries {
+		if kth := KthNNDistance(db, m, q, k); kth > 0 {
+			ubf = append(ubf, tab.upperBound(db, m, q, k)/kth)
+		}
+		rnd = append(rnd, RandomUBFactor(db, m, q, k, rng))
+	}
+	return stats.Mean(ubf), stats.Mean(rnd)
 }
 
 // BuildTimes reproduces Figs. 6(e)–(f): index construction seconds against
@@ -374,7 +359,7 @@ func BuildTimes(sc Scale, sizes []int, thetas []float64) ([]Series, error) {
 		for _, n := range sizes {
 			db := synth.Taxi(synth.DefaultTaxi(n))
 			t0 := time.Now()
-			if _, err := trajtree.New(db, trajtree.Options{Seed: sc.Seed, NumVPs: 20, PivotCandidates: 32}); err != nil {
+			if _, err := trajtree.New(db, trajtree.Options{Seed: sc.Seed, PivotCandidates: 32}); err != nil {
 				return nil, err
 			}
 			s.X = append(s.X, float64(n))
@@ -386,7 +371,7 @@ func BuildTimes(sc Scale, sizes []int, thetas []float64) ([]Series, error) {
 		s := Series{Name: "TrajTree build"}
 		for _, th := range thetas {
 			t0 := time.Now()
-			if _, err := trajtree.New(db, trajtree.Options{Theta: th, Seed: sc.Seed, NumVPs: 20, PivotCandidates: 32}); err != nil {
+			if _, err := trajtree.New(db, trajtree.Options{Theta: th, Seed: sc.Seed, PivotCandidates: 32}); err != nil {
 				return nil, err
 			}
 			s.X = append(s.X, th)
@@ -406,7 +391,7 @@ func QueryVsTheta(sc Scale, thetas []float64, k int) ([]Series, error) {
 	queries := sampleQueries(db, sc.Queries, rng)
 	s := Series{Name: "TrajTree query"}
 	for _, th := range thetas {
-		tree, err := trajtree.New(db, trajtree.Options{Theta: th, Seed: sc.Seed, NumVPs: 20, PivotCandidates: 32})
+		tree, err := trajtree.New(db, trajtree.Options{Theta: th, Seed: sc.Seed, PivotCandidates: 32})
 		if err != nil {
 			return nil, err
 		}
@@ -420,8 +405,7 @@ func QueryVsTheta(sc Scale, thetas []float64, k int) ([]Series, error) {
 	return []Series{s}, nil
 }
 
-// sampleQueries clones n random database trajectories with fresh IDs so
-// they do not self-match in processed sets.
+// sampleQueries clones n random database trajectories with fresh IDs.
 func sampleQueries(db []*traj.Trajectory, n int, rng *rand.Rand) []*traj.Trajectory {
 	out := make([]*traj.Trajectory, n)
 	for i := range out {

@@ -84,7 +84,7 @@ func TestQueryCompetitors(t *testing.T) {
 	sc := tinyScale()
 	db := synth.Taxi(synth.DefaultTaxi(sc.TaxiN))
 	queries := sampleQueries(db, 2, randFor(sc))
-	ss, err := QueryCompetitors(db, queries, []int{5}, trajtree.Options{NumVPs: 8, PivotCandidates: 16, Seed: 1})
+	ss, err := QueryCompetitors(db, queries, []int{5}, trajtree.Options{PivotCandidates: 16, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,10 +101,7 @@ func TestQueryCompetitors(t *testing.T) {
 
 func TestUBFactorExperiments(t *testing.T) {
 	sc := tinyScale()
-	ss, err := UBFactorVsVPs(sc, []int{4, 8})
-	if err != nil {
-		t.Fatal(err)
-	}
+	ss := UBFactorVsVPs(sc, []int{4, 8})
 	seriesComplete(t, ss, 2)
 	for _, s := range ss {
 		for _, y := range s.Y {
@@ -113,10 +110,7 @@ func TestUBFactorExperiments(t *testing.T) {
 			}
 		}
 	}
-	ss, err = UBFactorVsK(sc, []int{3, 6}, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ss = UBFactorVsK(sc, []int{3, 6}, 8)
 	seriesComplete(t, ss, 2)
 }
 

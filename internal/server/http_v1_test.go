@@ -190,7 +190,7 @@ func TestV1SearchErrors(t *testing.T) {
 // bounded wall clock.
 func TestV1SearchTimeout(t *testing.T) {
 	db := longDB(20, 400, 53)
-	e, err := NewEngineFromDB(db, trajtree.Options{Seed: 1, LeafSize: 4, NumVPs: 8, PivotCandidates: 8},
+	e, err := NewEngineFromDB(db, trajtree.Options{Seed: 1, LeafSize: 4, PivotCandidates: 8},
 		Options{CacheSize: -1, Shards: 2})
 	if err != nil {
 		t.Fatal(err)

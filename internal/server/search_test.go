@@ -146,7 +146,7 @@ func longDB(n, points int, seed int64) []*traj.Trajectory {
 // byte-identically to a fresh engine over the same data.
 func TestSearchCancellation(t *testing.T) {
 	db := longDB(24, 400, 31)
-	topt := trajtree.Options{Seed: 1, LeafSize: 4, NumVPs: 8, PivotCandidates: 8}
+	topt := trajtree.Options{Seed: 1, LeafSize: 4, PivotCandidates: 8}
 	e, err := NewEngineFromDB(db, topt, Options{CacheSize: -1, Shards: 4})
 	if err != nil {
 		t.Fatal(err)
@@ -211,7 +211,7 @@ func TestSearchCancellation(t *testing.T) {
 // error and the engine remains consistent afterwards.
 func TestSearchBatchCancellation(t *testing.T) {
 	db := longDB(16, 300, 37)
-	e, err := NewEngineFromDB(db, trajtree.Options{Seed: 1, LeafSize: 4, NumVPs: 8, PivotCandidates: 8},
+	e, err := NewEngineFromDB(db, trajtree.Options{Seed: 1, LeafSize: 4, PivotCandidates: 8},
 		Options{CacheSize: -1, Shards: 2, Workers: 2})
 	if err != nil {
 		t.Fatal(err)

@@ -56,11 +56,12 @@ import (
 // the reboot invariant.
 
 // snapshotVersion is bumped whenever the manifest layout, the per-shard
-// file format, or the placement hash changes incompatibly. Version 3
-// holds one shard-NNNN.arena file per shard and one checksum array;
-// directories of earlier versions are rejected with a clear error
-// (re-save from a live engine to upgrade).
-const snapshotVersion = 3
+// file format, or the placement hash changes incompatibly. Version 4
+// holds one shard-NNNN.arena file per shard (arena format 2, without
+// vantage-point sections) and one checksum array; directories of earlier
+// versions are rejected with a clear error (re-save from a live engine to
+// upgrade).
+const snapshotVersion = 4
 
 // manifestName is the manifest file inside a snapshot directory.
 const manifestName = "MANIFEST.json"

@@ -122,15 +122,20 @@ func TestSnapshotRejectsBadManifest(t *testing.T) {
 	}
 
 	// A version-2 directory (enveloped manifest, gob streams beside the
-	// arena files) is refused with the upgrade instruction, not reported
-	// as corrupt and not migrated.
-	v2 := []byte(`{"version":2,"shards":1,"tree_options":{},"sizes":[3],"checksums":[1],"arena_checksums":[2],"saved_at":"2026-01-01T00:00:00Z"}`)
-	raw, _ = json.Marshal(manifestEnvelope{CRC32C: crc32.Checksum(v2, snapCRC), Manifest: v2})
-	if err := os.WriteFile(filepath.Join(dir, manifestName), raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadSnapshot(dir, Options{}); err == nil || !strings.Contains(err.Error(), "re-save the snapshot from a live engine") {
-		t.Fatalf("version-2 snapshot: err = %v, want the re-save message", err)
+	// arena files) and a version-3 one (arena files carrying vantage-point
+	// sections) are refused with the upgrade instruction, not reported as
+	// corrupt and not migrated.
+	for _, old := range [][]byte{
+		[]byte(`{"version":2,"shards":1,"tree_options":{},"sizes":[3],"checksums":[1],"arena_checksums":[2],"saved_at":"2026-01-01T00:00:00Z"}`),
+		[]byte(`{"version":3,"shards":1,"tree_options":{"Theta":0.8},"sizes":[3],"checksums":[1],"saved_at":"2026-01-01T00:00:00Z"}`),
+	} {
+		raw, _ = json.Marshal(manifestEnvelope{CRC32C: crc32.Checksum(old, snapCRC), Manifest: old})
+		if err := os.WriteFile(filepath.Join(dir, manifestName), raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := LoadSnapshot(dir, Options{}); err == nil || !strings.Contains(err.Error(), "re-save the snapshot from a live engine") {
+			t.Fatalf("%s: err = %v, want the re-save message", old, err)
+		}
 	}
 }
 

@@ -284,11 +284,23 @@ var (
 	ErrTooFewPoints  = errors.New("traj: trajectory needs at least 2 points")
 	ErrTimeNotSorted = errors.New("traj: timestamps not non-decreasing")
 	ErrNonFinite     = errors.New("traj: non-finite coordinate or timestamp")
+	ErrOutOfRange    = errors.New("traj: coordinate magnitude above MaxCoord")
 )
 
+// MaxCoord is the largest coordinate magnitude Validate accepts. Below it
+// every distance stays finite: two points are at most 2√2·1e15 ≈ 2.9e15
+// apart, so a squared distance stays below 1e31 and one EDwP edit — a sum
+// of two point distances times a sum of two segment lengths — below 4e31.
+// The dynamic programs of EDwP, DTW and EDR add one such term per step,
+// which leaves any trajectory that fits in memory far short of float64's
+// 1.8e308. No projected or geographic coordinate comes near the limit
+// (metres on Earth stay below 1e8, degrees below 360). Values like ±1e300
+// overflow the DP to +Inf, a distance no JSON answer can carry.
+const MaxCoord = 1e15
+
 // Validate checks the structural invariants every indexed trajectory must
-// satisfy: at least two points, finite coordinates and non-decreasing
-// timestamps.
+// satisfy: at least two points, finite coordinates no larger in magnitude
+// than MaxCoord and non-decreasing timestamps.
 func (t *Trajectory) Validate() error {
 	if len(t.Points) < 2 {
 		return fmt.Errorf("%w (got %d)", ErrTooFewPoints, len(t.Points))
@@ -296,6 +308,9 @@ func (t *Trajectory) Validate() error {
 	for i, p := range t.Points {
 		if !finite(p.X) || !finite(p.Y) || !finite(p.T) {
 			return fmt.Errorf("%w at index %d", ErrNonFinite, i)
+		}
+		if math.Abs(p.X) > MaxCoord || math.Abs(p.Y) > MaxCoord {
+			return fmt.Errorf("%w at index %d", ErrOutOfRange, i)
 		}
 		if i > 0 && p.T < t.Points[i-1].T {
 			return fmt.Errorf("%w at index %d", ErrTimeNotSorted, i)

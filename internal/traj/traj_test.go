@@ -1,6 +1,7 @@
 package traj
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -128,6 +129,32 @@ func TestValidate(t *testing.T) {
 	nan := New(1, []Point{P(0, 0, 0), P(math.NaN(), 1, 1)})
 	if err := nan.Validate(); err == nil {
 		t.Error("NaN trajectory accepted")
+	}
+	edge := New(1, []Point{P(-MaxCoord, MaxCoord, 0), P(MaxCoord, -MaxCoord, 1)})
+	if err := edge.Validate(); err != nil {
+		t.Errorf("trajectory at ±MaxCoord rejected: %v", err)
+	}
+	for _, p := range []Point{P(1e300, 0, 1), P(0, -1e300, 1), P(math.Nextafter(MaxCoord, 2*MaxCoord), 0, 1)} {
+		huge := New(1, []Point{P(0, 0, 0), p})
+		if err := huge.Validate(); !errors.Is(err, ErrOutOfRange) {
+			t.Errorf("point %v: err = %v, want ErrOutOfRange", p, err)
+		}
+	}
+}
+
+// TestValidateNonFiniteBeforeRange pins that the two coordinate errors
+// stay distinct: an infinite or NaN coordinate, though larger than
+// MaxCoord, reports ErrNonFinite, and an out-of-range one never does.
+func TestValidateNonFiniteBeforeRange(t *testing.T) {
+	for _, p := range []Point{P(math.Inf(1), 0, 1), P(0, math.Inf(-1), 1), P(math.NaN(), 1e300, 1)} {
+		err := New(1, []Point{P(0, 0, 0), p}).Validate()
+		if !errors.Is(err, ErrNonFinite) || errors.Is(err, ErrOutOfRange) {
+			t.Errorf("point %v: err = %v, want ErrNonFinite only", p, err)
+		}
+	}
+	err := New(1, []Point{P(0, 0, 0), P(2*MaxCoord, 0, 1)}).Validate()
+	if errors.Is(err, ErrNonFinite) {
+		t.Errorf("finite out-of-range point: err = %v, want ErrOutOfRange only", err)
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"math"
 
 	"trajmatch/internal/arena"
-	"trajmatch/internal/geom"
 	"trajmatch/internal/tbox"
 	"trajmatch/internal/traj"
 )
@@ -20,24 +19,18 @@ import (
 //
 // Per-node metadata record (arena.NMetaStride int64s, in nmeta order):
 //
-//	 0 boxOff     offset into nboxes, in 5-float box units
-//	 1 boxCount
-//	 2 seqCount   tbox.Seq insert count
-//	 3 childOff   offset into children
-//	 4 childCount
-//	 5 memberOff  offset into members
-//	 6 memberCount
-//	 7 vpOff      offset into vps, in 2-float point units
-//	 8 vpCount
-//	 9 descOff    offset into dvals, in float units
-//	10 descRows   row count; -1 encodes a nil descriptor table
-//	11 maxLenBits math.Float64bits of the node's maxLen
+//	0 boxOff     offset into nboxes, in 5-float box units
+//	1 boxCount
+//	2 seqCount   tbox.Seq insert count
+//	3 childOff   offset into children
+//	4 childCount
+//	5 memberOff  offset into members
+//	6 memberCount
+//	7 maxLenBits math.Float64bits of the node's maxLen
 //
-// A node's descriptor rows are its in-memory slab verbatim: row-major,
-// uniform stride vpCount, no per-row offset table. Members are arena
-// indices; trajectories inserted since the last rebuild (the overlay)
-// have no arena entry and are stored in the overlay sections, referenced
-// as -(overlay index)-1.
+// Members are arena indices; trajectories inserted since the last rebuild
+// (the overlay) have no arena entry and are stored in the overlay
+// sections, referenced as -(overlay index)-1.
 
 // arenaExtra is the tree-level metadata stored in the snapshot's meta
 // header.
@@ -107,22 +100,7 @@ func (t *Tree) SaveCRC(w io.Writer) (uint32, error) {
 				}
 				ts.Members = append(ts.Members, ref)
 			}
-			rec[7] = int64(len(ts.VPs) / 2)
-			rec[8] = int64(len(n.vps))
-			for _, vp := range n.vps {
-				ts.VPs = append(ts.VPs, vp.X, vp.Y)
-			}
-			rec[9] = int64(len(ts.DVals))
-			rec[10] = -1
-			if n.descs != nil {
-				if len(n.descs) != len(n.members)*len(n.vps) {
-					return 0, fmt.Errorf("trajtree: save: descriptor slab of %d values != %d members × %d vantage points",
-						len(n.descs), len(n.members), len(n.vps))
-				}
-				rec[10] = int64(len(n.members))
-				ts.DVals = append(ts.DVals, n.descs...)
-			}
-			rec[11] = int64(math.Float64bits(n.maxLen))
+			rec[7] = int64(math.Float64bits(n.maxLen))
 			idx := int64(len(ts.NMeta) / arena.NMetaStride)
 			ts.NMeta = append(ts.NMeta, rec...)
 			rec = ts.NMeta[idx*arena.NMetaStride:]
@@ -248,26 +226,12 @@ func fromSnapshot(snap *arena.Snapshot) (*Tree, uint32, error) {
 				minL[bi] = v[4]
 			}
 			n.seq = tbox.FromFlat(rects, minL, int(rec[2]))
-			n.maxLen = math.Float64frombits(uint64(rec[11]))
+			n.maxLen = math.Float64frombits(uint64(rec[7]))
 			if rec[6] > 0 {
 				n.members = make([]*traj.Trajectory, rec[6])
 				for mi := range n.members {
 					n.members[mi] = resolve(ts.Members[rec[5]+int64(mi)])
 				}
-			}
-			if rec[8] > 0 {
-				n.vps = make([]geom.Point, rec[8])
-				for vi := range n.vps {
-					v := ts.VPs[(rec[7]+int64(vi))*2:]
-					n.vps[vi] = geom.Point{X: v[0], Y: v[1]}
-				}
-			}
-			if rows := rec[10]; rows >= 0 {
-				// The slab is the node's window of the descriptor section
-				// (stride is the VP count), capped so an append reallocates.
-				end := rec[9] + rows*rec[8]
-				n.descs = ts.DVals[rec[9]:end:end]
-				n.descsMapped = true
 			}
 			for ci := int64(0); ci < rec[4]; ci++ {
 				c, err := build(ts.Children[rec[3]+ci])

@@ -2,12 +2,15 @@ package trajtree
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"trajmatch/internal/arena"
@@ -58,10 +61,9 @@ func loadHeap(t *testing.T, tree *Tree) *Tree {
 // test: a tree reloaded through either reader — one heap buffer (Load)
 // or the file mapping (LoadArena) — must answer KNN, range and subknn
 // searches byte-identically, with identical per-query statistics (the
-// member screen's derived weights included) and the same vantage-point
-// bound, which proves the reconstructed nodes, summaries,
-// vantage descriptors and member placement are the same tree served
-// from slab-aliased memory. It holds for a tree as built and for one
+// member screen's derived weights included), which proves the
+// reconstructed nodes, summaries and member placement are the same tree
+// served from slab-aliased memory. It holds for a tree as built and for one
 // carrying Insert/Delete churn in its overlay, and the reloaded tree
 // stays mutable.
 func TestArenaRoundTripAnswersIdentically(t *testing.T) {
@@ -127,9 +129,7 @@ func TestArenaRoundTripAnswersIdentically(t *testing.T) {
 					}
 					sameResults(t, "SearchKNN", got, want)
 					if gst != wst {
-						// Equal stats mean the traversal — including the VP
-						// passes driven by the persisted descriptors — was
-						// identical.
+						// Equal stats mean the traversal was identical.
 						t.Fatalf("SearchKNN stats diverge after reload: %+v != %+v", gst, wst)
 					}
 					radius := []float64{0.05, 0.3, 1.5}[it%3]
@@ -156,13 +156,6 @@ func TestArenaRoundTripAnswersIdentically(t *testing.T) {
 					sameResults(t, "SearchSub", gotS, wantS)
 					if gsst != wsst {
 						t.Fatalf("SearchSub stats diverge after reload: %+v != %+v", gsst, wsst)
-					}
-					// VPUpperBound runs entirely on the root's persisted
-					// VPs and descriptor rows: same bound, same profile.
-					ub, ds := tree.VPUpperBound(q, 6)
-					lub, lds := loaded.VPUpperBound(q, 6)
-					if ub == 0 || ub != lub || fmt.Sprint(ds) != fmt.Sprint(lds) {
-						t.Fatalf("VP upper bound %v %v after reload, want %v %v", lub, lds, ub, ds)
 					}
 				}
 				// Inserts and deletes on the reloaded tree behave as on a
@@ -304,12 +297,11 @@ func TestArenaEmptyTree(t *testing.T) {
 // anywhere in the file — including the flattened tree payload — yields
 // an error wrapping arena.ErrCorrupt from both readers, never a panic or
 // a wrong tree. The resealed rows are the cases a bit-flip sweep cannot
-// reach: one word of the root's node record — the node that carries the
-// descriptor table — overwritten and the file re-encoded with a valid
-// checksum, as a hostile peer could serve it. The first is a descriptor
-// row count that disagrees with the member count (ranking such a slab
-// would pair rows with the wrong members); the others are the words
-// whose range checks used to wrap around int64 and pass.
+// reach: one word of the root's node record overwritten and the file
+// re-encoded with a valid checksum, as a hostile peer could serve it. The
+// first is a member count one short of the leaves below (a member the
+// tree would silently lose); the others are the words whose range checks
+// used to wrap around int64 and pass.
 func TestArenaLoadCorrupt(t *testing.T) {
 	rng := rand.New(rand.NewSource(113))
 	tree, err := New(testDB(rng, 60), testOptions())
@@ -353,25 +345,20 @@ func TestArenaLoadCorrupt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	node := -1
+	node := 0 // the root holds every member
 	for off := 0; off < len(snap.Tree.NMeta); off += arena.NMetaStride {
-		if rec := snap.Tree.NMeta[off : off+arena.NMetaStride]; rec[10] > 1 && rec[8] > 0 {
+		if snap.Tree.NMeta[off+6] > snap.Tree.NMeta[node+6] {
 			node = off
 		}
-	}
-	if node < 0 {
-		t.Fatal("no node with a descriptor table to tamper with")
 	}
 	for _, c := range []struct {
 		name string
 		word int
 		val  int64
 	}{
-		{"descRows one short of the members", 10, snap.Tree.NMeta[node+10] - 1},
-		{"vpCount 2^62", 8, 1 << 62},
+		{"memberCount one short of the leaves", 6, snap.Tree.NMeta[node+6] - 1},
 		{"memberCount 2^63-1", 6, math.MaxInt64},
 		{"boxOff 2^63-1", 0, math.MaxInt64},
-		{"descOff 2^63-1", 9, math.MaxInt64},
 	} {
 		ts := snap.Tree
 		ts.NMeta = append([]int64(nil), ts.NMeta...)
@@ -381,5 +368,47 @@ func TestArenaLoadCorrupt(t *testing.T) {
 			t.Fatal(err)
 		}
 		check("resealed "+c.name, buf.Bytes())
+	}
+}
+
+// TestArenaRejectsVersion1 is the format gate: a file in the layout that
+// carried vantage-point sections (arena version 1, a 12-word node record)
+// is refused as corrupt by both readers rather than misread. The fixture
+// is a fresh save with its meta version rewritten and the trailer
+// re-sealed, so nothing but the version can fail.
+func TestArenaRejectsVersion1(t *testing.T) { checkArenaVersionRefused(t, 1) }
+
+// TestArenaRejectsFutureVersion holds the gate from the other side: a
+// file from a newer writer, whose layout this reader cannot know, is
+// refused the same way rather than read as version 2.
+func TestArenaRejectsFutureVersion(t *testing.T) { checkArenaVersionRefused(t, 3) }
+
+// checkArenaVersionRefused saves a fresh tree, rewrites the file's meta
+// version to the single digit v and re-seals the trailer, then requires
+// both readers to fail with ErrCorrupt naming that version.
+func checkArenaVersionRefused(t *testing.T, v int) {
+	t.Helper()
+	tree, err := New(testDB(rand.New(rand.NewSource(115)), 30), testOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(saveArenaFile(t, tree))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The meta JSON opens with {"version":2, — same length as the rewrite.
+	copy(b[16:], fmt.Sprintf(`{"version":%d,`, v))
+	binary.LittleEndian.PutUint32(b[len(b)-4:], crc32.Checksum(b[:len(b)-4], crc32.MakeTable(crc32.Castagnoli)))
+	p := filepath.Join(t.TempDir(), fmt.Sprintf("v%d.arena", v))
+	if err := os.WriteFile(p, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, _, errMapped := LoadArena(p)
+	_, _, errHeap := Load(bytes.NewReader(b))
+	want := fmt.Sprintf("unsupported version %d", v)
+	for _, err := range []error{errMapped, errHeap} {
+		if !errors.Is(err, arena.ErrCorrupt) || !strings.Contains(err.Error(), want) {
+			t.Errorf("load of a version-%d file: err = %v, want ErrCorrupt (%s)", v, err, want)
+		}
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"sync"
 	"testing"
 
-	"trajmatch/internal/pqueue"
 	"trajmatch/internal/traj"
 )
 
@@ -132,13 +131,13 @@ func TestSharedBoundPartitionsMatchSingleTree(t *testing.T) {
 						per[i], _, _, _ = trees[i].SearchKNN(q, k, bound, nil)
 					}
 				}
-				merged := pqueue.NewTopK[*traj.Trajectory](k)
+				merged := newTopK[*traj.Trajectory](k)
 				for _, rs := range per {
 					for _, r := range rs {
-						merged.Offer(r.Traj, r.Dist)
+						merged.offer(r.Traj, r.Dist)
 					}
 				}
-				items := merged.Items()
+				items := merged.items()
 				got := make([]Result, len(items))
 				for i, it := range items {
 					got[i] = Result{Traj: it.Value, Dist: it.Priority}

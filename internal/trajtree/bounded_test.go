@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"trajmatch/internal/core"
-	"trajmatch/internal/pqueue"
 	"trajmatch/internal/traj"
 )
 
@@ -14,15 +13,15 @@ import (
 // exact distances offered in database order. The bounded index search must
 // reproduce its answers byte-for-byte.
 func referenceKNN(db []*traj.Trajectory, q *traj.Trajectory, k int, cumulative bool) []Result {
-	ans := pqueue.NewTopK[*traj.Trajectory](k)
+	ans := newTopK[*traj.Trajectory](k)
 	for _, tr := range db {
 		d := core.AvgDistance(q, tr)
 		if cumulative {
 			d = core.Distance(q, tr)
 		}
-		ans.Offer(tr, d)
+		ans.offer(tr, d)
 	}
-	items := ans.Items()
+	items := ans.items()
 	out := make([]Result, len(items))
 	for i, it := range items {
 		out[i] = Result{Traj: it.Value, Dist: it.Priority}

@@ -20,10 +20,10 @@ import (
 // Load must return an error wrapping arena.ErrCorrupt or a tree that
 // answers a search; it must never panic.
 //
-// The committed corpus (testdata/fuzz/FuzzLoadArena) holds a built tree,
-// an empty one, one with an overlay, four files whose single overwritten
-// node-record word used to wrap an int64 range check and panic the loader
-// (makeslice and three slice-bounds shapes), and one whose first member
+// The committed corpus (testdata/fuzz/FuzzLoadArena, arena format 2)
+// holds a built tree, an empty one, one with an overlay, two files whose
+// single overwritten node-record word (boxOff, memberCount) used to wrap
+// an int64 range check and panic the loader, and one whose first member
 // box was moved off the segment it summarises, which the decode-time
 // derivation of the member-side weights must refuse as corrupt.
 func FuzzLoadArena(f *testing.F) {

@@ -5,25 +5,8 @@ import (
 	"sync"
 
 	"trajmatch/internal/core"
-	"trajmatch/internal/pqueue"
 	"trajmatch/internal/traj"
-	"trajmatch/internal/vantage"
 )
-
-// visitSet is a reusable generation-stamped membership set keyed by
-// trajectory ID. Marking stamps the current generation; begin() starts a
-// fresh query by bumping the generation, so no per-query clearing or
-// allocation happens — stale entries simply stop matching. Instances are
-// pooled: steady-state queries reuse a map that has already grown to the
-// working-set size instead of allocating a map per call.
-type visitSet struct {
-	gen   uint64
-	marks map[int]uint64
-}
-
-var visitPool = sync.Pool{
-	New: func() any { return &visitSet{marks: make(map[int]uint64, 64)} },
-}
 
 // screenPool recycles the per-query segment screens every bound of a
 // search is computed from; steady-state queries reset a warm screen
@@ -32,27 +15,17 @@ var screenPool = sync.Pool{
 	New: func() any { return new(core.SegScreen) },
 }
 
-// vpPool recycles the per-query buffers of the vantage pass: the query's
-// descriptor under the root's VPs and TopK's selection state.
-var vpPool = sync.Pool{
-	New: func() any { return new(vantage.Scratch) },
-}
-
-// begin invalidates all previous marks in O(1).
-func (v *visitSet) begin() { v.gen++ }
-
-func (v *visitSet) has(id int) bool { return v.marks[id] == v.gen }
-
-func (v *visitSet) mark(id int) { v.marks[id] = v.gen }
-
 // knnSearch is the one best-first descent behind SearchKNN and
 // SearchSub. sub selects the distance: false ranks by the tree's
 // whole-trajectory distance (EDwPavg, or cumulative EDwP), true by
 // EDwPsub(q, ·) — the same traversal in the raw domain, with the bounds
 // that do not rely on the member being consumed in full (see
-// Tree.denom, Tree.screenMember). With a nil bound it is the plain
-// Algorithm 2; with a bound it additionally prunes against — and
-// tightens — the shared limit. ctl (may be nil) injects cancellation —
+// Tree.denom, Tree.screenMember). With a nil bound it is Algorithm 2
+// without its vantage-point step (lines 8–10): the descent starts from an
+// empty answer set, because once a rejected member costs one flat screen
+// seeding the k-th best early saves no evaluation (docs/ARCHITECTURE.md,
+// "Removed by measurement"). With a bound it additionally prunes against
+// — and tightens — the shared limit. ctl (may be nil) injects cancellation —
 // polled between candidate pops here and per DP row inside the kernel —
 // and the query-wide evaluation budget; an exhausted budget stops the
 // search and marks the answer truncated.
@@ -63,12 +36,9 @@ func (t *Tree) knnSearch(q *traj.Trajectory, k int, sub bool, bound *SharedBound
 	}
 	qLen := q.Length()
 
-	var cands pqueue.Min[*node]
-	cands.Push(t.root, 0)
-	ans := pqueue.NewTopK[*traj.Trajectory](k)
-	processed := visitPool.Get().(*visitSet)
-	processed.begin()
-	defer visitPool.Put(processed)
+	var cands binHeap[*node]
+	cands.push(t.root, 0)
+	ans := newTopK[*traj.Trajectory](k)
 
 	// One per-query segment table serves every node bound and every
 	// member screen of the search.
@@ -81,7 +51,7 @@ func (t *Tree) knnSearch(q *traj.Trajectory, k int, sub bool, bound *SharedBound
 	// the shared bound when one is attached.
 	effLimit := func() float64 {
 		limit := math.Inf(1)
-		if worst, full := ans.Worst(); full {
+		if worst, full := ans.worst(); full {
 			limit = worst
 		}
 		if bound != nil {
@@ -97,13 +67,13 @@ func (t *Tree) knnSearch(q *traj.Trajectory, k int, sub bool, bound *SharedBound
 	truncated := false
 
 	// evaluate computes the (bounded) exact distance of tr and offers it
-	// to the answer set, reporting whether it was kept. Abandoned
-	// candidates are never offered: under a shared bound the local answer
-	// set may not be full yet, and a +Inf entry would poison it.
-	evaluate := func(tr *traj.Trajectory) bool {
+	// to the answer set. Abandoned candidates are never offered: under a
+	// shared bound the local answer set may not be full yet, and a +Inf
+	// entry would poison it.
+	evaluate := func(tr *traj.Trajectory) {
 		if !ctl.Take() {
 			truncated = true
-			return false
+			return
 		}
 		st.DistanceCalls++
 		limit := effLimit()
@@ -115,7 +85,7 @@ func (t *Tree) knnSearch(q *traj.Trajectory, k int, sub bool, bound *SharedBound
 			// as a screen reject, so kernel starts can be told apart.
 			st.EarlyAbandons++
 			st.ScreenRejects++
-			return false
+			return
 		}
 		var d float64
 		var abandoned bool
@@ -126,29 +96,27 @@ func (t *Tree) knnSearch(q *traj.Trajectory, k int, sub bool, bound *SharedBound
 		}
 		if abandoned {
 			st.EarlyAbandons++
-			return false
+			return
 		}
-		kept := ans.Offer(tr, d)
-		if kept && bound != nil {
-			if worst, full := ans.Worst(); full {
+		if ans.offer(tr, d) && bound != nil {
+			if worst, full := ans.worst(); full {
 				bound.Tighten(worst)
 			}
 		}
-		return kept
 	}
 
-	for cands.Len() > 0 && !truncated {
+	for cands.len() > 0 && !truncated {
 		if ctl.Cancelled() {
 			// Cancellation poll between candidate pops. Any in-flight
 			// kernel call the flag interrupted mis-reported its candidate
 			// as abandoned, so the whole answer is discarded here.
 			return nil, st, false, ctl.Err()
 		}
-		it := cands.Pop()
+		it := cands.pop()
 		if it.Priority >= effLimit() {
 			// The queue is ordered by lower bound: nothing left can beat
 			// the current k-th best (local or shared).
-			st.NodesPruned += 1 + cands.Len()
+			st.NodesPruned += 1 + cands.len()
 			break
 		}
 		c := it.Value
@@ -158,47 +126,11 @@ func (t *Tree) knnSearch(q *traj.Trajectory, k int, sub bool, bound *SharedBound
 				if truncated {
 					break
 				}
-				if processed.has(tr.ID) {
-					continue
-				}
-				processed.mark(tr.ID)
 				evaluate(tr)
 			}
 			continue
 		}
-		// Step 1 (Alg. 2 lines 8–10): seed the upper bound through the
-		// vantage points. Candidates are evaluated in VD order and the
-		// pass stops once consecutive candidates stop improving the
-		// answer set. The pass only pays where it seeds: once k answers
-		// are held the bounds reach the remaining members more cheaply,
-		// so it runs at the root — the one node a built tree gives
-		// vantage points — and nowhere after the answer set has filled.
-		// Descriptors compare whole trajectories, which says little
-		// about where a fragment matches, so sub searches skip it.
-		if c.vps != nil && !sub && !ans.Full() {
-			vp := vpPool.Get().(*vantage.Scratch)
-			top := vp.TopK(vp.Descriptor(q, c.vps), c.descs, k, func(i int) bool {
-				return processed.has(c.members[i].ID)
-			})
-			misses := 0
-			for _, idx := range top {
-				if truncated {
-					break
-				}
-				tr := c.members[idx]
-				if processed.has(tr.ID) {
-					continue
-				}
-				processed.mark(tr.ID)
-				if evaluate(tr) {
-					misses = 0
-				} else if misses++; misses >= 2 && ans.Full() {
-					break
-				}
-			}
-			vpPool.Put(vp)
-		}
-		// Step 2 (lines 11–13): push surviving children ordered by their
+		// Alg. 2 lines 11–13: push surviving children ordered by their
 		// lower bounds. The screen early-exits against the current limit;
 		// surviving bounds are exact, so the queue order — and with it the
 		// result stream — is identical to the unbounded search.
@@ -209,7 +141,7 @@ func (t *Tree) knnSearch(q *traj.Trajectory, k int, sub bool, bound *SharedBound
 				st.NodesPruned++
 				continue
 			}
-			cands.Push(child, lb)
+			cands.push(child, lb)
 		}
 	}
 
@@ -218,7 +150,7 @@ func (t *Tree) knnSearch(q *traj.Trajectory, k int, sub bool, bound *SharedBound
 		// final kernel calls); the answer cannot be trusted.
 		return nil, st, false, err
 	}
-	items := ans.Items()
+	items := ans.items()
 	out := make([]Result, len(items))
 	for i, it := range items {
 		out[i] = Result{Traj: it.Value, Dist: it.Priority}
@@ -231,7 +163,7 @@ func (t *Tree) knnSearch(q *traj.Trajectory, k int, sub bool, bound *SharedBound
 // of Figs. 5(j) and 6(a). The scan, too, bounds each evaluation by the
 // running k-th best distance.
 func (t *Tree) KNNBrute(q *traj.Trajectory, k int) []Result {
-	ans := pqueue.NewTopK[*traj.Trajectory](k)
+	ans := newTopK[*traj.Trajectory](k)
 	var walk func(n *node)
 	walk = func(n *node) {
 		if n == nil {
@@ -240,11 +172,11 @@ func (t *Tree) KNNBrute(q *traj.Trajectory, k int) []Result {
 		if n.leaf() {
 			for _, tr := range n.members {
 				limit := math.Inf(1)
-				if worst, full := ans.Worst(); full {
+				if worst, full := ans.worst(); full {
 					limit = worst
 				}
 				d, _ := t.distBounded(q, tr, limit, nil)
-				ans.Offer(tr, d)
+				ans.offer(tr, d)
 			}
 			return
 		}
@@ -253,39 +185,10 @@ func (t *Tree) KNNBrute(q *traj.Trajectory, k int) []Result {
 		}
 	}
 	walk(t.root)
-	items := ans.Items()
+	items := ans.items()
 	out := make([]Result, len(items))
 	for i, it := range items {
 		out[i] = Result{Traj: it.Value, Dist: it.Priority}
 	}
 	return out
-}
-
-// VPUpperBound returns the VP-based upper bound of Eq. 14 at the root: the
-// largest exact distance among the root's VP-chosen k candidates. It
-// underlies the UB-Factor experiments of Figs. 6(c)–(d). The second return
-// is the candidate set's exact distances, sorted ascending.
-func (t *Tree) VPUpperBound(q *traj.Trajectory, k int) (float64, []float64) {
-	if t.root == nil || t.root.vps == nil {
-		return 0, nil
-	}
-	var vp vantage.Scratch
-	top := vp.TopK(vp.Descriptor(q, t.root.vps), t.root.descs, k, nil)
-	ds := make([]float64, 0, len(top))
-	for _, idx := range top {
-		ds = append(ds, t.dist(q, t.root.members[idx]))
-	}
-	ub := 0.0
-	for _, d := range ds {
-		if d > ub {
-			ub = d
-		}
-	}
-	// sort ascending for callers that want the full candidate profile
-	for i := 1; i < len(ds); i++ {
-		for j := i; j > 0 && ds[j] < ds[j-1]; j-- {
-			ds[j], ds[j-1] = ds[j-1], ds[j]
-		}
-	}
-	return ub, ds
 }

@@ -2,7 +2,6 @@ package trajtree
 
 import (
 	"trajmatch/internal/core"
-	"trajmatch/internal/pqueue"
 	"trajmatch/internal/traj"
 )
 
@@ -81,12 +80,12 @@ func (t *Tree) NearestDissimilar(q *traj.Trajectory, k int) []Result {
 	if t.root == nil || k <= 0 {
 		return nil
 	}
-	ans := pqueue.NewTopK[*traj.Trajectory](k)
+	ans := newTopK[*traj.Trajectory](k)
 	for _, tr := range t.root.members {
-		// TopK keeps smallest priorities; negate to keep farthest.
-		ans.Offer(tr, -t.dist(q, tr))
+		// topK keeps smallest priorities; negate to keep farthest.
+		ans.offer(tr, -t.dist(q, tr))
 	}
-	items := ans.Items()
+	items := ans.items()
 	out := make([]Result, len(items))
 	for i, it := range items {
 		out[i] = Result{Traj: it.Value, Dist: -it.Priority}

@@ -24,9 +24,8 @@ func NewCtl(ctx context.Context, maxEvals int) *Ctl { return backend.NewCtl(ctx,
 // SearchKNN returns the exact k nearest trajectories to q under EDwPavg
 // (or cumulative EDwP when Options.Cumulative is set), sorted by
 // ascending distance, together with query statistics. It implements
-// Algorithm 2: best-first traversal ordered by tBoxSeq lower bounds,
-// after one vantage-point top-k evaluation at the root has seeded the
-// upper bound. Every exact evaluation passes the current k-th best
+// Algorithm 2: best-first traversal ordered by tBoxSeq lower bounds from
+// an empty answer set. Every exact evaluation passes the current k-th best
 // distance to the bounded kernel, which abandons the dynamic program as
 // soon as the candidate provably cannot enter the answer set
 // (Stats.EarlyAbandons counts those); the answer is that of the

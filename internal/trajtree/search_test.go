@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"trajmatch/internal/core"
-	"trajmatch/internal/pqueue"
 	"trajmatch/internal/traj"
 )
 
@@ -60,7 +59,7 @@ func TestSearchSubMatchesBruteScan(t *testing.T) {
 
 			for _, seed := range []float64{math.Inf(1), 1.5*ref[k-1].d + 1} {
 				bound := NewSharedBound(seed)
-				merged := pqueue.NewTopK[*traj.Trajectory](k)
+				merged := newTopK[*traj.Trajectory](k)
 				calls := 0
 				for _, tree := range trees {
 					got, st, trunc, err := tree.SearchSub(q, k, bound, nil)
@@ -69,13 +68,13 @@ func TestSearchSubMatchesBruteScan(t *testing.T) {
 					}
 					calls += st.DistanceCalls
 					for _, r := range got {
-						merged.Offer(r.Traj, r.Dist)
+						merged.offer(r.Traj, r.Dist)
 					}
 				}
 				if calls >= len(db) {
 					t.Fatalf("parts=%d it=%d: %d distance calls over %d members: the descent pruned nothing", parts, it, calls, len(db))
 				}
-				got := merged.Items()
+				got := merged.items()
 				if len(got) != k {
 					t.Fatalf("parts=%d it=%d: %d results, want %d", parts, it, len(got), k)
 				}

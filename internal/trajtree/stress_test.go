@@ -83,10 +83,10 @@ func TestKNNExactUnderOptionExtremes(t *testing.T) {
 	q := testDB(rng, 1)[0]
 	q.ID = 99999
 	opts := []Options{
-		{Theta: 0.1, NumVPs: 2, LeafSize: 2, PivotCandidates: 8, Seed: 1},
-		{Theta: 0.95, NumVPs: 100, LeafSize: 40, PivotCandidates: 90, Seed: 2},
-		{MaxBoxes: 2, NumVPs: 4, LeafSize: 5, PivotCandidates: 16, Seed: 3},
-		{MaxFanout: 2, NumVPs: 4, LeafSize: 5, PivotCandidates: 16, Seed: 4},
+		{Theta: 0.1, LeafSize: 2, PivotCandidates: 8, Seed: 1},
+		{Theta: 0.95, LeafSize: 40, PivotCandidates: 90, Seed: 2},
+		{MaxBoxes: 2, LeafSize: 5, PivotCandidates: 16, Seed: 3},
+		{MaxFanout: 2, LeafSize: 5, PivotCandidates: 16, Seed: 4},
 	}
 	for oi, opt := range opts {
 		tree, err := New(db, opt)

@@ -2,9 +2,10 @@
 // exact k-nearest-neighbour queries under EDwP. Every node summarises its
 // subtree with a trajectory box sequence (package tbox) whose EDwPsub-style
 // lower bound prunes the search — Theorem 2, in the flat relaxation
-// core.ScreenLowerBound — and the root carries vantage-point descriptors
-// (package vantage) that seed the upper bound before the descent starts
-// (Section IV-E). Leaves hold the trajectories.
+// core.ScreenLowerBound. Leaves hold the trajectories. The vantage-point
+// descriptors of Section IV-E are not served: they only seeded the k-th
+// best distance, which the descent's own bounds reach as cheaply, and the
+// paper's UB-Factor experiments compute them in package eval.
 //
 // Queries return the exact k-NN set: candidates are visited best-first by
 // lower bound and the search stops when the smallest outstanding lower
@@ -29,10 +30,8 @@ import (
 	"trajmatch/internal/arena"
 	"trajmatch/internal/backend"
 	"trajmatch/internal/core"
-	"trajmatch/internal/geom"
 	"trajmatch/internal/tbox"
 	"trajmatch/internal/traj"
-	"trajmatch/internal/vantage"
 )
 
 // Options configure construction. The zero value is usable: every field
@@ -41,11 +40,6 @@ type Options struct {
 	// Theta is the diversity-drop threshold θ of Algorithm 1 controlling
 	// the branching factor. Default 0.8.
 	Theta float64
-	// NumVPs is the number of vantage points the root's descriptor
-	// table is built over. Default 16: the pass they drive only seeds the
-	// k-th best distance, and on every corpus measured 4 to 80 of them
-	// seed it equally well.
-	NumVPs int
 	// LeafSize is the minimum node size n: nodes with at most this many
 	// trajectories become leaves. Default 10.
 	LeafSize int
@@ -63,8 +57,6 @@ type Options struct {
 	// Cumulative switches query distances from EDwPavg (Eq. 4, the paper's
 	// experimental default) to cumulative EDwP.
 	Cumulative bool
-	// DisableVantage turns the VP upper-bound machinery off (ablation X1).
-	DisableVantage bool
 	// RebuildRatio triggers an automatic rebuild when
 	// inserts+deletes > ratio × size. 0 means the default of 0.25;
 	// negative disables auto-rebuild. The rebuild builds in the
@@ -86,9 +78,6 @@ func (o Options) withDefaults() Options {
 	if o.Theta == 0 {
 		o.Theta = 0.8
 	}
-	if o.NumVPs == 0 {
-		o.NumVPs = 16
-	}
 	if o.LeafSize == 0 {
 		o.LeafSize = 10
 	}
@@ -108,24 +97,12 @@ func (o Options) withDefaults() Options {
 }
 
 // node is a TrajTree node: the tBoxSeq summary its parent bounds it by,
-// its subtree's members and, on the root of a built tree, the vantage
-// points and the descriptors of every member (a file written before the
-// pass became root-only may carry them on inner nodes too; they load and
-// are kept up to date like the root's).
-//
-// descs is one row-major slab: member i's descriptor is the len(vps)
-// values from i*len(vps). On a tree loaded by LoadArena the slab aliases
-// the snapshot's descriptor section, which may be a read-only mapping;
-// descsMapped marks such a slab, and whoever mutates it moves it to the
-// heap first.
+// its subtree's members and the longest member's length.
 type node struct {
-	seq         *tbox.Seq
-	children    []*node
-	members     []*traj.Trajectory
-	vps         []geom.Point
-	descs       []float64
-	descsMapped bool
-	maxLen      float64
+	seq      *tbox.Seq
+	children []*node
+	members  []*traj.Trajectory
+	maxLen   float64
 }
 
 func (n *node) leaf() bool { return len(n.children) == 0 }
@@ -190,19 +167,8 @@ func newTree(db []*traj.Trajectory, opt Options, background bool) (*Tree, error)
 		// bit-identical values, so the built tree is unchanged.
 		tr.ar = arena.Build(owned)
 		tr.root = tr.build(owned, tbox.Build(owned, tr.opt.MaxBoxes), tr.opt.Parallel)
-		tr.seedVantage()
 	}
 	return tr, nil
-}
-
-// seedVantage gives an internal root its vantage points and descriptor
-// table. Only the root has them: the pass they drive runs once per query,
-// before the descent, to seed the k-th best distance.
-func (t *Tree) seedVantage() {
-	if r := t.root; !r.leaf() && !t.opt.DisableVantage {
-		r.vps = vantage.Select(r.members, t.opt.NumVPs, t.rng)
-		r.descs = describe(r.members, r.vps)
-	}
 }
 
 // newTreeShell returns a rootless Tree of the given size with normalised
@@ -422,16 +388,6 @@ func (t *Tree) build(ts []*traj.Trajectory, seq *tbox.Seq, parallel bool) *node 
 	return n
 }
 
-// describe returns the descriptor slab of ts under vps: one row of
-// len(vps) VP-dists per trajectory, in order.
-func describe(ts []*traj.Trajectory, vps []geom.Point) []float64 {
-	descs := make([]float64, 0, len(ts)*len(vps))
-	for _, m := range ts {
-		descs = vantage.AppendDescriptor(descs, m, vps)
-	}
-	return descs
-}
-
 func maxLength(ts []*traj.Trajectory) float64 {
 	var max float64
 	for _, t := range ts {
@@ -488,10 +444,6 @@ func (t *Tree) checkInvariants() error {
 		}
 		if sub != len(n.members) {
 			return fmt.Errorf("internal node members %d != children total %d", len(n.members), sub)
-		}
-		if n.descs != nil && len(n.descs) != len(n.members)*len(n.vps) {
-			return fmt.Errorf("descriptor slab of %d values != %d members × %d vantage points",
-				len(n.descs), len(n.members), len(n.vps))
 		}
 		return nil
 	}

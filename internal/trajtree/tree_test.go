@@ -30,7 +30,7 @@ func testDB(rng *rand.Rand, n int) []*traj.Trajectory {
 }
 
 func testOptions() Options {
-	return Options{NumVPs: 12, LeafSize: 5, PivotCandidates: 24, Seed: 1}
+	return Options{LeafSize: 5, PivotCandidates: 24, Seed: 1}
 }
 
 func TestBuildInvariants(t *testing.T) {
@@ -98,26 +98,6 @@ func TestKNNExactlyMatchesBruteForce(t *testing.T) {
 						k, i, got[i].Dist, want[i].Dist, got[i].Traj.ID, want[i].Traj.ID)
 				}
 			}
-		}
-	}
-}
-
-func TestKNNExactWithVantageDisabled(t *testing.T) {
-	rng := rand.New(rand.NewSource(73))
-	db := testDB(rng, 100)
-	opt := testOptions()
-	opt.DisableVantage = true
-	tree, err := New(db, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := testDB(rng, 1)[0]
-	q.ID = 9999
-	got, _, _, _ := tree.SearchKNN(q, 10, nil, nil)
-	want := tree.KNNBrute(q, 10)
-	for i := range got {
-		if math.Abs(got[i].Dist-want[i].Dist) > 1e-9 {
-			t.Fatalf("rank %d: %v vs %v", i, got[i].Dist, want[i].Dist)
 		}
 	}
 }
@@ -327,26 +307,6 @@ func TestAutoRebuild(t *testing.T) {
 	}
 	if err := tree.checkInvariants(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestVPUpperBoundIsUpperBound(t *testing.T) {
-	rng := rand.New(rand.NewSource(82))
-	db := testDB(rng, 120)
-	tree, err := New(db, testOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for it := 0; it < 10; it++ {
-		q := testDB(rng, 1)[0]
-		q.ID = 9999
-		k := 5
-		ub, _ := tree.VPUpperBound(q, k)
-		exact := tree.KNNBrute(q, k)
-		kth := exact[len(exact)-1].Dist
-		if ub < kth-1e-9 {
-			t.Fatalf("VP upper bound %v below true k-th distance %v", ub, kth)
-		}
 	}
 }
 

@@ -7,14 +7,12 @@ import (
 
 	"trajmatch/internal/tbox"
 	"trajmatch/internal/traj"
-	"trajmatch/internal/vantage"
 )
 
 // Insert adds a trajectory to the index following Section IV-F: the new
 // trajectory descends to the child whose tBoxSeq expands the least, every
 // node on the path absorbs it into its summary (existing pivots are
-// reused), the root appends its descriptor under the existing vantage
-// points, and overflowing leaves are re-partitioned. When accumulated
+// reused), and overflowing leaves are re-partitioned. When accumulated
 // modifications exceed RebuildRatio × size the whole index is rebuilt in
 // the background (rebuild.go), approximating the paper's "poor node"
 // policy.
@@ -53,12 +51,6 @@ func (t *Tree) insertAt(n *node, tr *traj.Trajectory) {
 	if l := tr.Length(); l > n.maxLen {
 		n.maxLen = l
 	}
-	if n.vps != nil {
-		// A mapped slab is capped at its length, so the append moved it
-		// to the heap.
-		n.descs = vantage.AppendDescriptor(n.descs, tr, n.vps)
-		n.descsMapped = false
-	}
 	if n.leaf() {
 		if len(n.members) > t.opt.LeafSize {
 			t.splitLeaf(n)
@@ -85,14 +77,10 @@ func (t *Tree) splitLeaf(n *node) {
 	for i := range groups {
 		n.children[i] = t.build(groups[i], seqs[i], false)
 	}
-	if n == t.root {
-		t.seedVantage()
-	}
 }
 
 // Delete removes the trajectory with the given ID from every node on its
-// path, and its descriptor from the root's table, while leaving the
-// tBoxSeqs unchanged (Section IV-F). It reports whether the ID was
+// path while leaving the tBoxSeqs unchanged (Section IV-F). It reports whether the ID was
 // present.
 func (t *Tree) Delete(id int) bool {
 	if t.byID[id] == nil {
@@ -136,18 +124,6 @@ func (t *Tree) deleteFrom(n *node, m *traj.Trajectory) bool {
 		}
 	}
 	n.members = append(n.members[:idx], n.members[idx+1:]...)
-	if n.descs != nil {
-		w := len(n.vps)
-		head, tail := n.descs[:idx*w], n.descs[(idx+1)*w:]
-		if n.descsMapped {
-			// Closing the gap in place would write to the snapshot
-			// mapping, which is read-only: build the shortened slab on
-			// the heap instead.
-			head = append(make([]float64, 0, len(head)+len(tail)), head...)
-			n.descsMapped = false
-		}
-		n.descs = append(head, tail...)
-	}
 	return true
 }
 

@@ -139,7 +139,7 @@ func Metrics(eps float64) []Metric { return baseline.All(eps) }
 func DefaultMA(eps float64) MetricMA { return baseline.DefaultMA(eps) }
 
 // IndexOptions configure TrajTree construction; the zero value uses the
-// paper's defaults (θ = 0.8, 80 vantage points, leaf size 10).
+// paper's defaults (θ = 0.8, leaf size 10).
 type IndexOptions = trajtree.Options
 
 // Index is a TrajTree: an exact k-NN index for EDwP (Section IV).

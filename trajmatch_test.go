@@ -41,7 +41,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 
 func TestFacadeIndexAndGenerators(t *testing.T) {
 	db := trajmatch.GenerateTaxi(trajmatch.DefaultTaxiConfig(60))
-	idx, err := trajmatch.NewIndex(db, trajmatch.IndexOptions{NumVPs: 8, LeafSize: 5, PivotCandidates: 16, Seed: 1})
+	idx, err := trajmatch.NewIndex(db, trajmatch.IndexOptions{LeafSize: 5, PivotCandidates: 16, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
