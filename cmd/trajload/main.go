@@ -4,7 +4,7 @@
 // identical), drawing query trajectories from a synthetic pool and
 // mixing k-NN and range kinds per -mix. When the run ends it reports
 // throughput and client-observed latency percentiles (p50/p95/p99) as
-// JSON — the numbers BENCH_10.json compares across deployment shapes.
+// JSON; pointing it at each deployment shape in turn compares them.
 //
 // Closed-loop means the offered load adapts to the server: a worker
 // issues its next query only when the previous answer lands, so the

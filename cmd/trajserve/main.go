@@ -93,9 +93,10 @@
 // (placement discovery) and GET /cluster/v1/snapshot/{file} (snapshot
 // shipping) beside the /v1 surface. A router (-role router -nodes
 // http://a:8081,http://b:8082) holds no corpus: it discovers each
-// node's shards, fans searches out per replica group with its running
-// k-th-best bound shipped as the seed limit, retries a slow node's
-// replica once under -node-timeout, degrades to a partial answer
+// node's shards, fans searches (single or "queries" batches) out per
+// replica group with the k-th-best bound shipped as the seed limit,
+// retries a slow node's replica once under -node-timeout, bounds each
+// search by -query-timeout, degrades to a partial answer
 // ("degraded": true, per-node health in /v1/stats) when a whole group
 // is down, and merges by (distance, ID) — byte-identical to one big
 // engine when every group answers. -fetch-snapshot URL|DIR warm-boots a
@@ -405,8 +406,9 @@ func runRouter(addr, nodesCSV string, nodeTimeout, queryTO time.Duration) {
 		log.Printf("warning: -query-timeout %v is shorter than -node-timeout %v; node requests are bounded by the smaller", queryTO, nodeTimeout)
 	}
 	rt, err := trajmatch.NewClusterRouter(context.Background(), trajmatch.ClusterConfig{
-		Nodes:   nodes,
-		Timeout: nodeTimeout,
+		Nodes:        nodes,
+		Timeout:      nodeTimeout,
+		QueryTimeout: queryTO,
 	})
 	if err != nil {
 		fatalf("router: %v", err)

@@ -85,7 +85,7 @@ func newSingleEngine(t testing.TB, db []*traj.Trajectory, total int) *server.Eng
 
 // bootCluster serves one NodeHandler per owned-set over httptest and
 // assembles a router over them.
-func bootCluster(t testing.TB, db []*traj.Trajectory, total int, owns [][]int, sequential bool) (*Router, func()) {
+func bootCluster(t testing.TB, db []*traj.Trajectory, total int, owns [][]int) (*Router, func()) {
 	t.Helper()
 	var urls []string
 	var srvs []*httptest.Server
@@ -95,7 +95,7 @@ func bootCluster(t testing.TB, db []*traj.Trajectory, total int, owns [][]int, s
 		srvs = append(srvs, srv)
 		urls = append(urls, srv.URL)
 	}
-	rt, err := New(context.Background(), Config{Nodes: urls, Timeout: 5 * time.Second, Sequential: sequential})
+	rt, err := New(context.Background(), Config{Nodes: urls, Timeout: 5 * time.Second})
 	if err != nil {
 		t.Fatalf("router: %v", err)
 	}
@@ -137,11 +137,34 @@ func sameResults(t *testing.T, label string, got, want []backend.Result) {
 	}
 }
 
+// searchShapes are the router's two fan-out shapes: Search dispatches
+// every group at once, SearchBatch visits them in shard order shipping
+// the bound the earlier groups tightened.
+var searchShapes = []struct {
+	name string
+	run  func(rt *Router, qs []*traj.Trajectory, req server.Query) ([]server.Answer, error)
+}{
+	{"Search", func(rt *Router, qs []*traj.Trajectory, req server.Query) ([]server.Answer, error) {
+		out := make([]server.Answer, len(qs))
+		for i, q := range qs {
+			ans, err := rt.Search(context.Background(), q, req)
+			if err != nil {
+				return nil, err
+			}
+			out[i] = ans
+		}
+		return out, nil
+	}},
+	{"SearchBatch", func(rt *Router, qs []*traj.Trajectory, req server.Query) ([]server.Answer, error) {
+		return rt.SearchBatch(context.Background(), qs, req)
+	}},
+}
+
 // TestClusterByteIdenticalToSingleProcess is the tentpole property: a
 // 2- or 4-node cluster over {2,4,8} global shards answers every query
 // kind byte-identically to one engine over the union corpus — including
 // exact cross-node distance ties (duplicated geometry under different
-// IDs) and the bound-shipping sequential fan-out.
+// IDs) — through both fan-out shapes.
 func TestClusterByteIdenticalToSingleProcess(t *testing.T) {
 	if testing.Short() {
 		t.Skip("cluster property corpus in -short mode")
@@ -165,46 +188,47 @@ func TestClusterByteIdenticalToSingleProcess(t *testing.T) {
 	for _, total := range []int{2, 4, 8} {
 		single := newSingleEngine(t, db, total)
 		for _, nodes := range []int{2, 4} {
-			for _, sequential := range []bool{false, true} {
-				t.Run(fmt.Sprintf("shards=%d/nodes=%d/sequential=%v", total, nodes, sequential), func(t *testing.T) {
-					rt, cleanup := bootCluster(t, db, total, layout(total, nodes), sequential)
-					defer cleanup()
-					for qi, q := range queries {
-						for ki, req := range kinds {
+			rt, cleanup := bootCluster(t, db, total, layout(total, nodes))
+			for _, shape := range searchShapes {
+				t.Run(fmt.Sprintf("shards=%d/nodes=%d/%s", total, nodes, shape.name), func(t *testing.T) {
+					for ki, req := range kinds {
+						got, err := shape.run(rt, queries, req)
+						if err != nil {
+							t.Fatalf("kind %d: cluster search: %v", ki, err)
+						}
+						for qi, q := range queries {
 							want, err := single.Search(context.Background(), q, req)
 							if err != nil {
 								t.Fatalf("single search: %v", err)
 							}
-							got, err := rt.Search(context.Background(), q, req)
-							if err != nil {
-								t.Fatalf("cluster search: %v", err)
-							}
-							if got.Degraded {
+							if got[qi].Degraded {
 								t.Fatalf("query %d kind %d: degraded answer with every node up", qi, ki)
 							}
-							if got.Truncated != want.Truncated {
-								t.Fatalf("query %d kind %d: truncated %v != %v", qi, ki, got.Truncated, want.Truncated)
+							if got[qi].Truncated != want.Truncated {
+								t.Fatalf("query %d kind %d: truncated %v != %v", qi, ki, got[qi].Truncated, want.Truncated)
 							}
-							sameResults(t, fmt.Sprintf("query %d kind %s", qi, req.Kind), got.Results, want.Results)
+							sameResults(t, fmt.Sprintf("query %d kind %s", qi, req.Kind), got[qi].Results, want.Results)
 						}
 					}
 				})
 			}
+			cleanup()
 		}
 	}
 }
 
-// TestSequentialShippedBoundNoExtraEvals pins the acceptance bound: the
-// sequential bound-shipping fan-out spends no more exact distance
-// evaluations across the cluster than the single-process inline
-// shared-bound loop over the same shards — the shipped merged k-th best
-// is at least as tight as the single process's bound at the same point,
-// so the cluster can only skip more.
-func TestSequentialShippedBoundNoExtraEvals(t *testing.T) {
+// TestBatchShippedBoundNoExtraEvals pins the acceptance bound: a batch,
+// which visits the groups in shard order shipping the tightened bound,
+// spends no more exact distance evaluations across the cluster than the
+// single-process inline shared-bound loop over the same shards — a
+// group's merged k-th best is at most the minimum of its shards' k-th
+// bests, so the shipped bound is at least as tight as the single
+// process's bound at the same point, and the cluster can only skip more.
+func TestBatchShippedBoundNoExtraEvals(t *testing.T) {
 	db := testDB(300, 7)
 	const total = 4
 	single := newSingleEngine(t, db, total)
-	rt, cleanup := bootCluster(t, db, total, [][]int{{0, 1}, {2, 3}}, true)
+	rt, cleanup := bootCluster(t, db, total, [][]int{{0, 1}, {2, 3}})
 	defer cleanup()
 
 	// A full evaluation is a distance computation the abandon bound did
@@ -224,10 +248,11 @@ func TestSequentialShippedBoundNoExtraEvals(t *testing.T) {
 		if err != nil {
 			t.Fatalf("baseline: %v", err)
 		}
-		got, err := rt.Search(context.Background(), q, req)
+		batch, err := rt.SearchBatch(context.Background(), []*traj.Trajectory{q}, req)
 		if err != nil {
 			t.Fatalf("cluster: %v", err)
 		}
+		got := batch[0]
 		sameResults(t, fmt.Sprintf("query %d", qi), got.Results, base[0].Results)
 		if fullEvals(got.Stats) > fullEvals(base[0].Stats) {
 			t.Errorf("query %d: cluster spent %d full evaluations, single-process baseline %d",
@@ -256,7 +281,7 @@ func TestSequentialShippedBoundNoExtraEvals(t *testing.T) {
 func TestRouterMutationsRouting(t *testing.T) {
 	db := testDB(60, 7)
 	const total = 4
-	rt, cleanup := bootCluster(t, db, total, [][]int{{0, 1}, {2, 3}}, false)
+	rt, cleanup := bootCluster(t, db, total, [][]int{{0, 1}, {2, 3}})
 	defer cleanup()
 
 	// Insert a fresh trajectory through the router, then find it.
@@ -321,7 +346,7 @@ func TestRouterMutationsRouting(t *testing.T) {
 func TestRouterHTTPSurface(t *testing.T) {
 	db := testDB(60, 7)
 	const total = 2
-	rt, cleanup := bootCluster(t, db, total, [][]int{{0}, {1}}, false)
+	rt, cleanup := bootCluster(t, db, total, [][]int{{0}, {1}})
 	defer cleanup()
 	front := httptest.NewServer(RouterHandler(rt))
 	defer front.Close()
@@ -349,16 +374,40 @@ func TestRouterHTTPSurface(t *testing.T) {
 	if err != nil {
 		t.Fatalf("router search: %v", err)
 	}
-	if len(sr.Results) != len(want.Results) {
-		t.Fatalf("HTTP answer has %d results, router %d", len(sr.Results), len(want.Results))
-	}
-	for i := range sr.Results {
-		if sr.Results[i].ID != want.Results[i].Traj.ID || sr.Results[i].Dist != want.Results[i].Dist {
-			t.Fatalf("HTTP rank %d: %+v != router (id=%d dist=%v)", i, sr.Results[i], want.Results[i].Traj.ID, want.Results[i].Dist)
+	sameWire := func(label string, got server.WireAnswer, want server.Answer) {
+		t.Helper()
+		sameResults(t, label, got.Answer().Results, want.Results)
+		if got.Stats == nil {
+			t.Fatalf("%s: with_stats answer carries no stats", label)
 		}
 	}
-	if sr.Stats == nil {
-		t.Fatalf("with_stats answer carries no stats")
+	sameWire("HTTP search", sr.WireAnswer, want)
+
+	// A "queries" batch over HTTP matches the in-process router batch.
+	qs := testDB(3, 101)
+	breq := server.SearchRequest{Query: req.Query}
+	for _, q := range qs {
+		breq.Queries = append(breq.Queries, *wireTraj(q))
+	}
+	body, _ = json.Marshal(breq)
+	resp, err = http.Post(front.URL+"/v1/search", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatalf("batch search: %v", err)
+	}
+	var br server.SearchBatchResponse
+	if err := json.NewDecoder(resp.Body).Decode(&br); err != nil {
+		t.Fatalf("decode batch: %v", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || len(br.Answers) != len(qs) {
+		t.Fatalf("batch search: status %d, %d answers for %d queries", resp.StatusCode, len(br.Answers), len(qs))
+	}
+	wantBatch, err := rt.SearchBatch(context.Background(), qs, req.Query)
+	if err != nil {
+		t.Fatalf("router batch: %v", err)
+	}
+	for i := range qs {
+		sameWire(fmt.Sprintf("HTTP batch query %d", i), br.Answers[i], wantBatch[i])
 	}
 
 	// Version: role router, the configured nodes, the global modulus.
@@ -452,32 +501,41 @@ func TestRouterBootValidation(t *testing.T) {
 }
 
 // TestRouterHugeK: k is request data, and a k far beyond the corpus must
-// answer with every member through both fan-out shapes. A merge buffer
-// sized by k would ask the runtime for 16 TiB at k = 2⁴⁰ — a fatal
-// out-of-memory error that no handler recovery can catch.
+// answer with every member through both fan-out shapes — a single
+// "query" and a "queries" batch. A merge buffer sized by k would ask the
+// runtime for 16 TiB at k = 2⁴⁰ — a fatal out-of-memory error that no
+// handler recovery can catch.
 func TestRouterHugeK(t *testing.T) {
 	db := testDB(40, 7)
-	for _, sequential := range []bool{false, true} {
-		rt, cleanup := bootCluster(t, db, 2, [][]int{{0}, {1}}, sequential)
-		front := httptest.NewServer(RouterHandler(rt))
-		body, _ := json.Marshal(server.SearchRequest{
-			Query:     server.Query{Kind: server.KindKNN, K: 1 << 40},
-			QueryTraj: wireTraj(testDB(1, 99)[0]),
-		})
+	rt, cleanup := bootCluster(t, db, 2, [][]int{{0}, {1}})
+	defer cleanup()
+	front := httptest.NewServer(RouterHandler(rt))
+	defer front.Close()
+	q := wireTraj(testDB(1, 99)[0])
+	huge := server.Query{Kind: server.KindKNN, K: 1 << 40}
+	for _, shape := range []server.SearchRequest{
+		{Query: huge, QueryTraj: q},
+		{Query: huge, Queries: []server.WireTrajectory{*q}},
+	} {
+		body, _ := json.Marshal(shape)
 		resp, err := http.Post(front.URL+"/v1/search", "application/json", bytes.NewReader(body))
 		if err != nil {
-			t.Fatalf("sequential=%v: %v", sequential, err)
+			t.Fatalf("batch=%v: %v", shape.Queries != nil, err)
 		}
-		var sr server.SearchResponse
-		derr := json.NewDecoder(resp.Body).Decode(&sr)
+		var out struct {
+			server.WireAnswer
+			Answers []server.WireAnswer `json:"answers"`
+		}
+		derr := json.NewDecoder(resp.Body).Decode(&out)
 		resp.Body.Close()
-		front.Close()
-		cleanup()
 		if resp.StatusCode != http.StatusOK || derr != nil {
-			t.Fatalf("sequential=%v: status %d (decode %v)", sequential, resp.StatusCode, derr)
+			t.Fatalf("batch=%v: status %d (decode %v)", shape.Queries != nil, resp.StatusCode, derr)
 		}
-		if len(sr.Results) != len(db) {
-			t.Fatalf("sequential=%v: %d results, want every one of %d members", sequential, len(sr.Results), len(db))
+		if len(out.Answers) == 1 {
+			out.WireAnswer = out.Answers[0]
+		}
+		if len(out.Results) != len(db) {
+			t.Fatalf("batch=%v: %d results, want every one of %d members", shape.Queries != nil, len(out.Results), len(db))
 		}
 	}
 }

@@ -1,10 +1,14 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
+	"errors"
 	"fmt"
 	"net"
 	"net/http"
+	"net/http/httptest"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -257,6 +261,105 @@ func TestClusterSlowNodeDeadline(t *testing.T) {
 	if ans, err := rt.Search(context.Background(), q, req); err != nil || ans.Degraded {
 		t.Fatalf("recovered query: degraded=%v err=%v", ans.Degraded, err)
 	}
+}
+
+// requireAllHealthy fails unless the router recorded no degraded answer
+// and no node failure, with every node still healthy.
+func requireAllHealthy(t *testing.T, rt *Router) {
+	t.Helper()
+	st := rt.Stats()
+	if st.Degraded != 0 || st.Retries != 0 {
+		t.Fatalf("router stats: degraded=%d retries=%d, want 0 and 0", st.Degraded, st.Retries)
+	}
+	for _, n := range st.Nodes {
+		if !n.Healthy || n.Failures != 0 {
+			t.Fatalf("node %s: healthy=%v failures=%d (%s), want healthy with none", n.Endpoint, n.Healthy, n.Failures, n.LastError)
+		}
+	}
+}
+
+// TestClusterCallerDeadlineIsNotANodeFailure: when the caller's own
+// deadline fires while a slow-but-alive node is still answering, the
+// query fails with the caller's error — not a degraded answer — and the
+// node keeps its health: the deadline was the caller's, not the node's.
+func TestClusterCallerDeadlineIsNotANodeFailure(t *testing.T) {
+	db := testDB(60, 7)
+	const total = 2
+	fast := startRestartable(t, NodeHandler(newNodeEngine(t, db, total, []int{0}), server.HandlerOptions{}))
+	bHandler := NodeHandler(newNodeEngine(t, db, total, []int{1}), server.HandlerOptions{})
+	slow := startRestartable(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		select {
+		case <-time.After(300 * time.Millisecond):
+			bHandler.ServeHTTP(w, r)
+		case <-r.Context().Done():
+		}
+	}))
+	rt, err := New(context.Background(), Config{
+		Nodes:   []string{"http://" + fast.addr, "http://" + slow.addr},
+		Timeout: 5 * time.Second,
+	})
+	if err != nil {
+		t.Fatalf("router: %v", err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+	defer cancel()
+	ans, err := rt.Search(ctx, testDB(1, 99)[0], server.Query{Kind: server.KindKNN, K: 5})
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("search past the caller's deadline: err=%v degraded=%v results=%d, want context.DeadlineExceeded",
+			err, ans.Degraded, len(ans.Results))
+	}
+	requireAllHealthy(t, rt)
+}
+
+// TestRouterQueryTimeout: Config.QueryTimeout bounds a search served by
+// RouterHandler even when the per-node Timeout is far longer — a wedged
+// node costs the query budget, answers 504 deadline_exceeded, and is not
+// marked unhealthy for the caller's deadline.
+func TestRouterQueryTimeout(t *testing.T) {
+	db := testDB(60, 7)
+	const total = 2
+	fast := startRestartable(t, NodeHandler(newNodeEngine(t, db, total, []int{0}), server.HandlerOptions{}))
+	// The wedged node answers the boot-time info probe, then nothing.
+	wedged := startRestartable(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == infoPath {
+			server.WriteJSON(w, http.StatusOK, NodeInfo{Shards: total, Owned: []int{1}})
+			return
+		}
+		<-r.Context().Done()
+	}))
+
+	const budget = 200 * time.Millisecond
+	rt, err := New(context.Background(), Config{
+		Nodes:        []string{"http://" + fast.addr, "http://" + wedged.addr},
+		Timeout:      5 * time.Second,
+		QueryTimeout: budget,
+	})
+	if err != nil {
+		t.Fatalf("router: %v", err)
+	}
+	front := httptest.NewServer(RouterHandler(rt))
+	defer front.Close()
+	body, _ := json.Marshal(server.SearchRequest{
+		Query:     server.Query{Kind: server.KindKNN, K: 5},
+		QueryTraj: wireTraj(testDB(1, 99)[0]),
+	})
+	t0 := time.Now()
+	resp, err := http.Post(front.URL+"/v1/search", "application/json", bytes.NewReader(body))
+	took := time.Since(t0)
+	if err != nil {
+		t.Fatalf("search: %v", err)
+	}
+	var envelope server.ErrorResponse
+	derr := json.NewDecoder(resp.Body).Decode(&envelope)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusGatewayTimeout || derr != nil || envelope.Code != server.CodeDeadlineExceeded {
+		t.Fatalf("search against a wedged node: status %d envelope %+v (decode %v), want 504 %q",
+			resp.StatusCode, envelope, derr, server.CodeDeadlineExceeded)
+	}
+	if took > 4*budget {
+		t.Fatalf("wedged node cost %v, query budget %v", took, budget)
+	}
+	requireAllHealthy(t, rt)
 }
 
 // TestClusterKillDuringQueryStream hammers the router from several

@@ -1,14 +1,17 @@
 // Package cluster promotes the engine's shards from goroutines to
 // processes: a shard node serves a partitioned engine (a subset of the
-// global hash placement) over HTTP, and a stateless router owns query
-// parsing, placement, fan-out and the (distance, ID) merge, stitching
-// the nodes' owned subsets back into one logical index.
+// global hash placement) over HTTP, and a stateless router owns
+// placement and per-node dispatch, stitching the nodes' owned subsets
+// back into one logical index. The router has no fan-out or merge of
+// its own: it searches through the engine's (server.FanOut), with each
+// replica group as one shard whose search is an HTTP call, and serves
+// the engine's own /v1/search handler.
 //
 // The internal shard protocol deliberately IS the public versioned JSON
 // API (internal/server's /v1 surface): a shard node's engine already
 // answers exactly its shards' slice of any query, Query.Limit already
-// carries an external admissible bound (the router ships its running
-// k-th best there — one-shot seeding, no mid-search chatter), and the
+// carries an external admissible bound (the router ships the fan-out's
+// shared bound there — one-shot seeding, no mid-search chatter), and the
 // per-query WireStats already expose the work counters the cluster
 // tests assert on. On top of /v1 a node adds two cluster-only
 // endpoints: GET /cluster/v1/info (placement discovery — global shard
@@ -16,18 +19,17 @@
 // shipping — a replica warm-boots by fetching the peer's shard-NNNN
 // sections instead of rebuilding; see FetchSnapshot).
 //
-// Correctness of bound shipping: the router's merged k-th-best-so-far
-// is the k-th smallest of a subset of the corpus, hence an admissible
-// upper bound on the global k-th best. Backends abandon strictly above
-// a bound and never at it, with (distance, ID) tie-breaks, so a seeded
-// node returns every global-answer member it owns and the router's
-// KBest merge is byte-identical to the single-process answer — the
-// bound only removes work, never results. The router fans out
-// concurrently by default (each node gets the bound known at dispatch
-// time, degrading gracefully toward per-shard bounds); Config.Sequential
-// visits groups in shard order shipping the freshest bound, which the
-// work-counter test compares against the single-process shared-bound
-// baseline.
+// Correctness of bound shipping: a group's k-th best is the k-th
+// smallest of a subset of the corpus, hence an admissible upper bound
+// on the global k-th best. Backends abandon strictly above a bound and
+// never at it, with (distance, ID) tie-breaks, so a seeded node returns
+// every global-answer member it owns and the (distance, ID) merge is
+// byte-identical to the single-process answer — the bound only removes
+// work, never results. A single query dispatches every group at once,
+// each with the bound known at dispatch time (in practice the caller's
+// Limit); a batch visits the groups in shard order, each seeded with the
+// bound the earlier groups tightened, which the work-counter test
+// compares against the single-process shared-bound baseline.
 package cluster
 
 import (
@@ -79,7 +81,7 @@ func NodeHandler(e *server.Engine, opt server.HandlerOptions) http.Handler {
 	api := server.NewAPIHandler(e, opt)
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET "+infoPath, func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, NodeInfo{
+		server.WriteJSON(w, http.StatusOK, NodeInfo{
 			Shards:   e.ClusterShards(),
 			Owned:    e.OwnedShards(),
 			Metrics:  e.Metrics(),
@@ -90,13 +92,13 @@ func NodeHandler(e *server.Engine, opt server.HandlerOptions) http.Handler {
 	mux.HandleFunc("GET "+snapshotPath+"{file}", func(w http.ResponseWriter, r *http.Request) {
 		dir := e.SnapshotDir()
 		if dir == "" {
-			writeErr(w, http.StatusPreconditionFailed, server.CodePreconditionFailed,
+			server.WriteError(w, http.StatusPreconditionFailed, server.CodePreconditionFailed,
 				"no snapshot directory configured on this node")
 			return
 		}
 		name := r.PathValue("file")
 		if !server.IsSnapshotFileName(name) {
-			writeErr(w, http.StatusNotFound, server.CodeNotFound,
+			server.WriteError(w, http.StatusNotFound, server.CodeNotFound,
 				fmt.Sprintf("not a snapshot file: %q", name))
 			return
 		}

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"trajmatch/internal/backend"
+	"trajmatch/internal/par"
 	"trajmatch/internal/server"
 	"trajmatch/internal/traj"
 )
@@ -30,13 +31,11 @@ type Config struct {
 	// 0 means 10s. A request that times out counts as a node failure and
 	// triggers the bounded retry to a replica.
 	Timeout time.Duration
-	// Sequential makes the fan-out visit shard groups one at a time in
-	// shard order, shipping the freshest merged k-th-best bound to each —
-	// the minimum-work, maximum-latency shape, and the deterministic one
-	// the work-counter tests compare against the single-process
-	// shared-bound baseline. Default (false) dispatches all groups
-	// concurrently, each seeded with the bound known at dispatch time.
-	Sequential bool
+	// QueryTimeout, when positive, bounds every search RouterHandler
+	// serves, fan-out included; an expiry answers 504 deadline_exceeded.
+	// The deadline is the caller's, so it marks no node unhealthy. 0
+	// leaves searches bounded by Timeout per node request only.
+	QueryTimeout time.Duration
 	// Client is the HTTP client to use; nil means a fresh default
 	// client (connection pooling per router).
 	Client *http.Client
@@ -82,10 +81,12 @@ type group struct {
 	next      atomic.Uint64 // rotation origin, spreads load across replicas
 }
 
-// Router is the stateless fan-out front of a cluster: it owns query
-// parsing (its HTTP surface), hash placement, per-group dispatch with
-// timeout/retry/health, and the (distance, ID) merge. It keeps no
-// corpus state — any number of routers can front the same nodes.
+// Router is the stateless fan-out front of a cluster: it owns hash
+// placement and per-group dispatch with timeout/retry/health, and runs
+// its searches through the engine's own fan-out and merge
+// (server.FanOut), each replica group standing in for one shard. It
+// keeps no corpus state — any number of routers can front the same
+// nodes.
 type Router struct {
 	total  int // global shard count, agreed by every node
 	groups []*group
@@ -154,8 +155,8 @@ func New(ctx context.Context, cfg Config) (*Router, error) {
 			return nil, fmt.Errorf("cluster: no node serves shard %d of %d", s, rt.total)
 		}
 	}
-	// Deterministic group order by first shard: the sequential fan-out's
-	// visit order, and the stats listing order.
+	// Deterministic group order by first shard: a batch query's visit
+	// order, and the stats listing order.
 	for _, g := range byKey {
 		rt.groups = append(rt.groups, g)
 	}
@@ -250,16 +251,38 @@ type nodeError struct {
 func (e *nodeError) Error() string { return e.msg }
 
 // Status and Code surface the node's HTTP status and envelope code so
-// the router's HTTP layer can forward them verbatim.
-func (e *nodeError) Status() int  { return e.status }
-func (e *nodeError) Code() string { return e.code }
+// server.WriteSearchError forwards them verbatim.
+func (e *nodeError) Status() int { return e.status }
+func (e *nodeError) Code() string {
+	if e.code == "" {
+		return server.CodeInternal // the node's body was not an envelope
+	}
+	return e.code
+}
+
+// unavailableError is a replica group none of whose endpoints answered.
+// A search degrades past it; a mutation, which cannot be partially
+// right, fails with 503 unavailable.
+type unavailableError struct {
+	shards []int
+	last   error
+}
+
+func (e *unavailableError) Error() string {
+	return fmt.Sprintf("cluster: shards %v unavailable: %v", e.shards, e.last)
+}
+func (e *unavailableError) Status() int  { return http.StatusServiceUnavailable }
+func (e *unavailableError) Code() string { return server.CodeUnavailable }
 
 // askGroup runs one request against a replica group with bounded
 // retry: endpoints are tried at most once each, healthy ones first
 // (starting at the rotation cursor), then — when none are healthy or
 // all healthy ones just failed — the unhealthy ones, which is how a
 // rejoined node is rediscovered. A *nodeError stops the retry loop
-// (the node answered; replicas would answer identically).
+// (the node answered; replicas would answer identically), and so does
+// the caller's context firing: that is ctx.Err(), not a node failure,
+// and touches no health, failure or retry count. Every endpoint failing
+// is an *unavailableError.
 func (rt *Router) askGroup(ctx context.Context, g *group, path string, body, dst any) error {
 	n := len(g.endpoints)
 	start := int(g.next.Add(1)-1) % n
@@ -289,13 +312,16 @@ func (rt *Router) askGroup(ctx context.Context, g *group, path string, body, dst
 			ep.ok() // the node is alive; its refusal is the answer
 			return err
 		}
+		if err := ctx.Err(); err != nil {
+			return err
+		}
 		ep.fail(err)
 		lastErr = err
 		if i+1 < len(order) {
 			rt.retries.Add(1)
 		}
 	}
-	return fmt.Errorf("cluster: shards %v unavailable: %w", g.shards, lastErr)
+	return &unavailableError{shards: g.shards, last: lastErr}
 }
 
 // wireTraj converts the internal trajectory to its JSON form.
@@ -307,173 +333,110 @@ func wireTraj(t *traj.Trajectory) *server.WireTrajectory {
 	return &server.WireTrajectory{ID: t.ID, Label: t.Label, Points: pts}
 }
 
-// stubResults converts a node's wire neighbours into merge candidates.
-// Only identity and distance travel over the wire, so the Traj carries
-// ID and label alone — exactly what the router's own wire answers need.
-func stubResults(ns []server.Neighbor) []backend.Result {
-	out := make([]backend.Result, len(ns))
-	for i, n := range ns {
-		out[i] = backend.Result{Traj: &traj.Trajectory{ID: n.ID, Label: n.Label}, Dist: n.Dist}
-	}
-	return out
-}
-
-// addStats folds a node's wire stats into the running total.
-func addStats(dst *backend.Stats, st *server.WireStats) {
-	if st == nil {
-		return
-	}
-	dst.DistanceCalls += st.DistanceCalls
-	dst.EarlyAbandons += st.EarlyAbandons
-	dst.ScreenRejects += st.ScreenRejects
-	dst.LowerBoundCalls += st.LowerBoundCalls
-	dst.NodesVisited += st.NodesVisited
-	dst.NodesPruned += st.NodesPruned
-	dst.PrefilterCandidates += st.PrefilterCandidates
-	dst.PrefilterSkipped += st.PrefilterSkipped
-}
-
-// shipBound tightens the per-node request's Limit to the router's
-// current merged k-th best: both the caller's Limit and the merged k-th
-// best are admissible upper bounds on the global k-th best, so the
-// smaller of the two seeds the node's SharedBound without changing any
-// answer — only the work.
-func shipBound(req server.Query, kb *backend.KBest) server.Query {
-	if req.Kind == server.KindRange {
-		return req
-	}
-	if b := kb.Bound(); !math.IsInf(b, 1) {
-		if req.Limit == 0 || b < req.Limit {
-			req.Limit = b
-		}
-	}
-	return req
-}
-
-// Search executes one query across the cluster and merges the per-group
-// answers by (distance, ID) — byte-identical to a single-process engine
-// over the union corpus when every group answers. When a whole group is
-// unreachable the answer covers the reachable shards and Degraded is
-// set; an error is returned only for request-level failures (bad query,
-// canceled context, a node's deliberate refusal).
+// Search executes one query across the cluster, dispatching every
+// replica group concurrently, and merges the answers by (distance, ID) —
+// byte-identical to a single-process engine over the union corpus when
+// every group answers. When a whole group is unreachable the answer
+// covers the reachable shards and Degraded is set; an error is returned
+// only for request-level failures (bad query, the caller's context, a
+// node's deliberate refusal).
 func (rt *Router) Search(ctx context.Context, q *traj.Trajectory, req server.Query) (server.Answer, error) {
-	rt.queries.Add(1)
-	// The node request always asks for stats: the router's own WithStats
-	// answer and its cumulative counters need them. The client-visible
-	// with_stats still gates the answer copy.
-	wq := wireTraj(q)
-	if rt.cfg.Sequential && req.Kind != server.KindRange {
-		return rt.searchSequential(ctx, wq, req)
+	if q == nil {
+		return server.Answer{}, fmt.Errorf("%w: nil query trajectory", server.ErrInvalidQuery)
 	}
-	type groupAnswer struct {
-		resp server.SearchResponse
-		err  error
+	if err := req.Validate(); err != nil {
+		return server.Answer{}, err
 	}
-	answers := make([]groupAnswer, len(rt.groups))
-	var wg sync.WaitGroup
-	for i, g := range rt.groups {
-		wg.Add(1)
-		go func(i int, g *group) {
-			defer wg.Done()
-			nreq := server.SearchRequest{Query: req, QueryTraj: wq}
-			nreq.WithStats = true
-			answers[i].err = rt.askGroup(ctx, g, "/v1/search", nreq, &answers[i].resp)
-		}(i, g)
+	return rt.search(ctx, q, req, len(rt.groups))
+}
+
+// SearchBatch executes the same Query for every trajectory of qs,
+// mirroring Engine.SearchBatch: the queries spread over a
+// GOMAXPROCS-wide pool, and each visits the groups inline in shard
+// order, so every group after the first is sent the bound tightened by
+// the earlier groups' k-th best. Once ctx fires, SearchBatch returns the
+// answers finished so far alongside ctx's error.
+func (rt *Router) SearchBatch(ctx context.Context, qs []*traj.Trajectory, req server.Query) ([]server.Answer, error) {
+	if err := req.Validate(); err != nil {
+		return nil, err
 	}
-	wg.Wait()
-	return rt.mergeAnswers(req, func(i int) (server.SearchResponse, error) {
-		return answers[i].resp, answers[i].err
+	for i, q := range qs {
+		if q == nil {
+			return nil, fmt.Errorf("%w: nil query trajectory at index %d", server.ErrInvalidQuery, i)
+		}
+	}
+	answers := make([]server.Answer, len(qs))
+	errs := make([]error, len(qs))
+	par.For(0, len(qs), func(i int) {
+		answers[i], errs[i] = rt.search(ctx, qs[i], req, 1)
 	})
-}
-
-// searchSequential is the bound-shipping fan-out in its tightest form:
-// groups are visited in shard order and each request carries the merged
-// k-th best of all earlier groups. With single-worker nodes this makes
-// the cluster's total full evaluations deterministic and no worse than
-// the single-process engine's inline shared-bound loop over the same
-// shards (the shipped bound is the merged k-th best of every earlier
-// shard, at least as tight as the single process's bound at the same
-// point).
-func (rt *Router) searchSequential(ctx context.Context, wq *server.WireTrajectory, req server.Query) (server.Answer, error) {
-	kb := backend.NewKBest(req.K)
-	var stats backend.Stats
-	truncated, degraded := false, false
-	for _, g := range rt.groups {
-		nreq := server.SearchRequest{Query: shipBound(req, kb), QueryTraj: wq}
-		nreq.WithStats = true
-		var resp server.SearchResponse
-		if err := rt.askGroup(ctx, g, "/v1/search", nreq, &resp); err != nil {
-			var ne *nodeError
-			if errors.As(err, &ne) {
-				return server.Answer{}, err
-			}
-			if err := ctx.Err(); err != nil {
-				return server.Answer{}, err
-			}
-			degraded = true
-			continue
-		}
-		for _, r := range stubResults(resp.Results) {
-			kb.Offer(r.Traj, r.Dist)
-		}
-		addStats(&stats, resp.Stats)
-		truncated = truncated || resp.Truncated
+	if err := ctx.Err(); err != nil {
+		return answers, err
 	}
-	if degraded {
-		rt.degraded.Add(1)
-	}
-	ans := server.Answer{Results: kb.Results(), Truncated: truncated, Degraded: degraded}
-	if req.WithStats {
-		ans.Stats = stats
-	}
-	return ans, nil
-}
-
-// mergeAnswers folds per-group responses into one Answer: KBest for the
-// k-NN kinds, a full (distance, ID) sort for range. A group that failed
-// at transport level degrades the answer; a group that refused
-// (nodeError) fails the whole query — the refusal is about the request,
-// not the node.
-func (rt *Router) mergeAnswers(req server.Query, get func(int) (server.SearchResponse, error)) (server.Answer, error) {
-	var stats backend.Stats
-	truncated, degraded := false, false
-	var all []backend.Result
-	for i := range rt.groups {
-		resp, err := get(i)
+	for _, err := range errs {
 		if err != nil {
-			var ne *nodeError
-			if errors.As(err, &ne) {
-				return server.Answer{}, err
-			}
-			degraded = true
-			continue
+			return answers, err
 		}
-		all = append(all, stubResults(resp.Results)...)
-		addStats(&stats, resp.Stats)
-		truncated = truncated || resp.Truncated
 	}
-	if degraded {
+	return answers, nil
+}
+
+// search runs one validated query through server.FanOut with group i as
+// shard i, workers wide. A group's search is one POST /v1/search to the
+// group, carrying the shared bound as the query's Limit: the caller's
+// Limit (FanOut's seed) tightened by the k-th best of every group that
+// has already answered. Both are admissible upper bounds on the global
+// k-th best, so the shipped Limit removes node work, never results.
+func (rt *Router) search(ctx context.Context, q *traj.Trajectory, req server.Query, workers int) (server.Answer, error) {
+	rt.queries.Add(1)
+	var ctl *backend.Ctl
+	if ctx.Done() != nil {
+		// No evaluation budget here: MaxEvals travels to every node.
+		ctl = backend.NewCtl(ctx, 0)
+		defer ctl.Release()
+	}
+	wq := wireTraj(q)
+	var degraded atomic.Bool
+	res, st, truncated, err := server.FanOut(len(rt.groups), workers, req, ctl, func(i int, bound *backend.SharedBound) ([]backend.Result, backend.Stats, bool, error) {
+		// Nodes always report stats: the router's WithStats answer needs
+		// them, and the caller's with_stats still gates the answer copy.
+		nreq := server.SearchRequest{Query: req, QueryTraj: wq}
+		nreq.WithStats = true
+		if req.Kind != server.KindRange {
+			// A nil bound means the caller gave no finite Limit; +Inf has
+			// no JSON encoding, 0 is the wire's "unbounded".
+			nreq.Limit = 0
+			if bound != nil {
+				if b := bound.Load(); !math.IsInf(b, 1) {
+					nreq.Limit = b
+				}
+			}
+		}
+		var resp server.SearchResponse
+		err := rt.askGroup(ctx, rt.groups[i], "/v1/search", nreq, &resp)
+		var down *unavailableError
+		if errors.As(err, &down) {
+			degraded.Store(true)
+			return nil, backend.Stats{}, false, nil
+		}
+		if err != nil {
+			return nil, backend.Stats{}, false, err
+		}
+		ans := resp.Answer()
+		if bound != nil && len(ans.Results) >= req.K {
+			bound.Tighten(ans.Results[req.K-1].Dist)
+		}
+		return ans.Results, ans.Stats, ans.Truncated, nil
+	})
+	if err != nil {
+		return server.Answer{}, err
+	}
+	ans := server.Answer{Results: res, Truncated: truncated, Degraded: degraded.Load()}
+	if ans.Degraded {
 		rt.degraded.Add(1)
 	}
-	var res []backend.Result
-	if req.Kind == server.KindRange {
-		sort.Slice(all, func(i, j int) bool {
-			if all[i].Dist != all[j].Dist {
-				return all[i].Dist < all[j].Dist
-			}
-			return all[i].Traj.ID < all[j].Traj.ID
-		})
-		res = all
-	} else {
-		kb := backend.NewKBest(req.K)
-		for _, r := range all {
-			kb.Offer(r.Traj, r.Dist)
-		}
-		res = kb.Results()
-	}
-	ans := server.Answer{Results: res, Truncated: truncated, Degraded: degraded}
 	if req.WithStats {
-		ans.Stats = stats
+		ans.Stats = st
 	}
 	return ans, nil
 }

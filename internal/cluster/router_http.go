@@ -1,74 +1,20 @@
 package cluster
 
 import (
-	"context"
-	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
-	"time"
 
 	"trajmatch/internal/server"
 )
-
-// writeJSON / writeErr mirror the server package's response helpers so
-// the router speaks the same envelope the shard nodes (and the
-// standalone server) do.
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-func writeErr(w http.ResponseWriter, status int, code, msg string) {
-	writeJSON(w, status, server.ErrorResponse{Error: msg, Code: code})
-}
-
-// maxBodyBytes matches the server package's request-body cap.
-const maxBodyBytes = 64 << 20
-
-func decode(w http.ResponseWriter, r *http.Request, dst any) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(dst); err != nil {
-		writeErr(w, http.StatusBadRequest, server.CodeBadRequest, fmt.Sprintf("bad request body: %v", err))
-		return false
-	}
-	return true
-}
-
-func msSince(t0 time.Time) float64 {
-	return float64(time.Since(t0)) / float64(time.Millisecond)
-}
-
-// writeRouterError maps a Router call's failure onto the envelope. A
-// node's own refusal (nodeError) is forwarded verbatim — status, code
-// and message — so a cluster client sees exactly what a standalone
-// client would; transport-level cluster failures become 503.
-func writeRouterError(w http.ResponseWriter, err error) {
-	var ne *nodeError
-	switch {
-	case errors.As(err, &ne):
-		code := ne.Code()
-		if code == "" {
-			code = server.CodeInternal
-		}
-		writeErr(w, ne.Status(), code, ne.Error())
-	case errors.Is(err, context.DeadlineExceeded):
-		writeErr(w, http.StatusGatewayTimeout, server.CodeDeadlineExceeded, "query deadline exceeded")
-	case errors.Is(err, context.Canceled):
-		writeErr(w, http.StatusServiceUnavailable, server.CodeCanceled, "query canceled")
-	default:
-		writeErr(w, http.StatusServiceUnavailable, server.CodeUnavailable, err.Error())
-	}
-}
 
 // RouterHandler serves the public /v1 surface over a Router: the same
 // wire formats as a standalone trajserve, so clients cannot tell a
 // cluster from a single process (except via /v1/version's role and the
 // degraded flag on partial answers).
 //
-//	POST /v1/search   single or batch, knn/range/subknn
+//	POST /v1/search   single or batch, knn/range/subknn — the engine's
+//	                  own handler (server.SearchHandler), bounded by
+//	                  Config.QueryTimeout
 //	POST /v1/insert   routed to the owning shard's group
 //	POST /v1/delete   routed to the owning shard's group
 //	GET  /v1/stats    routing stats + per-node health (cluster.Stats)
@@ -76,19 +22,19 @@ func writeRouterError(w http.ResponseWriter, err error) {
 //	GET  /v1/healthz
 //
 // The streaming and maintenance endpoints (/v1/append, /v1/watch,
-// /v1/rebuild, /v1/snapshot, ...) are not fanned out this PR and answer
-// 404 from a router.
+// /v1/rebuild, /v1/snapshot, ...) are not fanned out and answer 404 from
+// a router.
 func RouterHandler(rt *Router) http.Handler {
 	h := &routerAPI{rt: rt}
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/search", h.search)
+	mux.Handle("POST /v1/search", server.SearchHandler(rt, server.HandlerOptions{QueryTimeout: rt.cfg.QueryTimeout}))
 	mux.HandleFunc("POST /v1/insert", h.insert)
 	mux.HandleFunc("POST /v1/delete", h.delete)
 	mux.HandleFunc("GET /v1/stats", h.stats)
 	mux.HandleFunc("GET /v1/version", h.version)
 	mux.HandleFunc("GET /v1/healthz", h.healthz)
 	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
-		writeErr(w, http.StatusNotFound, server.CodeNotFound,
+		server.WriteError(w, http.StatusNotFound, server.CodeNotFound,
 			fmt.Sprintf("no such router endpoint: %s %s", r.Method, r.URL.Path))
 	})
 	return mux
@@ -98,89 +44,44 @@ type routerAPI struct {
 	rt *Router
 }
 
-func (h *routerAPI) search(w http.ResponseWriter, r *http.Request) {
-	var req server.SearchRequest
-	if !decode(w, r, &req) {
-		return
-	}
-	if (req.QueryTraj == nil) == (len(req.Queries) == 0) {
-		writeErr(w, http.StatusBadRequest, server.CodeBadRequest,
-			"exactly one of \"query\" and \"queries\" must be set")
-		return
-	}
-	t0 := time.Now()
-	if req.QueryTraj != nil {
-		q, err := req.QueryTraj.ToTrajectory()
-		if err != nil {
-			writeErr(w, http.StatusBadRequest, server.CodeBadRequest, fmt.Sprintf("query: %v", err))
-			return
-		}
-		ans, err := h.rt.Search(r.Context(), q, req.Query)
-		if err != nil {
-			writeRouterError(w, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, server.SearchResponse{
-			WireAnswer: server.ToWireAnswer(ans, req.WithStats),
-			TookMS:     msSince(t0),
-		})
-		return
-	}
-	answers := make([]server.WireAnswer, len(req.Queries))
-	for i, wq := range req.Queries {
-		q, err := wq.ToTrajectory()
-		if err != nil {
-			writeErr(w, http.StatusBadRequest, server.CodeBadRequest, fmt.Sprintf("query %d: %v", i, err))
-			return
-		}
-		ans, err := h.rt.Search(r.Context(), q, req.Query)
-		if err != nil {
-			writeRouterError(w, err)
-			return
-		}
-		answers[i] = server.ToWireAnswer(ans, req.WithStats)
-	}
-	writeJSON(w, http.StatusOK, server.SearchBatchResponse{Answers: answers, TookMS: msSince(t0)})
-}
-
 func (h *routerAPI) insert(w http.ResponseWriter, r *http.Request) {
 	var req server.InsertRequest
-	if !decode(w, r, &req) {
+	if !server.Decode(w, r, &req) {
 		return
 	}
 	inserted := 0
 	for i, wt := range req.Trajectories {
 		tr, err := wt.ToTrajectory()
 		if err != nil {
-			writeErr(w, http.StatusBadRequest, server.CodeBadRequest,
+			server.WriteError(w, http.StatusBadRequest, server.CodeBadRequest,
 				fmt.Sprintf("trajectory %d: %v (inserted %d before failure)", i, err, inserted))
 			return
 		}
 		if err := h.rt.Insert(r.Context(), tr); err != nil {
-			writeRouterError(w, err)
+			server.WriteSearchError(w, err)
 			return
 		}
 		inserted++
 	}
 	// A router holds no corpus, so unlike the engine's response the size
 	// here is not a cheap local read; report the insert count only.
-	writeJSON(w, http.StatusOK, server.InsertResponse{Inserted: inserted})
+	server.WriteJSON(w, http.StatusOK, server.InsertResponse{Inserted: inserted})
 }
 
 func (h *routerAPI) delete(w http.ResponseWriter, r *http.Request) {
 	var req server.DeleteRequest
-	if !decode(w, r, &req) {
+	if !server.Decode(w, r, &req) {
 		return
 	}
 	if len(req.IDs) == 0 {
-		writeErr(w, http.StatusBadRequest, server.CodeBadRequest, "ids must be non-empty")
+		server.WriteError(w, http.StatusBadRequest, server.CodeBadRequest, "ids must be non-empty")
 		return
 	}
 	resp := server.DeleteResponse{}
 	for _, id := range req.IDs {
 		ok, err := h.rt.Delete(r.Context(), id)
 		if err != nil {
-			writeRouterError(w, err)
+			server.WriteSearchError(w, err)
 			return
 		}
 		if ok {
@@ -189,20 +90,20 @@ func (h *routerAPI) delete(w http.ResponseWriter, r *http.Request) {
 			resp.Missing = append(resp.Missing, id)
 		}
 	}
-	writeJSON(w, http.StatusOK, resp)
+	server.WriteJSON(w, http.StatusOK, resp)
 }
 
 func (h *routerAPI) stats(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, h.rt.Stats())
+	server.WriteJSON(w, http.StatusOK, h.rt.Stats())
 }
 
 func (h *routerAPI) version(w http.ResponseWriter, r *http.Request) {
 	v := server.NewVersionInfo(server.RoleRouter, nil)
 	v.ClusterShards = h.rt.ClusterShards()
 	v.Nodes = h.rt.Nodes()
-	writeJSON(w, http.StatusOK, v)
+	server.WriteJSON(w, http.StatusOK, v)
 }
 
 func (h *routerAPI) healthz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+	server.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }

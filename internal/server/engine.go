@@ -449,7 +449,7 @@ func (e *Engine) Search(ctx context.Context, q *traj.Trajectory, req Query) (Ans
 	if q == nil {
 		return Answer{}, fmt.Errorf("%w: nil query trajectory", ErrInvalidQuery)
 	}
-	if err := req.validate(); err != nil {
+	if err := req.Validate(); err != nil {
 		return Answer{}, err
 	}
 	ms, err := e.resolveMetric(req.Metric)
@@ -459,7 +459,7 @@ func (e *Engine) Search(ctx context.Context, q *traj.Trajectory, req Query) (Ans
 	if err := ctx.Err(); err != nil {
 		return Answer{}, err
 	}
-	ans, raw, err := e.searchOne(ctx, ms, q, req, true)
+	ans, raw, err := e.searchOne(ctx, ms, q, req, e.opt.Workers)
 	if !ans.Cached {
 		e.recordQueryStats(ms, raw)
 	}
@@ -482,7 +482,7 @@ func (e *Engine) SearchBatch(ctx context.Context, qs []*traj.Trajectory, req Que
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if err := req.validate(); err != nil {
+	if err := req.Validate(); err != nil {
 		return nil, err
 	}
 	ms, err := e.resolveMetric(req.Metric)
@@ -501,7 +501,7 @@ func (e *Engine) SearchBatch(ctx context.Context, qs []*traj.Trajectory, req Que
 	raws := make([]backend.Stats, len(qs))
 	errs := make([]error, len(qs))
 	par.For(e.opt.Workers, len(qs), func(i int) {
-		answers[i], raws[i], errs[i] = e.searchOne(ctx, ms, qs[i], req, false)
+		answers[i], raws[i], errs[i] = e.searchOne(ctx, ms, qs[i], req, 1)
 	})
 	var total backend.Stats
 	for i := range raws {
@@ -524,11 +524,10 @@ func (e *Engine) SearchBatch(ctx context.Context, qs []*traj.Trajectory, req Que
 // searchOne runs one query against one metric set without folding its
 // stats into the engine counters (returned raw for the caller to record
 // — once per query for Search, one aggregate per batch for SearchBatch).
-// concurrent selects between a goroutine fan-out across shards (single
-// interactive queries) and an inline shard loop (batch workers, which
-// are already saturating the pool — the inline loop still shares the
-// bound, so later shards benefit from earlier shards' answers).
-func (e *Engine) searchOne(ctx context.Context, ms *metricSet, q *traj.Trajectory, req Query, concurrent bool) (Answer, backend.Stats, error) {
+// workers is the shard fan-out width (see FanOut): the pool size for
+// single interactive queries, 1 for batch workers, which are already
+// saturating the pool.
+func (e *Engine) searchOne(ctx context.Context, ms *metricSet, q *traj.Trajectory, req Query, workers int) (Answer, backend.Stats, error) {
 	e.queries.Add(1)
 	ms.queries.Add(1)
 	var key cacheKey
@@ -550,7 +549,7 @@ func (e *Engine) searchOne(ctx context.Context, ms *metricSet, q *traj.Trajector
 		ctl = backend.NewCtl(ctx, req.MaxEvals)
 		defer ctl.Release()
 	}
-	res, st, truncated, err := e.fanout(ms, q, req, ctl, concurrent)
+	res, st, truncated, err := e.fanout(ms, q, req, ctl, workers)
 	if err != nil {
 		if errors.Is(err, backend.ErrNotSupported) {
 			err = fmt.Errorf("metric %q: %w", ms.name, err)
@@ -572,75 +571,74 @@ func (e *Engine) searchOne(ctx context.Context, ms *metricSet, q *traj.Trajector
 	return ans, st, nil
 }
 
-// fanout dispatches one validated query across its metric's shards and
-// merges the per-shard answers. KNN kinds share one tightening bound
-// (seeded with the query's Limit) so a close neighbour found in any
-// shard abandons DP work in all the others; range queries are seeded by
-// their radius and need no shared state. Once ctl fires, shards whose
-// search has not started are skipped entirely and the merged answer is
-// discarded.
-func (e *Engine) fanout(ms *metricSet, q *traj.Trajectory, req Query, ctl *backend.Ctl, concurrent bool) ([]backend.Result, backend.Stats, bool, error) {
+// fanout dispatches one validated query across its metric's shards
+// through FanOut, then folds in the matching live (unsealed) tracks.
+func (e *Engine) fanout(ms *metricSet, q *traj.Trajectory, req Query, ctl *backend.Ctl, workers int) ([]backend.Result, backend.Stats, bool, error) {
 	shards := ms.shards
 	if req.Prefilter && e.sketches == nil {
 		return nil, backend.Stats{}, false,
 			fmt.Errorf("prefilter %w (engine booted without Options.Prefilter)", backend.ErrNotSupported)
 	}
-	shardRun := func(i int, bound *backend.SharedBound) ([]backend.Result, backend.Stats, bool, error) {
+	res, st, truncated, err := FanOut(len(shards), workers, req, ctl, func(i int, bound *backend.SharedBound) ([]backend.Result, backend.Stats, bool, error) {
 		switch req.Kind {
 		case KindRange:
 			return shards[i].searchRange(q, req.Radius, ctl)
 		case KindSubKNN:
 			return shards[i].searchSub(q, req.K, bound, ctl)
-		default: // KindKNN; validate guarantees the kind set
+		default: // KindKNN; Validate guarantees the kind set
 			if req.Prefilter {
 				return e.prefilterShard(shards[i], e.sketches[i], q, req, bound, ctl)
 			}
 			return shards[i].searchKNN(q, req.K, bound, ctl)
 		}
+	})
+	if err != nil {
+		return res, st, truncated, err
 	}
-	// One bound for both fan-out shapes: the k-NN kinds prune against a
-	// tightening bound seeded with the query's Limit, range needs none
-	// (its radius already is the bound). A single shard with no Limit
-	// keeps the nil-bound fast path instead of a +Inf bound it could only
-	// tighten against itself.
+	res, ltrunc, err := e.liveAugment(ms, q, req, res, ctl, &st)
+	return res, st, truncated || ltrunc, err
+}
+
+// FanOut runs one validated query over n shards and merges their
+// answers by (distance, ID). run(i, bound) searches shard i: the engine
+// passes its local shards, the cluster router its remote replica groups.
+// The k-NN kinds share one tightening bound seeded with the query's
+// Limit, so a close neighbour found in any shard abandons work in every
+// shard searched after it; range queries get a nil bound (the radius
+// already is one). A single shard with no Limit also gets nil, the fast
+// path, rather than a +Inf bound it could only tighten against itself,
+// and its answer is returned unmerged.
+//
+// workers is the fan-out width: a single query spreads its shards over
+// par.For, while workers == 1 visits them inline in shard order, each
+// shard starting from the freshest bound — the shape of a batch, whose
+// queries already occupy the pool. Once ctl fires, shards that have not
+// started are skipped and the answer is ctl's error. Stats fold every
+// shard that ran, even when the query fails.
+func FanOut(n, workers int, req Query, ctl *backend.Ctl, run func(i int, bound *backend.SharedBound) ([]backend.Result, backend.Stats, bool, error)) ([]backend.Result, backend.Stats, bool, error) {
 	var bound *backend.SharedBound
 	if req.Kind != KindRange {
 		if limit := req.seedLimit(); !math.IsInf(limit, 1) {
 			bound = backend.NewSharedBound(limit)
-		} else if len(shards) > 1 {
+		} else if n > 1 {
 			bound = backend.NewSharedBound(math.Inf(1))
 		}
 	}
-	if len(shards) == 1 {
-		res, st, truncated, err := shardRun(0, bound)
-		if err != nil {
-			return res, st, truncated, err
-		}
-		res, ltrunc, err := e.liveAugment(ms, q, req, res, ctl, &st)
-		return res, st, truncated || ltrunc, err
+	if n == 1 {
+		return run(0, bound)
 	}
-	per := make([][]backend.Result, len(shards))
-	sts := make([]backend.Stats, len(shards))
-	truncs := make([]bool, len(shards))
-	errs := make([]error, len(shards))
-	run := func(i int) {
+	per := make([][]backend.Result, n)
+	sts := make([]backend.Stats, n)
+	truncs := make([]bool, n)
+	errs := make([]error, n)
+	par.For(workers, n, func(i int) {
 		if ctl.Cancelled() {
-			// Cancellation abort for shards whose search has not started;
-			// already-running shards notice the same flag themselves.
+			// Already-running shards notice the same flag themselves.
 			errs[i] = ctl.Err()
 			return
 		}
-		per[i], sts[i], truncs[i], errs[i] = shardRun(i, bound)
-	}
-	if concurrent {
-		par.For(e.opt.Workers, len(shards), run)
-	} else {
-		for i := range shards {
-			run(i)
-		}
-	}
-	// Fold stats before the error checks: partial work performed by
-	// shards that ran before the cancellation still counts.
+		per[i], sts[i], truncs[i], errs[i] = run(i, bound)
+	})
 	var total backend.Stats
 	truncated := false
 	for i := range sts {
@@ -659,9 +657,7 @@ func (e *Engine) fanout(ms *metricSet, q *traj.Trajectory, req Query, ctl *backe
 	if req.Kind == KindRange {
 		k = -1
 	}
-	res := mergeResults(per, k)
-	res, ltrunc, err := e.liveAugment(ms, q, req, res, ctl, &total)
-	return res, total, truncated || ltrunc, err
+	return mergeResults(per, k), total, truncated, nil
 }
 
 // mergeResults concatenates per-shard answer lists and sorts by

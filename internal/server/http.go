@@ -83,6 +83,21 @@ func toWireStats(st backend.Stats) WireStats {
 	}
 }
 
+// fromWireStats is the inverse of toWireStats.
+func fromWireStats(w WireStats) backend.Stats {
+	return backend.Stats{
+		DistanceCalls:   w.DistanceCalls,
+		EarlyAbandons:   w.EarlyAbandons,
+		ScreenRejects:   w.ScreenRejects,
+		LowerBoundCalls: w.LowerBoundCalls,
+		NodesVisited:    w.NodesVisited,
+		NodesPruned:     w.NodesPruned,
+
+		PrefilterCandidates: w.PrefilterCandidates,
+		PrefilterSkipped:    w.PrefilterSkipped,
+	}
+}
+
 // SearchRequest is the body of POST /v1/search: the embedded Query's
 // own wire form (kind, k, radius, limit, max_evals, with_stats) plus
 // the query trajectory — or trajectories, for a batch; exactly one of
@@ -106,16 +121,32 @@ type WireAnswer struct {
 	Degraded bool `json:"degraded,omitempty"`
 }
 
-// ToWireAnswer converts an Answer to its wire form, attaching the stats
-// copy only when the request asked for it. Exported for the cluster
-// router, whose answers must take exactly the shape of the engine's.
-func ToWireAnswer(a Answer, withStats bool) WireAnswer {
+// toWireAnswer converts an Answer to its wire form, attaching the stats
+// copy only when the request asked for it.
+func toWireAnswer(a Answer, withStats bool) WireAnswer {
 	w := WireAnswer{Results: toNeighbors(a.Results), Cached: a.Cached, Truncated: a.Truncated, Degraded: a.Degraded}
 	if withStats {
 		st := toWireStats(a.Stats)
 		w.Stats = &st
 	}
 	return w
+}
+
+// Answer converts the wire form back to an Answer, the inverse of
+// toWireAnswer: the cluster router's view of a node's reply. Only
+// identity and distance travel, so each result's Traj is a stub holding
+// the ID and label alone — all a wire answer needs. Stats stay zero when
+// the reply carried none.
+func (w WireAnswer) Answer() Answer {
+	res := make([]backend.Result, len(w.Results))
+	for i, n := range w.Results {
+		res[i] = backend.Result{Traj: &traj.Trajectory{ID: n.ID, Label: n.Label}, Dist: n.Dist}
+	}
+	a := Answer{Results: res, Cached: w.Cached, Truncated: w.Truncated, Degraded: w.Degraded}
+	if w.Stats != nil {
+		a.Stats = fromWireStats(*w.Stats)
+	}
+	return a
 }
 
 // SearchResponse is the body of a successful single-query POST
@@ -242,7 +273,7 @@ func NewAPIHandler(e *Engine, opt HandlerOptions) http.Handler {
 		method  string
 		handler http.HandlerFunc
 	}{
-		"/v1/search":   {http.MethodPost, h.search},
+		"/v1/search":   {http.MethodPost, SearchHandler(e, opt)},
 		"/v1/insert":   {http.MethodPost, h.insert},
 		"/v1/delete":   {http.MethodPost, h.delete},
 		"/v1/rebuild":  {http.MethodPost, h.rebuild},
@@ -267,11 +298,11 @@ func NewAPIHandler(e *Engine, opt HandlerOptions) http.Handler {
 	mux.HandleFunc("/v1/", func(w http.ResponseWriter, r *http.Request) {
 		if ep, ok := v1[r.URL.Path]; ok {
 			w.Header().Set("Allow", ep.method)
-			writeError(w, http.StatusMethodNotAllowed, CodeMethodNotAllowed,
+			WriteError(w, http.StatusMethodNotAllowed, CodeMethodNotAllowed,
 				fmt.Sprintf("%s requires %s, got %s", r.URL.Path, ep.method, r.Method))
 			return
 		}
-		writeError(w, http.StatusNotFound, CodeNotFound,
+		WriteError(w, http.StatusNotFound, CodeNotFound,
 			fmt.Sprintf("no such endpoint: %s %s", r.Method, r.URL.Path))
 	})
 
@@ -297,7 +328,7 @@ func withRecovery(next http.Handler) http.Handler {
 			// discarded (net/http logs the superfluous WriteHeader); for
 			// the common panic-before-write case the client gets the
 			// envelope.
-			writeError(w, http.StatusInternalServerError, CodeInternal,
+			WriteError(w, http.StatusInternalServerError, CodeInternal,
 				fmt.Sprintf("internal error handling %s %s: %v", r.Method, r.URL.Path, v))
 		}()
 		next.ServeHTTP(w, r)
@@ -310,88 +341,104 @@ type api struct {
 	opt HandlerOptions
 }
 
-// queryCtx derives the context search handlers run under: the request's
-// own context (so a disconnecting client cancels its query) bounded by
-// the configured per-request timeout.
-func (h *api) queryCtx(r *http.Request) (context.Context, context.CancelFunc) {
-	if h.opt.QueryTimeout > 0 {
-		return context.WithTimeout(r.Context(), h.opt.QueryTimeout)
+// WriteSearchError maps an engine or router call's error onto the
+// envelope. An error carrying its own Status and Code — a cluster node's
+// refusal, forwarded verbatim — is written as is.
+func WriteSearchError(w http.ResponseWriter, err error) {
+	var se interface {
+		error
+		Status() int
+		Code() string
 	}
-	return r.Context(), func() {}
-}
-
-// writeSearchError maps an Engine.Search error onto the envelope.
-func writeSearchError(w http.ResponseWriter, err error) {
 	switch {
+	case errors.As(err, &se):
+		WriteError(w, se.Status(), se.Code(), se.Error())
 	case errors.Is(err, ErrUnknownMetric):
-		writeError(w, http.StatusBadRequest, CodeUnknownMetric, err.Error())
+		WriteError(w, http.StatusBadRequest, CodeUnknownMetric, err.Error())
 	case errors.Is(err, ErrMetricNotLoaded):
-		writeError(w, http.StatusBadRequest, CodeMetricNotLoaded, err.Error())
+		WriteError(w, http.StatusBadRequest, CodeMetricNotLoaded, err.Error())
 	case errors.Is(err, ErrNotSupported):
-		writeError(w, http.StatusNotImplemented, CodeNotImplemented, err.Error())
+		WriteError(w, http.StatusNotImplemented, CodeNotImplemented, err.Error())
 	case errors.Is(err, ErrInvalidQuery):
-		writeError(w, http.StatusBadRequest, CodeInvalidQuery, err.Error())
+		WriteError(w, http.StatusBadRequest, CodeInvalidQuery, err.Error())
 	case errors.Is(err, context.DeadlineExceeded):
-		writeError(w, http.StatusGatewayTimeout, CodeDeadlineExceeded, "query deadline exceeded")
+		WriteError(w, http.StatusGatewayTimeout, CodeDeadlineExceeded, "query deadline exceeded")
 	case errors.Is(err, context.Canceled):
 		// Usually the client went away; the envelope is written for the
 		// rare caller still listening.
-		writeError(w, http.StatusServiceUnavailable, CodeCanceled, "query canceled")
+		WriteError(w, http.StatusServiceUnavailable, CodeCanceled, "query canceled")
 	default:
-		writeError(w, http.StatusInternalServerError, CodeInternal, err.Error())
+		WriteError(w, http.StatusInternalServerError, CodeInternal, err.Error())
 	}
 }
 
-func (h *api) search(w http.ResponseWriter, r *http.Request) {
-	var req SearchRequest
-	if !decode(w, r, &req) {
-		return
-	}
-	if (req.QueryTraj == nil) == (len(req.Queries) == 0) {
-		writeError(w, http.StatusBadRequest, CodeBadRequest,
-			"exactly one of \"query\" and \"queries\" must be set")
-		return
-	}
-	ctx, cancel := h.queryCtx(r)
-	defer cancel()
-	if req.QueryTraj != nil {
-		q, err := req.QueryTraj.ToTrajectory()
-		if err != nil {
-			writeError(w, http.StatusBadRequest, CodeBadRequest, fmt.Sprintf("query: %v", err))
+// Searcher is what POST /v1/search runs against: the engine, or the
+// cluster router in front of shard nodes.
+type Searcher interface {
+	Search(ctx context.Context, q *traj.Trajectory, req Query) (Answer, error)
+	SearchBatch(ctx context.Context, qs []*traj.Trajectory, req Query) ([]Answer, error)
+}
+
+// SearchHandler serves POST /v1/search over s: a single "query" goes to
+// Search, a "queries" batch to SearchBatch. The search runs under the
+// request's context (a disconnecting client cancels it) bounded by
+// opt.QueryTimeout.
+func SearchHandler(s Searcher, opt HandlerOptions) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		var req SearchRequest
+		if !Decode(w, r, &req) {
 			return
+		}
+		if (req.QueryTraj == nil) == (len(req.Queries) == 0) {
+			WriteError(w, http.StatusBadRequest, CodeBadRequest,
+				"exactly one of \"query\" and \"queries\" must be set")
+			return
+		}
+		ctx := r.Context()
+		if opt.QueryTimeout > 0 {
+			var cancel context.CancelFunc
+			ctx, cancel = context.WithTimeout(ctx, opt.QueryTimeout)
+			defer cancel()
+		}
+		if req.QueryTraj != nil {
+			q, err := req.QueryTraj.ToTrajectory()
+			if err != nil {
+				WriteError(w, http.StatusBadRequest, CodeBadRequest, fmt.Sprintf("query: %v", err))
+				return
+			}
+			t0 := time.Now()
+			ans, err := s.Search(ctx, q, req.Query)
+			if err != nil {
+				WriteSearchError(w, err)
+				return
+			}
+			WriteJSON(w, http.StatusOK, SearchResponse{
+				WireAnswer: toWireAnswer(ans, req.WithStats),
+				TookMS:     msSince(t0),
+			})
+			return
+		}
+		qs := make([]*traj.Trajectory, len(req.Queries))
+		for i, wq := range req.Queries {
+			q, err := wq.ToTrajectory()
+			if err != nil {
+				WriteError(w, http.StatusBadRequest, CodeBadRequest, fmt.Sprintf("query %d: %v", i, err))
+				return
+			}
+			qs[i] = q
 		}
 		t0 := time.Now()
-		ans, err := h.e.Search(ctx, q, req.Query)
+		answers, err := s.SearchBatch(ctx, qs, req.Query)
 		if err != nil {
-			writeSearchError(w, err)
+			WriteSearchError(w, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, SearchResponse{
-			WireAnswer: ToWireAnswer(ans, req.WithStats),
-			TookMS:     msSince(t0),
-		})
-		return
-	}
-	qs := make([]*traj.Trajectory, len(req.Queries))
-	for i, wq := range req.Queries {
-		q, err := wq.ToTrajectory()
-		if err != nil {
-			writeError(w, http.StatusBadRequest, CodeBadRequest, fmt.Sprintf("query %d: %v", i, err))
-			return
+		out := make([]WireAnswer, len(answers))
+		for i, a := range answers {
+			out[i] = toWireAnswer(a, req.WithStats)
 		}
-		qs[i] = q
+		WriteJSON(w, http.StatusOK, SearchBatchResponse{Answers: out, TookMS: msSince(t0)})
 	}
-	t0 := time.Now()
-	answers, err := h.e.SearchBatch(ctx, qs, req.Query)
-	if err != nil {
-		writeSearchError(w, err)
-		return
-	}
-	out := make([]WireAnswer, len(answers))
-	for i, a := range answers {
-		out[i] = ToWireAnswer(a, req.WithStats)
-	}
-	writeJSON(w, http.StatusOK, SearchBatchResponse{Answers: out, TookMS: msSince(t0)})
 }
 
 // writeIfImmutable answers 501 not_implemented when the engine holds a
@@ -399,7 +446,7 @@ func (h *api) search(w http.ResponseWriter, r *http.Request) {
 // update handlers return early.
 func (h *api) writeIfImmutable(w http.ResponseWriter) bool {
 	if err := h.e.CanMutate(); err != nil {
-		writeError(w, http.StatusNotImplemented, CodeNotImplemented, err.Error())
+		WriteError(w, http.StatusNotImplemented, CodeNotImplemented, err.Error())
 		return true
 	}
 	return false
@@ -410,7 +457,7 @@ func (h *api) insert(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req InsertRequest
-	if !decode(w, r, &req) {
+	if !Decode(w, r, &req) {
 		return
 	}
 	inserted := 0
@@ -426,13 +473,13 @@ func (h *api) insert(w http.ResponseWriter, r *http.Request) {
 				// A misrouted cluster mutation, not a bad payload.
 				status, code = http.StatusMisdirectedRequest, CodeNotOwned
 			}
-			writeError(w, status, code,
+			WriteError(w, status, code,
 				fmt.Sprintf("trajectory %d: %v (inserted %d before failure)", i, err, inserted))
 			return
 		}
 		inserted++
 	}
-	writeJSON(w, http.StatusOK, InsertResponse{Inserted: inserted, Size: h.e.Size()})
+	WriteJSON(w, http.StatusOK, InsertResponse{Inserted: inserted, Size: h.e.Size()})
 }
 
 func (h *api) delete(w http.ResponseWriter, r *http.Request) {
@@ -440,11 +487,11 @@ func (h *api) delete(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req DeleteRequest
-	if !decode(w, r, &req) {
+	if !Decode(w, r, &req) {
 		return
 	}
 	if len(req.IDs) == 0 {
-		writeError(w, http.StatusBadRequest, CodeBadRequest, "ids must be non-empty")
+		WriteError(w, http.StatusBadRequest, CodeBadRequest, "ids must be non-empty")
 		return
 	}
 	resp := DeleteResponse{}
@@ -456,7 +503,7 @@ func (h *api) delete(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	resp.Size = h.e.Size()
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }
 
 func (h *api) rebuild(w http.ResponseWriter, r *http.Request) {
@@ -465,10 +512,10 @@ func (h *api) rebuild(w http.ResponseWriter, r *http.Request) {
 	}
 	t0 := time.Now()
 	if err := h.e.Rebuild(); err != nil {
-		writeError(w, http.StatusInternalServerError, CodeInternal, err.Error())
+		WriteError(w, http.StatusInternalServerError, CodeInternal, err.Error())
 		return
 	}
-	writeJSON(w, http.StatusOK, RebuildResponse{
+	WriteJSON(w, http.StatusOK, RebuildResponse{
 		Size:   h.e.Size(),
 		Shards: h.e.Shards(),
 		TookMS: msSince(t0),
@@ -478,20 +525,20 @@ func (h *api) rebuild(w http.ResponseWriter, r *http.Request) {
 func (h *api) snapshot(w http.ResponseWriter, r *http.Request) {
 	dir := h.e.SnapshotDir()
 	if dir == "" {
-		writeError(w, http.StatusPreconditionFailed, CodePreconditionFailed,
+		WriteError(w, http.StatusPreconditionFailed, CodePreconditionFailed,
 			"no snapshot directory configured (start with -snapshot or set Options.SnapshotDir)")
 		return
 	}
 	t0 := time.Now()
 	if err := h.e.SaveSnapshot(dir); err != nil {
 		if errors.Is(err, ErrNotSupported) {
-			writeError(w, http.StatusNotImplemented, CodeNotImplemented, err.Error())
+			WriteError(w, http.StatusNotImplemented, CodeNotImplemented, err.Error())
 			return
 		}
-		writeError(w, http.StatusInternalServerError, CodeInternal, err.Error())
+		WriteError(w, http.StatusInternalServerError, CodeInternal, err.Error())
 		return
 	}
-	writeJSON(w, http.StatusOK, SnapshotResponse{
+	WriteJSON(w, http.StatusOK, SnapshotResponse{
 		Dir:    dir,
 		Shards: h.e.Shards(),
 		Size:   h.e.Size(),
@@ -500,7 +547,7 @@ func (h *api) snapshot(w http.ResponseWriter, r *http.Request) {
 }
 
 func (h *api) stats(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, h.e.Stats())
+	WriteJSON(w, http.StatusOK, h.e.Stats())
 }
 
 func (h *api) version(w http.ResponseWriter, r *http.Request) {
@@ -509,35 +556,41 @@ func (h *api) version(w http.ResponseWriter, r *http.Request) {
 		vi := NewVersionInfo(RoleStandalone, h.e)
 		v = &vi
 	}
-	writeJSON(w, http.StatusOK, *v)
+	WriteJSON(w, http.StatusOK, *v)
 }
 
 func (h *api) healthz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+	WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
 // maxBodyBytes bounds request bodies; batch inserts of long trajectories
 // fit comfortably, runaway clients do not.
 const maxBodyBytes = 64 << 20
 
-func decode(w http.ResponseWriter, r *http.Request, dst any) bool {
+// Decode reads a JSON request body into dst, rejecting unknown fields
+// and bodies over maxBodyBytes; on failure it answers 400 bad_request
+// and reports false. It, WriteJSON and WriteError are exported so the
+// cluster router speaks exactly the engine's envelope.
+func Decode(w http.ResponseWriter, r *http.Request, dst any) bool {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(dst); err != nil {
-		writeError(w, http.StatusBadRequest, CodeBadRequest, fmt.Sprintf("bad request body: %v", err))
+		WriteError(w, http.StatusBadRequest, CodeBadRequest, fmt.Sprintf("bad request body: %v", err))
 		return false
 	}
 	return true
 }
 
-func writeJSON(w http.ResponseWriter, code int, v any) {
+// WriteJSON answers with status code and v as the JSON body.
+func WriteJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	_ = json.NewEncoder(w).Encode(v)
 }
 
-func writeError(w http.ResponseWriter, status int, code, msg string) {
-	writeJSON(w, status, ErrorResponse{Error: msg, Code: code})
+// WriteError answers with the ErrorResponse envelope.
+func WriteError(w http.ResponseWriter, status int, code, msg string) {
+	WriteJSON(w, status, ErrorResponse{Error: msg, Code: code})
 }
 
 func msSince(t0 time.Time) float64 {

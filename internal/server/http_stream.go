@@ -103,7 +103,7 @@ const CodeConflict = "conflict"
 
 func (h *api) append(w http.ResponseWriter, r *http.Request) {
 	var req AppendRequest
-	if !decode(w, r, &req) {
+	if !Decode(w, r, &req) {
 		return
 	}
 	pts := make([]traj.Point, len(req.Points))
@@ -115,15 +115,15 @@ func (h *api) append(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		switch {
 		case errors.Is(err, ErrSealedID):
-			writeError(w, http.StatusConflict, CodeConflict, err.Error())
+			WriteError(w, http.StatusConflict, CodeConflict, err.Error())
 		case errors.Is(err, ErrInvalidQuery):
-			writeError(w, http.StatusBadRequest, CodeInvalidQuery, err.Error())
+			WriteError(w, http.StatusBadRequest, CodeInvalidQuery, err.Error())
 		default:
-			writeError(w, http.StatusInternalServerError, CodeInternal, err.Error())
+			WriteError(w, http.StatusInternalServerError, CodeInternal, err.Error())
 		}
 		return
 	}
-	writeJSON(w, http.StatusOK, AppendResponse{
+	WriteJSON(w, http.StatusOK, AppendResponse{
 		ID:     req.ID,
 		Offset: off,
 		Length: off + len(pts),
@@ -133,55 +133,55 @@ func (h *api) append(w http.ResponseWriter, r *http.Request) {
 
 func (h *api) seal(w http.ResponseWriter, r *http.Request) {
 	var req SealRequest
-	if !decode(w, r, &req) {
+	if !Decode(w, r, &req) {
 		return
 	}
 	t0 := time.Now()
 	if err := h.e.Seal(req.ID); err != nil {
 		switch {
 		case errors.Is(err, ErrNoTrack):
-			writeError(w, http.StatusNotFound, CodeNotFound, err.Error())
+			WriteError(w, http.StatusNotFound, CodeNotFound, err.Error())
 		case errors.Is(err, ErrInvalidQuery):
-			writeError(w, http.StatusBadRequest, CodeInvalidQuery, err.Error())
+			WriteError(w, http.StatusBadRequest, CodeInvalidQuery, err.Error())
 		case errors.Is(err, ErrNotSupported):
-			writeError(w, http.StatusNotImplemented, CodeNotImplemented, err.Error())
+			WriteError(w, http.StatusNotImplemented, CodeNotImplemented, err.Error())
 		default:
-			writeError(w, http.StatusInternalServerError, CodeInternal, err.Error())
+			WriteError(w, http.StatusInternalServerError, CodeInternal, err.Error())
 		}
 		return
 	}
-	writeJSON(w, http.StatusOK, SealResponse{ID: req.ID, Size: h.e.Size(), TookMS: msSince(t0)})
+	WriteJSON(w, http.StatusOK, SealResponse{ID: req.ID, Size: h.e.Size(), TookMS: msSince(t0)})
 }
 
 func (h *api) watch(w http.ResponseWriter, r *http.Request) {
 	var req WatchRequest
-	if !decode(w, r, &req) {
+	if !Decode(w, r, &req) {
 		return
 	}
 	pattern, err := req.Pattern.ToTrajectory()
 	if err != nil {
-		writeError(w, http.StatusBadRequest, CodeBadRequest, fmt.Sprintf("pattern: %v", err))
+		WriteError(w, http.StatusBadRequest, CodeBadRequest, fmt.Sprintf("pattern: %v", err))
 		return
 	}
 	id, err := h.e.Watch(pattern, req.Metric, req.Threshold, req.K, req.Exact)
 	if err != nil {
-		writeSearchError(w, err)
+		WriteSearchError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, WatchResponse{Watch: id})
+	WriteJSON(w, http.StatusOK, WatchResponse{Watch: id})
 }
 
 func (h *api) unwatch(w http.ResponseWriter, r *http.Request) {
 	var req UnwatchRequest
-	if !decode(w, r, &req) {
+	if !Decode(w, r, &req) {
 		return
 	}
 	if !h.e.Unwatch(req.Watch) {
-		writeError(w, http.StatusNotFound, CodeNotFound,
+		WriteError(w, http.StatusNotFound, CodeNotFound,
 			fmt.Sprintf("%v: %d", ErrUnknownWatch, req.Watch))
 		return
 	}
-	writeJSON(w, http.StatusOK, UnwatchResponse{Removed: true})
+	WriteJSON(w, http.StatusOK, UnwatchResponse{Removed: true})
 }
 
 // events serves GET /v1/events. Default is one JSON page: the events
@@ -194,7 +194,7 @@ func (h *api) events(w http.ResponseWriter, r *http.Request) {
 	qv := r.URL.Query()
 	since, err := parseUintParam(qv.Get("since"))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, CodeBadRequest, fmt.Sprintf("since: %v", err))
+		WriteError(w, http.StatusBadRequest, CodeBadRequest, fmt.Sprintf("since: %v", err))
 		return
 	}
 	if qv.Get("sse") == "1" || strings.Contains(r.Header.Get("Accept"), "text/event-stream") {
@@ -203,12 +203,12 @@ func (h *api) events(w http.ResponseWriter, r *http.Request) {
 	}
 	max64, err := parseUintParam(qv.Get("max"))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, CodeBadRequest, fmt.Sprintf("max: %v", err))
+		WriteError(w, http.StatusBadRequest, CodeBadRequest, fmt.Sprintf("max: %v", err))
 		return
 	}
 	waitMS, err := parseUintParam(qv.Get("wait_ms"))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, CodeBadRequest, fmt.Sprintf("wait_ms: %v", err))
+		WriteError(w, http.StatusBadRequest, CodeBadRequest, fmt.Sprintf("wait_ms: %v", err))
 		return
 	}
 	var deadline <-chan time.Time
@@ -239,7 +239,7 @@ func (h *api) events(w http.ResponseWriter, r *http.Request) {
 	if len(evs) > 0 {
 		next = evs[len(evs)-1].Seq
 	}
-	writeJSON(w, http.StatusOK, EventsResponse{Events: evs, NextSince: next, Gap: gap})
+	WriteJSON(w, http.StatusOK, EventsResponse{Events: evs, NextSince: next, Gap: gap})
 }
 
 // eventsSSE streams match events as server-sent events until the client
@@ -249,7 +249,7 @@ func (h *api) events(w http.ResponseWriter, r *http.Request) {
 func (h *api) eventsSSE(w http.ResponseWriter, r *http.Request, since uint64) {
 	fl, ok := w.(http.Flusher)
 	if !ok {
-		writeError(w, http.StatusNotImplemented, CodeNotImplemented,
+		WriteError(w, http.StatusNotImplemented, CodeNotImplemented,
 			"response writer does not support streaming")
 		return
 	}

@@ -6,12 +6,64 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"testing"
 	"time"
 
+	"trajmatch/internal/backend"
 	"trajmatch/internal/traj"
 	"trajmatch/internal/trajtree"
 )
+
+// TestWireAnswerRoundTrip: an Answer survives the wire both ways —
+// toWireAnswer, JSON, then WireAnswer.Answer — with every backend.Stats
+// counter set to a distinct value by reflection, so a counter added to
+// Stats but not carried by WireStats fails here instead of silently
+// vanishing from cluster answers.
+func TestWireAnswerRoundTrip(t *testing.T) {
+	var st backend.Stats
+	v := reflect.ValueOf(&st).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		v.Field(i).SetInt(int64(101 + i))
+	}
+	want := Answer{
+		Results: []backend.Result{
+			{Traj: &traj.Trajectory{ID: 7, Label: 3}, Dist: 1.5},
+			{Traj: &traj.Trajectory{ID: 2}, Dist: 2.25},
+		},
+		Stats:     st,
+		Cached:    true,
+		Truncated: true,
+		Degraded:  true,
+	}
+	raw, err := json.Marshal(toWireAnswer(want, true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var w WireAnswer
+	if err := json.Unmarshal(raw, &w); err != nil {
+		t.Fatal(err)
+	}
+	got := w.Answer()
+	for i := 0; i < v.NumField(); i++ {
+		name := v.Type().Field(i).Name
+		if g, w := reflect.ValueOf(got.Stats).Field(i).Int(), v.Field(i).Int(); g != w {
+			t.Errorf("Stats.%s: %d after the round trip, want %d", name, g, w)
+		}
+	}
+	if len(got.Results) != len(want.Results) {
+		t.Fatalf("%d results after the round trip, want %d", len(got.Results), len(want.Results))
+	}
+	for i, r := range got.Results {
+		if r.Traj.ID != want.Results[i].Traj.ID || r.Traj.Label != want.Results[i].Traj.Label || r.Dist != want.Results[i].Dist {
+			t.Errorf("result %d: (id=%d label=%d dist=%v), want (id=%d label=%d dist=%v)", i, r.Traj.ID, r.Traj.Label, r.Dist,
+				want.Results[i].Traj.ID, want.Results[i].Traj.Label, want.Results[i].Dist)
+		}
+	}
+	if got.Cached != want.Cached || got.Truncated != want.Truncated || got.Degraded != want.Degraded {
+		t.Errorf("flags: cached=%v truncated=%v degraded=%v, want all true", got.Cached, got.Truncated, got.Degraded)
+	}
+}
 
 func decodeError(t *testing.T, resp *http.Response) ErrorResponse {
 	t.Helper()

@@ -88,8 +88,9 @@ type Query struct {
 	WithStats bool `json:"with_stats,omitempty"`
 }
 
-// validate rejects malformed queries with ErrInvalidQuery-wrapped errors.
-func (q Query) validate() error {
+// Validate rejects malformed queries with ErrInvalidQuery-wrapped errors.
+// Engine.Search and the cluster router both call it before any work.
+func (q Query) Validate() error {
 	switch q.Kind {
 	case KindKNN, KindSubKNN:
 		if q.K <= 0 {

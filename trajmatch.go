@@ -381,17 +381,18 @@ func NewVersionInfo(role string, e *Engine) VersionInfo {
 }
 
 // ClusterConfig configures a cluster router: the shard nodes' base
-// URLs, the per-request timeout, and the sequential (bound-shipping in
-// shard order) versus concurrent fan-out choice.
+// URLs, the per-node-request timeout, and the per-search timeout its
+// HTTP handler applies.
 type ClusterConfig = cluster.Config
 
 // ClusterRouter is the stateless fan-out front of a trajserve cluster:
 // it discovers each node's owned shards, routes mutations by hash
-// placement, fans searches out to every replica group with its running
-// k-th-best bound shipped as the seed limit, and merges the per-group
-// answers by (distance, ID) — byte-identical to a single-process engine
-// over the union corpus when every group answers, Answer.Degraded
-// otherwise.
+// placement, and searches through the engine's own fan-out and merge
+// with each replica group as one shard — a single query reaches every
+// group at once, a batch visits them in shard order shipping the
+// tightened k-th-best bound as the seed limit. Answers are
+// byte-identical to a single-process engine over the union corpus when
+// every group answers, Answer.Degraded otherwise.
 type ClusterRouter = cluster.Router
 
 // ClusterStats is the router's /v1/stats payload: placement, traffic
