@@ -137,9 +137,9 @@ func sameResults(t *testing.T, label string, got, want []backend.Result) {
 	}
 }
 
-// searchShapes are the router's two fan-out shapes: Search dispatches
-// every group at once, SearchBatch visits them in shard order shipping
-// the bound the earlier groups tightened.
+// searchShapes are the router's entry points and its two fan-out shapes:
+// Search and SearchBatch dispatch every group at once, shardOrder visits
+// them one at a time shipping the bound the earlier groups tightened.
 var searchShapes = []struct {
 	name string
 	run  func(rt *Router, qs []*traj.Trajectory, req server.Query) ([]server.Answer, error)
@@ -157,6 +157,17 @@ var searchShapes = []struct {
 	}},
 	{"SearchBatch", func(rt *Router, qs []*traj.Trajectory, req server.Query) ([]server.Answer, error) {
 		return rt.SearchBatch(context.Background(), qs, req)
+	}},
+	{"shardOrder", func(rt *Router, qs []*traj.Trajectory, req server.Query) ([]server.Answer, error) {
+		out := make([]server.Answer, len(qs))
+		for i, q := range qs {
+			ans, err := rt.search(context.Background(), q, req, 1)
+			if err != nil {
+				return nil, err
+			}
+			out[i] = ans
+		}
+		return out, nil
 	}},
 }
 
@@ -217,14 +228,14 @@ func TestClusterByteIdenticalToSingleProcess(t *testing.T) {
 	}
 }
 
-// TestBatchShippedBoundNoExtraEvals pins the acceptance bound: a batch,
-// which visits the groups in shard order shipping the tightened bound,
-// spends no more exact distance evaluations across the cluster than the
+// TestShippedBoundNoExtraEvals pins the acceptance bound: a search that
+// visits the groups in shard order shipping the tightened bound spends
+// no more exact distance evaluations across the cluster than the
 // single-process inline shared-bound loop over the same shards — a
 // group's merged k-th best is at most the minimum of its shards' k-th
 // bests, so the shipped bound is at least as tight as the single
 // process's bound at the same point, and the cluster can only skip more.
-func TestBatchShippedBoundNoExtraEvals(t *testing.T) {
+func TestShippedBoundNoExtraEvals(t *testing.T) {
 	db := testDB(300, 7)
 	const total = 4
 	single := newSingleEngine(t, db, total)
@@ -248,11 +259,10 @@ func TestBatchShippedBoundNoExtraEvals(t *testing.T) {
 		if err != nil {
 			t.Fatalf("baseline: %v", err)
 		}
-		batch, err := rt.SearchBatch(context.Background(), []*traj.Trajectory{q}, req)
+		got, err := rt.search(context.Background(), q, req, 1)
 		if err != nil {
 			t.Fatalf("cluster: %v", err)
 		}
-		got := batch[0]
 		sameResults(t, fmt.Sprintf("query %d", qi), got.Results, base[0].Results)
 		if fullEvals(got.Stats) > fullEvals(base[0].Stats) {
 			t.Errorf("query %d: cluster spent %d full evaluations, single-process baseline %d",

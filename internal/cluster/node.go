@@ -25,11 +25,12 @@
 // never at it, with (distance, ID) tie-breaks, so a seeded node returns
 // every global-answer member it owns and the (distance, ID) merge is
 // byte-identical to the single-process answer — the bound only removes
-// work, never results. A single query dispatches every group at once,
-// each with the bound known at dispatch time (in practice the caller's
-// Limit); a batch visits the groups in shard order, each seeded with the
-// bound the earlier groups tightened, which the work-counter test
-// compares against the single-process shared-bound baseline.
+// work, never results. Search and SearchBatch dispatch every group of a
+// query at once, each with the bound known at dispatch time (in practice
+// the caller's Limit). The fan-out also has a one-group-at-a-time shape
+// that seeds each group with the bound the earlier groups tightened; the
+// work-counter test compares it against the single-process shared-bound
+// baseline.
 package cluster
 
 import (

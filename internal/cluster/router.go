@@ -155,8 +155,8 @@ func New(ctx context.Context, cfg Config) (*Router, error) {
 			return nil, fmt.Errorf("cluster: no node serves shard %d of %d", s, rt.total)
 		}
 	}
-	// Deterministic group order by first shard: a batch query's visit
-	// order, and the stats listing order.
+	// Deterministic group order by first shard: the one-group-at-a-time
+	// visit order, and the stats listing order.
 	for _, g := range byKey {
 		rt.groups = append(rt.groups, g)
 	}
@@ -350,12 +350,12 @@ func (rt *Router) Search(ctx context.Context, q *traj.Trajectory, req server.Que
 	return rt.search(ctx, q, req, len(rt.groups))
 }
 
-// SearchBatch executes the same Query for every trajectory of qs,
-// mirroring Engine.SearchBatch: the queries spread over a
-// GOMAXPROCS-wide pool, and each visits the groups inline in shard
-// order, so every group after the first is sent the bound tightened by
-// the earlier groups' k-th best. Once ctx fires, SearchBatch returns the
-// answers finished so far alongside ctx's error.
+// SearchBatch executes the same Query for every trajectory of qs: each
+// query is a Search (every group at once) and the queries share a
+// GOMAXPROCS-wide pool, so a batch of Q costs at most Q node round trips
+// in sequence, and in-flight requests stay bounded by the pool times the
+// group count. Once ctx fires, SearchBatch returns the answers finished
+// so far alongside ctx's error.
 func (rt *Router) SearchBatch(ctx context.Context, qs []*traj.Trajectory, req server.Query) ([]server.Answer, error) {
 	if err := req.Validate(); err != nil {
 		return nil, err
@@ -366,19 +366,14 @@ func (rt *Router) SearchBatch(ctx context.Context, qs []*traj.Trajectory, req se
 		}
 	}
 	answers := make([]server.Answer, len(qs))
-	errs := make([]error, len(qs))
-	par.For(0, len(qs), func(i int) {
-		answers[i], errs[i] = rt.search(ctx, qs[i], req, 1)
+	err := par.ForErr(0, len(qs), func(i int) (err error) {
+		answers[i], err = rt.search(ctx, qs[i], req, len(rt.groups))
+		return err
 	})
-	if err := ctx.Err(); err != nil {
-		return answers, err
+	if ctxErr := ctx.Err(); ctxErr != nil {
+		return answers, ctxErr
 	}
-	for _, err := range errs {
-		if err != nil {
-			return answers, err
-		}
-	}
-	return answers, nil
+	return answers, err
 }
 
 // search runs one validated query through server.FanOut with group i as
@@ -387,6 +382,9 @@ func (rt *Router) SearchBatch(ctx context.Context, qs []*traj.Trajectory, req se
 // Limit (FanOut's seed) tightened by the k-th best of every group that
 // has already answered. Both are admissible upper bounds on the global
 // k-th best, so the shipped Limit removes node work, never results.
+// Search and SearchBatch start every group at once (workers =
+// len(rt.groups)); workers = 1 visits them in shard order instead,
+// trading a round trip per group for the tighter shipped bound.
 func (rt *Router) search(ctx context.Context, q *traj.Trajectory, req server.Query, workers int) (server.Answer, error) {
 	rt.queries.Add(1)
 	var ctl *backend.Ctl

@@ -499,9 +499,9 @@ func (e *Engine) SearchBatch(ctx context.Context, qs []*traj.Trajectory, req Que
 	}
 	answers := make([]Answer, len(qs))
 	raws := make([]backend.Stats, len(qs))
-	errs := make([]error, len(qs))
-	par.For(e.opt.Workers, len(qs), func(i int) {
-		answers[i], raws[i], errs[i] = e.searchOne(ctx, ms, qs[i], req, 1)
+	err = par.ForErr(e.opt.Workers, len(qs), func(i int) (err error) {
+		answers[i], raws[i], err = e.searchOne(ctx, ms, qs[i], req, 1)
+		return err
 	})
 	var total backend.Stats
 	for i := range raws {
@@ -510,15 +510,10 @@ func (e *Engine) SearchBatch(ctx context.Context, qs []*traj.Trajectory, req Que
 		}
 	}
 	e.recordQueryStats(ms, total)
-	if err := ctx.Err(); err != nil {
-		return answers, err
+	if ctxErr := ctx.Err(); ctxErr != nil {
+		return answers, ctxErr
 	}
-	for _, err := range errs {
-		if err != nil {
-			return answers, err
-		}
-	}
-	return answers, nil
+	return answers, err
 }
 
 // searchOne runs one query against one metric set without folding its

@@ -388,9 +388,8 @@ type ClusterConfig = cluster.Config
 // ClusterRouter is the stateless fan-out front of a trajserve cluster:
 // it discovers each node's owned shards, routes mutations by hash
 // placement, and searches through the engine's own fan-out and merge
-// with each replica group as one shard — a single query reaches every
-// group at once, a batch visits them in shard order shipping the
-// tightened k-th-best bound as the seed limit. Answers are
+// with each replica group as one shard, every group of a query at once;
+// a batch runs its queries over a pool. Answers are
 // byte-identical to a single-process engine over the union corpus when
 // every group answers, Answer.Degraded otherwise.
 type ClusterRouter = cluster.Router
