@@ -480,7 +480,7 @@ func logRequests(next http.Handler) http.Handler {
 }
 
 // parseMetrics splits and validates the -metrics list against the
-// registered backends, so a typo fails at boot instead of per query.
+// known metric names, so a typo fails at boot instead of per query.
 func parseMetrics(s string) ([]string, error) {
 	known := map[string]bool{}
 	for _, n := range trajmatch.RegisteredMetrics() {

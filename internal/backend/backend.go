@@ -2,18 +2,20 @@
 // metric index: one Backend interface capturing what the engine actually
 // needs — k-NN and range search under a Ctl (cancellation + evaluation
 // budget) and an optional SharedBound — plus the unified Result/Stats
-// types every implementation answers with, capability interfaces for the
-// operations not every metric can support (sub-trajectory search,
-// mutation, persistence), and a registry of known metric names.
+// types every implementation answers with, and capability interfaces for
+// the operations not every metric can support (sub-trajectory search,
+// mutation, persistence). The list of metric names lives in
+// internal/metrics, not here.
 //
 // The package deliberately depends only on the trajectory model and the
 // kernel cancellation flag, so any index implementation can adopt it
 // without pulling in the engine: trajtree (the reference implementation,
-// fully capable) aliases these types directly, and the flat DTW/EDR
-// indexes implement the interface over the shared bound-ordered scan
-// (scan.go). The sharded engine in internal/server is generic over
-// Backend — sharding, shared-bound fan-out, caching, cancellation and
-// stats accounting are written once and serve every metric. (Snapshot
+// fully capable) aliases these types directly, and a metric without a
+// tree is a Flat index (flat.go) — a lower bound and a kernel over the
+// shared bound-ordered scan (scan.go); DTW and EDR are built that way.
+// The sharded engine in internal/server is generic over Backend —
+// sharding, shared-bound fan-out, caching, cancellation and stats
+// accounting are written once and serve every metric. (Snapshot
 // persistence is the one capability the engine recognises by concrete
 // type rather than an interface here, because the stream format is
 // tree-specific; see the server's snapshot notes.)
@@ -34,50 +36,52 @@ type Result struct {
 	Dist float64
 }
 
-// Stats is per-query work instrumentation, shared by every backend. The
-// counters were named for the tree search but map naturally onto flat
-// bound-ordered scans too: DistanceCalls counts exact metric evaluations
-// started, EarlyAbandons the ones the bounded kernel cut short,
-// LowerBoundCalls the admissible lower bounds computed, NodesPruned the
-// candidates (or subtrees) rejected by a bound alone, and NodesVisited
-// the index nodes expanded (zero for a flat index).
+// Stats is per-query work instrumentation, shared by every backend and,
+// through its JSON tags, the wire form of the counters in with_stats
+// answers and GET /v1/stats. The counters were named for the tree search
+// but map naturally onto flat bound-ordered scans too: DistanceCalls
+// counts exact metric evaluations started, EarlyAbandons the ones the
+// bounded kernel cut short, LowerBoundCalls the admissible lower bounds
+// computed, NodesPruned the candidates (or subtrees) rejected by a bound
+// alone, and NodesVisited the index nodes expanded (zero for a flat
+// index).
 type Stats struct {
 	// DistanceCalls counts exact metric evaluations (possibly abandoned).
-	DistanceCalls int
-	// LowerBoundCalls counts admissible lower-bound evaluations.
-	LowerBoundCalls int
-	// NodesVisited counts index nodes expanded during the search.
-	NodesVisited int
-	// NodesPruned counts nodes or candidates discarded by a bound test
-	// without an exact evaluation.
-	NodesPruned int
+	DistanceCalls int `json:"distance_calls"`
 	// EarlyAbandons counts exact evaluations the bounded kernel cut short
 	// because no completion could beat the current pruning threshold.
 	// DistanceCalls - EarlyAbandons is the number of full evaluations.
-	EarlyAbandons int
+	EarlyAbandons int `json:"early_abandons"`
 	// ScreenRejects counts the EarlyAbandons a lower-bound screen decided
 	// before any kernel started; DistanceCalls - ScreenRejects is the
 	// number of kernel starts. Zero for backends without a member screen.
-	ScreenRejects int
+	ScreenRejects int `json:"screen_rejects"`
+	// LowerBoundCalls counts admissible lower-bound evaluations.
+	LowerBoundCalls int `json:"lower_bound_calls"`
+	// NodesVisited counts index nodes expanded during the search.
+	NodesVisited int `json:"nodes_visited"`
+	// NodesPruned counts nodes or candidates discarded by a bound test
+	// without an exact evaluation.
+	NodesPruned int `json:"nodes_pruned"`
 	// PrefilterCandidates counts the candidates the sketch prefilter
-	// admitted for exact verification (zero when the query did not ask
-	// for the prefilter).
-	PrefilterCandidates int
+	// admitted for exact verification (zero, and absent on the wire,
+	// when the query did not ask for the prefilter).
+	PrefilterCandidates int `json:"prefilter_candidates,omitempty"`
 	// PrefilterSkipped counts indexed trajectories the prefilter
 	// excluded without any bound or distance computation — the
 	// sub-linear saving the sketch layer buys.
-	PrefilterSkipped int
+	PrefilterSkipped int `json:"prefilter_skipped,omitempty"`
 }
 
 // Add accumulates o into s; the engine uses it to fold per-shard and
 // per-query stats into cumulative counters.
 func (s *Stats) Add(o Stats) {
 	s.DistanceCalls += o.DistanceCalls
+	s.EarlyAbandons += o.EarlyAbandons
+	s.ScreenRejects += o.ScreenRejects
 	s.LowerBoundCalls += o.LowerBoundCalls
 	s.NodesVisited += o.NodesVisited
 	s.NodesPruned += o.NodesPruned
-	s.EarlyAbandons += o.EarlyAbandons
-	s.ScreenRejects += o.ScreenRejects
 	s.PrefilterCandidates += o.PrefilterCandidates
 	s.PrefilterSkipped += o.PrefilterSkipped
 }
@@ -161,8 +165,8 @@ var ErrNotSupported = errors.New("not supported by backend")
 // derived from global statistics, tree options) must be fixed inside the
 // closure before sharding, so every shard agrees on them.
 type Spec struct {
-	// Name is the metric identifier ("edwp", "dtw", "edr"); it must be
-	// registered via Register.
+	// Name is the metric identifier ("edwp", "dtw", "edr"), one of
+	// metrics.Names.
 	Name string
 	// Build constructs one shard's backend over db.
 	Build func(db []*traj.Trajectory) (Backend, error)

@@ -83,27 +83,3 @@ func TestKBestTieAtBound(t *testing.T) {
 		t.Fatal("equal-distance larger-ID candidate was kept")
 	}
 }
-
-func TestRegistry(t *testing.T) {
-	Register("test-metric-x")
-	Register("test-metric-x") // idempotent
-	if !Known("test-metric-x") {
-		t.Fatal("registered name not known")
-	}
-	if Known("test-metric-y") {
-		t.Fatal("unregistered name known")
-	}
-	names := Names()
-	if !sort.StringsAreSorted(names) {
-		t.Fatalf("Names() not sorted: %v", names)
-	}
-	seen := 0
-	for _, n := range names {
-		if n == "test-metric-x" {
-			seen++
-		}
-	}
-	if seen != 1 {
-		t.Fatalf("registered name appears %d times in %v", seen, names)
-	}
-}

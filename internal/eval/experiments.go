@@ -207,7 +207,7 @@ func robustnessSweep(sc Scale, d1, d2 []*traj.Trajectory, ks []int, queries []in
 // database (EDR-I), since that is the configuration whose robustness is
 // closest to EDwP's.
 //
-// The indexed competitors are built through the metric registry
+// The indexed competitors are built through package metrics
 // (metrics.Spec) — the same entry point trajserve boots from — so the
 // index a figure benchmarks is byte-for-byte the index the serving
 // stack answers with.

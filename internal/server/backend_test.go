@@ -107,8 +107,8 @@ func TestEngineBackendsMatchStandaloneAcrossShards(t *testing.T) {
 	}
 }
 
-// TestSearchMetricRouting: the registry distinguishes a mistyped metric
-// from a registered one that was not booted, the empty metric resolves
+// TestSearchMetricRouting: the metric list distinguishes a mistyped metric
+// from a known one that was not booted, the empty metric resolves
 // to the first boot order, and every loaded metric routes to its own
 // backend.
 func TestSearchMetricRouting(t *testing.T) {

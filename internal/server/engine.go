@@ -8,9 +8,9 @@
 // future distance that implements the contract. Sharding, the
 // shared-bound fan-out, the LRU result cache (keyed by metric), the
 // cooperative cancellation paths and the stats counters are written once
-// and are metric-agnostic; a metric registry routes Query.Metric to its
-// loaded backend and distinguishes a mistyped name from one that was not
-// booted.
+// and are metric-agnostic; Query.Metric routes to its loaded backend,
+// and the name list of internal/metrics distinguishes a mistyped name
+// from one that was not booted.
 //
 // The query surface is one context-aware API: Engine.Search(ctx, q,
 // Query) executes a Query (kind: KNN | Range | SubKNN, a Metric, plus
@@ -222,27 +222,12 @@ type Engine struct {
 	sketches     []*sketch.Index
 	sketchParams sketch.Params
 
-	queries   atomic.Uint64
-	cacheHits atomic.Uint64
+	// Update counters. Query and kernel counters live on the metric
+	// sets, and Stats sums them.
 	inserts   atomic.Uint64
 	deletes   atomic.Uint64
 	rebuilds  atomic.Uint64
 	snapshots atomic.Uint64
-
-	// Cumulative per-query kernel instrumentation (backend.Stats summed
-	// over every non-cached query and every shard it fanned out to,
-	// across all metrics; per-metric breakdowns live on the metric sets),
-	// surfaced on GET /v1/stats so the benefit of the bounded distance
-	// kernels is observable in production.
-	distanceCalls   atomic.Uint64
-	earlyAbandons   atomic.Uint64
-	screenRejects   atomic.Uint64
-	lowerBoundCalls atomic.Uint64
-	nodesVisited    atomic.Uint64
-	nodesPruned     atomic.Uint64
-
-	prefilterCandidates atomic.Uint64
-	prefilterSkipped    atomic.Uint64
 
 	// Streaming counters (stream.go): acknowledged appends and seals,
 	// exact kernel evaluations the continuous-query matcher ran, and
@@ -251,20 +236,6 @@ type Engine struct {
 	seals          atomic.Uint64
 	watchEvals     atomic.Uint64
 	watchGateSkips atomic.Uint64
-}
-
-// recordQueryStats folds one query's instrumentation into the engine's
-// cumulative counters and its metric's breakdown.
-func (e *Engine) recordQueryStats(ms *metricSet, st backend.Stats) {
-	e.distanceCalls.Add(uint64(st.DistanceCalls))
-	e.earlyAbandons.Add(uint64(st.EarlyAbandons))
-	e.screenRejects.Add(uint64(st.ScreenRejects))
-	e.lowerBoundCalls.Add(uint64(st.LowerBoundCalls))
-	e.nodesVisited.Add(uint64(st.NodesVisited))
-	e.nodesPruned.Add(uint64(st.NodesPruned))
-	e.prefilterCandidates.Add(uint64(st.PrefilterCandidates))
-	e.prefilterSkipped.Add(uint64(st.PrefilterSkipped))
-	ms.recordStats(st)
 }
 
 // newEngine wraps pre-built metric sets under the given placement.
@@ -461,7 +432,7 @@ func (e *Engine) Search(ctx context.Context, q *traj.Trajectory, req Query) (Ans
 	}
 	ans, raw, err := e.searchOne(ctx, ms, q, req, e.opt.Workers)
 	if !ans.Cached {
-		e.recordQueryStats(ms, raw)
+		ms.add(raw)
 	}
 	return ans, err
 }
@@ -469,9 +440,9 @@ func (e *Engine) Search(ctx context.Context, q *traj.Trajectory, req Query) (Ans
 // SearchBatch executes the same Query for len(qs) independent query
 // trajectories on the engine's worker pool, returning one Answer per
 // query in input order, each carrying its own Stats when req.WithStats
-// is set. The engine's cumulative counters accumulate every query's work
+// is set. The metric's cumulative counters accumulate every query's work
 // exactly once, flushed as one aggregate per batch to keep the workers
-// off the shared atomics.
+// off the shared counters.
 //
 // All queries share ctx: once it fires, finished answers keep their
 // values, un-started queries are skipped, and SearchBatch returns the
@@ -509,7 +480,7 @@ func (e *Engine) SearchBatch(ctx context.Context, qs []*traj.Trajectory, req Que
 			total.Add(raws[i])
 		}
 	}
-	e.recordQueryStats(ms, total)
+	ms.add(total)
 	if ctxErr := ctx.Err(); ctxErr != nil {
 		return answers, ctxErr
 	}
@@ -517,13 +488,12 @@ func (e *Engine) SearchBatch(ctx context.Context, qs []*traj.Trajectory, req Que
 }
 
 // searchOne runs one query against one metric set without folding its
-// stats into the engine counters (returned raw for the caller to record
+// work counters into the set (returned raw for the caller to record
 // — once per query for Search, one aggregate per batch for SearchBatch).
 // workers is the shard fan-out width (see FanOut): the pool size for
 // single interactive queries, 1 for batch workers, which are already
 // saturating the pool.
 func (e *Engine) searchOne(ctx context.Context, ms *metricSet, q *traj.Trajectory, req Query, workers int) (Answer, backend.Stats, error) {
-	e.queries.Add(1)
 	ms.queries.Add(1)
 	var key cacheKey
 	gen := e.gen.load()
@@ -531,7 +501,6 @@ func (e *Engine) searchOne(ctx context.Context, ms *metricSet, q *traj.Trajector
 	if useCache {
 		key = knnKey(ms.name, q, req.K)
 		if res, ok := e.cache.get(key, gen); ok {
-			e.cacheHits.Add(1)
 			ms.cacheHits.Add(1)
 			return Answer{Results: res, Cached: true}, backend.Stats{}, nil
 		}
@@ -935,16 +904,7 @@ type MetricStats struct {
 	Capabilities []string `json:"capabilities"`
 	Queries      uint64   `json:"queries"`
 	CacheHits    uint64   `json:"cache_hits"`
-
-	DistanceCalls   uint64 `json:"distance_calls"`
-	EarlyAbandons   uint64 `json:"early_abandons"`
-	ScreenRejects   uint64 `json:"screen_rejects"`
-	LowerBoundCalls uint64 `json:"lower_bound_calls"`
-	NodesVisited    uint64 `json:"nodes_visited"`
-	NodesPruned     uint64 `json:"nodes_pruned"`
-
-	PrefilterCandidates uint64 `json:"prefilter_candidates,omitempty"`
-	PrefilterSkipped    uint64 `json:"prefilter_skipped,omitempty"`
+	backend.Stats
 }
 
 // Stats is a point-in-time snapshot of the engine's counters and index
@@ -977,23 +937,18 @@ type Stats struct {
 	PerMetric []MetricStats `json:"per_metric"`
 
 	// Cumulative kernel instrumentation over all non-cached queries of
-	// all metrics. EarlyAbandons / DistanceCalls is the fraction of exact
-	// evaluations the bounded kernels cut short; ScreenRejects of those
-	// were decided by a lower-bound screen before any kernel started.
-	DistanceCalls   uint64 `json:"distance_calls"`
-	EarlyAbandons   uint64 `json:"early_abandons"`
-	ScreenRejects   uint64 `json:"screen_rejects"`
-	LowerBoundCalls uint64 `json:"lower_bound_calls"`
-	NodesVisited    uint64 `json:"nodes_visited"`
-	NodesPruned     uint64 `json:"nodes_pruned"`
+	// all metrics, the sum of the PerMetric rows. EarlyAbandons /
+	// DistanceCalls is the fraction of exact evaluations the bounded
+	// kernels cut short; ScreenRejects of those were decided by a
+	// lower-bound screen before any kernel started. The prefilter pair
+	// accumulates over prefiltered queries only — PrefilterSkipped /
+	// (PrefilterCandidates + PrefilterSkipped) is the fraction of the
+	// corpus the sketch excluded before any exact work.
+	backend.Stats
 
 	// Prefilter reports whether the sketch/LSH candidate prefilter is
-	// enabled; the counters accumulate over prefiltered queries only —
-	// PrefilterSkipped / (PrefilterCandidates + PrefilterSkipped) is the
-	// fraction of the corpus the sketch excluded before any exact work.
-	Prefilter           bool   `json:"prefilter"`
-	PrefilterCandidates uint64 `json:"prefilter_candidates,omitempty"`
-	PrefilterSkipped    uint64 `json:"prefilter_skipped,omitempty"`
+	// enabled.
+	Prefilter bool `json:"prefilter"`
 
 	// WAL carries the write-ahead log's counters and on-disk shape
 	// (appends, fsyncs, group-commit batching, recovery tallies);
@@ -1008,25 +963,14 @@ type Stats struct {
 // Stats returns a snapshot of the engine counters.
 func (e *Engine) Stats() Stats {
 	st := Stats{
-		Shards:          len(e.sets[0].shards),
-		Metrics:         e.Metrics(),
-		Queries:         e.queries.Load(),
-		CacheHits:       e.cacheHits.Load(),
-		Inserts:         e.inserts.Load(),
-		Deletes:         e.deletes.Load(),
-		Rebuilds:        e.rebuilds.Load(),
-		Snapshots:       e.snapshots.Load(),
-		Workers:         e.opt.Workers,
-		DistanceCalls:   e.distanceCalls.Load(),
-		EarlyAbandons:   e.earlyAbandons.Load(),
-		ScreenRejects:   e.screenRejects.Load(),
-		LowerBoundCalls: e.lowerBoundCalls.Load(),
-		NodesVisited:    e.nodesVisited.Load(),
-		NodesPruned:     e.nodesPruned.Load(),
-
-		Prefilter:           e.sketches != nil,
-		PrefilterCandidates: e.prefilterCandidates.Load(),
-		PrefilterSkipped:    e.prefilterSkipped.Load(),
+		Shards:    len(e.sets[0].shards),
+		Metrics:   e.Metrics(),
+		Inserts:   e.inserts.Load(),
+		Deletes:   e.deletes.Load(),
+		Rebuilds:  e.rebuilds.Load(),
+		Snapshots: e.snapshots.Load(),
+		Workers:   e.opt.Workers,
+		Prefilter: e.sketches != nil,
 	}
 	if e.place.partitioned() {
 		st.ClusterShards = e.place.total
@@ -1043,21 +987,17 @@ func (e *Engine) Stats() Stats {
 	}
 	st.PerMetric = make([]MetricStats, len(e.sets))
 	for i, ms := range e.sets {
-		st.PerMetric[i] = MetricStats{
-			Metric:          ms.name,
-			Capabilities:    ms.capabilities(e.sketches != nil),
-			Queries:         ms.queries.Load(),
-			CacheHits:       ms.cacheHits.Load(),
-			DistanceCalls:   ms.distanceCalls.Load(),
-			EarlyAbandons:   ms.earlyAbandons.Load(),
-			ScreenRejects:   ms.screenRejects.Load(),
-			LowerBoundCalls: ms.lowerBoundCalls.Load(),
-			NodesVisited:    ms.nodesVisited.Load(),
-			NodesPruned:     ms.nodesPruned.Load(),
-
-			PrefilterCandidates: ms.prefilterCandidates.Load(),
-			PrefilterSkipped:    ms.prefilterSkipped.Load(),
+		m := MetricStats{
+			Metric:       ms.name,
+			Capabilities: ms.capabilities(e.sketches != nil),
+			Queries:      ms.queries.Load(),
+			CacheHits:    ms.cacheHits.Load(),
+			Stats:        ms.stats(),
 		}
+		st.Queries += m.Queries
+		st.CacheHits += m.CacheHits
+		st.Stats.Add(m.Stats)
+		st.PerMetric[i] = m
 	}
 	if e.cache != nil {
 		st.CacheLen = e.cache.len()

@@ -51,53 +51,6 @@ func toNeighbors(rs []backend.Result) []Neighbor {
 	return out
 }
 
-// WireStats mirrors backend.Stats in snake_case JSON. ScreenRejects is
-// the part of EarlyAbandons a lower-bound screen decided before any
-// kernel started: distance_calls − screen_rejects kernels ran. The prefilter
-// pair appears only on prefiltered queries: candidates admitted for
-// exact verification versus indexed trajectories skipped without any
-// bound or distance work.
-type WireStats struct {
-	DistanceCalls   int `json:"distance_calls"`
-	EarlyAbandons   int `json:"early_abandons"`
-	ScreenRejects   int `json:"screen_rejects"`
-	LowerBoundCalls int `json:"lower_bound_calls"`
-	NodesVisited    int `json:"nodes_visited"`
-	NodesPruned     int `json:"nodes_pruned"`
-
-	PrefilterCandidates int `json:"prefilter_candidates,omitempty"`
-	PrefilterSkipped    int `json:"prefilter_skipped,omitempty"`
-}
-
-func toWireStats(st backend.Stats) WireStats {
-	return WireStats{
-		DistanceCalls:   st.DistanceCalls,
-		EarlyAbandons:   st.EarlyAbandons,
-		ScreenRejects:   st.ScreenRejects,
-		LowerBoundCalls: st.LowerBoundCalls,
-		NodesVisited:    st.NodesVisited,
-		NodesPruned:     st.NodesPruned,
-
-		PrefilterCandidates: st.PrefilterCandidates,
-		PrefilterSkipped:    st.PrefilterSkipped,
-	}
-}
-
-// fromWireStats is the inverse of toWireStats.
-func fromWireStats(w WireStats) backend.Stats {
-	return backend.Stats{
-		DistanceCalls:   w.DistanceCalls,
-		EarlyAbandons:   w.EarlyAbandons,
-		ScreenRejects:   w.ScreenRejects,
-		LowerBoundCalls: w.LowerBoundCalls,
-		NodesVisited:    w.NodesVisited,
-		NodesPruned:     w.NodesPruned,
-
-		PrefilterCandidates: w.PrefilterCandidates,
-		PrefilterSkipped:    w.PrefilterSkipped,
-	}
-}
-
 // SearchRequest is the body of POST /v1/search: the embedded Query's
 // own wire form (kind, k, radius, limit, max_evals, with_stats) plus
 // the query trajectory — or trajectories, for a batch; exactly one of
@@ -110,12 +63,12 @@ type SearchRequest struct {
 }
 
 // WireAnswer is one Answer on the wire; Stats appears only when the
-// request set with_stats.
+// request set with_stats, in backend.Stats' own snake_case form.
 type WireAnswer struct {
-	Results   []Neighbor `json:"results"`
-	Stats     *WireStats `json:"stats,omitempty"`
-	Cached    bool       `json:"cached,omitempty"`
-	Truncated bool       `json:"truncated,omitempty"`
+	Results   []Neighbor     `json:"results"`
+	Stats     *backend.Stats `json:"stats,omitempty"`
+	Cached    bool           `json:"cached,omitempty"`
+	Truncated bool           `json:"truncated,omitempty"`
 	// Degraded marks a partial cluster answer (some shard group was
 	// unreachable); see Answer.Degraded.
 	Degraded bool `json:"degraded,omitempty"`
@@ -126,8 +79,7 @@ type WireAnswer struct {
 func toWireAnswer(a Answer, withStats bool) WireAnswer {
 	w := WireAnswer{Results: toNeighbors(a.Results), Cached: a.Cached, Truncated: a.Truncated, Degraded: a.Degraded}
 	if withStats {
-		st := toWireStats(a.Stats)
-		w.Stats = &st
+		w.Stats = &a.Stats
 	}
 	return w
 }
@@ -144,7 +96,7 @@ func (w WireAnswer) Answer() Answer {
 	}
 	a := Answer{Results: res, Cached: w.Cached, Truncated: w.Truncated, Degraded: w.Degraded}
 	if w.Stats != nil {
-		a.Stats = fromWireStats(*w.Stats)
+		a.Stats = *w.Stats
 	}
 	return a
 }

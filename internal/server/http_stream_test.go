@@ -260,3 +260,43 @@ func TestHTTPEventsSSE(t *testing.T) {
 	}
 	cancel() // disconnect; the handler must return, Close() must not hang
 }
+
+// TestAppendRejectsOutOfRange: an append carrying coordinates beyond
+// traj.MaxCoord is refused like an insert of them would be — 400
+// invalid_query, no live track — so the live-track scan never evaluates
+// a distance that overflows to +Inf, and the next search still answers
+// decodable JSON.
+func TestAppendRejectsOutOfRange(t *testing.T) {
+	e := newTestEngine(t, 30, Options{})
+	srv := httptest.NewServer(NewAPIHandler(e, HandlerOptions{}))
+	defer srv.Close()
+
+	for _, pts := range [][][3]float64{
+		{{1e300, 1e300, 0}, {-1e300, 1e300, 1}},
+		{{0, 0, 0}, {2 * traj.MaxCoord, 0, 1}},
+	} {
+		resp := postRaw(t, srv, "/v1/append", AppendRequest{ID: 9999, Points: pts})
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("append %v: status %d, want 400", pts, resp.StatusCode)
+		}
+		if env := decodeError(t, resp); env.Code != CodeInvalidQuery {
+			t.Fatalf("append %v: code %q, want %q", pts, env.Code, CodeInvalidQuery)
+		}
+	}
+	if e.buffer.Has(9999) || e.Stats().Stream.LiveTracks != 0 {
+		t.Fatal("a refused append created a live track")
+	}
+
+	wq := wire(testDB(30, 7)[3])
+	resp := postRaw(t, srv, "/v1/search", SearchRequest{Query: Query{Kind: KindKNN, K: 50}, QueryTraj: &wq})
+	var got SearchResponse
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("search status %d", resp.StatusCode)
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&got); err != nil {
+		t.Fatalf("search body does not decode: %v", err)
+	}
+	if len(got.Results) != e.Size() {
+		t.Fatalf("%d results, want every one of %d members", len(got.Results), e.Size())
+	}
+}

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -17,14 +18,17 @@ import (
 
 // TestWireAnswerRoundTrip: an Answer survives the wire both ways —
 // toWireAnswer, JSON, then WireAnswer.Answer — with every backend.Stats
-// counter set to a distinct value by reflection, so a counter added to
-// Stats but not carried by WireStats fails here instead of silently
-// vanishing from cluster answers.
+// counter set to a distinct value by reflection, and every counter
+// carries its own snake_case JSON tag, so a counter added to Stats
+// without one fails here instead of reaching the wire under its Go name.
 func TestWireAnswerRoundTrip(t *testing.T) {
 	var st backend.Stats
 	v := reflect.ValueOf(&st).Elem()
 	for i := 0; i < v.NumField(); i++ {
 		v.Field(i).SetInt(int64(101 + i))
+		if tag := v.Type().Field(i).Tag.Get("json"); tag == "" || strings.ToLower(tag) != tag {
+			t.Errorf("Stats.%s: JSON tag %q, want a snake_case name", v.Type().Field(i).Name, tag)
+		}
 	}
 	want := Answer{
 		Results: []backend.Result{

@@ -4,19 +4,21 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync"
 	"sync/atomic"
 
 	"trajmatch/internal/backend"
+	"trajmatch/internal/metrics"
 	"trajmatch/internal/traj"
 )
 
-// ErrUnknownMetric reports a Query.Metric that no linked backend has
-// registered — almost certainly a typo. The HTTP layer answers 400 with
-// code "unknown_metric" listing the registered names.
+// ErrUnknownMetric reports a Query.Metric outside metrics.Names — almost
+// certainly a typo. The HTTP layer answers 400 with code
+// "unknown_metric" listing the known names.
 var ErrUnknownMetric = errors.New("unknown metric")
 
-// ErrMetricNotLoaded reports a Query.Metric that is registered but was
-// not booted into this engine (trajserve -metrics selects the set). The
+// ErrMetricNotLoaded reports a Query.Metric that is known but was not
+// booted into this engine (trajserve -metrics selects the set). The
 // HTTP layer answers 400 with code "metric_not_loaded" listing the
 // loaded names.
 var ErrMetricNotLoaded = errors.New("metric not loaded")
@@ -28,36 +30,35 @@ var ErrMetricNotLoaded = errors.New("metric not loaded")
 var ErrNotSupported = backend.ErrNotSupported
 
 // metricSet is one metric's slice of the engine: the hash-partitioned
-// shards of one Backend implementation plus the per-metric traffic and
-// kernel counters. Every loaded set shards the same corpus with the same
-// placement function, so ID routing is metric-independent.
+// shards of one Backend implementation plus the metric's traffic and
+// kernel counters (Engine.Stats sums them over the sets). Every loaded
+// set shards the same corpus with the same placement function, so ID
+// routing is metric-independent.
 type metricSet struct {
 	name   string
 	shards []*shard
 
+	// queries and cacheHits are atomics so a cache hit costs two adds
+	// and no lock.
 	queries   atomic.Uint64
 	cacheHits atomic.Uint64
 
-	distanceCalls   atomic.Uint64
-	earlyAbandons   atomic.Uint64
-	screenRejects   atomic.Uint64
-	lowerBoundCalls atomic.Uint64
-	nodesVisited    atomic.Uint64
-	nodesPruned     atomic.Uint64
-
-	prefilterCandidates atomic.Uint64
-	prefilterSkipped    atomic.Uint64
+	mu   sync.Mutex
+	work backend.Stats // summed over the set's uncached queries
 }
 
-func (ms *metricSet) recordStats(st backend.Stats) {
-	ms.distanceCalls.Add(uint64(st.DistanceCalls))
-	ms.earlyAbandons.Add(uint64(st.EarlyAbandons))
-	ms.screenRejects.Add(uint64(st.ScreenRejects))
-	ms.lowerBoundCalls.Add(uint64(st.LowerBoundCalls))
-	ms.nodesVisited.Add(uint64(st.NodesVisited))
-	ms.nodesPruned.Add(uint64(st.NodesPruned))
-	ms.prefilterCandidates.Add(uint64(st.PrefilterCandidates))
-	ms.prefilterSkipped.Add(uint64(st.PrefilterSkipped))
+// add folds one query's (or one batch's) work counters into the set.
+func (ms *metricSet) add(st backend.Stats) {
+	ms.mu.Lock()
+	ms.work.Add(st)
+	ms.mu.Unlock()
+}
+
+// stats returns the set's counters.
+func (ms *metricSet) stats() backend.Stats {
+	ms.mu.Lock()
+	defer ms.mu.Unlock()
+	return ms.work
 }
 
 // capabilities reports which optional interfaces the set's backend
@@ -104,10 +105,10 @@ func (e *Engine) resolveMetric(name string) (*metricSet, error) {
 	if ms, ok := e.byName[name]; ok {
 		return ms, nil
 	}
-	if backend.Known(name) {
+	if metrics.Known(name) {
 		return nil, fmt.Errorf("%w: %q (loaded: %s)", ErrMetricNotLoaded, name, strings.Join(e.Metrics(), ", "))
 	}
-	return nil, fmt.Errorf("%w: %q (registered: %s)", ErrUnknownMetric, name, strings.Join(backend.Names(), ", "))
+	return nil, fmt.Errorf("%w: %q (registered: %s)", ErrUnknownMetric, name, strings.Join(metrics.Names(), ", "))
 }
 
 // Metrics returns the loaded metric names in boot order; the first is

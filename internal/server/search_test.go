@@ -99,13 +99,13 @@ func TestSearchBatchKeepsPerQueryStats(t *testing.T) {
 		sum.Add(a.Stats)
 	}
 	after := e.Stats()
-	if got, want := after.DistanceCalls-before.DistanceCalls, uint64(sum.DistanceCalls); got != want {
+	if got, want := after.DistanceCalls-before.DistanceCalls, sum.DistanceCalls; got != want {
 		t.Fatalf("cumulative distance calls advanced by %d, per-query sum is %d", got, want)
 	}
-	if got, want := after.EarlyAbandons-before.EarlyAbandons, uint64(sum.EarlyAbandons); got != want {
+	if got, want := after.EarlyAbandons-before.EarlyAbandons, sum.EarlyAbandons; got != want {
 		t.Fatalf("cumulative early abandons advanced by %d, per-query sum is %d", got, want)
 	}
-	if got, want := after.ScreenRejects-before.ScreenRejects, uint64(sum.ScreenRejects); got != want {
+	if got, want := after.ScreenRejects-before.ScreenRejects, sum.ScreenRejects; got != want {
 		t.Fatalf("cumulative screen rejects advanced by %d, per-query sum is %d", got, want)
 	}
 	if got, want := after.Queries-before.Queries, uint64(len(qs)); got != want {

@@ -180,6 +180,7 @@ func TestShardedConcurrentReadersAndWriters(t *testing.T) {
 						errs <- fmt.Errorf("reader %d range %d: %v", r, i, err)
 						return
 					}
+					e.Stats() // sums the metric counters other readers are adding to
 				}
 			}
 		}(r)
@@ -236,6 +237,10 @@ func TestShardedConcurrentReadersAndWriters(t *testing.T) {
 	}
 	if st.Snapshots != 1 {
 		t.Fatalf("snapshots counter %d, want 1", st.Snapshots)
+	}
+	// Per reader: 25 k-NN, 5 one-query batches, 4 range searches.
+	if want := uint64(readers * (25 + 5 + 4)); st.Queries != want || st.PerMetric[0].Queries != want {
+		t.Fatalf("queries %d (per metric %d), want %d", st.Queries, st.PerMetric[0].Queries, want)
 	}
 }
 

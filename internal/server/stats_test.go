@@ -2,9 +2,15 @@ package server
 
 import (
 	"context"
+	"encoding/json"
+	"net/http/httptest"
+	"slices"
+	"sort"
 	"testing"
 
+	"trajmatch/internal/sketch"
 	"trajmatch/internal/traj"
+	"trajmatch/internal/trajtree"
 )
 
 // The engine must fold per-query kernel instrumentation into its
@@ -19,16 +25,16 @@ func TestEngineAccumulatesKernelStats(t *testing.T) {
 	q.ID = 900_000
 	st := search(t, e, q, Query{Kind: KindKNN, K: 5}).Stats
 	got := e.Stats()
-	if got.DistanceCalls == 0 || got.DistanceCalls != uint64(st.DistanceCalls) {
+	if got.DistanceCalls == 0 || got.DistanceCalls != st.DistanceCalls {
 		t.Errorf("cumulative distance calls %d, want %d", got.DistanceCalls, st.DistanceCalls)
 	}
-	if got.LowerBoundCalls != uint64(st.LowerBoundCalls) {
+	if got.LowerBoundCalls != st.LowerBoundCalls {
 		t.Errorf("cumulative lower-bound calls %d, want %d", got.LowerBoundCalls, st.LowerBoundCalls)
 	}
-	if got.EarlyAbandons != uint64(st.EarlyAbandons) {
+	if got.EarlyAbandons != st.EarlyAbandons {
 		t.Errorf("cumulative early abandons %d, want %d", got.EarlyAbandons, st.EarlyAbandons)
 	}
-	if got.ScreenRejects != uint64(st.ScreenRejects) || st.ScreenRejects > st.EarlyAbandons {
+	if got.ScreenRejects != st.ScreenRejects || st.ScreenRejects > st.EarlyAbandons {
 		t.Errorf("cumulative screen rejects %d, query's %d of %d abandons", got.ScreenRejects, st.ScreenRejects, st.EarlyAbandons)
 	}
 
@@ -56,15 +62,76 @@ func TestEngineAccumulatesKernelStats(t *testing.T) {
 	if rst.EarlyAbandons == 0 {
 		t.Error("tight-radius range search never abandoned")
 	}
-	if final.EarlyAbandons != after.EarlyAbandons+uint64(rst.EarlyAbandons) {
-		t.Errorf("early abandons %d, want %d", final.EarlyAbandons, after.EarlyAbandons+uint64(rst.EarlyAbandons))
+	if final.EarlyAbandons != after.EarlyAbandons+rst.EarlyAbandons {
+		t.Errorf("early abandons %d, want %d", final.EarlyAbandons, after.EarlyAbandons+rst.EarlyAbandons)
 	}
 	// At that radius the member screen decides most of them before any
 	// kernel starts, and the per-metric row carries the same count.
-	if rst.ScreenRejects == 0 || final.ScreenRejects != after.ScreenRejects+uint64(rst.ScreenRejects) {
+	if rst.ScreenRejects == 0 || final.ScreenRejects != after.ScreenRejects+rst.ScreenRejects {
 		t.Errorf("screen rejects %d after a range search with %d, before %d", final.ScreenRejects, rst.ScreenRejects, after.ScreenRejects)
 	}
 	if pm := final.PerMetric[0]; pm.ScreenRejects != final.ScreenRejects {
 		t.Errorf("per-metric screen rejects %d, engine total %d", pm.ScreenRejects, final.ScreenRejects)
 	}
+}
+
+// TestStatsJSONKeys pins the JSON key sets of GET /v1/stats (top level
+// and per_metric row) and of a with_stats answer's stats object: clients
+// read every work counter under its snake_case name in all three. A
+// small prefilter floor makes the query skip members, so the omitempty
+// prefilter pair is present everywhere.
+func TestStatsJSONKeys(t *testing.T) {
+	counters := []string{"distance_calls", "early_abandons", "lower_bound_calls", "nodes_pruned",
+		"nodes_visited", "prefilter_candidates", "prefilter_skipped", "screen_rejects"}
+	wantStats := []string{"cache_hits", "cache_len", "deletes", "height", "inserts", "metrics",
+		"per_metric", "per_shard", "prefilter", "queries", "rebuilds", "shards", "size",
+		"snapshots", "stream", "workers"}
+	wantMetric := []string{"cache_hits", "capabilities", "metric", "queries"}
+
+	db := testDB(60, 7)
+	e, err := NewMultiEngineFromDB(db, multiSpecs(db, trajtree.Options{Seed: 1, LeafSize: 5}),
+		Options{CacheSize: -1, Shards: 2, Prefilter: true, Sketch: sketch.Params{MinCands: 5}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(NewAPIHandler(e, HandlerOptions{}))
+	defer srv.Close()
+
+	keys := func(raw json.RawMessage) []string {
+		var m map[string]json.RawMessage
+		if err := json.Unmarshal(raw, &m); err != nil {
+			t.Fatal(err)
+		}
+		out := make([]string, 0, len(m))
+		for k := range m {
+			out = append(out, k)
+		}
+		sort.Strings(out)
+		return out
+	}
+	check := func(what string, raw json.RawMessage, want ...[]string) {
+		t.Helper()
+		all := slices.Sorted(slices.Values(slices.Concat(want...)))
+		if got := keys(raw); !slices.Equal(got, all) {
+			t.Errorf("%s keys %q, want %q", what, got, all)
+		}
+	}
+
+	wq := wire(db[9])
+	var ans struct {
+		Stats json.RawMessage `json:"stats"`
+	}
+	postJSON(t, srv, "/v1/search", SearchRequest{Query: Query{Kind: KindKNN, K: 3, Prefilter: true, WithStats: true}, QueryTraj: &wq}, &ans)
+	check("with_stats answer", ans.Stats, counters)
+
+	var st struct {
+		PerMetric []json.RawMessage `json:"per_metric"`
+	}
+	var raw json.RawMessage
+	postGet(t, srv, "/v1/stats", &raw)
+	if err := json.Unmarshal(raw, &st); err != nil {
+		t.Fatal(err)
+	}
+	check("/v1/stats", raw, wantStats, counters)
+	check("/v1/stats per_metric[0]", st.PerMetric[0], wantMetric, counters)
 }

@@ -61,25 +61,22 @@ func (e *Engine) initStream() {
 	e.events = stream.NewEventLog(e.opt.EventBuffer)
 }
 
-// validateDelta checks an append delta the way traj.Validate checks a
-// whole trajectory, minus the two-point minimum (a delta may be a
-// single point; the two-point floor applies to searchability and
-// sealing, not ingestion). lastT is the track's current final
-// timestamp, NaN for a new track.
+// validateDelta checks an append delta point by point with
+// traj.ValidatePoint, the check traj.Validate applies to a whole
+// trajectory, minus the two-point minimum (a delta may be a single
+// point; the two-point floor applies to searchability and sealing, not
+// ingestion). lastT is the track's current final timestamp, NaN for a
+// new track.
 func validateDelta(pts []traj.Point, lastT float64) error {
 	if len(pts) == 0 {
 		return fmt.Errorf("%w: empty append", ErrInvalidQuery)
 	}
-	prev := lastT
+	prevT := lastT
 	for i, p := range pts {
-		if math.IsNaN(p.X) || math.IsInf(p.X, 0) || math.IsNaN(p.Y) || math.IsInf(p.Y, 0) ||
-			math.IsNaN(p.T) || math.IsInf(p.T, 0) {
-			return fmt.Errorf("%w: non-finite coordinate at point %d", ErrInvalidQuery, i)
+		if err := traj.ValidatePoint(p, prevT); err != nil {
+			return fmt.Errorf("%w: %v at point %d", ErrInvalidQuery, err, i)
 		}
-		if !math.IsNaN(prev) && p.T < prev {
-			return fmt.Errorf("%w: timestamps not sorted at point %d", ErrInvalidQuery, i)
-		}
-		prev = p.T
+		prevT = p.T
 	}
 	return nil
 }

@@ -279,7 +279,7 @@ func (t *Trajectory) At(ts float64) geom.Point {
 	return xy
 }
 
-// Validation errors returned by Validate.
+// Validation errors returned by Validate and ValidatePoint.
 var (
 	ErrTooFewPoints  = errors.New("traj: trajectory needs at least 2 points")
 	ErrTimeNotSorted = errors.New("traj: timestamps not non-decreasing")
@@ -299,22 +299,34 @@ var (
 const MaxCoord = 1e15
 
 // Validate checks the structural invariants every indexed trajectory must
-// satisfy: at least two points, finite coordinates no larger in magnitude
-// than MaxCoord and non-decreasing timestamps.
+// satisfy: at least two points, each of which passes ValidatePoint.
 func (t *Trajectory) Validate() error {
 	if len(t.Points) < 2 {
 		return fmt.Errorf("%w (got %d)", ErrTooFewPoints, len(t.Points))
 	}
+	prevT := math.NaN()
 	for i, p := range t.Points {
-		if !finite(p.X) || !finite(p.Y) || !finite(p.T) {
-			return fmt.Errorf("%w at index %d", ErrNonFinite, i)
+		if err := ValidatePoint(p, prevT); err != nil {
+			return fmt.Errorf("%w at index %d", err, i)
 		}
-		if math.Abs(p.X) > MaxCoord || math.Abs(p.Y) > MaxCoord {
-			return fmt.Errorf("%w at index %d", ErrOutOfRange, i)
-		}
-		if i > 0 && p.T < t.Points[i-1].T {
-			return fmt.Errorf("%w at index %d", ErrTimeNotSorted, i)
-		}
+		prevT = p.T
+	}
+	return nil
+}
+
+// ValidatePoint checks one point of a trajectory whose preceding point
+// has timestamp prevT (NaN for the first point): finite coordinates and
+// timestamp, coordinates no larger in magnitude than MaxCoord, and a
+// timestamp no earlier than prevT. Validate applies it to every point,
+// and live ingest to every appended one.
+func ValidatePoint(p Point, prevT float64) error {
+	switch {
+	case !finite(p.X) || !finite(p.Y) || !finite(p.T):
+		return ErrNonFinite
+	case math.Abs(p.X) > MaxCoord || math.Abs(p.Y) > MaxCoord:
+		return ErrOutOfRange
+	case p.T < prevT: // false for a NaN prevT
+		return ErrTimeNotSorted
 	}
 	return nil
 }

@@ -158,6 +158,30 @@ func TestValidateNonFiniteBeforeRange(t *testing.T) {
 	}
 }
 
+// TestValidatePoint: the per-point check Validate and live ingest share.
+// A NaN prevT (no preceding point) admits any finite timestamp; an equal
+// timestamp is in order, an earlier one is not.
+func TestValidatePoint(t *testing.T) {
+	for _, tc := range []struct {
+		p     Point
+		prevT float64
+		want  error
+	}{
+		{P(1, 2, -5), math.NaN(), nil},
+		{P(1, 2, 3), 3, nil},
+		{P(MaxCoord, -MaxCoord, 4), 3, nil},
+		{P(1, 2, 2), 3, ErrTimeNotSorted},
+		{P(1e300, 1e300, 4), 3, ErrOutOfRange},
+		{P(-1e300, 0, 4), math.NaN(), ErrOutOfRange},
+		{P(math.NaN(), 0, 4), 3, ErrNonFinite},
+		{P(0, 0, math.Inf(1)), 3, ErrNonFinite},
+	} {
+		if err := ValidatePoint(tc.p, tc.prevT); err != tc.want {
+			t.Errorf("ValidatePoint(%v, %v) = %v, want %v", tc.p, tc.prevT, err, tc.want)
+		}
+	}
+}
+
 func TestSplitTripsGap(t *testing.T) {
 	pts := []Point{
 		P(0, 0, 0), P(1, 0, 60), P(2, 0, 120),

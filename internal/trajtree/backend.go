@@ -6,11 +6,9 @@ import (
 	"trajmatch/internal/traj"
 )
 
-// MetricName is the registered backend identifier of the EDwP TrajTree:
-// the default metric of the serving stack.
+// MetricName is the backend identifier of the EDwP TrajTree: the default
+// metric of the serving stack.
 const MetricName = "edwp"
-
-func init() { backend.Register(MetricName) }
 
 // The Tree is the reference backend.Backend implementation and the only
 // fully capable one: searchable (whole-trajectory and sub-trajectory),

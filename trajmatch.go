@@ -190,7 +190,7 @@ type Engine = server.Engine
 // Limit, a MaxEvals budget, WithStats.
 type Query = server.Query
 
-// Registered metric backend names, the values of Query.Metric and of
+// The metric backend names, the values of Query.Metric and of
 // NewMultiEngine's metric list. EDwP is the default metric of every
 // standard boot; DTW and EDR are the flat comparison indexes lifted to
 // the same engine (searchable but static: no mutation, no persistence).
@@ -202,13 +202,13 @@ const (
 
 // RegisteredMetrics returns the sorted metric names known to this build;
 // Query.Metric values outside it fail with ErrUnknownMetric.
-func RegisteredMetrics() []string { return backend.Names() }
+func RegisteredMetrics() []string { return metrics.Names() }
 
-// ErrUnknownMetric reports a Query.Metric no backend has registered.
+// ErrUnknownMetric reports a Query.Metric outside RegisteredMetrics.
 var ErrUnknownMetric = server.ErrUnknownMetric
 
-// ErrMetricNotLoaded reports a registered Query.Metric the engine was
-// not booted with.
+// ErrMetricNotLoaded reports a known Query.Metric the engine was not
+// booted with.
 var ErrMetricNotLoaded = server.ErrMetricNotLoaded
 
 // ErrNotSupported reports an operation the loaded backend lacks the
