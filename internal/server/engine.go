@@ -24,13 +24,14 @@
 //
 // Trajectories hash to one of N shards per metric (router.go; placement
 // is shared across metrics), each behind its own RWMutex (shard.go), so
-// Insert/Delete/Rebuild serialise per shard instead of stalling the
-// whole index, and bulk builds construct shards in parallel. A k-NN
-// query fans out across its metric's shards sharing one atomically
-// tightening k-th-best bound (backend.SharedBound): the moment any
-// shard's local answer set fills, every other shard's dynamic programs
-// abandon against that bound, and the per-shard answer lists merge by
-// (distance, ID) — deterministic membership under exact boundary ties.
+// an Insert/Delete/Rebuild stalls only the queries on its own shard
+// instead of the whole index, and bulk builds construct shards in
+// parallel. A k-NN query fans out across its metric's shards sharing
+// one atomically tightening k-th-best bound (backend.SharedBound): the
+// moment any shard's local answer set fills, every other shard's
+// dynamic programs abandon against that bound, and the per-shard answer
+// lists merge by (distance, ID) — deterministic membership under exact
+// boundary ties.
 // Operations not every backend supports are capability-gated: mutation
 // and persistence require the corresponding interfaces and otherwise
 // degrade to ErrNotSupported (HTTP 501), and snapshot manifests record
@@ -73,9 +74,9 @@ type Options struct {
 	Workers int
 	// Shards is the number of hash-partitioned index shards per metric.
 	// 0 or 1 means a single shard (the pre-sharding engine); more shards
-	// mean finer-grained update locking and parallel builds at the cost
-	// of a per-query fan-out. Ignored when Partition is set (the local
-	// shard count is then len(Partition.Owned)).
+	// mean an update blocks fewer queries and builds run in parallel, at
+	// the cost of a per-query fan-out. Ignored when Partition is set
+	// (the local shard count is then len(Partition.Owned)).
 	Shards int
 	// Partition, when non-nil, makes this a cluster shard-node engine:
 	// trajectories hash into Partition.Total global shards, the engine
@@ -171,9 +172,10 @@ func (g *engineGen) bump()        { g.v.Add(1) }
 
 // Engine is a concurrency-safe sharded facade over one or more metric
 // backends. All methods may be called from any goroutine: queries take
-// the read lock of each shard they visit, updates take only the owning
-// shards' write locks, and the result cache carries its own mutex so a
-// cache hit never touches a shard.
+// the read lock of each shard they visit, updates serialise on one
+// mutation lock and block queries only on the owning shards' write
+// locks, and the result cache carries its own mutex so a cache hit never
+// touches a shard.
 //
 // With more than one shard, a query fanning out is *per-shard* atomic
 // but not globally atomic: an Insert that completes between two shard
@@ -192,16 +194,16 @@ type Engine struct {
 
 	// Durability (wal.go): fs routes every WAL and snapshot file
 	// operation, wal is the write-ahead log (nil without Options.WALDir)
-	// and mutMu serialises {WAL append, in-memory apply} so log order is
-	// apply order. The fsync wait happens outside mutMu (group commit).
+	// and mutMu serialises every mutation's {check, log, apply} (mutate).
+	// The fsync wait happens outside mutMu (group commit).
 	fs    faultfs.FS
 	wal   *wal.Log
 	mutMu sync.Mutex
 
-	// Live ingest (stream.go): buffer holds the growing unsealed
-	// tracks, watches the standing queries, events the match feed.
-	// Built by initStream before WAL replay; never nil after
-	// construction. The sealer goroutine (when Options.SealAfter > 0)
+	// Live ingest (stream.go): buffer holds the growing unsealed tracks
+	// (written only under mutMu), watches the standing queries, events
+	// the match feed. Built by initStream before WAL replay; never nil
+	// after construction. The sealer goroutine (when Options.SealAfter > 0)
 	// folds idle tracks into the sealed shards.
 	buffer   *stream.Buffer
 	watches  *stream.Registry
@@ -272,7 +274,7 @@ func NewEngine(tree *trajtree.Tree, opt Options) *Engine {
 	opt.Shards = place.numLocal()
 	var e *Engine
 	if opt.Shards > 1 || place.partitioned() {
-		sets, err := buildMetricSets(tree.All(), []backend.Spec{trajtree.BackendSpec(tree.Options())}, place, opt)
+		sets, err := buildMetricSets(tree.All(), []backend.Spec{trajtree.BackendSpec(tree.Options())}, place, opt, nil)
 		if err != nil {
 			// Members of a valid tree are already validated and
 			// duplicate-free, so the build cannot fail on them. If it
@@ -323,7 +325,7 @@ func NewMultiEngineFromDB(db []*traj.Trajectory, specs []backend.Spec, opt Optio
 		return nil, err
 	}
 	opt.Shards = place.numLocal()
-	sets, err := buildMetricSets(db, specs, place, opt)
+	sets, err := buildMetricSets(db, specs, place, opt, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -652,86 +654,98 @@ func mergeResults(per [][]backend.Result, k int) []backend.Result {
 	return all
 }
 
+// mutate is the one step every mutation — Insert, Delete, Append, Seal —
+// takes, with or without a WAL (wal.go has the durability story). Under
+// mutMu: check the op's preconditions against current state, getting
+// the op's record; append it when a log is attached; apply the op in
+// memory (the half WAL replay shares). Then, unlocked, wait for the
+// record to be durable and count the op in acked.
+func (e *Engine) mutate(acked *atomic.Uint64, check func() (wal.Record, error), apply func() error) error {
+	e.mutMu.Lock()
+	rec, err := check()
+	var lsn uint64
+	if err == nil && e.wal != nil {
+		if lsn, err = e.wal.Append(rec); err != nil {
+			err = fmt.Errorf("server: %w", err)
+		}
+	}
+	if err == nil {
+		err = apply()
+	}
+	e.mutMu.Unlock()
+	if err != nil {
+		return err
+	}
+	if e.wal != nil {
+		if err := e.wal.Commit(lsn); err != nil {
+			// Applied in memory but not durable: the mutation is NOT
+			// acknowledged. The log's sticky sync error has already fenced
+			// off further mutations.
+			return fmt.Errorf("server: %w", err)
+		}
+	}
+	acked.Add(1)
+	return nil
+}
+
 // Insert adds a trajectory to every loaded metric's index, blocking
 // queries only on the owning shards for the duration of the update. It
 // requires every loaded backend to be mutable (capability
 // backend.Mutable) — a partial update would let the metrics' views of
 // the corpus diverge — and returns ErrNotSupported naming the first
-// incapable metric otherwise.
+// incapable metric otherwise. An ID already indexed answers
+// ErrSealedID, one held by a live track ErrLiveID.
 //
 // Metric sets update in boot order with no cross-metric transaction: if
 // a later set rejects the trajectory (today only possible for invalid
-// input, which every tree-backed set rejects identically before any
-// state changes), earlier sets keep it and the error reports the
-// divergence. A second mutable backend whose Insert can fail on valid
-// input would need a rollback here.
-// With a write-ahead log attached (Options.WALDir), the trajectory is
-// validated and logged before any index changes, and Insert returns
-// only after the record is durable per the configured sync policy — an
+// input, which is refused before any state changes), earlier sets keep
+// it and the error reports the divergence. A second mutable backend
+// whose Insert can fail on valid input would need a rollback here.
+// With a write-ahead log attached (Options.WALDir), Insert returns only
+// after the record is durable per the configured sync policy — an
 // acknowledged insert survives a crash.
 func (e *Engine) Insert(tr *traj.Trajectory) error {
+	if tr == nil {
+		return fmt.Errorf("%w: nil trajectory", ErrInvalidQuery)
+	}
 	if err := e.requireMutable(); err != nil {
 		return err
 	}
-	if e.wal == nil {
-		if tr != nil && e.buffer != nil && e.buffer.Has(tr.ID) {
-			return fmt.Errorf("server: trajectory ID %d is a live track (seal or delete it first)", tr.ID)
-		}
-		if err := e.applyInsert(tr); err != nil {
-			return err
-		}
-		e.inserts.Add(1)
-		return nil
-	}
-	// The WAL must only ever hold mutations that will apply cleanly:
-	// replay has no "reject" path short of failing the whole boot. So
-	// every apply-side precondition — validity, uniqueness — is checked
-	// before the append, under mutMu so no competing insert can sneak
-	// the same ID in between check and apply.
 	if err := tr.Validate(); err != nil {
 		return fmt.Errorf("server: %w", err)
 	}
-	if e.place.localShard(tr.ID) < 0 {
-		// Replay has no reject path, so a mutation the apply side would
-		// refuse must never reach the log.
-		return fmt.Errorf("server: trajectory ID %d hashes to global shard %d: %w",
-			tr.ID, shardIndex(tr.ID, e.place.total), ErrNotOwned)
+	if _, err := e.ownedShard(tr.ID); err != nil {
+		return err
 	}
-	e.mutMu.Lock()
-	if e.Lookup(tr.ID) != nil || (e.buffer != nil && e.buffer.Has(tr.ID)) {
-		e.mutMu.Unlock()
-		return fmt.Errorf("server: duplicate trajectory ID %d", tr.ID)
+	return e.mutate(&e.inserts, func() (wal.Record, error) {
+		if e.Lookup(tr.ID) != nil {
+			return wal.Record{}, fmt.Errorf("server: duplicate trajectory ID %d: %w", tr.ID, ErrSealedID)
+		}
+		if e.buffer.Has(tr.ID) {
+			return wal.Record{}, fmt.Errorf("server: trajectory ID %d: %w (seal or delete it first)", tr.ID, ErrLiveID)
+		}
+		return wal.Insert(tr), nil
+	}, func() error { return e.applyInsert(tr) })
+}
+
+// ownedShard returns the local shard of id, or ErrNotOwned when its
+// global shard lives on another node.
+func (e *Engine) ownedShard(id int) (int, error) {
+	local := e.place.localShard(id)
+	if local < 0 {
+		return -1, fmt.Errorf("server: trajectory ID %d hashes to global shard %d: %w",
+			id, shardIndex(id, e.place.total), ErrNotOwned)
 	}
-	lsn, err := e.wal.Append(wal.Insert(tr))
-	if err != nil {
-		e.mutMu.Unlock()
-		return fmt.Errorf("server: %w", err)
-	}
-	aerr := e.applyInsert(tr)
-	e.mutMu.Unlock()
-	if aerr != nil {
-		return aerr
-	}
-	if err := e.wal.Commit(lsn); err != nil {
-		// Applied in memory but not durable: the mutation is NOT
-		// acknowledged. The log's sticky sync error has already fenced
-		// off further mutations.
-		return fmt.Errorf("server: %w", err)
-	}
-	e.inserts.Add(1)
-	return nil
+	return local, nil
 }
 
 // applyInsert adds tr to every metric's owning shard and the sketch —
 // the in-memory half of an insert, shared by the live path and WAL
 // replay (which must not touch the log or the public counters).
 func (e *Engine) applyInsert(tr *traj.Trajectory) error {
-	local := 0
-	if tr != nil {
-		if local = e.place.localShard(tr.ID); local < 0 {
-			return fmt.Errorf("server: trajectory ID %d hashes to global shard %d: %w",
-				tr.ID, shardIndex(tr.ID, e.place.total), ErrNotOwned)
-		}
+	local, err := e.ownedShard(tr.ID)
+	if err != nil {
+		return err
 	}
 	for _, ms := range e.sets {
 		if err := ms.shards[local].insert(tr, &e.gen); err != nil {
@@ -749,77 +763,45 @@ func (e *Engine) applyInsert(tr *traj.Trajectory) error {
 	return nil
 }
 
+// errAbsent is Delete's precondition failure: no sealed member and no
+// live track carries the ID.
+var errAbsent = errors.New("no such id")
+
 // Delete removes the trajectory with the given ID from every loaded
-// metric's index, reporting whether it was present. Like Insert it
-// requires every loaded backend to be mutable.
-// With a write-ahead log attached, the delete is logged before the
-// indexes change and reported true only once durable per the sync
-// policy; an absent ID is answered false without logging anything.
+// metric's index, or the live track with that ID from the buffer,
+// reporting whether it was present. Like Insert it requires every
+// loaded backend to be mutable. With a write-ahead log attached, the
+// delete is reported true only once durable per the sync policy; an
+// absent ID is answered false without logging anything.
 func (e *Engine) Delete(id int) bool {
 	if e.requireMutable() != nil {
 		return false
 	}
-	if e.wal == nil {
-		if !e.applyDelete(id) {
-			return false
+	return e.mutate(&e.deletes, func() (wal.Record, error) {
+		if e.Lookup(id) == nil && !e.buffer.Has(id) {
+			return wal.Record{}, errAbsent
 		}
-		e.deletes.Add(1)
-		return true
-	}
-	e.mutMu.Lock()
-	if e.Lookup(id) == nil && (e.buffer == nil || !e.buffer.Has(id)) {
-		e.mutMu.Unlock()
-		return false
-	}
-	lsn, err := e.wal.Append(wal.Delete(id))
-	if err != nil {
-		e.mutMu.Unlock()
-		return false
-	}
-	present := e.applyDelete(id)
-	e.mutMu.Unlock()
-	if err := e.wal.Commit(lsn); err != nil {
-		// Deleted in memory but the record may not survive a crash; the
-		// signature leaves no way to say more than "not acknowledged".
-		return false
-	}
-	if !present {
-		return false
-	}
-	e.deletes.Add(1)
-	return true
+		return wal.Delete(id), nil
+	}, func() error {
+		e.applyDelete(id)
+		return nil
+	}) == nil
 }
 
 // applyDelete removes id from every metric's owning shard and the
-// sketch, reporting presence — the in-memory half of a delete, shared
-// by the live path and WAL replay. A live (unsealed) track with the ID
-// is dropped from the buffer instead, along with any top-k watch
-// answer entries it earned.
-func (e *Engine) applyDelete(id int) bool {
+// sketch, or drops the live (unsealed) track with the ID from the buffer
+// along with any top-k watch answer entries it earned — the in-memory
+// half of a delete, shared by the live path and WAL replay. An absent
+// ID is a no-op.
+func (e *Engine) applyDelete(id int) {
 	local := e.place.localShard(id)
 	if local < 0 {
-		return false // a foreign ID is never present here
+		return // a foreign ID is never present here
 	}
-	present := false
 	for _, ms := range e.sets {
-		ok, err := ms.shards[local].delete(id, &e.gen)
-		if err != nil {
-			return false
-		}
-		present = present || ok
-	}
-	if e.buffer != nil {
-		if _, ok := e.buffer.Remove(id); ok {
-			present = true
-			for _, w := range e.watches.After(0) {
-				if w.K > 0 {
-					w.Drop(id)
-				}
-			}
-		}
-	}
-	if !present {
-		return false
+		// An absent ID is a no-op; only an immutable backend errors, and
+		// requireMutable has excluded those.
+		_, _ = ms.shards[local].delete(id, &e.gen)
 	}
 	if e.sketches != nil {
 		// After this the deleted ID can never be a candidate again;
@@ -827,7 +809,13 @@ func (e *Engine) applyDelete(id int) bool {
 		// candidate is skipped by presence verification.
 		e.sketches[local].Delete(id)
 	}
-	return true
+	if _, ok := e.buffer.Remove(id); ok {
+		for _, w := range e.watches.After(0) {
+			if w.K > 0 {
+				w.Drop(id)
+			}
+		}
+	}
 }
 
 // CanMutate reports whether the engine accepts Insert/Delete/Rebuild:

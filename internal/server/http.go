@@ -167,6 +167,7 @@ const (
 	CodeDeadlineExceeded   = "deadline_exceeded"
 	CodeCanceled           = "canceled"
 	CodeNotFound           = "not_found"
+	CodeConflict           = "conflict"
 	CodeMethodNotAllowed   = "method_not_allowed"
 	CodePreconditionFailed = "precondition_failed"
 	CodeNotOwned           = "not_owned"
@@ -294,8 +295,9 @@ type api struct {
 }
 
 // WriteSearchError maps an engine or router call's error onto the
-// envelope. An error carrying its own Status and Code — a cluster node's
-// refusal, forwarded verbatim — is written as is.
+// envelope — searches, and the streaming calls (append, seal, watch).
+// An error carrying its own Status and Code — a cluster node's refusal,
+// forwarded verbatim — is written as is.
 func WriteSearchError(w http.ResponseWriter, err error) {
 	var se interface {
 		error
@@ -313,6 +315,10 @@ func WriteSearchError(w http.ResponseWriter, err error) {
 		WriteError(w, http.StatusNotImplemented, CodeNotImplemented, err.Error())
 	case errors.Is(err, ErrInvalidQuery):
 		WriteError(w, http.StatusBadRequest, CodeInvalidQuery, err.Error())
+	case errors.Is(err, ErrSealedID):
+		WriteError(w, http.StatusConflict, CodeConflict, err.Error())
+	case errors.Is(err, ErrNoTrack):
+		WriteError(w, http.StatusNotFound, CodeNotFound, err.Error())
 	case errors.Is(err, context.DeadlineExceeded):
 		WriteError(w, http.StatusGatewayTimeout, CodeDeadlineExceeded, "query deadline exceeded")
 	case errors.Is(err, context.Canceled):

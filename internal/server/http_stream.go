@@ -2,7 +2,6 @@ package server
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -98,9 +97,6 @@ type EventsResponse struct {
 	Gap       bool           `json:"gap,omitempty"`
 }
 
-// CodeConflict is the error code of an append onto a sealed ID.
-const CodeConflict = "conflict"
-
 func (h *api) append(w http.ResponseWriter, r *http.Request) {
 	var req AppendRequest
 	if !Decode(w, r, &req) {
@@ -113,14 +109,7 @@ func (h *api) append(w http.ResponseWriter, r *http.Request) {
 	t0 := time.Now()
 	off, err := h.e.Append(req.ID, req.Label, pts)
 	if err != nil {
-		switch {
-		case errors.Is(err, ErrSealedID):
-			WriteError(w, http.StatusConflict, CodeConflict, err.Error())
-		case errors.Is(err, ErrInvalidQuery):
-			WriteError(w, http.StatusBadRequest, CodeInvalidQuery, err.Error())
-		default:
-			WriteError(w, http.StatusInternalServerError, CodeInternal, err.Error())
-		}
+		WriteSearchError(w, err)
 		return
 	}
 	WriteJSON(w, http.StatusOK, AppendResponse{
@@ -138,16 +127,7 @@ func (h *api) seal(w http.ResponseWriter, r *http.Request) {
 	}
 	t0 := time.Now()
 	if err := h.e.Seal(req.ID); err != nil {
-		switch {
-		case errors.Is(err, ErrNoTrack):
-			WriteError(w, http.StatusNotFound, CodeNotFound, err.Error())
-		case errors.Is(err, ErrInvalidQuery):
-			WriteError(w, http.StatusBadRequest, CodeInvalidQuery, err.Error())
-		case errors.Is(err, ErrNotSupported):
-			WriteError(w, http.StatusNotImplemented, CodeNotImplemented, err.Error())
-		default:
-			WriteError(w, http.StatusInternalServerError, CodeInternal, err.Error())
-		}
+		WriteSearchError(w, err)
 		return
 	}
 	WriteJSON(w, http.StatusOK, SealResponse{ID: req.ID, Size: h.e.Size(), TookMS: msSince(t0)})

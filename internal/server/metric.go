@@ -127,8 +127,10 @@ func (e *Engine) Metrics() []string {
 // and Delete route identically whatever the metric; a partitioned
 // placement silently drops foreign trajectories, leaving each local
 // shard holding exactly what the matching global shard of a full engine
-// would hold.
-func buildMetricSets(db []*traj.Trajectory, specs []backend.Spec, place placement, opt Options) ([]*metricSet, error) {
+// would hold. A spec named in loaded (a snapshot's persisted shards,
+// already holding db under the same placement) adopts those shards
+// instead of building.
+func buildMetricSets(db []*traj.Trajectory, specs []backend.Spec, place placement, opt Options, loaded map[string][]*shard) ([]*metricSet, error) {
 	if len(specs) == 0 {
 		return nil, fmt.Errorf("server: no metric backends specified")
 	}
@@ -136,16 +138,19 @@ func buildMetricSets(db []*traj.Trajectory, specs []backend.Spec, place placemen
 	sets := make([]*metricSet, 0, len(specs))
 	seen := map[string]bool{}
 	for _, spec := range specs {
-		if spec.Name == "" || spec.Build == nil {
-			return nil, fmt.Errorf("server: invalid backend spec %+v", spec)
-		}
 		if seen[spec.Name] {
 			return nil, fmt.Errorf("server: duplicate metric %q", spec.Name)
 		}
 		seen[spec.Name] = true
-		shards, err := buildSpecShards(groups, spec, opt)
-		if err != nil {
-			return nil, err
+		shards, ok := loaded[spec.Name]
+		if !ok {
+			if spec.Name == "" || spec.Build == nil {
+				return nil, fmt.Errorf("server: invalid backend spec %+v", spec)
+			}
+			var err error
+			if shards, err = buildSpecShards(groups, spec, opt); err != nil {
+				return nil, err
+			}
 		}
 		sets = append(sets, &metricSet{name: spec.Name, shards: shards})
 	}

@@ -520,40 +520,34 @@ func LoadSnapshotSpecs(dir string, makeSpecs func(db []*traj.Trajectory) ([]back
 	// The loaded members are the corpus the non-persisted state (extra
 	// metrics, the prefilter) rebuilds from. The loaded placement already
 	// is the hash placement, so each extra backend builds over exactly
-	// its shard's slice of it.
-	groups := make([][]*traj.Trajectory, len(treeShards))
+	// its shard's slice of it, in the shard's member order.
 	var all []*traj.Trajectory
-	for i, s := range treeShards {
-		groups[i] = s.all()
-		all = append(all, groups[i]...)
+	for _, s := range treeShards {
+		all = append(all, s.all()...)
 	}
 	specs := []backend.Spec{{Name: trajtree.MetricName}}
 	if makeSpecs != nil {
 		if specs, err = makeSpecs(all); err != nil {
 			return nil, fmt.Errorf("server: load snapshot: %w", err)
 		}
-		if len(specs) == 0 {
-			return nil, fmt.Errorf("server: load snapshot: no metric backends specified")
-		}
 	}
-	sets := make([]*metricSet, 0, len(specs))
-	seen := map[string]bool{}
-	for _, spec := range specs {
-		if seen[spec.Name] {
-			return nil, fmt.Errorf("server: load snapshot: duplicate metric %q", spec.Name)
-		}
-		seen[spec.Name] = true
-		shards := treeShards
-		if spec.Name != trajtree.MetricName {
-			if shards, err = buildSpecShards(groups, spec, opt); err != nil {
-				return nil, fmt.Errorf("server: load snapshot: %w", err)
-			}
-		}
-		sets = append(sets, &metricSet{name: spec.Name, shards: shards})
+	sets, err := buildMetricSets(all, specs, place, opt, map[string][]*shard{trajtree.MetricName: treeShards})
+	if err != nil {
+		return nil, err
 	}
 	e := newEngine(sets, place, opt)
 	if man.Sketch != nil || opt.Prefilter {
-		if err := e.restorePrefilter(man, opt, all); err != nil {
+		// Recorded parameters win over the loading Options (the same rule
+		// as the shard count): they are the already-resolved whole-corpus
+		// values the snapshot was serving with, so nothing is re-derived
+		// and the rebuilt sketch indexes are bit-identical to the saved
+		// engine's. Without them the prefilter resolves fresh over the
+		// loaded corpus, exactly as a cold boot would.
+		p := opt.Sketch
+		if man.Sketch != nil {
+			p = *man.Sketch
+		}
+		if err := e.enablePrefilter(all, p); err != nil {
 			return nil, fmt.Errorf("server: load snapshot: %w", err)
 		}
 	}
@@ -673,29 +667,4 @@ func SnapshotFiles(shards []int) []string {
 func IsSnapshotFileName(name string) bool {
 	_, ok := parseArenaFileName(name)
 	return ok || name == manifestName
-}
-
-// restorePrefilter reattaches the candidate prefilter after a snapshot
-// load. Manifest-recorded parameters win over the loading Options (the
-// same rule as the shard count): they are the already-resolved
-// whole-corpus values the snapshot was serving with, so the rebuilt
-// sketch indexes are bit-identical to the saved engine's. A snapshot
-// with no recorded parameters but opt.Prefilter set enables the
-// prefilter fresh, resolving parameters over the loaded corpus exactly
-// as a cold boot would.
-func (e *Engine) restorePrefilter(man snapshotManifest, opt Options, db []*traj.Trajectory) error {
-	if man.Sketch == nil {
-		return e.enablePrefilter(db, opt.Sketch)
-	}
-	p := man.Sketch.WithDefaults()
-	if err := p.Validate(); err != nil {
-		return fmt.Errorf("manifest sketch parameters: %w", err)
-	}
-	sketches, err := buildSketches(db, e.place, p)
-	if err != nil {
-		return err
-	}
-	e.sketches = sketches
-	e.sketchParams = p
-	return nil
 }

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 	"time"
 
 	"trajmatch/internal/backend"
@@ -20,10 +19,11 @@ import (
 // stage of every search.
 //
 // The streaming lifecycle in one paragraph: POST /v1/append extends a
-// live track in the per-shard mutable buffer — WAL-logged first, so an
-// acked point survives a crash — and the track is immediately
-// searchable: every search, after merging its sealed-shard answers,
-// evaluates the live tracks with the same bounded kernel and merges by
+// live track in the mutable buffer through the engine's one mutation
+// step (mutate) — WAL-logged first when a log is attached, so an acked
+// point survives a crash — and the track is immediately searchable:
+// every search, after merging its sealed-shard answers, runs the flat
+// scan over the live tracks with the same bounded kernel and merges by
 // (distance, ID). Each append also advances the track's incremental
 // fingerprint (sketch.Stream) and feeds the continuous-query matcher:
 // watches whose pattern shares no grid cell with the track are skipped
@@ -34,29 +34,32 @@ import (
 // finished track into every metric's sealed shard via the normal
 // insert machinery and drops it from the buffer.
 
-// Streaming errors the HTTP layer maps onto status codes.
+// Streaming errors. WriteSearchError answers ErrSealedID with 409 and
+// ErrNoTrack with 404.
 var (
-	// ErrSealedID rejects an append onto an ID that already exists as a
-	// sealed (indexed) trajectory.
+	// ErrSealedID rejects an append onto, or an insert of, an ID that
+	// already exists as a sealed (indexed) trajectory.
 	ErrSealedID = errors.New("id already sealed")
+	// ErrLiveID rejects an insert of an ID a live track holds.
+	ErrLiveID = errors.New("id is a live track")
 	// ErrNoTrack rejects a seal of an ID with no live track.
 	ErrNoTrack = errors.New("no live track with this id")
 	// ErrUnknownWatch rejects an unwatch of an unregistered watch ID.
 	ErrUnknownWatch = errors.New("no watch with this id")
 )
 
-// initStream builds the live-ingest state: the track buffer (sharded
-// with the engine's own placement, bumping the engine generation on
-// every mutation so cached answers stay coherent), the watch registry
-// and the event log. Called from attachWAL so it precedes WAL replay —
-// replayed append records land in the buffer.
+// initStream builds the live-ingest state: the track buffer (bumping
+// the engine generation on every mutation so cached answers stay
+// coherent), the watch registry and the event log. Called from
+// attachWAL so it precedes WAL replay — replayed append records land in
+// the buffer.
 func (e *Engine) initStream() {
 	var params *sketch.Params
 	if e.sketches != nil {
 		p := e.sketchParams
 		params = &p
 	}
-	e.buffer = stream.NewBuffer(len(e.sets[0].shards), shardIndex, e.gen.bump, params)
+	e.buffer = stream.NewBuffer(e.gen.bump, params)
 	e.watches = stream.NewRegistry()
 	e.events = stream.NewEventLog(e.opt.EventBuffer)
 }
@@ -83,16 +86,14 @@ func validateDelta(pts []traj.Point, lastT float64) error {
 
 // Append extends live track id by pts, creating the track (with the
 // given label) on first use, and returns the offset the delta landed at
-// — the track's point count before the append. With a WAL attached the
-// delta is logged before it is applied and acknowledged only once
-// durable per the sync policy. The appended points are visible to the
-// very next search (read-your-writes) once the track holds two points,
-// and the continuous-query matcher runs before Append returns, so a
-// watcher's match event is published within the append round-trip.
+// — the track's point count before the append. An ID already sealed
+// answers ErrSealedID. With a WAL attached the delta is logged before
+// it is applied and acknowledged only once durable per the sync policy.
+// The appended points are visible to the very next search
+// (read-your-writes) once the track holds two points, and the
+// continuous-query matcher runs before Append returns, so a watcher's
+// match event is published within the append round-trip.
 func (e *Engine) Append(id, label int, pts []traj.Point) (int, error) {
-	if e.buffer == nil {
-		return 0, fmt.Errorf("server: engine built without streaming state")
-	}
 	// Streaming is single-node for now: a shard node serving a partition
 	// rejects live ingest outright (the router has no append fan-out yet)
 	// rather than accept tracks whose eventual seal could land on a
@@ -100,40 +101,26 @@ func (e *Engine) Append(id, label int, pts []traj.Point) (int, error) {
 	if e.place.partitioned() {
 		return 0, fmt.Errorf("server: streaming ingest on a partitioned shard node: %w", backend.ErrNotSupported)
 	}
-	e.mutMu.Lock()
-	if e.Lookup(id) != nil {
-		e.mutMu.Unlock()
-		return 0, fmt.Errorf("server: trajectory %d: %w", id, ErrSealedID)
-	}
-	lastT := math.NaN()
-	if snap, ok := e.buffer.Get(id); ok {
-		label = snap.Label // the first append's label wins
-		lastT = snap.Points[len(snap.Points)-1].T
-	}
-	if err := validateDelta(pts, lastT); err != nil {
-		e.mutMu.Unlock()
-		return 0, err
-	}
-	offset := e.buffer.Len(id)
-	var lsn uint64
-	if e.wal != nil {
-		var err error
-		lsn, err = e.wal.Append(wal.AppendPoints(id, label, offset, pts))
-		if err != nil {
-			e.mutMu.Unlock()
-			return 0, fmt.Errorf("server: %w", err)
+	var offset int
+	err := e.mutate(&e.appends, func() (wal.Record, error) {
+		if e.Lookup(id) != nil {
+			return wal.Record{}, fmt.Errorf("server: trajectory %d: %w", id, ErrSealedID)
 		}
-	}
-	e.applyAppend(id, label, pts)
-	e.mutMu.Unlock()
-	if e.wal != nil {
-		if err := e.wal.Commit(lsn); err != nil {
-			// Applied in memory but not durable: not acknowledged.
-			return 0, fmt.Errorf("server: %w", err)
+		lastT := math.NaN()
+		if snap, ok := e.buffer.Get(id); ok {
+			label = snap.Label // the first append's label wins
+			lastT = snap.Points[len(snap.Points)-1].T
 		}
-	}
-	e.appends.Add(1)
-	return offset, nil
+		if err := validateDelta(pts, lastT); err != nil {
+			return wal.Record{}, err
+		}
+		offset = e.buffer.Len(id)
+		return wal.AppendPoints(id, label, offset, pts), nil
+	}, func() error {
+		e.applyAppend(id, label, pts)
+		return nil
+	})
+	return offset, err
 }
 
 // applyAppend is the in-memory half of an append, shared by the live
@@ -146,47 +133,22 @@ func (e *Engine) applyAppend(id, label int, pts []traj.Point) {
 
 // Seal folds live track id into every metric's sealed shard — the
 // track must form a valid trajectory (two points minimum) — and drops
-// it from the buffer. Requires mutable backends, like Insert.
+// it from the buffer. An ID with no live track answers ErrNoTrack.
+// Requires mutable backends, like Insert.
 func (e *Engine) Seal(id int) error {
-	if e.buffer == nil {
-		return fmt.Errorf("server: engine built without streaming state")
-	}
 	if err := e.requireMutable(); err != nil {
 		return err
 	}
-	e.mutMu.Lock()
-	snap, ok := e.buffer.Get(id)
-	if !ok {
-		e.mutMu.Unlock()
-		return fmt.Errorf("server: trajectory %d: %w", id, ErrNoTrack)
-	}
-	tr := traj.New(snap.ID, snap.Points)
-	tr.Label = snap.Label
-	if err := tr.Validate(); err != nil {
-		e.mutMu.Unlock()
-		return fmt.Errorf("%w: seal %d: %v", ErrInvalidQuery, id, err)
-	}
-	var lsn uint64
-	if e.wal != nil {
-		var err error
-		lsn, err = e.wal.Append(wal.Seal(id))
-		if err != nil {
-			e.mutMu.Unlock()
-			return fmt.Errorf("server: %w", err)
+	return e.mutate(&e.seals, func() (wal.Record, error) {
+		snap, ok := e.buffer.Get(id)
+		if !ok {
+			return wal.Record{}, fmt.Errorf("server: trajectory %d: %w", id, ErrNoTrack)
 		}
-	}
-	aerr := e.applySeal(id)
-	e.mutMu.Unlock()
-	if aerr != nil {
-		return aerr
-	}
-	if e.wal != nil {
-		if err := e.wal.Commit(lsn); err != nil {
-			return fmt.Errorf("server: %w", err)
+		if err := traj.New(snap.ID, snap.Points).Validate(); err != nil {
+			return wal.Record{}, fmt.Errorf("%w: seal %d: %v", ErrInvalidQuery, id, err)
 		}
-	}
-	e.seals.Add(1)
-	return nil
+		return wal.Seal(id), nil
+	}, func() error { return e.applySeal(id) })
 }
 
 // applySeal is the in-memory half of a seal, shared by the live path
@@ -206,13 +168,8 @@ func (e *Engine) applySeal(id int) error {
 // and that forms a valid trajectory, returning how many sealed. Tracks
 // still below two points are left for more appends (or deletion).
 func (e *Engine) SealIdle(d time.Duration) int {
-	if e.buffer == nil {
-		return 0
-	}
-	ids := e.buffer.IdleBefore(time.Now().Add(-d))
-	sort.Ints(ids)
 	n := 0
-	for _, id := range ids {
+	for _, id := range e.buffer.IdleBefore(time.Now().Add(-d)) {
 		if e.Seal(id) == nil {
 			n++
 		}
@@ -268,9 +225,6 @@ func (e *Engine) stopSealer() {
 // appends after registration; tracks already matching are caught up on
 // their next append.
 func (e *Engine) Watch(pattern *traj.Trajectory, metric string, threshold float64, k int, exact bool) (int, error) {
-	if e.watches == nil {
-		return 0, fmt.Errorf("server: engine built without streaming state")
-	}
 	if e.place.partitioned() {
 		return 0, fmt.Errorf("server: standing queries on a partitioned shard node: %w", backend.ErrNotSupported)
 	}
@@ -309,7 +263,7 @@ func (e *Engine) Watch(pattern *traj.Trajectory, metric string, threshold float6
 
 // Unwatch unregisters a watch, clearing its per-track gating state.
 func (e *Engine) Unwatch(id int) bool {
-	if e.watches == nil || !e.watches.Remove(id) {
+	if !e.watches.Remove(id) {
 		return false
 	}
 	e.buffer.ForgetWatch(id)
@@ -317,20 +271,12 @@ func (e *Engine) Unwatch(id int) bool {
 }
 
 // Watches returns the number of registered standing queries.
-func (e *Engine) Watches() int {
-	if e.watches == nil {
-		return 0
-	}
-	return e.watches.Count()
-}
+func (e *Engine) Watches() int { return e.watches.Count() }
 
 // Events returns up to max match events with sequence numbers > since,
 // plus whether the consumer's cursor predates the retained window (it
 // missed events it can never replay and should resync).
 func (e *Engine) Events(since uint64, max int) ([]stream.Event, bool) {
-	if e.events == nil {
-		return nil, false
-	}
 	return e.events.After(since, max)
 }
 
@@ -341,15 +287,10 @@ func (e *Engine) EventsWait() <-chan struct{} {
 }
 
 // LastEventSeq returns the newest published event sequence number.
-func (e *Engine) LastEventSeq() uint64 {
-	if e.events == nil {
-		return 0
-	}
-	return e.events.LastSeq()
-}
+func (e *Engine) LastEventSeq() uint64 { return e.events.LastSeq() }
 
-// watchEval is the continuous-query matcher, run under the buffer
-// shard's lock on every append (its position inside the lock is what
+// watchEval is the continuous-query matcher, run under the buffer's
+// lock on every append (its position inside the lock is what
 // orders one track's events by append). Three stages: catch up on
 // watches registered since the track's previous append, open gates the
 // delta's fresh tokens collide with, then run the exact kernel for the
@@ -437,83 +378,74 @@ func (e *Engine) watchEval(t *stream.Track, fresh []uint64) {
 }
 
 // liveAugment is the live-track stage of a search: after the sealed
-// shards answered, evaluate every live track with at least two points
-// under the same bounded kernel (capability backend.Distancer /
-// SubDistancer) and re-merge by (distance, ID). The sealed answer's
-// k-th best seeds the evaluation limit, so live tracks that cannot
-// enter the answer abandon early. Tracks are visited in ID order —
-// with the strict-abandon kernel contract, the merged answer is the
-// same deterministic function of the combined corpus as a sealed-only
-// answer.
+// shards answered, run the flat scan (backend.ScanKNN / ScanRange) over
+// every live track with at least two points, under the same bounded
+// kernel (capability backend.Distancer / SubDistancer), and merge the
+// result with the sealed answer by (distance, ID). Live tracks carry no
+// lower bound, so they are visited in ID order; a k-NN scan's limit
+// starts at the query's seed limit tightened by the sealed k-th best
+// and tightens further on the live tracks' own k-th best. With the
+// strict-abandon kernel contract and the scan's ID tie-break, the
+// merged answer is the same deterministic function of the combined
+// corpus as a sealed-only answer.
 func (e *Engine) liveAugment(ms *metricSet, q *traj.Trajectory, req Query, res []backend.Result, ctl *backend.Ctl, st *backend.Stats) ([]backend.Result, bool, error) {
-	if e.buffer == nil || e.buffer.Count() == 0 {
+	var live []*traj.Trajectory
+	for _, sn := range e.buffer.Snapshot() {
+		if len(sn.Points) >= 2 { // searchable from two points
+			tr := traj.New(sn.ID, sn.Points)
+			tr.Label = sn.Label
+			live = append(live, tr)
+		}
+	}
+	if len(live) == 0 {
 		return res, false, nil
 	}
-	snaps := e.buffer.Snapshot()
-	sort.Slice(snaps, func(a, b int) bool { return snaps[a].ID < snaps[b].ID })
 	be := ms.shards[0].be
-	var eval func(q, t *traj.Trajectory, limit float64, ctl *backend.Ctl) (float64, bool)
+	var dist func(q, t *traj.Trajectory, limit float64, ctl *backend.Ctl) (float64, bool)
 	if req.Kind == KindSubKNN {
 		sd, ok := be.(backend.SubDistancer)
 		if !ok {
 			return res, false, fmt.Errorf("metric %q: live sub-trajectory search %w", ms.name, backend.ErrNotSupported)
 		}
-		eval = sd.SubDistanceBetween
+		dist = sd.SubDistanceBetween
 	} else {
 		dd, ok := be.(backend.Distancer)
 		if !ok {
 			return res, false, fmt.Errorf("metric %q: live search %w", ms.name, backend.ErrNotSupported)
 		}
-		eval = dd.DistanceBetween
+		dist = dd.DistanceBetween
 	}
-	limit := req.Radius
-	if req.Kind != KindRange {
-		limit = req.seedLimit()
-		if req.K > 0 && len(res) >= req.K {
-			if d := res[len(res)-1].Dist; d < limit {
-				limit = d
-			}
-		}
+	cands := make([]backend.Cand, len(live))
+	for i, tr := range live {
+		cands[i] = backend.Cand{I: i, ID: tr.ID}
 	}
-	added := false
-	truncated := false
-	for _, sn := range snaps {
-		if len(sn.Points) < 2 {
-			continue // not yet a valid trajectory; searchable from two points
+	lookup := func(i int) *traj.Trajectory { return live[i] }
+	var found []backend.Result
+	var truncated bool
+	var err error
+	k := req.K
+	if req.Kind == KindRange {
+		k = -1
+		found, truncated, err = backend.ScanRange(cands, req.Radius, ctl, st, lookup, func(i int, limit float64) (float64, bool) {
+			return dist(q, live[i], limit, ctl)
+		})
+	} else {
+		limit := req.seedLimit()
+		if len(res) >= req.K && res[len(res)-1].Dist < limit {
+			limit = res[len(res)-1].Dist
 		}
-		if ctl.Cancelled() {
-			return nil, false, ctl.Err()
-		}
-		if !ctl.Take() {
-			truncated = true
-			break
-		}
-		tr := traj.New(sn.ID, sn.Points)
-		tr.Label = sn.Label
-		st.DistanceCalls++
-		d, abandoned := eval(q, tr, limit, ctl)
-		if abandoned {
-			if ctl.Cancelled() {
-				return nil, false, ctl.Err()
-			}
-			st.EarlyAbandons++
-			continue
-		}
-		if d > limit {
-			continue
-		}
-		res = append(res, backend.Result{Traj: tr, Dist: d})
-		added = true
+		found, truncated, err = backend.ScanKNN(cands, req.K, backend.NewSharedBound(limit), ctl, st, lookup, func(i int, limit float64) (float64, bool) {
+			// A degenerate pair's genuine +Inf is not abandoned, but it is
+			// above a finite limit and must not enter the answer.
+			d, abandoned := dist(q, live[i], limit, ctl)
+			return d, abandoned || d > limit
+		})
 	}
-	if err := ctl.Err(); err != nil {
+	if err != nil {
 		return nil, false, err
 	}
-	if added {
-		k := req.K
-		if req.Kind == KindRange {
-			k = -1
-		}
-		res = mergeResults([][]backend.Result{res}, k)
+	if len(found) > 0 {
+		res = mergeResults([][]backend.Result{res, found}, k)
 	}
 	return res, truncated, nil
 }
@@ -525,12 +457,7 @@ func (e *Engine) liveAugment(ms *metricSet, q *traj.Trajectory, req Query, res [
 // tracks' original append records, while the shard streams hold only
 // sealed state — loses nothing.
 func (e *Engine) relogLiveTracks() error {
-	if e.buffer == nil {
-		return nil
-	}
-	snaps := e.buffer.Snapshot()
-	sort.Slice(snaps, func(a, b int) bool { return snaps[a].ID < snaps[b].ID })
-	for _, sn := range snaps {
+	for _, sn := range e.buffer.Snapshot() {
 		if _, err := e.wal.Append(wal.AppendPoints(sn.ID, sn.Label, 0, sn.Points)); err != nil {
 			return err
 		}
@@ -539,20 +466,10 @@ func (e *Engine) relogLiveTracks() error {
 }
 
 // LiveTracks returns the number of live (unsealed) tracks.
-func (e *Engine) LiveTracks() int {
-	if e.buffer == nil {
-		return 0
-	}
-	return e.buffer.Count()
-}
+func (e *Engine) LiveTracks() int { return e.buffer.Count() }
 
 // LiveTrack returns a snapshot of live track id.
-func (e *Engine) LiveTrack(id int) (stream.Snap, bool) {
-	if e.buffer == nil {
-		return stream.Snap{}, false
-	}
-	return e.buffer.Get(id)
-}
+func (e *Engine) LiveTrack(id int) (stream.Snap, bool) { return e.buffer.Get(id) }
 
 // StreamStats is the live-ingest slice of GET /v1/stats.
 type StreamStats struct {
@@ -574,9 +491,6 @@ type StreamStats struct {
 }
 
 func (e *Engine) streamStats() *StreamStats {
-	if e.buffer == nil {
-		return nil
-	}
 	return &StreamStats{
 		LiveTracks:     e.buffer.Count(),
 		LivePoints:     e.buffer.Points(),

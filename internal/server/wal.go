@@ -15,9 +15,13 @@ import (
 // kill -9 (or, under SyncAlways, a power cut) between snapshots loses
 // no acknowledged mutation.
 //
-// Ordering: e.mutMu is held across {append, apply}, making WAL order
-// identical to apply order — replay reproduces exactly the sequence the
-// live engine executed. The fsync wait (Commit) happens after mutMu is
+// Ordering: every mutation runs one step, Engine.mutate, with or
+// without a log: under e.mutMu it checks the op's preconditions, appends
+// its record and applies it. Checking under the apply's lock means the
+// log only holds ops that apply cleanly (replay has no reject path) and
+// no two ops claim one ID; holding it across {append, apply} makes WAL
+// order apply order, so replay reproduces exactly the sequence the live
+// engine executed. The fsync wait (Commit) happens after mutMu is
 // released, so concurrent mutations batch into shared group commits
 // instead of serialising on the disk.
 //
@@ -31,12 +35,12 @@ import (
 // record sequence whose replay over the snapshot converges back to the
 // snapshotted state.
 
-// attachWAL opens the log configured in e.opt, replays it into the
-// freshly booted engine, and arms the mutation path. Called once at the
-// end of every engine constructor. It also builds the live-ingest state
-// (initStream) — before replay, so replayed append records land in the
-// track buffer — and arms the background sealer; with a nil WALDir only
-// those two happen.
+// attachWAL opens the log configured in e.opt and replays it into the
+// freshly booted engine. Called once at the end of every engine
+// constructor. It also builds the live-ingest state (initStream) —
+// before replay, so replayed append records land in the track buffer —
+// and arms the background sealer; with a nil WALDir only those two
+// happen.
 func (e *Engine) attachWAL() error {
 	e.initStream()
 	defer e.startSealer()

@@ -1,7 +1,7 @@
 // Package stream is the live-ingest layer in front of the sealed
-// engine: the mutable per-shard buffer that growing trajectories
-// accumulate in (Buffer), the standing-query registry that appends are
-// matched against (Registry), and the sequence-numbered event feed that
+// engine: the mutable buffer that growing trajectories accumulate in
+// (Buffer), the standing-query registry that appends are matched
+// against (Registry), and the sequence-numbered event feed that
 // delivers the matches (EventLog).
 //
 // The division of labour with internal/server: this package owns the
@@ -10,11 +10,15 @@
 // tracks merge into search answers. Nothing here knows about metrics,
 // the WAL, or HTTP.
 //
-// A live track's points are append-only: the backing array of an
-// earlier snapshot is never rewritten, so a []traj.Point slice captured
-// under the shard lock stays valid outside it — the property the
-// engine's live-track scan and the watch matcher rely on to evaluate
-// exact kernels without holding buffer locks for reads.
+// The buffer is one map under one lock. The engine already serialises
+// every track-changing write (append, remove) on its own mutation lock,
+// so the buffer lock only orders those writers against query-side
+// readers and against ForgetWatch. A live track's points are
+// append-only: the backing array of an earlier snapshot is never
+// rewritten, so a []traj.Point slice captured under the lock stays
+// valid outside it — the property the engine's live-track scan and the
+// watch matcher rely on to evaluate exact kernels without holding the
+// buffer lock for reads.
 package stream
 
 import (
@@ -28,9 +32,9 @@ import (
 
 // Track is one live (unsealed) trajectory plus its incremental
 // fingerprint and its standing-query bookkeeping. All state is guarded
-// by the owning buffer shard's lock; the engine's eval callback runs
-// under that lock, so Track methods must only be called from inside
-// Append/View callbacks or while the caller otherwise holds the shard.
+// by the buffer's lock; the engine's eval callback runs under that
+// lock, so Track methods must only be called from inside an Append
+// callback.
 type Track struct {
 	id    int
 	label int
@@ -108,57 +112,39 @@ func (t *Track) ForgetWatch(w int) {
 }
 
 // Snap is a consistent read-only view of one track, valid after the
-// shard lock is released (the points slice is append-only).
+// buffer lock is released (the points slice is append-only).
 type Snap struct {
 	ID     int
 	Label  int
 	Points []traj.Point
 }
 
-// Buffer holds the live tracks, sharded by the same hash the engine
-// routes sealed trajectories with so a track and its eventual sealed
-// form land on the same shard. Safe for concurrent use.
-type Buffer struct {
-	hash     func(id, n int) int
-	onChange func() // called under the written shard's lock after every mutation
-	params   *sketch.Params
-	shards   []bufShard
-}
+func (t *Track) snap() Snap { return Snap{ID: t.id, Label: t.label, Points: t.pts} }
 
-type bufShard struct {
+// Buffer holds the live tracks. Safe for concurrent use.
+type Buffer struct {
+	onChange func() // called under the lock after every mutation
+	params   *sketch.Params
+
 	mu     sync.RWMutex
 	tracks map[int]*Track
 }
 
-// NewBuffer builds an empty buffer with n shards. hash routes IDs to
-// shards (the engine passes its sealed-shard router). onChange, if
-// non-nil, is invoked under the written shard's lock after every
-// mutation — the engine hooks its generation bump in so result caches
-// invalidate exactly as they do for sealed mutations. params, if
-// non-nil, gives every track an incremental sketch.Stream for the
-// continuous-query token gate; nil disables gating (every watch
-// evaluates exactly).
-func NewBuffer(n int, hash func(id, n int) int, onChange func(), params *sketch.Params) *Buffer {
-	if n < 1 {
-		n = 1
-	}
-	b := &Buffer{hash: hash, onChange: onChange, params: params, shards: make([]bufShard, n)}
-	for i := range b.shards {
-		b.shards[i].tracks = make(map[int]*Track)
-	}
-	return b
-}
-
-func (b *Buffer) shardOf(id int) *bufShard {
-	return &b.shards[b.hash(id, len(b.shards))]
+// NewBuffer builds an empty buffer. onChange, if non-nil, is invoked
+// under the buffer lock after every mutation — the engine hooks its
+// generation bump in so result caches invalidate exactly as they do for
+// sealed mutations. params, if non-nil, gives every track an
+// incremental sketch.Stream for the continuous-query token gate; nil
+// disables gating (every watch evaluates exactly).
+func NewBuffer(onChange func(), params *sketch.Params) *Buffer {
+	return &Buffer{onChange: onChange, params: params, tracks: make(map[int]*Track)}
 }
 
 // Len returns the current point count of track id, 0 when absent.
 func (b *Buffer) Len(id int) int {
-	s := b.shardOf(id)
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if t := s.tracks[id]; t != nil {
+	b.mu.RLock()
+	defer b.mu.RUnlock()
+	if t := b.tracks[id]; t != nil {
 		return len(t.pts)
 	}
 	return 0
@@ -166,32 +152,30 @@ func (b *Buffer) Len(id int) int {
 
 // Has reports whether a live track with the given ID exists.
 func (b *Buffer) Has(id int) bool {
-	s := b.shardOf(id)
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	_, ok := s.tracks[id]
+	b.mu.RLock()
+	defer b.mu.RUnlock()
+	_, ok := b.tracks[id]
 	return ok
 }
 
 // Append extends track id (creating it on first use with the given
 // label) by pts, and returns the offset the delta landed at (the point
 // count before the append). fresh receives the distinct fingerprint
-// tokens the delta introduced. eval, if non-nil, runs under the shard
+// tokens the delta introduced. eval, if non-nil, runs under the buffer
 // lock after the state update — the engine's continuous-query hook; its
 // position inside the lock is what gives watch events their per-track
 // append ordering.
 func (b *Buffer) Append(id, label int, pts []traj.Point, now time.Time, eval func(t *Track, fresh []uint64)) int {
-	s := b.shardOf(id)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	t := s.tracks[id]
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	t := b.tracks[id]
 	if t == nil {
 		t = &Track{id: id, label: label, gated: make(map[int]struct{}), matched: make(map[int]struct{})}
 		if b.params != nil {
 			// Params were validated when the engine resolved them.
 			t.sk, _ = sketch.NewStream(*b.params)
 		}
-		s.tracks[id] = t
+		b.tracks[id] = t
 	}
 	offset := len(t.pts)
 	t.pts = append(t.pts, pts...)
@@ -211,11 +195,10 @@ func (b *Buffer) Append(id, label int, pts []traj.Point, now time.Time, eval fun
 
 // Get returns a stable snapshot of track id.
 func (b *Buffer) Get(id int) (Snap, bool) {
-	s := b.shardOf(id)
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if t := s.tracks[id]; t != nil {
-		return Snap{ID: t.id, Label: t.label, Points: t.pts}, true
+	b.mu.RLock()
+	defer b.mu.RUnlock()
+	if t := b.tracks[id]; t != nil {
+		return t.snap(), true
 	}
 	return Snap{}, false
 }
@@ -223,87 +206,70 @@ func (b *Buffer) Get(id int) (Snap, bool) {
 // Remove deletes track id (seal folded it into the engine, or an
 // explicit delete dropped it) and returns its final snapshot.
 func (b *Buffer) Remove(id int) (Snap, bool) {
-	s := b.shardOf(id)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	t := s.tracks[id]
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	t := b.tracks[id]
 	if t == nil {
 		return Snap{}, false
 	}
-	delete(s.tracks, id)
+	delete(b.tracks, id)
 	if b.onChange != nil {
 		b.onChange()
 	}
-	return Snap{ID: t.id, Label: t.label, Points: t.pts}, true
+	return t.snap(), true
 }
 
-// Snapshot returns a stable view of every live track, ordered by ID
-// within each shard visit — callers needing global determinism sort.
+// Snapshot returns a stable view of every live track, ordered by ID.
 func (b *Buffer) Snapshot() []Snap {
-	var out []Snap
-	for i := range b.shards {
-		s := &b.shards[i]
-		s.mu.RLock()
-		for _, t := range s.tracks {
-			out = append(out, Snap{ID: t.id, Label: t.label, Points: t.pts})
-		}
-		s.mu.RUnlock()
+	b.mu.RLock()
+	out := make([]Snap, 0, len(b.tracks))
+	for _, t := range b.tracks {
+		out = append(out, t.snap())
 	}
+	b.mu.RUnlock()
+	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
 }
 
 // Count returns the number of live tracks.
 func (b *Buffer) Count() int {
-	n := 0
-	for i := range b.shards {
-		s := &b.shards[i]
-		s.mu.RLock()
-		n += len(s.tracks)
-		s.mu.RUnlock()
-	}
-	return n
+	b.mu.RLock()
+	defer b.mu.RUnlock()
+	return len(b.tracks)
 }
 
 // Points returns the total number of buffered points.
 func (b *Buffer) Points() int {
+	b.mu.RLock()
+	defer b.mu.RUnlock()
 	n := 0
-	for i := range b.shards {
-		s := &b.shards[i]
-		s.mu.RLock()
-		for _, t := range s.tracks {
-			n += len(t.pts)
-		}
-		s.mu.RUnlock()
+	for _, t := range b.tracks {
+		n += len(t.pts)
 	}
 	return n
 }
 
-// IdleBefore returns the IDs of tracks whose last append predates
-// cutoff — the background sealer's candidate list.
+// IdleBefore returns, ascending, the IDs of tracks whose last append
+// predates cutoff — the background sealer's candidate list.
 func (b *Buffer) IdleBefore(cutoff time.Time) []int {
 	var out []int
-	for i := range b.shards {
-		s := &b.shards[i]
-		s.mu.RLock()
-		for id, t := range s.tracks {
-			if t.lastAppend.Before(cutoff) {
-				out = append(out, id)
-			}
+	b.mu.RLock()
+	for id, t := range b.tracks {
+		if t.lastAppend.Before(cutoff) {
+			out = append(out, id)
 		}
-		s.mu.RUnlock()
 	}
+	b.mu.RUnlock()
+	sort.Ints(out)
 	return out
 }
 
 // ForgetWatch drops watch w's gating state from every track (the watch
 // was unregistered).
 func (b *Buffer) ForgetWatch(w int) {
-	for i := range b.shards {
-		s := &b.shards[i]
-		s.mu.Lock()
-		for _, t := range s.tracks {
-			t.ForgetWatch(w)
-		}
-		s.mu.Unlock()
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	for _, t := range b.tracks {
+		t.ForgetWatch(w)
 	}
 }

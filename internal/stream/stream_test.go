@@ -12,23 +12,16 @@ import (
 	"trajmatch/internal/traj"
 )
 
-func hashMod(id, n int) int {
-	if id < 0 {
-		id = -id
-	}
-	return id % n
-}
-
 func pt(x, y, t float64) traj.Point { return traj.Point{X: x, Y: y, T: t} }
 
-func testBuffer(n int, onChange func()) *Buffer {
+func testBuffer(onChange func()) *Buffer {
 	p := sketch.Params{CellSize: 10, Seed: 1}.WithDefaults()
-	return NewBuffer(n, hashMod, onChange, &p)
+	return NewBuffer(onChange, &p)
 }
 
 func TestBufferAppendSnapshotRemove(t *testing.T) {
 	var bumps int
-	b := testBuffer(4, func() { bumps++ })
+	b := testBuffer(func() { bumps++ })
 	now := time.Unix(0, 0)
 
 	if off := b.Append(7, 3, []traj.Point{pt(0, 0, 0), pt(5, 5, 1)}, now, nil); off != 0 {
@@ -69,7 +62,7 @@ func TestBufferAppendSnapshotRemove(t *testing.T) {
 }
 
 func TestBufferIdleBefore(t *testing.T) {
-	b := testBuffer(2, nil)
+	b := testBuffer(nil)
 	t0 := time.Unix(100, 0)
 	b.Append(1, 0, []traj.Point{pt(0, 0, 0)}, t0, nil)
 	b.Append(2, 0, []traj.Point{pt(0, 0, 0)}, t0.Add(10*time.Second), nil)
@@ -85,7 +78,7 @@ func TestBufferIdleBefore(t *testing.T) {
 }
 
 func TestTrackGatingState(t *testing.T) {
-	b := testBuffer(1, nil)
+	b := testBuffer(nil)
 	now := time.Unix(0, 0)
 	b.Append(1, 0, []traj.Point{pt(0, 0, 0)}, now, func(tr *Track, fresh []uint64) {
 		if len(fresh) != 1 {
@@ -241,10 +234,11 @@ func TestEventLogWait(t *testing.T) {
 	}
 }
 
-// TestConcurrentBufferAndLog drives appenders, snapshotters and event
-// publishers in parallel; meaningful mainly under -race.
+// TestConcurrentBufferAndLog drives appenders, snapshotters, a watch
+// being forgotten and event publishers in parallel; meaningful mainly
+// under -race.
 func TestConcurrentBufferAndLog(t *testing.T) {
-	b := testBuffer(4, func() {})
+	b := testBuffer(func() {})
 	l := NewEventLog(64)
 	r := NewRegistry()
 	r.Add(&Watch{Metric: "edwp", Threshold: 1}, []uint64{1, 2, 3})
@@ -268,8 +262,18 @@ func TestConcurrentBufferAndLog(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 50; i++ {
+			b.ForgetWatch(1)
+		}
+	}()
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 50; i++ {
 			snaps := b.Snapshot()
-			sort.Slice(snaps, func(a, b int) bool { return snaps[a].ID < snaps[b].ID })
+			if !sort.SliceIsSorted(snaps, func(a, b int) bool { return snaps[a].ID < snaps[b].ID }) {
+				t.Error("Snapshot not in ID order")
+				return
+			}
 			b.Count()
 			l.After(0, 16)
 			select {
