@@ -362,11 +362,11 @@ func knnArm(t *trajmatch.Index, q *trajmatch.Trajectory) trajmatch.QueryStats {
 	return st
 }
 
-// scanArm is the floor the index has to beat: KNNBrute, a plain loop over
-// the same members with the same bounded kernel.
+// scanArm is the floor the index has to beat: eval.ScanKNN, the same
+// members in ID order through the same verify step and bounded kernel.
 func scanArm(t *trajmatch.Index, q *trajmatch.Trajectory) trajmatch.QueryStats {
-	t.KNNBrute(q, 10)
-	return trajmatch.QueryStats{DistanceCalls: t.Size()}
+	_, st := eval.ScanKNN(t, q, 10)
+	return st
 }
 
 // runSearchArms runs each arm as a sub-benchmark over db, one query per
@@ -401,8 +401,8 @@ func runSearchArms(b *testing.B, db []*trajmatch.Trajectory, arms []searchArm) {
 // BenchmarkKNN10k runs the bench/ cold-search request set — the same
 // 10 000 trips, index options and 210 queries (140 k-NN, 42 range, 28
 // subknn) — directly against the tree: one operation is one query. The
-// arms are k-NN, range, subknn, and scan, the k-NN queries through
-// KNNBrute, so TrajTree-vs-scan is read off one command. It is also the
+// arms are k-NN, range, subknn, and scan, the k-NN queries through the
+// ID-order scan, so TrajTree-vs-scan is read off one command. It is also the
 // harness for CPU profiles of the exact-search path at a size where the
 // index prunes (go test -run '^$' -bench 'KNN10k/knn' -cpuprofile ...);
 // its work counters repeat exactly from run to run.

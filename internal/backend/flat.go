@@ -80,7 +80,7 @@ func (f *Flat) candidates(q *traj.Trajectory, n int, at func(j int) (int, bool),
 			continue
 		}
 		st.LowerBoundCalls++
-		cands = append(cands, Cand{I: i, ID: f.db[i].ID, LB: lb(i)})
+		cands = append(cands, Cand{T: f.db[i], LB: lb(i)})
 	}
 	SortCands(cands)
 	return cands, nil
@@ -88,11 +88,9 @@ func (f *Flat) candidates(q *traj.Trajectory, n int, at func(j int) (int, bool),
 
 func (f *Flat) every(j int) (int, bool) { return j, true }
 
-func (f *Flat) member(i int) *traj.Trajectory { return f.db[i] }
-
-func (f *Flat) eval(q *traj.Trajectory, ctl *Ctl) func(i int, limit float64) (float64, bool) {
-	return func(i int, limit float64) (float64, bool) {
-		return f.dist(q, f.db[i], limit, ctl.CancelFlag())
+func (f *Flat) eval(q *traj.Trajectory, ctl *Ctl) func(t *traj.Trajectory, limit float64) (float64, bool) {
+	return func(t *traj.Trajectory, limit float64) (float64, bool) {
+		return f.dist(q, t, limit, ctl.CancelFlag())
 	}
 }
 
@@ -122,7 +120,7 @@ func (f *Flat) knn(q *traj.Trajectory, k, n int, at func(j int) (int, bool), bou
 	if err != nil {
 		return nil, st, false, err
 	}
-	res, truncated, err := ScanKNN(cands, k, bound, ctl, &st, f.member, f.eval(q, ctl))
+	res, truncated, err := ScanKNN(cands, k, bound, ctl, &st, f.eval(q, ctl))
 	return res, st, truncated, err
 }
 
@@ -138,7 +136,7 @@ func (f *Flat) SearchRange(q *traj.Trajectory, radius float64, ctl *Ctl) ([]Resu
 	if err != nil {
 		return nil, st, false, err
 	}
-	res, truncated, err := ScanRange(cands, radius, ctl, &st, f.member, f.eval(q, ctl))
+	res, truncated, err := ScanRange(cands, radius, ctl, &st, f.eval(q, ctl))
 	return res, st, truncated, err
 }
 

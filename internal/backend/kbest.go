@@ -9,7 +9,8 @@ import (
 
 // KBest accumulates the k best candidates under the lexicographic
 // (distance, ID) order — the same order the engine's cross-shard merge
-// sorts by. Using it inside a backend makes the answer a function of the
+// sorts by. Every k-NN search holds its answer in one, through the
+// Verifier (scan.go). That makes the answer a function of the
 // candidate set alone: when several candidates tie exactly at the k-th
 // distance, membership is decided by ID, not by the order the scan
 // happened to visit them. That determinism is what lets a sharded fan-out
@@ -31,11 +32,20 @@ func NewKBest(k int) *KBest {
 	return &KBest{k: max(k, 0)}
 }
 
+// less is the (distance, ID) order every answer list is sorted by.
 func less(aDist float64, aID int, bDist float64, bID int) bool {
 	if aDist != bDist {
 		return aDist < bDist
 	}
 	return aID < bID
+}
+
+// SortResults sorts rs by (distance, ID): the one answer order of every
+// backend, the cross-shard merge and the live-track stage.
+func SortResults(rs []Result) {
+	sort.Slice(rs, func(a, b int) bool {
+		return less(rs[a].Dist, rs[a].Traj.ID, rs[b].Dist, rs[b].Traj.ID)
+	})
 }
 
 // Offer inserts the candidate if it belongs in the current k best,
@@ -63,12 +73,13 @@ func (q *KBest) Offer(t *traj.Trajectory, d float64) bool {
 }
 
 // Bound returns the tightest abandon limit the answer set justifies: the
-// k-th best distance once full, +Inf before. A candidate whose distance
+// k-th best distance once full, +Inf before (and always for k = 0, which
+// holds nothing to bound by). A candidate whose distance
 // strictly exceeds it can never enter the answer (a candidate tying it
 // exactly still can, on ID — callers must abandon strictly above Bound,
 // never at it).
 func (q *KBest) Bound() float64 {
-	if len(q.res) < q.k {
+	if len(q.res) < q.k || q.k == 0 {
 		return math.Inf(1)
 	}
 	return q.res[len(q.res)-1].Dist

@@ -11,12 +11,14 @@ import (
 
 // TestKBestMatchesSort: for random candidate streams with deliberate
 // ties, KBest holds exactly the k smallest (distance, ID) pairs in
-// order, whatever order they were offered in.
+// order, whatever order they were offered in, and Offer reports a
+// rejection exactly when the set is full and the candidate is no better
+// than the worst held — always, for k = 0.
 func TestKBestMatchesSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	for it := 0; it < 50; it++ {
+	for it := 0; it < 80; it++ {
 		n := 1 + rng.Intn(40)
-		k := 1 + rng.Intn(12)
+		k := rng.Intn(13)
 		type pair struct {
 			id int
 			d  float64
@@ -30,7 +32,14 @@ func TestKBestMatchesSort(t *testing.T) {
 
 		q := NewKBest(k)
 		for _, c := range cands {
-			q.Offer(&traj.Trajectory{ID: c.id}, c.d)
+			wantKept := k > 0
+			if held := q.Results(); wantKept && len(held) == k {
+				w := held[k-1]
+				wantKept = c.d < w.Dist || (c.d == w.Dist && c.id < w.Traj.ID)
+			}
+			if kept := q.Offer(&traj.Trajectory{ID: c.id}, c.d); kept != wantKept {
+				t.Fatalf("it=%d k=%d: Offer(%d, %v) kept=%v, want %v", it, k, c.id, c.d, kept, wantKept)
+			}
 		}
 		sort.Slice(cands, func(i, j int) bool {
 			if cands[i].d != cands[j].d {
@@ -56,7 +65,7 @@ func TestKBestMatchesSort(t *testing.T) {
 			t.Fatalf("it=%d: Full() = %v with n=%d k=%d", it, q.Full(), n, k)
 		}
 		wantBound := math.Inf(1)
-		if n >= k {
+		if k > 0 && n >= k {
 			wantBound = want[len(want)-1].d
 		}
 		if q.Bound() != wantBound {

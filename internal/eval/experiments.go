@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"time"
 
+	"trajmatch/internal/backend"
 	"trajmatch/internal/baseline"
 	"trajmatch/internal/edrindex"
 	"trajmatch/internal/metrics"
@@ -220,7 +221,7 @@ func QueryCompetitors(db []*traj.Trajectory, queries []*traj.Trajectory, ks []in
 	if err != nil {
 		return nil, err
 	}
-	tree := treeBe.(*trajtree.Tree) // the EDwP scan competitor needs KNNBrute
+	tree := treeBe.(*trajtree.Tree) // the EDwP scan competitor reads its members
 	eps := epsFor(db)
 	// The paper interpolates the EDR competitor's data to (near) the
 	// maximum observed sampling density — the costly preprocessing
@@ -256,7 +257,7 @@ func QueryCompetitors(db []*traj.Trajectory, queries []*traj.Trajectory, ks []in
 			tTree += time.Since(t0)
 
 			t0 = time.Now()
-			tree.KNNBrute(q, k)
+			ScanKNN(tree, q, k)
 			tScan += time.Since(t0)
 
 			t0 = time.Now()
@@ -274,6 +275,24 @@ func QueryCompetitors(db []*traj.Trajectory, queries []*traj.Trajectory, ks []in
 		}
 	}
 	return series, nil
+}
+
+// ScanKNN is the "EDwP Sequential Scan" competitor of Figs. 5(j) and
+// 6(a): every member of tree in ID order through backend.ScanKNN, with no
+// lower bound to order or prune the scan, each evaluation bounded by the
+// running k-th best under the tree's own distance.
+func ScanKNN(tree *trajtree.Tree, q *traj.Trajectory, k int) ([]backend.Result, backend.Stats) {
+	members := tree.All()
+	cands := make([]backend.Cand, len(members))
+	for i, m := range members {
+		cands[i] = backend.Cand{T: m}
+	}
+	backend.SortCands(cands)
+	var st backend.Stats
+	res, _, _ := backend.ScanKNN(cands, k, nil, nil, &st, func(t *traj.Trajectory, limit float64) (float64, bool) {
+		return tree.DistanceBetween(q, t, limit, nil)
+	})
+	return res, st
 }
 
 // maScan is a serial sequential scan, matching the single-threaded

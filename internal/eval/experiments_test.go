@@ -99,6 +99,48 @@ func TestQueryCompetitors(t *testing.T) {
 	}
 }
 
+// TestScanKNNMatchesSearchKNN: the sequential-scan competitor answers
+// exactly as the index, ties included (two clones of every fifth trip),
+// and reports one distance call per member — it is the same verify step
+// over every member in ID order.
+func TestScanKNNMatchesSearchKNN(t *testing.T) {
+	db := synth.Taxi(synth.DefaultTaxi(60))
+	for i := 0; i < 60; i += 5 {
+		for c := 0; c < 2; c++ {
+			dup := db[i].Clone()
+			dup.ID = 1000 + 2*i + c
+			db = append(db, dup)
+		}
+	}
+	tree, err := trajtree.New(db, trajtree.Options{LeafSize: 5, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for qi := 0; qi < 60; qi += 10 {
+		q := db[qi].Clone()
+		q.ID = 900_000 + qi
+		for _, k := range []int{1, 2, 6} {
+			want, _, _, err := tree.SearchKNN(q, k, nil, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, st := ScanKNN(tree, q, k)
+			if len(got) != len(want) {
+				t.Fatalf("q=%d k=%d: %d results, want %d", qi, k, len(got), len(want))
+			}
+			for i := range got {
+				if got[i].Traj.ID != want[i].Traj.ID || got[i].Dist != want[i].Dist {
+					t.Fatalf("q=%d k=%d rank %d: (%d, %v), want (%d, %v)", qi, k, i,
+						got[i].Traj.ID, got[i].Dist, want[i].Traj.ID, want[i].Dist)
+				}
+			}
+			if st.DistanceCalls != len(db) {
+				t.Fatalf("q=%d k=%d: %d distance calls over %d members", qi, k, st.DistanceCalls, len(db))
+			}
+		}
+	}
+}
+
 func TestUBFactorExperiments(t *testing.T) {
 	sc := tinyScale()
 	ss := UBFactorVsVPs(sc, []int{4, 8})

@@ -48,7 +48,6 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -573,7 +572,9 @@ func (e *Engine) fanout(ms *metricSet, q *traj.Trajectory, req Query, ctl *backe
 // shard searched after it; range queries get a nil bound (the radius
 // already is one). A single shard with no Limit also gets nil, the fast
 // path, rather than a +Inf bound it could only tighten against itself,
-// and its answer is returned unmerged.
+// and its answer is returned unmerged: every backend already sorts by
+// (distance, ID) and decides exact ties by ID, so a merge would change
+// nothing.
 //
 // workers is the fan-out width: a single query spreads its shards over
 // par.For, while workers == 1 visits them inline in shard order, each
@@ -631,23 +632,16 @@ func FanOut(n, workers int, req Query, ctl *backend.Ctl, run func(i int, bound *
 // keep everything, the range-query case). The ID tie-break is the
 // load-bearing determinism guarantee: it makes the merged answer a
 // function of the candidate set alone, independent of shard count, shard
-// order, and scheduling, even when distances tie exactly — and the
-// DTW/EDR backends resolve their internal ties by the same order, which
-// is what makes a sharded fan-out byte-identical to the standalone
-// index. (A single-shard EDwP engine bypasses the merge entirely — it is
-// the plain tree search, whose boundary ties follow traversal order; see
-// the sharding notes in docs/ARCHITECTURE.md.)
+// order, and scheduling, even when distances tie exactly — and every
+// backend resolves its internal ties by the same order (one verify step,
+// backend.Verifier), which is what makes a sharded fan-out byte-identical
+// to the standalone index.
 func mergeResults(per [][]backend.Result, k int) []backend.Result {
 	var all []backend.Result
 	for _, rs := range per {
 		all = append(all, rs...)
 	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].Dist != all[j].Dist {
-			return all[i].Dist < all[j].Dist
-		}
-		return all[i].Traj.ID < all[j].Traj.ID
-	})
+	backend.SortResults(all)
 	if k >= 0 && len(all) > k {
 		all = all[:k]
 	}

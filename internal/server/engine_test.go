@@ -49,15 +49,7 @@ func TestEngineKNNMatchesTree(t *testing.T) {
 		q := db[qi*13].Clone()
 		q.ID = 1_000_000 + qi
 		got := search(t, e, q, Query{Kind: KindKNN, K: 5}).Results
-		want := tree.KNNBrute(q, 5)
-		if len(got) != len(want) {
-			t.Fatalf("query %d: got %d results, want %d", qi, len(got), len(want))
-		}
-		for i := range got {
-			if got[i].Dist != want[i].Dist {
-				t.Errorf("query %d rank %d: dist %v != brute %v", qi, i, got[i].Dist, want[i].Dist)
-			}
-		}
+		sameResults(t, fmt.Sprintf("query %d", qi), got, bruteKNN(db, q, 5))
 	}
 }
 

@@ -68,6 +68,9 @@ type Query struct {
 	// query may spend across its whole shard fan-out. A query that
 	// exhausts the budget stops early and returns its best-effort answer
 	// with Answer.Truncated set — no longer exact, but bounded in cost.
+	// With more than one shard searched concurrently the shards draw on
+	// one shared budget, so which evaluations it buys, and with them the
+	// truncated answer, depends on the schedule: two runs may differ.
 	// 0 means unlimited.
 	MaxEvals int `json:"max_evals,omitempty"`
 
@@ -147,6 +150,9 @@ type Answer struct {
 	Cached bool
 	// Truncated reports that the MaxEvals budget ran out: Results holds
 	// the neighbours confirmed so far and is no longer guaranteed exact.
+	// Unlike an exact answer it is not a function of the corpus and the
+	// query alone: under a concurrent multi-shard fan-out it depends on
+	// which shard spent the shared budget first.
 	Truncated bool
 	// Degraded reports a partial cluster answer: at least one shard
 	// group's nodes were all unreachable, so Results covers the reachable

@@ -115,14 +115,10 @@ func TestBackgroundRebuildRace(t *testing.T) {
 			members = append(members, tr)
 		}
 	}
-	ref, err := trajtree.New(cloneDB(members), trajtree.Options{Seed: 1, LeafSize: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
 	for qi := 0; qi < 8; qi++ {
 		q := extra[qi*9].Clone()
 		q.ID = 4_900_000 + qi
-		sameResults(t, fmt.Sprintf("post-churn q%d", qi), search(t, e, q, Query{Kind: KindKNN, K: 7}).Results, ref.KNNBrute(q, 7))
+		sameResults(t, fmt.Sprintf("post-churn q%d", qi), search(t, e, q, Query{Kind: KindKNN, K: 7}).Results, bruteKNN(members, q, 7))
 	}
 	if _, err := LoadSnapshot(e.SnapshotDir(), Options{CacheSize: -1}); err != nil {
 		t.Fatalf("loading mid-churn snapshot: %v", err)

@@ -7,6 +7,8 @@ import (
 	"sync"
 	"testing"
 
+	"trajmatch/internal/backend"
+	"trajmatch/internal/core"
 	"trajmatch/internal/traj"
 	"trajmatch/internal/trajtree"
 )
@@ -30,10 +32,39 @@ func sameResults(t *testing.T, label string, got, want []trajtree.Result) {
 	}
 }
 
+// bruteKNN is the exact EDwPavg k-NN of q over db by unbounded scan,
+// exact ties decided by ID (backend.KBest): the reference an engine's
+// answer must equal byte for byte.
+func bruteKNN(db []*traj.Trajectory, q *traj.Trajectory, k int) []backend.Result {
+	ans := backend.NewKBest(k)
+	for _, tr := range db {
+		ans.Offer(tr, core.AvgDistance(q, tr))
+	}
+	return ans.Results()
+}
+
+// withTies returns db plus four clones of each of its first three
+// members under fresh IDs, which hash to unrelated shards. A clone ties
+// its original at every distance, so a query near one of them meets a
+// group of five members at one distance (zero for the member's own
+// geometry), and a k that cuts the group is decided by ID alone.
+func withTies(db []*traj.Trajectory) []*traj.Trajectory {
+	out := append([]*traj.Trajectory(nil), db...)
+	for i := 0; i < 12; i++ {
+		c := db[i%3].Clone()
+		c.ID = 10_000 + i
+		out = append(out, c)
+	}
+	return out
+}
+
 // TestShardedKNNMatchesSingleTree is the acceptance property of the
 // sharded engine: for shard counts 1, 2, 4 and 8 over the same corpus,
 // k-NN and range answers of Search are identical to the single
-// reference tree's, query for query.
+// reference tree's, query for query. On a corpus with exact ties the
+// answer must not depend on the deployment at all: for every metric, and
+// for subknn under EDwP, 1, 2, 3, 4 and 8 shards answer as one shard
+// built over the corpus in another order.
 func TestShardedKNNMatchesSingleTree(t *testing.T) {
 	db := testDB(160, 11)
 	topt := trajtree.Options{Seed: 1, LeafSize: 5}
@@ -75,6 +106,47 @@ func TestShardedKNNMatchesSingleTree(t *testing.T) {
 				gotR := search(t, e, q, Query{Kind: KindRange, Radius: radius}).Results
 				wantR, _, _, _ := ref.SearchRange(q, radius, nil)
 				sameResults(t, fmt.Sprintf("Range it=%d r=%v", it, radius), gotR, wantR)
+			}
+		})
+	}
+
+	tied := withTies(db)
+	specs := multiSpecs(tied, topt)
+	perm := make([]*traj.Trajectory, len(tied))
+	for i, j := range rng.Perm(len(tied)) {
+		perm[i] = tied[j].Clone()
+	}
+	single, err := NewMultiEngineFromDB(perm, specs, Options{CacheSize: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var queries []*traj.Trajectory
+	for i := 0; i < 3; i++ {
+		exact, near := tied[i].Clone(), tied[i].Clone()
+		exact.ID, near.ID = 2_000_000+i, 2_100_000+i
+		for j := range near.Points {
+			near.Points[j].X += 3
+		}
+		queries = append(queries, exact, near)
+	}
+	for _, shards := range []int{1, 2, 3, 4, 8} {
+		t.Run(fmt.Sprintf("ties/shards=%d", shards), func(t *testing.T) {
+			e, err := NewMultiEngineFromDB(tied, specs, Options{CacheSize: -1, Shards: shards})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, metric := range []string{"edwp", "dtw", "edr"} {
+				kinds := []Query{{Kind: KindKNN, K: 1}, {Kind: KindKNN, K: 3}, {Kind: KindKNN, K: 7}}
+				if metric == "edwp" {
+					kinds = append(kinds, Query{Kind: KindSubKNN, K: 3})
+				}
+				for _, req := range kinds {
+					req.Metric = metric
+					for qi, q := range queries {
+						label := fmt.Sprintf("%s %s k=%d query %d", metric, req.Kind, req.K, qi)
+						sameResults(t, label, search(t, e, q, req).Results, search(t, single, q, req).Results)
+					}
+				}
 			}
 		})
 	}
@@ -127,20 +199,16 @@ func TestShardedUpdatesRouteAndStayExact(t *testing.T) {
 	if e.Size() != len(members) {
 		t.Fatalf("size %d, want %d", e.Size(), len(members))
 	}
-	ref, err := trajtree.New(members, topt)
-	if err != nil {
-		t.Fatal(err)
-	}
 	q := db[5].Clone()
 	q.ID = 3_000_000
 	got := search(t, e, q, Query{Kind: KindKNN, K: 7}).Results
-	sameResults(t, "post-churn KNN", got, ref.KNNBrute(q, 7))
+	sameResults(t, "post-churn KNN", got, bruteKNN(members, q, 7))
 
 	if err := e.Rebuild(); err != nil {
 		t.Fatalf("rebuild: %v", err)
 	}
 	got = search(t, e, q, Query{Kind: KindKNN, K: 7}).Results
-	sameResults(t, "post-rebuild KNN", got, ref.KNNBrute(q, 7))
+	sameResults(t, "post-rebuild KNN", got, bruteKNN(members, q, 7))
 }
 
 // TestShardedConcurrentReadersAndWriters is the race acceptance test for

@@ -417,27 +417,26 @@ func (e *Engine) liveAugment(ms *metricSet, q *traj.Trajectory, req Query, res [
 	}
 	cands := make([]backend.Cand, len(live))
 	for i, tr := range live {
-		cands[i] = backend.Cand{I: i, ID: tr.ID}
+		cands[i] = backend.Cand{T: tr}
 	}
-	lookup := func(i int) *traj.Trajectory { return live[i] }
 	var found []backend.Result
 	var truncated bool
 	var err error
 	k := req.K
 	if req.Kind == KindRange {
 		k = -1
-		found, truncated, err = backend.ScanRange(cands, req.Radius, ctl, st, lookup, func(i int, limit float64) (float64, bool) {
-			return dist(q, live[i], limit, ctl)
+		found, truncated, err = backend.ScanRange(cands, req.Radius, ctl, st, func(tr *traj.Trajectory, limit float64) (float64, bool) {
+			return dist(q, tr, limit, ctl)
 		})
 	} else {
 		limit := req.seedLimit()
 		if len(res) >= req.K && res[len(res)-1].Dist < limit {
 			limit = res[len(res)-1].Dist
 		}
-		found, truncated, err = backend.ScanKNN(cands, req.K, backend.NewSharedBound(limit), ctl, st, lookup, func(i int, limit float64) (float64, bool) {
+		found, truncated, err = backend.ScanKNN(cands, req.K, backend.NewSharedBound(limit), ctl, st, func(tr *traj.Trajectory, limit float64) (float64, bool) {
 			// A degenerate pair's genuine +Inf is not abandoned, but it is
 			// above a finite limit and must not enter the answer.
-			d, abandoned := dist(q, live[i], limit, ctl)
+			d, abandoned := dist(q, tr, limit, ctl)
 			return d, abandoned || d > limit
 		})
 	}

@@ -16,7 +16,10 @@ import (
 //
 // The immutable fields are fixed at registration. The top-k state
 // (best) is guarded by mu — the engine's matcher updates it append by
-// append.
+// append. It is the one (distance, ID)-ordered answer set that is not a
+// backend.KBest: a growing track is offered again on every append and
+// must replace its own earlier entry, and removed on delete, which an
+// insert-only k-best set cannot express.
 type Watch struct {
 	ID        int
 	Pattern   *traj.Trajectory

@@ -184,7 +184,7 @@ func TestArenaRoundTripAnswersIdentically(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				sameResults(t, "post-churn", got, loaded.KNNBrute(queries[3], 8))
+				sameResults(t, "post-churn", got, referenceKNN(loaded.root.members, queries[3], 8, loaded.opt.Cumulative))
 			})
 		}
 	}

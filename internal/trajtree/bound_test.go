@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"trajmatch/internal/backend"
 	"trajmatch/internal/traj"
 )
 
@@ -81,6 +82,25 @@ func TestSeededBoundPrunesAboveLimit(t *testing.T) {
 	if !prunedSomething {
 		t.Error("a finite seed bound never pruned anything across the workload")
 	}
+
+	// A seed equal to the k-th best distance is admissible, and at an
+	// exact tie nothing may be pruned at it: with four clones of member 0
+	// and the query on its geometry, five members tie at zero, and a zero
+	// seed must still return the three smallest IDs.
+	dup := cloneAll(db)
+	for i := 0; i < 4; i++ {
+		c := db[0].Clone()
+		c.ID = 20_000 + i
+		dup = append(dup, c)
+	}
+	tied, err := New(dup, testOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := db[0].Clone()
+	q.ID = 11_100_000
+	got, _, _, _ := tied.SearchKNN(q, 3, NewSharedBound(0), nil)
+	sameResults(t, "SearchKNN(seeded at an exact tie)", got, referenceKNN(dup, q, 3, false))
 }
 
 // TestSharedBoundPartitionsMatchSingleTree is the trajtree-level fan-out
@@ -131,18 +151,13 @@ func TestSharedBoundPartitionsMatchSingleTree(t *testing.T) {
 						per[i], _, _, _ = trees[i].SearchKNN(q, k, bound, nil)
 					}
 				}
-				merged := newTopK[*traj.Trajectory](k)
+				merged := backend.NewKBest(k)
 				for _, rs := range per {
 					for _, r := range rs {
-						merged.offer(r.Traj, r.Dist)
+						merged.Offer(r.Traj, r.Dist)
 					}
 				}
-				items := merged.items()
-				got := make([]Result, len(items))
-				for i, it := range items {
-					got[i] = Result{Traj: it.Value, Dist: it.Priority}
-				}
-				sameResults(t, "merged partitions", got, want)
+				sameResults(t, "merged partitions", merged.Results(), want)
 			}
 		}
 	}

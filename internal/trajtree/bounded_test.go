@@ -5,28 +5,24 @@ import (
 	"math/rand"
 	"testing"
 
+	"trajmatch/internal/backend"
 	"trajmatch/internal/core"
 	"trajmatch/internal/traj"
 )
 
-// referenceKNN is the seed implementation's sequential scan: unbounded
-// exact distances offered in database order. The bounded index search must
-// reproduce its answers byte-for-byte.
+// referenceKNN is the unbounded sequential scan: exact distances offered
+// to backend.KBest in database order, so exact ties are decided by ID.
+// The bounded index search must reproduce its answers byte-for-byte.
 func referenceKNN(db []*traj.Trajectory, q *traj.Trajectory, k int, cumulative bool) []Result {
-	ans := newTopK[*traj.Trajectory](k)
+	ans := backend.NewKBest(k)
 	for _, tr := range db {
 		d := core.AvgDistance(q, tr)
 		if cumulative {
 			d = core.Distance(q, tr)
 		}
-		ans.offer(tr, d)
+		ans.Offer(tr, d)
 	}
-	items := ans.items()
-	out := make([]Result, len(items))
-	for i, it := range items {
-		out[i] = Result{Traj: it.Value, Dist: it.Priority}
-	}
-	return out
+	return ans.Results()
 }
 
 // referenceRange is the seed range semantics by unbounded scan.
@@ -37,7 +33,7 @@ func referenceRange(db []*traj.Trajectory, q *traj.Trajectory, radius float64) [
 			out = append(out, Result{Traj: tr, Dist: d})
 		}
 	}
-	sortResults(out)
+	backend.SortResults(out)
 	return out
 }
 
@@ -83,8 +79,6 @@ func TestBoundedKNNMatchesSeedScan(t *testing.T) {
 		k := 1 + rng.Intn(12)
 		got, st, _, _ := tree.SearchKNN(q, k, nil, nil)
 		sameResults(t, "SearchKNN", got, referenceKNN(db, q, k, false))
-		brute := tree.KNNBrute(q, k)
-		sameResults(t, "KNNBrute", brute, referenceKNN(db, q, k, false))
 		totalAbandons += st.EarlyAbandons
 		if st.EarlyAbandons > st.DistanceCalls {
 			t.Fatalf("EarlyAbandons %d exceeds DistanceCalls %d", st.EarlyAbandons, st.DistanceCalls)
@@ -138,8 +132,9 @@ func TestBoundedRangeMatchesSeedScan(t *testing.T) {
 	}
 }
 
-// Repeated queries must not leak state through the pooled visit sets.
-func TestVisitSetReuseAcrossQueries(t *testing.T) {
+// Repeated queries must not leak state through the pooled segment
+// screens.
+func TestPooledScreenReuseAcrossQueries(t *testing.T) {
 	rng := rand.New(rand.NewSource(94))
 	db := testDB(rng, 80)
 	tree, err := New(db, testOptions())

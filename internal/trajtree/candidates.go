@@ -20,8 +20,10 @@ var _ backend.CandidateSearcher = (*Tree)(nil)
 // member side over the arena summaries, normalised for the averaged
 // variant); the scan evaluates in tightest-first order and prunes
 // against the running k-th best and the shared bound before starting a
-// kernel. IDs not present in the tree are skipped silently; truncation
-// and error semantics match SearchKNN.
+// kernel. Every candidate goes through the verify step the descent's
+// leaves use (backend.Verifier), so handed every member it answers
+// exactly as SearchKNN does, ties included. IDs not present in the tree
+// are skipped silently; truncation and error semantics match SearchKNN.
 func (t *Tree) SearchKNNIn(q *traj.Trajectory, ids []int, k int, bound *SharedBound, ctl *Ctl) ([]Result, Stats, bool, error) {
 	var st Stats
 	if t.root == nil || k <= 0 || len(ids) == 0 {
@@ -71,13 +73,11 @@ func (t *Tree) SearchKNNIn(q *traj.Trajectory, ids []int, k int, bound *SharedBo
 		} else {
 			lb = 0
 		}
-		cands[i] = backend.Cand{I: i, ID: m.ID, LB: lb}
+		cands[i] = backend.Cand{T: m, LB: lb}
 	}
 	backend.SortCands(cands)
-	res, truncated, err := backend.ScanKNN(cands, k, bound, ctl, &st,
-		func(i int) *traj.Trajectory { return sel[i] },
-		func(i int, limit float64) (float64, bool) {
-			return t.distBounded(q, sel[i], limit, ctl.CancelFlag())
-		})
+	res, truncated, err := backend.ScanKNN(cands, k, bound, ctl, &st, func(tr *traj.Trajectory, limit float64) (float64, bool) {
+		return t.distBounded(q, tr, limit, ctl.CancelFlag())
+	})
 	return res, st, truncated, err
 }

@@ -153,8 +153,9 @@ func TestKNNWorkCountersGolden(t *testing.T) {
 
 // TestSearchAllocBudget pins the pooled scratch of the search: a warm
 // 10-NN search over the 1 000-trip corpus runs its node bounds, its
-// member screens and its queues without allocating per item. What is left
-// is the answer set, the growth of the two heaps' slices and the result.
+// member screens and its node queue without allocating per item. What is
+// left is the growth of the answer set's slice and the node queue's, and
+// the Stats the member screen counts into.
 func TestSearchAllocBudget(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("alloc counts are not meaningful under -race: sync.Pool deliberately drops Puts")
@@ -170,7 +171,7 @@ func TestSearchAllocBudget(t *testing.T) {
 	for i := 0; i < 2*len(queries); i++ {
 		run() // warm the pools and the XY caches
 	}
-	// Measured 14. Queues on container/heap, which boxes every pushed and
+	// Measured 13. Queues on container/heap, which boxes every pushed and
 	// popped item, allocate about 300.
 	const budget = 20
 	if n := testing.AllocsPerRun(4*len(queries), run); n > budget {

@@ -4,6 +4,7 @@ import (
 	"math"
 	"sync"
 
+	"trajmatch/internal/backend"
 	"trajmatch/internal/core"
 	"trajmatch/internal/traj"
 )
@@ -24,8 +25,10 @@ var screenPool = sync.Pool{
 // without its vantage-point step (lines 8–10): the descent starts from an
 // empty answer set, because once a rejected member costs one flat screen
 // seeding the k-th best early saves no evaluation (docs/ARCHITECTURE.md,
-// "Removed by measurement"). With a bound it additionally prunes against
-// — and tightens — the shared limit. ctl (may be nil) injects cancellation —
+// "Removed by measurement"). Every leaf member goes through the shared
+// verify step (backend.Verifier), which owns the answer set, the limit,
+// the budget and the shared bound; the descent only orders and prunes
+// nodes against the step's limit. ctl (may be nil) injects cancellation —
 // polled between candidate pops here and per DP row inside the kernel —
 // and the query-wide evaluation budget; an exhausted budget stops the
 // search and marks the answer truncated.
@@ -36,86 +39,45 @@ func (t *Tree) knnSearch(q *traj.Trajectory, k int, sub bool, bound *SharedBound
 	}
 	qLen := q.Length()
 
-	var cands binHeap[*node]
-	cands.push(t.root, 0)
-	ans := newTopK[*traj.Trajectory](k)
-
 	// One per-query segment table serves every node bound and every
 	// member screen of the search.
 	scr := screenPool.Get().(*core.SegScreen)
 	scr.Reset(q)
 	defer screenPool.Put(scr)
 
-	// effLimit is the tightest admissible abandon limit currently known:
-	// the local k-th best once the answer set is full, lowered further by
-	// the shared bound when one is attached.
-	effLimit := func() float64 {
-		limit := math.Inf(1)
-		if worst, full := ans.worst(); full {
-			limit = worst
-		}
-		if bound != nil {
-			if b := bound.Load(); b < limit {
-				limit = b
-			}
-		}
-		return limit
-	}
-
-	// truncated flips when ctl's evaluation budget runs out; the search
-	// then stops expanding and returns the best-effort answer so far.
-	truncated := false
-
-	// evaluate computes the (bounded) exact distance of tr and offers it
-	// to the answer set. Abandoned candidates are never offered: under a
-	// shared bound the local answer set may not be full yet, and a +Inf
-	// entry would poison it.
-	evaluate := func(tr *traj.Trajectory) {
-		if !ctl.Take() {
-			truncated = true
-			return
-		}
-		st.DistanceCalls++
-		limit := effLimit()
+	v := backend.NewVerifier(k, bound, ctl, &st, func(tr *traj.Trajectory, limit float64) (float64, bool) {
 		if t.screenMember(scr, sub, qLen, tr, limit) {
 			// The screen proves the bounded kernel would abandon this
 			// candidate, so the evaluation is cut before the DP starts;
-			// it is counted as the abandoned evaluation it replaces —
-			// every existing counter keeps its meaning — and once more
-			// as a screen reject, so kernel starts can be told apart.
-			st.EarlyAbandons++
+			// the step counts it as the abandoned evaluation it replaces —
+			// every existing counter keeps its meaning — and it is counted
+			// once more here as a screen reject, so kernel starts can be
+			// told apart.
 			st.ScreenRejects++
-			return
+			return math.Inf(1), true
 		}
-		var d float64
-		var abandoned bool
 		if sub {
-			d, abandoned = core.SubDistanceBoundedCancel(q, tr, limit, ctl.CancelFlag())
-		} else {
-			d, abandoned = t.distBounded(q, tr, limit, ctl.CancelFlag())
+			return core.SubDistanceBoundedCancel(q, tr, limit, ctl.CancelFlag())
 		}
-		if abandoned {
-			st.EarlyAbandons++
-			return
-		}
-		if ans.offer(tr, d) && bound != nil {
-			if worst, full := ans.worst(); full {
-				bound.Tighten(worst)
-			}
-		}
-	}
+		return t.distBounded(q, tr, limit, ctl.CancelFlag())
+	})
 
-	for cands.len() > 0 && !truncated {
+	var cands binHeap[*node]
+	cands.push(t.root, 0)
+descent:
+	for cands.len() > 0 {
 		if ctl.Cancelled() {
 			// Cancellation poll between candidate pops. Any in-flight
 			// kernel call the flag interrupted mis-reported its candidate
-			// as abandoned, so the whole answer is discarded here.
-			return nil, st, false, ctl.Err()
+			// as abandoned, so Results discards the whole answer.
+			break
 		}
 		it := cands.pop()
-		if it.Priority >= effLimit() {
-			// The queue is ordered by lower bound: nothing left can beat
-			// the current k-th best (local or shared).
+		if it.Priority > v.Limit() {
+			// The queue is ordered by lower bound: nothing left can enter
+			// the answer. The prune is strict, as ScanKNN's — a subtree
+			// whose bound ties the limit exactly may still hold a member
+			// that enters on the ID tie-break.
 			st.NodesPruned += 1 + cands.len()
 			break
 		}
@@ -123,10 +85,9 @@ func (t *Tree) knnSearch(q *traj.Trajectory, k int, sub bool, bound *SharedBound
 		st.NodesVisited++
 		if c.leaf() {
 			for _, tr := range c.members {
-				if truncated {
-					break
+				if !v.Verify(tr) {
+					break descent
 				}
-				evaluate(tr)
 			}
 			continue
 		}
@@ -136,59 +97,15 @@ func (t *Tree) knnSearch(q *traj.Trajectory, k int, sub bool, bound *SharedBound
 		// result stream — is identical to the unbounded search.
 		for _, child := range c.children {
 			st.LowerBoundCalls++
-			lb := nodeBound(scr, t.denom(sub, qLen, child.maxLen), child, effLimit())
-			if lb >= effLimit() {
+			limit := v.Limit()
+			lb := nodeBound(scr, t.denom(sub, qLen, child.maxLen), child, limit)
+			if lb > limit {
 				st.NodesPruned++
 				continue
 			}
 			cands.push(child, lb)
 		}
 	}
-
-	if err := ctl.Err(); err != nil {
-		// The context fired after the last pop (possibly poisoning the
-		// final kernel calls); the answer cannot be trusted.
-		return nil, st, false, err
-	}
-	items := ans.items()
-	out := make([]Result, len(items))
-	for i, it := range items {
-		out[i] = Result{Traj: it.Value, Dist: it.Priority}
-	}
-	return out, st, truncated, nil
-}
-
-// KNNBrute computes the exact k-NN by sequential scan with the same
-// distance, for verification and as the "EDwP Sequential Scan" competitor
-// of Figs. 5(j) and 6(a). The scan, too, bounds each evaluation by the
-// running k-th best distance.
-func (t *Tree) KNNBrute(q *traj.Trajectory, k int) []Result {
-	ans := newTopK[*traj.Trajectory](k)
-	var walk func(n *node)
-	walk = func(n *node) {
-		if n == nil {
-			return
-		}
-		if n.leaf() {
-			for _, tr := range n.members {
-				limit := math.Inf(1)
-				if worst, full := ans.worst(); full {
-					limit = worst
-				}
-				d, _ := t.distBounded(q, tr, limit, nil)
-				ans.offer(tr, d)
-			}
-			return
-		}
-		for _, c := range n.children {
-			walk(c)
-		}
-	}
-	walk(t.root)
-	items := ans.items()
-	out := make([]Result, len(items))
-	for i, it := range items {
-		out[i] = Result{Traj: it.Value, Dist: it.Priority}
-	}
-	return out
+	res, truncated, err := v.Results()
+	return res, st, truncated, err
 }

@@ -1,6 +1,7 @@
 package trajtree
 
 import (
+	"trajmatch/internal/backend"
 	"trajmatch/internal/core"
 	"trajmatch/internal/traj"
 )
@@ -68,41 +69,6 @@ func (t *Tree) rangeSeeded(q *traj.Trajectory, radius float64, ctl *Ctl) ([]Resu
 		// discard the whole answer.
 		return nil, st, false, err
 	}
-	sortResults(out)
+	backend.SortResults(out)
 	return out, st, truncated, nil
-}
-
-// NearestDissimilar returns the k indexed trajectories *farthest* from q —
-// useful for diversity sampling, implemented as a guarded scan (upper
-// bounds for farthest-point search are not derivable from the paper's
-// lower-bound machinery, so this is exact-by-scan and documented as such).
-func (t *Tree) NearestDissimilar(q *traj.Trajectory, k int) []Result {
-	if t.root == nil || k <= 0 {
-		return nil
-	}
-	ans := newTopK[*traj.Trajectory](k)
-	for _, tr := range t.root.members {
-		// topK keeps smallest priorities; negate to keep farthest.
-		ans.offer(tr, -t.dist(q, tr))
-	}
-	items := ans.items()
-	out := make([]Result, len(items))
-	for i, it := range items {
-		out[i] = Result{Traj: it.Value, Dist: -it.Priority}
-	}
-	return out
-}
-
-// sortResults orders by ascending distance with trajectory ID breaking
-// exact-distance ties, so a range result is a deterministic function of
-// the answer *set* alone — the sharded fan-out concatenates per-shard
-// lists and re-sorts with the same key, making range answers identical
-// across shard counts even when distances tie exactly.
-func sortResults(rs []Result) {
-	for i := 1; i < len(rs); i++ {
-		for j := i; j > 0 && (rs[j].Dist < rs[j-1].Dist ||
-			(rs[j].Dist == rs[j-1].Dist && rs[j].Traj.ID < rs[j-1].Traj.ID)); j-- {
-			rs[j], rs[j-1] = rs[j-1], rs[j]
-		}
-	}
 }

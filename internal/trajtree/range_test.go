@@ -19,13 +19,13 @@ func TestRangeSearchExact(t *testing.T) {
 		q.ID = 9000 + it
 		// Radius chosen around the 10th-NN distance so results are
 		// non-trivial.
-		knn := tree.KNNBrute(q, 10)
+		knn := referenceKNN(tree.root.members, q, 10, tree.opt.Cumulative)
 		radius := knn[len(knn)-1].Dist
 		got, st, _, _ := tree.SearchRange(q, radius, nil)
 		// Brute-force reference.
 		var want int
 		for _, tr := range tree.All() {
-			if tree.dist(q, tr) <= radius {
+			if d, _ := tree.DistanceBetween(q, tr, math.Inf(1), nil); d <= radius {
 				want++
 			}
 		}
@@ -70,30 +70,6 @@ func TestRangeSearchEmptyAndZeroRadius(t *testing.T) {
 	}
 	if !found {
 		t.Error("zero-radius search missed the query itself")
-	}
-}
-
-func TestNearestDissimilar(t *testing.T) {
-	rng := rand.New(rand.NewSource(123))
-	db := testDB(rng, 60)
-	tree, err := New(db, testOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := db[0]
-	far := tree.NearestDissimilar(q, 5)
-	if len(far) != 5 {
-		t.Fatalf("got %d results", len(far))
-	}
-	// The farthest result must match the brute-force maximum.
-	var maxD float64
-	for _, tr := range db {
-		if d := tree.dist(q, tr); d > maxD {
-			maxD = d
-		}
-	}
-	if math.Abs(far[0].Dist-maxD) > 1e-9 {
-		t.Errorf("farthest = %v, want %v", far[0].Dist, maxD)
 	}
 }
 

@@ -173,7 +173,7 @@ func TestRebuildScheduleIndependent(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sameResults(t, schedule, knn, tree.KNNBrute(q, 10))
+			sameResults(t, schedule, knn, referenceKNN(tree.root.members, q, 10, tree.opt.Cumulative))
 			rng, rst, _, err := tree.SearchRange(q, knn[4].Dist, nil)
 			if err != nil {
 				t.Fatal(err)
@@ -225,7 +225,7 @@ func exactEverywhere(t *testing.T, label string, tree *Tree, queries []*traj.Tra
 		ids[i] = tr.ID
 	}
 	for _, q := range queries {
-		want := tree.KNNBrute(q, 8)
+		want := referenceKNN(tree.root.members, q, 8, tree.opt.Cumulative)
 		got, _, _, err := tree.SearchKNN(q, 8, nil, nil)
 		if err != nil {
 			t.Fatal(err)

@@ -73,7 +73,7 @@ func TestBoundsAdmissibleOnTree(t *testing.T) {
 				raw, sub := map[int]float64{}, map[int]float64{}
 				for _, m := range tree.root.members {
 					raw[m.ID], sub[m.ID] = core.Distance(q, m), core.SubDistance(q, m)
-					d := tree.dist(q, m)
+					d, _ := tree.DistanceBetween(q, m, inf, nil)
 					if tree.screenMember(&scr, false, qLen, m, d) {
 						t.Fatalf("%s: member %d rejected at its own distance %v", name, m.ID, d)
 					}
@@ -108,7 +108,7 @@ func TestBoundsAdmissibleOnTree(t *testing.T) {
 						if screen > sub[m.ID]+slack(sub[m.ID]) {
 							t.Fatalf("%s: node screen %v exceeds EDwPsub %v of member %d", name, screen, sub[m.ID], m.ID)
 						}
-						if d := tree.dist(q, m); nb > d+slack(d) {
+						if d, _ := tree.DistanceBetween(q, m, inf, nil); nb > d+slack(d) {
 							t.Fatalf("%s: node bound %v exceeds distance %v of member %d", name, nb, d, m.ID)
 						}
 					}
@@ -159,28 +159,41 @@ func TestInsertedMemberIsFound(t *testing.T) {
 // verification: handed every member as a candidate, arena-resident ones
 // (two-sided screen) and overlay ones (the Theorem-2 DP in both
 // directions, summed) alike, SearchKNNIn must return SearchKNN's answer —
-// an inadmissible Cand.LB would cut a true neighbour off.
+// an inadmissible Cand.LB would cut a true neighbour off. The corpus
+// holds eight clones of trip 0, half built into the arena and half in
+// the overlay, and trip 0 is one of the queries: nine members tie at
+// distance zero, k = 8 cuts the group, and both searches — and the
+// unbounded scan — must keep the same eight by ID.
 func TestSearchKNNInExactOverAllCandidates(t *testing.T) {
 	for _, cumulative := range []bool{false, true} {
 		db := taxiTrips(260, 1, 0)
-		tree, err := New(db[:200], Options{Seed: 1, LeafSize: 6, Cumulative: cumulative, RebuildRatio: -1})
+		for i := 0; i < 8; i++ {
+			c := db[0].Clone()
+			c.ID = 10_000 + i
+			db = append(db, c)
+		}
+		built := append(db[:200:200], db[260:264]...)
+		tree, err := New(built, Options{Seed: 1, LeafSize: 6, Cumulative: cumulative, RebuildRatio: -1})
 		if err != nil {
 			t.Fatal(err)
 		}
 		ids := make([]int, len(db))
 		for i, tr := range db {
 			ids[i] = tr.ID
-			if i >= 200 {
+			if i >= 200 && tree.Lookup(tr.ID) == nil {
 				if err := tree.Insert(tr); err != nil {
 					t.Fatal(err)
 				}
 			}
 		}
-		for _, q := range taxiTrips(12, 7920, 5_000_000) {
+		self := db[0].Clone()
+		self.ID = 6_000_000
+		for _, q := range append(taxiTrips(12, 7920, 5_000_000), self) {
 			want, _, _, err := tree.SearchKNN(q, 8, nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
+			sameResults(t, "SearchKNN against the unbounded scan", want, referenceKNN(tree.root.members, q, 8, cumulative))
 			got, st, _, err := tree.SearchKNNIn(q, ids, 8, nil, nil)
 			if err != nil {
 				t.Fatal(err)

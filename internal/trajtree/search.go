@@ -23,7 +23,8 @@ func NewCtl(ctx context.Context, maxEvals int) *Ctl { return backend.NewCtl(ctx,
 
 // SearchKNN returns the exact k nearest trajectories to q under EDwPavg
 // (or cumulative EDwP when Options.Cumulative is set), sorted by
-// ascending distance, together with query statistics. It implements
+// (distance, ID) — an exact tie at the k-th distance is decided by ID —
+// together with query statistics. It implements
 // Algorithm 2: best-first traversal ordered by tBoxSeq lower bounds from
 // an empty answer set. Every exact evaluation passes the current k-th best
 // distance to the bounded kernel, which abandons the dynamic program as
@@ -33,8 +34,8 @@ func NewCtl(ctx context.Context, maxEvals int) *Ctl { return backend.NewCtl(ctx,
 //
 // bound may be nil (a self-contained search), or carry an external upper
 // bound: candidates whose distance exceeds it are pruned from the very
-// first evaluation and subtrees whose lower bound is not below it are
-// never opened, so the results hold only distances ≤ the bound (possibly
+// first evaluation and subtrees whose lower bound exceeds it are never
+// opened, so the results hold only distances ≤ the bound (possibly
 // fewer than k). Its limit must be admissible — a known upper bound on
 // the global k-th best, for example one already found in another shard
 // of a partitioned corpus — or true neighbours can be cut off. A bound
@@ -42,8 +43,8 @@ func NewCtl(ctx context.Context, maxEvals int) *Ctl { return backend.NewCtl(ctx,
 // by each search the moment its answer set fills, so a close neighbour
 // found in one shard abandons DP work in every other; the union of the
 // per-shard results is a superset of the global k-NN set (see
-// SharedBound), which callers merge with a k-bounded heap. ctl may be
-// nil for an uncancellable, unbudgeted search.
+// SharedBound), which callers merge by (distance, ID) cut at k. ctl may
+// be nil for an uncancellable, unbudgeted search.
 //
 // The third return reports truncation: the Ctl's evaluation budget ran
 // out and the answer holds only the neighbours confirmed so far — a

@@ -8,6 +8,7 @@ import (
 	"sort"
 	"testing"
 
+	"trajmatch/internal/backend"
 	"trajmatch/internal/core"
 	"trajmatch/internal/traj"
 )
@@ -59,7 +60,7 @@ func TestSearchSubMatchesBruteScan(t *testing.T) {
 
 			for _, seed := range []float64{math.Inf(1), 1.5*ref[k-1].d + 1} {
 				bound := NewSharedBound(seed)
-				merged := newTopK[*traj.Trajectory](k)
+				merged := backend.NewKBest(k)
 				calls := 0
 				for _, tree := range trees {
 					got, st, trunc, err := tree.SearchSub(q, k, bound, nil)
@@ -68,20 +69,20 @@ func TestSearchSubMatchesBruteScan(t *testing.T) {
 					}
 					calls += st.DistanceCalls
 					for _, r := range got {
-						merged.offer(r.Traj, r.Dist)
+						merged.Offer(r.Traj, r.Dist)
 					}
 				}
 				if calls >= len(db) {
 					t.Fatalf("parts=%d it=%d: %d distance calls over %d members: the descent pruned nothing", parts, it, calls, len(db))
 				}
-				got := merged.items()
+				got := merged.Results()
 				if len(got) != k {
 					t.Fatalf("parts=%d it=%d: %d results, want %d", parts, it, len(got), k)
 				}
 				for i, r := range got {
-					if diff := math.Abs(r.Priority - ref[i].d); diff > 1e-9 {
+					if diff := math.Abs(r.Dist - ref[i].d); diff > 1e-9 {
 						t.Fatalf("parts=%d it=%d seed=%v rank %d: dist %v, brute %v (T%d vs T%d)",
-							parts, it, seed, i, r.Priority, ref[i].d, r.Value.ID, ref[i].id)
+							parts, it, seed, i, r.Dist, ref[i].d, r.Traj.ID, ref[i].id)
 					}
 				}
 			}

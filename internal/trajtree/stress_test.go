@@ -67,7 +67,7 @@ func TestInterleavedUpdatesStayExact(t *testing.T) {
 		q := testDB(rng, 1)[0]
 		q.ID = 100_000 + batch
 		got, _, _, _ := tree.SearchKNN(q, 5, nil, nil)
-		ref := tree.KNNBrute(q, 5)
+		ref := referenceKNN(tree.root.members, q, 5, tree.opt.Cumulative)
 		for i := range got {
 			if math.Abs(got[i].Dist-ref[i].Dist) > 1e-9*(1+ref[i].Dist) {
 				t.Fatalf("batch %d rank %d: %v vs %v", batch, i, got[i].Dist, ref[i].Dist)
@@ -97,7 +97,7 @@ func TestKNNExactUnderOptionExtremes(t *testing.T) {
 			t.Fatalf("opts %d: %v", oi, err)
 		}
 		got, _, _, _ := tree.SearchKNN(q, 9, nil, nil)
-		want := tree.KNNBrute(q, 9)
+		want := referenceKNN(tree.root.members, q, 9, tree.opt.Cumulative)
 		for i := range got {
 			if math.Abs(got[i].Dist-want[i].Dist) > 1e-9*(1+want[i].Dist) {
 				t.Fatalf("opts %d rank %d: %v vs %v", oi, i, got[i].Dist, want[i].Dist)

@@ -212,13 +212,8 @@ func height(n *node) int {
 	return max + 1
 }
 
-// dist is the query distance: EDwPavg by default (Section V-A).
-func (t *Tree) dist(a, b *traj.Trajectory) float64 {
-	d, _ := t.distBounded(a, b, math.Inf(1), nil)
-	return d
-}
-
-// distBounded is the bound-aware query distance: it returns the exact
+// distBounded is the bound-aware query distance, EDwPavg by default
+// (Section V-A): it returns the exact
 // distance whenever it does not exceed limit and +Inf otherwise, letting
 // the kernel abandon the dynamic program early; the second return reports
 // whether a +Inf came from the limit (counted as Stats.EarlyAbandons)

@@ -87,7 +87,7 @@ func TestKNNExactlyMatchesBruteForce(t *testing.T) {
 		q.ID = 10_000 + it
 		for _, k := range []int{1, 5, 10} {
 			got, _, _, _ := tree.SearchKNN(q, k, nil, nil)
-			want := tree.KNNBrute(q, k)
+			want := referenceKNN(tree.root.members, q, k, tree.opt.Cumulative)
 			if len(got) != len(want) {
 				t.Fatalf("k=%d: %d results, want %d", k, len(got), len(want))
 			}
@@ -114,7 +114,7 @@ func TestKNNCumulativeMode(t *testing.T) {
 	q := testDB(rng, 1)[0]
 	q.ID = 9999
 	got, _, _, _ := tree.SearchKNN(q, 5, nil, nil)
-	want := tree.KNNBrute(q, 5)
+	want := referenceKNN(tree.root.members, q, 5, tree.opt.Cumulative)
 	for i := range got {
 		if math.Abs(got[i].Dist-want[i].Dist) > 1e-6*(1+want[i].Dist) {
 			t.Fatalf("rank %d: %v vs %v", i, got[i].Dist, want[i].Dist)
@@ -159,7 +159,7 @@ func TestKNNParallelBuildSameAnswers(t *testing.T) {
 	q := testDB(rng, 1)[0]
 	q.ID = 9999
 	got, _, _, _ := par.SearchKNN(q, 8, nil, nil)
-	want := par.KNNBrute(q, 8)
+	want := referenceKNN(par.root.members, q, 8, par.opt.Cumulative)
 	for i := range got {
 		if math.Abs(got[i].Dist-want[i].Dist) > 1e-9*(1+want[i].Dist) {
 			t.Fatalf("rank %d: %v vs %v", i, got[i].Dist, want[i].Dist)
@@ -210,7 +210,7 @@ func TestInsertThenQuery(t *testing.T) {
 	q := testDB(rng, 1)[0]
 	q.ID = 9999
 	got, _, _, _ := tree.SearchKNN(q, 10, nil, nil)
-	want := tree.KNNBrute(q, 10)
+	want := referenceKNN(tree.root.members, q, 10, tree.opt.Cumulative)
 	for i := range got {
 		if math.Abs(got[i].Dist-want[i].Dist) > 1e-9*(1+want[i].Dist) {
 			t.Fatalf("after inserts, rank %d: %v vs %v", i, got[i].Dist, want[i].Dist)
