@@ -1,11 +1,6 @@
-// Figure-reproduction benchmarks: one benchmark per table/figure of the
-// paper's evaluation (Section V), plus ablations. Accuracy figures report
-// their headline numbers through b.ReportMetric (so `go test -bench` prints
-// the series the paper plots); timing figures measure the operation the
-// paper times. cmd/trajbench prints the full multi-column tables.
-//
-// Scales are laptop-sized; the shapes (who wins, crossovers, growth rates)
-// are the reproduction target, not the authors' absolute numbers.
+// Microbenchmarks of the search path: the kernel, the tree, the engine's
+// batch and shard fan-out, the metric backends, the prefilter and the
+// rebuild stall. The paper's tables and figures are cmd/trajbench's job.
 package trajmatch_test
 
 import (
@@ -20,13 +15,17 @@ import (
 	"time"
 
 	"trajmatch"
+	"trajmatch/internal/backend"
 	"trajmatch/internal/core"
+	"trajmatch/internal/dtwindex"
+	"trajmatch/internal/edrindex"
 	"trajmatch/internal/eval"
 	"trajmatch/internal/raceflag"
+	"trajmatch/internal/trajtree"
 )
 
-// benchScale sizes all figure benchmarks.
-var benchScale = eval.Scale{TaxiN: 150, ASLInstances: 6, Queries: 3, Folds: 3, Seed: 1}
+// benchTaxiN is the size of the small taxi corpus most benchmarks share.
+const benchTaxiN = 150
 
 var (
 	taxiOnce sync.Once
@@ -35,7 +34,7 @@ var (
 
 func benchTaxi() []*trajmatch.Trajectory {
 	taxiOnce.Do(func() {
-		taxiDB = trajmatch.GenerateTaxi(trajmatch.DefaultTaxiConfig(benchScale.TaxiN))
+		taxiDB = trajmatch.GenerateTaxi(trajmatch.DefaultTaxiConfig(benchTaxiN))
 	})
 	return taxiDB
 }
@@ -50,280 +49,6 @@ func benchQueries(n int) []*trajmatch.Trajectory {
 		out[i] = q
 	}
 	return out
-}
-
-// reportSeries publishes the final Y value of each series as a benchmark
-// metric, e.g. corr/EDwP.
-func reportSeries(b *testing.B, unit string, ss []eval.Series) {
-	b.Helper()
-	for _, s := range ss {
-		if len(s.Y) > 0 {
-			b.ReportMetric(s.Y[len(s.Y)-1], unit+"/"+sanitize(s.Name))
-		}
-	}
-}
-
-func sanitize(s string) string {
-	out := make([]rune, 0, len(s))
-	for _, r := range s {
-		switch r {
-		case ' ', '/':
-			out = append(out, '_')
-		default:
-			out = append(out, r)
-		}
-	}
-	return string(out)
-}
-
-// BenchmarkFig5aClassification reproduces Fig. 5(a): classification
-// accuracy on the ASL-style dataset at the largest class count.
-func BenchmarkFig5aClassification(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		ss := eval.Fig5a(benchScale, []int{10})
-		reportSeries(b, "acc", ss)
-	}
-}
-
-// Robustness figures 5(b)–(i): Spearman correlation under each noise model,
-// against k (fixed 5% noise) and against noise level (k = 10).
-
-func BenchmarkFig5bInterVsK(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		reportSeries(b, "corr", eval.RobustnessVsK(benchScale, eval.NoiseInter, 0.05, []int{10, 50}))
-	}
-}
-
-func BenchmarkFig5cInterVsN(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		reportSeries(b, "corr", eval.RobustnessVsN(benchScale, eval.NoiseInter, []float64{0.25, 1.0}))
-	}
-}
-
-func BenchmarkFig5dIntraVsK(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		reportSeries(b, "corr", eval.RobustnessVsK(benchScale, eval.NoiseIntra, 0.05, []int{10, 50}))
-	}
-}
-
-func BenchmarkFig5eIntraVsN(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		reportSeries(b, "corr", eval.RobustnessVsN(benchScale, eval.NoiseIntra, []float64{0.25, 1.0}))
-	}
-}
-
-func BenchmarkFig5fPhaseVsK(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		reportSeries(b, "corr", eval.RobustnessVsK(benchScale, eval.NoisePhase, 0.05, []int{10, 50}))
-	}
-}
-
-func BenchmarkFig5gPhaseVsN(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		reportSeries(b, "corr", eval.RobustnessVsN(benchScale, eval.NoisePhase, []float64{0.25, 1.0}))
-	}
-}
-
-func BenchmarkFig5hPerturbVsK(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		reportSeries(b, "corr", eval.RobustnessVsK(benchScale, eval.NoisePerturb, 0.10, []int{10, 50}))
-	}
-}
-
-func BenchmarkFig5iPerturbVsN(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		reportSeries(b, "corr", eval.RobustnessVsN(benchScale, eval.NoisePerturb, []float64{0.25, 1.0}))
-	}
-}
-
-// BenchmarkFig5jQueryVsK reproduces Fig. 5(j): k-NN latency of TrajTree
-// against the sequential competitors, per k.
-func BenchmarkFig5jQueryVsK(b *testing.B) {
-	db := benchTaxi()
-	queries := benchQueries(benchScale.Queries)
-	for _, k := range []int{10, 50} {
-		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				ss, err := eval.QueryCompetitors(db, queries, []int{k},
-					trajmatch.IndexOptions{PivotCandidates: 32, Seed: 1})
-				if err != nil {
-					b.Fatal(err)
-				}
-				reportSeries(b, "sec", ss)
-			}
-		})
-	}
-}
-
-// BenchmarkFig6aQueryVsDBSize reproduces Fig. 6(a): latency growth with
-// database size. The tree is rebuilt per size inside QueryCompetitors.
-func BenchmarkFig6aQueryVsDBSize(b *testing.B) {
-	for _, n := range []int{100, 200, 400} {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			db := trajmatch.GenerateTaxi(trajmatch.DefaultTaxiConfig(n))
-			rng := rand.New(rand.NewSource(7))
-			queries := make([]*trajmatch.Trajectory, benchScale.Queries)
-			for i := range queries {
-				q := db[rng.Intn(len(db))].Clone()
-				q.ID = 1_000_000 + i
-				queries[i] = q
-			}
-			for i := 0; i < b.N; i++ {
-				ss, err := eval.QueryCompetitors(db, queries, []int{10},
-					trajmatch.IndexOptions{PivotCandidates: 32, Seed: 1})
-				if err != nil {
-					b.Fatal(err)
-				}
-				reportSeries(b, "sec", ss)
-			}
-		})
-	}
-}
-
-// BenchmarkFig6bQueryVsTheta reproduces Fig. 6(b): query latency against θ.
-func BenchmarkFig6bQueryVsTheta(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		ss, err := eval.QueryVsTheta(benchScale, []float64{0.4, 0.8, 0.95}, 10)
-		if err != nil {
-			b.Fatal(err)
-		}
-		reportSeries(b, "sec", ss)
-	}
-}
-
-// BenchmarkFig6cUBFactorVsVPs reproduces Fig. 6(c): UB-Factor tightness as
-// vantage points grow, with the random baseline.
-func BenchmarkFig6cUBFactorVsVPs(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		ss := eval.UBFactorVsVPs(benchScale, []int{10, 40, 80})
-		reportSeries(b, "ubf", ss)
-	}
-}
-
-// BenchmarkFig6dUBFactorVsK reproduces Fig. 6(d).
-func BenchmarkFig6dUBFactorVsK(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		ss := eval.UBFactorVsK(benchScale, []int{5, 25, 50}, 40)
-		reportSeries(b, "ubf", ss)
-	}
-}
-
-// BenchmarkFig6eBuildVsDBSize reproduces Fig. 6(e): construction time
-// growth with database size.
-func BenchmarkFig6eBuildVsDBSize(b *testing.B) {
-	for _, n := range []int{100, 200, 400} {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			db := trajmatch.GenerateTaxi(trajmatch.DefaultTaxiConfig(n))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := trajmatch.NewIndex(db, trajmatch.IndexOptions{PivotCandidates: 32, Seed: 1}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkFig6fBuildVsTheta reproduces Fig. 6(f): construction time
-// against θ.
-func BenchmarkFig6fBuildVsTheta(b *testing.B) {
-	db := benchTaxi()
-	for _, th := range []float64{0.4, 0.8, 0.95} {
-		b.Run(fmt.Sprintf("theta=%.2f", th), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := trajmatch.NewIndex(db, trajmatch.IndexOptions{Theta: th, PivotCandidates: 32, Seed: 1}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkAblationCoverage isolates the Coverage factor of Eq. 3
-// (ablation X2): rank robustness under intra-trajectory noise with the full
-// EDwP versus the coverage-free variant.
-func BenchmarkAblationCoverage(b *testing.B) {
-	type metricFn struct {
-		name string
-		fn   func(a, c *trajmatch.Trajectory) float64
-	}
-	variants := []metricFn{
-		{"with-coverage", core.Distance},
-		{"without-coverage", core.UniformDistance},
-	}
-	db := benchTaxi()
-	noisy := trajmatch.IntraNoise(db, 0.5, 5)
-	queries := []int{0, 3, 11}
-	for _, v := range variants {
-		b.Run(v.name, func(b *testing.B) {
-			m := fnMetric{name: v.name, fn: v.fn}
-			for i := 0; i < b.N; i++ {
-				corr := eval.MeanRankRobustness(db, noisy, m, queries, 10)
-				b.ReportMetric(corr, "corr")
-			}
-		})
-	}
-}
-
-// fnMetric adapts a bare distance function to the Metric interface.
-type fnMetric struct {
-	name string
-	fn   func(a, b *trajmatch.Trajectory) float64
-}
-
-func (m fnMetric) Name() string                            { return m.name }
-func (m fnMetric) Dist(a, b *trajmatch.Trajectory) float64 { return m.fn(a, b) }
-
-// BenchmarkAblationExactVsDP compares the production EDwP dynamic program
-// against the exact-recursion oracle (ablation X3).
-func BenchmarkAblationExactVsDP(b *testing.B) {
-	rng := rand.New(rand.NewSource(3))
-	mk := func(n int) *trajmatch.Trajectory {
-		pts := make([]trajmatch.STPoint, n)
-		x, y := 0.0, 0.0
-		for i := range pts {
-			pts[i] = trajmatch.P(x, y, float64(i))
-			x += rng.NormFloat64() * 3
-			y += rng.NormFloat64() * 3
-		}
-		return trajmatch.NewTrajectory(0, pts)
-	}
-	a, c := mk(8), mk(8)
-	b.Run("dp", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			trajmatch.EDwP(a, c)
-		}
-	})
-}
-
-// BenchmarkDistanceThroughput compares raw pairwise distance costs of all
-// metrics on typical trips — the constant factors behind Fig. 5(j)'s
-// ordering (MA slowest, EDwP faster than EDR-on-interpolated).
-func BenchmarkDistanceThroughput(b *testing.B) {
-	db := benchTaxi()
-	a, c := db[0], db[1]
-	for _, m := range trajmatch.Metrics(40) {
-		b.Run(m.Name(), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				m.Dist(a, c)
-			}
-		})
-	}
-}
-
-// BenchmarkIndexKNN is the headline end-to-end number: one k-NN query on
-// the standing index.
-func BenchmarkIndexKNN(b *testing.B) {
-	db := benchTaxi()
-	tree, err := trajmatch.NewIndex(db, trajmatch.IndexOptions{PivotCandidates: 32, Seed: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	q := benchQueries(1)[0]
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tree.SearchKNN(q, 10, nil, nil)
-	}
 }
 
 // BenchmarkTreeKNN runs a rotating set of k-NN queries on the standing
@@ -508,20 +233,20 @@ func BenchmarkKNNASL(b *testing.B) {
 func BenchmarkDistanceBounded(b *testing.B) {
 	db := benchTaxi()
 	x, y := db[0], db[1]
-	full := trajmatch.EDwP(x, y)
+	full := core.Distance(x, y)
 	b.Run("unbounded", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			trajmatch.EDwP(x, y)
+			core.Distance(x, y)
 		}
 	})
 	b.Run("limit-loose", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			trajmatch.EDwPBounded(x, y, full*2)
+			core.DistanceBounded(x, y, full*2)
 		}
 	})
 	b.Run("limit-tight", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			trajmatch.EDwPBounded(x, y, full/100)
+			core.DistanceBounded(x, y, full/100)
 		}
 	})
 }
@@ -599,8 +324,8 @@ func BenchmarkShardedKNN(b *testing.B) {
 	queries := benchQueries(32)
 	iopt := trajmatch.IndexOptions{PivotCandidates: 32, Seed: 1}
 
-	mergeTopK := func(per [][]trajmatch.Result, k int) []trajmatch.Result {
-		var all []trajmatch.Result
+	mergeTopK := func(per [][]backend.Result, k int) []backend.Result {
+		var all []backend.Result
 		for _, rs := range per {
 			all = append(all, rs...)
 		}
@@ -654,10 +379,10 @@ func BenchmarkShardedKNN(b *testing.B) {
 		}
 		b.Run(fmt.Sprintf("shards=%d/fanout-shared", shards), func(b *testing.B) {
 			distcalls, fulls := 0, 0
-			per := make([][]trajmatch.Result, shards)
+			per := make([][]backend.Result, shards)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				bound := trajmatch.NewSharedBound(math.Inf(1))
+				bound := backend.NewSharedBound(math.Inf(1))
 				for s, tree := range trees {
 					res, st, _, _ := tree.SearchKNN(queries[i%len(queries)], 10, bound, nil)
 					per[s] = res
@@ -672,7 +397,7 @@ func BenchmarkShardedKNN(b *testing.B) {
 		})
 		b.Run(fmt.Sprintf("shards=%d/fanout-independent", shards), func(b *testing.B) {
 			distcalls, fulls := 0, 0
-			per := make([][]trajmatch.Result, shards)
+			per := make([][]backend.Result, shards)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				for s, tree := range trees {
@@ -801,7 +526,7 @@ func BenchmarkBackendKNN(b *testing.B) {
 	queries := benchQueries(16)
 	iopt := trajmatch.IndexOptions{PivotCandidates: 32, Seed: 1}
 	engine, err := trajmatch.NewMultiEngine(db,
-		[]string{trajmatch.MetricNameEDwP, trajmatch.MetricNameDTW, trajmatch.MetricNameEDR},
+		[]string{trajtree.MetricName, dtwindex.MetricName, edrindex.MetricName},
 		iopt, trajmatch.EngineOptions{CacheSize: -1})
 	if err != nil {
 		b.Fatal(err)

@@ -1,9 +1,11 @@
-// Package eval implements the paper's evaluation protocols (Section V):
-// multi-class 1-NN classification with k-fold cross-validation (Fig. 5(a)),
-// the Spearman rank-robustness procedure that scores every noise model
-// (Figs. 5(b)–(i)) and the UB-Factor measurements for vantage points
-// (Figs. 6(c)–(d)). Distance computations fan out over a bounded worker
-// pool sized to the machine.
+// Package eval implements the paper's evaluation (Section V): the Table
+// I/II robustness scenarios, multi-class 1-NN classification with k-fold
+// cross-validation (Fig. 5(a)), the Spearman rank-robustness procedure
+// that scores every noise model (Figs. 5(b)–(i)), the query and build
+// timings (Figs. 5(j), 6(a)–(b), 6(e)–(f)) and the UB-Factor measurements
+// for vantage points (Figs. 6(c)–(d)). cmd/trajbench prints every one of
+// them. Distance computations fan out over a bounded worker pool sized to
+// the machine.
 package eval
 
 import (

@@ -201,7 +201,54 @@ func robustnessSweep(sc Scale, d1, d2 []*traj.Trajectory, ks []int, queries []in
 	return out
 }
 
-// QueryCompetitors reproduces Fig. 5(j)/6(a): mean k-NN latency (seconds)
+// QueryVsK reproduces Fig. 5(j): mean k-NN seconds of every competitor
+// against k, over sc.Queries database trips cloned as queries. ks
+// defaults to the paper's 5..50 sweep when nil.
+func QueryVsK(sc Scale, ks []int) ([]Series, error) {
+	if ks == nil {
+		ks = []int{5, 10, 20, 30, 40, 50}
+	}
+	db := synth.Taxi(synth.DefaultTaxi(sc.TaxiN))
+	queries := sampleQueries(db, sc.Queries, rand.New(rand.NewSource(sc.Seed+41)))
+	return queryCompetitors(db, queries, ks, competitorOptions(sc))
+}
+
+// QueryVsDBSize reproduces Fig. 6(a): mean 10-NN seconds of every
+// competitor against database size. sizes defaults to a quarter, a half
+// and all of sc.TaxiN when nil.
+func QueryVsDBSize(sc Scale, sizes []int) ([]Series, error) {
+	if sizes == nil {
+		sizes = []int{sc.TaxiN / 4, sc.TaxiN / 2, sc.TaxiN}
+	}
+	var out []Series
+	for _, n := range sizes {
+		db := synth.Taxi(synth.DefaultTaxi(n))
+		queries := sampleQueries(db, sc.Queries, rand.New(rand.NewSource(sc.Seed+43)))
+		point, err := queryCompetitors(db, queries, []int{10}, competitorOptions(sc))
+		if err != nil {
+			return nil, err
+		}
+		if out == nil {
+			out = make([]Series, len(point))
+			for i := range point {
+				out[i].Name = point[i].Name
+			}
+		}
+		for i := range point {
+			out[i].X = append(out[i].X, float64(n))
+			out[i].Y = append(out[i].Y, point[i].Y[0])
+		}
+	}
+	return out, nil
+}
+
+// competitorOptions is the TrajTree configuration of the query-latency
+// figures.
+func competitorOptions(sc Scale) trajtree.Options {
+	return trajtree.Options{Seed: sc.Seed, PivotCandidates: 32, Parallel: true}
+}
+
+// queryCompetitors measures Figs. 5(j)/6(a): mean k-NN latency (seconds)
 // of TrajTree, EDwP sequential scan, the EDR index and an MA sequential
 // scan, against k (with xs = ks) or against database size. Following
 // Section V-D, the EDR competitor runs over the uniformly interpolated
@@ -212,7 +259,7 @@ func robustnessSweep(sc Scale, d1, d2 []*traj.Trajectory, ks []int, queries []in
 // (metrics.Spec) — the same entry point trajserve boots from — so the
 // index a figure benchmarks is byte-for-byte the index the serving
 // stack answers with.
-func QueryCompetitors(db []*traj.Trajectory, queries []*traj.Trajectory, ks []int, opt trajtree.Options) ([]Series, error) {
+func queryCompetitors(db []*traj.Trajectory, queries []*traj.Trajectory, ks []int, opt trajtree.Options) ([]Series, error) {
 	treeSpec, err := metrics.Spec(trajtree.MetricName, db, metrics.Config{Tree: opt})
 	if err != nil {
 		return nil, err

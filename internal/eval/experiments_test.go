@@ -84,7 +84,7 @@ func TestQueryCompetitors(t *testing.T) {
 	sc := tinyScale()
 	db := synth.Taxi(synth.DefaultTaxi(sc.TaxiN))
 	queries := sampleQueries(db, 2, randFor(sc))
-	ss, err := QueryCompetitors(db, queries, []int{5}, trajtree.Options{PivotCandidates: 16, Seed: 1})
+	ss, err := queryCompetitors(db, queries, []int{5}, trajtree.Options{PivotCandidates: 16, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,7 +11,3 @@ import (
 // answer set fills; see backend.SharedBound for the admissibility
 // argument.
 type SharedBound = backend.SharedBound
-
-// NewSharedBound returns a bound seeded at limit (use +Inf for an
-// unconstrained search).
-func NewSharedBound(limit float64) *SharedBound { return backend.NewSharedBound(limit) }

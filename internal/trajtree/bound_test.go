@@ -11,7 +11,7 @@ import (
 )
 
 func TestSharedBoundTightensMonotonically(t *testing.T) {
-	b := NewSharedBound(math.Inf(1))
+	b := backend.NewSharedBound(math.Inf(1))
 	if !math.IsInf(b.Load(), 1) {
 		t.Fatalf("fresh bound %v, want +Inf", b.Load())
 	}
@@ -26,7 +26,7 @@ func TestSharedBoundTightensMonotonically(t *testing.T) {
 	}
 
 	// Concurrent tightening converges to the minimum offered value.
-	b = NewSharedBound(math.Inf(1))
+	b = backend.NewSharedBound(math.Inf(1))
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -68,7 +68,7 @@ func TestSeededBoundPrunesAboveLimit(t *testing.T) {
 			continue
 		}
 		limit := full[half-1].Dist
-		got, st, _, _ := tree.SearchKNN(q, half, NewSharedBound(limit), nil)
+		got, st, _, _ := tree.SearchKNN(q, half, backend.NewSharedBound(limit), nil)
 		sameResults(t, "SearchKNN(seeded)", got, full[:half])
 		for _, r := range got {
 			if r.Dist > limit {
@@ -99,7 +99,7 @@ func TestSeededBoundPrunesAboveLimit(t *testing.T) {
 	}
 	q := db[0].Clone()
 	q.ID = 11_100_000
-	got, _, _, _ := tied.SearchKNN(q, 3, NewSharedBound(0), nil)
+	got, _, _, _ := tied.SearchKNN(q, 3, backend.NewSharedBound(0), nil)
 	sameResults(t, "SearchKNN(seeded at an exact tie)", got, referenceKNN(dup, q, 3, false))
 }
 
@@ -134,7 +134,7 @@ func TestSharedBoundPartitionsMatchSingleTree(t *testing.T) {
 			want, _, _, _ := whole.SearchKNN(q, k, nil, nil)
 
 			for _, concurrent := range []bool{false, true} {
-				bound := NewSharedBound(math.Inf(1))
+				bound := backend.NewSharedBound(math.Inf(1))
 				per := make([][]Result, parts)
 				if concurrent {
 					var wg sync.WaitGroup

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"trajmatch/internal/backend"
 	"trajmatch/internal/raceflag"
 	"trajmatch/internal/synth"
 	"trajmatch/internal/traj"
@@ -69,7 +70,7 @@ func workCounters(t *testing.T, tree *Tree, queries []*traj.Trajectory) [][6]int
 			t.Fatal(err)
 		}
 		out = append(out, row(st))
-		_, st, _, err = tree.SearchKNN(q, 10, NewSharedBound(1.5*res[4].Dist), nil)
+		_, st, _, err = tree.SearchKNN(q, 10, backend.NewSharedBound(1.5*res[4].Dist), nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -59,7 +59,7 @@ func TestSearchSubMatchesBruteScan(t *testing.T) {
 			})
 
 			for _, seed := range []float64{math.Inf(1), 1.5*ref[k-1].d + 1} {
-				bound := NewSharedBound(seed)
+				bound := backend.NewSharedBound(seed)
 				merged := backend.NewKBest(k)
 				calls := 0
 				for _, tree := range trees {

@@ -5,12 +5,15 @@
 // heterogeneous sampling — and the TrajTree index for exact k-NN retrieval
 // under it.
 //
-// The package is a facade over the implementation packages in internal/:
-// it re-exports the trajectory model, the EDwP family, six baseline
-// distances, the TrajTree index, synthetic dataset generators with the
-// paper's four noise models, and CSV/NDJSON I/O. Examples under examples/
-// and the figure-reproduction benchmarks in bench_test.go use only this
-// surface.
+// The package is a facade over the implementation packages in internal/,
+// cut to what the commands under cmd/ and the benchmark under bench/ use
+// plus the paper's own toolkit: the trajectory model and its lat/lon and
+// trip-splitting ingestion, the EDwP family with its edit script, the
+// baseline distances of Table I, the TrajTree index, the sharded query
+// engine with its HTTP API, snapshots and cluster mode, the synthetic
+// datasets with the paper's four noise models, and CSV/NDJSON I/O. The
+// paper's tables and figures are reproduced by cmd/trajbench over
+// internal/eval.
 //
 // Quick start:
 //
@@ -33,8 +36,6 @@ import (
 	"trajmatch/internal/cluster"
 	"trajmatch/internal/core"
 	"trajmatch/internal/dataio"
-	"trajmatch/internal/dtwindex"
-	"trajmatch/internal/edrindex"
 	"trajmatch/internal/metrics"
 	"trajmatch/internal/server"
 	"trajmatch/internal/sketch"
@@ -57,7 +58,7 @@ func P(x, y, t float64) STPoint { return traj.P(x, y, t) }
 func NewTrajectory(id int, pts []STPoint) *Trajectory { return traj.New(id, pts) }
 
 // FromXY builds a trajectory from alternating x,y pairs with unit-spaced
-// timestamps — convenient for tests and examples.
+// timestamps.
 func FromXY(id int, xy ...float64) *Trajectory { return traj.FromXY(id, xy...) }
 
 // EDwP returns the cumulative Edit Distance with Projections between two
@@ -71,29 +72,6 @@ func EDwPAvg(a, b *Trajectory) float64 { return core.AvgDistance(a, b) }
 // EDwPSub returns EDwPsub(q, t) (Eq. 6): the whole of q aligned against the
 // best-matching contiguous sub-trajectory of t.
 func EDwPSub(q, t *Trajectory) float64 { return core.SubDistance(q, t) }
-
-// EDwPBounded returns EDwP(a, b) exactly whenever it does not exceed limit
-// and +Inf otherwise. The bounded kernel abandons the dynamic program the
-// moment no alignment can finish within limit, so filtering a candidate
-// set against a threshold costs a fraction of full evaluations.
-// EDwPBounded(a, b, math.Inf(1)) is identical to EDwP(a, b).
-func EDwPBounded(a, b *Trajectory, limit float64) float64 {
-	d, _ := core.DistanceBounded(a, b, limit)
-	return d
-}
-
-// EDwPAvgBounded is the bounded counterpart of EDwPAvg: exact whenever the
-// length-normalised distance does not exceed limit, +Inf otherwise.
-func EDwPAvgBounded(a, b *Trajectory, limit float64) float64 {
-	d, _ := core.AvgDistanceBounded(a, b, limit)
-	return d
-}
-
-// EDwPSubBounded is the bounded counterpart of EDwPSub.
-func EDwPSubBounded(q, t *Trajectory, limit float64) float64 {
-	d, _ := core.SubDistanceBounded(q, t, limit)
-	return d
-}
 
 // Edit is one step of an optimal EDwP alignment.
 type Edit = core.Edit
@@ -145,11 +123,21 @@ type IndexOptions = trajtree.Options
 // Index is a TrajTree: an exact k-NN index for EDwP (Section IV).
 type Index = trajtree.Tree
 
+// QueryStats carries per-query instrumentation.
+type QueryStats = trajtree.Stats
+
 // Result is one k-NN answer.
 type Result = trajtree.Result
 
-// QueryStats carries per-query instrumentation.
-type QueryStats = trajtree.Stats
+// SharedBound is an atomically tightening upper bound shared by
+// concurrent searches over disjoint indexes; see Index.SearchKNN.
+type SharedBound = backend.SharedBound
+
+// NewSharedBound returns a shared bound seeded at limit (+Inf for an
+// unconstrained search). Concurrent Index.SearchKNN calls over disjoint
+// partitions of one corpus tighten it cooperatively; the per-partition
+// answers merge into the exact global k-NN set.
+func NewSharedBound(limit float64) *SharedBound { return backend.NewSharedBound(limit) }
 
 // NewIndex bulk-loads a TrajTree over db.
 func NewIndex(db []*Trajectory, opt IndexOptions) (*Index, error) {
@@ -161,16 +149,6 @@ func LoadIndex(r io.Reader) (*Index, error) {
 	idx, _, err := trajtree.Load(r)
 	return idx, err
 }
-
-// SharedBound is an atomically tightening upper bound shared by
-// concurrent searches over disjoint indexes; see Index.SearchKNN.
-type SharedBound = trajtree.SharedBound
-
-// NewSharedBound returns a shared bound seeded at limit (+Inf for an
-// unconstrained search). Concurrent Index.SearchKNN calls over disjoint
-// partitions of one corpus tighten it cooperatively; the per-partition
-// answers merge into the exact global k-NN set.
-func NewSharedBound(limit float64) *SharedBound { return trajtree.NewSharedBound(limit) }
 
 // Engine is a thread-safe sharded query engine: trajectories hash to
 // independent index shards, each behind its own lock, so updates
@@ -185,20 +163,10 @@ type Engine = server.Engine
 
 // Query is the single request type of Engine.Search: the query kind
 // (QueryKNN | QueryRange | QuerySubKNN), the Metric answering it (empty
-// means the engine's first loaded metric — MetricNameEDwP in every
-// standard boot), plus every knob — K, Radius, an admissible seed
-// Limit, a MaxEvals budget, WithStats.
+// means the engine's first loaded metric — "edwp" in every standard
+// boot; RegisteredMetrics lists the names), plus every knob — K, Radius,
+// an admissible seed Limit, a MaxEvals budget, WithStats.
 type Query = server.Query
-
-// The metric backend names, the values of Query.Metric and of
-// NewMultiEngine's metric list. EDwP is the default metric of every
-// standard boot; DTW and EDR are the flat comparison indexes lifted to
-// the same engine (searchable but static: no mutation, no persistence).
-const (
-	MetricNameEDwP = trajtree.MetricName
-	MetricNameDTW  = dtwindex.MetricName
-	MetricNameEDR  = edrindex.MetricName
-)
 
 // RegisteredMetrics returns the sorted metric names known to this build;
 // Query.Metric values outside it fail with ErrUnknownMetric.
@@ -215,9 +183,6 @@ var ErrMetricNotLoaded = server.ErrMetricNotLoaded
 // capability for (mutation or snapshots on DTW/EDR, sub-trajectory
 // search outside EDwP); the HTTP layer answers it with 501.
 var ErrNotSupported = server.ErrNotSupported
-
-// QueryKind selects which search a Query runs.
-type QueryKind = server.QueryKind
 
 // The query kinds of Engine.Search.
 const (
@@ -249,30 +214,12 @@ var ErrInvalidQuery = server.ErrInvalidQuery
 type EngineOptions = server.Options
 
 // WALSyncPolicy selects when write-ahead-log appends reach stable
-// storage (EngineOptions.WALSync): see the constants below.
+// storage (EngineOptions.WALSync); ParseWALSyncPolicy names the three.
 type WALSyncPolicy = wal.SyncPolicy
-
-// The write-ahead-log sync policies.
-const (
-	// WALSyncAlways fsyncs before every acknowledgement — an
-	// acknowledged mutation survives power loss. The default.
-	WALSyncAlways = wal.SyncAlways
-	// WALSyncInterval fsyncs in the background every
-	// EngineOptions.WALSyncInterval, bounding the power-loss window to
-	// that interval. A plain process crash still loses nothing.
-	WALSyncInterval = wal.SyncInterval
-	// WALSyncNever leaves flushing to the OS page cache.
-	WALSyncNever = wal.SyncNever
-)
 
 // ParseWALSyncPolicy parses the -wal-sync flag strings "always",
 // "interval" and "never".
 func ParseWALSyncPolicy(s string) (WALSyncPolicy, error) { return wal.ParseSyncPolicy(s) }
-
-// WALStats carries the write-ahead log's counters and on-disk shape
-// (EngineStats.WAL, the "wal" section of GET /v1/stats); nil when the
-// engine runs without a WAL.
-type WALStats = wal.Stats
 
 // SketchParams parameterise the candidate prefilter
 // (EngineOptions.Sketch): grid cell size, shingle length, MinHash
@@ -284,10 +231,6 @@ type SketchParams = sketch.Params
 // EngineStats is a snapshot of an Engine's traffic counters and index
 // shape, including the per-metric breakdown.
 type EngineStats = server.Stats
-
-// EngineMetricStats is one loaded metric's slice of EngineStats: its
-// capability set plus its traffic and kernel counters.
-type EngineMetricStats = server.MetricStats
 
 // NewEngine bulk-loads a TrajTree over db and wraps it in a concurrent
 // Engine.
@@ -394,10 +337,6 @@ type ClusterConfig = cluster.Config
 // every group answers, Answer.Degraded otherwise.
 type ClusterRouter = cluster.Router
 
-// ClusterStats is the router's /v1/stats payload: placement, traffic
-// and per-node health.
-type ClusterStats = cluster.Stats
-
 // NewClusterRouter probes every node's placement and assembles the
 // router, verifying the nodes tile the global shard space.
 func NewClusterRouter(ctx context.Context, cfg ClusterConfig) (*ClusterRouter, error) {
@@ -429,29 +368,17 @@ func FetchEngineSnapshot(ctx context.Context, src, dstDir string, shards []int, 
 	return cluster.FetchSnapshot(ctx, src, dstDir, shards, client)
 }
 
-// EDRIndex answers exact k-NN queries under EDR; it is the indexed
-// competitor of Figs. 5(j) and 6(a).
-type EDRIndex = edrindex.Index
-
-// NewEDRIndex builds an EDR index with matching threshold eps.
-func NewEDRIndex(db []*Trajectory, eps float64) *EDRIndex {
-	return edrindex.New(db, eps)
-}
-
-// DTWIndex answers exact k-NN queries under DTW, the indexing lineage the
-// paper's Related Work traces TrajTree back to.
-type DTWIndex = dtwindex.Index
-
-// NewDTWIndex builds a DTW index over db.
-func NewDTWIndex(db []*Trajectory) *DTWIndex {
-	return dtwindex.New(db)
-}
-
 // FromLatLon converts WGS-84 (lat°, lon°, unix-seconds) samples into the
 // planar metre coordinates the library uses, projecting about the samples'
 // mean latitude.
 func FromLatLon(id int, samples [][3]float64) *Trajectory {
 	return traj.FromLatLon(id, samples)
+}
+
+// SplitTrips partitions a raw point stream into trips on time gaps and
+// stationary periods, the paper's Beijing preprocessing.
+func SplitTrips(points []STPoint, maxGap, maxStationary float64, firstID int) []*Trajectory {
+	return traj.SplitTrips(points, maxGap, maxStationary, firstID)
 }
 
 // TaxiConfig parameterises GenerateTaxi.
@@ -503,25 +430,6 @@ func PerturbNoise(db []*Trajectory, pct, radius float64, seed int64) []*Trajecto
 // covered in horizon seconds at the database's average speed.
 func PerturbRadius(db []*Trajectory, horizon float64) float64 {
 	return synth.PerturbRadius(db, horizon)
-}
-
-// Resample re-interpolates t to a uniform spatial spacing — the EDR-I
-// preprocessing of Section V-C.
-func Resample(t *Trajectory, spacing float64) *Trajectory { return traj.Resample(t, spacing) }
-
-// ResampleAll resamples an entire database.
-func ResampleAll(db []*Trajectory, spacing float64) []*Trajectory {
-	return traj.ResampleAll(db, spacing)
-}
-
-// MedianSegmentLength returns the database's median positive segment
-// length, the spacing the harness uses for EDR-I.
-func MedianSegmentLength(db []*Trajectory) float64 { return traj.MedianSegmentLength(db) }
-
-// SplitTrips partitions a raw point stream into trips on time gaps and
-// stationary periods, the paper's Beijing preprocessing.
-func SplitTrips(points []STPoint, maxGap, maxStationary float64, firstID int) []*Trajectory {
-	return traj.SplitTrips(points, maxGap, maxStationary, firstID)
 }
 
 // ReadCSV parses a point-per-row id,x,y,t[,label] trajectory file.
