@@ -97,10 +97,14 @@ func prefilterWant(k, size int) int {
 // (PrefilterSkipped members never touched by any bound or kernel).
 func (e *Engine) prefilterShard(s *shard, ix *sketch.Index, q *traj.Trajectory, req Query,
 	bound *backend.SharedBound, ctl *backend.Ctl) ([]backend.Result, backend.Stats, bool, error) {
-	ids, _ := ix.Candidates(q, prefilterWant(req.K, s.size()))
+	// One size read serves both the request and the skipped count, so a
+	// write landing between them cannot make the two describe different
+	// shard states.
+	size := s.size()
+	ids, _ := ix.Candidates(q, prefilterWant(req.K, size))
 	res, st, truncated, err := s.searchKNNIn(q, ids, req.K, bound, ctl)
 	st.PrefilterCandidates += len(ids)
-	if skipped := s.size() - len(ids); skipped > 0 {
+	if skipped := size - len(ids); skipped > 0 {
 		st.PrefilterSkipped += skipped
 	}
 	return res, st, truncated, err

@@ -35,8 +35,10 @@
 package sketch
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 
@@ -142,27 +144,32 @@ func DeriveCellSize(db []*traj.Trajectory) float64 {
 	return c
 }
 
-// idSet is an insertion-agnostic member set; posting lists use it so
-// Delete is O(1) per key instead of a slice scan.
-type idSet map[int]struct{}
-
-// Index is one shard's fingerprint index: the banded LSH buckets, the
-// cell posting lists, and the per-member reverse entries that make
-// Delete exact. It implements backend.CandidateSource.
+// Index is one shard's fingerprint index. Every member occupies an
+// int32 slot in a dense slot table (ID, band keys and cell tokens);
+// slots freed by Delete are reused by later inserts, so the table never
+// outgrows the peak live count. The banded LSH buckets and the fine and
+// coarse cell posting lists map each key to the slots filed under it,
+// which lets Candidates count overlaps into flat per-slot counters
+// instead of per-query maps. It implements backend.CandidateSource.
 type Index struct {
 	p     Params
 	rows  int
 	seeds []uint64 // one per MinHash function
 
 	mu     sync.RWMutex
-	bands  map[uint64]idSet // band bucket key -> members
-	cells  map[uint64]idSet // fine cell token -> members
-	coarse map[uint64]idSet // coarse cell token -> members
-	byID   map[int]*entry   // reverse index for Delete
+	bands  map[uint64][]int32 // band bucket key -> member slots
+	cells  map[uint64][]int32 // fine cell token -> member slots
+	coarse map[uint64][]int32 // coarse cell token -> member slots
+	slotOf map[int]int32      // member ID -> slot
+	slots  []member           // slot table; free slots hold the zero member
+	free   []int32            // free slots, reused last-freed first
 }
 
-// entry remembers which buckets a member landed in.
-type entry struct {
+// member is one slot's record: the ID it holds and the buckets it was
+// filed under (Delete unfiles exactly these; Candidates reads the token
+// counts as the Jaccard set sizes).
+type member struct {
+	id         int
 	bandKeys   []uint64
 	cellToks   []uint64
 	coarseToks []uint64
@@ -178,10 +185,10 @@ func NewIndex(p Params) (*Index, error) {
 		p:      p,
 		rows:   p.Hashes / p.Bands,
 		seeds:  make([]uint64, p.Hashes),
-		bands:  make(map[uint64]idSet),
-		cells:  make(map[uint64]idSet),
-		coarse: make(map[uint64]idSet),
-		byID:   make(map[int]*entry),
+		bands:  make(map[uint64][]int32),
+		cells:  make(map[uint64][]int32),
+		coarse: make(map[uint64][]int32),
+		slotOf: make(map[int]int32),
 	}
 	s := uint64(p.Seed)
 	for i := range ix.seeds {
@@ -212,7 +219,7 @@ func (ix *Index) Params() Params { return ix.p }
 func (ix *Index) Size() int {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	return len(ix.byID)
+	return len(ix.slotOf)
 }
 
 // Insert files tr into the LSH buckets and posting lists. Re-inserting
@@ -220,39 +227,28 @@ func (ix *Index) Size() int {
 // robustness matters for op-sequence tests).
 func (ix *Index) Insert(tr *traj.Trajectory) {
 	toks := ix.tokens(tr)
-	keys := ix.bandKeys(ix.signature(ix.shingles(toks)))
-	cellToks := dedupe(toks)
-	coarseToks := dedupe(ix.tokensAt(tr, ix.p.CellSize*coarseFactor))
+	m := member{
+		id:         tr.ID,
+		bandKeys:   ix.bandKeys(ix.signature(ix.shingles(toks))),
+		cellToks:   dedupe(toks),
+		coarseToks: dedupe(ix.tokensAt(tr, ix.p.CellSize*coarseFactor)),
+	}
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
-	if _, ok := ix.byID[tr.ID]; ok {
-		ix.removeLocked(tr.ID)
+	ix.removeLocked(tr.ID)
+	var slot int32
+	if n := len(ix.free); n > 0 {
+		slot = ix.free[n-1]
+		ix.free = ix.free[:n-1]
+		ix.slots[slot] = m
+	} else {
+		slot = int32(len(ix.slots))
+		ix.slots = append(ix.slots, m)
 	}
-	for _, k := range keys {
-		set, ok := ix.bands[k]
-		if !ok {
-			set = make(idSet)
-			ix.bands[k] = set
-		}
-		set[tr.ID] = struct{}{}
-	}
-	for _, c := range cellToks {
-		set, ok := ix.cells[c]
-		if !ok {
-			set = make(idSet)
-			ix.cells[c] = set
-		}
-		set[tr.ID] = struct{}{}
-	}
-	for _, c := range coarseToks {
-		set, ok := ix.coarse[c]
-		if !ok {
-			set = make(idSet)
-			ix.coarse[c] = set
-		}
-		set[tr.ID] = struct{}{}
-	}
-	ix.byID[tr.ID] = &entry{bandKeys: keys, cellToks: cellToks, coarseToks: coarseToks}
+	ix.slotOf[tr.ID] = slot
+	file(ix.bands, m.bandKeys, slot)
+	file(ix.cells, m.cellToks, slot)
+	file(ix.coarse, m.coarseToks, slot)
 }
 
 // Delete removes the member with the given ID, reporting whether it was
@@ -264,36 +260,47 @@ func (ix *Index) Delete(id int) bool {
 }
 
 func (ix *Index) removeLocked(id int) bool {
-	e, ok := ix.byID[id]
+	slot, ok := ix.slotOf[id]
 	if !ok {
 		return false
 	}
-	for _, k := range e.bandKeys {
-		if set := ix.bands[k]; set != nil {
-			delete(set, id)
-			if len(set) == 0 {
-				delete(ix.bands, k)
-			}
-		}
-	}
-	for _, c := range e.cellToks {
-		if set := ix.cells[c]; set != nil {
-			delete(set, id)
-			if len(set) == 0 {
-				delete(ix.cells, c)
-			}
-		}
-	}
-	for _, c := range e.coarseToks {
-		if set := ix.coarse[c]; set != nil {
-			delete(set, id)
-			if len(set) == 0 {
-				delete(ix.coarse, c)
-			}
-		}
-	}
-	delete(ix.byID, id)
+	m := &ix.slots[slot]
+	unfile(ix.bands, m.bandKeys, slot)
+	unfile(ix.cells, m.cellToks, slot)
+	unfile(ix.coarse, m.coarseToks, slot)
+	*m = member{}
+	ix.free = append(ix.free, slot)
+	delete(ix.slotOf, id)
 	return true
+}
+
+// file appends slot to the posting list of every key.
+func file(post map[uint64][]int32, keys []uint64, slot int32) {
+	for _, k := range keys {
+		post[k] = append(post[k], slot)
+	}
+}
+
+// unfile removes one occurrence of slot from the posting list of every
+// key, dropping lists that become empty. Posting order carries no
+// meaning (Candidates ranks by score and ID), so removal swaps the last
+// entry into the hole. Finding the slot is a linear search, so a delete
+// costs the summed length of the member's lists rather than O(keys).
+func unfile(post map[uint64][]int32, keys []uint64, slot int32) {
+	for _, k := range keys {
+		list := post[k]
+		i := slices.Index(list, slot)
+		if i < 0 {
+			continue
+		}
+		last := len(list) - 1
+		list[i] = list[last]
+		if last == 0 {
+			delete(post, k)
+		} else {
+			post[k] = list[:last]
+		}
+	}
 }
 
 // CandStats reports how a candidate set was assembled; the engine folds
@@ -326,12 +333,13 @@ func jaccard(shared, a, b int) float64 {
 // single shared fine cell still fill the budget's tail ahead of the
 // arbitrary rest). When the index holds at most `want` members
 // everything is admitted. want <= 0 means the params' MinCands floor.
+//
+// The overlaps are counted into per-slot counters from a pool, so a
+// call touches only the posting lists of the query's own keys and
+// ranks only the members sharing a cell with it; the counters are
+// zeroed again through the touched list before they go back.
 func (ix *Index) Candidates(q *traj.Trajectory, want int) ([]int, CandStats) {
-	if want <= 0 {
-		want = ix.p.MinCands
-	} else if want < ix.p.MinCands {
-		want = ix.p.MinCands
-	}
+	want = max(want, ix.p.MinCands)
 	toks := ix.tokens(q)
 	keys := ix.bandKeys(ix.signature(ix.shingles(toks)))
 	fineQ := dedupe(toks)
@@ -340,85 +348,134 @@ func (ix *Index) Candidates(q *traj.Trajectory, want int) ([]int, CandStats) {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
 	var st CandStats
-	if len(ix.byID) <= want {
+	if len(ix.slotOf) <= want {
 		st.FullScan = true
-		out := make([]int, 0, len(ix.byID))
-		for id := range ix.byID {
+		out := make([]int, 0, len(ix.slotOf))
+		for id := range ix.slotOf {
 			out = append(out, id)
 		}
-		sort.Ints(out)
+		slices.Sort(out)
 		st.LSHHits = len(out)
 		return out, st
 	}
-	admitted := make(map[int]struct{})
-	for _, k := range keys {
-		for id := range ix.bands[k] {
-			admitted[id] = struct{}{}
-		}
-	}
-	st.LSHHits = len(admitted)
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
+	gen := sc.reset(len(ix.slots))
 
-	fine := make(map[int]int)
+	for _, k := range keys {
+		for _, s := range ix.bands[k] {
+			if sc.stamp[s] != gen {
+				sc.stamp[s] = gen
+				sc.admitted = append(sc.admitted, s)
+			}
+		}
+	}
+	st.LSHHits = len(sc.admitted)
+
 	for _, c := range fineQ {
-		for id := range ix.cells[c] {
-			fine[id]++
+		for _, s := range ix.cells[c] {
+			if sc.fine[s] == 0 {
+				sc.touched = append(sc.touched, s)
+			}
+			sc.fine[s]++
 		}
 	}
-	coarse := make(map[int]int)
 	for _, c := range coarseQ {
-		for id := range ix.coarse[c] {
-			coarse[id]++
+		for _, s := range ix.coarse[c] {
+			if sc.fine[s] == 0 && sc.coarse[s] == 0 {
+				sc.touched = append(sc.touched, s)
+			}
+			sc.coarse[s]++
 		}
-	}
-	type oc struct {
-		id    int
-		score float64
 	}
 	// The blend keeps the exact fine-cell Jaccard dominant while letting
 	// coarse co-location break the low-overlap region apart: a member
 	// with one stray shared cell should not outrank a parallel-street
-	// near-neighbour that shares most coarse cells but no fine one.
-	const coarseWeight = 0.25
-	ranked := make([]oc, 0, len(coarse)+len(fine))
-	for id, m := range coarse {
-		e := ix.byID[id]
-		s := coarseWeight * jaccard(m, len(coarseQ), len(e.coarseToks))
-		if n := fine[id]; n > 0 {
-			s += jaccard(n, len(fineQ), len(e.cellToks))
-		}
-		ranked = append(ranked, oc{id: id, score: s})
-	}
-	// A shared fine cell usually implies a shared coarse cell, but the
+	// near-neighbour that shares most coarse cells but no fine one. A
+	// shared fine cell usually implies a shared coarse cell, but the
 	// half-cell walk can clip a corner at one pitch and not the other —
-	// pick up fine-only sharers too.
-	for id, n := range fine {
-		if _, ok := coarse[id]; !ok {
-			ranked = append(ranked, oc{id: id, score: jaccard(n, len(fineQ), len(ix.byID[id].cellToks))})
-		}
-	}
-	if len(ranked) > 0 {
-		sort.Slice(ranked, func(a, b int) bool {
-			if ranked[a].score != ranked[b].score {
-				return ranked[a].score > ranked[b].score
+	// fine-only sharers rank on their fine Jaccard alone.
+	const coarseWeight = 0.25
+	for _, s := range sc.touched {
+		m := &ix.slots[s]
+		var score float64
+		if c := sc.coarse[s]; c > 0 {
+			score = coarseWeight * jaccard(int(c), len(coarseQ), len(m.coarseToks))
+			if n := sc.fine[s]; n > 0 {
+				score += jaccard(int(n), len(fineQ), len(m.cellToks))
 			}
-			return ranked[a].id < ranked[b].id
+		} else {
+			score = jaccard(int(sc.fine[s]), len(fineQ), len(m.cellToks))
+		}
+		sc.fine[s], sc.coarse[s] = 0, 0
+		sc.ranked = append(sc.ranked, ranked{slot: s, id: m.id, score: score})
+	}
+	// Ranking order: higher score first, then lower ID. IDs are
+	// distinct, so the order is total and the top `want` are one set.
+	top := sc.ranked
+	if len(top) > want {
+		slices.SortFunc(top, func(a, b ranked) int {
+			switch {
+			case a.score > b.score:
+				return -1
+			case a.score < b.score:
+				return 1
+			}
+			return cmp.Compare(a.id, b.id)
 		})
-		if len(ranked) > want {
-			ranked = ranked[:want]
-		}
-		for _, r := range ranked {
-			if _, ok := admitted[r.id]; !ok {
-				st.Widened = true
-				admitted[r.id] = struct{}{}
-			}
+		top = top[:want]
+	}
+	for _, r := range top {
+		if sc.stamp[r.slot] != gen {
+			sc.stamp[r.slot] = gen
+			sc.admitted = append(sc.admitted, r.slot)
+			st.Widened = true
 		}
 	}
-	out := make([]int, 0, len(admitted))
-	for id := range admitted {
-		out = append(out, id)
+	out := make([]int, len(sc.admitted))
+	for i, s := range sc.admitted {
+		out[i] = ix.slots[s].id
 	}
-	sort.Ints(out)
+	slices.Sort(out)
 	return out, st
+}
+
+// ranked is one overlap-ranking entry.
+type ranked struct {
+	slot  int32
+	id    int
+	score float64
+}
+
+// scratch is one Candidates call's working memory, pooled across calls
+// and across indexes. The per-slot counters are all zero between calls;
+// stamp[s] == gen marks slot s admitted in the current call.
+type scratch struct {
+	fine, coarse []int32 // shared fine / coarse cell count per slot
+	stamp        []uint32
+	gen          uint32
+	touched      []int32 // slots with a nonzero counter, first-touch order
+	admitted     []int32 // admitted slots, LSH matches first
+	ranked       []ranked
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+// reset sizes the scratch for a slot table of n entries, empties its
+// lists and returns the call's admission stamp.
+func (sc *scratch) reset(n int) uint32 {
+	if len(sc.fine) < n {
+		sc.fine = make([]int32, n)
+		sc.coarse = make([]int32, n)
+		sc.stamp = make([]uint32, n)
+	}
+	sc.gen++
+	if sc.gen == 0 {
+		clear(sc.stamp)
+		sc.gen = 1
+	}
+	sc.touched, sc.admitted, sc.ranked = sc.touched[:0], sc.admitted[:0], sc.ranked[:0]
+	return sc.gen
 }
 
 // dedupe returns the distinct tokens of an ordered token sequence,
@@ -427,14 +484,7 @@ func dedupe(toks []uint64) []uint64 {
 	if len(toks) == 0 {
 		return nil
 	}
-	out := append([]uint64(nil), toks...)
-	sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
-	w := 1
-	for i := 1; i < len(out); i++ {
-		if out[i] != out[w-1] {
-			out[w] = out[i]
-			w++
-		}
-	}
-	return out[:w]
+	out := slices.Clone(toks)
+	slices.Sort(out)
+	return slices.Compact(out)
 }

@@ -3,6 +3,7 @@ package sketch
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -212,9 +213,19 @@ func TestMutationOracle(t *testing.T) {
 }
 
 // Concurrent Candidates against a live mutator must be race-free (run
-// under -race in CI) and never surface a non-member.
+// under -race in CI) and stay well-formed while slots are freed and
+// reused under it. IDs start at 1000, so a slot read after it was
+// cleared (ID 0) or remapped to an ID never inserted is caught, and the
+// stable half is never deleted, so each stable query must find itself.
 func TestConcurrentCandidates(t *testing.T) {
 	db := synth.Taxi(synth.DefaultTaxi(120))
+	inserted := make(map[int]bool)
+	for i, tr := range db {
+		c := tr.Clone()
+		c.ID = 1000 + i
+		db[i] = c
+		inserted[c.ID] = true
+	}
 	ix := mustIndex(t, testParams())
 	for _, tr := range db[:60] {
 		ix.Insert(tr)
@@ -225,20 +236,33 @@ func TestConcurrentCandidates(t *testing.T) {
 		for i := 0; i < 200; i++ {
 			tr := db[60+i%60]
 			ix.Insert(tr)
-			ix.Delete(tr.ID)
+			if i%3 != 0 {
+				ix.Delete(tr.ID)
+			}
 		}
 	}()
 	for i := 0; i < 200; i++ {
-		ids, _ := ix.Candidates(db[i%60], 20)
-		for _, id := range ids {
-			if id >= db[60].ID && id <= db[119].ID {
-				// Transiently-present churn IDs are fine; the point is
-				// no panic and no race. Nothing to assert beyond sanity.
-				_ = id
+		q := db[i%60]
+		ids, _ := ix.Candidates(q, 20)
+		if !sort.IntsAreSorted(ids) {
+			t.Fatalf("query %d: candidates not sorted: %v", q.ID, ids)
+		}
+		self := false
+		for j, id := range ids {
+			if !inserted[id] {
+				t.Fatalf("query %d: candidate %d was never inserted", q.ID, id)
 			}
+			if j > 0 && ids[j-1] == id {
+				t.Fatalf("query %d: candidate %d returned twice", q.ID, id)
+			}
+			self = self || id == q.ID
+		}
+		if !self {
+			t.Fatalf("stable member %d missing from its own candidate set %v", q.ID, ids)
 		}
 	}
 	<-done
+	checkSlots(t, ix)
 }
 
 func TestReinsertReplaces(t *testing.T) {
@@ -250,17 +274,118 @@ func TestReinsertReplaces(t *testing.T) {
 	if ix.Size() != 1 {
 		t.Fatalf("size %d after re-insert, want 1", ix.Size())
 	}
+	checkSlots(t, ix)
 	if !ix.Delete(1) {
 		t.Fatal("delete after re-insert failed")
 	}
 	if ix.Size() != 0 {
 		t.Fatalf("size %d after delete, want 0", ix.Size())
 	}
-	// All posting lists must be empty again — no leaked buckets.
+	// All posting lists must be empty again — no leaked buckets — and
+	// the replacement must have reused the one slot.
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	if len(ix.bands) != 0 || len(ix.cells) != 0 {
-		t.Fatalf("leaked buckets after delete: %d bands, %d cells", len(ix.bands), len(ix.cells))
+	if len(ix.bands) != 0 || len(ix.cells) != 0 || len(ix.coarse) != 0 {
+		t.Fatalf("leaked buckets after delete: %d bands, %d cells, %d coarse", len(ix.bands), len(ix.cells), len(ix.coarse))
+	}
+	if len(ix.slots) != 1 || len(ix.free) != 1 {
+		t.Fatalf("slot table %d, free list %d after one member came and went; want 1 and 1", len(ix.slots), len(ix.free))
+	}
+}
+
+// Churn: many Insert/Delete/replace cycles. Freed slots are reused, so
+// the slot table never grows past the peak live count; Size follows a
+// membership oracle; and the posting lists hold exactly the live
+// members' keys throughout.
+func TestSlotChurn(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	db := synth.Taxi(synth.DefaultTaxi(150))
+	ix := mustIndex(t, testParams())
+	live := make(map[int]bool)
+	peak := 0
+	for step := 0; step < 3000; step++ {
+		tr := db[rng.Intn(len(db))]
+		switch r := rng.Float64(); {
+		case live[tr.ID] && r < 0.6:
+			if !ix.Delete(tr.ID) {
+				t.Fatalf("step %d: delete of live member %d reported absent", step, tr.ID)
+			}
+			delete(live, tr.ID)
+		case live[tr.ID]:
+			other := db[rng.Intn(len(db))].Clone()
+			other.ID = tr.ID // replace with other geometry
+			ix.Insert(other)
+		default:
+			ix.Insert(tr)
+			live[tr.ID] = true
+		}
+		peak = max(peak, len(live))
+		if ix.Size() != len(live) {
+			t.Fatalf("step %d: size %d, oracle %d", step, ix.Size(), len(live))
+		}
+		if n := len(ix.slots); n > peak {
+			t.Fatalf("step %d: slot table %d past the peak live count %d", step, n, peak)
+		}
+		if step%100 == 0 {
+			checkSlots(t, ix)
+		}
+	}
+	checkSlots(t, ix)
+}
+
+// checkSlots verifies the slot layout against itself: every ID maps to
+// a slot holding that ID, free slots are cleared and disjoint from the
+// live ones, and each posting list holds exactly the live slots filed
+// under its key, once per filing.
+func checkSlots(t *testing.T, ix *Index) {
+	t.Helper()
+	ix.mu.RLock()
+	defer ix.mu.RUnlock()
+	if len(ix.slotOf)+len(ix.free) != len(ix.slots) {
+		t.Fatalf("%d live + %d free slots, table holds %d", len(ix.slotOf), len(ix.free), len(ix.slots))
+	}
+	used := make([]bool, len(ix.slots))
+	for id, s := range ix.slotOf {
+		if ix.slots[s].id != id {
+			t.Fatalf("ID %d maps to slot %d holding ID %d", id, s, ix.slots[s].id)
+		}
+		used[s] = true
+	}
+	for _, s := range ix.free {
+		if used[s] {
+			t.Fatalf("slot %d is both live and free", s)
+		}
+		if m := ix.slots[s]; m.bandKeys != nil || m.cellToks != nil || m.coarseToks != nil {
+			t.Fatalf("free slot %d still holds keys", s)
+		}
+		used[s] = true
+	}
+	for _, c := range []struct {
+		name string
+		post map[uint64][]int32
+		keys func(m member) []uint64
+	}{
+		{"bands", ix.bands, func(m member) []uint64 { return m.bandKeys }},
+		{"cells", ix.cells, func(m member) []uint64 { return m.cellToks }},
+		{"coarse", ix.coarse, func(m member) []uint64 { return m.coarseToks }},
+	} {
+		want := make(map[uint64][]int32)
+		for _, s := range ix.slotOf {
+			for _, k := range c.keys(ix.slots[s]) {
+				want[k] = append(want[k], s)
+			}
+		}
+		if len(want) != len(c.post) {
+			t.Fatalf("%s: %d posting lists, live members file %d keys", c.name, len(c.post), len(want))
+		}
+		for k, list := range c.post {
+			got := slices.Sorted(slices.Values(list))
+			w := want[k]
+			slices.Sort(w)
+			if !slices.Equal(got, w) {
+				t.Fatalf("%s: key %x lists slots %v, live members filed %v", c.name, k, got, w)
+			}
+		}
 	}
 }
 

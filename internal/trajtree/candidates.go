@@ -29,16 +29,11 @@ func (t *Tree) SearchKNNIn(q *traj.Trajectory, ids []int, k int, bound *SharedBo
 	if t.root == nil || k <= 0 || len(ids) == 0 {
 		return nil, st, false, ctl.Err()
 	}
-	want := make(map[int]struct{}, len(ids))
-	for _, id := range ids {
-		want[id] = struct{}{}
-	}
-	// One pass over the member list resolves every candidate ID — the
-	// tree's Lookup walks that list per call, which would be quadratic
-	// here.
+	// The ID index resolves each candidate in O(1), so the cost follows
+	// the candidate count, not the tree size.
 	sel := make([]*traj.Trajectory, 0, len(ids))
-	for _, m := range t.root.members {
-		if _, ok := want[m.ID]; ok {
+	for _, id := range ids {
+		if m := t.byID[id]; m != nil {
 			sel = append(sel, m)
 		}
 	}
