@@ -38,18 +38,18 @@
 // early_abandons, screen_rejects, lower_bound_calls, ...) accumulated
 // over all queries,
 // a per-metric breakdown with each backend's capability set, and a
-// per-shard size/height breakdown. With -pprof the standard
-// net/http/pprof handlers are mounted under /debug/pprof/ for live CPU,
-// heap and contention profiling.
+// per-shard size/height breakdown. With -pprof, in every role, the
+// standard net/http/pprof handlers are mounted under /debug/pprof/ for
+// live CPU, heap and contention profiling.
 //
 // With -prefilter, the server builds the sketch/LSH candidate prefilter
-// at boot (one sketch index per shard; -sketch-* tune the parameters,
-// which otherwise default sensibly with the grid cell size derived from
-// the corpus). Queries opt in per request with "prefilter": true on a
-// knn search: each shard's sketch admits a small candidate set and the
-// backend verifies it exactly, trading a little recall for a large cut
-// in exact distance evaluations; with_stats then reports
-// prefilter_candidates and prefilter_skipped.
+// at boot (one sketch index per shard, with the sketch package's default
+// parameters and the grid cell size derived from the corpus). Queries
+// opt in per request with "prefilter": true on a knn search: each
+// shard's sketch admits a small candidate set and the backend verifies
+// it exactly, trading a little recall for a large cut in exact distance
+// evaluations; with_stats then reports prefilter_candidates and
+// prefilter_skipped.
 //
 // With -snapshot DIR, the server loads the snapshot on boot when DIR
 // holds a manifest (skipping the bulk build entirely; the shard count
@@ -63,14 +63,14 @@
 // live tracks answer alongside the sealed index without rebuilding
 // anything. /v1/seal folds a finished track into the sharded index;
 // with -seal-after a background sealer folds tracks idle longer than
-// that duration automatically (checking every -seal-interval).
+// that duration automatically (checking every quarter of it).
 // /v1/watch registers a standing query — a pattern plus a threshold or
 // a top-k budget — matched incrementally as appends arrive, with the
 // sketch token gate (when -prefilter is on) skipping the exact kernel
 // for watchers whose patterns share no grid cells with the new points.
 // Match events stream on /v1/events with monotonic seq numbers
 // (at-least-once; consumers resume with ?since), as long-poll JSON or
-// SSE. -events-buffer bounds the retained event window.
+// SSE, from a window of the newest 4096 events.
 //
 // With -wal DIR, every accepted insert and delete is appended to a
 // write-ahead log before it is acknowledged, and a boot replays the log
@@ -78,11 +78,11 @@
 // mutations survive a crash between snapshots. -wal-sync picks the
 // durability point: "always" (the default) fsyncs before every
 // acknowledgement and survives power loss, "interval" fsyncs in the
-// background every -wal-sync-interval and bounds the loss window to
-// that interval, "never" leaves flushing to the OS page cache (a kill
-// -9 still loses nothing; power loss may). A committed POST /v1/snapshot
-// truncates the log segments the snapshot subsumes. GET /v1/stats
-// reports the log's counters under "wal".
+// background every 100ms and bounds the loss window to that interval,
+// "never" leaves flushing to the OS page cache (a kill -9 still loses
+// nothing; power loss may). A committed POST /v1/snapshot truncates the
+// log segments the snapshot subsumes. GET /v1/stats reports the log's
+// counters under "wal".
 //
 // With -role the process takes a place in a cluster instead of serving
 // standalone. A shard node (-role shard -cluster-shards N -shard-ids
@@ -102,7 +102,10 @@
 // engine when every group answers. -fetch-snapshot URL|DIR warm-boots a
 // replica by shipping a peer's shard files (each verified against its
 // own checksum, manifest committed last) into -snapshot before loading.
-// -version (or GET /v1/version) prints build, role and shard map.
+// A router rejects every flag that configures an engine, and a flag
+// that does not apply to the chosen role is an error, not a no-op.
+// -version (or GET /v1/version) prints build, role and shard map after
+// the same checks a boot makes.
 //
 // Usage:
 //
@@ -126,6 +129,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"net/http"
 	"net/http/pprof"
@@ -140,120 +144,173 @@ import (
 	"trajmatch"
 )
 
-func main() {
-	var (
-		dbPath   = flag.String("db", "", "database file (csv or ndjson by extension)")
-		addr     = flag.String("addr", ":8080", "listen address")
-		theta    = flag.Float64("theta", 0.8, "TrajTree θ (diversity drop threshold)")
-		cumula   = flag.Bool("cumulative", false, "use cumulative EDwP instead of EDwPavg")
-		cache    = flag.Int("cache", 0, "LRU result-cache entries (0 = default 1024, negative disables)")
-		workers  = flag.Int("workers", 0, "batch worker-pool / shard fan-out size (0 = GOMAXPROCS)")
-		shards   = flag.Int("shards", 1, "number of hash-partitioned index shards")
-		snapshot = flag.String("snapshot", "", "snapshot directory: load on boot if present, POST /v1/snapshot writes here")
-		mmapBoot = flag.Bool("mmap", false, "map the snapshot's shard files instead of reading them onto the heap: the same files, checks and loaded state either way, with the point slabs aliasing the page cache")
-		walDir   = flag.String("wal", "", "write-ahead-log directory: mutations are logged before acknowledgement and replayed on boot")
-		walSync  = flag.String("wal-sync", "always", "WAL durability point: always (fsync per acknowledgement), interval (background fsync), never (OS page cache)")
-		walInt   = flag.Duration("wal-sync-interval", 0, "background fsync period under -wal-sync interval (0 = default 100ms)")
-		seed     = flag.Int64("seed", 1, "index build seed")
-		pprofOn  = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
-		queryTO  = flag.Duration("query-timeout", 0, "per-request search deadline, honoured down to the distance kernels (0 disables)")
-		metricsF = flag.String("metrics", "edwp", "comma-separated metric backends to boot over the database (edwp, dtw, edr); the first is the default of /v1/search")
+// buildSeed seeds every index build; snapshots record the tree, so a
+// warm boot does not depend on it.
+const buildSeed = 1
 
-		sealAfter = flag.Duration("seal-after", 0, "background-seal live tracks idle longer than this (0 disables the sealer; explicit POST /v1/seal always works)")
-		sealInt   = flag.Duration("seal-interval", 0, "background sealer check period (0 = seal-after/4, at least 1s)")
-		eventsBuf = flag.Int("events-buffer", 0, "retained watch-event window for /v1/events resumption (0 = default 4096)")
+// config is a parsed command line: the deployment settings main acts
+// on, plus the index and engine options the flags set.
+type config struct {
+	role          string
+	addr          string
+	db            string
+	metrics       []string
+	nodes         []string
+	nodeTimeout   time.Duration
+	queryTimeout  time.Duration
+	fetchSnapshot string
+	pprof         bool
+	version       bool
+	index         trajmatch.IndexOptions
+	engine        trajmatch.EngineOptions
+}
 
-		role          = flag.String("role", "standalone", "deployment role: standalone, shard (serve -shard-ids of a -cluster-shards placement), router (fan out over -nodes)")
-		shardIDs      = flag.String("shard-ids", "", "comma-separated global shard indices this shard node serves (role shard)")
-		clusterShards = flag.Int("cluster-shards", 0, "global shard count of the cluster hash placement (role shard; every node and router must agree)")
-		nodesF        = flag.String("nodes", "", "comma-separated shard-node base URLs (role router)")
-		nodeTimeout   = flag.Duration("node-timeout", 10*time.Second, "per-node request timeout of the router fan-out, and of -fetch-snapshot transfers")
-		fetchSrc      = flag.String("fetch-snapshot", "", "warm-boot source: ship this peer's (node URL or directory) snapshot into -snapshot before boot, one verified file per served shard, unless a snapshot is already there")
-		versionF      = flag.Bool("version", false, "print build, role and placement information as JSON and exit")
+// rawFlags holds the flag values parseConfig still has to parse or
+// check against the role before they become config fields.
+type rawFlags struct {
+	metrics, walSync, shardIDs, nodes string
+	clusterShards                     int
+}
 
-		prefilter  = flag.Bool("prefilter", false, "build the sketch/LSH candidate prefilter; queries opt in with \"prefilter\": true")
-		sketchCell = flag.Float64("sketch-cell", 0, "prefilter grid cell size in corpus units (0 derives from the corpus)")
-		sketchShin = flag.Int("sketch-shingle", 0, "prefilter shingle length in cells (0 = default 2)")
-		sketchHash = flag.Int("sketch-hashes", 0, "prefilter MinHash signature width (0 = default 64; must be a multiple of -sketch-bands)")
-		sketchBand = flag.Int("sketch-bands", 0, "prefilter LSH band count (0 = default 16)")
-		sketchMinC = flag.Int("sketch-min-cands", 0, "prefilter per-shard candidate floor (0 = default 32)")
-	)
-	flag.Parse()
+// routerFlags are the flags a router uses; a router holds no corpus,
+// so every other flag configures an engine it does not have.
+var routerFlags = map[string]bool{
+	"role": true, "addr": true, "nodes": true, "node-timeout": true,
+	"query-timeout": true, "pprof": true, "version": true,
+}
 
-	switch *role {
+// newFlagSet declares every trajserve flag, bound to c and r.
+func newFlagSet(c *config, r *rawFlags) *flag.FlagSet {
+	fs := flag.NewFlagSet("trajserve", flag.ContinueOnError)
+	e := &c.engine
+	fs.StringVar(&c.db, "db", "", "database file (csv or ndjson by extension)")
+	fs.StringVar(&c.addr, "addr", ":8080", "listen address")
+	fs.Float64Var(&c.index.Theta, "theta", 0.8, "TrajTree θ (diversity drop threshold)")
+	fs.BoolVar(&c.index.Cumulative, "cumulative", false, "use cumulative EDwP instead of EDwPavg")
+	fs.IntVar(&e.CacheSize, "cache", 0, "LRU result-cache entries (0 = default 1024, negative disables)")
+	fs.IntVar(&e.Workers, "workers", 0, "batch worker-pool / shard fan-out size (0 = GOMAXPROCS)")
+	fs.IntVar(&e.Shards, "shards", 1, "number of hash-partitioned index shards")
+	fs.StringVar(&e.SnapshotDir, "snapshot", "", "snapshot directory: load on boot if present, POST /v1/snapshot writes here")
+	fs.BoolVar(&e.Mmap, "mmap", false, "map the snapshot's shard files instead of reading them onto the heap: the same files, checks and loaded state either way, with the point slabs aliasing the page cache")
+	fs.StringVar(&e.WALDir, "wal", "", "write-ahead-log directory: mutations are logged before acknowledgement and replayed on boot")
+	fs.StringVar(&r.walSync, "wal-sync", "always", "WAL durability point: always (fsync per acknowledgement), interval (background fsync every 100ms), never (OS page cache)")
+	fs.BoolVar(&c.pprof, "pprof", false, "mount net/http/pprof under /debug/pprof/")
+	fs.DurationVar(&c.queryTimeout, "query-timeout", 0, "per-request search deadline, honoured down to the distance kernels (0 disables)")
+	fs.StringVar(&r.metrics, "metrics", "edwp", "comma-separated metric backends to boot over the database (edwp, dtw, edr); the first is the default of /v1/search")
+	fs.DurationVar(&e.SealAfter, "seal-after", 0, "background-seal live tracks idle longer than this, checking every quarter of it (0 disables the sealer; explicit POST /v1/seal always works)")
+	fs.StringVar(&c.role, "role", trajmatch.RoleStandalone, "deployment role: standalone, shard (serve -shard-ids of a -cluster-shards placement), router (fan out over -nodes)")
+	fs.StringVar(&r.shardIDs, "shard-ids", "", "comma-separated global shard indices this shard node serves (role shard)")
+	fs.IntVar(&r.clusterShards, "cluster-shards", 0, "global shard count of the cluster hash placement (role shard; every node and router must agree)")
+	fs.StringVar(&r.nodes, "nodes", "", "comma-separated shard-node base URLs (role router)")
+	fs.DurationVar(&c.nodeTimeout, "node-timeout", 10*time.Second, "per-node request timeout of the router fan-out, and of -fetch-snapshot transfers")
+	fs.StringVar(&c.fetchSnapshot, "fetch-snapshot", "", "warm-boot source: ship this peer's (node URL or directory) snapshot into -snapshot before boot, one verified file per served shard, unless a snapshot is already there")
+	fs.BoolVar(&c.version, "version", false, "print build, role and placement information as JSON and exit")
+	fs.BoolVar(&e.Prefilter, "prefilter", false, "build the sketch/LSH candidate prefilter; queries opt in with \"prefilter\": true")
+	return fs
+}
+
+// parseConfig parses the command line and makes every check that needs
+// only the flags: unknown roles, metrics and sync policies, malformed
+// shard lists, and flags the chosen role does not use. -version passes
+// the same checks a boot does.
+func parseConfig(args []string) (config, error) {
+	c := config{index: trajmatch.IndexOptions{Parallel: true, Seed: buildSeed}}
+	var r rawFlags
+	fs := newFlagSet(&c, &r)
+	fs.SetOutput(io.Discard)
+	if err := fs.Parse(args); err != nil {
+		return c, err
+	}
+	switch c.role {
 	case trajmatch.RoleStandalone, trajmatch.RoleShard, trajmatch.RoleRouter:
 	default:
-		fatalf("-role: unknown role %q (standalone, shard, router)", *role)
+		return c, fmt.Errorf("-role: unknown role %q (standalone, shard, router)", c.role)
 	}
-	if *versionF {
-		printVersion(*role, *clusterShards, *shardIDs, *nodesF)
-		return
-	}
-	if *role == trajmatch.RoleRouter {
-		if *dbPath != "" || *shardIDs != "" {
-			fatalf("-role router holds no corpus; -db and -shard-ids do not apply")
+	if c.role == trajmatch.RoleRouter {
+		var stray []string
+		fs.Visit(func(f *flag.Flag) {
+			if !routerFlags[f.Name] {
+				stray = append(stray, "-"+f.Name)
+			}
+		})
+		if len(stray) > 0 {
+			return c, fmt.Errorf("-role router holds no corpus; it does not take %s", strings.Join(stray, ", "))
 		}
-		runRouter(*addr, *nodesF, *nodeTimeout, *queryTO)
-		return
+		if c.nodes = splitList(r.nodes); len(c.nodes) == 0 {
+			return c, errors.New("-role router requires -nodes (comma-separated shard-node base URLs)")
+		}
+		return c, nil
 	}
-
-	metricNames, err := parseMetrics(*metricsF)
-	if err != nil {
-		fatalf("-metrics: %v", err)
+	if r.nodes != "" {
+		return c, errors.New("-nodes applies to -role router only")
 	}
-	syncPolicy, err := trajmatch.ParseWALSyncPolicy(*walSync)
-	if err != nil {
-		fatalf("-wal-sync: %v", err)
+	var err error
+	if c.metrics, err = parseMetrics(r.metrics); err != nil {
+		return c, fmt.Errorf("-metrics: %v", err)
 	}
-
-	eopt := trajmatch.EngineOptions{
-		CacheSize:       *cache,
-		Workers:         *workers,
-		Shards:          *shards,
-		SnapshotDir:     *snapshot,
-		Mmap:            *mmapBoot,
-		WALDir:          *walDir,
-		WALSync:         syncPolicy,
-		WALSyncInterval: *walInt,
-		SealAfter:       *sealAfter,
-		SealInterval:    *sealInt,
-		EventBuffer:     *eventsBuf,
-		Prefilter:       *prefilter,
-		Sketch: trajmatch.SketchParams{
-			CellSize: *sketchCell,
-			Shingle:  *sketchShin,
-			Hashes:   *sketchHash,
-			Bands:    *sketchBand,
-			MinCands: *sketchMinC,
-		},
+	if c.engine.WALSync, err = trajmatch.ParseWALSyncPolicy(r.walSync); err != nil {
+		return c, fmt.Errorf("-wal-sync: %v", err)
 	}
-	var owned []int
-	if *role == trajmatch.RoleShard {
-		owned, err = parseShardIDs(*shardIDs)
+	if c.role == trajmatch.RoleShard {
+		owned, err := parseShardIDs(r.shardIDs)
 		if err != nil {
-			fatalf("-shard-ids: %v", err)
+			return c, fmt.Errorf("-shard-ids: %v", err)
 		}
-		if *clusterShards < 1 {
-			fatalf("-role shard requires -cluster-shards (the global placement every node agrees on)")
+		if r.clusterShards < 1 {
+			return c, errors.New("-role shard requires -cluster-shards (the global placement every node agrees on)")
 		}
-		eopt.Partition = &trajmatch.EnginePartition{Total: *clusterShards, Owned: owned}
-	} else if *shardIDs != "" || *clusterShards != 0 {
-		fatalf("-shard-ids and -cluster-shards apply to -role shard only")
+		c.engine.Partition = &trajmatch.EnginePartition{Total: r.clusterShards, Owned: owned}
+	} else if r.shardIDs != "" || r.clusterShards != 0 {
+		return c, errors.New("-shard-ids and -cluster-shards apply to -role shard only")
 	}
-	if *nodesF != "" {
-		fatalf("-nodes applies to -role router only")
+	if c.fetchSnapshot != "" && c.engine.SnapshotDir == "" {
+		return c, errors.New("-fetch-snapshot requires -snapshot DIR to ship into")
 	}
+	return c, nil
+}
 
-	if *fetchSrc != "" {
-		if *snapshot == "" {
-			fatalf("-fetch-snapshot requires -snapshot DIR to ship into")
-		}
-		if trajmatch.EngineSnapshotExists(*snapshot) {
-			log.Printf("snapshot %s already present; skipping -fetch-snapshot %s", *snapshot, *fetchSrc)
+func main() {
+	cfg, err := parseConfig(os.Args[1:])
+	if errors.Is(err, flag.ErrHelp) {
+		fs := newFlagSet(&config{}, &rawFlags{})
+		fmt.Fprintln(os.Stderr, "Usage of trajserve:")
+		fs.PrintDefaults()
+		return
+	}
+	if err != nil {
+		fatalf("%v", err)
+	}
+	if cfg.version {
+		printVersion(cfg)
+		return
+	}
+	if cfg.role == trajmatch.RoleRouter {
+		serveHTTP(cfg, newRouter(cfg), nil)
+		return
+	}
+	engine, handler := bootEngine(cfg)
+	// Drained before close: no request is mid-mutation, so the flush
+	// makes every acknowledged mutation durable under every -wal-sync
+	// policy.
+	serveHTTP(cfg, handler, engine.Close)
+}
+
+// bootEngine builds or warm-boots the engine of a standalone or shard
+// process and returns it with the /v1 handler that serves it.
+func bootEngine(cfg config) (*trajmatch.Engine, http.Handler) {
+	eopt := cfg.engine
+	var owned []int
+	if eopt.Partition != nil {
+		owned = eopt.Partition.Owned
+	}
+	snapshot := eopt.SnapshotDir
+	if cfg.fetchSnapshot != "" {
+		if trajmatch.EngineSnapshotExists(snapshot) {
+			log.Printf("snapshot %s already present; skipping -fetch-snapshot %s", snapshot, cfg.fetchSnapshot)
 		} else {
 			tf := time.Now()
-			info, err := trajmatch.FetchEngineSnapshot(context.Background(), *fetchSrc, *snapshot, owned,
-				&http.Client{Timeout: *nodeTimeout})
+			info, err := trajmatch.FetchEngineSnapshot(context.Background(), cfg.fetchSnapshot, snapshot, owned,
+				&http.Client{Timeout: cfg.nodeTimeout})
 			if err != nil {
 				fatalf("fetch snapshot: %v", err)
 			}
@@ -262,37 +319,32 @@ func main() {
 				want = info.Covered
 			}
 			log.Printf("shipped snapshot from %s: shards %v of %d in %v",
-				*fetchSrc, want, info.Shards, time.Since(tf).Round(time.Millisecond))
+				cfg.fetchSnapshot, want, info.Shards, time.Since(tf).Round(time.Millisecond))
 		}
 	}
 
 	var engine *trajmatch.Engine
+	var err error
 	t0 := time.Now()
 	switch {
-	case trajmatch.EngineSnapshotExists(*snapshot):
-		if *dbPath != "" {
-			log.Printf("warning: snapshot %s exists; ignoring -db %s and the build flags (-theta/-cumulative/-seed) — remove the snapshot directory to rebuild from the database", *snapshot, *dbPath)
+	case trajmatch.EngineSnapshotExists(snapshot):
+		if cfg.db != "" {
+			log.Printf("warning: snapshot %s exists; ignoring -db %s and the build flags (-theta/-cumulative) — remove the snapshot directory to rebuild from the database", snapshot, cfg.db)
 		}
 		// The snapshot persists the tree-backed EDwP set; any other
 		// requested metric is rebuilt from the loaded corpus.
-		engine, err = trajmatch.LoadEngineSnapshotMetrics(*snapshot, metricNames, eopt)
+		engine, err = trajmatch.LoadEngineSnapshotMetrics(snapshot, cfg.metrics, eopt)
 		if err != nil {
 			fatalf("load snapshot: %v", err)
 		}
-		if engine.Shards() != *shards && *shards != 1 {
-			log.Printf("warning: -shards %d ignored; snapshot manifest fixes the shard count at %d (placement depends on it)", *shards, engine.Shards())
+		if engine.Shards() != eopt.Shards && eopt.Shards != 1 {
+			log.Printf("warning: -shards %d ignored; snapshot manifest fixes the shard count at %d (placement depends on it)", eopt.Shards, engine.Shards())
 		}
 		log.Printf("loaded snapshot %s: %d trajectories in %d shards (height %d), metrics %v, in %v",
-			*snapshot, engine.Size(), engine.Shards(), engine.Height(), engine.Metrics(),
+			snapshot, engine.Size(), engine.Shards(), engine.Height(), engine.Metrics(),
 			time.Since(t0).Round(time.Millisecond))
-	case *dbPath != "":
-		db := readFile(*dbPath)
-		engine, err = trajmatch.NewMultiEngine(db, metricNames, trajmatch.IndexOptions{
-			Theta:      *theta,
-			Cumulative: *cumula,
-			Parallel:   true,
-			Seed:       *seed,
-		}, eopt)
+	case cfg.db != "":
+		engine, err = trajmatch.NewMultiEngine(readFile(cfg.db), cfg.metrics, cfg.index, eopt)
 		if err != nil {
 			fatalf("build: %v", err)
 		}
@@ -302,14 +354,14 @@ func main() {
 	default:
 		fatalf("-db is required (or -snapshot pointing at an existing snapshot)")
 	}
-	if *walDir != "" {
+	if eopt.WALDir != "" {
 		if ws := engine.Stats().WAL; ws != nil {
 			log.Printf("wal enabled at %s (sync %s): replayed %d records (%d torn tail bytes dropped)",
-				*walDir, ws.Policy, ws.Replayed, ws.DroppedTailBytes)
+				eopt.WALDir, ws.Policy, ws.Replayed, ws.DroppedTailBytes)
 		}
 	}
-	if *sealAfter > 0 {
-		log.Printf("background sealer armed: folding live tracks idle longer than %v", *sealAfter)
+	if eopt.SealAfter > 0 {
+		log.Printf("background sealer armed: folding live tracks idle longer than %v", eopt.SealAfter)
 	}
 	if engine.PrefilterEnabled() {
 		p := engine.SketchParams()
@@ -317,52 +369,78 @@ func main() {
 			p.CellSize, p.Shingle, p.Hashes, p.Bands, p.MinCands)
 	}
 
-	hopt := trajmatch.HandlerOptions{QueryTimeout: *queryTO}
-	var handler http.Handler
-	if *role == trajmatch.RoleShard {
+	hopt := trajmatch.HandlerOptions{QueryTimeout: cfg.queryTimeout}
+	if cfg.role == trajmatch.RoleShard {
 		vi := trajmatch.NewVersionInfo(trajmatch.RoleShard, engine)
 		hopt.Version = &vi
-		handler = trajmatch.NewClusterNodeHandler(engine, hopt)
 		log.Printf("shard node serving global shards %v of a %d-shard placement", engine.OwnedShards(), engine.ClusterShards())
-	} else {
-		handler = trajmatch.NewAPIHandler(engine, hopt)
+		return engine, trajmatch.NewClusterNodeHandler(engine, hopt)
 	}
-	if *pprofOn {
-		// Opt-in profiling: the handlers are registered explicitly on the
-		// API mux, which is the only mux this server ever serves. (The
-		// net/http/pprof import also registers on http.DefaultServeMux as
-		// an init side effect — do not serve DefaultServeMux anywhere in
-		// this binary, or profiling would be exposed regardless of -pprof.)
+	return engine, trajmatch.NewAPIHandler(engine, hopt)
+}
+
+// newRouter boots the stateless fan-out role: discover the nodes'
+// placement and return the public /v1 surface over the router.
+func newRouter(cfg config) http.Handler {
+	if cfg.queryTimeout > 0 && cfg.queryTimeout < cfg.nodeTimeout {
+		// The per-node timeout already bounds each fan-out leg; a shorter
+		// query timeout would be the effective one and the flag pair is
+		// probably a mistake.
+		log.Printf("warning: -query-timeout %v is shorter than -node-timeout %v; node requests are bounded by the smaller", cfg.queryTimeout, cfg.nodeTimeout)
+	}
+	rt, err := trajmatch.NewClusterRouter(context.Background(), trajmatch.ClusterConfig{
+		Nodes:        cfg.nodes,
+		Timeout:      cfg.nodeTimeout,
+		QueryTimeout: cfg.queryTimeout,
+	})
+	if err != nil {
+		fatalf("router: %v", err)
+	}
+	st := rt.Stats()
+	log.Printf("router fronting %d global shards in %d groups over %d nodes",
+		st.ClusterShards, st.ShardGroups, len(st.Nodes))
+	return trajmatch.NewClusterRouterHandler(rt)
+}
+
+// rootHandler is what every role serves: the role's API handler, with
+// the pprof handlers beside it when -pprof is set, behind the request
+// log.
+func rootHandler(api http.Handler, pprofOn bool) http.Handler {
+	if pprofOn {
+		// The handlers are registered explicitly on this mux, the only
+		// mux this server ever serves. (The net/http/pprof import also
+		// registers on http.DefaultServeMux as an init side effect — do
+		// not serve DefaultServeMux anywhere in this binary, or profiling
+		// would be exposed regardless of -pprof.)
 		mux := http.NewServeMux()
-		mux.Handle("/", handler)
+		mux.Handle("/", api)
 		mux.HandleFunc("/debug/pprof/", pprof.Index)
 		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-		handler = mux
-		log.Printf("pprof enabled at /debug/pprof/")
+		api = mux
 	}
-	// Drained before close: no request is mid-mutation, so the flush
-	// makes every acknowledged mutation durable under every -wal-sync
-	// policy.
-	serveHTTP(*addr, handler, engine.Close)
+	return logRequests(api)
 }
 
 // serveHTTP runs the server until SIGINT/SIGTERM, then drains in-flight
 // requests for up to 15 seconds before running closeFn and exiting, so
 // load balancers rolling the process do not sever live queries.
-func serveHTTP(addr string, handler http.Handler, closeFn func() error) {
+func serveHTTP(cfg config, api http.Handler, closeFn func() error) {
 	srv := &http.Server{
-		Addr:              addr,
-		Handler:           logRequests(handler),
+		Addr:              cfg.addr,
+		Handler:           rootHandler(api, cfg.pprof),
 		ReadHeaderTimeout: 10 * time.Second,
+	}
+	if cfg.pprof {
+		log.Printf("pprof enabled at /debug/pprof/")
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
 	errc := make(chan error, 1)
 	go func() {
-		log.Printf("trajserve listening on %s", addr)
+		log.Printf("trajserve listening on %s", cfg.addr)
 		errc <- srv.ListenAndServe()
 	}()
 	select {
@@ -387,58 +465,28 @@ func serveHTTP(addr string, handler http.Handler, closeFn func() error) {
 	}
 }
 
-// runRouter boots the stateless fan-out role: discover the nodes'
-// placement, serve the public /v1 surface over the router.
-func runRouter(addr, nodesCSV string, nodeTimeout, queryTO time.Duration) {
-	var nodes []string
-	for _, part := range strings.Split(nodesCSV, ",") {
-		if s := strings.TrimSpace(part); s != "" {
-			nodes = append(nodes, s)
-		}
-	}
-	if len(nodes) == 0 {
-		fatalf("-role router requires -nodes (comma-separated shard-node base URLs)")
-	}
-	if queryTO > 0 && queryTO < nodeTimeout {
-		// The per-node timeout already bounds each fan-out leg; a shorter
-		// query timeout would be the effective one and the flag pair is
-		// probably a mistake.
-		log.Printf("warning: -query-timeout %v is shorter than -node-timeout %v; node requests are bounded by the smaller", queryTO, nodeTimeout)
-	}
-	rt, err := trajmatch.NewClusterRouter(context.Background(), trajmatch.ClusterConfig{
-		Nodes:        nodes,
-		Timeout:      nodeTimeout,
-		QueryTimeout: queryTO,
-	})
-	if err != nil {
-		fatalf("router: %v", err)
-	}
-	st := rt.Stats()
-	log.Printf("router fronting %d global shards in %d groups over %d nodes",
-		st.ClusterShards, st.ShardGroups, len(st.Nodes))
-	serveHTTP(addr, trajmatch.NewClusterRouterHandler(rt), nil)
-}
-
 // printVersion writes the -version payload: what GET /v1/version would
 // report, assembled from flags alone (no index is built).
-func printVersion(role string, clusterShards int, shardIDs, nodesCSV string) {
-	v := trajmatch.NewVersionInfo(role, nil)
-	if role == trajmatch.RoleShard {
-		v.ClusterShards = clusterShards
-		if owned, err := parseShardIDs(shardIDs); err == nil {
-			v.OwnedShards = owned
-		}
+func printVersion(cfg config) {
+	v := trajmatch.NewVersionInfo(cfg.role, nil)
+	if p := cfg.engine.Partition; p != nil {
+		v.ClusterShards, v.OwnedShards = p.Total, p.Owned
 	}
-	if role == trajmatch.RoleRouter && nodesCSV != "" {
-		for _, part := range strings.Split(nodesCSV, ",") {
-			if s := strings.TrimSpace(part); s != "" {
-				v.Nodes = append(v.Nodes, s)
-			}
-		}
-	}
+	v.Nodes = cfg.nodes
 	enc := json.NewEncoder(os.Stdout)
 	enc.SetIndent("", "  ")
 	_ = enc.Encode(v)
+}
+
+// splitList splits a comma-separated flag value, dropping empty items.
+func splitList(s string) []string {
+	var out []string
+	for _, part := range strings.Split(s, ",") {
+		if p := strings.TrimSpace(part); p != "" {
+			out = append(out, p)
+		}
+	}
+	return out
 }
 
 // parseShardIDs parses the -shard-ids list ("0,3") into sorted unique
@@ -447,11 +495,7 @@ func printVersion(role string, clusterShards int, shardIDs, nodesCSV string) {
 func parseShardIDs(s string) ([]int, error) {
 	var out []int
 	seen := map[int]bool{}
-	for _, part := range strings.Split(s, ",") {
-		p := strings.TrimSpace(part)
-		if p == "" {
-			continue
-		}
+	for _, p := range splitList(s) {
 		id, err := strconv.Atoi(p)
 		if err != nil {
 			return nil, fmt.Errorf("bad shard index %q", p)
@@ -488,11 +532,7 @@ func parseMetrics(s string) ([]string, error) {
 	}
 	var out []string
 	seen := map[string]bool{}
-	for _, part := range strings.Split(s, ",") {
-		name := strings.TrimSpace(part)
-		if name == "" {
-			continue
-		}
+	for _, name := range splitList(s) {
 		if !known[name] {
 			return nil, fmt.Errorf("unknown metric %q (registered: %s)", name, strings.Join(trajmatch.RegisteredMetrics(), ", "))
 		}

@@ -132,12 +132,12 @@ func TestEDREarlyAbandonConsistent(t *testing.T) {
 		b := randomTraj(rng, 2+rng.Intn(12))
 		full := edr.Dist(a, b)
 		// With a bound at least the true distance, the exact value returns.
-		if got := edr.DistEarlyAbandon(a, b, int(full)); got != full {
+		if got, _ := edr.DistEarlyAbandonCancel(a, b, int(full), nil); got != full {
 			t.Fatalf("early abandon altered result: %v vs %v", got, full)
 		}
 		// With a tighter bound, the result must still exceed the bound.
 		if full > 0 {
-			if got := edr.DistEarlyAbandon(a, b, int(full)-1); got < full-float64(int(full)-1) && got <= float64(int(full)-1) {
+			if got, _ := edr.DistEarlyAbandonCancel(a, b, int(full)-1, nil); got < full-float64(int(full)-1) && got <= float64(int(full)-1) {
 				t.Fatalf("early abandon returned %v, which does not certify bound %v", got, int(full)-1)
 			}
 		}

@@ -24,20 +24,15 @@ func (e EDR) Dist(a, b *traj.Trajectory) float64 {
 	return float64(d)
 }
 
-// DistEarlyAbandon computes EDR but returns early with a value > bound as
-// soon as the distance probably exceeds bound (bound < 0 disables). The EDR
-// index uses this to cut off hopeless candidates.
-func (e EDR) DistEarlyAbandon(a, b *traj.Trajectory, bound int) float64 {
-	d, _ := e.edits(a.Points, b.Points, bound, nil)
-	return float64(d)
-}
-
-// DistEarlyAbandonCancel is DistEarlyAbandon with a cooperative
-// cancellation flag polled once per DP row, plus an explicit abandon
-// report: abandoned is true when the row-minimum test cut the program
-// short (the value is then a lower bound > bound, not the distance) or
-// the flag fired mid-evaluation (the value is then meaningless and the
-// caller must discard the whole answer via its Ctl's error).
+// DistEarlyAbandonCancel computes EDR but returns early with a value >
+// bound as soon as the distance provably exceeds bound (bound < 0
+// disables); the EDR index uses this to cut off hopeless candidates. The
+// cooperative cancellation flag is polled once per DP row, and abandoned
+// is true when the row-minimum test cut the program short (the value is
+// then a lower bound > bound, not the distance) or the flag fired
+// mid-evaluation (the value is then meaningless and the caller must
+// discard the whole answer via its Ctl's error). A nil cancel never
+// fires.
 func (e EDR) DistEarlyAbandonCancel(a, b *traj.Trajectory, bound int, cancel *core.Cancel) (float64, bool) {
 	d, abandoned := e.edits(a.Points, b.Points, bound, cancel)
 	return float64(d), abandoned

@@ -44,10 +44,6 @@ func TestDistanceBoundedInfEqualsDistance(t *testing.T) {
 		if got, abandoned := SubDistanceBounded(a, b, math.Inf(1)); got != wantSub || abandoned {
 			t.Fatalf("SubDistanceBounded(+Inf) = %v (abandoned %v), SubDistance = %v", got, abandoned, wantSub)
 		}
-		wantPre := PrefixDistance(a, b)
-		if got, abandoned := PrefixDistanceBounded(a, b, math.Inf(1)); got != wantPre || abandoned {
-			t.Fatalf("PrefixDistanceBounded(+Inf) = %v (abandoned %v), PrefixDistance = %v", got, abandoned, wantPre)
-		}
 	}
 }
 

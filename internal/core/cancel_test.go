@@ -50,7 +50,6 @@ func TestCancelPreFiredAbandonsImmediately(t *testing.T) {
 		"distance": func() (float64, bool) { return DistanceBoundedCancel(a, b, math.Inf(1), &c) },
 		"avg":      func() (float64, bool) { return AvgDistanceBoundedCancel(a, b, math.Inf(1), &c) },
 		"sub":      func() (float64, bool) { return SubDistanceBoundedCancel(a, b, math.Inf(1), &c) },
-		"prefix":   func() (float64, bool) { return PrefixDistanceBoundedCancel(a, b, math.Inf(1), &c) },
 	} {
 		d, abandoned := call()
 		if !math.IsInf(d, 1) || !abandoned {

@@ -13,7 +13,7 @@
 //
 // The same machinery, with free skipping of the second argument's prefix
 // and suffix plus a "stopped" layer that lets the second trajectory end at
-// any sample, yields PrefixDist and EDwPsub (Eqs. 5–6). Their box
+// any sample, yields EDwPsub (Eq. 6). Its box
 // generalisation (the Theorem-2 lower bound that powers the TrajTree index)
 // lives in boxes.go.
 package core
@@ -30,7 +30,7 @@ const (
 	lS    = 0 // both heads at sample points
 	lI1   = 1 // T1's head is a projected (inserted) point
 	lI2   = 2 // T2's head is a projected (inserted) point
-	lStop = 3 // T2 has ended at sample j (sub/prefix modes only)
+	lStop = 3 // T2 has ended at sample j (sub mode only)
 	nL    = 4
 )
 
@@ -39,7 +39,6 @@ type alignMode int
 
 const (
 	modeGlobal alignMode = iota // EDwP: both trajectories consumed in full
-	modePrefix                  // PrefixDist: t may end early (Eq. 5)
 	modeSub                     // EDwPsub: t may start late and end early (Eq. 6)
 )
 
@@ -151,28 +150,6 @@ func SubDistanceBoundedCancel(q, t *traj.Trajectory, limit float64, cancel *Canc
 	return run(q, t, modeSub, limit, cancel)
 }
 
-// PrefixDistance returns PrefixDist(q, t) of Eq. 5: all of q aligned
-// against any prefix of t (only t's suffix may be skipped).
-func PrefixDistance(q, t *traj.Trajectory) float64 {
-	d, _ := run(q, t, modePrefix, math.Inf(1), nil)
-	return d
-}
-
-// PrefixDistanceBounded returns PrefixDistance(q, t) exactly whenever it
-// does not exceed limit, and +Inf otherwise; the second return reports
-// whether the +Inf was caused by the limit (see DistanceBounded).
-func PrefixDistanceBounded(q, t *traj.Trajectory, limit float64) (float64, bool) {
-	return run(q, t, modePrefix, limit, nil)
-}
-
-// PrefixDistanceBoundedCancel is PrefixDistanceBounded with a cooperative
-// cancellation flag polled at DP-row granularity; see
-// DistanceBoundedCancel for the contract. A nil cancel is identical to
-// PrefixDistanceBounded.
-func PrefixDistanceBoundedCancel(q, t *traj.Trajectory, limit float64, cancel *Cancel) (float64, bool) {
-	return run(q, t, modePrefix, limit, cancel)
-}
-
 // seg returns the spatial segment between two st-points.
 func seg(a, b traj.Point) geom.Segment { return geom.Seg(a.XY(), b.XY()) }
 
@@ -204,7 +181,7 @@ func repCost(h1, a1, h2, a2 geom.Point) float64 {
 // run executes the forward DP with rolling rows. The inner loop is the
 // hottest code in the repository: per cell it computes the projection
 // points shared by every layer's transitions once, then relaxes the three
-// (or four, in sub/prefix modes) outgoing edges of each layer.
+// (or four, in sub mode) outgoing edges of each layer.
 //
 // The loop body is restructured for the arena's SoA layout — coordinates
 // stream from the trajectories' View slices — and every repeated
@@ -246,7 +223,7 @@ func run(t1, t2 *traj.Trajectory, mode alignMode, limit float64, cancel *Cancel)
 	n, m := len(t1.Points), len(t2.Points)
 	if n <= 1 {
 		if m <= 1 || mode != modeGlobal {
-			return 0, false // PrefixDist(∅,·)=0, EDwPsub(∅,·)=0, EDwP(∅,∅)=0
+			return 0, false // EDwPsub(∅,·)=0, EDwP(∅,∅)=0
 		}
 		return math.Inf(1), false
 	}

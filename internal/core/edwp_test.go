@@ -239,32 +239,10 @@ func TestSubDistanceLowerBoundsAllSubTrajectories(t *testing.T) {
 		n := h.NumPoints()
 		for a := 0; a < n-1; a++ {
 			for b := a + 1; b < n; b++ {
-				d := Distance(q, h.Sub(a, b))
+				d := Distance(q, traj.New(h.ID, h.Points[a:b+1]))
 				if sub > d+1e-6*(1+d) {
 					t.Fatalf("EDwPsub %v exceeds EDwP(q, T[%d..%d]) = %v", sub, a, b, d)
 				}
-			}
-		}
-	}
-}
-
-func TestPrefixDistance(t *testing.T) {
-	q := traj.FromXY(0, 0, 0, 1, 0)
-	h := traj.FromXY(1, 0, 0, 1, 0, 50, 0)
-	// q matches h's first segment exactly; suffix skipped free.
-	if got := PrefixDistance(q, h); !almost(got, 0) {
-		t.Errorf("PrefixDist = %v, want 0", got)
-	}
-	// Lemma 1: PrefixDist(q, h) ≤ EDwP(q, prefix) for every prefix of h.
-	rng := rand.New(rand.NewSource(13))
-	for it := 0; it < 60; it++ {
-		q := randomTraj(rng, 2+rng.Intn(4))
-		h := randomTraj(rng, 3+rng.Intn(5))
-		pd := PrefixDistance(q, h)
-		for b := 1; b < h.NumPoints(); b++ {
-			d := Distance(q, h.Sub(0, b))
-			if pd > d+1e-6*(1+d) {
-				t.Fatalf("PrefixDist %v > EDwP(q, prefix[0..%d]) = %v", pd, b, d)
 			}
 		}
 	}
@@ -406,7 +384,7 @@ func TestSharedSuffixDoesNotExplode(t *testing.T) {
 func TestSubDistanceNoisyEmbedding(t *testing.T) {
 	rng := rand.New(rand.NewSource(18))
 	host := randomSmoothTraj(rng, 12)
-	q := host.Sub(3, 8).Clone()
+	q := traj.New(host.ID, append([]traj.Point(nil), host.Points[3:9]...))
 	clean := SubDistance(q, host)
 	if clean > 1e-9 {
 		t.Fatalf("embedded copy not found: %v", clean)

@@ -120,3 +120,72 @@ func TestDistToSegmentMatchesReference(t *testing.T) {
 		t.Fatalf("empty rect: got %v want %v", got, want)
 	}
 }
+
+// The segment-segment predicates below are the edge method's oracle:
+// TestDistToSegmentMatchesEdgeMethod checks the analytic DistToSegment
+// against four segment-segment distances, and TestClosestIsArgmin samples
+// segments with At. No production path needs them.
+
+// At returns the point a fraction t along s.
+func (s Segment) At(t float64) Point { return Lerp(s.A, s.B, t) }
+
+// orient returns the sign of the cross product (b-a)×(c-a):
+// +1 counter-clockwise, -1 clockwise, 0 collinear.
+func orient(a, b, c Point) int {
+	v := (b.X-a.X)*(c.Y-a.Y) - (b.Y-a.Y)*(c.X-a.X)
+	switch {
+	case v > 0:
+		return 1
+	case v < 0:
+		return -1
+	}
+	return 0
+}
+
+// onSegment reports whether collinear point p lies on segment s.
+func onSegment(s Segment, p Point) bool {
+	return math.Min(s.A.X, s.B.X) <= p.X && p.X <= math.Max(s.A.X, s.B.X) &&
+		math.Min(s.A.Y, s.B.Y) <= p.Y && p.Y <= math.Max(s.A.Y, s.B.Y)
+}
+
+// SegmentsIntersect reports whether segments s1 and s2 share at least one
+// point, endpoints included.
+func SegmentsIntersect(s1, s2 Segment) bool {
+	d1 := orient(s2.A, s2.B, s1.A)
+	d2 := orient(s2.A, s2.B, s1.B)
+	d3 := orient(s1.A, s1.B, s2.A)
+	d4 := orient(s1.A, s1.B, s2.B)
+	if d1*d2 < 0 && d3*d4 < 0 {
+		return true
+	}
+	switch {
+	case d1 == 0 && onSegment(s2, s1.A):
+		return true
+	case d2 == 0 && onSegment(s2, s1.B):
+		return true
+	case d3 == 0 && onSegment(s1, s2.A):
+		return true
+	case d4 == 0 && onSegment(s1, s2.B):
+		return true
+	}
+	return false
+}
+
+// SegmentDist returns the minimum distance between two segments
+// (0 if they intersect).
+func SegmentDist(s1, s2 Segment) float64 {
+	if SegmentsIntersect(s1, s2) {
+		return 0
+	}
+	d := s1.DistTo(s2.A)
+	if v := s1.DistTo(s2.B); v < d {
+		d = v
+	}
+	if v := s2.DistTo(s1.A); v < d {
+		d = v
+	}
+	if v := s2.DistTo(s1.B); v < d {
+		d = v
+	}
+	return d
+}

@@ -32,20 +32,11 @@ func (p Point) Dist2(q Point) float64 {
 	return dx*dx + dy*dy
 }
 
-// Add returns p translated by q taken as a vector.
-func (p Point) Add(q Point) Point { return Point{p.X + q.X, p.Y + q.Y} }
-
 // Sub returns the vector from q to p.
 func (p Point) Sub(q Point) Point { return Point{p.X - q.X, p.Y - q.Y} }
 
-// Scale returns p scaled by f about the origin.
-func (p Point) Scale(f float64) Point { return Point{p.X * f, p.Y * f} }
-
 // Dot returns the dot product of p and q taken as vectors.
 func (p Point) Dot(q Point) float64 { return p.X*q.X + p.Y*q.Y }
-
-// Norm returns the length of p taken as a vector.
-func (p Point) Norm() float64 { return math.Hypot(p.X, p.Y) }
 
 // Lerp returns the point a fraction t of the way from p to q.
 // t is not clamped; t=0 yields p and t=1 yields q.
@@ -63,9 +54,6 @@ func Seg(a, b Point) Segment { return Segment{A: a, B: b} }
 
 // Length returns the Euclidean length of s.
 func (s Segment) Length() float64 { return s.A.Dist(s.B) }
-
-// IsDegenerate reports whether s has (near-)zero length.
-func (s Segment) IsDegenerate() bool { return s.A == s.B }
 
 // ClosestFrac returns the parameter t in [0,1] such that Lerp(s.A, s.B, t)
 // is the point on s closest to p. For a degenerate segment it returns 0.
@@ -95,9 +83,6 @@ func (s Segment) Closest(p Point) Point {
 func (s Segment) DistTo(p Point) float64 {
 	return p.Dist(s.Closest(p))
 }
-
-// At returns the point a fraction t along s.
-func (s Segment) At(t float64) Point { return Lerp(s.A, s.B, t) }
 
 // Rect is an axis-aligned rectangle. Min holds the smaller coordinates on
 // both axes and Max the larger; an empty Rect is represented by the zero
@@ -163,19 +148,6 @@ func (r Rect) Area() float64 {
 // Contains reports whether p lies inside r (boundary inclusive).
 func (r Rect) Contains(p Point) bool {
 	return p.X >= r.Min.X && p.X <= r.Max.X && p.Y >= r.Min.Y && p.Y <= r.Max.Y
-}
-
-// ContainsRect reports whether q lies entirely inside r.
-func (r Rect) ContainsRect(q Rect) bool {
-	if q.IsEmpty() {
-		return true
-	}
-	return r.Contains(q.Min) && r.Contains(q.Max)
-}
-
-// Center returns the center point of r. It is undefined for empty rectangles.
-func (r Rect) Center() Point {
-	return Point{(r.Min.X + r.Max.X) / 2, (r.Min.Y + r.Max.Y) / 2}
 }
 
 // ClosestPoint returns the point inside r closest to p (p itself when p is
@@ -326,165 +298,4 @@ func (r Rect) DistToSegment(s Segment) float64 {
 		t1 = t2
 	}
 	return math.Sqrt(best)
-}
-
-// ClosestOnSegment returns the point on segment s closest to rectangle r,
-// together with that minimum distance.
-func (r Rect) ClosestOnSegment(s Segment) (Point, float64) {
-	if r.Contains(s.A) {
-		return s.A, 0
-	}
-	if r.Contains(s.B) {
-		return s.B, 0
-	}
-	// Sample the four edges: the closest point on s to the rectangle is the
-	// closest point on s to one of the edges (or an intersection point).
-	c1 := Point{r.Min.X, r.Max.Y}
-	c2 := Point{r.Max.X, r.Min.Y}
-	edges := [4]Segment{
-		{r.Min, c2}, {c2, r.Max}, {r.Max, c1}, {c1, r.Min},
-	}
-	best := s.A
-	bestD := math.Inf(1)
-	for _, e := range edges {
-		p, q := closestPair(s, e)
-		if d := p.Dist(q); d < bestD {
-			bestD = d
-			best = p
-		}
-	}
-	if SegIntersectsRect(s, r) {
-		// Any intersection point is at distance zero; refine best to an
-		// interior sample by bisection against containment.
-		if p, ok := segRectEntryPoint(s, r); ok {
-			return p, 0
-		}
-	}
-	return best, bestD
-}
-
-// SegIntersectsRect reports whether segment s touches rectangle r.
-func SegIntersectsRect(s Segment, r Rect) bool {
-	return r.DistToSegment(s) == 0
-}
-
-// segRectEntryPoint finds some point of s inside r by parametric clipping
-// (Liang–Barsky). ok is false when s misses r entirely.
-func segRectEntryPoint(s Segment, r Rect) (Point, bool) {
-	t0, t1 := 0.0, 1.0
-	dx := s.B.X - s.A.X
-	dy := s.B.Y - s.A.Y
-	clip := func(p, q float64) bool {
-		if p == 0 {
-			return q >= 0
-		}
-		t := q / p
-		if p < 0 {
-			if t > t1 {
-				return false
-			}
-			if t > t0 {
-				t0 = t
-			}
-		} else {
-			if t < t0 {
-				return false
-			}
-			if t < t1 {
-				t1 = t
-			}
-		}
-		return true
-	}
-	if clip(-dx, s.A.X-r.Min.X) && clip(dx, r.Max.X-s.A.X) &&
-		clip(-dy, s.A.Y-r.Min.Y) && clip(dy, r.Max.Y-s.A.Y) {
-		return s.At(t0), true
-	}
-	return Point{}, false
-}
-
-// orient returns the sign of the cross product (b-a)×(c-a):
-// +1 counter-clockwise, -1 clockwise, 0 collinear.
-func orient(a, b, c Point) int {
-	v := (b.X-a.X)*(c.Y-a.Y) - (b.Y-a.Y)*(c.X-a.X)
-	switch {
-	case v > 0:
-		return 1
-	case v < 0:
-		return -1
-	}
-	return 0
-}
-
-// onSegment reports whether collinear point p lies on segment s.
-func onSegment(s Segment, p Point) bool {
-	return math.Min(s.A.X, s.B.X) <= p.X && p.X <= math.Max(s.A.X, s.B.X) &&
-		math.Min(s.A.Y, s.B.Y) <= p.Y && p.Y <= math.Max(s.A.Y, s.B.Y)
-}
-
-// SegmentsIntersect reports whether segments s1 and s2 share at least one
-// point, endpoints included.
-func SegmentsIntersect(s1, s2 Segment) bool {
-	d1 := orient(s2.A, s2.B, s1.A)
-	d2 := orient(s2.A, s2.B, s1.B)
-	d3 := orient(s1.A, s1.B, s2.A)
-	d4 := orient(s1.A, s1.B, s2.B)
-	if d1*d2 < 0 && d3*d4 < 0 {
-		return true
-	}
-	switch {
-	case d1 == 0 && onSegment(s2, s1.A):
-		return true
-	case d2 == 0 && onSegment(s2, s1.B):
-		return true
-	case d3 == 0 && onSegment(s1, s2.A):
-		return true
-	case d4 == 0 && onSegment(s1, s2.B):
-		return true
-	}
-	return false
-}
-
-// SegmentDist returns the minimum distance between two segments
-// (0 if they intersect).
-func SegmentDist(s1, s2 Segment) float64 {
-	if SegmentsIntersect(s1, s2) {
-		return 0
-	}
-	d := s1.DistTo(s2.A)
-	if v := s1.DistTo(s2.B); v < d {
-		d = v
-	}
-	if v := s2.DistTo(s1.A); v < d {
-		d = v
-	}
-	if v := s2.DistTo(s1.B); v < d {
-		d = v
-	}
-	return d
-}
-
-// closestPair returns the pair of points (p on s1, q on s2) achieving
-// SegmentDist(s1, s2) for non-intersecting segments; for intersecting ones
-// it still returns a nearby pair from the endpoint projections.
-func closestPair(s1, s2 Segment) (Point, Point) {
-	type cand struct{ p, q Point }
-	cs := [4]cand{
-		{s1.Closest(s2.A), s2.A},
-		{s1.Closest(s2.B), s2.B},
-		{s2.Closest(s1.A), s1.A},
-		{s2.Closest(s1.B), s1.B},
-	}
-	// For the latter two, the point on s1 is the endpoint itself.
-	cs[2] = cand{s1.A, s2.Closest(s1.A)}
-	cs[3] = cand{s1.B, s2.Closest(s1.B)}
-	best := cs[0]
-	bestD := cs[0].p.Dist(cs[0].q)
-	for _, c := range cs[1:] {
-		if d := c.p.Dist(c.q); d < bestD {
-			bestD = d
-			best = c
-		}
-	}
-	return best.p, best.q
 }

@@ -113,28 +113,15 @@ type Options struct {
 	// WALSync selects when WAL appends reach stable storage; the zero
 	// value is wal.SyncAlways (fsync before every acknowledgement).
 	WALSync wal.SyncPolicy
-	// WALSyncInterval is the fsync period under wal.SyncInterval;
-	// 0 means the wal package default (100ms).
-	WALSyncInterval time.Duration
-	// WALSegmentBytes is the WAL segment rotation size; 0 means the
-	// wal package default (64 MiB).
-	WALSegmentBytes int64
 	// FS routes every durability-layer file operation — WAL segments
 	// and snapshot files. nil means the real filesystem; the
 	// crash-recovery harness injects a faultfs.Injector here.
 	FS faultfs.FS
 	// SealAfter, when positive, arms the background sealer: a live track
 	// with no append for SealAfter is folded into the sealed shards as
-	// if POST /v1/seal had been called. 0 disables auto-sealing
-	// (explicit seals only).
+	// if POST /v1/seal had been called, checked every SealAfter/4. 0
+	// disables auto-sealing (explicit seals only).
 	SealAfter time.Duration
-	// SealInterval is how often the background sealer scans for idle
-	// tracks; 0 derives SealAfter/4 (at least a second).
-	SealInterval time.Duration
-	// EventBuffer is the match-event ring capacity — how far behind a
-	// GET /v1/events consumer may fall before it is told it missed
-	// events. 0 means stream.DefaultEventBuffer.
-	EventBuffer int
 }
 
 const defaultCacheSize = 1024
@@ -351,14 +338,6 @@ func (e *Engine) ClusterShards() int { return e.place.total }
 // OwnedShards returns the global shard indices this engine serves,
 // ascending (all of them for an unpartitioned engine).
 func (e *Engine) OwnedShards() []int { return e.place.ownedShards() }
-
-// Partitioned reports whether the engine serves a strict subset of the
-// cluster's shards (Options.Partition).
-func (e *Engine) Partitioned() bool { return e.place.partitioned() }
-
-// Owns reports whether this engine is responsible for the given
-// trajectory ID under the cluster placement.
-func (e *Engine) Owns(id int) bool { return e.place.localShard(id) >= 0 }
 
 // Size returns the number of indexed trajectories across all shards of
 // the default metric (every metric indexes the same corpus).

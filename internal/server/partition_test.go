@@ -58,7 +58,7 @@ func TestResolvePlacementValidation(t *testing.T) {
 // streaming layer and mutations must stay fully available.
 func TestPartitionFullOwnershipCollapses(t *testing.T) {
 	e := newTestEngine(t, 30, Options{CacheSize: -1, Partition: &Partition{Total: 4, Owned: []int{0, 1, 2, 3}}})
-	if e.Partitioned() {
+	if e.place.partitioned() {
 		t.Fatalf("full ownership reports Partitioned")
 	}
 	if e.Shards() != 4 || e.ClusterShards() != 4 {
@@ -81,7 +81,7 @@ func TestPartitionedOwnership(t *testing.T) {
 	if err != nil {
 		t.Fatalf("engine: %v", err)
 	}
-	if !e.Partitioned() {
+	if !e.place.partitioned() {
 		t.Fatalf("partial ownership does not report Partitioned")
 	}
 	if e.ClusterShards() != total {
@@ -98,8 +98,8 @@ func TestPartitionedOwnership(t *testing.T) {
 	for _, tr := range db {
 		g := ShardOf(tr.ID, total)
 		isOwned := g == 1 || g == 3
-		if e.Owns(tr.ID) != isOwned {
-			t.Fatalf("Owns(%d)=%v, shard %d with owned %v", tr.ID, e.Owns(tr.ID), g, owned)
+		if owns := e.place.localShard(tr.ID) >= 0; owns != isOwned {
+			t.Fatalf("owns(%d)=%v, shard %d with owned %v", tr.ID, owns, g, owned)
 		}
 		if got := e.Lookup(tr.ID); (got != nil) != isOwned {
 			t.Fatalf("Lookup(%d) visible=%v, owned=%v", tr.ID, got != nil, isOwned)

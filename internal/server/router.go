@@ -43,17 +43,6 @@ func shardIndex(id, n int) int {
 // router, which must route mutations to the node owning the ID's shard.
 func ShardOf(id, n int) int { return shardIndex(id, n) }
 
-// partitionByShard splits db into n hash-placed groups, preserving input
-// order within each group so builds are deterministic.
-func partitionByShard[T any](db []T, n int, id func(T) int) [][]T {
-	groups := make([][]T, n)
-	for _, t := range db {
-		s := shardIndex(id(t), n)
-		groups[s] = append(groups[s], t)
-	}
-	return groups
-}
-
 // Partition declares that an engine owns only a subset of a wider
 // cluster placement: trajectories hash into Total global shards exactly
 // as a Total-shard single-process engine would place them, but this

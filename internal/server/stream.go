@@ -61,7 +61,7 @@ func (e *Engine) initStream() {
 	}
 	e.buffer = stream.NewBuffer(e.gen.bump, params)
 	e.watches = stream.NewRegistry()
-	e.events = stream.NewEventLog(e.opt.EventBuffer)
+	e.events = stream.NewEventLog(stream.DefaultEventBuffer)
 }
 
 // validateDelta checks an append delta point by point with
@@ -183,10 +183,8 @@ func (e *Engine) startSealer() {
 	if e.opt.SealAfter <= 0 {
 		return
 	}
-	interval := e.opt.SealInterval
-	if interval <= 0 {
-		interval = e.opt.SealAfter / 4
-	}
+	// A quarter of SealAfter: an idle track folds at most 25 % late.
+	interval := e.opt.SealAfter / 4
 	if interval <= 0 {
 		interval = time.Second
 	}
@@ -270,9 +268,6 @@ func (e *Engine) Unwatch(id int) bool {
 	return true
 }
 
-// Watches returns the number of registered standing queries.
-func (e *Engine) Watches() int { return e.watches.Count() }
-
 // Events returns up to max match events with sequence numbers > since,
 // plus whether the consumer's cursor predates the retained window (it
 // missed events it can never replay and should resync).
@@ -285,9 +280,6 @@ func (e *Engine) Events(since uint64, max int) ([]stream.Event, bool) {
 func (e *Engine) EventsWait() <-chan struct{} {
 	return e.events.WaitCh()
 }
-
-// LastEventSeq returns the newest published event sequence number.
-func (e *Engine) LastEventSeq() uint64 { return e.events.LastSeq() }
 
 // watchEval is the continuous-query matcher, run under the buffer's
 // lock on every append (its position inside the lock is what

@@ -265,15 +265,15 @@ func TestWatchEventsMatchPollingOracle(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("events diverge from the polling oracle:\n got %+v\nwant %+v", got, want)
 	}
-	if e.LastEventSeq() != uint64(len(want)) {
-		t.Fatalf("LastEventSeq %d, want %d", e.LastEventSeq(), len(want))
+	if e.events.LastSeq() != uint64(len(want)) {
+		t.Fatalf("last event seq %d, want %d", e.events.LastSeq(), len(want))
 	}
 	// Sealing a matched track must not re-emit anything.
-	before := e.LastEventSeq()
+	before := e.events.LastSeq()
 	if err := e.Seal(7203); err != nil {
 		t.Fatalf("seal: %v", err)
 	}
-	if e.LastEventSeq() != before {
+	if e.events.LastSeq() != before {
 		t.Fatal("seal published an event")
 	}
 }
@@ -344,7 +344,7 @@ func TestStreamConcurrent(t *testing.T) {
 	pool := testDB(40, 99)
 	e, err := NewEngineFromDB(testDB(24, 7), trajtree.Options{Seed: 1, LeafSize: 5}, Options{
 		Shards: 4, Prefilter: true, WALDir: t.TempDir(),
-		SealAfter: 300 * time.Millisecond, SealInterval: 20 * time.Millisecond,
+		SealAfter: 300 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -48,11 +48,9 @@ func (e *Engine) attachWAL() error {
 		return nil
 	}
 	l, err := wal.Open(wal.Options{
-		Dir:          e.opt.WALDir,
-		FS:           e.fs,
-		Policy:       e.opt.WALSync,
-		Interval:     e.opt.WALSyncInterval,
-		SegmentBytes: e.opt.WALSegmentBytes,
+		Dir:    e.opt.WALDir,
+		FS:     e.fs,
+		Policy: e.opt.WALSync,
 	})
 	if err != nil {
 		return fmt.Errorf("server: %w", err)

@@ -97,7 +97,7 @@ func goldenCases(t *testing.T) []goldenCase {
 	ix, qs := goldenIndex(t)
 	var out []goldenCase
 	for _, q := range qs {
-		for _, want := range []int{ix.Params().MinCands, 40, 416} {
+		for _, want := range []int{ix.p.MinCands, 40, 416} {
 			ids, st := ix.Candidates(q, want)
 			if !sort.IntsAreSorted(ids) {
 				t.Fatalf("query %d want %d: candidates not sorted", q.ID, want)

@@ -212,9 +212,6 @@ func Build(db []*traj.Trajectory, p Params) (*Index, error) {
 	return ix, nil
 }
 
-// Params returns the index's resolved parameters.
-func (ix *Index) Params() Params { return ix.p }
-
 // Size returns the number of indexed trajectories.
 func (ix *Index) Size() int {
 	ix.mu.RLock()

@@ -1,70 +1,36 @@
 package sketch
 
-import (
-	"math"
+import "trajmatch/internal/traj"
 
-	"trajmatch/internal/traj"
-)
-
-// Stream maintains a live track's fingerprint incrementally: each
-// Extend tokenizes only the newly appended segments (the cellWalk
-// cursor carries the duplicate-collapse and predecessor state across
-// calls) and folds the new k-gram shingles into a running MinHash
-// signature. At every prefix the stream's Signature equals what Index
-// would compute from scratch over the same points — the property the
-// continuous-query pipeline relies on and stream_test proves — at
-// O(new segments) cost per append instead of O(track length).
-//
-// The incremental fold is possible because the k-gram shingle set only
-// grows as tokens arrive, so per-hash minima never need revisiting. The
-// one wrinkle is the short-prefix regime: a sequence with fewer than
-// Shingle tokens contributes a single whole-sequence gram, which
-// *disappears* from the set once the sequence reaches k tokens. The
-// running signature therefore covers k-grams only, and while the token
-// count is still below k, Signature derives the whole-sequence-gram
-// answer on demand from the retained tail.
+// Stream tokenizes a live track incrementally: each Extend walks only
+// the newly appended segments (the cellWalk cursor carries the
+// duplicate-collapse and predecessor state across calls) and reports the
+// cells entered for the first time. At every prefix the stream's token
+// set equals what Index's tokenizer computes from scratch over the same
+// points — the property the continuous-query gate relies on and
+// stream_test proves — at O(new segments) cost per append instead of
+// O(track length).
 //
 // A Stream is not safe for concurrent use; callers serialise access
 // (the stream buffer holds its per-shard lock across Extend).
 type Stream struct {
-	p     Params
-	seeds []uint64
-
 	walk cellWalk
-	nTok int                 // tokens emitted so far
-	tail []uint64            // last Shingle-1 tokens (all of them while nTok < Shingle)
 	seen map[uint64]struct{} // distinct fine-cell tokens
-	sig  []uint64            // running min over k-gram hashes; meaningful once nTok >= Shingle
 }
 
 // NewStream returns an empty stream; Params must Validate (CellSize
-// resolved). Equal params produce streams whose signatures are
-// comparable with an equal-params Index.
+// resolved). Equal params produce streams whose tokens are comparable
+// with an equal-params Index.
 func NewStream(p Params) (*Stream, error) {
 	p = p.WithDefaults()
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	s := &Stream{
-		p:    p,
+	return &Stream{
 		walk: cellWalk{cell: p.CellSize},
 		seen: make(map[uint64]struct{}),
-		sig:  make([]uint64, p.Hashes),
-	}
-	for i := range s.sig {
-		s.sig[i] = math.MaxUint64
-	}
-	s.seeds = make([]uint64, p.Hashes)
-	seed := uint64(p.Seed)
-	for i := range s.seeds {
-		seed = splitmix64(seed)
-		s.seeds[i] = seed
-	}
-	return s, nil
+	}, nil
 }
-
-// Params returns the stream's resolved parameters.
-func (s *Stream) Params() Params { return s.p }
 
 // Extend feeds the appended points through the walk and returns the
 // distinct cell tokens seen for the first time, in first-visit order —
@@ -73,39 +39,14 @@ func (s *Stream) Params() Params { return s.p }
 // fed before; the first call takes the track's opening points.
 func (s *Stream) Extend(pts []traj.Point) []uint64 {
 	var fresh []uint64
-	k := s.p.Shingle
 	s.walk.feed(pts, func(t uint64) {
-		s.nTok++
 		if _, ok := s.seen[t]; !ok {
 			s.seen[t] = struct{}{}
 			fresh = append(fresh, t)
 		}
-		if len(s.tail) == k-1 {
-			// A full k-token window ends at t; fold its gram.
-			g := uint64(0x5851f42d4c957f2d)
-			for _, w := range s.tail {
-				g = mix2(g, w)
-			}
-			g = mix2(g, t)
-			for i, seed := range s.seeds {
-				if h := mix2(seed, g); h < s.sig[i] {
-					s.sig[i] = h
-				}
-			}
-			if k > 1 {
-				copy(s.tail, s.tail[1:])
-				s.tail[k-2] = t
-			}
-		} else {
-			s.tail = append(s.tail, t)
-		}
 	})
 	return fresh
 }
-
-// TokenCount returns the number of tokens emitted so far (with
-// consecutive duplicates collapsed, as always).
-func (s *Stream) TokenCount() int { return s.nTok }
 
 // HasToken reports whether the track has ever entered the cell behind
 // tok. The token set grows monotonically, which is what makes the
@@ -113,28 +54,6 @@ func (s *Stream) TokenCount() int { return s.nTok }
 func (s *Stream) HasToken(tok uint64) bool {
 	_, ok := s.seen[tok]
 	return ok
-}
-
-// Signature returns the MinHash signature of the track's current
-// prefix, identical to Index's from-scratch computation over the same
-// points: nil while no token has been emitted, the whole-sequence-gram
-// signature while the token count is below the shingle length, and the
-// incrementally maintained k-gram signature after. The returned slice
-// is the caller's.
-func (s *Stream) Signature() []uint64 {
-	if s.nTok == 0 {
-		return nil
-	}
-	out := make([]uint64, len(s.seeds))
-	if s.nTok < s.p.Shingle {
-		g := gram(s.tail)
-		for i, seed := range s.seeds {
-			out[i] = mix2(seed, g)
-		}
-		return out
-	}
-	copy(out, s.sig)
-	return out
 }
 
 // PatternTokens returns the distinct cell tokens of tr under p, in

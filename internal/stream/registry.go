@@ -90,13 +90,6 @@ func (w *Watch) Offer(track int, dist float64) (changed bool, rank int) {
 	return true, i
 }
 
-// Bests returns a copy of a top-k watch's current answer set.
-func (w *Watch) Bests() []Best {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return append([]Best(nil), w.best...)
-}
-
 // Drop removes a track from a top-k watch's answer set (the track was
 // deleted).
 func (w *Watch) Drop(track int) {

@@ -77,6 +77,12 @@ func TestBufferIdleBefore(t *testing.T) {
 	}
 }
 
+// isGated reports whether tr has passed the token gate of watch w.
+func isGated(tr *Track, w int) bool {
+	_, ok := tr.gated[w]
+	return ok
+}
+
 func TestTrackGatingState(t *testing.T) {
 	b := testBuffer(nil)
 	now := time.Unix(0, 0)
@@ -84,7 +90,7 @@ func TestTrackGatingState(t *testing.T) {
 		if len(fresh) != 1 {
 			t.Fatalf("fresh tokens = %d, want 1", len(fresh))
 		}
-		if tr.Gated(5) || tr.Matched(5) {
+		if isGated(tr, 5) || tr.Matched(5) {
 			t.Fatal("fresh track pre-gated")
 		}
 		tr.SetGated(5)
@@ -92,11 +98,11 @@ func TestTrackGatingState(t *testing.T) {
 		tr.SetLastWatchID(5)
 	})
 	b.Append(1, 0, []traj.Point{pt(100, 100, 1)}, now, func(tr *Track, fresh []uint64) {
-		if !tr.Gated(5) || !tr.Matched(5) || tr.LastWatchID() != 5 {
+		if !isGated(tr, 5) || !tr.Matched(5) || tr.LastWatchID() != 5 {
 			t.Fatal("gating state not retained")
 		}
 		tr.ForgetWatch(5)
-		if tr.Gated(5) || tr.Matched(5) {
+		if isGated(tr, 5) || tr.Matched(5) {
 			t.Fatal("ForgetWatch left state")
 		}
 	})
@@ -163,16 +169,16 @@ func TestWatchTopK(t *testing.T) {
 	if ch, _ := w.Offer(11, 4.0); ch {
 		t.Fatal("regression accepted")
 	}
-	bests := w.Bests()
+	bests := w.best
 	if len(bests) != 2 || bests[0] != (Best{Track: 11, Dist: 3}) || bests[1] != (Best{Track: 10, Dist: 5}) {
-		t.Fatalf("Bests = %v", bests)
+		t.Fatalf("best list = %v", bests)
 	}
 	// Equal distance ties break by track ID: 9 < 10 at dist 5 evicts 10.
 	if ch, rank := w.Offer(9, 5.0); !ch || rank != 1 {
 		t.Fatalf("tie offer: %v %d", ch, rank)
 	}
 	w.Drop(9)
-	if got := w.Bests(); len(got) != 1 || got[0].Track != 11 {
+	if got := w.best; len(got) != 1 || got[0].Track != 11 {
 		t.Fatalf("after Drop: %v", got)
 	}
 }

@@ -47,20 +47,6 @@ func (e Segment) Length() float64 { return e.S1.Dist(e.S2) }
 // Duration returns the time spent traversing e.
 func (e Segment) Duration() float64 { return e.S2.T - e.S1.T }
 
-// Speed returns length/duration; +Inf for an instantaneous move of nonzero
-// length and 0 for a degenerate segment.
-func (e Segment) Speed() float64 {
-	d := e.Duration()
-	l := e.Length()
-	if d == 0 {
-		if l == 0 {
-			return 0
-		}
-		return math.Inf(1)
-	}
-	return l / d
-}
-
 // Spatial returns the purely spatial segment of e.
 func (e Segment) Spatial() geom.Segment { return geom.Seg(e.S1.XY(), e.S2.XY()) }
 
@@ -88,18 +74,14 @@ type Trajectory struct {
 	Label  int
 	Points []Point
 
-	// xy caches the spatial projection of Points, computed on first use by
-	// XYs and never invalidated: a trajectory is immutable once distances
-	// have been computed against it. Callers that edit Points in place must
-	// do so before the first XYs call (in practice: mutate fresh Clones).
-	// The atomic makes concurrent first calls race-free — both goroutines
-	// compute the same slice and either store wins.
-	xy atomic.Pointer[[]geom.Point]
-
 	// view and length cache the SoA coordinate view and the total spatial
-	// length under the same immutability contract as xy. Both may be
-	// installed eagerly by Prime (the arena storage layer backs views with
-	// its shared slabs) or filled lazily on first use.
+	// length, computed on first use and never invalidated: a trajectory is
+	// immutable once distances have been computed against it. Callers that
+	// edit Points in place must do so before the first View or Length call
+	// (in practice: mutate fresh Clones). The atomics make concurrent first
+	// calls race-free — both goroutines compute the same value and either
+	// store wins. Both may be installed eagerly by Prime (the arena storage
+	// layer backs views with its shared slabs).
 	view   atomic.Pointer[View]
 	length atomic.Pointer[float64]
 }
@@ -148,25 +130,8 @@ func (t *Trajectory) Segment(i int) Segment {
 	return Segment{S1: t.Points[i], S2: t.Points[i+1]}
 }
 
-// XYs returns the spatial projection of the sample points, one geom.Point
-// per sample. The slice is computed once and cached on the trajectory
-// (trajectories are immutable after load), so the per-distance-call
-// conversion loops of the EDwP kernel disappear. The returned slice is
-// shared: callers must treat it as read-only.
-func (t *Trajectory) XYs() []geom.Point {
-	if p := t.xy.Load(); p != nil {
-		return *p
-	}
-	pts := make([]geom.Point, len(t.Points))
-	for i, p := range t.Points {
-		pts[i] = p.XY()
-	}
-	t.xy.Store(&pts)
-	return pts
-}
-
 // View returns the SoA spatial projection of the sample points, cached on
-// the trajectory like XYs. Arena-backed trajectories have it pre-installed
+// the trajectory. Arena-backed trajectories have it pre-installed
 // (pointing into the shard slab) via Prime; standalone trajectories — query
 // arguments, test fixtures — compute it once on first use.
 func (t *Trajectory) View() View {
@@ -233,12 +198,6 @@ func (t *Trajectory) Bounds() geom.Rect {
 		r = r.ExtendPoint(p.XY())
 	}
 	return r
-}
-
-// Sub returns the sub-trajectory T[a..b] (Definition 2; point indices,
-// inclusive). The points slice is shared, not copied.
-func (t *Trajectory) Sub(a, b int) *Trajectory {
-	return &Trajectory{ID: t.ID, Label: t.Label, Points: t.Points[a : b+1]}
 }
 
 // Clone returns a deep copy of t.

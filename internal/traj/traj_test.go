@@ -20,20 +20,6 @@ func TestSegmentBasics(t *testing.T) {
 	if got := e.Duration(); !almost(got, 10) {
 		t.Errorf("Duration = %v, want 10", got)
 	}
-	if got := e.Speed(); !almost(got, 0.5) {
-		t.Errorf("Speed = %v, want 0.5", got)
-	}
-}
-
-func TestSegmentSpeedEdgeCases(t *testing.T) {
-	zeroDur := Segment{S1: P(0, 0, 5), S2: P(1, 0, 5)}
-	if got := zeroDur.Speed(); !math.IsInf(got, 1) {
-		t.Errorf("instantaneous move Speed = %v, want +Inf", got)
-	}
-	degenerate := Segment{S1: P(1, 1, 5), S2: P(1, 1, 5)}
-	if got := degenerate.Speed(); got != 0 {
-		t.Errorf("degenerate Speed = %v, want 0", got)
-	}
 }
 
 // Example 1 of the paper: T1.e1 = [(0,0,0),(0,10,30)]; the projection of
@@ -79,17 +65,6 @@ func TestFromXY(t *testing.T) {
 		}
 	}()
 	FromXY(0, 1, 2, 3)
-}
-
-func TestSub(t *testing.T) {
-	tr := FromXY(1, 0, 0, 1, 0, 2, 0, 3, 0)
-	sub := tr.Sub(1, 2)
-	if sub.NumPoints() != 2 {
-		t.Fatalf("Sub has %d points, want 2", sub.NumPoints())
-	}
-	if sub.Points[0] != tr.Points[1] || sub.Points[1] != tr.Points[2] {
-		t.Error("Sub points mismatch")
-	}
 }
 
 func TestAtInterpolation(t *testing.T) {

@@ -230,7 +230,6 @@ func (t *Tree) adopt() error {
 	// position that depends on the frozen members and the delta alone,
 	// not on what this tree drew before the freeze.
 	t.rng = fresh.rng
-	t.gen++
 	t.foldIns++
 	t.last = RebuildStats{
 		BuildMs:  ms(rb.buildDur),

@@ -112,8 +112,7 @@ type Tree struct {
 	root *node
 	opt  Options
 	size int
-	mods int    // inserts + deletes since the last build or rebuild trigger
-	gen  uint64 // bumped by every Insert/Delete and every adopted rebuild
+	mods int // inserts + deletes since the last build or rebuild trigger
 	rng  *rand.Rand
 
 	// byID indexes the root's member list by trajectory ID, overlay
@@ -181,13 +180,6 @@ func newTreeShell(opt Options, size int) *Tree {
 
 // Size returns the number of indexed trajectories.
 func (t *Tree) Size() int { return t.size }
-
-// Generation returns a counter that increases on every structural update
-// (Insert, Delete, an adopted rebuild). Readers that cache query answers
-// can compare generations to detect staleness instead of subscribing to
-// updates; the server engine keys its LRU invalidation on it. Like every Tree accessor
-// it requires the caller to serialise updates against reads.
-func (t *Tree) Generation() uint64 { return t.gen }
 
 // Options returns the tree's construction options with defaults filled
 // in. The sharded snapshot manifest records them, and the snapshot

@@ -24,7 +24,6 @@ func (t *Tree) Insert(tr *traj.Trajectory) error {
 		return fmt.Errorf("trajtree: duplicate trajectory ID %d", tr.ID)
 	}
 	t.adoptIfReady()
-	t.gen++
 	t.byID[tr.ID] = tr
 	// The new member lives on the heap until a rebuild folds it into
 	// fresh arena slabs; until then the leaf screen skips it.
@@ -93,7 +92,6 @@ func (t *Tree) Delete(id int) bool {
 		return false
 	}
 	delete(t.byID, id)
-	t.gen++
 	t.size--
 	t.mods++
 	if _, ok := t.arenaIndex(id); !ok {

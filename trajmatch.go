@@ -38,7 +38,6 @@ import (
 	"trajmatch/internal/dataio"
 	"trajmatch/internal/metrics"
 	"trajmatch/internal/server"
-	"trajmatch/internal/sketch"
 	"trajmatch/internal/synth"
 	"trajmatch/internal/traj"
 	"trajmatch/internal/trajtree"
@@ -220,13 +219,6 @@ type WALSyncPolicy = wal.SyncPolicy
 // ParseWALSyncPolicy parses the -wal-sync flag strings "always",
 // "interval" and "never".
 func ParseWALSyncPolicy(s string) (WALSyncPolicy, error) { return wal.ParseSyncPolicy(s) }
-
-// SketchParams parameterise the candidate prefilter
-// (EngineOptions.Sketch): grid cell size, shingle length, MinHash
-// signature width, LSH band count, candidate floor and hash seed.
-// Zero-value fields take defaults; a zero CellSize is derived from the
-// corpus.
-type SketchParams = sketch.Params
 
 // EngineStats is a snapshot of an Engine's traffic counters and index
 // shape, including the per-metric breakdown.
