@@ -1,7 +1,8 @@
 // Package backend defines the contract between the serving engine and a
 // metric index: one Backend interface capturing what the engine actually
-// needs — k-NN and range search under a Ctl (cancellation + evaluation
-// budget) and an optional SharedBound — plus the unified Result/Stats
+// needs — k-NN search under a Ctl (cancellation + evaluation budget) and
+// an optional SharedBound, which also answers range queries (k with no
+// cap, the bound seeded at the radius) — plus the unified Result/Stats
 // types every implementation answers with, and capability interfaces for
 // the operations not every metric can support (sub-trajectory search,
 // mutation, persistence). The list of metric names lives in
@@ -109,11 +110,10 @@ type Backend interface {
 	// Lookup returns the indexed trajectory with the given ID, or nil.
 	Lookup(id int) *traj.Trajectory
 	// SearchKNN answers exact k-nearest-neighbour search under the
-	// backend's metric, sorted by (distance, ID).
+	// backend's metric, sorted by (distance, ID). A range query is
+	// SearchKNN(q, math.MaxInt, NewSharedBound(radius), ctl): the answer
+	// set never fills, so the limit stays at the radius.
 	SearchKNN(q *traj.Trajectory, k int, bound *SharedBound, ctl *Ctl) ([]Result, Stats, bool, error)
-	// SearchRange returns every indexed trajectory within radius of q,
-	// sorted by (distance, ID).
-	SearchRange(q *traj.Trajectory, radius float64, ctl *Ctl) ([]Result, Stats, bool, error)
 }
 
 // SubSearcher is the capability interface for sub-trajectory search
@@ -128,10 +128,11 @@ type SubSearcher interface {
 // walk. The live-track scan and the continuous-query matcher use it to
 // evaluate unindexed (still growing) trajectories with the same bounded
 // kernel, limit semantics and cancellation the indexed search uses:
-// returns the exact distance when it is <= limit, +Inf otherwise, and
-// reports whether the evaluation was abandoned (by the limit or by
-// ctl's cancellation — when ctl.Err() is non-nil the result is
-// meaningless). limit may be +Inf; ctl may be nil.
+// returns the exact distance and false when the evaluation ran to
+// completion — which may be above limit, so callers compare — or a value
+// above limit and true when it was abandoned (by the limit or by ctl's
+// cancellation — when ctl.Err() is non-nil the result is meaningless).
+// limit may be +Inf; ctl may be nil.
 type Distancer interface {
 	DistanceBetween(q, t *traj.Trajectory, limit float64, ctl *Ctl) (float64, bool)
 }

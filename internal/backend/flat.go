@@ -8,7 +8,7 @@ import (
 )
 
 // Flat is a flat metric index: a static database searched by the
-// bound-ordered scan (ScanKNN, ScanRange). A metric supplies only an
+// bound-ordered scan (ScanKNN). A metric supplies only an
 // admissible lower bound and an early-abandoning kernel; Flat owns the
 // members, the candidate pass and every search entry point. DTW
 // (dtwindex) and EDR (edrindex) are Flat indexes. It implements Backend,
@@ -34,9 +34,12 @@ var (
 // NewFlat indexes db. bound(q) prepares a query — any per-query setup
 // happens there, once — and returns the admissible lower bound of q
 // against db[i]. dist is the metric's kernel under the Distancer
-// contract: the exact distance when it is <= limit, otherwise any value
-// above limit with abandoned = true; cancel (may be nil) is polled per
-// DP row.
+// contract: the exact distance with abandoned = false when it ran to
+// completion — above limit too, since a DTW or EDR row minimum can stay
+// within limit while the final cell does not — or some value above
+// limit with abandoned = true when it stopped early; cancel (may be nil)
+// is polled per DP row. The verify step drops a completed value above
+// the limit, so no answer exceeds it.
 func NewFlat(db []*traj.Trajectory,
 	bound func(q *traj.Trajectory) func(i int) float64,
 	dist func(q, t *traj.Trajectory, limit float64, cancel *core.Cancel) (float64, bool)) *Flat {
@@ -121,22 +124,6 @@ func (f *Flat) knn(q *traj.Trajectory, k, n int, at func(j int) (int, bool), bou
 		return nil, st, false, err
 	}
 	res, truncated, err := ScanKNN(cands, k, bound, ctl, &st, f.eval(q, ctl))
-	return res, st, truncated, err
-}
-
-// SearchRange returns every member within radius of q, sorted by
-// (distance, ID). The radius seeds every evaluation's abandon limit, so
-// members far outside it cost a fraction of a full DP.
-func (f *Flat) SearchRange(q *traj.Trajectory, radius float64, ctl *Ctl) ([]Result, Stats, bool, error) {
-	var st Stats
-	if len(f.db) == 0 {
-		return nil, st, false, ctl.Err()
-	}
-	cands, err := f.candidates(q, len(f.db), f.every, &st, ctl)
-	if err != nil {
-		return nil, st, false, err
-	}
-	res, truncated, err := ScanRange(cands, radius, ctl, &st, f.eval(q, ctl))
 	return res, st, truncated, err
 }
 

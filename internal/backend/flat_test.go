@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"testing"
 
 	"trajmatch/internal/backend"
@@ -99,7 +100,7 @@ func TestFlatIndexes(t *testing.T) {
 							want = append(want, r)
 						}
 					}
-					rng, _, _, err := c.ix.SearchRange(q, radius, nil)
+					rng, _, _, err := c.ix.SearchKNN(q, math.MaxInt, backend.NewSharedBound(radius), nil)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -129,7 +130,9 @@ func TestFlatIndexes(t *testing.T) {
 			for name, search := range map[string]func() ([]backend.Result, backend.Stats, bool, error){
 				"knn":    func() ([]backend.Result, backend.Stats, bool, error) { return c.ix.SearchKNN(q, 5, nil, ctl) },
 				"knn-in": func() ([]backend.Result, backend.Stats, bool, error) { return c.ix.SearchKNNIn(q, all, 5, nil, ctl) },
-				"range":  func() ([]backend.Result, backend.Stats, bool, error) { return c.ix.SearchRange(q, 1e9, ctl) },
+				"range": func() ([]backend.Result, backend.Stats, bool, error) {
+					return c.ix.SearchKNN(q, math.MaxInt, backend.NewSharedBound(1e9), ctl)
+				},
 			} {
 				if res, _, _, err := search(); !errors.Is(err, context.Canceled) || err != ctl.Err() || res != nil {
 					t.Fatalf("%s under a fired ctl: %d results, err %v, want %v", name, len(res), err, ctl.Err())
@@ -147,7 +150,7 @@ func TestFlatDegenerate(t *testing.T) {
 		if res, _, _, _ := c.ix.SearchKNN(q, 3, nil, nil); len(res) != 0 {
 			t.Errorf("%s: kNN over an empty index returned %d results", c.name, len(res))
 		}
-		if res, _, _, _ := c.ix.SearchRange(q, 1e9, nil); len(res) != 0 {
+		if res, _, _, _ := c.ix.SearchKNN(q, math.MaxInt, backend.NewSharedBound(1e9), nil); len(res) != 0 {
 			t.Errorf("%s: range over an empty index returned %d results", c.name, len(res))
 		}
 	}
@@ -192,7 +195,7 @@ func TestFlatWorkCountersGolden(t *testing.T) {
 			_, got[fmt.Sprintf("knn q=%d", qi)], _, _ = c.ix.SearchKNN(db[qi], 5, nil, nil)
 		}
 		_, got["knn-in q=17"], _, _ = c.ix.SearchKNNIn(db[17], even, 5, nil, nil)
-		_, got["range q=42"], _, _ = c.ix.SearchRange(db[42], radius[c.name], nil)
+		_, got["range q=42"], _, _ = c.ix.SearchKNN(db[42], math.MaxInt, backend.NewSharedBound(radius[c.name]), nil)
 		for name, st := range got {
 			if g, w := (counters{st.DistanceCalls, st.LowerBoundCalls, st.NodesPruned, st.EarlyAbandons}), golden[c.name][name]; g != w {
 				t.Errorf("%s %s: (dist, lb, pruned, abandons) = %v, want %v", c.name, name, g, w)

@@ -17,8 +17,9 @@ import (
 // be byte-identical to the standalone index (and a re-run byte-identical
 // to the last one) even on databases with duplicated trajectories.
 //
-// k is small in practice, so the answer set is a sorted slice with
-// insertion by binary search rather than a heap; Worst is O(1).
+// The answer set is small in practice — k, or the members within a
+// range query's radius (k = math.MaxInt) — so it is a sorted slice with
+// insertion by binary search rather than a heap; Bound is O(1).
 type KBest struct {
 	k   int
 	res []Result

@@ -6,8 +6,8 @@ import (
 	"trajmatch/internal/traj"
 )
 
-// This file is the verify step behind every exact k-NN search and the
-// bound-ordered scans built on it: the candidate ordering, pruning,
+// This file is the verify step behind every exact search and the
+// bound-ordered scan built on it: the candidate ordering, pruning,
 // budget, shared-bound and tie-break discipline live here once, and a
 // caller contributes only its candidates and its early-abandoning kernel.
 
@@ -46,10 +46,11 @@ type Verifier struct {
 
 // NewVerifier returns the step for one k-NN search. bound and ctl follow
 // the Backend search contract (either may be nil). eval must return the
-// exact distance of t, or (any value, true) when no completion can stay
-// within limit — the strict-abandon contract that keeps boundary ties
-// eligible for the ID tie-break. Counters accumulate into st
-// (DistanceCalls, EarlyAbandons).
+// exact distance of t with false — a finished evaluation, which may lie
+// above limit — or (any value, true) when no completion can stay within
+// limit — the strict-abandon contract that keeps boundary ties eligible
+// for the ID tie-break. Counters accumulate into st (DistanceCalls,
+// EarlyAbandons).
 func NewVerifier(k int, bound *SharedBound, ctl *Ctl, st *Stats,
 	eval func(t *traj.Trajectory, limit float64) (float64, bool)) *Verifier {
 	return &Verifier{ans: NewKBest(k), bound: bound, ctl: ctl, st: st, eval: eval}
@@ -72,17 +73,23 @@ func (v *Verifier) Limit() float64 {
 
 // Verify runs the step on t. Abandoned candidates are never offered:
 // under a shared bound the local answer set may not be full yet, and a
-// +Inf entry would poison it. Verify reports false when the search must
-// stop: the budget ran out (Results then reports truncation) or the
-// kernel was cut short by a fired context (Results then reports the
-// context's error).
+// +Inf entry would poison it. Nor is a full evaluation that finished
+// above the limit it ran under (a kernel may complete there without
+// abandoning): it is dropped without counting as an abandon, so no
+// answer exceeds the shared bound — and a range query, which is this
+// step with no cap on k and the bound seeded at the radius, keeps
+// exactly the members within its radius. Verify reports false when the
+// search must stop: the budget ran out (Results then reports truncation)
+// or the kernel was cut short by a fired context (Results then reports
+// the context's error).
 func (v *Verifier) Verify(t *traj.Trajectory) bool {
 	if !v.ctl.Take() {
 		v.truncated = true
 		return false
 	}
 	v.st.DistanceCalls++
-	d, abandoned := v.eval(t, v.Limit())
+	limit := v.Limit()
+	d, abandoned := v.eval(t, limit)
 	if abandoned {
 		if v.ctl.Cancelled() {
 			// The kernel aborted on the flag, not the limit; the value is
@@ -90,6 +97,9 @@ func (v *Verifier) Verify(t *traj.Trajectory) bool {
 			return false
 		}
 		v.st.EarlyAbandons++
+		return true
+	}
+	if d > limit {
 		return true
 	}
 	if v.ans.Offer(t, d) && v.bound != nil && v.ans.Full() {
@@ -132,43 +142,4 @@ func ScanKNN(cands []Cand, k int, bound *SharedBound, ctl *Ctl, st *Stats,
 		}
 	}
 	return v.Results()
-}
-
-// ScanRange is the radius counterpart of ScanKNN: the radius seeds every
-// evaluation's abandon limit, members whose exact distance exceeds it
-// are dropped, and the answer sorts by (distance, ID).
-func ScanRange(cands []Cand, radius float64, ctl *Ctl, st *Stats,
-	eval func(t *traj.Trajectory, limit float64) (float64, bool)) ([]Result, bool, error) {
-	var out []Result
-	truncated := false
-	for ci, c := range cands {
-		if ctl.Cancelled() {
-			return nil, false, ctl.Err()
-		}
-		if c.LB > radius {
-			st.NodesPruned += len(cands) - ci
-			break
-		}
-		if !ctl.Take() {
-			truncated = true
-			break
-		}
-		st.DistanceCalls++
-		d, abandoned := eval(c.T, radius)
-		if abandoned {
-			if ctl.Cancelled() {
-				return nil, false, ctl.Err()
-			}
-			st.EarlyAbandons++
-			continue
-		}
-		if d <= radius {
-			out = append(out, Result{Traj: c.T, Dist: d})
-		}
-	}
-	if err := ctl.Err(); err != nil {
-		return nil, false, err
-	}
-	SortResults(out)
-	return out, truncated, nil
 }

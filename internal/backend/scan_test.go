@@ -3,6 +3,7 @@ package backend
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
@@ -82,6 +83,44 @@ func TestVerifierTightensWhenFull(t *testing.T) {
 	}
 	if st.DistanceCalls != 4 || st.EarlyAbandons != 1 {
 		t.Fatalf("stats %+v, want 4 calls and 1 abandon (ID 4 at 9 > 6)", st)
+	}
+}
+
+// TestVerifierDropsValueAboveLimit: a kernel may run to completion and
+// finish above the limit it was given without reporting an abandon (DTW
+// and EDR do when the last row's minimum was within it). The step
+// neither offers that value nor counts it as an abandon, so no answer
+// exceeds a shared bound; the same rule is what makes a range query a
+// k-NN search with no cap on k seeded at the radius.
+func TestVerifierDropsValueAboveLimit(t *testing.T) {
+	cands, _ := fixedCands(0, map[int]float64{1: 1, 2: 2, 3: 5, 4: 0})
+	eval := func(t *traj.Trajectory, limit float64) (float64, bool) {
+		if t.ID == 3 {
+			return limit + 1, false
+		}
+		return float64(t.ID % 4), false
+	}
+	for _, c := range []struct {
+		name string
+		k    int
+		seed float64
+		want []int
+	}{
+		{"knn under a shared bound", 4, 2, []int{4, 1, 2}},
+		{"range at radius 1", math.MaxInt, 1, []int{4, 1}},
+		{"range at radius 0", math.MaxInt, 0, []int{4}},
+	} {
+		var st Stats
+		res, truncated, err := ScanKNN(cands, c.k, NewSharedBound(c.seed), nil, &st, eval)
+		if err != nil || truncated {
+			t.Fatalf("%s: err=%v truncated=%v", c.name, err, truncated)
+		}
+		if got := resultIDs(res); fmt.Sprint(got) != fmt.Sprint(c.want) {
+			t.Fatalf("%s: answer %v, want %v", c.name, got, c.want)
+		}
+		if st.DistanceCalls != 4 || st.EarlyAbandons != 0 {
+			t.Fatalf("%s: stats %+v, want 4 calls and no abandon", c.name, st)
+		}
 	}
 }
 

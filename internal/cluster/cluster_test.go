@@ -551,3 +551,56 @@ func TestRouterHugeK(t *testing.T) {
 		}
 	}
 }
+
+// TestRouterRangeEdges: the router ships a range query's radius as the
+// search's seed, so radius 0 answers exactly the members at distance 0
+// and a radius below every distance answers empty — the same answer
+// through a 2-node router as from one engine at 1 and at 2 shards.
+func TestRouterRangeEdges(t *testing.T) {
+	db := withTies(testDB(120, 7), 10)
+	rt, cleanup := bootCluster(t, db, 2, layout(2, 2))
+	defer cleanup()
+	exact := db[3].Clone()
+	exact.ID = 2_000_000
+	off := db[4].Clone()
+	off.ID = 2_000_001
+	for i := range off.Points {
+		off.Points[i].X += 7
+	}
+	ctx := context.Background()
+	one := newSingleEngine(t, db, 1)
+	nearest, err := one.Search(ctx, off, server.Query{Kind: server.KindKNN, K: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		q    *traj.Trajectory
+		req  server.Query
+		want []int
+	}{
+		{"radius 0", exact, server.Query{Kind: server.KindRange, Radius: 0}, []int{3, 123}},
+		{"below every distance", off, server.Query{Kind: server.KindRange, Radius: nearest.Results[0].Dist / 2}, nil},
+	} {
+		for _, s := range []struct {
+			name   string
+			search func(context.Context, *traj.Trajectory, server.Query) (server.Answer, error)
+		}{
+			{"1 shard", one.Search},
+			{"2 shards", newSingleEngine(t, db, 2).Search},
+			{"2-node router", rt.Search},
+		} {
+			ans, err := s.search(ctx, c.q, c.req)
+			if err != nil {
+				t.Fatalf("%s, %s: %v", c.name, s.name, err)
+			}
+			var got []int
+			for _, r := range ans.Results {
+				got = append(got, r.Traj.ID)
+			}
+			if fmt.Sprint(got) != fmt.Sprint(c.want) || ans.Degraded {
+				t.Fatalf("%s, %s: answer %v (degraded %v), want %v", c.name, s.name, got, ans.Degraded, c.want)
+			}
+		}
+	}
+}

@@ -379,9 +379,10 @@ func (rt *Router) SearchBatch(ctx context.Context, qs []*traj.Trajectory, req se
 // search runs one validated query through server.FanOut with group i as
 // shard i, workers wide. A group's search is one POST /v1/search to the
 // group, carrying the shared bound as the query's Limit: the caller's
-// Limit (FanOut's seed) tightened by the k-th best of every group that
-// has already answered. Both are admissible upper bounds on the global
-// k-th best, so the shipped Limit removes node work, never results.
+// Limit, or a range query's radius (FanOut's seed), tightened by the
+// k-th best of every group that has already answered. Both are
+// admissible upper bounds on the global k-th best, so the shipped Limit
+// removes node work, never results.
 // Search and SearchBatch start every group at once (workers =
 // len(rt.groups)); workers = 1 visits them in shard order instead,
 // trading a round trip per group for the tighter shipped bound.
@@ -395,19 +396,18 @@ func (rt *Router) search(ctx context.Context, q *traj.Trajectory, req server.Que
 	}
 	wq := wireTraj(q)
 	var degraded atomic.Bool
-	res, st, truncated, err := server.FanOut(len(rt.groups), workers, req, ctl, func(i int, bound *backend.SharedBound) ([]backend.Result, backend.Stats, bool, error) {
+	res, st, truncated, err := server.FanOut(len(rt.groups), workers, req, ctl, func(i, k int, bound *backend.SharedBound) ([]backend.Result, backend.Stats, bool, error) {
 		// Nodes always report stats: the router's WithStats answer needs
 		// them, and the caller's with_stats still gates the answer copy.
 		nreq := server.SearchRequest{Query: req, QueryTraj: wq}
 		nreq.WithStats = true
-		if req.Kind != server.KindRange {
-			// A nil bound means the caller gave no finite Limit; +Inf has
-			// no JSON encoding, 0 is the wire's "unbounded".
-			nreq.Limit = 0
-			if bound != nil {
-				if b := bound.Load(); !math.IsInf(b, 1) {
-					nreq.Limit = b
-				}
+		// A nil bound means the caller gave no finite seed; +Inf has no
+		// JSON encoding, 0 is the wire's "unbounded". A range query ships
+		// its radius, which the node ignores for the radius it already has.
+		nreq.Limit = 0
+		if bound != nil {
+			if b := bound.Load(); !math.IsInf(b, 1) {
+				nreq.Limit = b
 			}
 		}
 		var resp server.SearchResponse
@@ -421,8 +421,8 @@ func (rt *Router) search(ctx context.Context, q *traj.Trajectory, req server.Que
 			return nil, backend.Stats{}, false, err
 		}
 		ans := resp.Answer()
-		if bound != nil && len(ans.Results) >= req.K {
-			bound.Tighten(ans.Results[req.K-1].Dist)
+		if bound != nil && len(ans.Results) >= k {
+			bound.Tighten(ans.Results[k-1].Dist)
 		}
 		return ans.Results, ans.Stats, ans.Truncated, nil
 	})

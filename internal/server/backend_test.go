@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 	"time"
@@ -100,7 +101,7 @@ func TestEngineBackendsMatchStandaloneAcrossShards(t *testing.T) {
 				if err != nil {
 					t.Fatalf("it=%d: dtw range: %v", it, err)
 				}
-				drref, _, _, _ := dtwRef.SearchRange(q, radius, nil)
+				drref, _, _, _ := dtwRef.SearchKNN(q, math.MaxInt, backend.NewSharedBound(radius), nil)
 				exactSameResults(t, fmt.Sprintf("dtw range it=%d r=%v", it, radius), drans.Results, drref)
 			}
 		})
@@ -364,6 +365,103 @@ func TestLoadSnapshotSpecsRebuildsMetrics(t *testing.T) {
 				t.Fatal(err)
 			}
 			exactSameResults(t, fmt.Sprintf("%s it=%d", metric, it), got.Results, want.Results)
+		}
+	}
+}
+
+// TestEngineLimitBoundsAnswers: Query.Limit caps every distance in the
+// answer under the flat metrics too. A DTW or EDR kernel can run to
+// completion above the limit it was given — its last row's minimum was
+// within the limit, the final cell is not — without reporting an
+// abandon, and such a value must not enter the answer. Limit sits at
+// the unbounded search's 4th-best distance (+0.5 for EDR's edit
+// counts), so the bounded answer is exactly the unbounded one's prefix
+// within it, at 1 and 2 shards.
+func TestEngineLimitBoundsAnswers(t *testing.T) {
+	db := testDB(160, 11)
+	specs := multiSpecs(db, trajtree.Options{Seed: 1, LeafSize: 5})
+	for _, shards := range []int{1, 2} {
+		e, err := NewMultiEngineFromDB(db, specs, Options{CacheSize: -1, Shards: shards})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(29))
+		for it := 0; it < 30; it++ {
+			q := db[rng.Intn(len(db))].Clone()
+			q.ID = 3_000_000 + it
+			for i := range q.Points {
+				q.Points[i].X += rng.NormFloat64() * 15
+				q.Points[i].Y += rng.NormFloat64() * 15
+			}
+			for _, metric := range []string{"dtw", "edr"} {
+				label := fmt.Sprintf("shards=%d %s it=%d", shards, metric, it)
+				full := search(t, e, q, Query{Kind: KindKNN, K: 10, Metric: metric}).Results
+				limit := full[3].Dist
+				if metric == "edr" {
+					limit += 0.5
+				}
+				if limit == 0 {
+					continue // 0 is the wire's "unbounded"
+				}
+				var want []backend.Result
+				for _, r := range full {
+					if r.Dist <= limit {
+						want = append(want, r)
+					}
+				}
+				got := search(t, e, q, Query{Kind: KindKNN, K: 10, Metric: metric, Limit: limit}).Results
+				exactSameResults(t, label, got, want)
+			}
+		}
+	}
+}
+
+// TestEngineRangeEdges: a range query seeds its search at the radius
+// itself, so radius 0 answers exactly the members at distance 0 — not
+// the whole corpus, as a 0 read as "unbounded" would — and a radius
+// below every distance answers empty, for every metric and the same at
+// 1 and 2 shards.
+func TestEngineRangeEdges(t *testing.T) {
+	db := withTies(testDB(160, 11))
+	specs := multiSpecs(db, trajtree.Options{Seed: 1, LeafSize: 5})
+	exact := db[1].Clone()
+	exact.ID = 2_000_000
+	off := db[2].Clone()
+	off.ID = 2_000_001
+	for i := range off.Points {
+		off.Points[i].X += 7
+	}
+	var one *Engine
+	for _, shards := range []int{1, 2} {
+		e, err := NewMultiEngineFromDB(db, specs, Options{CacheSize: -1, Shards: shards})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if one == nil {
+			one = e
+		}
+		for _, metric := range []string{"edwp", "dtw", "edr"} {
+			label := fmt.Sprintf("shards=%d %s", shards, metric)
+			all := search(t, one, exact, Query{Kind: KindKNN, K: len(db), Metric: metric}).Results
+			var zero []backend.Result
+			for _, r := range all {
+				if r.Dist == 0 {
+					zero = append(zero, r)
+				}
+			}
+			if len(zero) < 5 || len(zero) == len(db) {
+				t.Fatalf("%s: %d members at distance 0, want the duplicate group of 5", label, len(zero))
+			}
+			got := search(t, e, exact, Query{Kind: KindRange, Radius: 0, Metric: metric}).Results
+			exactSameResults(t, label+" radius 0", got, zero)
+
+			nearest := search(t, one, off, Query{Kind: KindKNN, K: 1, Metric: metric}).Results[0].Dist
+			if nearest == 0 {
+				t.Fatalf("%s: the shifted query sits on a member", label)
+			}
+			if got := search(t, e, off, Query{Kind: KindRange, Radius: nearest / 2, Metric: metric}).Results; len(got) != 0 {
+				t.Fatalf("%s: radius %v below every distance answered %d members", label, nearest/2, len(got))
+			}
 		}
 	}
 }

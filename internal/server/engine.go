@@ -1,8 +1,8 @@
 // Package server wraps pluggable metric indexes in a sharded,
 // thread-safe query engine and exposes it over HTTP. The engine is
 // generic over backend.Backend — the contract capturing what it actually
-// needs (build from a DB, SearchKNN/SearchRange under a Ctl and a shared
-// bound, unified Result/Stats) — and serves any number of metric
+// needs (build from a DB, SearchKNN under a Ctl and a shared bound,
+// unified Result/Stats) — and serves any number of metric
 // backends over one corpus: the TrajTree EDwP index (the reference
 // implementation, fully capable), the flat DTW and EDR indexes, and any
 // future distance that implements the contract. Sharding, the
@@ -31,7 +31,8 @@
 // moment any shard's local answer set fills, every other shard's
 // dynamic programs abandon against that bound, and the per-shard answer
 // lists merge by (distance, ID) — deterministic membership under exact
-// boundary ties.
+// boundary ties. A range query is the same search with no cap on k and
+// the bound seeded at its radius (Query.plan).
 // Operations not every backend supports are capability-gated: mutation
 // and persistence require the corresponding interfaces and otherwise
 // degrade to ErrNotSupported (HTTP 501), and snapshot manifests record
@@ -523,17 +524,14 @@ func (e *Engine) fanout(ms *metricSet, q *traj.Trajectory, req Query, ctl *backe
 		return nil, backend.Stats{}, false,
 			fmt.Errorf("prefilter %w (engine booted without Options.Prefilter)", backend.ErrNotSupported)
 	}
-	res, st, truncated, err := FanOut(len(shards), workers, req, ctl, func(i int, bound *backend.SharedBound) ([]backend.Result, backend.Stats, bool, error) {
-		switch req.Kind {
-		case KindRange:
-			return shards[i].searchRange(q, req.Radius, ctl)
-		case KindSubKNN:
-			return shards[i].searchSub(q, req.K, bound, ctl)
-		default: // KindKNN; Validate guarantees the kind set
-			if req.Prefilter {
-				return e.prefilterShard(shards[i], e.sketches[i], q, req, bound, ctl)
-			}
-			return shards[i].searchKNN(q, req.K, bound, ctl)
+	res, st, truncated, err := FanOut(len(shards), workers, req, ctl, func(i, k int, bound *backend.SharedBound) ([]backend.Result, backend.Stats, bool, error) {
+		switch {
+		case req.Kind == KindSubKNN:
+			return shards[i].searchSub(q, k, bound, ctl)
+		case req.Prefilter:
+			return e.prefilterShard(shards[i], e.sketches[i], q, req, bound, ctl)
+		default: // KindKNN and KindRange
+			return shards[i].searchKNN(q, k, bound, ctl)
 		}
 	})
 	if err != nil {
@@ -544,16 +542,17 @@ func (e *Engine) fanout(ms *metricSet, q *traj.Trajectory, req Query, ctl *backe
 }
 
 // FanOut runs one validated query over n shards and merges their
-// answers by (distance, ID). run(i, bound) searches shard i: the engine
-// passes its local shards, the cluster router its remote replica groups.
-// The k-NN kinds share one tightening bound seeded with the query's
-// Limit, so a close neighbour found in any shard abandons work in every
-// shard searched after it; range queries get a nil bound (the radius
-// already is one). A single shard with no Limit also gets nil, the fast
-// path, rather than a +Inf bound it could only tighten against itself,
-// and its answer is returned unmerged: every backend already sorts by
-// (distance, ID) and decides exact ties by ID, so a merge would change
-// nothing.
+// answers by (distance, ID). run(i, k, bound) searches shard i for k
+// answers: the engine passes its local shards, the cluster router its
+// remote replica groups. Every kind is a k-NN search planned by
+// Query.plan: the shards share one tightening bound seeded with the
+// query's Limit, so a close neighbour found in any shard abandons work
+// in every shard searched after it, and a range query is the search
+// with no cap on k seeded at its radius. A single shard with no finite
+// seed gets a nil bound, the fast path, rather than a +Inf bound it
+// could only tighten against itself, and its answer is returned
+// unmerged: every backend already sorts by (distance, ID) and decides
+// exact ties by ID, so a merge would change nothing.
 //
 // workers is the fan-out width: a single query spreads its shards over
 // par.For, while workers == 1 visits them inline in shard order, each
@@ -561,17 +560,14 @@ func (e *Engine) fanout(ms *metricSet, q *traj.Trajectory, req Query, ctl *backe
 // queries already occupy the pool. Once ctl fires, shards that have not
 // started are skipped and the answer is ctl's error. Stats fold every
 // shard that ran, even when the query fails.
-func FanOut(n, workers int, req Query, ctl *backend.Ctl, run func(i int, bound *backend.SharedBound) ([]backend.Result, backend.Stats, bool, error)) ([]backend.Result, backend.Stats, bool, error) {
+func FanOut(n, workers int, req Query, ctl *backend.Ctl, run func(i, k int, bound *backend.SharedBound) ([]backend.Result, backend.Stats, bool, error)) ([]backend.Result, backend.Stats, bool, error) {
+	k, seed := req.plan()
 	var bound *backend.SharedBound
-	if req.Kind != KindRange {
-		if limit := req.seedLimit(); !math.IsInf(limit, 1) {
-			bound = backend.NewSharedBound(limit)
-		} else if n > 1 {
-			bound = backend.NewSharedBound(math.Inf(1))
-		}
+	if n > 1 || !math.IsInf(seed, 1) {
+		bound = backend.NewSharedBound(seed)
 	}
 	if n == 1 {
-		return run(0, bound)
+		return run(0, k, bound)
 	}
 	per := make([][]backend.Result, n)
 	sts := make([]backend.Stats, n)
@@ -583,7 +579,7 @@ func FanOut(n, workers int, req Query, ctl *backend.Ctl, run func(i int, bound *
 			errs[i] = ctl.Err()
 			return
 		}
-		per[i], sts[i], truncs[i], errs[i] = run(i, bound)
+		per[i], sts[i], truncs[i], errs[i] = run(i, k, bound)
 	})
 	var total backend.Stats
 	truncated := false
@@ -599,16 +595,11 @@ func FanOut(n, workers int, req Query, ctl *backend.Ctl, run func(i int, bound *
 			return nil, total, false, err
 		}
 	}
-	k := req.K
-	if req.Kind == KindRange {
-		k = -1
-	}
 	return mergeResults(per, k), total, truncated, nil
 }
 
 // mergeResults concatenates per-shard answer lists and sorts by
-// (distance, ID), keeping the best k when k >= 0 (pass a negative k to
-// keep everything, the range-query case). The ID tie-break is the
+// (distance, ID), keeping the best k. The ID tie-break is the
 // load-bearing determinism guarantee: it makes the merged answer a
 // function of the candidate set alone, independent of shard count, shard
 // order, and scheduling, even when distances tie exactly — and every
@@ -621,7 +612,7 @@ func mergeResults(per [][]backend.Result, k int) []backend.Result {
 		all = append(all, rs...)
 	}
 	backend.SortResults(all)
-	if k >= 0 && len(all) > k {
+	if len(all) > k {
 		all = all[:k]
 	}
 	return all

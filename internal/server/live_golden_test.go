@@ -135,7 +135,7 @@ type liveGoldenRow struct {
 
 // TestLiveStageGolden pins the live-track stage of every search kind
 // against answers captured before that stage became the flat scan
-// (backend.ScanKNN/ScanRange): the answers must stay byte-equal and
+// (backend.ScanKNN): the answers must stay byte-equal and
 // DistanceCalls equal, while EarlyAbandons may only rise — the scan's
 // limit now also tightens on the live tracks' own k-th best.
 func TestLiveStageGolden(t *testing.T) {

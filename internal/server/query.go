@@ -129,6 +129,18 @@ func (q Query) seedLimit() float64 {
 	return math.Inf(1)
 }
 
+// plan returns the answer-set cap and the seed bound the fan-out runs
+// the query with. A range query is the k-NN search with no cap on k,
+// seeded at its radius: the answer set never fills, so the limit stays
+// at the radius. The radius does not go through seedLimit, where 0 means
+// unbounded.
+func (q Query) plan() (k int, seed float64) {
+	if q.Kind == KindRange {
+		return math.MaxInt, q.Radius
+	}
+	return q.K, q.seedLimit()
+}
+
 // cacheable reports whether the answer may be served from / stored into
 // the LRU cache: only plain exact k-NN — a Limit can shrink the answer
 // set, a MaxEvals budget can truncate it, and a prefiltered answer can

@@ -78,13 +78,6 @@ func (s *shard) searchKNNIn(q *traj.Trajectory, ids []int, k int, bound *backend
 	return cs.SearchKNNIn(q, ids, k, bound, ctl)
 }
 
-// searchRange runs the radius-seeded search under the read lock.
-func (s *shard) searchRange(q *traj.Trajectory, radius float64, ctl *backend.Ctl) ([]backend.Result, backend.Stats, bool, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.be.SearchRange(q, radius, ctl)
-}
-
 // searchSub runs the bounded sub-trajectory scan under the read lock,
 // degrading to ErrNotSupported on backends whose metric has no
 // sub-trajectory form.

@@ -370,16 +370,16 @@ func (e *Engine) watchEval(t *stream.Track, fresh []uint64) {
 }
 
 // liveAugment is the live-track stage of a search: after the sealed
-// shards answered, run the flat scan (backend.ScanKNN / ScanRange) over
-// every live track with at least two points, under the same bounded
-// kernel (capability backend.Distancer / SubDistancer), and merge the
-// result with the sealed answer by (distance, ID). Live tracks carry no
-// lower bound, so they are visited in ID order; a k-NN scan's limit
-// starts at the query's seed limit tightened by the sealed k-th best
-// and tightens further on the live tracks' own k-th best. With the
-// strict-abandon kernel contract and the scan's ID tie-break, the
-// merged answer is the same deterministic function of the combined
-// corpus as a sealed-only answer.
+// shards answered, run the flat scan (backend.ScanKNN) over every live
+// track with at least two points, under the same bounded kernel
+// (capability backend.Distancer / SubDistancer), and merge the result
+// with the sealed answer by (distance, ID). Live tracks carry no lower
+// bound, so they are visited in ID order; the scan's limit starts at
+// the query's planned seed (Query.plan: a range query's radius)
+// tightened by the sealed k-th best and tightens further on the live
+// tracks' own k-th best. With the strict-abandon kernel contract and
+// the scan's ID tie-break, the merged answer is the same deterministic
+// function of the combined corpus as a sealed-only answer.
 func (e *Engine) liveAugment(ms *metricSet, q *traj.Trajectory, req Query, res []backend.Result, ctl *backend.Ctl, st *backend.Stats) ([]backend.Result, bool, error) {
 	var live []*traj.Trajectory
 	for _, sn := range e.buffer.Snapshot() {
@@ -411,27 +411,13 @@ func (e *Engine) liveAugment(ms *metricSet, q *traj.Trajectory, req Query, res [
 	for i, tr := range live {
 		cands[i] = backend.Cand{T: tr}
 	}
-	var found []backend.Result
-	var truncated bool
-	var err error
-	k := req.K
-	if req.Kind == KindRange {
-		k = -1
-		found, truncated, err = backend.ScanRange(cands, req.Radius, ctl, st, func(tr *traj.Trajectory, limit float64) (float64, bool) {
-			return dist(q, tr, limit, ctl)
-		})
-	} else {
-		limit := req.seedLimit()
-		if len(res) >= req.K && res[len(res)-1].Dist < limit {
-			limit = res[len(res)-1].Dist
-		}
-		found, truncated, err = backend.ScanKNN(cands, req.K, backend.NewSharedBound(limit), ctl, st, func(tr *traj.Trajectory, limit float64) (float64, bool) {
-			// A degenerate pair's genuine +Inf is not abandoned, but it is
-			// above a finite limit and must not enter the answer.
-			d, abandoned := dist(q, tr, limit, ctl)
-			return d, abandoned || d > limit
-		})
+	k, limit := req.plan()
+	if len(res) >= k && res[len(res)-1].Dist < limit {
+		limit = res[len(res)-1].Dist
 	}
+	found, truncated, err := backend.ScanKNN(cands, k, backend.NewSharedBound(limit), ctl, st, func(tr *traj.Trajectory, limit float64) (float64, bool) {
+		return dist(q, tr, limit, ctl)
+	})
 	if err != nil {
 		return nil, false, err
 	}

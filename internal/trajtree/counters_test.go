@@ -60,23 +60,48 @@ func churn(t *testing.T, tree *Tree) {
 // and returns one row of the six work counters per search.
 func workCounters(t *testing.T, tree *Tree, queries []*traj.Trajectory) [][6]int {
 	t.Helper()
-	row := func(st Stats) [6]int {
-		return [6]int{st.DistanceCalls, st.EarlyAbandons, st.ScreenRejects, st.LowerBoundCalls, st.NodesVisited, st.NodesPruned}
-	}
 	var out [][6]int
 	for _, q := range queries {
 		res, st, _, err := tree.SearchKNN(q, 10, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		out = append(out, row(st))
+		out = append(out, counterRow(st))
 		_, st, _, err = tree.SearchKNN(q, 10, backend.NewSharedBound(1.5*res[4].Dist), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		out = append(out, row(st))
+		out = append(out, counterRow(st))
 	}
 	return out
+}
+
+// rangeCounters runs every query as a range search at the radius of its
+// unbounded 10-NN search's 10th-best distance and returns one row of the
+// six work counters per range search.
+func rangeCounters(t *testing.T, tree *Tree, queries []*traj.Trajectory) [][6]int {
+	t.Helper()
+	var out [][6]int
+	for _, q := range queries {
+		knn, _, _, err := tree.SearchKNN(q, 10, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, st, _, err := tree.SearchRange(q, knn[9].Dist, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res) < 10 {
+			t.Fatalf("range at the 10th-best distance answered %d members, want >= 10", len(res))
+		}
+		out = append(out, counterRow(st))
+	}
+	return out
+}
+
+// counterRow is one search's six work counters in golden order.
+func counterRow(st Stats) [6]int {
+	return [6]int{st.DistanceCalls, st.EarlyAbandons, st.ScreenRejects, st.LowerBoundCalls, st.NodesVisited, st.NodesPruned}
 }
 
 func checkCounters(t *testing.T, label string, got, want [][6]int) {
@@ -144,13 +169,45 @@ var (
 func TestKNNWorkCountersGolden(t *testing.T) {
 	tree, queries := countersTree(t)
 	checkCounters(t, "built", workCounters(t, tree, queries), goldenBuilt)
+	checkCounters(t, "built, range", rangeCounters(t, tree, queries), goldenRangeBuilt)
 
 	churn(t, tree)
 	checkCounters(t, "churned", workCounters(t, tree, queries), goldenChurned)
+	checkCounters(t, "churned, range", rangeCounters(t, tree, queries), goldenRangeChurned)
 
-	checkCounters(t, "churned, arena-loaded", workCounters(t, loadArena(t, tree), queries), goldenChurned)
-	checkCounters(t, "churned, heap-loaded", workCounters(t, loadHeap(t, tree), queries), goldenChurned)
+	for label, loaded := range map[string]*Tree{"arena-loaded": loadArena(t, tree), "heap-loaded": loadHeap(t, tree)} {
+		checkCounters(t, "churned, "+label, workCounters(t, loaded, queries), goldenChurned)
+		checkCounters(t, "churned, "+label+", range", rangeCounters(t, loaded, queries), goldenRangeChurned)
+	}
 }
+
+// Golden range work counters on the same corpus and queries, one row per
+// query at its 10th-best distance (rangeCounters). Captured from the
+// depth-first range walk that range queries ran on before they became
+// the k-NN descent with no cap on k: with the limit fixed at the radius
+// both visit the same nodes and evaluate the same members.
+var (
+	goldenRangeBuilt = [][6]int{
+		{233, 223, 161, 217, 80, 138},
+		{180, 170, 153, 175, 57, 119},
+		{178, 168, 131, 176, 60, 117},
+		{305, 295, 230, 223, 102, 122},
+		{425, 415, 389, 282, 145, 138},
+		{455, 445, 381, 367, 187, 181},
+		{461, 451, 446, 327, 174, 154},
+		{546, 536, 512, 362, 201, 162},
+	}
+	goldenRangeChurned = [][6]int{
+		{253, 243, 143, 228, 93, 136},
+		{200, 190, 149, 185, 71, 115},
+		{168, 158, 104, 186, 60, 127},
+		{311, 301, 203, 244, 114, 131},
+		{342, 332, 279, 287, 125, 163},
+		{455, 445, 337, 388, 203, 186},
+		{489, 479, 425, 388, 200, 189},
+		{557, 547, 462, 394, 224, 171},
+	}
+)
 
 // TestSearchAllocBudget pins the pooled scratch of the search: a warm
 // 10-NN search over the 1 000-trip corpus runs its node bounds, its

@@ -16,8 +16,8 @@ var screenPool = sync.Pool{
 	New: func() any { return new(core.SegScreen) },
 }
 
-// knnSearch is the one best-first descent behind SearchKNN and
-// SearchSub. sub selects the distance: false ranks by the tree's
+// knnSearch is the one best-first descent behind SearchKNN, SearchRange
+// and SearchSub. sub selects the distance: false ranks by the tree's
 // whole-trajectory distance (EDwPavg, or cumulative EDwP), true by
 // EDwPsub(q, ·) — the same traversal in the raw domain, with the bounds
 // that do not rely on the member being consumed in full (see

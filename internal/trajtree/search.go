@@ -2,6 +2,7 @@ package trajtree
 
 import (
 	"context"
+	"math"
 
 	"trajmatch/internal/backend"
 	"trajmatch/internal/traj"
@@ -59,25 +60,15 @@ func (t *Tree) SearchKNN(q *traj.Trajectory, k int, bound *SharedBound, ctl *Ctl
 	return t.knnSearch(q, k, false, bound, ctl)
 }
 
-// SearchRange is the context-aware range query: every indexed trajectory
-// within radius of q under the tree's distance, sorted by (distance, ID).
-// It reuses the k-NN machinery's admissible lower bounds — a subtree is
-// visited only when its bound does not exceed the radius, so the result
-// is exact — and passes the radius to the bounded kernel, which abandons
-// members outside it part-way through the dynamic program. This is the
-// similarity counterpart of the interval queries TB-tree and SETI answer
-// (Section VI).
-//
-// The radius is the seed bound of the whole search: unlike k-NN — whose
-// pruning threshold only tightens as answers accumulate — a range query
-// starts maximally tight, so fanning one query out over the shards of a
-// partitioned corpus needs no shared state at all. Each shard search is
-// seeded with the same radius and the per-shard result lists merge by
-// concatenation; the sharded engine in internal/server does exactly that.
-//
-// Truncation and error semantics match SearchKNN.
+// SearchRange returns every indexed trajectory within radius of q under
+// the tree's distance, sorted by (distance, ID): the k-NN descent with no
+// cap on k, its shared bound seeded at the radius. The answer set never
+// fills, so the limit the descent prunes subtrees and abandons members
+// against stays at the radius. This is the similarity counterpart of
+// the interval queries TB-tree and SETI answer (Section VI). Truncation
+// and error semantics match SearchKNN.
 func (t *Tree) SearchRange(q *traj.Trajectory, radius float64, ctl *Ctl) ([]Result, Stats, bool, error) {
-	return t.rangeSeeded(q, radius, ctl)
+	return t.knnSearch(q, math.MaxInt, false, backend.NewSharedBound(radius), ctl)
 }
 
 // SearchSub answers sub-trajectory k-NN under EDwPsub (Eq. 6): the k

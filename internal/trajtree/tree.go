@@ -210,8 +210,8 @@ func height(n *node) int {
 // the kernel abandon the dynamic program early; the second return reports
 // whether a +Inf came from the limit (counted as Stats.EarlyAbandons)
 // rather than from a genuinely infinite distance. Every query path passes
-// its current pruning threshold (the k-th best distance for SearchKNN,
-// the radius for SearchRange) so candidates that cannot enter the answer
+// its current pruning threshold (the k-th best distance, or the radius
+// of a range query) so candidates that cannot enter the answer
 // are rejected at a fraction of a full evaluation's cost. cancel (may be
 // nil) is the query's cooperative cancellation flag, polled by the
 // kernel once per DP row.
