@@ -157,10 +157,22 @@ func (a *Arena) deriveBoxLens() error {
 // Len returns the number of member trajectories in the arena.
 func (a *Arena) Len() int { return len(a.ids) }
 
-// Lookup returns the arena index of the member with the given ID.
-func (a *Arena) Lookup(id int) (int, bool) {
-	i, ok := a.byID[id]
-	return int(i), ok
+// Index returns the arena index of tr: the entry under tr's ID, when it
+// is tr's own — tr's samples are that entry's slab window, as they are
+// for every trajectory Build re-pointed and Members materialised. A
+// trajectory inserted under the ID of a deleted member has an entry
+// under its ID that summarises the deleted member's samples, not its
+// own, and is reported absent.
+func (a *Arena) Index(tr *traj.Trajectory) (int, bool) {
+	i, ok := a.byID[tr.ID]
+	if !ok {
+		return 0, false
+	}
+	start := a.offs[i]
+	if n := len(tr.Points); n == 0 || int64(n) != a.offs[i+1]-start || &tr.Points[0] != &a.pts[start] {
+		return 0, false
+	}
+	return int(i), true
 }
 
 // Length returns member i's total spatial length (identical to the

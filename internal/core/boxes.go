@@ -213,25 +213,21 @@ func ScreenMemberSide(s *SegScreen, rects, lens []float64, sum, limit float64) f
 	return sum
 }
 
-// AssignSegments maps each segment of t to one box of b, monotonically in
-// box order, minimising the total enlargement this trajectory would cause:
-// the cost of assigning segment i to box j is the area growth of box j when
-// extended to cover the segment. It returns one box index per segment.
+// AssignSegmentsInto maps each segment of t to one box of b, monotonically
+// in box order, minimising the total enlargement this trajectory would
+// cause: the cost of assigning segment i to box j is the area growth of
+// box j when extended to cover the segment. It returns one box index per
+// segment, written into dst's backing array when it is large enough, so
+// a caller that only inspects the result can keep it on its stack.
 //
 // This realises the paper's createTBoxSeq(T, B) merge step: the alignment
 // determines which boxes absorb which pieces of the new trajectory while
 // keeping every point of the trajectory inside its assigned box — the
 // containment invariant that LowerBound's admissibility rests on.
-func AssignSegments(t *traj.Trajectory, b Boxes) []int {
-	return AssignSegmentsInto(nil, t, b)
-}
-
-// AssignSegmentsInto is AssignSegments writing the assignment into dst's
-// backing array when it is large enough, so a caller that only inspects
-// the result can keep it on its stack. The DP tables come from the pooled
-// scratch: the bulk load asks for one assignment per (trajectory,
-// candidate group) pair and would otherwise spend its time in the
-// allocator and the collector.
+//
+// The DP tables come from the pooled scratch: the bulk load asks for one
+// assignment per (trajectory, candidate group) pair and would otherwise
+// spend its time in the allocator and the collector.
 func AssignSegmentsInto(dst []int, t *traj.Trajectory, b Boxes) []int {
 	n := t.NumSegments()
 	nb := b.Len()
@@ -247,13 +243,18 @@ func AssignSegmentsInto(dst []int, t *traj.Trajectory, b Boxes) []int {
 		area[j] = rects[j].Area()
 	}
 	inf := math.Inf(1)
+	v := t.View()
 	// cur[j] is the cheapest cost of segments 0..i with segment i in box j;
-	// from[i*nb+j] is the box segment i-1 took on that path.
+	// from[i*nb+j] is the box segment i-1 took on that path. A box's
+	// growth is the area of its union with the segment's bounding box:
+	// min and max are exact, so the flat form is bit-identical to
+	// extending the box by each end point, an empty box included.
 	for i := 0; i < n; i++ {
-		e := t.Segment(i).Spatial()
+		ax, ay, bx, by := v.X[i], v.Y[i], v.X[i+1], v.Y[i+1]
+		x0, y0, x1, y1 := min(ax, bx), min(ay, by), max(ax, bx), max(ay, by)
 		best, bestJ := inf, -1 // prefix min over prev[0..j]
 		for j, r := range rects {
-			grow := r.ExtendPoint(e.A).ExtendPoint(e.B).Area() - area[j]
+			grow := (max(r.Max.X, x1)-min(r.Min.X, x0))*(max(r.Max.Y, y1)-min(r.Min.Y, y0)) - area[j]
 			if i == 0 {
 				cur[j] = grow
 				continue

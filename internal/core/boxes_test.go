@@ -27,7 +27,7 @@ func boxesFor(ts []*traj.Trajectory) rectSeq {
 		seq[i] = geom.RectOf(e.S1.XY(), e.S2.XY())
 	}
 	for _, t := range ts[1:] {
-		assign := AssignSegments(t, seq)
+		assign := AssignSegmentsInto(nil, t, seq)
 		for i, j := range assign {
 			e := t.Segment(i)
 			seq[j] = seq[j].ExtendPoint(e.S1.XY()).ExtendPoint(e.S2.XY())
@@ -312,7 +312,7 @@ func TestAssignSegmentsMonotone(t *testing.T) {
 		base := randomSmoothTraj(rng, 4+rng.Intn(6))
 		b := boxesFor([]*traj.Trajectory{base})
 		tr := randomSmoothTraj(rng, 3+rng.Intn(8))
-		assign := AssignSegments(tr, b)
+		assign := AssignSegmentsInto(nil, tr, b)
 		if len(assign) != tr.NumSegments() {
 			t.Fatalf("assignment size %d, want %d", len(assign), tr.NumSegments())
 		}
@@ -443,7 +443,7 @@ func TestAssignSegmentsPrefersCoveringBox(t *testing.T) {
 		geom.RectOf(geom.Pt(100, 100), geom.Pt(110, 110)),
 	}
 	tr := traj.FromXY(0, 102, 102, 105, 105)
-	assign := AssignSegments(tr, b)
+	assign := AssignSegmentsInto(nil, tr, b)
 	if len(assign) != 1 || assign[0] != 1 {
 		t.Errorf("assignment = %v, want [1]", assign)
 	}

@@ -28,15 +28,15 @@ type dpScratch struct {
 	projY []float64
 	stamp []int32
 
-	// rects is AssignSegments' devirtualised copy of the box sequence:
+	// rects is AssignSegmentsInto's devirtualised copy of the box sequence:
 	// the Boxes interface is consulted once per box per call instead of
 	// once per DP cell, and the inner loop streams over a contiguous rect
 	// array.
 	rects []geom.Rect
 
-	// assign and from are AssignSegments' tables: the boxes' areas and two
-	// rolling cost rows (nb states each), and one back-pointer per
-	// (segment, box) cell.
+	// assign and from are AssignSegmentsInto's tables: the boxes' areas
+	// and two rolling cost rows (nb states each), and one back-pointer
+	// per (segment, box) cell.
 	assign []float64
 	from   []int32
 }
@@ -74,7 +74,7 @@ func (s *dpScratch) lbRows(nb int) (dp, nxt []float64) {
 	return r[:nb:nb], r[nb:]
 }
 
-// lbRects returns AssignSegments' devirtualised rect buffer, nb entries.
+// lbRects returns AssignSegmentsInto's devirtualised rect buffer, nb entries.
 func (s *dpScratch) lbRects(nb int) []geom.Rect {
 	if cap(s.rects) < nb {
 		s.rects = make([]geom.Rect, nb)
@@ -82,7 +82,7 @@ func (s *dpScratch) lbRects(nb int) []geom.Rect {
 	return s.rects[:nb]
 }
 
-// assignRows returns AssignSegments' tables for n segments and nb boxes.
+// assignRows returns AssignSegmentsInto's tables for n segments and nb boxes.
 func (s *dpScratch) assignRows(n, nb int) (area, prev, cur []float64, from []int32) {
 	if cap(s.assign) < 3*nb {
 		s.assign = make([]float64, 3*nb)

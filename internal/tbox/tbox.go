@@ -124,19 +124,25 @@ func (s *Seq) ExpansionCost(t *traj.Trajectory) float64 {
 	}
 	// The assignment is monotone in box order, so the segments a box
 	// absorbs are consecutive: grow each box over its run and add the
-	// growths in ascending box order, a fixed summation order.
+	// growths in ascending box order, a fixed summation order. The run's
+	// extent is a flat min/max over its points, bit-identical to
+	// extending the box point by point (an empty box included), and the
+	// run holds at least one segment, so the grown box is never empty.
 	var buf [assignStack]int
 	assign := core.AssignSegmentsInto(buf[:0], t, s)
+	v := t.View()
 	var growth float64
 	for i := 0; i < len(assign); {
 		j := assign[i]
-		old := s.Rect(j)
-		r := old
+		r := s.rects[4*j : 4*j+4]
+		x0, y0, x1, y1 := r[0], r[1], r[2], r[3]
 		for ; i < len(assign) && assign[i] == j; i++ {
-			e := t.Segment(i)
-			r = r.ExtendPoint(e.S1.XY()).ExtendPoint(e.S2.XY())
+			x0 = min(x0, v.X[i], v.X[i+1])
+			y0 = min(y0, v.Y[i], v.Y[i+1])
+			x1 = max(x1, v.X[i], v.X[i+1])
+			y1 = max(y1, v.Y[i], v.Y[i+1])
 		}
-		growth += r.Area() - old.Area()
+		growth += (x1-x0)*(y1-y0) - s.Rect(j).Area()
 	}
 	return growth
 }

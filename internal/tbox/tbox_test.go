@@ -3,6 +3,7 @@ package tbox
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"trajmatch/internal/core"
@@ -100,7 +101,7 @@ func TestExpansionCostDeterministic(t *testing.T) {
 		s := FromTrajectory(randomTraj(rng, 0, 12), 0)
 		b := randomTraj(rng, 1, 12)
 		boxes := map[int]bool{}
-		for _, j := range core.AssignSegments(b, s) {
+		for _, j := range core.AssignSegmentsInto(nil, b, s) {
 			boxes[j] = true
 		}
 		if len(boxes) < 3 {
@@ -115,6 +116,37 @@ func TestExpansionCostDeterministic(t *testing.T) {
 		return
 	}
 	t.Fatal("no generated trajectory spanned three boxes")
+}
+
+// TestExpansionCostMatchesPointwise pins the flat growth loop to the
+// definition it replaced: each box extended by its run's segment end
+// points one at a time, bit for bit, including boxes nothing was put in.
+func TestExpansionCostMatchesPointwise(t *testing.T) {
+	rng := rand.New(rand.NewSource(45))
+	for it := 0; it < 200; it++ {
+		s := Build([]*traj.Trajectory{randomTraj(rng, 0, 2+rng.Intn(14)), randomTraj(rng, 1, 2+rng.Intn(14))}, 8)
+		if it%4 == 0 {
+			e := geom.Empty()
+			at := 4 * rng.Intn(s.Len())
+			s = FromFlat(append(append(slices.Clone(s.rects[:at]), e.Min.X, e.Min.Y, e.Max.X, e.Max.Y), s.rects[at:]...),
+				append(slices.Clone(s.minL), math.Inf(1)), s.count)
+		}
+		b := randomTraj(rng, 2, 2+rng.Intn(14))
+		assign := core.AssignSegmentsInto(nil, b, s)
+		var want float64
+		for i := 0; i < len(assign); {
+			j := assign[i]
+			r := s.Rect(j)
+			for ; i < len(assign) && assign[i] == j; i++ {
+				e := b.Segment(i)
+				r = r.ExtendPoint(e.S1.XY()).ExtendPoint(e.S2.XY())
+			}
+			want += r.Area() - s.Rect(j).Area()
+		}
+		if got := s.ExpansionCost(b); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("it %d: cost %v, pointwise %v", it, got, want)
+		}
+	}
 }
 
 // The bulk load calls ExpansionCost once per (trajectory, candidate group):

@@ -60,7 +60,7 @@ func (t *Tree) SaveCRC(w io.Writer) (uint32, error) {
 		overlayIdx := make(map[int]int)
 		ts.OOffs = append(ts.OOffs, 0)
 		for _, m := range t.root.members {
-			if _, ok := t.arenaIndex(m.ID); ok {
+			if _, ok := t.arenaIndex(m); ok {
 				continue
 			}
 			overlayIdx[m.ID] = len(ts.OIDs)
@@ -72,7 +72,7 @@ func (t *Tree) SaveCRC(w io.Writer) (uint32, error) {
 			ts.OOffs = append(ts.OOffs, int64(len(ts.OPts)/3))
 		}
 		memberRef := func(m *traj.Trajectory) (int64, error) {
-			if ai, ok := t.arenaIndex(m.ID); ok {
+			if ai, ok := t.arenaIndex(m); ok {
 				return int64(ai), nil
 			}
 			oi, ok := overlayIdx[m.ID]

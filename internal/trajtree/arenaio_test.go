@@ -10,6 +10,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -249,6 +250,53 @@ func TestArenaRoundTripWithOverlay(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameResults(t, "SearchKNN after rebuild", got2, want)
+}
+
+// TestArenaReusedIDIsOverlay pins a member inserted under the ID of a
+// deleted arena member: the arena entry under that ID summarises the
+// deleted member, so the new one is overlay — screened by nothing, saved
+// with its own samples, and found at distance 0 by a copy of itself
+// before and after a round trip. The deleted member's own header,
+// inserted again, is resident again.
+func TestArenaReusedIDIsOverlay(t *testing.T) {
+	tree, err := New(taxiTrips(300, 1, 0), Options{Seed: 1, RebuildRatio: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	orig := tree.Lookup(5)
+	if !tree.Delete(5) {
+		t.Fatal("delete 5: not found")
+	}
+	q := taxiTrips(1, 99, 9_000_000)[0]
+	reused := traj.New(5, slices.Clone(q.Points))
+	if err := tree.Insert(reused); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := tree.arenaIndex(reused); ok || tree.MemStats().Overlay != 1 {
+		t.Fatalf("reused ID resident in the arena, overlay %d", tree.MemStats().Overlay)
+	}
+	for label, tr := range map[string]*Tree{"live": tree, "arena-loaded": loadArena(t, tree), "heap-loaded": loadHeap(t, tree)} {
+		if got := tr.Lookup(5); !slices.Equal(got.Points, q.Points) {
+			t.Fatalf("%s: member 5 has %d points, want the reused ID's %d", label, len(got.Points), len(q.Points))
+		}
+		res, _, _, err := tr.SearchKNN(q, 1, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res) != 1 || res[0].Traj.ID != 5 || res[0].Dist != 0 {
+			t.Fatalf("%s: nearest to a copy of member 5 is %v", label, res)
+		}
+	}
+	if !tree.Delete(5) || tree.MemStats().Overlay != 0 {
+		t.Fatalf("overlay %d after deleting the reused ID", tree.MemStats().Overlay)
+	}
+	// The deleted member's own header, inserted again, is its entry's.
+	if err := tree.Insert(orig); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := tree.arenaIndex(orig); !ok || tree.MemStats().Overlay != 0 {
+		t.Fatalf("original header resident %v, overlay %d", ok, tree.MemStats().Overlay)
+	}
 }
 
 // TestArenaPureInsertTree pins the nil-arena save path: a tree grown

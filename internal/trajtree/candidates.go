@@ -50,7 +50,7 @@ func (t *Tree) SearchKNNIn(q *traj.Trajectory, ids []int, k int, bound *SharedBo
 		}
 		st.LowerBoundCalls++
 		var lb float64
-		if ai, ok := t.arenaIndex(m.ID); ok {
+		if ai, ok := t.arenaIndex(m); ok {
 			boxes := t.ar.Boxes(ai)
 			lb = core.ScreenMemberSide(scr, boxes, t.ar.BoxLens(ai), core.ScreenLowerBound(scr, boxes, inf), inf)
 		} else {

@@ -2,6 +2,7 @@ package trajtree
 
 import (
 	"math"
+	"sync"
 
 	"trajmatch/internal/core"
 	"trajmatch/internal/tbox"
@@ -38,22 +39,25 @@ func (t *Tree) partition(D []*traj.Trajectory) ([][]*traj.Trajectory, []*tbox.Se
 		groups[best] = append(groups[best], tr)
 		seqs[best].Insert(tr)
 	}
-	// Drop empty groups (cannot happen — every group holds its pivot — but
-	// keep the guard for safety).
-	out := groups[:0]
-	outSeqs := seqs[:0]
-	for i := range groups {
-		if len(groups[i]) > 0 {
-			out = append(out, groups[i])
-			outSeqs = append(outSeqs, seqs[i])
-		}
-	}
-	return out, outSeqs
+	return groups, seqs
 }
+
+// pivotScreens recycles the pivot scan's per-candidate segment screens,
+// reset at every node, across the nodes of a build and the subtrees a
+// parallel build runs at once.
+var pivotScreens = sync.Pool{New: func() any { return new([]core.SegScreen) }}
 
 // selectPivots runs lines 3–8 of Algorithm 1. The argmax scan samples at
 // most PivotCandidates trajectories per round (see Options); diversity is
 // measured by cumulative EDwPsub as in the paper.
+//
+// After the first pivot every EDwPsub the scan runs only matters below a
+// known value — a candidate's distance to the pivots before, or the
+// pivots' pairwise minimum — so each runs bounded by it, and is skipped
+// outright when the flat screen of its first argument against the
+// second's arena boxes already passes that value. Bounded results are
+// exact and a skipped call is one whose result could not have been
+// taken, so the pivots are the ones the unbounded scan picks.
 func (t *Tree) selectPivots(D []*traj.Trajectory) []*traj.Trajectory {
 	if len(D) == 0 {
 		return nil
@@ -66,16 +70,48 @@ func (t *Tree) selectPivots(D []*traj.Trajectory) []*traj.Trajectory {
 			cands[i] = D[perm[i]]
 		}
 	}
+	pooled := pivotScreens.Get().(*[]core.SegScreen)
+	defer pivotScreens.Put(pooled)
+	if cap(*pooled) < len(cands) {
+		*pooled = make([]core.SegScreen, len(cands))
+	}
+	scr := (*pooled)[:len(cands)]
+	// boxesOf returns a candidate's arena boxes; nil for one without an
+	// arena entry (an overlay member in an Insert-time split), which is
+	// never screened against.
+	boxesOf := func(i int) []float64 {
+		if ai, ok := t.arenaIndex(cands[i]); ok {
+			return t.ar.Boxes(ai)
+		}
+		return nil
+	}
+	// below returns EDwPsub(cands[i], cands[j]) when it is below limit,
+	// and +Inf or some value not below it otherwise. The screen's raw
+	// limit is inflated by the relative 1e-9 of screenMember, so its
+	// rounding cannot skip a call the kernel would answer below limit.
+	below := func(i, j int, boxes []float64, limit float64) float64 {
+		if len(boxes) > 0 {
+			raw := limit + limit*1e-9
+			if core.ScreenLowerBound(&scr[i], boxes, raw) > raw {
+				return math.Inf(1)
+			}
+		}
+		d, _ := core.SubDistanceBounded(cands[i], cands[j], limit)
+		return d
+	}
 
-	pivots := []*traj.Trajectory{cands[t.rng.Intn(len(cands))]}
+	// at holds the pivots' indices in cands.
+	at := make([]int, 1, max(1, t.opt.MaxFanout))
+	at[0] = t.rng.Intn(len(cands))
 	// minToP[i] = min over pivots p of EDwPsub(cands[i], p).
 	minToP := make([]float64, len(cands))
 	for i, c := range cands {
-		minToP[i] = subDiv(c, pivots[0])
+		minToP[i] = subDiv(c, cands[at[0]])
+		scr[i].Reset(c)
 	}
 	pairMin := math.Inf(1) // min pairwise diversity within pivots
 
-	for len(pivots) < t.opt.MaxFanout {
+	for len(at) < t.opt.MaxFanout {
 		bestI, bestD := -1, -1.0
 		for i, d := range minToP {
 			if d > bestD {
@@ -85,27 +121,37 @@ func (t *Tree) selectPivots(D []*traj.Trajectory) []*traj.Trajectory {
 		if bestI < 0 || bestD <= 0 {
 			break // every candidate coincides with a pivot
 		}
-		if len(pivots) >= 2 {
+		if len(at) >= 2 {
 			drop := 1 - bestD/pairMin
 			if drop > t.opt.Theta {
 				break
 			}
 		}
-		p := cands[bestI]
-		// Update pairwise diversity with the new pivot.
-		for _, q := range pivots {
-			if d := math.Min(subDiv(p, q), subDiv(q, p)); d < pairMin {
+		pBoxes := boxesOf(bestI)
+		// Update pairwise diversity with the new pivot. The first pair
+		// has no limit yet and takes subDiv's values.
+		for _, j := range at {
+			if math.IsInf(pairMin, 1) {
+				pairMin = math.Min(subDiv(cands[bestI], cands[j]), subDiv(cands[j], cands[bestI]))
+				continue
+			}
+			if d := below(bestI, j, boxesOf(j), pairMin); d < pairMin {
+				pairMin = d
+			}
+			if d := below(j, bestI, pBoxes, pairMin); d < pairMin {
 				pairMin = d
 			}
 		}
-		pivots = append(pivots, p)
-		// Only a distance below the candidate's current minimum matters,
-		// so the kernel may give up (+Inf) as soon as it passes it.
-		for i, c := range cands {
-			if d, _ := core.SubDistanceBounded(c, p, minToP[i]); d < minToP[i] {
+		at = append(at, bestI)
+		for i := range cands {
+			if d := below(i, bestI, pBoxes, minToP[i]); d < minToP[i] {
 				minToP[i] = d
 			}
 		}
+	}
+	pivots := make([]*traj.Trajectory, len(at))
+	for k, i := range at {
+		pivots[k] = cands[i]
 	}
 	return pivots
 }

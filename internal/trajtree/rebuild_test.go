@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"sort"
 	"testing"
 
@@ -416,5 +417,18 @@ func TestBackgroundBuildSameBytes(t *testing.T) {
 	}
 	if a, b := sha256.Sum256(saveBytes(t, fg)), sha256.Sum256(saveBytes(t, bg)); a != b {
 		t.Fatalf("background build %x, foreground build %x", b, a)
+	}
+}
+
+// TestBuildSlots pins the parallel build's concurrency to the
+// scheduler's Ps, not the machine's CPUs: a background build leaves one
+// P to serving, and a single P is shared.
+func TestBuildSlots(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, c := range []struct{ procs, fg, bg int }{{1, 1, 1}, {2, 2, 1}, {4, 4, 3}} {
+		runtime.GOMAXPROCS(c.procs)
+		if fg, bg := buildSlots(false), buildSlots(true); fg != c.fg || bg != c.bg {
+			t.Errorf("GOMAXPROCS %d: slots %d foreground, %d background; want %d, %d", c.procs, fg, bg, c.fg, c.bg)
+		}
 	}
 }

@@ -80,7 +80,7 @@ func TestBoundsAdmissibleOnTree(t *testing.T) {
 					if tree.screenMember(&scr, true, qLen, m, sub[m.ID]) {
 						t.Fatalf("%s: member %d rejected at its own EDwPsub %v", name, m.ID, sub[m.ID])
 					}
-					ai, ok := tree.arenaIndex(m.ID)
+					ai, ok := tree.arenaIndex(m)
 					if !ok {
 						continue
 					}

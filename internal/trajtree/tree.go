@@ -51,8 +51,11 @@ type Options struct {
 	MaxFanout int
 	// PivotCandidates caps how many trajectories the max-min pivot scan of
 	// Algorithm 1 examines per round (a uniform sample); 0 means the
-	// default of 64. The full scan is O(|D|·p) EDwPsub calls per node, the
-	// dominant construction cost the paper reports in Fig. 6(e).
+	// default of 64. The scan is O(candidates·pivots) EDwPsub calls per
+	// node, most of them bounded or screened away, and still the larger
+	// part of the construction cost the paper reports in Fig. 6(e): on a
+	// 10 000-trip taxi build about 60 % of the CPU, against about 30 %
+	// for assigning the members to the pivots (Seq.ExpansionCost).
 	PivotCandidates int
 	// Cumulative switches query distances from EDwPavg (Eq. 4, the paper's
 	// experimental default) to cumulative EDwP.
@@ -273,7 +276,7 @@ func (t *Tree) screenMember(scr *core.SegScreen, sub bool, qLen float64, tr *tra
 	if math.IsInf(limit, 1) {
 		return false
 	}
-	ai, ok := t.arenaIndex(tr.ID)
+	ai, ok := t.arenaIndex(tr)
 	if !ok {
 		return false
 	}
@@ -287,14 +290,14 @@ func (t *Tree) screenMember(scr *core.SegScreen, sub bool, qLen float64, tr *tra
 		screenExceeds(scr, sub, t.ar.Boxes(ai), t.ar.BoxLens(ai), raw)
 }
 
-// arenaIndex returns the arena index of the member with the given ID;
-// false for the overlay, and for every member of a tree grown purely by
-// Insert, which has no arena.
-func (t *Tree) arenaIndex(id int) (int, bool) {
+// arenaIndex returns the arena index of member tr; false for the
+// overlay — a member inserted under a deleted member's ID included — and
+// for every member of a tree grown purely by Insert, which has no arena.
+func (t *Tree) arenaIndex(tr *traj.Trajectory) (int, bool) {
 	if t.ar == nil {
 		return 0, false
 	}
-	return t.ar.Lookup(id)
+	return t.ar.Index(tr)
 }
 
 // screenExceeds reports whether the screen of one trajectory's rects —
@@ -346,23 +349,17 @@ func (t *Tree) build(ts []*traj.Trajectory, seq *tbox.Seq, parallel bool) *node 
 	n.children = make([]*node, len(groups))
 	if parallel {
 		var wg sync.WaitGroup
-		// A background build leaves one CPU to serving. Every child draws
-		// from its own stream, so the cap changes scheduling only: the
-		// tree is the one a foreground build of the same members makes.
-		slots := runtime.NumCPU()
-		if t.background {
-			slots = max(1, slots-1)
-		}
-		sem := make(chan struct{}, slots)
-		// Children need their own RNG streams to stay deterministic-ish;
-		// derive from the parent seed.
+		// Every child draws from its own stream, derived from the seed, so
+		// the cap changes scheduling only: the tree is the same at every
+		// cap, and the one a background build of the same members makes.
+		sem := make(chan struct{}, buildSlots(t.background))
 		for i := range groups {
 			wg.Add(1)
 			go func(i int) {
 				defer wg.Done()
 				sem <- struct{}{}
 				defer func() { <-sem }()
-				sub := &Tree{opt: t.opt, rng: rand.New(rand.NewSource(t.opt.Seed + int64(i) + 1))}
+				sub := &Tree{opt: t.opt, ar: t.ar, rng: rand.New(rand.NewSource(t.opt.Seed + int64(i) + 1))}
 				n.children[i] = sub.build(groups[i], seqs[i], false)
 			}(i)
 		}
@@ -371,6 +368,17 @@ func (t *Tree) build(ts []*traj.Trajectory, seq *tbox.Seq, parallel bool) *node 
 		for i := range groups {
 			n.children[i] = t.build(groups[i], seqs[i], false)
 		}
+	}
+	return n
+}
+
+// buildSlots is how many subtrees a parallel build constructs at once:
+// one per P of the scheduler, the count the engine sizes its pools by,
+// and one fewer for a background build, which leaves that P to serving.
+func buildSlots(background bool) int {
+	n := runtime.GOMAXPROCS(0)
+	if background {
+		return max(1, n-1)
 	}
 	return n
 }

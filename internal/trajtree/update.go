@@ -26,8 +26,11 @@ func (t *Tree) Insert(tr *traj.Trajectory) error {
 	t.adoptIfReady()
 	t.byID[tr.ID] = tr
 	// The new member lives on the heap until a rebuild folds it into
-	// fresh arena slabs; until then the leaf screen skips it.
-	t.overlay++
+	// fresh arena slabs; until then the leaf screen skips it. Only a
+	// deleted member's own header, inserted again, is still resident.
+	if _, ok := t.arenaIndex(tr); !ok {
+		t.overlay++
+	}
 	if t.root == nil {
 		t.root = &node{
 			seq:     tbox.FromTrajectory(tr, t.opt.MaxBoxes),
@@ -88,13 +91,14 @@ func (t *Tree) Delete(id int) bool {
 	// Adoption replaces the member headers, and the path down the tree is
 	// found by header identity: look the header up after it.
 	t.adoptIfReady()
-	if !t.deleteFrom(t.root, t.byID[id]) {
+	m := t.byID[id]
+	if !t.deleteFrom(t.root, m) {
 		return false
 	}
 	delete(t.byID, id)
 	t.size--
 	t.mods++
-	if _, ok := t.arenaIndex(id); !ok {
+	if _, ok := t.arenaIndex(m); !ok {
 		t.overlay--
 	}
 	t.mutated(deltaOp{del: id})
