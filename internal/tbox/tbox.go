@@ -102,15 +102,6 @@ func (s *Seq) Volume() float64 {
 	return v
 }
 
-// Bounds returns the union rectangle over all boxes.
-func (s *Seq) Bounds() geom.Rect {
-	r := geom.Empty()
-	for i := range s.minL {
-		r = r.Union(s.Rect(i))
-	}
-	return r
-}
-
 // assignStack is the number of segments whose assignment ExpansionCost and
 // Insert keep on their stack; longer trajectories fall back to the heap.
 const assignStack = 64

@@ -118,6 +118,15 @@ func TestExpansionCostDeterministic(t *testing.T) {
 	t.Fatal("no generated trajectory spanned three boxes")
 }
 
+// withEmptyBox returns a copy of s with an empty box at a random
+// position, a box nothing was put in.
+func withEmptyBox(rng *rand.Rand, s *Seq) *Seq {
+	e := geom.Empty()
+	at := 4 * rng.Intn(s.Len())
+	return FromFlat(append(append(slices.Clone(s.rects[:at]), e.Min.X, e.Min.Y, e.Max.X, e.Max.Y), s.rects[at:]...),
+		append(slices.Clone(s.minL), math.Inf(1)), s.count)
+}
+
 // TestExpansionCostMatchesPointwise pins the flat growth loop to the
 // definition it replaced: each box extended by its run's segment end
 // points one at a time, bit for bit, including boxes nothing was put in.
@@ -126,10 +135,7 @@ func TestExpansionCostMatchesPointwise(t *testing.T) {
 	for it := 0; it < 200; it++ {
 		s := Build([]*traj.Trajectory{randomTraj(rng, 0, 2+rng.Intn(14)), randomTraj(rng, 1, 2+rng.Intn(14))}, 8)
 		if it%4 == 0 {
-			e := geom.Empty()
-			at := 4 * rng.Intn(s.Len())
-			s = FromFlat(append(append(slices.Clone(s.rects[:at]), e.Min.X, e.Min.Y, e.Max.X, e.Max.Y), s.rects[at:]...),
-				append(slices.Clone(s.minL), math.Inf(1)), s.count)
+			s = withEmptyBox(rng, s)
 		}
 		b := randomTraj(rng, 2, 2+rng.Intn(14))
 		assign := core.AssignSegmentsInto(nil, b, s)
@@ -146,6 +152,56 @@ func TestExpansionCostMatchesPointwise(t *testing.T) {
 		if got := s.ExpansionCost(b); math.Float64bits(got) != math.Float64bits(want) {
 			t.Fatalf("it %d: cost %v, pointwise %v", it, got, want)
 		}
+	}
+}
+
+// TestExpansionCostNonNegative pins the premise of the build's zero exit
+// (trajtree's leastExpansion): no growth is negative or NaN, so the first
+// summary that grows by exactly 0 cannot be beaten. The sequences mix
+// random walks with axis-parallel and stationary trajectories (zero-width,
+// zero-height and zero-size boxes) at scales up to 10⁶, some hold an
+// empty box, and each is also asked for an absorbed member's growth; the
+// empty sequence's branch is asked too.
+func TestExpansionCostNonNegative(t *testing.T) {
+	rng := rand.New(rand.NewSource(46))
+	gen := func(id int) *traj.Trajectory {
+		n := 2 + rng.Intn(12)
+		scale := math.Pow(10, float64(rng.Intn(7)))
+		x0, y0 := rng.Float64()*scale, rng.Float64()*scale
+		pts := make([]traj.Point, n)
+		for i := range pts {
+			x, y := x0+rng.NormFloat64()*4, y0+rng.NormFloat64()*4
+			switch id % 4 {
+			case 1:
+				x = x0 // vertical: zero-width boxes
+			case 2:
+				y = y0 // horizontal: zero-height boxes
+			case 3:
+				x, y = x0, y0 // stationary: zero-size boxes
+			}
+			pts[i] = traj.P(x, y, float64(i)*10)
+		}
+		return traj.New(id, pts)
+	}
+	check := func(it int, what string, s *Seq, b *traj.Trajectory) {
+		t.Helper()
+		if c := s.ExpansionCost(b); c < 0 || math.IsNaN(c) {
+			t.Fatalf("it %d, %s: ExpansionCost = %v", it, what, c)
+		}
+	}
+	for it := 0; it < 2000; it++ {
+		members := make([]*traj.Trajectory, 1+rng.Intn(4))
+		for i := range members {
+			members[i] = gen(rng.Intn(4))
+		}
+		s := Build(members, 1+rng.Intn(16))
+		if it%5 == 0 {
+			s = withEmptyBox(rng, s)
+		}
+		b := gen(rng.Intn(4))
+		check(it, "new trajectory", s, b)
+		check(it, "absorbed member", s, members[rng.Intn(len(members))])
+		check(it, "empty sequence", &Seq{}, b)
 	}
 }
 

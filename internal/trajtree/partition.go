@@ -30,16 +30,31 @@ func (t *Tree) partition(D []*traj.Trajectory) ([][]*traj.Trajectory, []*tbox.Se
 		if isPivot[tr.ID] {
 			continue
 		}
-		best, bestCost := 0, math.Inf(1)
-		for i, s := range seqs {
-			if c := s.ExpansionCost(tr); c < bestCost {
-				bestCost, best = c, i
-			}
-		}
+		best := leastExpansion(len(seqs), func(i int) *tbox.Seq { return seqs[i] }, tr)
 		groups[best] = append(groups[best], tr)
 		seqs[best].Insert(tr)
 	}
 	return groups, seqs
+}
+
+// leastExpansion returns the first of the n summaries seq(i) that grows
+// the least on absorbing tr: Algorithm 1's line 11, and Insert's descent.
+// It stops at the first growth of exactly 0. Each term of ExpansionCost
+// is the product of the grown extents less the same product over the
+// box's own, which monotone rounding keeps ≥ 0, so no later summary can
+// grow less.
+func leastExpansion(n int, seq func(int) *tbox.Seq, tr *traj.Trajectory) int {
+	best, bestCost := 0, math.Inf(1)
+	for i := range n {
+		c := seq(i).ExpansionCost(tr)
+		if c == 0 {
+			return i
+		}
+		if c < bestCost {
+			bestCost, best = c, i
+		}
+	}
+	return best
 }
 
 // pivotScreens recycles the pivot scan's per-candidate segment screens,
@@ -57,7 +72,22 @@ var pivotScreens = sync.Pool{New: func() any { return new([]core.SegScreen) }}
 // outright when the flat screen of its first argument against the
 // second's arena boxes already passes that value. Bounded results are
 // exact and a skipped call is one whose result could not have been
-// taken, so the pivots are the ones the unbounded scan picks.
+// taken.
+//
+// The scan is also lazy, and picks the pivots the eager scan (every
+// candidate and every pivot pair updated after each pick) picks:
+//   - A candidate's minimum over the first upto[i] pivots is an upper
+//     bound on its minimum over all of them. Only the argmax of these
+//     keys is brought up to date, and a current argmax is the eager
+//     argmax: every other true value is at most its key, and the lower
+//     index wins a tie either way.
+//   - A pivot's own minimum is 0 without a kernel call: EDwPsub(p, p)
+//     aligns each segment with itself at cost 0, and no cost is negative.
+//   - Pivot pairs wait until θ could stop the scan. 1 − bestD/x does not
+//     decrease as x grows, under rounding too, so a test that does not
+//     fire on the settled pairs' minimum, an upper bound, would not fire
+//     on the exact one. The pending pairs are settled in the order the
+//     eager scan evaluates them.
 func (t *Tree) selectPivots(D []*traj.Trajectory) []*traj.Trajectory {
 	if len(D) == 0 {
 		return nil
@@ -100,60 +130,79 @@ func (t *Tree) selectPivots(D []*traj.Trajectory) []*traj.Trajectory {
 		return d
 	}
 
-	// at holds the pivots' indices in cands.
+	// at holds the pivots' indices in cands, atBoxes their arena boxes.
 	at := make([]int, 1, max(1, t.opt.MaxFanout))
 	at[0] = t.rng.Intn(len(cands))
-	// minToP[i] = min over pivots p of EDwPsub(cands[i], p).
+	atBoxes := make([][]float64, 1, cap(at))
+	atBoxes[0] = boxesOf(at[0])
+	// minToP[i] = min over the first upto[i] pivots p of EDwPsub(cands[i], p).
 	minToP := make([]float64, len(cands))
+	upto := make([]int, len(cands))
 	for i, c := range cands {
 		minToP[i] = subDiv(c, cands[at[0]])
+		upto[i] = 1
 		scr[i].Reset(c)
 	}
-	pairMin := math.Inf(1) // min pairwise diversity within pivots
+	// pairMin is the least pairwise diversity within the first settled
+	// pivots, an upper bound on the least within all of them.
+	pairMin, settled := math.Inf(1), 1
 
 	for len(at) < t.opt.MaxFanout {
-		bestI, bestD := -1, -1.0
-		for i, d := range minToP {
-			if d > bestD {
-				bestD, bestI = d, i
+		bestI, bestD := argmax(minToP)
+		for bestI >= 0 && bestD > 0 && upto[bestI] < len(at) {
+			for ; upto[bestI] < len(at); upto[bestI]++ {
+				k := upto[bestI]
+				if d := below(bestI, at[k], atBoxes[k], minToP[bestI]); d < minToP[bestI] {
+					minToP[bestI] = d
+				}
 			}
+			bestI, bestD = argmax(minToP)
 		}
 		if bestI < 0 || bestD <= 0 {
 			break // every candidate coincides with a pivot
 		}
-		if len(at) >= 2 {
-			drop := 1 - bestD/pairMin
-			if drop > t.opt.Theta {
+		if len(at) >= 2 && 1-bestD/pairMin > t.opt.Theta {
+			for ; settled < len(at); settled++ {
+				i := at[settled]
+				for k, j := range at[:settled] {
+					// The first pair has no limit yet and takes subDiv's values.
+					if math.IsInf(pairMin, 1) {
+						pairMin = math.Min(subDiv(cands[i], cands[j]), subDiv(cands[j], cands[i]))
+						continue
+					}
+					if d := below(i, j, atBoxes[k], pairMin); d < pairMin {
+						pairMin = d
+					}
+					if d := below(j, i, atBoxes[settled], pairMin); d < pairMin {
+						pairMin = d
+					}
+				}
+			}
+			if 1-bestD/pairMin > t.opt.Theta {
 				break
 			}
 		}
-		pBoxes := boxesOf(bestI)
-		// Update pairwise diversity with the new pivot. The first pair
-		// has no limit yet and takes subDiv's values.
-		for _, j := range at {
-			if math.IsInf(pairMin, 1) {
-				pairMin = math.Min(subDiv(cands[bestI], cands[j]), subDiv(cands[j], cands[bestI]))
-				continue
-			}
-			if d := below(bestI, j, boxesOf(j), pairMin); d < pairMin {
-				pairMin = d
-			}
-			if d := below(j, bestI, pBoxes, pairMin); d < pairMin {
-				pairMin = d
-			}
-		}
 		at = append(at, bestI)
-		for i := range cands {
-			if d := below(i, bestI, pBoxes, minToP[i]); d < minToP[i] {
-				minToP[i] = d
-			}
-		}
+		atBoxes = append(atBoxes, boxesOf(bestI))
+		minToP[bestI], upto[bestI] = 0, len(at)
 	}
 	pivots := make([]*traj.Trajectory, len(at))
 	for k, i := range at {
 		pivots[k] = cands[i]
 	}
 	return pivots
+}
+
+// argmax returns the first index of the largest value in xs, and that
+// value; -1 when xs holds no value above -1.
+func argmax(xs []float64) (int, float64) {
+	bestI, bestD := -1, -1.0
+	for i, d := range xs {
+		if d > bestD {
+			bestD, bestI = d, i
+		}
+	}
+	return bestI, bestD
 }
 
 // subDiv is the diversity measure of Algorithm 1: EDwPsub between two

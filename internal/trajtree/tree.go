@@ -51,11 +51,12 @@ type Options struct {
 	MaxFanout int
 	// PivotCandidates caps how many trajectories the max-min pivot scan of
 	// Algorithm 1 examines per round (a uniform sample); 0 means the
-	// default of 64. The scan is O(candidates·pivots) EDwPsub calls per
-	// node, most of them bounded or screened away, and still the larger
-	// part of the construction cost the paper reports in Fig. 6(e): on a
-	// 10 000-trip taxi build about 60 % of the CPU, against about 30 %
-	// for assigning the members to the pivots (Seq.ExpansionCost).
+	// default of 64. The scan is at most O(candidates·pivots) EDwPsub
+	// calls per node, most of them bounded, screened away or never made,
+	// and still the larger part of the construction cost the paper
+	// reports in Fig. 6(e): on a serial 10 000-trip taxi build about 57 %
+	// of the CPU, against about 36 % for assigning the members to the
+	// pivots (Seq.ExpansionCost).
 	PivotCandidates int
 	// Cumulative switches query distances from EDwPavg (Eq. 4, the paper's
 	// experimental default) to cumulative EDwP.

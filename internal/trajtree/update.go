@@ -2,7 +2,6 @@ package trajtree
 
 import (
 	"fmt"
-	"math"
 	"slices"
 
 	"trajmatch/internal/tbox"
@@ -59,12 +58,7 @@ func (t *Tree) insertAt(n *node, tr *traj.Trajectory) {
 		}
 		return
 	}
-	best, bestCost := 0, math.Inf(1)
-	for i, c := range n.children {
-		if cost := c.seq.ExpansionCost(tr); cost < bestCost {
-			bestCost, best = cost, i
-		}
-	}
+	best := leastExpansion(len(n.children), func(i int) *tbox.Seq { return n.children[i].seq }, tr)
 	t.insertAt(n.children[best], tr)
 }
 
