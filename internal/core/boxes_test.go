@@ -10,6 +10,9 @@ import (
 	"trajmatch/internal/traj"
 )
 
+// pt is shorthand for geom.Point{X: x, Y: y}.
+func pt(x, y float64) geom.Point { return geom.Point{X: x, Y: y} }
+
 // rectSeq is a minimal Boxes implementation for tests.
 type rectSeq []geom.Rect
 
@@ -272,7 +275,7 @@ func TestLowerBoundEmpty(t *testing.T) {
 		t.Errorf("LowerBound vs no boxes = %v, want 0", got)
 	}
 	pointTraj := traj.New(0, []traj.Point{traj.P(0, 0, 0)})
-	b := rectSeq{geom.RectOf(geom.Pt(0, 0), geom.Pt(1, 1))}
+	b := rectSeq{geom.RectOf(pt(0, 0), pt(1, 1))}
 	if got := LowerBound(pointTraj, b); got != 0 {
 		t.Errorf("LowerBound of segmentless query = %v, want 0", got)
 	}
@@ -298,7 +301,7 @@ func TestLowerBoundMonotoneInBoxGrowth(t *testing.T) {
 	small := boxesFor([]*traj.Trajectory{member})
 	big := make(rectSeq, len(small))
 	for i, r := range small {
-		big[i] = r.ExtendPoint(geom.Pt(50, 50))
+		big[i] = r.ExtendPoint(pt(50, 50))
 	}
 	q := traj.FromXY(1, 20, 20, 24, 20)
 	if LowerBound(q, big) > LowerBound(q, small)+1e-12 {
@@ -439,8 +442,8 @@ func TestAssignSegmentsZeroAllocs(t *testing.T) {
 func TestAssignSegmentsPrefersCoveringBox(t *testing.T) {
 	// Two far-apart boxes; a segment inside the second must map there.
 	b := rectSeq{
-		geom.RectOf(geom.Pt(0, 0), geom.Pt(1, 1)),
-		geom.RectOf(geom.Pt(100, 100), geom.Pt(110, 110)),
+		geom.RectOf(pt(0, 0), pt(1, 1)),
+		geom.RectOf(pt(100, 100), pt(110, 110)),
 	}
 	tr := traj.FromXY(0, 102, 102, 105, 105)
 	assign := AssignSegmentsInto(nil, tr, b)

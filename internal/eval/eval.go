@@ -78,9 +78,9 @@ func Classification(db []*traj.Trajectory, m baseline.Metric, folds int, rng *ra
 	return float64(correct) / float64(total)
 }
 
-// KNNIndices returns the indices of the k nearest trajectories to db[qi]
+// knnIndices returns the indices of the k nearest trajectories to db[qi]
 // in db under m, excluding qi itself. Distances are computed in parallel.
-func KNNIndices(db []*traj.Trajectory, m baseline.Metric, qi, k int) []int {
+func knnIndices(db []*traj.Trajectory, m baseline.Metric, qi, k int) []int {
 	ds := make([]float64, len(db))
 	parallelFor(len(db), func(i int) {
 		if i == qi {
@@ -106,15 +106,15 @@ func KNNIndices(db []*traj.Trajectory, m baseline.Metric, qi, k int) []int {
 	return idx[:k]
 }
 
-// RankRobustness scores a metric's resilience to injected noise following
+// rankRobustness scores a metric's resilience to injected noise following
 // Section V-C exactly: the k-NN list for query qi is computed on the clean
 // database d1 and on the noisy database d2 (same trajectories, index-
 // aligned), the two lists are unioned, every union element is ranked by its
 // distance in each world, and Spearman's ρ between the two rank vectors is
 // returned. 1 means the noise did not disturb the answer at all.
-func RankRobustness(d1, d2 []*traj.Trajectory, m baseline.Metric, qi, k int) float64 {
-	knn1 := KNNIndices(d1, m, qi, k)
-	knn2 := KNNIndices(d2, m, qi, k)
+func rankRobustness(d1, d2 []*traj.Trajectory, m baseline.Metric, qi, k int) float64 {
+	knn1 := knnIndices(d1, m, qi, k)
+	knn2 := knnIndices(d2, m, qi, k)
 	union := make([]int, 0, 2*k)
 	seen := make(map[int]bool, 2*k)
 	for _, lists := range [2][]int{knn1, knn2} {
@@ -137,11 +137,11 @@ func RankRobustness(d1, d2 []*traj.Trajectory, m baseline.Metric, qi, k int) flo
 	return stats.Spearman(x, y)
 }
 
-// MeanRankRobustness averages RankRobustness over the given query indices.
+// MeanRankRobustness averages rankRobustness over the given query indices.
 func MeanRankRobustness(d1, d2 []*traj.Trajectory, m baseline.Metric, queries []int, k int) float64 {
 	vals := make([]float64, len(queries))
 	for i, qi := range queries {
-		vals[i] = RankRobustness(d1, d2, m, qi, k)
+		vals[i] = rankRobustness(d1, d2, m, qi, k)
 	}
 	return stats.Mean(vals)
 }

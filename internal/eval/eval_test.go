@@ -35,7 +35,7 @@ func TestKNNIndicesExcludesSelfAndSorts(t *testing.T) {
 	cfg := synth.DefaultTaxi(30)
 	db := synth.Taxi(cfg)
 	m := baseline.EDwP{}
-	got := KNNIndices(db, m, 3, 5)
+	got := knnIndices(db, m, 3, 5)
 	if len(got) != 5 {
 		t.Fatalf("got %d indices", len(got))
 	}
@@ -56,7 +56,7 @@ func TestKNNIndicesExcludesSelfAndSorts(t *testing.T) {
 func TestRankRobustnessIdentity(t *testing.T) {
 	db := synth.Taxi(synth.DefaultTaxi(25))
 	for _, m := range []baseline.Metric{baseline.EDwP{}, baseline.EDR{Eps: 60}, baseline.DTW{}} {
-		if got := RankRobustness(db, db, m, 0, 5); got < 0.999 {
+		if got := rankRobustness(db, db, m, 0, 5); got < 0.999 {
 			t.Errorf("%s: identity robustness = %v, want 1", m.Name(), got)
 		}
 	}

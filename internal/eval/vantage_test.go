@@ -10,25 +10,28 @@ import (
 	"trajmatch/internal/traj"
 )
 
+// pt is shorthand for geom.Point{X: x, Y: y}.
+func pt(x, y float64) geom.Point { return geom.Point{X: x, Y: y} }
+
 func almost(a, b float64) bool { return math.Abs(a-b) < 1e-9 }
 
 func TestDistUsesSegments(t *testing.T) {
 	// VP above the middle of a segment: the closest point is non-sampled.
 	tr := traj.FromXY(0, 0, 0, 10, 0)
-	if got := vpDist(tr, geom.Pt(5, 3)); !almost(got, 3) {
+	if got := vpDist(tr, pt(5, 3)); !almost(got, 3) {
 		t.Errorf("vpDist = %v, want 3 (projection onto interior)", got)
 	}
-	if got := vpDist(tr, geom.Pt(-4, 0)); !almost(got, 4) {
+	if got := vpDist(tr, pt(-4, 0)); !almost(got, 4) {
 		t.Errorf("vpDist = %v, want 4 (clamped to endpoint)", got)
 	}
-	if got := vpDist(tr, geom.Pt(5, 0)); !almost(got, 0) {
+	if got := vpDist(tr, pt(5, 0)); !almost(got, 0) {
 		t.Errorf("vpDist on the line = %v, want 0", got)
 	}
 }
 
 func TestDescriptor(t *testing.T) {
 	tr := traj.FromXY(0, 0, 0, 10, 0)
-	vps := []geom.Point{geom.Pt(5, 3), geom.Pt(0, 0), geom.Pt(20, 0)}
+	vps := []geom.Point{pt(5, 3), pt(0, 0), pt(20, 0)}
 	d := appendDescriptor(nil, tr, vps)
 	want := []float64{3, 0, 10}
 	for i := range want {
@@ -113,7 +116,7 @@ func TestVDCorrelatesWithSeparation(t *testing.T) {
 	base := traj.FromXY(0, 0, 0, 10, 0, 20, 5)
 	vps := selectVPs([]*traj.Trajectory{base}, 8, rng)
 	// Add far-away context VPs so ratios are informative.
-	vps = append(vps, geom.Pt(200, 200), geom.Pt(-200, 100))
+	vps = append(vps, pt(200, 200), pt(-200, 100))
 	bd := appendDescriptor(nil, base, vps)
 	prev := -1.0
 	for _, off := range []float64{1, 5, 25, 125} {
@@ -184,7 +187,7 @@ func TestVPTableRanksByVD(t *testing.T) {
 		db[i] = traj.FromXY(i, 0, 0, 1, 1)
 	}
 	tab := vpTable{
-		vps: []geom.Point{geom.Pt(0, 0)},
+		vps: []geom.Point{pt(0, 0)},
 		// VDs to the query's [1]: 0, 0.5, 0.9, 0 — rank order 0, 3, 1, 2.
 		descs: [][]float64{{1}, {2}, {10}, {1}},
 	}

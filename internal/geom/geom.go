@@ -14,9 +14,6 @@ type Point struct {
 	X, Y float64
 }
 
-// Pt is shorthand for Point{x, y}.
-func Pt(x, y float64) Point { return Point{X: x, Y: y} }
-
 // Dist returns the Euclidean distance between p and q. It uses the plain
 // sqrt form rather than math.Hypot: trajectory coordinates are far from the
 // overflow regime and this is the hottest function in the repository.

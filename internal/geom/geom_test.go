@@ -8,6 +8,9 @@ import (
 
 func almost(a, b float64) bool { return math.Abs(a-b) < 1e-9 }
 
+// Pt is shorthand for Point{x, y}.
+func Pt(x, y float64) Point { return Point{X: x, Y: y} }
+
 // clampCoord maps an arbitrary generated float into a well-behaved
 // coordinate range so property tests exercise geometry, not float overflow.
 func clampCoord(v float64) float64 {

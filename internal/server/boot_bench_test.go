@@ -2,7 +2,6 @@ package server
 
 import (
 	"context"
-	"fmt"
 	"testing"
 
 	"trajmatch/internal/trajtree"
@@ -12,8 +11,10 @@ import (
 // k-NN answer, the shard files mapped against the same files read onto
 // the heap. Both arms decode the same bytes — the CRC pass over the file
 // plus O(nodes + members) pointer stitching — so what separates them is
-// one read of the file into a buffer. -short (what CI runs) drops the
-// 100k corpus to 5k to keep the setup cheap.
+// one read of the file into a buffer. The prefilter=true arm boots the
+// heap arm's files from a snapshot that records a sketch, so it adds
+// the per-shard sketch builds a prefiltered engine's boot runs. -short
+// (what CI runs) drops the 100k corpus to 5k to keep the setup cheap.
 func BenchmarkSnapshotBoot(b *testing.B) {
 	n := 100_000
 	if testing.Short() {
@@ -28,14 +29,27 @@ func BenchmarkSnapshotBoot(b *testing.B) {
 	if err := e.SaveSnapshot(dir); err != nil {
 		b.Fatal(err)
 	}
+	// The same shards, saved again by an engine serving the prefilter.
+	pf, err := LoadSnapshot(dir, Options{CacheSize: -1, Prefilter: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	pfDir := b.TempDir()
+	if err := pf.SaveSnapshot(pfDir); err != nil {
+		b.Fatal(err)
+	}
 	q := db[len(db)/2].Clone()
 	q.ID = 9_000_000
 
-	for _, mm := range []bool{true, false} {
-		b.Run(fmt.Sprintf("mmap=%v", mm), func(b *testing.B) {
+	for _, arm := range []struct {
+		name string
+		dir  string
+		mmap bool
+	}{{"mmap=true", dir, true}, {"mmap=false", dir, false}, {"prefilter=true", pfDir, false}} {
+		b.Run(arm.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				eng, err := LoadSnapshot(dir, Options{CacheSize: -1, Mmap: mm})
+				eng, err := LoadSnapshot(arm.dir, Options{CacheSize: -1, Mmap: arm.mmap})
 				if err != nil {
 					b.Fatal(err)
 				}

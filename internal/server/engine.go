@@ -206,10 +206,12 @@ type Engine struct {
 	// sketches is the candidate prefilter: one sketch index per shard,
 	// shared across metric sets (candidacy depends on geometry alone,
 	// and every set shards the same corpus with the same placement).
-	// nil when the prefilter is disabled. sketchParams holds the
-	// resolved whole-corpus parameters the snapshot manifest records.
+	// nil when the prefilter is disabled, and during WAL replay.
+	// sketchParams holds the resolved whole-corpus parameters the
+	// snapshot manifest records, nil when the prefilter is disabled;
+	// boot sets it before replay, which tokenizes live tracks with it.
 	sketches     []*sketch.Index
-	sketchParams sketch.Params
+	sketchParams *sketch.Params
 
 	// Update counters. Query and kernel counters live on the metric
 	// sets, and Stats sums them.
@@ -260,8 +262,9 @@ func NewEngine(tree *trajtree.Tree, opt Options) *Engine {
 	}
 	opt.Shards = place.numLocal()
 	var e *Engine
+	all := tree.All()
 	if opt.Shards > 1 || place.partitioned() {
-		sets, err := buildMetricSets(tree.All(), []backend.Spec{trajtree.BackendSpec(tree.Options())}, place, opt, nil)
+		sets, err := buildMetricSets(all, []backend.Spec{trajtree.BackendSpec(tree.Options())}, place, opt, nil)
 		if err != nil {
 			// Members of a valid tree are already validated and
 			// duplicate-free, so the build cannot fail on them. If it
@@ -275,22 +278,47 @@ func NewEngine(tree *trajtree.Tree, opt Options) *Engine {
 		set := &metricSet{name: trajtree.MetricName, shards: []*shard{{be: tree}}}
 		e = newEngine([]*metricSet{set}, place, opt)
 	}
-	if opt.Prefilter {
-		if err := e.enablePrefilter(tree.All(), opt.Sketch); err != nil {
-			// Same invariant argument as resharding: valid members and
-			// validated options cannot fail the sketch build.
-			panic(fmt.Sprintf("server: building prefilter over a valid tree failed: %v", err))
-		}
-	}
-	if err := e.attachWAL(); err != nil {
+	if err := e.boot(all, opt.Prefilter, opt.Sketch); err != nil {
 		// This constructor predates the error-returning ones and cannot
 		// report failure; an unreadable or corrupt WAL must not be
 		// silently dropped (that would discard acknowledged mutations),
 		// so it fails loudly. Use NewMultiEngineFromDB or LoadSnapshot
 		// for a recoverable error path.
-		panic(fmt.Sprintf("server: opening write-ahead log: %v", err))
+		panic(fmt.Sprintf("server: booting over a valid tree failed: %v", err))
 	}
 	return e
+}
+
+// boot is the last step of every engine constructor, in one order.
+// With prefilter set, the sketch parameters resolve over db, the
+// pre-replay corpus (p wins where set: a snapshot's recorded values are
+// already resolved). The WAL then replays with no sketch attached —
+// applyInsert and applyDelete skip a nil e.sketches — and only after it
+// is every shard's sketch built, once, from its post-replay members.
+// Candidate sets depend on the members alone (Candidates ranks by score
+// and then ID, and sorts what it admits), so this answers exactly as
+// filing each replayed record would, without filing records the log
+// later deletes. The idle sealer starts last, so its seals find the
+// sketch in place.
+func (e *Engine) boot(db []*traj.Trajectory, prefilter bool, p sketch.Params) error {
+	if prefilter {
+		rp, err := resolveSketchParams(db, p)
+		if err != nil {
+			return err
+		}
+		e.sketchParams = &rp
+	}
+	if err := e.attachWAL(); err != nil {
+		return err
+	}
+	if prefilter {
+		if err := e.buildSketches(db); err != nil {
+			e.Close()
+			return err
+		}
+	}
+	e.startSealer()
+	return nil
 }
 
 // NewEngineFromDB bulk-loads hash-partitioned TrajTree shards over db
@@ -317,12 +345,7 @@ func NewMultiEngineFromDB(db []*traj.Trajectory, specs []backend.Spec, opt Optio
 		return nil, err
 	}
 	e := newEngine(sets, place, opt)
-	if opt.Prefilter {
-		if err := e.enablePrefilter(db, opt.Sketch); err != nil {
-			return nil, err
-		}
-	}
-	if err := e.attachWAL(); err != nil {
+	if err := e.boot(db, opt.Prefilter, opt.Sketch); err != nil {
 		return nil, err
 	}
 	return e, nil

@@ -6,6 +6,7 @@ import (
 	"trajmatch/internal/backend"
 	"trajmatch/internal/sketch"
 	"trajmatch/internal/traj"
+	"trajmatch/internal/trajtree"
 )
 
 // The candidate prefilter is engine-owned: one sketch.Index per shard,
@@ -34,34 +35,30 @@ func resolveSketchParams(db []*traj.Trajectory, p sketch.Params) (sketch.Params,
 	return p, nil
 }
 
-// buildSketches builds one sketch index per owned hash-placed shard of
-// db under already-resolved parameters.
-func buildSketches(db []*traj.Trajectory, place placement, p sketch.Params) ([]*sketch.Index, error) {
-	groups := partitionOwned(db, place, func(t *traj.Trajectory) int { return t.ID })
-	out := make([]*sketch.Index, len(groups))
-	for i, g := range groups {
-		ix, err := sketch.Build(g, p)
-		if err != nil {
-			return nil, fmt.Errorf("server: prefilter shard %d: %w", i, err)
+// buildSketches builds every local shard's sketch index, once per boot
+// and after WAL replay, from the shard's members under the resolved
+// params. Only TrajTree shards accept mutations, so when the engine
+// loads them they hold the post-replay corpus; an engine without them
+// cannot have replayed a record (replayRecord refuses every one), so
+// db, hash-placed, still is its corpus.
+func (e *Engine) buildSketches(db []*traj.Trajectory) error {
+	var groups [][]*traj.Trajectory
+	if ms := e.byName[trajtree.MetricName]; ms != nil {
+		for _, s := range ms.shards {
+			groups = append(groups, s.all())
 		}
-		out[i] = ix
+	} else {
+		groups = partitionOwned(db, e.place, func(t *traj.Trajectory) int { return t.ID })
 	}
-	return out, nil
-}
-
-// enablePrefilter resolves the sketch parameters over the full corpus,
-// builds the per-shard indexes and attaches them to the engine.
-func (e *Engine) enablePrefilter(db []*traj.Trajectory, p sketch.Params) error {
-	rp, err := resolveSketchParams(db, p)
-	if err != nil {
-		return err
-	}
-	sketches, err := buildSketches(db, e.place, rp)
-	if err != nil {
-		return err
+	sketches := make([]*sketch.Index, len(groups))
+	for i, g := range groups {
+		ix, err := sketch.Build(g, *e.sketchParams)
+		if err != nil {
+			return fmt.Errorf("server: prefilter shard %d: %w", i, err)
+		}
+		sketches[i] = ix
 	}
 	e.sketches = sketches
-	e.sketchParams = rp
 	return nil
 }
 
@@ -71,7 +68,12 @@ func (e *Engine) PrefilterEnabled() bool { return e.sketches != nil }
 
 // SketchParams returns the resolved prefilter parameters (the zero
 // value when the prefilter is disabled).
-func (e *Engine) SketchParams() sketch.Params { return e.sketchParams }
+func (e *Engine) SketchParams() sketch.Params {
+	if e.sketchParams == nil {
+		return sketch.Params{}
+	}
+	return *e.sketchParams
+}
 
 // prefilterWant is how many candidates the engine requests per shard:
 // 8·k or 1/24 of the shard, whichever is larger (and floored below by

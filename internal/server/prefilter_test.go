@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -498,5 +499,164 @@ func TestPrefilterHTTP(t *testing.T) {
 	}
 	if e := decodeError(t, resp); e.Code != CodeNotImplemented {
 		t.Fatalf("prefilter without sketches: code %q, want %q", e.Code, CodeNotImplemented)
+	}
+}
+
+// TestPrefilterRebootAfterReplay pins the boot order: the sketch is
+// built once, after WAL replay, from the post-replay members, and must
+// answer exactly as the pre-crash engine's sketch did — which filed
+// every mutation as it happened. The log after the snapshot holds
+// inserts, deletes, a delete followed by a re-insert of the same ID
+// with other geometry, an insert the log later deletes, a sealed live
+// track and a track still live at the crash. Each reboot runs from its
+// own copy of the files: cold over the WAL alone, and warm from the
+// snapshot on the heap and mapped, at 1 and 3 shards.
+func TestPrefilterRebootAfterReplay(t *testing.T) {
+	db := synth.Taxi(synth.DefaultTaxi(450))
+	poolCfg := synth.DefaultTaxi(60)
+	poolCfg.Seed = 9
+	pool := synth.Taxi(poolCfg)
+	topt := trajtree.Options{Seed: 1, LeafSize: 8}
+	for _, shards := range []int{1, 3} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			snapDir, walDir, coldWAL := t.TempDir(), t.TempDir(), t.TempDir()
+			// The cold arm logs the same mutations into a WAL of its own
+			// that no snapshot truncates.
+			cold, err := NewEngineFromDB(db, topt, Options{CacheSize: -1, Shards: shards, Prefilter: true, WALDir: coldWAL})
+			if err != nil {
+				t.Fatal(err)
+			}
+			e, err := NewEngineFromDB(db, topt, Options{CacheSize: -1, Shards: shards, Prefilter: true, WALDir: walDir})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := e.SaveSnapshot(snapDir); err != nil {
+				t.Fatal(err)
+			}
+			for _, eng := range []*Engine{cold, e} {
+				mutateAfterSnapshot(t, eng, db, pool)
+			}
+			var queries []*traj.Trajectory
+			for _, tr := range append(slices.Clone(db[:30]), pool...) {
+				q := tr.Clone()
+				q.ID = 8_000_000 + len(queries)
+				queries = append(queries, q)
+			}
+			queries = append(queries, e.Lookup(700_000))
+
+			boots := []struct {
+				name string
+				boot func(t *testing.T) (*Engine, error)
+			}{
+				{"cold", func(t *testing.T) (*Engine, error) {
+					w := t.TempDir()
+					copyDirT(t, coldWAL, w)
+					return NewEngineFromDB(db, topt, Options{CacheSize: -1, Shards: shards, Prefilter: true, WALDir: w})
+				}},
+			}
+			for _, mm := range []bool{false, true} {
+				boots = append(boots, struct {
+					name string
+					boot func(t *testing.T) (*Engine, error)
+				}{fmt.Sprintf("mmap=%v", mm), func(t *testing.T) (*Engine, error) {
+					s, w := t.TempDir(), t.TempDir()
+					copyDirT(t, snapDir, s)
+					copyDirT(t, walDir, w)
+					return LoadSnapshot(s, Options{CacheSize: -1, WALDir: w, Mmap: mm})
+				}})
+			}
+			for _, b := range boots {
+				t.Run(b.name, func(t *testing.T) {
+					want := e
+					if b.name == "cold" {
+						want = cold
+					}
+					got, err := b.boot(t)
+					if err != nil {
+						t.Fatalf("reboot: %v", err)
+					}
+					defer got.Close()
+					if got.Size() != want.Size() || len(got.sketches) != len(want.sketches) {
+						t.Fatalf("rebooted %d members in %d sketches, want %d in %d",
+							got.Size(), len(got.sketches), want.Size(), len(want.sketches))
+					}
+					for si := range want.sketches {
+						if got.sketches[si].Size() != want.sketches[si].Size() {
+							t.Fatalf("shard %d: sketch holds %d members, want %d", si, got.sketches[si].Size(), want.sketches[si].Size())
+						}
+						for _, q := range queries {
+							for _, k := range []int{10, 40, 125} {
+								gi, gs := got.sketches[si].Candidates(q, k)
+								wi, ws := want.sketches[si].Candidates(q, k)
+								if !slices.Equal(gi, wi) || gs != ws {
+									t.Fatalf("shard %d query %d want %d: candidates %v %+v, pre-crash %v %+v", si, q.ID, k, gi, gs, wi, ws)
+								}
+							}
+						}
+					}
+					for _, q := range queries {
+						g := search(t, got, q, Query{Kind: KindKNN, K: 5, Prefilter: true})
+						w := search(t, want, q, Query{Kind: KindKNN, K: 5, Prefilter: true})
+						sameResults(t, fmt.Sprintf("prefiltered KNN q%d", q.ID), asTreeResults(g.Results), asTreeResults(w.Results))
+					}
+				})
+			}
+		})
+	}
+}
+
+// mutateAfterSnapshot logs the post-snapshot history of
+// TestPrefilterRebootAfterReplay into e.
+func mutateAfterSnapshot(t *testing.T, e *Engine, db, pool []*traj.Trajectory) {
+	t.Helper()
+	for i, tr := range pool[:20] {
+		c := tr.Clone()
+		c.ID = 500_000 + i
+		if err := e.Insert(c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 30; i++ {
+		if !e.Delete(db[i*11].ID) {
+			t.Fatalf("delete %d missed", db[i*11].ID)
+		}
+	}
+	// Deleted, then back under the same ID with another geometry.
+	for i, tr := range pool[20:30] {
+		id := db[i*11+5].ID
+		if !e.Delete(id) {
+			t.Fatalf("delete %d missed", id)
+		}
+		c := tr.Clone()
+		c.ID = id
+		if err := e.Insert(c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Inserted, then deleted again: filed by the live sketch, never by
+	// the rebooted one.
+	for i, tr := range pool[30:40] {
+		c := tr.Clone()
+		c.ID = 600_000 + i
+		if err := e.Insert(c); err != nil {
+			t.Fatal(err)
+		}
+		if !e.Delete(c.ID) {
+			t.Fatalf("delete %d missed", c.ID)
+		}
+	}
+	// One live track sealed, one still live at the crash.
+	for i, id := range []int{700_000, 700_001} {
+		pts := pool[40+i].Points
+		half := len(pts) / 2
+		if _, err := e.Append(id, 3, pts[:half]); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e.Append(id, 3, pts[half:]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := e.Seal(700_000); err != nil {
+		t.Fatal(err)
 	}
 }

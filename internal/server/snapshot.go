@@ -243,10 +243,7 @@ func (e *Engine) SaveSnapshot(dir string) error {
 	if e.place.partitioned() {
 		man.Owned = e.place.ownedShards()
 	}
-	if e.sketches != nil {
-		p := e.sketchParams
-		man.Sketch = &p
-	}
+	man.Sketch = e.sketchParams
 	// Phase 1: write every shard to a temp file and fsync it. No final
 	// name is touched yet, so any failure here (disk full, I/O error,
 	// crash) leaves the previous snapshot fully intact. The fixed .tmp
@@ -536,23 +533,18 @@ func LoadSnapshotSpecs(dir string, makeSpecs func(db []*traj.Trajectory) ([]back
 		return nil, err
 	}
 	e := newEngine(sets, place, opt)
-	if man.Sketch != nil || opt.Prefilter {
-		// Recorded parameters win over the loading Options (the same rule
-		// as the shard count): they are the already-resolved whole-corpus
-		// values the snapshot was serving with, so nothing is re-derived
-		// and the rebuilt sketch indexes are bit-identical to the saved
-		// engine's. Without them the prefilter resolves fresh over the
-		// loaded corpus, exactly as a cold boot would.
-		p := opt.Sketch
-		if man.Sketch != nil {
-			p = *man.Sketch
-		}
-		if err := e.enablePrefilter(all, p); err != nil {
-			return nil, fmt.Errorf("server: load snapshot: %w", err)
-		}
+	// Recorded sketch parameters win over the loading Options (the same
+	// rule as the shard count): they are the already-resolved
+	// whole-corpus values the snapshot was serving with, so nothing is
+	// re-derived and the rebuilt sketch indexes answer as the saved
+	// engine's did. Without them the prefilter resolves fresh over the
+	// loaded corpus, exactly as a cold boot would.
+	p := opt.Sketch
+	if man.Sketch != nil {
+		p = *man.Sketch
 	}
-	if err := e.attachWAL(); err != nil {
-		return nil, err
+	if err := e.boot(all, man.Sketch != nil || opt.Prefilter, p); err != nil {
+		return nil, fmt.Errorf("server: load snapshot: %w", err)
 	}
 	return e, nil
 }

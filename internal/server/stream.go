@@ -54,12 +54,7 @@ var (
 // attachWAL so it precedes WAL replay — replayed append records land in
 // the buffer.
 func (e *Engine) initStream() {
-	var params *sketch.Params
-	if e.sketches != nil {
-		p := e.sketchParams
-		params = &p
-	}
-	e.buffer = stream.NewBuffer(e.gen.bump, params)
+	e.buffer = stream.NewBuffer(e.gen.bump, e.sketchParams)
 	e.watches = stream.NewRegistry()
 	e.events = stream.NewEventLog(stream.DefaultEventBuffer)
 }
@@ -164,10 +159,10 @@ func (e *Engine) applySeal(id int) error {
 	return e.applyInsert(tr)
 }
 
-// SealIdle seals every live track whose last append is at least d old
+// sealIdle seals every live track whose last append is at least d old
 // and that forms a valid trajectory, returning how many sealed. Tracks
 // still below two points are left for more appends (or deletion).
-func (e *Engine) SealIdle(d time.Duration) int {
+func (e *Engine) sealIdle(d time.Duration) int {
 	n := 0
 	for _, id := range e.buffer.IdleBefore(time.Now().Add(-d)) {
 		if e.Seal(id) == nil {
@@ -199,7 +194,7 @@ func (e *Engine) startSealer() {
 			case <-e.sealStop:
 				return
 			case <-t.C:
-				e.SealIdle(e.opt.SealAfter)
+				e.sealIdle(e.opt.SealAfter)
 			}
 		}
 	}()
@@ -249,8 +244,8 @@ func (e *Engine) Watch(pattern *traj.Trajectory, metric string, threshold float6
 		}
 	}
 	var tokens []uint64
-	if e.sketches != nil && !exact {
-		tokens, err = sketch.PatternTokens(e.sketchParams, pattern)
+	if e.sketchParams != nil && !exact {
+		tokens, err = sketch.PatternTokens(*e.sketchParams, pattern)
 		if err != nil {
 			return 0, fmt.Errorf("server: %w", err)
 		}

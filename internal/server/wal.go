@@ -36,14 +36,13 @@ import (
 // snapshotted state.
 
 // attachWAL opens the log configured in e.opt and replays it into the
-// freshly booted engine. Called once at the end of every engine
-// constructor. It also builds the live-ingest state (initStream) —
-// before replay, so replayed append records land in the track buffer —
-// and arms the background sealer; with a nil WALDir only those two
-// happen.
+// freshly booted engine; boot calls it once, between resolving the
+// sketch parameters and building the sketches. It also builds the
+// live-ingest state (initStream) — before replay, so replayed append
+// records land in the track buffer; with a nil WALDir only that
+// happens.
 func (e *Engine) attachWAL() error {
 	e.initStream()
-	defer e.startSealer()
 	if e.opt.WALDir == "" {
 		return nil
 	}

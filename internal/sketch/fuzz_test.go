@@ -104,10 +104,10 @@ func FuzzSignature(f *testing.F) {
 	f.Fuzz(func(t *testing.T, xb, yb []byte) {
 		ix := fuzzIndex(t)
 		tr := fuzzTraj(decodeFloats(xb), decodeFloats(yb))
-		sig := ix.signature(ix.shingles(ix.tokens(tr)))
+		sig := ix.signature(nil, ix.shingles(nil, ix.tokens(tr)))
 		clone := tr.Clone()
 		clone.ID = 2
-		sig2 := ix.signature(ix.shingles(ix.tokens(clone)))
+		sig2 := ix.signature(nil, ix.shingles(nil, ix.tokens(clone)))
 		if !reflect.DeepEqual(sig, sig2) {
 			t.Fatal("signatures differ for equal geometry")
 		}

@@ -2,6 +2,8 @@ package sketch
 
 import (
 	"math"
+	"slices"
+	"sync"
 
 	"trajmatch/internal/traj"
 )
@@ -53,26 +55,19 @@ func cellToken(ix, iy int64) uint64 {
 // candidate budget has room left.
 const coarseFactor = 8
 
-// tokens converts tr into its ordered cell-token sequence at the
-// params' (fine) pitch.
-func (ix *Index) tokens(tr *traj.Trajectory) []uint64 {
-	return ix.tokensAt(tr, ix.p.CellSize)
-}
-
-// tokensAt converts tr into its ordered cell-token sequence at the
-// given pitch. It walks each segment's interpolated movement at
-// half-cell steps — emitting every cell the movement passes through,
-// not just the sampled points — and collapses consecutive duplicates.
-// Two trajectories along the same path at different sampling rates
+// tokensAt appends tr's ordered cell-token sequence at the given pitch
+// to dst. It walks each segment's interpolated movement at half-cell
+// steps — emitting every cell the movement passes through, not just the
+// sampled points — and collapses consecutive duplicates. Two
+// trajectories along the same path at different sampling rates
 // therefore emit nearly identical sequences, which is what makes the
 // fingerprint usable under the paper's inconsistent-sampling premise.
 // Non-finite points are skipped (indexed trajectories never carry them;
 // fuzzing does).
-func (ix *Index) tokensAt(tr *traj.Trajectory, cell float64) []uint64 {
-	var out []uint64
+func tokensAt(dst []uint64, tr *traj.Trajectory, cell float64) []uint64 {
 	w := cellWalk{cell: cell}
-	w.feed(tr.Points, func(t uint64) { out = append(out, t) })
-	return out
+	w.feed(tr.Points, func(t uint64) { dst = append(dst, t) })
+	return dst
 }
 
 // cellWalk is the resumable tokenization cursor: it carries the
@@ -138,29 +133,32 @@ const maxWalkSteps = 1 << 12
 
 func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
-// shingles hashes the ordered token sequence into its k-gram set
-// (sorted, distinct). Sequences shorter than the shingle length
-// contribute one whole-sequence shingle, so every tokenizable
-// trajectory has a non-empty set; an empty token sequence yields nil.
-func (ix *Index) shingles(toks []uint64) []uint64 {
-	if len(toks) == 0 {
-		return nil
-	}
-	k := ix.p.Shingle
-	var out []uint64
-	if len(toks) < k {
-		out = append(out, gram(toks))
+// shingles returns the hashed k-gram set of the ordered token sequence
+// in buf's storage (sorted, distinct). Each gram g is stored as
+// splitmix64(g), the inner hash of the signature's mix2(seed, g) =
+// splitmix64(seed ^ splitmix64(g)), so it is taken once per shingle
+// rather than once per seed; splitmix64 is a bijection, so the set has
+// as many members as the gram set. Sequences shorter than the shingle
+// length contribute one whole-sequence shingle, so every tokenizable
+// trajectory has a non-empty set; an empty token sequence yields an
+// empty set.
+func (ix *Index) shingles(buf, toks []uint64) []uint64 {
+	buf = buf[:0]
+	if k := ix.p.Shingle; len(toks) < k {
+		if len(toks) > 0 {
+			buf = append(buf, splitmix64(gram(toks)))
+		}
 	} else {
 		for i := 0; i+k <= len(toks); i++ {
-			out = append(out, gram(toks[i:i+k]))
+			buf = append(buf, splitmix64(gram(toks[i:i+k])))
 		}
 	}
-	return dedupe(out)
+	return dedupe(buf)
 }
 
 // gram hashes one ordered token run into a single shingle value; the
 // k-gram sets and the short-sequence whole-run fallback both build on
-// it, as does Stream's incremental fold.
+// it.
 func gram(ts []uint64) uint64 {
 	h := uint64(0x5851f42d4c957f2d)
 	for _, t := range ts {
@@ -169,41 +167,70 @@ func gram(ts []uint64) uint64 {
 	return h
 }
 
-// signature computes the MinHash signature of a shingle set: one
-// minimum per seeded hash function. A nil shingle set yields a nil
-// signature (the member lands in no band and is reachable only through
-// the full-scan floor).
-func (ix *Index) signature(shingles []uint64) []uint64 {
-	if len(shingles) == 0 {
-		return nil
+// signature returns the MinHash signature of a hashed shingle set in
+// buf's storage: one minimum per seeded hash function, splitmix64(seed
+// ^ h) over the set's hashes h. An empty set yields an empty signature
+// (the member lands in no band and is reachable only through the
+// overlap ranking and the full-scan floor).
+func (ix *Index) signature(buf, hashed []uint64) []uint64 {
+	dst := buf[:0]
+	if len(hashed) == 0 {
+		return dst
 	}
-	sig := make([]uint64, len(ix.seeds))
-	for i, seed := range ix.seeds {
+	for _, seed := range ix.seeds {
 		min := uint64(math.MaxUint64)
-		for _, s := range shingles {
-			if h := mix2(seed, s); h < min {
-				min = h
+		for _, h := range hashed {
+			if v := splitmix64(seed ^ h); v < min {
+				min = v
 			}
 		}
-		sig[i] = min
+		dst = append(dst, min)
 	}
-	return sig
+	return dst
 }
 
-// bandKeys folds the signature into one bucket key per band. Keys mix
-// in the band index, so identical row values in different bands cannot
-// collide into one bucket.
-func (ix *Index) bandKeys(sig []uint64) []uint64 {
+// bandKeys folds the signature into one bucket key per band, in buf's
+// storage. Keys mix in the band index, so identical row values in
+// different bands cannot collide into one bucket.
+func (ix *Index) bandKeys(buf, sig []uint64) []uint64 {
+	dst := buf[:0]
 	if len(sig) == 0 {
-		return nil
+		return dst
 	}
-	keys := make([]uint64, ix.p.Bands)
 	for b := 0; b < ix.p.Bands; b++ {
 		h := splitmix64(uint64(b) + 0x9e3779b97f4a7c15)
 		for r := 0; r < ix.rows; r++ {
 			h = mix2(h, sig[b*ix.rows+r])
 		}
-		keys[b] = h
+		dst = append(dst, h)
 	}
-	return keys
+	return dst
+}
+
+// keyBuf is the working memory of one member's key computation, pooled
+// across Insert, Build and Candidates.
+type keyBuf struct {
+	fine, coarse, shingles, sig, bands []uint64
+}
+
+var keyPool = sync.Pool{New: func() any { return new(keyBuf) }}
+
+// keys computes everything the index files tr under: its band keys and
+// its distinct fine and coarse cell tokens, sorted. It is the one
+// per-member step that Insert, Build and Candidates share. The returned
+// slices alias b and are valid until b's next use.
+func (ix *Index) keys(tr *traj.Trajectory, b *keyBuf) (bands, fine, coarse []uint64) {
+	b.fine = tokensAt(b.fine[:0], tr, ix.p.CellSize)
+	b.shingles = ix.shingles(b.shingles, b.fine)
+	b.sig = ix.signature(b.sig, b.shingles)
+	b.bands = ix.bandKeys(b.bands, b.sig)
+	b.coarse = tokensAt(b.coarse[:0], tr, ix.p.CellSize*coarseFactor)
+	return b.bands, dedupe(b.fine), dedupe(b.coarse)
+}
+
+// dedupe sorts an ordered token sequence in place and returns its
+// distinct tokens — the posting-list keys.
+func dedupe(toks []uint64) []uint64 {
+	slices.Sort(toks)
+	return slices.Compact(toks)
 }

@@ -43,6 +43,7 @@ import (
 	"sync"
 
 	"trajmatch/internal/backend"
+	"trajmatch/internal/par"
 	"trajmatch/internal/traj"
 )
 
@@ -198,17 +199,56 @@ func NewIndex(p Params) (*Index, error) {
 	return ix, nil
 }
 
-// Build constructs an index over db, used by the engine's per-shard
-// bulk load and the snapshot warm boot (rebuilding is deterministic, so
-// the prefilter itself is never persisted).
+// Build bulk-loads an index over db: the engine's per-shard load and
+// the boot path's one build after WAL replay (rebuilding is
+// deterministic, so the prefilter itself is never persisted). The result
+// equals inserting db in order — the same slots, the same posting lists,
+// hence the same candidate sets — but every member's keys are computed
+// in parallel (GOMAXPROCS workers) and the three posting maps are filled
+// concurrently. A repeated ID keeps its first occurrence's slot and the
+// last occurrence's geometry, as Insert's replacement does.
 func Build(db []*traj.Trajectory, p Params) (*Index, error) {
 	ix, err := NewIndex(p)
 	if err != nil {
 		return nil, err
 	}
-	for _, t := range db {
-		ix.Insert(t)
+	ms := make([]member, len(db))
+	par.For(0, len(db), func(i int) { ms[i] = ix.prep(db[i]) })
+	// Slots in input order, compacted in place: a slot index never
+	// passes the input position that fills it.
+	ix.slotOf = make(map[int]int32, len(db))
+	for _, m := range ms {
+		if s, ok := ix.slotOf[m.id]; ok {
+			ix.slots[s] = m
+			continue
+		}
+		ix.slotOf[m.id] = int32(len(ix.slots))
+		ix.slots = append(ms[:len(ix.slots)], m)
 	}
+	clear(ms[len(ix.slots):])
+	// Nearly every band bucket holds one member, so the band map is
+	// presized to one key per band per member; the cell maps hold one key
+	// per grid cell the corpus covers, far fewer than their postings.
+	ix.bands = make(map[uint64][]int32, len(ix.slots)*ix.p.Bands)
+	var wg sync.WaitGroup
+	for _, f := range []struct {
+		post map[uint64][]int32
+		keys func(*member) []uint64
+	}{
+		{ix.bands, func(m *member) []uint64 { return m.bandKeys }},
+		{ix.cells, func(m *member) []uint64 { return m.cellToks }},
+		{ix.coarse, func(m *member) []uint64 { return m.coarseToks }},
+	} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var firsts firstPostings
+			for s := range ix.slots {
+				file(f.post, f.keys(&ix.slots[s]), int32(s), &firsts)
+			}
+		}()
+	}
+	wg.Wait()
 	return ix, nil
 }
 
@@ -220,16 +260,11 @@ func (ix *Index) Size() int {
 }
 
 // Insert files tr into the LSH buckets and posting lists. Re-inserting
-// an ID replaces its previous entry (the engine never does; the
-// robustness matters for op-sequence tests).
+// an ID replaces its previous entry in the same slot (the engine never
+// does; the robustness matters for op-sequence tests). Build is the bulk
+// form of a run of Inserts on an empty index.
 func (ix *Index) Insert(tr *traj.Trajectory) {
-	toks := ix.tokens(tr)
-	m := member{
-		id:         tr.ID,
-		bandKeys:   ix.bandKeys(ix.signature(ix.shingles(toks))),
-		cellToks:   dedupe(toks),
-		coarseToks: dedupe(ix.tokensAt(tr, ix.p.CellSize*coarseFactor)),
-	}
+	m := ix.prep(tr)
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
 	ix.removeLocked(tr.ID)
@@ -243,9 +278,21 @@ func (ix *Index) Insert(tr *traj.Trajectory) {
 		ix.slots = append(ix.slots, m)
 	}
 	ix.slotOf[tr.ID] = slot
-	file(ix.bands, m.bandKeys, slot)
-	file(ix.cells, m.cellToks, slot)
-	file(ix.coarse, m.coarseToks, slot)
+	file(ix.bands, m.bandKeys, slot, nil)
+	file(ix.cells, m.cellToks, slot, nil)
+	file(ix.coarse, m.coarseToks, slot, nil)
+}
+
+// prep computes tr's member record. Its three key lists share one
+// allocation; the working memory comes from keyPool.
+func (ix *Index) prep(tr *traj.Trajectory) member {
+	b := keyPool.Get().(*keyBuf)
+	defer keyPool.Put(b)
+	bands, fine, coarse := ix.keys(tr, b)
+	nb, nf := len(bands), len(bands)+len(fine)
+	all := make([]uint64, 0, nf+len(coarse))
+	all = append(append(append(all, bands...), fine...), coarse...)
+	return member{id: tr.ID, bandKeys: all[:nb:nb], cellToks: all[nb:nf:nf], coarseToks: all[nf:]}
 }
 
 // Delete removes the member with the given ID, reporting whether it was
@@ -271,11 +318,36 @@ func (ix *Index) removeLocked(id int) bool {
 	return true
 }
 
-// file appends slot to the posting list of every key.
-func file(post map[uint64][]int32, keys []uint64, slot int32) {
+// file appends slot to the posting list of every key. With firsts set
+// (a bulk build), a key's first posting is a one-element window of a
+// shared block rather than a list of its own; the window's capacity is
+// 1, so the next append to it reallocates instead of writing into the
+// neighbouring key's posting.
+func file(post map[uint64][]int32, keys []uint64, slot int32, firsts *firstPostings) {
 	for _, k := range keys {
-		post[k] = append(post[k], slot)
+		if list, ok := post[k]; ok || firsts == nil {
+			post[k] = append(list, slot)
+		} else {
+			post[k] = firsts.take(slot)
+		}
 	}
+}
+
+// firstPostings hands out the bulk build's first postings from blocks of
+// firstsBlock entries: at 10k taxi members, 156k of the 158k band
+// buckets never hold a second member.
+type firstPostings struct{ block []int32 }
+
+const firstsBlock = 4096
+
+func (f *firstPostings) take(slot int32) []int32 {
+	if len(f.block) == 0 {
+		f.block = make([]int32, firstsBlock)
+	}
+	w := f.block[:1:1]
+	w[0] = slot
+	f.block = f.block[1:]
+	return w
 }
 
 // unfile removes one occurrence of slot from the posting list of every
@@ -337,10 +409,9 @@ func jaccard(shared, a, b int) float64 {
 // zeroed again through the touched list before they go back.
 func (ix *Index) Candidates(q *traj.Trajectory, want int) ([]int, CandStats) {
 	want = max(want, ix.p.MinCands)
-	toks := ix.tokens(q)
-	keys := ix.bandKeys(ix.signature(ix.shingles(toks)))
-	fineQ := dedupe(toks)
-	coarseQ := dedupe(ix.tokensAt(q, ix.p.CellSize*coarseFactor))
+	b := keyPool.Get().(*keyBuf)
+	defer keyPool.Put(b)
+	keys, fineQ, coarseQ := ix.keys(q, b)
 
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
@@ -473,15 +544,4 @@ func (sc *scratch) reset(n int) uint32 {
 	}
 	sc.touched, sc.admitted, sc.ranked = sc.touched[:0], sc.admitted[:0], sc.ranked[:0]
 	return sc.gen
-}
-
-// dedupe returns the distinct tokens of an ordered token sequence,
-// sorted — the posting-list keys.
-func dedupe(toks []uint64) []uint64 {
-	if len(toks) == 0 {
-		return nil
-	}
-	out := slices.Clone(toks)
-	slices.Sort(out)
-	return slices.Compact(out)
 }

@@ -15,6 +15,12 @@ func testParams() Params {
 	return Params{CellSize: 200, Shingle: 2, Hashes: 64, Bands: 16, MinCands: 8, Seed: 1}
 }
 
+// tokens is tr's ordered fine-pitch token sequence, the input of the
+// shingles and of the fine posting keys.
+func (ix *Index) tokens(tr *traj.Trajectory) []uint64 {
+	return tokensAt(nil, tr, ix.p.CellSize)
+}
+
 func mustIndex(t *testing.T, p Params) *Index {
 	t.Helper()
 	ix, err := NewIndex(p)
@@ -64,8 +70,8 @@ func TestSignatureDeterministic(t *testing.T) {
 	for _, tr := range db {
 		clone := tr.Clone()
 		clone.ID = tr.ID + 10_000
-		sa := a.signature(a.shingles(a.tokens(tr)))
-		sb := b.signature(b.shingles(b.tokens(clone)))
+		sa := a.signature(nil, a.shingles(nil, a.tokens(tr)))
+		sb := b.signature(nil, b.shingles(nil, b.tokens(clone)))
 		if !reflect.DeepEqual(sa, sb) {
 			t.Fatalf("trajectory %d: signatures differ for equal geometry", tr.ID)
 		}
@@ -385,25 +391,6 @@ func checkSlots(t *testing.T, ix *Index) {
 			if !slices.Equal(got, w) {
 				t.Fatalf("%s: key %x lists slots %v, live members filed %v", c.name, k, got, w)
 			}
-		}
-	}
-}
-
-func TestBuildMatchesIncrementalInsert(t *testing.T) {
-	db := synth.Taxi(synth.DefaultTaxi(80))
-	bulk, err := Build(db, testParams())
-	if err != nil {
-		t.Fatalf("Build: %v", err)
-	}
-	inc := mustIndex(t, testParams())
-	for _, tr := range db {
-		inc.Insert(tr)
-	}
-	for _, q := range db[:20] {
-		a, _ := bulk.Candidates(q, 30)
-		b, _ := inc.Candidates(q, 30)
-		if !reflect.DeepEqual(a, b) {
-			t.Fatalf("query %d: bulk and incremental candidate sets differ", q.ID)
 		}
 	}
 }

@@ -92,16 +92,6 @@ func (s *Seq) MinLen(i int) float64 { return s.minL[i] }
 // Count returns how many trajectories the sequence has absorbed.
 func (s *Seq) Count() int { return s.count }
 
-// Volume returns ΣVol(b_i); in 2-D the volume of a box is its area
-// (Definition 5).
-func (s *Seq) Volume() float64 {
-	var v float64
-	for i := range s.minL {
-		v += s.Rect(i).Area()
-	}
-	return v
-}
-
 // assignStack is the number of segments whose assignment ExpansionCost and
 // Insert keep on their stack; longer trajectories fall back to the heap.
 const assignStack = 64
@@ -221,7 +211,12 @@ func Build(ts []*traj.Trajectory, maxBoxes int) *Seq {
 	return s
 }
 
-// String summarises the sequence for debugging.
+// String summarises the sequence for debugging, with its volume ΣVol(b_i)
+// (in 2-D a box's volume is its area, Definition 5).
 func (s *Seq) String() string {
-	return fmt.Sprintf("tBoxSeq[%d boxes, %d trajs, vol %.2f]", len(s.minL), s.count, s.Volume())
+	var vol float64
+	for i := range s.minL {
+		vol += s.Rect(i).Area()
+	}
+	return fmt.Sprintf("tBoxSeq[%d boxes, %d trajs, vol %.2f]", len(s.minL), s.count, vol)
 }

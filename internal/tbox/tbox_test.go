@@ -1,9 +1,11 @@
 package tbox
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 
 	"trajmatch/internal/core"
@@ -11,6 +13,9 @@ import (
 	"trajmatch/internal/raceflag"
 	"trajmatch/internal/traj"
 )
+
+// pt is shorthand for geom.Point{X: x, Y: y}.
+func pt(x, y float64) geom.Point { return geom.Point{X: x, Y: y} }
 
 func randomTraj(rng *rand.Rand, id, n int) *traj.Trajectory {
 	pts := make([]traj.Point, n)
@@ -29,7 +34,7 @@ func TestFromTrajectoryBoxes(t *testing.T) {
 	if s.Len() != 2 {
 		t.Fatalf("Len = %d, want 2", s.Len())
 	}
-	if got := s.Rect(0); got != geom.RectOf(geom.Pt(0, 0), geom.Pt(3, 0)) {
+	if got := s.Rect(0); got != geom.RectOf(pt(0, 0), pt(3, 0)) {
 		t.Errorf("box 0 = %v", got)
 	}
 	if got := s.MinLen(0); got != 3 {
@@ -74,20 +79,33 @@ func TestInsertMaintainsContainment(t *testing.T) {
 	}
 }
 
+// volume is ΣVol(b_i), the quantity Seq.String reports; in 2-D a box's
+// volume is its area (Definition 5).
+func volume(s *Seq) float64 {
+	var v float64
+	for i := 0; i < s.Len(); i++ {
+		v += s.Rect(i).Area()
+	}
+	return v
+}
+
 func TestVolumeGrowsWithInsert(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	a := randomTraj(rng, 0, 10)
 	b := randomTraj(rng, 1, 10)
 	s := FromTrajectory(a, 0)
-	v0 := s.Volume()
+	v0 := volume(s)
 	cost := s.ExpansionCost(b)
 	s.Insert(b)
-	v1 := s.Volume()
+	v1 := volume(s)
 	if v1 < v0-1e-9 {
 		t.Errorf("volume shrank: %v -> %v", v0, v1)
 	}
 	if math.Abs((v1-v0)-cost) > 1e-6*(1+v1) {
 		t.Errorf("ExpansionCost %v != actual growth %v", cost, v1-v0)
+	}
+	if want := fmt.Sprintf("vol %.2f]", v1); !strings.HasSuffix(s.String(), want) {
+		t.Errorf("String() = %q, want the volume %q", s.String(), want)
 	}
 }
 
@@ -252,7 +270,7 @@ func TestLowerBoundAdmissibleViaSeq(t *testing.T) {
 
 func TestEmptySeq(t *testing.T) {
 	var s Seq
-	if s.Len() != 0 || s.Volume() != 0 {
+	if s.Len() != 0 || volume(&s) != 0 {
 		t.Error("zero Seq not empty")
 	}
 	tr := traj.FromXY(0, 0, 0, 1, 1)

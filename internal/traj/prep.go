@@ -164,16 +164,6 @@ func MaxDensity(db []*Trajectory) float64 {
 	return 1 / min
 }
 
-// ResampleAll resamples every trajectory in db to the given spacing,
-// returning a new slice of new trajectories.
-func ResampleAll(db []*Trajectory, spacing float64) []*Trajectory {
-	out := make([]*Trajectory, len(db))
-	for i, t := range db {
-		out[i] = Resample(t, spacing)
-	}
-	return out
-}
-
 // PercentileSegmentLength returns the p-th percentile (p in [0,1]) of
 // positive segment lengths across the database. The paper's EDR-I
 // preprocessing targets the maximum observed density, i.e. a spacing near

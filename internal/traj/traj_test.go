@@ -10,6 +10,9 @@ import (
 	"trajmatch/internal/geom"
 )
 
+// pt is shorthand for geom.Point{X: x, Y: y}.
+func pt(x, y float64) geom.Point { return geom.Point{X: x, Y: y} }
+
 func almost(a, b float64) bool { return math.Abs(a-b) < 1e-9 }
 
 func TestSegmentBasics(t *testing.T) {
@@ -26,7 +29,7 @@ func TestSegmentBasics(t *testing.T) {
 // T2.e1.s2 = (2,7,14) onto it must be (0,7) with interpolated timestamp 21.
 func TestProjectPaperExample1(t *testing.T) {
 	e := Segment{S1: P(0, 0, 0), S2: P(0, 10, 30)}
-	got := e.Project(geom.Pt(2, 7))
+	got := e.Project(pt(2, 7))
 	if !almost(got.X, 0) || !almost(got.Y, 7) {
 		t.Errorf("projected location = (%v,%v), want (0,7)", got.X, got.Y)
 	}
@@ -73,13 +76,13 @@ func TestAtInterpolation(t *testing.T) {
 		ts   float64
 		want geom.Point
 	}{
-		{-5, geom.Pt(0, 0)},  // clamp before start
-		{0, geom.Pt(0, 0)},   // exact start
-		{5, geom.Pt(5, 0)},   // mid first segment
-		{10, geom.Pt(10, 0)}, // sample point
-		{15, geom.Pt(10, 5)}, // mid second segment
-		{20, geom.Pt(10, 10)},
-		{99, geom.Pt(10, 10)}, // clamp after end
+		{-5, pt(0, 0)},  // clamp before start
+		{0, pt(0, 0)},   // exact start
+		{5, pt(5, 0)},   // mid first segment
+		{10, pt(10, 0)}, // sample point
+		{15, pt(10, 5)}, // mid second segment
+		{20, pt(10, 10)},
+		{99, pt(10, 10)}, // clamp after end
 	}
 	for _, tt := range tests {
 		if got := tr.At(tt.ts); !almost(got.Dist(tt.want), 0) {
@@ -338,7 +341,7 @@ func TestFromLatLon(t *testing.T) {
 func TestBounds(t *testing.T) {
 	tr := FromXY(0, -1, 2, 3, -4, 0, 0)
 	b := tr.Bounds()
-	want := geom.RectOf(geom.Pt(-1, 2), geom.Pt(3, -4))
+	want := geom.RectOf(pt(-1, 2), pt(3, -4))
 	if b != want {
 		t.Errorf("Bounds = %v, want %v", b, want)
 	}
