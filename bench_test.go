@@ -94,9 +94,8 @@ func scanArm(t *trajmatch.Index, q *trajmatch.Trajectory) trajmatch.QueryStats {
 	return st
 }
 
-// runSearchArms runs each arm as a sub-benchmark over db, one query per
-// operation, reporting the work counters per query. Arms share one tree,
-// built by the first arm selected.
+// runSearchArms runs each arm as a sub-benchmark over db (runArm). Arms
+// share one tree, built by the first arm selected.
 func runSearchArms(b *testing.B, db []*trajmatch.Trajectory, arms []searchArm) {
 	var t *trajmatch.Index
 	for _, arm := range arms {
@@ -109,18 +108,24 @@ func runSearchArms(b *testing.B, db []*trajmatch.Trajectory, arms []searchArm) {
 				}
 				b.ResetTimer()
 			}
-			var sum trajmatch.QueryStats
-			for i := 0; i < b.N; i++ {
-				sum.Add(arm.search(t, arm.queries[i%len(arm.queries)]))
-			}
-			n := float64(b.N)
-			b.ReportMetric(float64(sum.DistanceCalls)/n, "distcalls/query")
-			b.ReportMetric(float64(sum.DistanceCalls-sum.ScreenRejects)/n, "kernelstarts/query")
-			b.ReportMetric(float64(sum.EarlyAbandons)/n, "abandons/query")
-			b.ReportMetric(float64(sum.LowerBoundCalls)/n, "lbcalls/query")
-			b.ReportMetric(float64(sum.NodesVisited)/n, "visited/query")
+			runArm(b, t, arm)
 		})
 	}
+}
+
+// runArm runs arm over t, one query per operation, and reports the work
+// counters per query.
+func runArm(b *testing.B, t *trajmatch.Index, arm searchArm) {
+	var sum trajmatch.QueryStats
+	for i := 0; i < b.N; i++ {
+		sum.Add(arm.search(t, arm.queries[i%len(arm.queries)]))
+	}
+	n := float64(b.N)
+	b.ReportMetric(float64(sum.DistanceCalls-sum.ScreenRejects)/n, "kernelstarts/query")
+	b.ReportMetric(float64(sum.DistanceCalls)/n, "distcalls/query")
+	b.ReportMetric(float64(sum.EarlyAbandons)/n, "abandons/query")
+	b.ReportMetric(float64(sum.LowerBoundCalls)/n, "lbcalls/query")
+	b.ReportMetric(float64(sum.NodesVisited)/n, "visited/query")
 }
 
 // BenchmarkKNN10k runs the bench/ cold-search request set — the same
@@ -149,6 +154,47 @@ func BenchmarkKNN10k(b *testing.B) {
 		}},
 		{"scan", knn, scanArm},
 	})
+}
+
+// BenchmarkKNN10kChurned prices the maintained tree against a rebuilt
+// one: BenchmarkKNN10k's corpus with every fourth trip replaced by a
+// fresh one through Delete and Insert, the automatic rebuild off, so a
+// quarter of the members were inserted after the build (arm churned);
+// and a fresh build over the same members (arm fresh). Both run the 140
+// k-NN queries. Every member is screened by its own summary, so kernel
+// starts stay within a few percent of the fresh build's; the distance
+// calls show what the grown node boxes cost in pruning.
+func BenchmarkKNN10kChurned(b *testing.B) {
+	db := trajmatch.GenerateTaxi(trajmatch.DefaultTaxiConfig(10000))
+	cfg := trajmatch.DefaultTaxiConfig(len(db) / 4)
+	cfg.Seed += 31
+	qcfg := trajmatch.DefaultTaxiConfig(210)
+	qcfg.Seed += 7919
+	knn := searchArm{"knn", trajmatch.GenerateTaxi(qcfg)[:140], knnArm}
+	opt := trajmatch.IndexOptions{Parallel: true, Seed: 1, RebuildRatio: -1}
+	churned, err := trajmatch.NewIndex(db, opt)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i, tr := range trajmatch.GenerateTaxi(cfg) {
+		if !churned.Delete(db[4*i].ID) {
+			b.Fatalf("delete %d: not found", db[4*i].ID)
+		}
+		tr.ID = 3_000_000 + i
+		if err := churned.Insert(tr); err != nil {
+			b.Fatal(err)
+		}
+	}
+	members := churned.All()
+	for i, m := range members {
+		members[i] = m.Clone()
+	}
+	fresh, err := trajmatch.NewIndex(members, opt)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("churned", func(b *testing.B) { runArm(b, churned, knn) })
+	b.Run("fresh", func(b *testing.B) { runArm(b, fresh, knn) })
 }
 
 // BenchmarkInsertAcrossRebuild prices what a writer waits for when the

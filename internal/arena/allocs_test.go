@@ -61,10 +61,10 @@ func TestArenaViewZeroAllocs(t *testing.T) {
 	// batched leaf path of SearchKNN.
 	scr := new(core.SegScreen)
 	scr.Reset(q)
-	core.ScreenLowerBound(scr, a.Boxes(0), math.Inf(1))
+	core.ScreenLowerBound(scr, members[0].Summary().Boxes, math.Inf(1))
 	if n := testing.AllocsPerRun(100, func() {
-		for i := 0; i < a.Len(); i++ {
-			core.ScreenLowerBound(scr, a.Boxes(i), math.Inf(1))
+		for _, m := range members {
+			core.ScreenLowerBound(scr, m.Summary().Boxes, math.Inf(1))
 		}
 	}); n != 0 {
 		t.Errorf("ScreenLowerBound over arena boxes allocates %v per run, want 0", n)
@@ -88,4 +88,28 @@ func TestArenaViewZeroAllocs(t *testing.T) {
 	}
 	loaded := snap.Arena.Members()
 	check("loaded", loaded[0], loaded[1])
+}
+
+// TestSummarizeAllocs pins Summarize's footprint for a trajectory whose
+// view and length are already cached, as an inserted one's are once the
+// descent has read it: one slab for the summary's values and its header,
+// for every trajectory of up to 64 segments, however many boxes its
+// coarsening starts from.
+func TestSummarizeAllocs(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("alloc counts are not meaningful under -race")
+	}
+	rng := rand.New(rand.NewSource(47))
+	for _, n := range []int{2, MemberBoxes + 1, 65} {
+		tr := allocTraj(rng, n, n)
+		tr.View()
+		tr.Length()
+		if got := testing.AllocsPerRun(50, func() {
+			if _, err := Summarize(tr); err != nil {
+				t.Fatal(err)
+			}
+		}); got != 2 {
+			t.Errorf("%d points: Summarize allocates %v per call, want 2", n, got)
+		}
+	}
 }

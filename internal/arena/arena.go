@@ -4,15 +4,18 @@
 // slab that preserves timestamps), addressed through a per-trajectory
 // (offset, length) table. The hot DP kernels stream over the contiguous
 // coordinate slabs instead of chasing per-trajectory allocations, the
-// per-member summaries (total spatial length, bounding box, and a
-// coarsened box sequence) back the batched leaf-level lower-bound pass,
-// and the whole layout serialises to a flat, checksummed, mmap-able
-// snapshot section (see file.go) so a warm boot can serve straight from
-// the page cache without deserialising.
+// per-member screen summaries (total spatial length, bounding box, and a
+// coarsened box sequence with its segment lengths) back the leaf-level
+// lower bound, installed on each member as windows into the slabs, and
+// the whole layout serialises to a flat, checksummed, mmap-able snapshot
+// section (see file.go) so a warm boot can serve straight from the page
+// cache without deserialising.
 //
 // An Arena is immutable once built: inserts after a build live on the
-// ordinary heap as an overlay (they simply have no arena entry) until
-// the next Rebuild folds them into fresh slabs.
+// ordinary heap as an overlay (they have no arena entry) until the next
+// Rebuild folds them into fresh slabs. Each carries the summary
+// Summarize derives from its own samples, bit-identical to the windows a
+// build would install, so every member is screened alike.
 package arena
 
 import (
@@ -66,9 +69,10 @@ type Arena struct {
 // Build constructs an arena over members: samples are copied into fresh
 // contiguous slabs, each trajectory's Points is re-pointed at its slab
 // window (bit-identical values, shared backing), and its SoA view and
-// cached length are primed so the kernels never materialise per-call
-// copies. Build is called under the same serialisation as any index
-// (re)build; the trajectories must already be validated.
+// screen summary are primed as windows into the slabs, so the kernels and
+// the screens never materialise per-call copies. Build is called under
+// the same serialisation as any index (re)build; the trajectories must
+// already be validated.
 func Build(members []*traj.Trajectory) *Arena {
 	a := &Arena{
 		offs:    make([]int64, 1, len(members)+1),
@@ -87,82 +91,121 @@ func Build(members []*traj.Trajectory) *Arena {
 	a.xs = make([]float64, 0, total)
 	a.ys = make([]float64, 0, total)
 	for i, m := range members {
-		start := len(a.pts)
 		a.pts = append(a.pts, m.Points...)
 		for _, p := range m.Points {
 			a.xs = append(a.xs, p.X)
 			a.ys = append(a.ys, p.Y)
 		}
-		end := len(a.pts)
-		a.offs = append(a.offs, int64(end))
+		a.offs = append(a.offs, int64(len(a.pts)))
 		a.ids = append(a.ids, int64(m.ID))
 		a.labels = append(a.labels, int64(m.Label))
 		a.lens = append(a.lens, m.Length())
-		seq := tbox.FromTrajectory(m, MemberBoxes)
-		bb := geom.Empty()
-		for j := 0; j < seq.Len(); j++ {
-			r := seq.Rect(j)
-			a.boxes = append(a.boxes, r.Min.X, r.Min.Y, r.Max.X, r.Max.Y)
-			bb = bb.Union(r)
-		}
+		first := len(a.boxes)
+		a.boxes = tbox.AppendRects(a.boxes, m, MemberBoxes)
+		a.bbox = appendBounds(a.bbox, a.boxes[first:])
 		a.boxOffs = append(a.boxOffs, int64(len(a.boxes)/4))
-		a.bbox = append(a.bbox, bb.Min.X, bb.Min.Y, bb.Max.X, bb.Max.Y)
 		a.byID[m.ID] = int32(i)
-
-		// Re-point the trajectory at its slab window and prime the SoA
-		// view; the capped slice keeps appends elsewhere from spilling
-		// into the next member's window.
-		m.Points = a.pts[start:end:end]
-		m.Prime(traj.View{X: a.xs[start:end:end], Y: a.ys[start:end:end]}, a.lens[i])
 	}
 	if err := a.deriveBoxLens(); err != nil {
-		// FromTrajectory builds each box as the union of a run of the
+		// AppendRects builds each box as the union of a run of the
 		// member's own segments, so the walk cannot miss.
 		panic(err)
 	}
+	a.prime(members)
 	return a
 }
 
-// deriveBoxLens fills boxLens: every segment of every member adds its
-// length to the first box, at or after its predecessor's, that contains
-// both its end points. Any assignment of segments to boxes containing
-// them makes the member side admissible (its argument only needs the
-// segment's geometry to lie inside the box it is charged to); this walk
-// is the cheapest one that always succeeds on boxes FromTrajectory made,
-// because box k is the union of the k-th run of consecutive segments
-// and so the walk never gets ahead of a segment's own run. A segment no
-// remaining box contains means the boxes are not this member's:
-// ErrCorrupt.
+// prime re-points each member at its slab window and installs its view
+// and screen summary as capped windows into the slabs.
+func (a *Arena) prime(members []*traj.Trajectory) {
+	sums := make([]traj.Summary, len(members))
+	for i, m := range members {
+		start, end := a.offs[i], a.offs[i+1]
+		b0, b1 := a.boxOffs[i], a.boxOffs[i+1]
+		sums[i] = traj.Summary{BBox: a.bbox[4*i : 4*i+4 : 4*i+4], Length: a.lens[i : i+1 : i+1],
+			Boxes: a.boxes[4*b0 : 4*b1 : 4*b1], BoxLens: a.boxLens[b0:b1:b1]}
+		m.Points = a.pts[start:end:end]
+		m.Prime(traj.View{X: a.xs[start:end:end], Y: a.ys[start:end:end]}, &sums[i])
+	}
+}
+
+// Summarize returns tr's screen summary, bit-identical to the windows
+// Build and Members install over the same samples, in one slab beside its
+// header up to 64 segments. It fails on a trajectory Validate refuses:
+// a loaded overlay member's samples are checked here.
+func Summarize(tr *traj.Trajectory) (*traj.Summary, error) {
+	if err := tr.Validate(); err != nil {
+		return nil, err
+	}
+	var stack [4 * 64]float64
+	rects := tbox.AppendRects(stack[:0], tr, MemberBoxes)
+	k := len(rects) / 4
+	slab := make([]float64, 5+5*k)
+	s := &traj.Summary{BBox: appendBounds(slab[:0:4], rects), Length: slab[4:5:5],
+		Boxes: slab[5 : 5+4*k : 5+4*k], BoxLens: slab[5+4*k:]}
+	s.Length[0] = tr.Length()
+	copy(s.Boxes, rects)
+	v := tr.View()
+	chargeSegments(v.X, v.Y, s.Boxes, s.BoxLens) // cannot miss, as in Build
+	return s, nil
+}
+
+// appendBounds appends the union of rects, 4 values per box, to dst.
+func appendBounds(dst, rects []float64) []float64 {
+	bb := geom.Empty()
+	for k := 0; k+4 <= len(rects); k += 4 {
+		bb = bb.Union(geom.Rect{Min: geom.Point{X: rects[k], Y: rects[k+1]}, Max: geom.Point{X: rects[k+2], Y: rects[k+3]}})
+	}
+	return append(dst, bb.Min.X, bb.Min.Y, bb.Max.X, bb.Max.Y)
+}
+
+// deriveBoxLens fills boxLens through chargeSegments. A segment no box
+// contains means the boxes are not its member's: ErrCorrupt.
 func (a *Arena) deriveBoxLens() error {
 	a.boxLens = make([]float64, len(a.boxes)/4)
 	for m := range a.ids {
-		k, end := a.boxOffs[m], a.boxOffs[m+1]
-		for p := a.offs[m]; p+1 < a.offs[m+1]; p++ {
-			ax, ay, bx, by := a.xs[p], a.ys[p], a.xs[p+1], a.ys[p+1]
-			for ; k < end; k++ {
-				if r := a.boxes[4*k : 4*k+4]; r[0] <= min(ax, bx) && max(ax, bx) <= r[2] &&
-					r[1] <= min(ay, by) && max(ay, by) <= r[3] {
-					break
-				}
-			}
-			if k == end {
-				return fmt.Errorf("%w: member %d: segment %d lies in none of its boxes", ErrCorrupt, m, p-a.offs[m])
-			}
-			a.boxLens[k] += math.Sqrt((bx-ax)*(bx-ax) + (by-ay)*(by-ay))
+		p0, p1, b0, b1 := a.offs[m], a.offs[m+1], a.boxOffs[m], a.boxOffs[m+1]
+		if seg := chargeSegments(a.xs[p0:p1], a.ys[p0:p1], a.boxes[4*b0:4*b1], a.boxLens[b0:b1]); seg >= 0 {
+			return fmt.Errorf("%w: member %d: segment %d lies in none of its boxes", ErrCorrupt, m, seg)
 		}
 	}
 	return nil
 }
 
-// Len returns the number of member trajectories in the arena.
-func (a *Arena) Len() int { return len(a.ids) }
+// chargeSegments adds the length of every segment of the samples xs, ys
+// to lens[k] of the first box k of rects, at or after its predecessor's,
+// that contains both its end points, and returns -1; or the index of the
+// first segment no remaining box contains. Any assignment of segments to
+// boxes containing them makes the member side admissible (its argument
+// only needs the segment's geometry to lie inside the box it is charged
+// to); this walk is the cheapest one that always succeeds on boxes
+// AppendRects made, because box k is the union of the k-th run of
+// consecutive segments and so the walk never gets ahead of a segment's
+// own run.
+func chargeSegments(xs, ys, rects, lens []float64) int {
+	k := 0
+	for p := 0; p+1 < len(xs); p++ {
+		ax, ay, bx, by := xs[p], ys[p], xs[p+1], ys[p+1]
+		for ; k < len(lens); k++ {
+			if r := rects[4*k : 4*k+4]; r[0] <= min(ax, bx) && max(ax, bx) <= r[2] &&
+				r[1] <= min(ay, by) && max(ay, by) <= r[3] {
+				break
+			}
+		}
+		if k == len(lens) {
+			return p
+		}
+		lens[k] += math.Sqrt((bx-ax)*(bx-ax) + (by-ay)*(by-ay))
+	}
+	return -1
+}
 
 // Index returns the arena index of tr: the entry under tr's ID, when it
 // is tr's own — tr's samples are that entry's slab window, as they are
 // for every trajectory Build re-pointed and Members materialised. A
 // trajectory inserted under the ID of a deleted member has an entry
-// under its ID that summarises the deleted member's samples, not its
-// own, and is reported absent.
+// under its ID that holds the deleted member's samples, not its own, and
+// is reported absent.
 func (a *Arena) Index(tr *traj.Trajectory) (int, bool) {
 	i, ok := a.byID[tr.ID]
 	if !ok {
@@ -173,30 +216,6 @@ func (a *Arena) Index(tr *traj.Trajectory) (int, bool) {
 		return 0, false
 	}
 	return int(i), true
-}
-
-// Length returns member i's total spatial length (identical to the
-// trajectory's cached Length).
-func (a *Arena) Length(i int) float64 { return a.lens[i] }
-
-// LengthSlab is Length as a one-value window, the weight that pairs
-// with BBox the way BoxLens pairs with Boxes.
-func (a *Arena) LengthSlab(i int) []float64 { return a.lens[i : i+1] }
-
-// BBox returns member i's spatial bounding box as a 4-float window
-// (MinX, MinY, MaxX, MaxY) into the shared slab.
-func (a *Arena) BBox(i int) []float64 { return a.bbox[4*i : 4*i+4] }
-
-// Boxes returns member i's coarsened box-sequence rects as a flat
-// window of MinX, MinY, MaxX, MaxY quadruples.
-func (a *Arena) Boxes(i int) []float64 {
-	return a.boxes[4*a.boxOffs[i] : 4*a.boxOffs[i+1]]
-}
-
-// BoxLens returns, parallel to Boxes(i), the length of member i's
-// segments inside each box; the values sum to Length(i) up to rounding.
-func (a *Arena) BoxLens(i int) []float64 {
-	return a.boxLens[a.boxOffs[i]:a.boxOffs[i+1]]
 }
 
 // MemStats describes an arena's residency for observability endpoints.

@@ -211,7 +211,7 @@ func Encode(w io.Writer, a *Arena, ts *TreeSection, extra json.RawMessage) (uint
 		if pos != meta.Sections[si].Off {
 			return 0, fmt.Errorf("arena: encode: section %s at %d, planned %d", name, pos, meta.Sections[si].Off)
 		}
-		n, err := a.writeSection(cw, name, &sectionTS{ts})
+		n, err := a.writeSection(cw, name, ts)
 		if err != nil {
 			return 0, err
 		}
@@ -227,11 +227,7 @@ func Encode(w io.Writer, a *Arena, ts *TreeSection, extra json.RawMessage) (uint
 	return sum, err
 }
 
-// sectionTS exists to keep writeSection's signature small.
-type sectionTS struct{ t *TreeSection }
-
-func (a *Arena) writeSection(w io.Writer, name string, s *sectionTS) (int64, error) {
-	ts := s.t
+func (a *Arena) writeSection(w io.Writer, name string, ts *TreeSection) (int64, error) {
 	switch name {
 	case "pts":
 		return writePoints(w, a.pts)
@@ -591,19 +587,15 @@ func window(off, count int64, n int) bool {
 
 // Members materialises trajectory headers over the arena's slabs: one
 // backing array of structs, each aliasing its slab window and primed
-// with its stored view and length. This is the warm-boot path — cost
+// with its stored view and summary. This is the warm-boot path — cost
 // O(members), independent of the number of samples.
 func (a *Arena) Members() []*traj.Trajectory {
 	backing := make([]traj.Trajectory, len(a.ids))
 	out := make([]*traj.Trajectory, len(a.ids))
 	for i := range backing {
-		start, end := a.offs[i], a.offs[i+1]
-		tr := &backing[i]
-		tr.ID = int(a.ids[i])
-		tr.Label = int(a.labels[i])
-		tr.Points = a.pts[start:end:end]
-		tr.Prime(traj.View{X: a.xs[start:end:end], Y: a.ys[start:end:end]}, a.lens[i])
-		out[i] = tr
+		backing[i].ID, backing[i].Label = int(a.ids[i]), int(a.labels[i])
+		out[i] = &backing[i]
 	}
+	a.prime(out)
 	return out
 }

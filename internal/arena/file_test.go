@@ -71,10 +71,10 @@ func TestFileRoundTrip(t *testing.T) {
 		t.Fatalf("open: %v", err)
 	}
 	b := snap.Arena
-	if b.Len() != a.Len() {
-		t.Fatalf("len %d != %d", b.Len(), a.Len())
+	if len(b.ids) != len(a.ids) {
+		t.Fatalf("len %d != %d", len(b.ids), len(a.ids))
 	}
-	for i := 0; i < a.Len(); i++ {
+	for i := range a.ids {
 		if a.ids[i] != b.ids[i] || a.labels[i] != b.labels[i] || a.lens[i] != b.lens[i] {
 			t.Fatalf("member %d identity mismatch", i)
 		}
@@ -151,11 +151,12 @@ func TestBoxLensDerived(t *testing.T) {
 	}
 	a := Build(members)
 	for i, m := range members {
-		if n := len(a.BoxLens(i)); 4*n != len(a.Boxes(i)) || n > MemberBoxes {
-			t.Fatalf("member %d: %d weights for %d box values", i, n, len(a.Boxes(i)))
+		s := m.Summary()
+		if n := len(s.BoxLens); 4*n != len(s.Boxes) || n > MemberBoxes {
+			t.Fatalf("member %d: %d weights for %d box values", i, n, len(s.Boxes))
 		}
 		sum := 0.0
-		for _, l := range a.BoxLens(i) {
+		for _, l := range s.BoxLens {
 			sum += l
 		}
 		if diff := sum - m.Length(); diff > 1e-9*m.Length() || diff < -1e-9*m.Length() {
@@ -301,7 +302,7 @@ func TestFileEncodeNilArena(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if snap.Arena.Len() != 0 || len(snap.Tree.OIDs) != 1 {
-		t.Fatalf("nil-arena round trip: %d members, %d overlay", snap.Arena.Len(), len(snap.Tree.OIDs))
+	if len(snap.Arena.ids) != 0 || len(snap.Tree.OIDs) != 1 {
+		t.Fatalf("nil-arena round trip: %d members, %d overlay", len(snap.Arena.ids), len(snap.Tree.OIDs))
 	}
 }

@@ -3,6 +3,7 @@ package baseline
 import (
 	"math"
 
+	"trajmatch/internal/core"
 	"trajmatch/internal/traj"
 )
 
@@ -15,20 +16,36 @@ type DTW struct{}
 // Name implements Metric.
 func (DTW) Name() string { return "DTW" }
 
-// Dist implements Metric. Cost is O(n·m) time, O(m) space.
-func (DTW) Dist(a, b *traj.Trajectory) float64 {
+// Dist implements Metric: DistEarlyAbandonCancel with no limit. Cost is
+// O(n·m) time, O(m) space.
+func (d DTW) Dist(a, b *traj.Trajectory) float64 {
+	v, _ := d.DistEarlyAbandonCancel(a, b, math.Inf(1), nil)
+	return v
+}
+
+// DistEarlyAbandonCancel is DTW abandoned as soon as a whole row exceeds
+// limit (+Inf disables), the kernel the DTW index serves. Costs only
+// accumulate, so an abandoned value is a lower bound > limit; a distance
+// tying the limit is computed in full. cancel (may be nil) is polled once
+// per row and abandons at once; the caller discards the answer. One empty
+// side is at +Inf, as under EDwP, since no warping path can match every
+// point; validated trajectories never have one.
+func (DTW) DistEarlyAbandonCancel(a, b *traj.Trajectory, limit float64, cancel *core.Cancel) (float64, bool) {
 	P, Q := a.Points, b.Points
 	n, m := len(P), len(Q)
-	if n == 0 && m == 0 {
-		return 0
-	}
 	if n == 0 || m == 0 {
-		return math.Inf(1)
+		if n == m {
+			return 0, false
+		}
+		return math.Inf(1), false
 	}
-	inf := math.Inf(1)
 	prev := make([]float64, m)
 	cur := make([]float64, m)
 	for i := 0; i < n; i++ {
+		if cancel.Cancelled() {
+			return 0, true
+		}
+		rowMin := math.Inf(1)
 		for j := 0; j < m; j++ {
 			d := P[i].Dist(Q[j])
 			switch {
@@ -48,11 +65,12 @@ func (DTW) Dist(a, b *traj.Trajectory) float64 {
 				}
 				cur[j] = best + d
 			}
+			rowMin = min(rowMin, cur[j])
+		}
+		if rowMin > limit {
+			return rowMin, true
 		}
 		prev, cur = cur, prev
-		for k := range cur {
-			cur[k] = inf
-		}
 	}
-	return prev[m-1]
+	return prev[m-1], false
 }

@@ -30,8 +30,9 @@ type Boxes interface {
 //
 // It is the reference the query path's bound is tested against, not the
 // bound the query path pays for: searches prune with ScreenLowerBound, a
-// relaxation of this DP that costs a sixth of it per call, and only the
-// prefilter's verification of overlay members still calls it.
+// relaxation of this DP that costs a sixth of it per call, and no
+// non-test code calls it. It stays exported as the reference the tests of
+// core, tbox and trajtree share.
 //
 // Admissibility sketch: fix a member T and an optimal EDwP(q, T) alignment.
 // Every edit matches a piece of q's segment i against geometry of T lying

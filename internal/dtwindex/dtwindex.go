@@ -21,7 +21,7 @@ package dtwindex
 
 import (
 	"trajmatch/internal/backend"
-	"trajmatch/internal/core"
+	"trajmatch/internal/baseline"
 	"trajmatch/internal/geom"
 	"trajmatch/internal/traj"
 )
@@ -29,7 +29,8 @@ import (
 // MetricName is the backend identifier of this index.
 const MetricName = "dtw"
 
-// Index is the DTW index: a flat index over lowerBound and dtwDist.
+// Index is the DTW index: a flat index over lowerBound and the
+// early-abandoning DTW of package baseline.
 type Index = backend.Flat
 
 // New builds the index, precomputing one MBR per trajectory.
@@ -42,9 +43,7 @@ func New(db []*traj.Trajectory) *Index {
 		func(q *traj.Trajectory) func(i int) float64 {
 			return func(i int) float64 { return lowerBound(q, db[i], mbrs[i]) }
 		},
-		func(q, t *traj.Trajectory, limit float64, cancel *core.Cancel) (float64, bool) {
-			return dtwDist(q.Points, t.Points, limit, cancel)
-		})
+		baseline.DTW{}.DistEarlyAbandonCancel)
 }
 
 // BackendSpec returns the buildable backend spec for DTW.
@@ -73,58 +72,4 @@ func lowerBound(q, t *traj.Trajectory, mbr geom.Rect) float64 {
 		return sum
 	}
 	return corner
-}
-
-// dtwDist computes DTW with Euclidean ground distance, abandoning as soon
-// as a whole row exceeds limit (+Inf disables). DTW costs only
-// accumulate, so the abandoned value is itself a valid lower bound
-// > limit; the abandon test is strict, so a distance tying the limit
-// exactly is still computed in full. cancel (may be nil) is polled once
-// per DP row; a fired flag abandons immediately — the caller discards the
-// poisoned answer through its Ctl's error.
-func dtwDist(P, Q []traj.Point, limit float64, cancel *core.Cancel) (float64, bool) {
-	n, m := len(P), len(Q)
-	if n == 0 || m == 0 {
-		if n == m {
-			return 0, false
-		}
-		return 1e308, false // the no-alignment sentinel, exact as before
-	}
-	inf := 1e308
-	prev := make([]float64, m)
-	cur := make([]float64, m)
-	for i := 0; i < n; i++ {
-		if cancel.Cancelled() {
-			return 0, true
-		}
-		rowMin := inf
-		for j := 0; j < m; j++ {
-			d := P[i].Dist(Q[j])
-			switch {
-			case i == 0 && j == 0:
-				cur[j] = d
-			case i == 0:
-				cur[j] = cur[j-1] + d
-			case j == 0:
-				cur[j] = prev[j] + d
-			default:
-				best := prev[j-1]
-				if prev[j] < best {
-					best = prev[j]
-				}
-				if cur[j-1] < best {
-					best = cur[j-1]
-				}
-				cur[j] = best + d
-			}
-			if cur[j] < rowMin {
-				rowMin = cur[j]
-			}
-		}
-		if rowMin > limit {
-			return rowMin, true
-		}
-		prev, cur = cur, prev
-	}
-	return prev[m-1], false
 }

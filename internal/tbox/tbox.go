@@ -46,17 +46,31 @@ func FromTrajectory(t *traj.Trajectory, maxBoxes int) *Seq {
 	if n == 0 {
 		return &Seq{}
 	}
-	s := &Seq{rects: make([]float64, 0, 4*n), minL: make([]float64, n), count: 1}
-	for i := 0; i < n; i++ {
-		e := t.Segment(i)
-		r := geom.RectOf(e.S1.XY(), e.S2.XY())
-		s.rects = append(s.rects, r.Min.X, r.Min.Y, r.Max.X, r.Max.Y)
-		s.minL[i] = e.Length()
+	s := &Seq{rects: AppendRects(make([]float64, 0, 4*n), t, 0), minL: make([]float64, n), count: 1}
+	for i := range n {
+		s.minL[i] = t.Segment(i).Length()
 	}
 	if maxBoxes > 0 {
-		s.coarsen(maxBoxes)
+		s.rects, s.minL = coarsen(s.rects, s.minL, maxBoxes)
 	}
 	return s
+}
+
+// AppendRects appends to dst the rects of FromTrajectory(t, maxBoxes), 4
+// values per box, and returns the extended slice: the box sequence alone,
+// coarsened in dst's own tail, which holds one box per segment meanwhile.
+func AppendRects(dst []float64, t *traj.Trajectory, maxBoxes int) []float64 {
+	start := len(dst)
+	for i := range t.NumSegments() {
+		e := t.Segment(i)
+		r := geom.RectOf(e.S1.XY(), e.S2.XY())
+		dst = append(dst, r.Min.X, r.Min.Y, r.Max.X, r.Max.Y)
+	}
+	if maxBoxes > 0 {
+		rects, _ := coarsen(dst[start:], nil, maxBoxes)
+		dst = dst[:start+len(rects)]
+	}
+	return dst
 }
 
 // FromFlat reassembles a Seq from its rect slab (MinX, MinY, MaxX, MaxY
@@ -71,13 +85,16 @@ func FromFlat(rects, minL []float64, count int) *Seq {
 func (s *Seq) Len() int { return len(s.minL) }
 
 // Rect implements core.Boxes.
-func (s *Seq) Rect(i int) geom.Rect {
-	r := s.rects[4*i : 4*i+4]
+func (s *Seq) Rect(i int) geom.Rect { return rectAt(s.rects, i) }
+
+// rectAt and putRect read and write box i of a flat rect slab.
+func rectAt(rects []float64, i int) geom.Rect {
+	r := rects[4*i : 4*i+4]
 	return geom.Rect{Min: geom.Point{X: r[0], Y: r[1]}, Max: geom.Point{X: r[2], Y: r[3]}}
 }
 
-func (s *Seq) setRect(i int, r geom.Rect) {
-	w := s.rects[4*i : 4*i+4]
+func putRect(rects []float64, i int, r geom.Rect) {
+	w := rects[4*i : 4*i+4]
 	w[0], w[1], w[2], w[3] = r.Min.X, r.Min.Y, r.Max.X, r.Max.Y
 }
 
@@ -141,7 +158,7 @@ func (s *Seq) Insert(t *traj.Trajectory) {
 	var buf [assignStack]int
 	for i, j := range core.AssignSegmentsInto(buf[:0], t, s) {
 		e := t.Segment(i)
-		s.setRect(j, s.Rect(j).ExtendPoint(e.S1.XY()).ExtendPoint(e.S2.XY()))
+		putRect(s.rects, j, s.Rect(j).ExtendPoint(e.S1.XY()).ExtendPoint(e.S2.XY()))
 		if l := e.Length(); l < s.minL[j] {
 			s.minL[j] = l
 		}
@@ -175,14 +192,16 @@ func (s *Seq) Contains(t *traj.Trajectory) bool {
 	return true
 }
 
-// coarsen merges adjacent boxes until at most max remain, each merge
-// picking the pair whose union adds the least area.
-func (s *Seq) coarsen(max int) {
-	for len(s.minL) > max {
+// coarsen merges adjacent boxes of a rect slab until at most max remain,
+// each merge picking the pair whose union adds the least area, and
+// returns the shortened slab; the per-box minL, when not nil, merges
+// alongside.
+func coarsen(rects, minL []float64, max int) ([]float64, []float64) {
+	for len(rects) > 4*max {
 		bestI := -1
 		bestGrow := math.Inf(1)
-		for i := 0; i+1 < len(s.minL); i++ {
-			a, b := s.Rect(i), s.Rect(i+1)
+		for i := 0; 4*(i+2) <= len(rects); i++ {
+			a, b := rectAt(rects, i), rectAt(rects, i+1)
 			grow := a.Union(b).Area() - a.Area() - b.Area()
 			if grow < bestGrow {
 				bestGrow = grow
@@ -190,11 +209,14 @@ func (s *Seq) coarsen(max int) {
 			}
 		}
 		i := bestI
-		s.setRect(i, s.Rect(i).Union(s.Rect(i+1)))
-		s.minL[i] = math.Min(s.minL[i], s.minL[i+1])
-		s.rects = append(s.rects[:4*(i+1)], s.rects[4*(i+2):]...)
-		s.minL = append(s.minL[:i+1], s.minL[i+2:]...)
+		putRect(rects, i, rectAt(rects, i).Union(rectAt(rects, i+1)))
+		rects = append(rects[:4*(i+1)], rects[4*(i+2):]...)
+		if minL != nil {
+			minL[i] = math.Min(minL[i], minL[i+1])
+			minL = append(minL[:i+1], minL[i+2:]...)
+		}
 	}
+	return rects, minL
 }
 
 // Build constructs a tBoxSeq over a set of trajectories following the

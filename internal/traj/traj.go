@@ -81,9 +81,20 @@ type Trajectory struct {
 	// (in practice: mutate fresh Clones). The atomics make concurrent first
 	// calls race-free — both goroutines compute the same value and either
 	// store wins. Both may be installed eagerly by Prime (the arena storage
-	// layer backs views with its shared slabs).
-	view   atomic.Pointer[View]
-	length atomic.Pointer[float64]
+	// layer backs views with its shared slabs); summary is installed only.
+	view    atomic.Pointer[View]
+	length  atomic.Pointer[float64]
+	summary atomic.Pointer[Summary]
+}
+
+// Summary is a trajectory's screen summary, what the TrajTree's leaf-level
+// lower bound reads instead of its samples (arena.Summarize derives it).
+// The slices are shared and must be treated as read-only.
+type Summary struct {
+	BBox    []float64 // the spatial bounding box: MinX, MinY, MaxX, MaxY
+	Length  []float64 // the total spatial length, as a one-value window
+	Boxes   []float64 // the coarsened box sequence, 4 values per box as BBox
+	BoxLens []float64 // per box: the length of the segments charged to it
 }
 
 // View is the structure-of-arrays spatial projection of a trajectory: the
@@ -150,14 +161,23 @@ func (t *Trajectory) View() View {
 	return *v
 }
 
-// Prime installs precomputed caches: a coordinate view (typically aliasing
-// an arena slab) and the total spatial length. The values must equal what
-// View and Length would compute — Prime only changes where the memory
-// lives, never a result.
-func (t *Trajectory) Prime(v View, length float64) {
+// Prime installs precomputed caches: a coordinate view and a screen
+// summary (typically aliasing arena slabs), and the summary's length as
+// the cached total spatial length. The values must equal what View,
+// Length and arena.Summarize would compute — Prime only changes where the
+// memory lives, never a result.
+func (t *Trajectory) Prime(v View, s *Summary) {
 	t.view.Store(&v)
-	t.length.Store(&length)
+	t.length.Store(&s.Length[0])
+	t.summary.Store(s)
 }
+
+// SetSummary installs s, which must be arena.Summarize's value.
+func (t *Trajectory) SetSummary(s *Summary) { t.summary.Store(s) }
+
+// Summary returns the installed screen summary, nil when none is. Every
+// member of a TrajTree carries one; a fresh Clone does not.
+func (t *Trajectory) Summary() *Summary { return t.summary.Load() }
 
 // Length returns the total spatial length (Eq. 1), computed once and
 // cached: the normalised distance of Eq. 4 divides by it on every kernel

@@ -181,7 +181,8 @@ func fromSnapshot(snap *arena.Snapshot) (*Tree, uint32, error) {
 	a, ts := snap.Arena, snap.Tree
 	members := a.Members()
 	// Overlay members are few (a rebuild folds them into the slabs), so
-	// they are copied onto the heap rather than aliased.
+	// they are copied onto the heap rather than aliased, and summarised
+	// as at Insert; samples Summarize refuses (never validated) are corrupt.
 	overlay := make([]*traj.Trajectory, len(ts.OIDs))
 	for i := range overlay {
 		pts := make([]traj.Point, ts.OOffs[i+1]-ts.OOffs[i])
@@ -191,6 +192,11 @@ func fromSnapshot(snap *arena.Snapshot) (*Tree, uint32, error) {
 		}
 		tr := traj.New(int(ts.OIDs[i]), pts)
 		tr.Label = int(ts.OLabels[i])
+		s, err := arena.Summarize(tr)
+		if err != nil {
+			return nil, 0, fmt.Errorf("trajtree: load: overlay member %d: %v: %w", tr.ID, err, arena.ErrCorrupt)
+		}
+		tr.SetSummary(s)
 		overlay[i] = tr
 	}
 	resolve := func(ref int64) *traj.Trajectory {

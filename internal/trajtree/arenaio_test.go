@@ -253,11 +253,11 @@ func TestArenaRoundTripWithOverlay(t *testing.T) {
 }
 
 // TestArenaReusedIDIsOverlay pins a member inserted under the ID of a
-// deleted arena member: the arena entry under that ID summarises the
-// deleted member, so the new one is overlay — screened by nothing, saved
-// with its own samples, and found at distance 0 by a copy of itself
-// before and after a round trip. The deleted member's own header,
-// inserted again, is resident again.
+// deleted arena member: the arena entry under that ID holds the deleted
+// member, so the new one is overlay — screened by its own summary, not
+// the entry's, saved with its own samples, and found at distance 0 by a
+// copy of itself before and after a round trip. The deleted member's own
+// header, inserted again, is resident again.
 func TestArenaReusedIDIsOverlay(t *testing.T) {
 	tree, err := New(taxiTrips(300, 1, 0), Options{Seed: 1, RebuildRatio: -1})
 	if err != nil {
@@ -279,6 +279,7 @@ func TestArenaReusedIDIsOverlay(t *testing.T) {
 		if got := tr.Lookup(5); !slices.Equal(got.Points, q.Points) {
 			t.Fatalf("%s: member 5 has %d points, want the reused ID's %d", label, len(got.Points), len(q.Points))
 		}
+		sameSummary(t, label, tr.Lookup(5))
 		res, _, _, err := tr.SearchKNN(q, 1, nil, nil)
 		if err != nil {
 			t.Fatal(err)

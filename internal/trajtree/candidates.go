@@ -3,10 +3,8 @@ package trajtree
 import (
 	"math"
 
-	"trajmatch/internal/arena"
 	"trajmatch/internal/backend"
 	"trajmatch/internal/core"
-	"trajmatch/internal/tbox"
 	"trajmatch/internal/traj"
 )
 
@@ -17,7 +15,7 @@ var _ backend.CandidateSearcher = (*Tree)(nil)
 // bounds cover whole subtrees, not arbitrary member subsets, so
 // verification bounds each candidate individually, with the same
 // two-sided screen the descent applies to leaf members (query side plus
-// member side over the arena summaries, normalised for the averaged
+// member side over the member's own summary, normalised for the averaged
 // variant); the scan evaluates in tightest-first order and prunes
 // against the running k-th best and the shared bound before starting a
 // kernel. Every candidate goes through the verify step the descent's
@@ -41,7 +39,6 @@ func (t *Tree) SearchKNNIn(q *traj.Trajectory, ids []int, k int, bound *SharedBo
 	scr := screenPool.Get().(*core.SegScreen)
 	scr.Reset(q)
 	defer screenPool.Put(scr)
-	var qSeq *tbox.Seq // the query's own summary, built for the first overlay candidate
 	inf := math.Inf(1)
 	cands := make([]backend.Cand, len(sel))
 	for i, m := range sel {
@@ -49,20 +46,8 @@ func (t *Tree) SearchKNNIn(q *traj.Trajectory, ids []int, k int, bound *SharedBo
 			return nil, st, false, ctl.Err()
 		}
 		st.LowerBoundCalls++
-		var lb float64
-		if ai, ok := t.arenaIndex(m); ok {
-			boxes := t.ar.Boxes(ai)
-			lb = core.ScreenMemberSide(scr, boxes, t.ar.BoxLens(ai), core.ScreenLowerBound(scr, boxes, inf), inf)
-		} else {
-			// Overlay members have no arena summary: bound them with the
-			// Theorem-2 DP in both directions, over the boxes a rebuild
-			// would give them. Each direction charges only its own side
-			// of the coverage, so the two add.
-			if qSeq == nil {
-				qSeq = tbox.FromTrajectory(q, arena.MemberBoxes)
-			}
-			lb = core.LowerBound(q, tbox.FromTrajectory(m, arena.MemberBoxes)) + core.LowerBound(m, qSeq)
-		}
+		s := m.Summary()
+		lb := core.ScreenMemberSide(scr, s.Boxes, s.BoxLens, core.ScreenLowerBound(scr, s.Boxes, inf), inf)
 		if den := t.denom(false, qLen, m.Length()); den > 0 {
 			lb /= den
 		} else {

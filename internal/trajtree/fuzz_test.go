@@ -25,7 +25,9 @@ import (
 // single overwritten node-record word (boxOff, memberCount) used to wrap
 // an int64 range check and panic the loader, and one whose first member
 // box was moved off the segment it summarises, which the decode-time
-// derivation of the member-side weights must refuse as corrupt.
+// derivation of the member-side weights must refuse as corrupt, and one
+// whose overlay holds a NaN sample, which the overlay's Summarize must
+// refuse as corrupt.
 func FuzzLoadArena(f *testing.F) {
 	q := traj.New(9_000_000, []traj.Point{traj.P(1, 1, 0), traj.P(4, 2, 10), traj.P(6, 6, 20)})
 	castagnoli := crc32.MakeTable(crc32.Castagnoli)

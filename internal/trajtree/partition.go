@@ -70,7 +70,7 @@ var pivotScreens = sync.Pool{New: func() any { return new([]core.SegScreen) }}
 // known value — a candidate's distance to the pivots before, or the
 // pivots' pairwise minimum — so each runs bounded by it, and is skipped
 // outright when the flat screen of its first argument against the
-// second's arena boxes already passes that value. Bounded results are
+// second's summary boxes already passes that value. Bounded results are
 // exact and a skipped call is one whose result could not have been
 // taken.
 //
@@ -106,35 +106,22 @@ func (t *Tree) selectPivots(D []*traj.Trajectory) []*traj.Trajectory {
 		*pooled = make([]core.SegScreen, len(cands))
 	}
 	scr := (*pooled)[:len(cands)]
-	// boxesOf returns a candidate's arena boxes; nil for one without an
-	// arena entry (an overlay member in an Insert-time split), which is
-	// never screened against.
-	boxesOf := func(i int) []float64 {
-		if ai, ok := t.arenaIndex(cands[i]); ok {
-			return t.ar.Boxes(ai)
-		}
-		return nil
-	}
 	// below returns EDwPsub(cands[i], cands[j]) when it is below limit,
 	// and +Inf or some value not below it otherwise. The screen's raw
 	// limit is inflated by the relative 1e-9 of screenMember, so its
 	// rounding cannot skip a call the kernel would answer below limit.
-	below := func(i, j int, boxes []float64, limit float64) float64 {
-		if len(boxes) > 0 {
-			raw := limit + limit*1e-9
-			if core.ScreenLowerBound(&scr[i], boxes, raw) > raw {
-				return math.Inf(1)
-			}
+	below := func(i, j int, limit float64) float64 {
+		raw := limit + limit*1e-9
+		if core.ScreenLowerBound(&scr[i], cands[j].Summary().Boxes, raw) > raw {
+			return math.Inf(1)
 		}
 		d, _ := core.SubDistanceBounded(cands[i], cands[j], limit)
 		return d
 	}
 
-	// at holds the pivots' indices in cands, atBoxes their arena boxes.
+	// at holds the pivots' indices in cands.
 	at := make([]int, 1, max(1, t.opt.MaxFanout))
 	at[0] = t.rng.Intn(len(cands))
-	atBoxes := make([][]float64, 1, cap(at))
-	atBoxes[0] = boxesOf(at[0])
 	// minToP[i] = min over the first upto[i] pivots p of EDwPsub(cands[i], p).
 	minToP := make([]float64, len(cands))
 	upto := make([]int, len(cands))
@@ -152,7 +139,7 @@ func (t *Tree) selectPivots(D []*traj.Trajectory) []*traj.Trajectory {
 		for bestI >= 0 && bestD > 0 && upto[bestI] < len(at) {
 			for ; upto[bestI] < len(at); upto[bestI]++ {
 				k := upto[bestI]
-				if d := below(bestI, at[k], atBoxes[k], minToP[bestI]); d < minToP[bestI] {
+				if d := below(bestI, at[k], minToP[bestI]); d < minToP[bestI] {
 					minToP[bestI] = d
 				}
 			}
@@ -164,16 +151,16 @@ func (t *Tree) selectPivots(D []*traj.Trajectory) []*traj.Trajectory {
 		if len(at) >= 2 && 1-bestD/pairMin > t.opt.Theta {
 			for ; settled < len(at); settled++ {
 				i := at[settled]
-				for k, j := range at[:settled] {
+				for _, j := range at[:settled] {
 					// The first pair has no limit yet and takes subDiv's values.
 					if math.IsInf(pairMin, 1) {
 						pairMin = math.Min(subDiv(cands[i], cands[j]), subDiv(cands[j], cands[i]))
 						continue
 					}
-					if d := below(i, j, atBoxes[k], pairMin); d < pairMin {
+					if d := below(i, j, pairMin); d < pairMin {
 						pairMin = d
 					}
-					if d := below(j, i, atBoxes[settled], pairMin); d < pairMin {
+					if d := below(j, i, pairMin); d < pairMin {
 						pairMin = d
 					}
 				}
@@ -183,7 +170,6 @@ func (t *Tree) selectPivots(D []*traj.Trajectory) []*traj.Trajectory {
 			}
 		}
 		at = append(at, bestI)
-		atBoxes = append(atBoxes, boxesOf(bestI))
 		minToP[bestI], upto[bestI] = 0, len(at)
 	}
 	pivots := make([]*traj.Trajectory, len(at))

@@ -36,12 +36,12 @@ func (t *Tree) eagerSelectPivots(D []*traj.Trajectory) []*traj.Trajectory {
 		*pooled = make([]core.SegScreen, len(cands))
 	}
 	scr := (*pooled)[:len(cands)]
-	// boxesOf returns a candidate's arena boxes; nil for one without an
-	// arena entry (an overlay member in an Insert-time split), which is
-	// never screened against.
+	// boxesOf returns a candidate's summary boxes, or nil — never screened
+	// against — on a tree without an arena, so the oracle also runs
+	// unscreened against the scan, which always screens.
 	boxesOf := func(i int) []float64 {
-		if ai, ok := t.arenaIndex(cands[i]); ok {
-			return t.ar.Boxes(ai)
+		if t.ar != nil {
+			return cands[i].Summary().Boxes
 		}
 		return nil
 	}
@@ -128,7 +128,7 @@ func pivotIDs(scan func(*Tree, []*traj.Trajectory) []*traj.Trajectory, D []*traj
 }
 
 // checkPivotScan fails t when the lazy and the eager scan pick different
-// pivots from D, with and without arena screens.
+// pivots from D, with the oracle screened and unscreened.
 func checkPivotScan(t *testing.T, name string, D []*traj.Trajectory, opt Options, ar *arena.Arena, seed int64) {
 	t.Helper()
 	for _, a := range []*arena.Arena{ar, nil} {

@@ -46,8 +46,10 @@ func boundCorpora() map[string][2][]*traj.Trajectory {
 //	(a) node screen ≤ LowerBound(q, seq) ≤ raw EDwP(q, T) for every T
 //	    under the node, and the normalised node bound ≤ the tree's
 //	    distance;
-//	(b) query side + member side over the arena summaries ≤ raw EDwP, and
-//	    screenMember never rejects a member at a limit it meets;
+//	(b) query side + member side over the member's own summary ≤ raw
+//	    EDwP, and screenMember never rejects a member at a limit it
+//	    meets but does reject it below its two-sided screen — inserted
+//	    members included, which some query must see rejected;
 //	(c) the raw query-side screen, over a node's rects and over a
 //	    member's, ≤ EDwPsub(q, T) — what lets SearchSub use the descent.
 func TestBoundsAdmissibleOnTree(t *testing.T) {
@@ -67,6 +69,7 @@ func TestBoundsAdmissibleOnTree(t *testing.T) {
 				}
 			}
 			var scr core.SegScreen
+			insertedRejected := 0
 			for _, q := range queries {
 				scr.Reset(q)
 				qLen := q.Length()
@@ -80,17 +83,23 @@ func TestBoundsAdmissibleOnTree(t *testing.T) {
 					if tree.screenMember(&scr, true, qLen, m, sub[m.ID]) {
 						t.Fatalf("%s: member %d rejected at its own EDwPsub %v", name, m.ID, sub[m.ID])
 					}
-					ai, ok := tree.arenaIndex(m)
-					if !ok {
-						continue
-					}
-					qs := core.ScreenLowerBound(&scr, tree.ar.Boxes(ai), inf)
-					both := core.ScreenMemberSide(&scr, tree.ar.Boxes(ai), tree.ar.BoxLens(ai), qs, inf)
+					s := m.Summary()
+					qs := core.ScreenLowerBound(&scr, s.Boxes, inf)
+					both := core.ScreenMemberSide(&scr, s.Boxes, s.BoxLens, qs, inf)
 					if both > raw[m.ID]+slack(raw[m.ID]) {
 						t.Fatalf("%s: member %d: two-sided screen %v (query side %v) exceeds EDwP %v", name, m.ID, both, qs, raw[m.ID])
 					}
 					if qs > sub[m.ID]+slack(sub[m.ID]) {
 						t.Fatalf("%s: member %d: query-side screen %v exceeds EDwPsub %v", name, m.ID, qs, sub[m.ID])
+					}
+					if both <= 0 {
+						continue
+					}
+					if !tree.screenMember(&scr, false, qLen, m, both/2/tree.denom(false, qLen, m.Length())) {
+						t.Fatalf("%s: member %d kept at half its two-sided screen %v", name, m.ID, both)
+					}
+					if _, ok := tree.arenaIndex(m); !ok {
+						insertedRejected++
 					}
 				}
 				var walk func(n *node)
@@ -117,6 +126,9 @@ func TestBoundsAdmissibleOnTree(t *testing.T) {
 					}
 				}
 				walk(tree.root)
+			}
+			if insertedRejected == 0 {
+				t.Fatalf("%s: no inserted member was ever screened", name)
 			}
 		}
 	}

@@ -123,12 +123,11 @@ type Tree struct {
 	// included (the arena's own index covers slab members only).
 	byID map[int]*traj.Trajectory
 
-	// ar is the shard's arena: slab-resident samples plus the
-	// per-member summaries behind the leaf-level lower-bound screen.
-	// It is rebuilt by Rebuild and nil only for trees grown purely by
-	// Insert from empty. Members inserted after the last (re)build form
-	// the overlay: they live on the heap with no arena entry and are
-	// folded into fresh slabs by the next Rebuild.
+	// ar is the shard's arena: slab-resident samples plus the screen
+	// summaries its members carry. It is rebuilt by Rebuild and nil only
+	// for trees grown purely by Insert from empty. Members inserted after
+	// the last (re)build form the overlay: heap-resident, summarised at
+	// Insert, and folded into fresh slabs by the next Rebuild.
 	ar      *arena.Arena
 	overlay int    // live members without an arena entry
 	foldIns uint64 // rebuilds that folded an overlay into new slabs
@@ -257,17 +256,16 @@ func nodeBound(scr *core.SegScreen, den float64, n *node, limit float64) float64
 }
 
 // screenMember is the leaf-level lower-bound screen: it reports whether
-// the arena's per-member summaries prove that evaluating tr cannot beat
-// limit — i.e. that the bounded kernel would abandon the evaluation. A
-// true return is therefore behaviour-preserving: the caller skips work
-// whose outcome is already known, never a candidate that could enter
-// the answer. Members without an arena entry (the post-build overlay)
-// are never screened. The raw limit is inflated by a relative 1e-9 so
-// the screen's float rounding (~1e-13 relative) can never flip a
-// decision the kernel — whose own epsilon is 1e-12 — would have taken
-// the other way.
+// tr's screen summary, which every member carries (built, loaded and
+// inserted alike), proves that evaluating tr cannot beat limit — i.e.
+// that the bounded kernel would abandon the evaluation. A true return is
+// therefore behaviour-preserving: the caller skips work whose outcome is
+// already known, never a candidate that could enter the answer. The raw
+// limit is inflated by a relative 1e-9 so the screen's float rounding
+// (~1e-13 relative) can never flip a decision the kernel — whose own
+// epsilon is 1e-12 — would have taken the other way.
 //
-// Two tiers, both over flat slab windows: the single bounding box
+// Two tiers, both over flat summary windows: the single bounding box
 // (O(len q)) rejects far-away members, the coarsened box sequence
 // (O(len q · MemberBoxes), early-exiting) rejects most of the rest. Each
 // tier sums the query side and, for the whole-trajectory distances, the
@@ -277,18 +275,15 @@ func (t *Tree) screenMember(scr *core.SegScreen, sub bool, qLen float64, tr *tra
 	if math.IsInf(limit, 1) {
 		return false
 	}
-	ai, ok := t.arenaIndex(tr)
-	if !ok {
-		return false
-	}
-	den := t.denom(sub, qLen, t.ar.Length(ai))
+	s := tr.Summary()
+	den := t.denom(sub, qLen, s.Length[0])
 	if den <= 0 {
 		return false
 	}
 	raw := limit * den
 	raw += raw * 1e-9
-	return screenExceeds(scr, sub, t.ar.BBox(ai), t.ar.LengthSlab(ai), raw) ||
-		screenExceeds(scr, sub, t.ar.Boxes(ai), t.ar.BoxLens(ai), raw)
+	return screenExceeds(scr, sub, s.BBox, s.Length, raw) ||
+		screenExceeds(scr, sub, s.Boxes, s.BoxLens, raw)
 }
 
 // arenaIndex returns the arena index of member tr; false for the

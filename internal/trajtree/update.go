@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 
+	"trajmatch/internal/arena"
 	"trajmatch/internal/tbox"
 	"trajmatch/internal/traj"
 )
@@ -11,10 +12,11 @@ import (
 // Insert adds a trajectory to the index following Section IV-F: the new
 // trajectory descends to the child whose tBoxSeq expands the least, every
 // node on the path absorbs it into its summary (existing pivots are
-// reused), and overflowing leaves are re-partitioned. When accumulated
-// modifications exceed RebuildRatio × size the whole index is rebuilt in
-// the background (rebuild.go), approximating the paper's "poor node"
-// policy.
+// reused), and overflowing leaves are re-partitioned. The trajectory gets
+// its own screen summary (arena.Summarize), so every screen treats it as
+// a built member. When accumulated modifications exceed RebuildRatio ×
+// size the whole index is rebuilt in the background (rebuild.go),
+// approximating the paper's "poor node" policy.
 func (t *Tree) Insert(tr *traj.Trajectory) error {
 	if err := tr.Validate(); err != nil {
 		return fmt.Errorf("trajtree: %w", err)
@@ -22,11 +24,20 @@ func (t *Tree) Insert(tr *traj.Trajectory) error {
 	if t.byID[tr.ID] != nil {
 		return fmt.Errorf("trajtree: duplicate trajectory ID %d", tr.ID)
 	}
+	// A summary already installed — by an arena, or by the insert a
+	// rebuild's delta replays — is a function of the same samples.
+	if tr.Summary() == nil {
+		s, err := arena.Summarize(tr)
+		if err != nil {
+			return fmt.Errorf("trajtree: %w", err)
+		}
+		tr.SetSummary(s)
+	}
 	t.adoptIfReady()
 	t.byID[tr.ID] = tr
 	// The new member lives on the heap until a rebuild folds it into
-	// fresh arena slabs; until then the leaf screen skips it. Only a
-	// deleted member's own header, inserted again, is still resident.
+	// fresh arena slabs. Only a deleted member's own header, inserted
+	// again, is still resident.
 	if _, ok := t.arenaIndex(tr); !ok {
 		t.overlay++
 	}
