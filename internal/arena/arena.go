@@ -15,7 +15,10 @@
 // ordinary heap as an overlay (they have no arena entry) until the next
 // Rebuild folds them into fresh slabs. Each carries the summary
 // Summarize derives from its own samples, bit-identical to the windows a
-// build would install, so every member is screened alike.
+// build would install, so every member is screened alike. A snapshot
+// file holds no overlay: Encode writes every live member once, from its
+// own samples and summary, so a loaded arena holds every member of the
+// saved tree and no deleted one.
 package arena
 
 import (
@@ -107,8 +110,9 @@ func Build(members []*traj.Trajectory) *Arena {
 		a.byID[m.ID] = int32(i)
 	}
 	if err := a.deriveBoxLens(); err != nil {
-		// AppendRects builds each box as the union of a run of the
-		// member's own segments, so the walk cannot miss.
+		// The members are valid, and AppendRects builds each box as the
+		// union of a run of the member's own segments, so the walk
+		// cannot fail.
 		panic(err)
 	}
 	a.prime(members)
@@ -131,12 +135,9 @@ func (a *Arena) prime(members []*traj.Trajectory) {
 
 // Summarize returns tr's screen summary, bit-identical to the windows
 // Build and Members install over the same samples, in one slab beside its
-// header up to 64 segments. It fails on a trajectory Validate refuses:
-// a loaded overlay member's samples are checked here.
-func Summarize(tr *traj.Trajectory) (*traj.Summary, error) {
-	if err := tr.Validate(); err != nil {
-		return nil, err
-	}
+// header up to 64 segments. tr must be valid, as every member is: Insert
+// validates it first.
+func Summarize(tr *traj.Trajectory) *traj.Summary {
 	var stack [4 * 64]float64
 	rects := tbox.AppendRects(stack[:0], tr, MemberBoxes)
 	k := len(rects) / 4
@@ -147,7 +148,7 @@ func Summarize(tr *traj.Trajectory) (*traj.Summary, error) {
 	copy(s.Boxes, rects)
 	v := tr.View()
 	chargeSegments(v.X, v.Y, s.Boxes, s.BoxLens) // cannot miss, as in Build
-	return s, nil
+	return s
 }
 
 // appendBounds appends the union of rects, 4 values per box, to dst.
@@ -159,13 +160,27 @@ func appendBounds(dst, rects []float64) []float64 {
 	return append(dst, bb.Min.X, bb.Min.Y, bb.Max.X, bb.Max.Y)
 }
 
-// deriveBoxLens fills boxLens through chargeSegments. A segment no box
-// contains means the boxes are not its member's: ErrCorrupt.
+// deriveBoxLens fills boxLens through chargeSegments, and checks every
+// member's samples as Insert checks a new member's: traj.Validate over
+// its points, and its coordinate slabs equal to them. The slabs of a
+// decoded file come from another process, or another machine, so this
+// is the loader's one sample check. A sample Validate refuses, slabs
+// that disagree, or a segment no box contains (boxes that are not the
+// member's) is ErrCorrupt.
 func (a *Arena) deriveBoxLens() error {
 	a.boxLens = make([]float64, len(a.boxes)/4)
 	for m := range a.ids {
 		p0, p1, b0, b1 := a.offs[m], a.offs[m+1], a.boxOffs[m], a.boxOffs[m+1]
-		if seg := chargeSegments(a.xs[p0:p1], a.ys[p0:p1], a.boxes[4*b0:4*b1], a.boxLens[b0:b1]); seg >= 0 {
+		pts, xs, ys := a.pts[p0:p1], a.xs[p0:p1], a.ys[p0:p1]
+		if err := (&traj.Trajectory{Points: pts}).Validate(); err != nil {
+			return fmt.Errorf("%w: member %d: %v", ErrCorrupt, m, err)
+		}
+		for j, p := range pts {
+			if xs[j] != p.X || ys[j] != p.Y {
+				return fmt.Errorf("%w: member %d: coordinate slabs disagree with sample %d", ErrCorrupt, m, j)
+			}
+		}
+		if seg := chargeSegments(xs, ys, a.boxes[4*b0:4*b1], a.boxLens[b0:b1]); seg >= 0 {
 			return fmt.Errorf("%w: member %d: segment %d lies in none of its boxes", ErrCorrupt, m, seg)
 		}
 	}

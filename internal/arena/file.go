@@ -1,17 +1,20 @@
 // The arena snapshot section: a flat, checksummed, mmap-able encoding
-// of one shard's slabs plus a flattened tree payload supplied by the
-// index layer. The design goal is an O(members + nodes) warm boot: the
-// point slabs — the bulk of the bytes — are aliased straight out of the
-// mapping instead of being decoded, so boot cost no longer scales with
-// the number of samples.
+// of one shard's members, in the slab layout Build makes, plus a
+// flattened tree payload supplied by the index layer. Encode writes the
+// slabs from the members it is given, each once, so a file carries no
+// overlay and no deleted member. The design goal is an O(members + nodes)
+// warm boot: the point slabs — the bulk of the bytes — are aliased
+// straight out of the mapping instead of being decoded, so boot cost no
+// longer scales with the number of samples.
 //
 // Layout (all integers little-endian):
 //
 //	[8]  magic "TRARENA1"
 //	[8]  uint64 meta length
-//	[..] meta JSON: {"version":2,"sections":[{name,off,len}...],"extra":...}
+//	[..] meta JSON: {"version":3,"sections":[{name,off,len}...],"extra":...}
 //	     (zero-padded to the next 8-byte boundary)
-//	[..] sections, each starting on an 8-byte boundary
+//	[..] sections, in the order pts xs ys offs ids labels lens bbox boxes
+//	     boxoffs (the slabs) nboxes nmeta children members (the tree)
 //	[4]  uint32 CRC32C (Castagnoli) over every preceding byte
 //
 // Sections are raw arrays: float64 and int64 values, and traj.Point
@@ -22,9 +25,10 @@
 //
 // The trailer checksum is verified over the whole file before a single
 // value is interpreted, and every structural invariant (section bounds,
-// alignment, monotone offset tables, index ranges) is checked before the
-// arena is returned — a truncated or bit-flipped file surfaces as a
-// clean ErrCorrupt, never a panic or a SIGBUS.
+// alignment, monotone offset tables, index ranges) and every member's
+// samples (traj.Validate) are checked before the arena is returned — a
+// truncated, bit-flipped or hostile file surfaces as a clean ErrCorrupt,
+// never a panic, a SIGBUS or a sample Insert would refuse.
 package arena
 
 import (
@@ -49,8 +53,10 @@ var ErrCorrupt = errors.New("arena: snapshot corrupt")
 const (
 	fileMagic = "TRARENA1"
 	// fileVersion 2 dropped the vantage-point sections and the four
-	// node-record words that indexed them; version-1 files are refused.
-	fileVersion = 2
+	// node-record words that indexed them; version 3 dropped the overlay
+	// sections and the negative member refs into them. Files of an
+	// earlier version are refused.
+	fileVersion = 3
 	// NMetaStride is the number of int64s in one node's metadata record
 	// inside the nmeta section (see package trajtree for field order).
 	NMetaStride = 8
@@ -65,16 +71,7 @@ type TreeSection struct {
 	NBoxes   []float64 // node summary boxes, 5 per box: MinX, MinY, MaxX, MaxY, MinL
 	NMeta    []int64   // NMetaStride int64s per node
 	Children []int64   // child node indices, flat
-	Members  []int64   // member refs, flat: arena index, or -(overlay index)-1
-
-	// Overlay members: trajectories inserted since the last rebuild have
-	// no arena entry, so their samples are stored here and materialised
-	// onto the heap at load (the overlay is small by construction — a
-	// rebuild folds it into fresh slabs).
-	OPts    []float64 // 3 per point: X, Y, T
-	OOffs   []int64   // len(overlay)+1 prefix offsets into OPts (point units)
-	OIDs    []int64
-	OLabels []int64
+	Members  []int64   // member refs, flat: the member's index in the file's slabs
 }
 
 // Snapshot is a decoded arena file: the slab arena, the index layer's
@@ -103,244 +100,207 @@ type fileMeta struct {
 	Extra    json.RawMessage `json:"extra,omitempty"`
 }
 
-// sectionOrder fixes the on-disk section order; Encode and the loaders
-// walk the same list so offsets agree by construction.
-var sectionOrder = []string{
-	"pts", "xs", "ys", "offs", "ids", "labels", "lens", "bbox",
-	"boxes", "boxoffs",
-	"nboxes", "nmeta", "children", "members",
-	"opts", "ooffs", "oids", "olabels",
+// section is one named array of the file: its length in 8-byte words
+// and the writer of its values.
+type section struct {
+	name  string
+	words int
+	write func(*fileWriter)
 }
 
-func (a *Arena) sectionBytes(name string, ts *TreeSection) int64 {
-	switch name {
-	case "pts":
-		return int64(len(a.pts)) * 24
-	case "xs":
-		return int64(len(a.xs)) * 8
-	case "ys":
-		return int64(len(a.ys)) * 8
-	case "offs":
-		return int64(len(a.offs)) * 8
-	case "ids":
-		return int64(len(a.ids)) * 8
-	case "labels":
-		return int64(len(a.labels)) * 8
-	case "lens":
-		return int64(len(a.lens)) * 8
-	case "bbox":
-		return int64(len(a.bbox)) * 8
-	case "boxes":
-		return int64(len(a.boxes)) * 8
-	case "boxoffs":
-		return int64(len(a.boxOffs)) * 8
-	case "nboxes":
-		return int64(len(ts.NBoxes)) * 8
-	case "nmeta":
-		return int64(len(ts.NMeta)) * 8
-	case "children":
-		return int64(len(ts.Children)) * 8
-	case "members":
-		return int64(len(ts.Members)) * 8
-	case "opts":
-		return int64(len(ts.OPts)) * 8
-	case "ooffs":
-		return int64(len(ts.OOffs)) * 8
-	case "oids":
-		return int64(len(ts.OIDs)) * 8
-	case "olabels":
-		return int64(len(ts.OLabels)) * 8
+// sections lists the file's sections in their on-disk order, each
+// written straight from the members' samples and summary windows, or
+// from ts.
+func sections(members []*traj.Trajectory, ts *TreeSection) []section {
+	n, pts, boxes := len(members), 0, 0
+	for _, m := range members {
+		pts += len(m.Points)
+		boxes += len(m.Summary().Boxes)
 	}
-	panic("arena: unknown section " + name)
+	// each writes one member at a time through f, which appends to b and
+	// returns it, as append does. Storing into fw.buf once per member,
+	// not once per value, keeps the GC write barrier off the per-value
+	// path: per-value stores made a 10 k-member save 1.5× slower.
+	each := func(f func(b []byte, m *traj.Trajectory) []byte) func(*fileWriter) {
+		return func(fw *fileWriter) {
+			for _, m := range members {
+				fw.buf = f(fw.buf, m)
+				fw.spill()
+			}
+		}
+	}
+	prefix := func(size func(*traj.Trajectory) int) func(*fileWriter) {
+		return func(fw *fileWriter) {
+			off := 0
+			fw.buf = putI64(fw.buf, 0)
+			each(func(b []byte, m *traj.Trajectory) []byte {
+				off += size(m)
+				return putI64(b, int64(off))
+			})(fw)
+		}
+	}
+	return []section{
+		{"pts", 3 * pts, each(func(b []byte, m *traj.Trajectory) []byte {
+			for _, p := range m.Points {
+				b = putF64(putF64(putF64(b, p.X), p.Y), p.T)
+			}
+			return b
+		})},
+		{"xs", pts, each(func(b []byte, m *traj.Trajectory) []byte {
+			for _, p := range m.Points {
+				b = putF64(b, p.X)
+			}
+			return b
+		})},
+		{"ys", pts, each(func(b []byte, m *traj.Trajectory) []byte {
+			for _, p := range m.Points {
+				b = putF64(b, p.Y)
+			}
+			return b
+		})},
+		{"offs", n + 1, prefix(func(m *traj.Trajectory) int { return len(m.Points) })},
+		{"ids", n, each(func(b []byte, m *traj.Trajectory) []byte { return putI64(b, int64(m.ID)) })},
+		{"labels", n, each(func(b []byte, m *traj.Trajectory) []byte { return putI64(b, int64(m.Label)) })},
+		{"lens", n, each(func(b []byte, m *traj.Trajectory) []byte { return putF64s(b, m.Summary().Length) })},
+		{"bbox", 4 * n, each(func(b []byte, m *traj.Trajectory) []byte { return putF64s(b, m.Summary().BBox) })},
+		{"boxes", boxes, each(func(b []byte, m *traj.Trajectory) []byte { return putF64s(b, m.Summary().Boxes) })},
+		{"boxoffs", n + 1, prefix(func(m *traj.Trajectory) int { return len(m.Summary().Boxes) / 4 })},
+		{"nboxes", len(ts.NBoxes), func(fw *fileWriter) { fw.f64s(ts.NBoxes) }},
+		{"nmeta", len(ts.NMeta), func(fw *fileWriter) { fw.i64s(ts.NMeta) }},
+		{"children", len(ts.Children), func(fw *fileWriter) { fw.i64s(ts.Children) }},
+		{"members", len(ts.Members), func(fw *fileWriter) { fw.i64s(ts.Members) }},
+	}
 }
 
-// Encode writes the snapshot encoding of a and ts to w; extra is opaque
-// metadata (the index layer's options and root) stored in the meta
-// header. A nil arena encodes as empty slabs, so a shard that has only
-// ever seen Inserts still snapshots (every member rides in the overlay).
-// The returned value is the trailer checksum the file ends in.
-func Encode(w io.Writer, a *Arena, ts *TreeSection, extra json.RawMessage) (uint32, error) {
-	if a == nil {
-		a = &Arena{offs: make([]int64, 1), boxOffs: make([]int64, 1)}
-	}
+// Encode writes the snapshot encoding of members and ts to w; extra is
+// opaque metadata (the index layer's options and root) stored in the meta
+// header. The slabs are written from each member's own samples and
+// screen summary (which every tree member carries), member i becoming
+// arena index i — the index ts's member refs name. So the file holds
+// each given member once and nothing else, and the members of a Build,
+// in build order, encode to that arena's slabs byte for byte. The
+// returned value is the trailer checksum the file ends in.
+func Encode(w io.Writer, members []*traj.Trajectory, ts *TreeSection, extra json.RawMessage) (uint32, error) {
+	secs := sections(members, ts)
 	meta := fileMeta{Version: fileVersion, Extra: extra}
 	// Lay out the sections: the meta block's own length shifts them, and
 	// the offsets live inside the meta JSON, so sizing must iterate. The
 	// digit width of the offsets converges after at most a few rounds.
 	headerLen := int64(0)
+	var rawMeta []byte
 	for range [8]int{} {
 		meta.Sections = meta.Sections[:0]
 		off := align8(headerLen)
-		for _, name := range sectionOrder {
-			n := a.sectionBytes(name, ts)
-			meta.Sections = append(meta.Sections, fileSection{Name: name, Off: off, Len: n})
-			off = align8(off + n)
+		for _, s := range secs {
+			meta.Sections = append(meta.Sections, fileSection{Name: s.name, Off: off, Len: 8 * int64(s.words)})
+			off += 8 * int64(s.words)
 		}
-		raw, err := json.Marshal(meta)
-		if err != nil {
+		var err error
+		if rawMeta, err = json.Marshal(meta); err != nil {
 			return 0, err
 		}
-		want := int64(16 + len(raw))
+		want := int64(16 + len(rawMeta))
 		if want == headerLen {
 			break
 		}
 		headerLen = want
 	}
-	rawMeta, err := json.Marshal(meta)
-	if err != nil {
-		return 0, err
-	}
-	h := crc32.New(fileCRC)
-	cw := io.MultiWriter(w, h)
-	if _, err := cw.Write([]byte(fileMagic)); err != nil {
-		return 0, err
-	}
-	var b8 [8]byte
-	binary.LittleEndian.PutUint64(b8[:], uint64(len(rawMeta)))
-	if _, err := cw.Write(b8[:]); err != nil {
-		return 0, err
-	}
-	if _, err := cw.Write(rawMeta); err != nil {
-		return 0, err
-	}
-	pos := int64(16 + len(rawMeta))
-	if err := pad8(cw, &pos); err != nil {
-		return 0, err
-	}
-	for si, name := range sectionOrder {
-		if pos != meta.Sections[si].Off {
-			return 0, fmt.Errorf("arena: encode: section %s at %d, planned %d", name, pos, meta.Sections[si].Off)
-		}
-		n, err := a.writeSection(cw, name, ts)
-		if err != nil {
-			return 0, err
-		}
-		pos += n
-		if err := pad8(cw, &pos); err != nil {
-			return 0, err
+	fw := &fileWriter{w: w, buf: make([]byte, 0, fileBuf+len(rawMeta)+24)}
+	fw.buf = append(fw.buf, fileMagic...)
+	fw.buf = putI64(fw.buf, int64(len(rawMeta)))
+	fw.buf = append(fw.buf, rawMeta...)
+	fw.buf = append(fw.buf, make([]byte, align8(headerLen)-headerLen)...)
+	for i, s := range secs {
+		s.write(fw)
+		if planned := meta.Sections[i]; fw.pos() != planned.Off+planned.Len {
+			return 0, fmt.Errorf("arena: encode: section %s ends at %d, planned %d", s.name, fw.pos(), planned.Off+planned.Len)
 		}
 	}
-	sum := h.Sum32()
+	fw.flush()
+	if fw.err != nil {
+		return 0, fw.err
+	}
 	var trailer [4]byte
-	binary.LittleEndian.PutUint32(trailer[:], sum)
-	_, err = w.Write(trailer[:])
-	return sum, err
+	binary.LittleEndian.PutUint32(trailer[:], fw.crc)
+	_, err := w.Write(trailer[:])
+	return fw.crc, err
 }
 
-func (a *Arena) writeSection(w io.Writer, name string, ts *TreeSection) (int64, error) {
-	switch name {
-	case "pts":
-		return writePoints(w, a.pts)
-	case "xs":
-		return writeF64s(w, a.xs)
-	case "ys":
-		return writeF64s(w, a.ys)
-	case "offs":
-		return writeI64s(w, a.offs)
-	case "ids":
-		return writeI64s(w, a.ids)
-	case "labels":
-		return writeI64s(w, a.labels)
-	case "lens":
-		return writeF64s(w, a.lens)
-	case "bbox":
-		return writeF64s(w, a.bbox)
-	case "boxes":
-		return writeF64s(w, a.boxes)
-	case "boxoffs":
-		return writeI64s(w, a.boxOffs)
-	case "nboxes":
-		return writeF64s(w, ts.NBoxes)
-	case "nmeta":
-		return writeI64s(w, ts.NMeta)
-	case "children":
-		return writeI64s(w, ts.Children)
-	case "members":
-		return writeI64s(w, ts.Members)
-	case "opts":
-		return writeF64s(w, ts.OPts)
-	case "ooffs":
-		return writeI64s(w, ts.OOffs)
-	case "oids":
-		return writeI64s(w, ts.OIDs)
-	case "olabels":
-		return writeI64s(w, ts.OLabels)
-	}
-	panic("arena: unknown section " + name)
+// fileBuf is the size at which a fileWriter flushes.
+const fileBuf = 1 << 16
+
+// fileWriter buffers a file's bytes on their way to w and into the
+// trailer checksum. Section writers append to buf and spill after each
+// member, so it stays within one member's bytes of fileBuf. The first
+// write error sticks; later bytes are counted but dropped.
+type fileWriter struct {
+	w   io.Writer
+	buf []byte
+	n   int64 // bytes flushed
+	crc uint32
+	err error
 }
+
+// putF64, putI64, putF64s and putI64s append little-endian words to b.
+func putF64(b []byte, x float64) []byte {
+	return binary.LittleEndian.AppendUint64(b, math.Float64bits(x))
+}
+
+func putI64(b []byte, x int64) []byte { return binary.LittleEndian.AppendUint64(b, uint64(x)) }
+
+func putF64s(b []byte, v []float64) []byte {
+	for _, x := range v {
+		b = putF64(b, x)
+	}
+	return b
+}
+
+func putI64s(b []byte, v []int64) []byte {
+	for _, x := range v {
+		b = putI64(b, x)
+	}
+	return b
+}
+
+// f64s and i64s write a whole section's values, fileBuf bytes at a time.
+func (fw *fileWriter) f64s(v []float64) {
+	for len(v) > 0 {
+		k := min(len(v), fileBuf/8)
+		fw.buf = putF64s(fw.buf, v[:k])
+		fw.spill()
+		v = v[k:]
+	}
+}
+
+func (fw *fileWriter) i64s(v []int64) {
+	for len(v) > 0 {
+		k := min(len(v), fileBuf/8)
+		fw.buf = putI64s(fw.buf, v[:k])
+		fw.spill()
+		v = v[k:]
+	}
+}
+
+// spill flushes a full buffer.
+func (fw *fileWriter) spill() {
+	if len(fw.buf) >= fileBuf {
+		fw.flush()
+	}
+}
+
+func (fw *fileWriter) flush() {
+	if fw.err == nil {
+		fw.crc = crc32.Update(fw.crc, fileCRC, fw.buf)
+		_, fw.err = fw.w.Write(fw.buf)
+	}
+	fw.n += int64(len(fw.buf))
+	fw.buf = fw.buf[:0]
+}
+
+// pos is the offset of the next byte written.
+func (fw *fileWriter) pos() int64 { return fw.n + int64(len(fw.buf)) }
 
 func align8(n int64) int64 { return (n + 7) &^ 7 }
-
-var zero8 [8]byte
-
-func pad8(w io.Writer, pos *int64) error {
-	if rem := *pos & 7; rem != 0 {
-		if _, err := w.Write(zero8[:8-rem]); err != nil {
-			return err
-		}
-		*pos += 8 - rem
-	}
-	return nil
-}
-
-func writeF64s(w io.Writer, v []float64) (int64, error) {
-	buf := make([]byte, 0, 1<<16)
-	var n int64
-	for _, f := range v {
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(f))
-		if len(buf) == cap(buf) {
-			if _, err := w.Write(buf); err != nil {
-				return n, err
-			}
-			n += int64(len(buf))
-			buf = buf[:0]
-		}
-	}
-	if _, err := w.Write(buf); err != nil {
-		return n, err
-	}
-	return n + int64(len(buf)), nil
-}
-
-func writeI64s(w io.Writer, v []int64) (int64, error) {
-	buf := make([]byte, 0, 1<<16)
-	var n int64
-	for _, x := range v {
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(x))
-		if len(buf) == cap(buf) {
-			if _, err := w.Write(buf); err != nil {
-				return n, err
-			}
-			n += int64(len(buf))
-			buf = buf[:0]
-		}
-	}
-	if _, err := w.Write(buf); err != nil {
-		return n, err
-	}
-	return n + int64(len(buf)), nil
-}
-
-func writePoints(w io.Writer, v []traj.Point) (int64, error) {
-	buf := make([]byte, 0, 3*(1<<15))
-	var n int64
-	for _, p := range v {
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(p.X))
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(p.Y))
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(p.T))
-		if len(buf) == cap(buf) {
-			if _, err := w.Write(buf); err != nil {
-				return n, err
-			}
-			n += int64(len(buf))
-			buf = buf[:0]
-		}
-	}
-	if _, err := w.Write(buf); err != nil {
-		return n, err
-	}
-	return n + int64(len(buf)), nil
-}
 
 // Open maps the arena snapshot at path and returns a Snapshot whose
 // slices alias the mapping (after the whole file's checksum and every
@@ -401,13 +361,12 @@ func decode(b []byte, mapped bool) (*Snapshot, error) {
 		}
 		secs[s.Name] = s
 	}
-	for _, name := range sectionOrder {
-		if _, ok := secs[name]; !ok {
-			return nil, fmt.Errorf("%w: missing section %q", ErrCorrupt, name)
-		}
-	}
+	var missing []string
 	get := func(name string) []byte {
-		s := secs[name]
+		s, ok := secs[name]
+		if !ok {
+			missing = append(missing, name)
+		}
 		return b[s.Off : s.Off+s.Len]
 	}
 	a := &Arena{}
@@ -429,10 +388,9 @@ func decode(b []byte, mapped bool) (*Snapshot, error) {
 	ts.NMeta = alias[int64](get("nmeta"), 8)
 	ts.Children = alias[int64](get("children"), 8)
 	ts.Members = alias[int64](get("members"), 8)
-	ts.OPts = alias[float64](get("opts"), 8)
-	ts.OOffs = alias[int64](get("ooffs"), 8)
-	ts.OIDs = alias[int64](get("oids"), 8)
-	ts.OLabels = alias[int64](get("olabels"), 8)
+	if len(missing) > 0 {
+		return nil, fmt.Errorf("%w: missing sections %q", ErrCorrupt, missing)
+	}
 	if err := a.check(); err != nil {
 		return nil, err
 	}
@@ -534,21 +492,6 @@ func (ts *TreeSection) check(a *Arena) error {
 	if len(ts.NMeta)%NMetaStride != 0 {
 		return fmt.Errorf("%w: nmeta length %d not a multiple of %d", ErrCorrupt, len(ts.NMeta), NMetaStride)
 	}
-	nOverlay := len(ts.OIDs)
-	if len(ts.OOffs) != 0 || nOverlay != 0 {
-		if len(ts.OOffs) != nOverlay+1 || len(ts.OLabels) != nOverlay {
-			return fmt.Errorf("%w: overlay tables disagree (%d ids, %d offs, %d labels)",
-				ErrCorrupt, nOverlay, len(ts.OOffs), len(ts.OLabels))
-		}
-		if ts.OOffs[0] != 0 || len(ts.OPts)%3 != 0 || ts.OOffs[nOverlay] != int64(len(ts.OPts)/3) {
-			return fmt.Errorf("%w: overlay offsets do not span the point slab", ErrCorrupt)
-		}
-		for i := 0; i < nOverlay; i++ {
-			if ts.OOffs[i+1] < ts.OOffs[i] {
-				return fmt.Errorf("%w: non-monotone overlay offsets at %d", ErrCorrupt, i)
-			}
-		}
-	}
 	nodes := len(ts.NMeta) / NMetaStride
 	for ni := 0; ni < nodes; ni++ {
 		m := ts.NMeta[ni*NMetaStride : (ni+1)*NMetaStride]
@@ -570,7 +513,7 @@ func (ts *TreeSection) check(a *Arena) error {
 			return fmt.Errorf("%w: node %d member range out of bounds", ErrCorrupt, ni)
 		}
 		for _, r := range ts.Members[memberOff : memberOff+memberCount] {
-			if r >= int64(len(a.ids)) || (r < 0 && int(-r-1) >= nOverlay) {
+			if r < 0 || r >= int64(len(a.ids)) {
 				return fmt.Errorf("%w: node %d member ref %d out of range", ErrCorrupt, ni, r)
 			}
 		}

@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"trajmatch/internal/traj"
@@ -34,21 +35,18 @@ func testTreeSection() *TreeSection {
 	return &TreeSection{
 		NBoxes:   []float64{0, 0, 1, 1, 0.5},
 		NMeta:    []int64{0, 1, 3, 0, 0, 0, 2, 0},
-		Members:  []int64{0, -1},
-		OPts:     []float64{1, 2, 0, 3, 4, 1},
-		OOffs:    []int64{0, 2},
-		OIDs:     []int64{99},
-		OLabels:  []int64{7},
+		Members:  []int64{0, 1},
 		Children: nil,
 	}
 }
 
 func encodeTestFile(t *testing.T) (string, *Arena, *TreeSection) {
 	t.Helper()
-	a := Build(testMembers(20))
+	members := testMembers(20)
+	a := Build(members)
 	ts := testTreeSection()
 	var buf bytes.Buffer
-	sum, err := Encode(&buf, a, ts, []byte(`{"k":1}`))
+	sum, err := Encode(&buf, members, ts, []byte(`{"k":1}`))
 	if err != nil {
 		t.Fatalf("encode: %v", err)
 	}
@@ -87,10 +85,15 @@ func TestFileRoundTrip(t *testing.T) {
 			t.Fatalf("point %d mismatch", i)
 		}
 	}
-	for i, v := range a.boxes {
-		if b.boxes[i] != v {
-			t.Fatalf("box value %d mismatch", i)
+	for name, pair := range map[string][2][]float64{
+		"lens": {a.lens, b.lens}, "bbox": {a.bbox, b.bbox}, "boxes": {a.boxes, b.boxes},
+	} {
+		if !slices.Equal(pair[0], pair[1]) {
+			t.Fatalf("%s mismatch", name)
 		}
+	}
+	if !slices.Equal(a.boxOffs, b.boxOffs) {
+		t.Fatal("boxoffs mismatch")
 	}
 	if raw, err := os.ReadFile(path); err != nil || snap.CRC != binary.LittleEndian.Uint32(raw[len(raw)-4:]) {
 		t.Fatalf("snapshot checksum %08x is not the file's trailer (%v)", snap.CRC, err)
@@ -102,9 +105,6 @@ func TestFileRoundTrip(t *testing.T) {
 	for name, pair := range map[string][2][]int64{
 		"nmeta":    {ts.NMeta, got.NMeta},
 		"members":  {ts.Members, got.Members},
-		"ooffs":    {ts.OOffs, got.OOffs},
-		"oids":     {ts.OIDs, got.OIDs},
-		"olabels":  {ts.OLabels, got.OLabels},
 		"children": {ts.Children, got.Children},
 	} {
 		if len(pair[0]) != len(pair[1]) {
@@ -116,15 +116,8 @@ func TestFileRoundTrip(t *testing.T) {
 			}
 		}
 	}
-	for name, pair := range map[string][2][]float64{
-		"nboxes": {ts.NBoxes, got.NBoxes},
-		"opts":   {ts.OPts, got.OPts},
-	} {
-		for i := range pair[0] {
-			if pair[0][i] != pair[1][i] {
-				t.Fatalf("%s[%d] mismatch", name, i)
-			}
-		}
+	if !slices.Equal(ts.NBoxes, got.NBoxes) {
+		t.Fatal("nboxes mismatch")
 	}
 }
 
@@ -164,7 +157,7 @@ func TestBoxLensDerived(t *testing.T) {
 		}
 	}
 	var buf bytes.Buffer
-	if _, err := Encode(&buf, a, testTreeSection(), nil); err != nil {
+	if _, err := Encode(&buf, members, testTreeSection(), nil); err != nil {
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "x.arena")
@@ -191,14 +184,15 @@ func TestBoxLensDerived(t *testing.T) {
 	}
 
 	// Shrink the last member's last box to a point away from the member.
-	bad := *decoded.Arena
-	bad.boxes = append([]float64(nil), bad.boxes...)
-	copy(bad.boxes[len(bad.boxes)-4:], []float64{-1e6, -1e6, -1e6, -1e6})
-	buf.Reset()
-	if _, err := Encode(&buf, &bad, &decoded.Tree, nil); err != nil {
+	last := members[len(members)-1].Clone()
+	s := Summarize(last)
+	copy(s.Boxes[len(s.Boxes)-4:], []float64{-1e6, -1e6, -1e6, -1e6})
+	last.SetSummary(s)
+	var bad bytes.Buffer
+	if _, err := Encode(&bad, append(members[:len(members)-1:len(members)-1], last), testTreeSection(), nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Decode(buf.Bytes()); !errors.Is(err, ErrCorrupt) {
+	if _, err := Decode(bad.Bytes()); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("Decode of a file whose box lost its segment: err = %v, want ErrCorrupt", err)
 	}
 }
@@ -283,26 +277,4 @@ func TestFileCorruptionMatrix(t *testing.T) {
 	}
 	// A zero-filled file of plausible size.
 	check("zeros", make([]byte, len(good)))
-}
-
-// TestFileEncodeNilArena pins that a nil arena (a shard grown purely by
-// Insert) still round-trips: everything rides in the overlay sections.
-func TestFileEncodeNilArena(t *testing.T) {
-	ts := &TreeSection{
-		OPts:    []float64{1, 2, 0, 3, 4, 1},
-		OOffs:   []int64{0, 2},
-		OIDs:    []int64{5},
-		OLabels: []int64{0},
-	}
-	var buf bytes.Buffer
-	if _, err := Encode(&buf, nil, ts, []byte(`{}`)); err != nil {
-		t.Fatal(err)
-	}
-	snap, err := Decode(buf.Bytes())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(snap.Arena.ids) != 0 || len(snap.Tree.OIDs) != 1 {
-		t.Fatalf("nil-arena round trip: %d members, %d overlay", len(snap.Arena.ids), len(snap.Tree.OIDs))
-	}
 }

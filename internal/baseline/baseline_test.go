@@ -124,21 +124,27 @@ func TestEDRIntegerAndBounds(t *testing.T) {
 	}
 }
 
+// TestEDREarlyAbandonConsistent checks the bounded EDR program against
+// the unbounded one on 400 random pairs of 0–40 points, empty sides
+// included, at every integer bound from -1 (disabled) up to the
+// distance: the value is Dist's when the bound is -1 or at least the
+// distance, and exceeds the bound otherwise — Dist's own value unless
+// the program was abandoned.
 func TestEDREarlyAbandonConsistent(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
 	edr := EDR{Eps: 3}
-	for it := 0; it < 50; it++ {
-		a := randomTraj(rng, 2+rng.Intn(12))
-		b := randomTraj(rng, 2+rng.Intn(12))
+	for it := 0; it < 400; it++ {
+		a, b := randomTraj(rng, rng.Intn(41)), randomTraj(rng, rng.Intn(41))
 		full := edr.Dist(a, b)
-		// With a bound at least the true distance, the exact value returns.
-		if got, _ := edr.DistEarlyAbandonCancel(a, b, int(full), nil); got != full {
-			t.Fatalf("early abandon altered result: %v vs %v", got, full)
-		}
-		// With a tighter bound, the result must still exceed the bound.
-		if full > 0 {
-			if got, _ := edr.DistEarlyAbandonCancel(a, b, int(full)-1, nil); got < full-float64(int(full)-1) && got <= float64(int(full)-1) {
-				t.Fatalf("early abandon returned %v, which does not certify bound %v", got, int(full)-1)
+		for bound := -1; bound <= int(full); bound++ {
+			got, abandoned := edr.DistEarlyAbandonCancel(a, b, bound, nil)
+			switch {
+			case bound < 0 || float64(bound) >= full:
+				if got != full || abandoned {
+					t.Fatalf("pair %d (%d×%d points), bound %d: %v (abandoned %v), Dist %v", it, a.NumPoints(), b.NumPoints(), bound, got, abandoned, full)
+				}
+			case got <= float64(bound) || !abandoned && got != full:
+				t.Fatalf("pair %d (%d×%d points), bound %d: %v (abandoned %v) does not certify the bound, Dist %v", it, a.NumPoints(), b.NumPoints(), bound, got, abandoned, full)
 			}
 		}
 	}

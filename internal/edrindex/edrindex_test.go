@@ -1,6 +1,7 @@
 package edrindex
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -42,5 +43,40 @@ func TestPruningHappens(t *testing.T) {
 	}
 	if st.DistanceCalls >= len(db) {
 		t.Errorf("all %d candidates fully computed", st.DistanceCalls)
+	}
+}
+
+// TestEDRAgreesWithBaseline pins the index's kernel — baseline.EDR under
+// the float abandon limit, converted by intLimit — to the baseline's
+// bounded program on 400 random pairs of 0–40 points, empty sides
+// included: at every integer bound from -1 up to the distance, the
+// limit bound + 0.5 gives the same value and abandon flag as the bound
+// itself, and an infinite limit gives Dist.
+func TestEDRAgreesWithBaseline(t *testing.T) {
+	rng := rand.New(rand.NewSource(145))
+	walk := func(n int) *traj.Trajectory {
+		pts := make([]traj.Point, n)
+		x, y := rng.Float64()*50, rng.Float64()*50
+		for i := range pts {
+			x, y = x+rng.NormFloat64()*4, y+rng.NormFloat64()*4
+			pts[i] = traj.P(x, y, float64(i))
+		}
+		return traj.New(0, pts)
+	}
+	edr := baseline.EDR{Eps: 3}
+	for it := 0; it < 400; it++ {
+		a, b := walk(rng.Intn(41)), walk(rng.Intn(41))
+		full := edr.Dist(a, b)
+		if got, ab := edr.DistEarlyAbandonCancel(a, b, intLimit(math.Inf(1)), nil); got != full || ab {
+			t.Fatalf("pair %d: unbounded kernel %v (abandoned %v), Dist %v", it, got, ab, full)
+		}
+		for bound := -1; bound <= int(full); bound++ {
+			want, wantAb := edr.DistEarlyAbandonCancel(a, b, bound, nil)
+			got, ab := edr.DistEarlyAbandonCancel(a, b, intLimit(float64(bound)+0.5), nil)
+			if got != want || ab != wantAb {
+				t.Fatalf("pair %d, bound %d: kernel at limit %v gives %v (abandoned %v), baseline %v (abandoned %v)",
+					it, bound, float64(bound)+0.5, got, ab, want, wantAb)
+			}
+		}
 	}
 }

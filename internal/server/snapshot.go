@@ -56,12 +56,12 @@ import (
 // the reboot invariant.
 
 // snapshotVersion is bumped whenever the manifest layout, the per-shard
-// file format, or the placement hash changes incompatibly. Version 4
-// holds one shard-NNNN.arena file per shard (arena format 2, without
-// vantage-point sections) and one checksum array; directories of earlier
-// versions are rejected with a clear error (re-save from a live engine to
-// upgrade).
-const snapshotVersion = 4
+// file format, or the placement hash changes incompatibly. Version 5
+// holds one shard-NNNN.arena file per shard (arena format 3: each live
+// member once in the slabs, no overlay sections) and one checksum array;
+// directories of earlier versions are rejected with a clear error
+// (re-save from a live engine to upgrade).
+const snapshotVersion = 5
 
 // manifestName is the manifest file inside a snapshot directory.
 const manifestName = "MANIFEST.json"

@@ -28,9 +28,12 @@ import (
 //	6 memberCount
 //	7 maxLenBits math.Float64bits of the node's maxLen
 //
-// Members are arena indices; trajectories inserted since the last rebuild
-// (the overlay) have no arena entry and are stored in the overlay
-// sections, referenced as -(overlay index)-1.
+// The slabs hold the root's members, each once and in the root's order,
+// written from the members' own samples and summaries (arena.Encode). A
+// member built into the live tree's arena and one inserted since are
+// written alike, and a deleted member's samples are not written at all.
+// A member ref is the member's index in the slabs, so every loaded member
+// is arena-resident: a restart folds the overlay into the arena.
 
 // arenaExtra is the tree-level metadata stored in the snapshot's meta
 // header.
@@ -54,32 +57,14 @@ func (t *Tree) Save(w io.Writer) error {
 func (t *Tree) SaveCRC(w io.Writer) (uint32, error) {
 	extra := arenaExtra{Version: 1, Options: t.opt, Size: t.size, Root: -1}
 	var ts arena.TreeSection
+	var members []*traj.Trajectory
 	if t.root != nil {
-		// Members without an arena entry (pure-Insert trees and the
-		// overlay) get their samples serialised inline.
-		overlayIdx := make(map[int]int)
-		ts.OOffs = append(ts.OOffs, 0)
-		for _, m := range t.root.members {
-			if _, ok := t.arenaIndex(m); ok {
-				continue
-			}
-			overlayIdx[m.ID] = len(ts.OIDs)
-			ts.OIDs = append(ts.OIDs, int64(m.ID))
-			ts.OLabels = append(ts.OLabels, int64(m.Label))
-			for _, p := range m.Points {
-				ts.OPts = append(ts.OPts, p.X, p.Y, p.T)
-			}
-			ts.OOffs = append(ts.OOffs, int64(len(ts.OPts)/3))
-		}
-		memberRef := func(m *traj.Trajectory) (int64, error) {
-			if ai, ok := t.arenaIndex(m); ok {
-				return int64(ai), nil
-			}
-			oi, ok := overlayIdx[m.ID]
-			if !ok {
-				return 0, fmt.Errorf("trajtree: save: member %d in a node but not under the root", m.ID)
-			}
-			return -int64(oi) - 1, nil
+		// The file's slabs hold the root's members in order, so a
+		// member's ref is its position in that list.
+		members = t.root.members
+		refs := make(map[*traj.Trajectory]int64, len(members))
+		for i, m := range members {
+			refs[m] = int64(i)
 		}
 		var flatten func(n *node) (int64, error)
 		flatten = func(n *node) (int64, error) {
@@ -94,9 +79,9 @@ func (t *Tree) SaveCRC(w io.Writer) (uint32, error) {
 			rec[5] = int64(len(ts.Members))
 			rec[6] = int64(len(n.members))
 			for _, m := range n.members {
-				ref, err := memberRef(m)
-				if err != nil {
-					return 0, err
+				ref, ok := refs[m]
+				if !ok {
+					return 0, fmt.Errorf("trajtree: save: member %d in a node but not under the root", m.ID)
 				}
 				ts.Members = append(ts.Members, ref)
 			}
@@ -129,7 +114,7 @@ func (t *Tree) SaveCRC(w io.Writer) (uint32, error) {
 	if err != nil {
 		return 0, err
 	}
-	return arena.Encode(w, t.ar, &ts, raw)
+	return arena.Encode(w, members, &ts, raw)
 }
 
 // Load reads a tree written by Save from r onto the heap and returns it
@@ -169,7 +154,9 @@ func LoadArena(path string) (*Tree, uint32, error) {
 	return fromSnapshot(snap)
 }
 
-// fromSnapshot rebuilds the node structures over a decoded file's slabs.
+// fromSnapshot rebuilds the node structures over a decoded file's slabs,
+// whose members the decoder has already validated sample by sample. The
+// file must hold exactly the tree's members.
 func fromSnapshot(snap *arena.Snapshot) (*Tree, uint32, error) {
 	var extra arenaExtra
 	if err := json.Unmarshal(snap.Extra, &extra); err != nil {
@@ -180,30 +167,8 @@ func fromSnapshot(snap *arena.Snapshot) (*Tree, uint32, error) {
 	}
 	a, ts := snap.Arena, snap.Tree
 	members := a.Members()
-	// Overlay members are few (a rebuild folds them into the slabs), so
-	// they are copied onto the heap rather than aliased, and summarised
-	// as at Insert; samples Summarize refuses (never validated) are corrupt.
-	overlay := make([]*traj.Trajectory, len(ts.OIDs))
-	for i := range overlay {
-		pts := make([]traj.Point, ts.OOffs[i+1]-ts.OOffs[i])
-		for j := range pts {
-			k := (ts.OOffs[i] + int64(j)) * 3
-			pts[j] = traj.Point{X: ts.OPts[k], Y: ts.OPts[k+1], T: ts.OPts[k+2]}
-		}
-		tr := traj.New(int(ts.OIDs[i]), pts)
-		tr.Label = int(ts.OLabels[i])
-		s, err := arena.Summarize(tr)
-		if err != nil {
-			return nil, 0, fmt.Errorf("trajtree: load: overlay member %d: %v: %w", tr.ID, err, arena.ErrCorrupt)
-		}
-		tr.SetSummary(s)
-		overlay[i] = tr
-	}
-	resolve := func(ref int64) *traj.Trajectory {
-		if ref >= 0 {
-			return members[ref]
-		}
-		return overlay[-ref-1]
+	if extra.Size != len(members) {
+		return nil, 0, fmt.Errorf("trajtree: load: size %d for %d members: %w", extra.Size, len(members), arena.ErrCorrupt)
 	}
 	t := newTreeShell(extra.Options, extra.Size)
 	if extra.Root >= 0 {
@@ -236,7 +201,7 @@ func fromSnapshot(snap *arena.Snapshot) (*Tree, uint32, error) {
 			if rec[6] > 0 {
 				n.members = make([]*traj.Trajectory, rec[6])
 				for mi := range n.members {
-					n.members[mi] = resolve(ts.Members[rec[5]+int64(mi)])
+					n.members[mi] = members[ts.Members[rec[5]+int64(mi)]]
 				}
 			}
 			for ci := int64(0); ci < rec[4]; ci++ {
@@ -261,6 +226,5 @@ func fromSnapshot(snap *arena.Snapshot) (*Tree, uint32, error) {
 		return nil, 0, fmt.Errorf("trajtree: load: %v: %w", err, arena.ErrCorrupt)
 	}
 	t.ar = a
-	t.overlay = len(overlay)
 	return t, snap.CRC, nil
 }

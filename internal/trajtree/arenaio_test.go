@@ -115,8 +115,10 @@ func TestArenaRoundTripAnswersIdentically(t *testing.T) {
 				if loaded.Size() != tree.Size() || loaded.Height() != tree.Height() {
 					t.Fatalf("loaded shape %d/%d, want %d/%d", loaded.Size(), loaded.Height(), tree.Size(), tree.Height())
 				}
-				if got, want := loaded.MemStats(), tree.MemStats(); got.Overlay != want.Overlay || got.Arena.Members != want.Arena.Members {
-					t.Fatalf("mem stats %+v after load, want %+v", got, want)
+				// The file holds each live member once, so every loaded
+				// member is arena-resident.
+				if ms := loaded.MemStats(); ms.Overlay != 0 || ms.Arena.Members != tree.Size() {
+					t.Fatalf("mem stats %+v after load, want no overlay and %d arena members", ms, tree.Size())
 				}
 				for it, q := range queries {
 					k := 1 + it%9
@@ -201,10 +203,11 @@ func cloneAll(db []*traj.Trajectory) []*traj.Trajectory {
 	return out
 }
 
-// TestArenaRoundTripWithOverlay pins the overlay path: members inserted
-// after the last rebuild have no arena entry, ride in the snapshot's
-// overlay sections, and come back answering identically; a rebuild on
-// the loaded tree then folds them into fresh heap slabs.
+// TestArenaRoundTripWithOverlay pins the overlay across a save: members
+// inserted after the last rebuild have no arena entry, are written into
+// the file's slabs like every other member, and come back arena-resident
+// and answering identically; a rebuild on the loaded tree then builds
+// fresh heap slabs.
 func TestArenaRoundTripWithOverlay(t *testing.T) {
 	rng := rand.New(rand.NewSource(107))
 	db := testDB(rng, 90)
@@ -221,8 +224,8 @@ func TestArenaRoundTripWithOverlay(t *testing.T) {
 		t.Fatal("test needs a live overlay; inserts were folded unexpectedly")
 	}
 	loaded := loadArena(t, tree)
-	if got, want := loaded.MemStats().Overlay, tree.MemStats().Overlay; got != want {
-		t.Fatalf("overlay %d after load, want %d", got, want)
+	if ms := loaded.MemStats(); ms.Overlay != 0 || ms.Arena.Members != tree.Size() {
+		t.Fatalf("after load: %+v, want every one of %d members in the arena", ms, tree.Size())
 	}
 	q := db[80].Clone()
 	q.ID = 9_000_000
@@ -236,8 +239,8 @@ func TestArenaRoundTripWithOverlay(t *testing.T) {
 	}
 	sameResults(t, "SearchKNN overlay", got, want)
 
-	// The loaded tree must remain fully mutable: a rebuild folds the
-	// overlay into fresh heap slabs and leaves the old mapping behind.
+	// The loaded tree must remain fully mutable: a rebuild builds fresh
+	// heap slabs and leaves the old mapping behind.
 	if err := loaded.Rebuild(); err != nil {
 		t.Fatalf("rebuild after arena load: %v", err)
 	}
@@ -300,9 +303,9 @@ func TestArenaReusedIDIsOverlay(t *testing.T) {
 	}
 }
 
-// TestArenaPureInsertTree pins the nil-arena save path: a tree grown
-// purely by Insert from empty has no arena, so the snapshot stores every
-// member in the overlay sections.
+// TestArenaPureInsertTree pins the save of a tree grown purely by Insert
+// from empty: it has no arena, and the snapshot's slabs hold every member
+// all the same.
 func TestArenaPureInsertTree(t *testing.T) {
 	rng := rand.New(rand.NewSource(109))
 	db := testDB(rng, 40)
@@ -316,6 +319,9 @@ func TestArenaPureInsertTree(t *testing.T) {
 		}
 	}
 	loaded := loadArena(t, tree)
+	if ms := loaded.MemStats(); ms.Overlay != 0 || ms.Arena.Members != len(db) {
+		t.Fatalf("after load: %+v, want all %d members in the arena", ms, len(db))
+	}
 	q := db[7].Clone()
 	q.ID = 9_100_000
 	got, _, _, err := loaded.SearchKNN(q, 3, nil, nil)
@@ -350,7 +356,8 @@ func TestArenaEmptyTree(t *testing.T) {
 // re-encoded with a valid checksum, as a hostile peer could serve it. The
 // first is a member count one short of the leaves below (a member the
 // tree would silently lose); the others are the words whose range checks
-// used to wrap around int64 and pass.
+// used to wrap around int64 and pass. The last file's slabs hold a
+// member no node refers to.
 func TestArenaLoadCorrupt(t *testing.T) {
 	rng := rand.New(rand.NewSource(113))
 	tree, err := New(testDB(rng, 60), testOptions())
@@ -390,7 +397,7 @@ func TestArenaLoadCorrupt(t *testing.T) {
 		check(fmt.Sprintf("truncate to %d", n), good[:n])
 	}
 
-	snap, err := arena.Decode(good)
+	snap, err := arena.Decode(slices.Clone(good))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -409,15 +416,17 @@ func TestArenaLoadCorrupt(t *testing.T) {
 		{"memberCount 2^63-1", 6, math.MaxInt64},
 		{"boxOff 2^63-1", 0, math.MaxInt64},
 	} {
-		ts := snap.Tree
-		ts.NMeta = append([]int64(nil), ts.NMeta...)
-		ts.NMeta[node+c.word] = c.val
-		var buf bytes.Buffer
-		if _, err := arena.Encode(&buf, snap.Arena, &ts, snap.Extra); err != nil {
-			t.Fatal(err)
-		}
-		check("resealed "+c.name, buf.Bytes())
+		check("resealed "+c.name, resealed(t, good, "nmeta", node+c.word, uint64(c.val)))
 	}
+	// Slabs holding one member more than the tree: a file holds exactly
+	// the tree's members.
+	var extra bytes.Buffer
+	stray := traj.New(1_000_000, []traj.Point{traj.P(0, 0, 0), traj.P(1, 1, 1)})
+	stray.SetSummary(arena.Summarize(stray))
+	if _, err := arena.Encode(&extra, append(snap.Arena.Members(), stray), &snap.Tree, snap.Extra); err != nil {
+		t.Fatal(err)
+	}
+	check("a member no node holds", extra.Bytes())
 }
 
 // TestArenaRejectsVersion1 is the format gate: a file in the layout that
@@ -427,10 +436,15 @@ func TestArenaLoadCorrupt(t *testing.T) {
 // re-sealed, so nothing but the version can fail.
 func TestArenaRejectsVersion1(t *testing.T) { checkArenaVersionRefused(t, 1) }
 
+// TestArenaRejectsVersion2 refuses the layout whose overlay sections
+// held inline samples of members without an arena entry, referenced by
+// negative member refs.
+func TestArenaRejectsVersion2(t *testing.T) { checkArenaVersionRefused(t, 2) }
+
 // TestArenaRejectsFutureVersion holds the gate from the other side: a
 // file from a newer writer, whose layout this reader cannot know, is
-// refused the same way rather than read as version 2.
-func TestArenaRejectsFutureVersion(t *testing.T) { checkArenaVersionRefused(t, 3) }
+// refused the same way rather than read as version 3.
+func TestArenaRejectsFutureVersion(t *testing.T) { checkArenaVersionRefused(t, 4) }
 
 // checkArenaVersionRefused saves a fresh tree, rewrites the file's meta
 // version to the single digit v and re-seals the trailer, then requires
@@ -445,7 +459,7 @@ func checkArenaVersionRefused(t *testing.T, v int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The meta JSON opens with {"version":2, — same length as the rewrite.
+	// The meta JSON opens with {"version":3, — same length as the rewrite.
 	copy(b[16:], fmt.Sprintf(`{"version":%d,`, v))
 	binary.LittleEndian.PutUint32(b[len(b)-4:], crc32.Checksum(b[:len(b)-4], crc32.MakeTable(crc32.Castagnoli)))
 	p := filepath.Join(t.TempDir(), fmt.Sprintf("v%d.arena", v))

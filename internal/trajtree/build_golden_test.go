@@ -2,44 +2,63 @@ package trajtree
 
 import (
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
+	"math"
 	"testing"
 
 	"trajmatch/internal/synth"
 )
 
 // buildGolden holds the sha256 of Tree.Save for each build case of
-// TestBuildBytesGolden. The values were captured from the build path as
-// it was before the pivot scan was bounded and screened and the box
-// growth loop flattened: equality here is what proves those changes
-// build the same tree. The values are a read-only fixture: a deliberate
-// change to the tree a build makes re-captures them outside the tree,
-// from the code that defines the new build, and says so.
+// TestBuildBytesGolden. The values were re-captured when arena format 3
+// dropped the overlay sections: the meta header lost their four entries,
+// and the churned tree's slabs now hold its live members instead of the
+// arena it was built with plus its inserts. treeGolden passed unmodified
+// across that change, and the five unchurned trees' fourteen sections
+// stayed byte-identical to the format-2 files. Before that, the values
+// were captured from the build path as it was before the pivot scan was
+// bounded and screened and the box growth loop flattened: equality here
+// is what proves those changes build the same tree. The values are a
+// read-only fixture: a deliberate change to the tree a build makes
+// re-captures them outside the tree, from the code that defines the new
+// build, and says so.
 var buildGolden = map[string]string{
-	"taxi2k/serial":           "59428cbc25d0027cbcd13aea4b88d53b9d9295239ff472bea8def5378f0ff877",
-	"taxi2k/parallel":         "a17d27927e5da1685065ec117c72cb761c05826b7e9ccf9fc289cfb81cc9df14",
-	"taxi2k/parallel/rebuilt": "a17d27927e5da1685065ec117c72cb761c05826b7e9ccf9fc289cfb81cc9df14",
-	"churned":                 "d127d23b33a73706f4817fb4bc1710e29b2a5d21481750dc0d7f2286c461d8aa",
-	"churned/rebuilt":         "90cedd52fbe7dbea368cda41046e933c1169defe99cb8db6376e00b0f09c7f4d",
-	"asl":                     "dea154a641540143403ae561985f880d8a70cd962ccbd66e0c05f7b872ec7483",
+	"taxi2k/serial":           "1c29c273078dd0fed5b268ab01a4b496f5eb1a1196c19bcb07df5b024850e030",
+	"taxi2k/parallel":         "b7cb73ab2cb3838d059b53e6f6426601e76e3bb63ba8098addd49628aadf8924",
+	"taxi2k/parallel/rebuilt": "b7cb73ab2cb3838d059b53e6f6426601e76e3bb63ba8098addd49628aadf8924",
+	"churned":                 "6a8d15a8776dc09bdf89cae578b477f38ece0d55ddb9b574a193ba7877cd9216",
+	"churned/rebuilt":         "0a3b874b76c0540e67c04d9834feb92ad0b153d333f416af22ec3fe9a6225ea4",
+	"asl":                     "7fe105c1d08972cec706e6f6d0df1866408880f089e5ba6ca288ae27ccedaa88",
 }
 
-// TestBuildBytesGolden pins the bytes of the trees New, Rebuild (the
-// background build) and Insert-time leaf splits make: serial and
+// treeGolden holds the sha256 of treeDigest for each build case of
+// TestBuildBytesGolden. Unlike the file bytes, the digest does not move
+// with the snapshot format, so it is what proves a format change saves
+// and builds the same trees. Captured from the build and save code of
+// arena format 2; a read-only fixture, like buildGolden.
+var treeGolden = map[string]string{
+	"taxi2k/serial":           "ff7176ce7308728245e103d81dcb48dd96666ed7763fec20bb9239ec992c10a2",
+	"taxi2k/parallel":         "cb25eba63a7cbfc9bab6c08dff524f7612e3b051390070697d820113ebe26400",
+	"taxi2k/parallel/rebuilt": "cb25eba63a7cbfc9bab6c08dff524f7612e3b051390070697d820113ebe26400",
+	"churned":                 "55410e36b40f947a32d78cad415b5983618462e3429489b9e6f8a2f2e603c815",
+	"churned/rebuilt":         "d6325ea52f43e3bba614fa629a204ed831dc3b1521ced8b87d176f55e7d4ee78",
+	"asl":                     "3463b9a7237cbedd629fa017c7878801ac8ef1313fc2ef8a14b7cefcd9f4ed38",
+}
+
+// goldenTrees hands each build case to visit in turn: serial and
 // parallel bulk loads of 2 000 taxi trips, the parallel one again after
 // a rebuild, the work-counter tree after churn (whose inserts split
 // leaves through partition) before and after a rebuild, and 216 ASL
 // gestures.
-func TestBuildBytesGolden(t *testing.T) {
+func goldenTrees(t *testing.T, visit func(name string, tree *Tree)) {
+	t.Helper()
 	build := func(name string, tree *Tree, err error) {
 		t.Helper()
 		if err != nil {
 			t.Fatal(err)
 		}
-		sum := sha256.Sum256(saveBytes(t, tree))
-		if got, want := hex.EncodeToString(sum[:]), buildGolden[name]; got != want {
-			t.Errorf("%s: save sha256 %s, golden %s", name, got, want)
-		}
+		visit(name, tree)
 	}
 	taxi := taxiTrips(2000, 1, 0)
 	serial, err := New(taxi, Options{Seed: 1, RebuildRatio: -1})
@@ -55,4 +74,61 @@ func TestBuildBytesGolden(t *testing.T) {
 
 	asl, err := New(synth.ASL(synth.ASLConfig{NumClasses: 24, Instances: 9, Points: 40, Jitter: 0.04, Seed: 2}), Options{Seed: 1, RebuildRatio: -1})
 	build("asl", asl, err)
+}
+
+// TestBuildBytesGolden pins the bytes of the trees New, Rebuild (the
+// background build) and Insert-time leaf splits make (goldenTrees).
+func TestBuildBytesGolden(t *testing.T) {
+	goldenTrees(t, func(name string, tree *Tree) {
+		sum := sha256.Sum256(saveBytes(t, tree))
+		if got, want := hex.EncodeToString(sum[:]), buildGolden[name]; got != want {
+			t.Errorf("%s: save sha256 %s, golden %s", name, got, want)
+		}
+	})
+}
+
+// TestBuildTreeGolden pins the same trees independently of any file
+// format: every node's boxes and MinL bits, Seq insert count, maxLen
+// bits, member IDs in order and children in order. Each tree must also
+// come back from a save and a heap load with the same digest.
+func TestBuildTreeGolden(t *testing.T) {
+	goldenTrees(t, func(name string, tree *Tree) {
+		if got, want := treeDigest(tree), treeGolden[name]; got != want {
+			t.Errorf("%s: tree digest %s, golden %s", name, got, want)
+		}
+		if got, want := treeDigest(loadHeap(t, tree)), treeGolden[name]; got != want {
+			t.Errorf("%s: loaded tree digest %s, golden %s", name, got, want)
+		}
+	})
+}
+
+// treeDigest hashes the tree's size and a pre-order walk of its nodes.
+func treeDigest(tree *Tree) string {
+	h := sha256.New()
+	word := func(v uint64) { h.Write(binary.LittleEndian.AppendUint64(nil, v)) }
+	word(uint64(tree.Size()))
+	var walk func(n *node)
+	walk = func(n *node) {
+		word(uint64(n.seq.Len()))
+		for i := 0; i < n.seq.Len(); i++ {
+			r := n.seq.Rect(i)
+			for _, v := range []float64{r.Min.X, r.Min.Y, r.Max.X, r.Max.Y, n.seq.MinLen(i)} {
+				word(math.Float64bits(v))
+			}
+		}
+		word(uint64(n.seq.Count()))
+		word(math.Float64bits(n.maxLen))
+		word(uint64(len(n.members)))
+		for _, m := range n.members {
+			word(uint64(m.ID))
+		}
+		word(uint64(len(n.children)))
+		for _, c := range n.children {
+			walk(c)
+		}
+	}
+	if tree.root != nil {
+		walk(tree.root)
+	}
+	return hex.EncodeToString(h.Sum(nil))
 }

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"testing"
 
 	"trajmatch/internal/arena"
@@ -21,10 +22,7 @@ func sameSummary(t *testing.T, label string, m *traj.Trajectory) {
 	if got == nil {
 		t.Fatalf("%s: member %d carries no summary", label, m.ID)
 	}
-	want, err := arena.Summarize(traj.New(m.ID, slices.Clone(m.Points)))
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := arena.Summarize(traj.New(m.ID, slices.Clone(m.Points)))
 	for _, f := range [][3]any{
 		{"bbox", got.BBox, want.BBox}, {"length", got.Length, want.Length},
 		{"boxes", got.Boxes, want.Boxes}, {"box lengths", got.BoxLens, want.BoxLens},
@@ -47,7 +45,7 @@ func everySummary(t *testing.T, label string, tree *Tree) {
 // TestEveryMemberCarriesItsSummary pins the one screen path: whichever way
 // a trajectory became a member — bulk-built, inserted, inserted under a
 // deleted member's ID, its own header deleted and inserted again, loaded
-// from an arena file onto the heap or from a mapping (overlay members
+// from an arena file onto the heap or from a mapping (inserted members
 // included), grown into a tree that never had an arena, or adopted from
 // a rebuild, with inserts landing while the build was in flight — it
 // carries a summary bit-identical to arena.Summarize of its own samples.
@@ -105,11 +103,15 @@ func TestEveryMemberCarriesItsSummary(t *testing.T) {
 	everySummary(t, "adopted", tree)
 }
 
-// TestLoadRefusesNonFiniteOverlay pins the loader's check of overlay
-// samples, which no Insert validated on the way in: a re-sealed file
-// whose overlay holds a NaN coordinate is corrupt to both readers, not a
-// panic in Summarize and not a member whose screen reads garbage.
-func TestLoadRefusesNonFiniteOverlay(t *testing.T) {
+// TestLoadRefusesInvalidSamples pins the loader's check of every
+// member's samples, which come from another process or machine and which
+// no Insert validated on the way in: a re-sealed file whose point slab
+// holds a sample Insert would refuse — a NaN coordinate, one beyond
+// traj.MaxCoord, a timestamp before its predecessor's — or whose
+// coordinate slab disagrees with its point slab is corrupt to both
+// readers, not a member whose kernels and screens read garbage. The
+// damaged sample is the second of the first member in the slabs.
+func TestLoadRefusesInvalidSamples(t *testing.T) {
 	tree, err := New(taxiTrips(40, 1, 0), Options{Seed: 1, LeafSize: 6, RebuildRatio: -1})
 	if err != nil {
 		t.Fatal(err)
@@ -119,37 +121,30 @@ func TestLoadRefusesNonFiniteOverlay(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	bad := nonFiniteOverlayFile(t, tree)
-	if _, _, err := Load(bytes.NewReader(bad)); !errors.Is(err, arena.ErrCorrupt) {
-		t.Fatalf("Load: err = %v, want ErrCorrupt", err)
+	good := saveBytes(t, tree)
+	nan := math.Float64bits(math.NaN())
+	for _, c := range []struct {
+		name, section string
+		word          int
+		val           uint64
+		want          string
+	}{
+		{"NaN X", "pts", 3, nan, traj.ErrNonFinite.Error()},
+		{"X beyond MaxCoord", "pts", 3, math.Float64bits(2 * traj.MaxCoord), traj.ErrOutOfRange.Error()},
+		{"time reversed", "pts", 5, math.Float64bits(-1e9), traj.ErrTimeNotSorted.Error()},
+		{"xs disagrees", "xs", 1, nan, "coordinate slabs disagree"},
+	} {
+		bad := resealed(t, good, c.section, c.word, c.val)
+		path := filepath.Join(t.TempDir(), "bad.arena")
+		if err := os.WriteFile(path, bad, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, _, errHeap := Load(bytes.NewReader(bad))
+		_, _, errMapped := LoadArena(path)
+		for _, err := range []error{errHeap, errMapped} {
+			if !errors.Is(err, arena.ErrCorrupt) || !strings.Contains(err.Error(), c.want) {
+				t.Errorf("%s: err = %v, want ErrCorrupt for %q", c.name, err, c.want)
+			}
+		}
 	}
-	path := filepath.Join(t.TempDir(), "nan.arena")
-	if err := os.WriteFile(path, bad, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := LoadArena(path); !errors.Is(err, arena.ErrCorrupt) {
-		t.Fatalf("LoadArena: err = %v, want ErrCorrupt", err)
-	}
-}
-
-// nonFiniteOverlayFile saves tree, which has an overlay, with the second
-// overlay point's X set to NaN and the trailer re-sealed.
-func nonFiniteOverlayFile(t *testing.T, tree *Tree) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := tree.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	snap, err := arena.Decode(buf.Bytes())
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := snap.Tree
-	ts.OPts = slices.Clone(ts.OPts)
-	ts.OPts[3] = math.NaN()
-	var out bytes.Buffer
-	if _, err := arena.Encode(&out, snap.Arena, &ts, snap.Extra); err != nil {
-		t.Fatal(err)
-	}
-	return out.Bytes()
 }

@@ -126,8 +126,10 @@ type Tree struct {
 	// ar is the shard's arena: slab-resident samples plus the screen
 	// summaries its members carry. It is rebuilt by Rebuild and nil only
 	// for trees grown purely by Insert from empty. Members inserted after
-	// the last (re)build form the overlay: heap-resident, summarised at
-	// Insert, and folded into fresh slabs by the next Rebuild.
+	// the last (re)build or load form the overlay: heap-resident,
+	// summarised at Insert, and folded into fresh slabs by the next
+	// Rebuild, or by a save and load. Only MemStats reads it (the overlay
+	// count and the slab residency); Save writes the members themselves.
 	ar      *arena.Arena
 	overlay int    // live members without an arena entry
 	foldIns uint64 // rebuilds that folded an overlay into new slabs
@@ -314,7 +316,7 @@ type MemStats struct {
 	Arena arena.MemStats `json:"arena"`
 	// Overlay counts live members not resident in the arena —
 	// trajectories inserted since the members of the last (re)build were
-	// frozen.
+	// frozen, or since the tree was loaded.
 	Overlay int `json:"overlay"`
 	// FoldIns counts rebuilds that folded an overlay into fresh slabs.
 	FoldIns uint64 `json:"fold_ins"`
@@ -355,7 +357,7 @@ func (t *Tree) build(ts []*traj.Trajectory, seq *tbox.Seq, parallel bool) *node 
 				defer wg.Done()
 				sem <- struct{}{}
 				defer func() { <-sem }()
-				sub := &Tree{opt: t.opt, ar: t.ar, rng: rand.New(rand.NewSource(t.opt.Seed + int64(i) + 1))}
+				sub := &Tree{opt: t.opt, rng: rand.New(rand.NewSource(t.opt.Seed + int64(i) + 1))}
 				n.children[i] = sub.build(groups[i], seqs[i], false)
 			}(i)
 		}

@@ -27,11 +27,7 @@ func (t *Tree) Insert(tr *traj.Trajectory) error {
 	// A summary already installed — by an arena, or by the insert a
 	// rebuild's delta replays — is a function of the same samples.
 	if tr.Summary() == nil {
-		s, err := arena.Summarize(tr)
-		if err != nil {
-			return fmt.Errorf("trajtree: %w", err)
-		}
-		tr.SetSummary(s)
+		tr.SetSummary(arena.Summarize(tr))
 	}
 	t.adoptIfReady()
 	t.byID[tr.ID] = tr
