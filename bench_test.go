@@ -1,6 +1,6 @@
-// Microbenchmarks of the search path: the kernel, the tree, the engine's
-// batch and shard fan-out, the metric backends, the prefilter and the
-// rebuild stall. The paper's tables and figures are cmd/trajbench's job.
+// Microbenchmarks of the search path: the kernel, the tree (fresh and
+// maintained through churn), the engine's batch and shard fan-out, the
+// metric backends and the prefilter. The paper's tables and figures are cmd/trajbench's job.
 package trajmatch_test
 
 import (
@@ -156,99 +156,87 @@ func BenchmarkKNN10k(b *testing.B) {
 	})
 }
 
-// BenchmarkKNN10kChurned prices the maintained tree against a rebuilt
-// one: BenchmarkKNN10k's corpus with every fourth trip replaced by a
-// fresh one through Delete and Insert, the automatic rebuild off, so a
-// quarter of the members were inserted after the build (arm churned);
-// and a fresh build over the same members (arm fresh). Both run the 140
-// k-NN queries. Every member is screened by its own summary, so kernel
-// starts stay within a few percent of the fresh build's; the distance
-// calls show what the grown node boxes cost in pruning.
+// BenchmarkKNN10kChurned prices the maintained tree against a fresh
+// build: BenchmarkKNN10k's corpus churned with no rebuild, so that Delete
+// and Insert alone maintain the tree, in four sweeps — 25, 50 and 100 %
+// of its trips replaced (every fourth, every second, every one, each
+// through one Delete and one Insert) and the corpus doubled by Insert
+// alone (grow100). Each sweep runs the 140 k-NN queries on the maintained
+// tree (arm maintained) and on a fresh build over the same members (arm
+// fresh), and reports their work counters per query; the maintained arm
+// also reports the mean, the slowest and the 99th-percentile Delete of
+// its churn. Under -short only replace25 runs.
 func BenchmarkKNN10kChurned(b *testing.B) {
 	db := trajmatch.GenerateTaxi(trajmatch.DefaultTaxiConfig(10000))
-	cfg := trajmatch.DefaultTaxiConfig(len(db) / 4)
+	cfg := trajmatch.DefaultTaxiConfig(len(db))
 	cfg.Seed += 31
+	extra := trajmatch.GenerateTaxi(cfg)
+	for i, tr := range extra {
+		tr.ID = 3_000_000 + i
+	}
 	qcfg := trajmatch.DefaultTaxiConfig(210)
 	qcfg.Seed += 7919
 	knn := searchArm{"knn", trajmatch.GenerateTaxi(qcfg)[:140], knnArm}
-	opt := trajmatch.IndexOptions{Parallel: true, Seed: 1, RebuildRatio: -1}
-	churned, err := trajmatch.NewIndex(db, opt)
-	if err != nil {
-		b.Fatal(err)
+	opt := trajmatch.IndexOptions{Parallel: true, Seed: 1}
+	sweeps := []struct {
+		name           string
+		stride, insert int // replace every stride-th trip (0: none), then insert extra[:insert]
+	}{{"replace25", 4, 0}, {"replace50", 2, 0}, {"replace100", 1, 0}, {"grow100", 0, len(extra)}}
+	if testing.Short() {
+		sweeps = sweeps[:1]
 	}
-	for i, tr := range trajmatch.GenerateTaxi(cfg) {
-		if !churned.Delete(db[4*i].ID) {
-			b.Fatalf("delete %d: not found", db[4*i].ID)
-		}
-		tr.ID = 3_000_000 + i
-		if err := churned.Insert(tr); err != nil {
-			b.Fatal(err)
-		}
-	}
-	members := churned.All()
-	for i, m := range members {
-		members[i] = m.Clone()
-	}
-	fresh, err := trajmatch.NewIndex(members, opt)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("churned", func(b *testing.B) { runArm(b, churned, knn) })
-	b.Run("fresh", func(b *testing.B) { runArm(b, fresh, knn) })
-}
-
-// BenchmarkInsertAcrossRebuild prices what a writer waits for when the
-// index rebuilds itself: one operation grows a taxi index by paced
-// inserts (one per insertPace, about the rate bench/'s ingest-mixed seals
-// tracks at) across two crossings of the 25 % rebuild threshold, until the
-// second rebuild is adopted, timing every Insert on its own. max-ms/insert
-// is the stall: a bulk load when the rebuild runs inline, the replay of a
-// few operations when it runs in the background. build-ms, adopt-ms and
-// replayed describe the last rebuild adopted: its background build, and
-// what the adopting Insert spent on it. The 10k arm takes half a minute.
-func BenchmarkInsertAcrossRebuild(b *testing.B) {
-	const insertPace = 2 * time.Millisecond
-	for _, n := range []int{3000, 10000} {
-		b.Run(fmt.Sprintf("%dk", n/1000), func(b *testing.B) {
-			cfg := trajmatch.DefaultTaxiConfig(2 * n)
-			cfg.Seed += 31
-			extra := trajmatch.GenerateTaxi(cfg)
-			for i, tr := range extra {
-				tr.ID = 2_000_000 + i
+	for _, sw := range sweeps {
+		b.Run(sw.name, func(b *testing.B) {
+			maintained, err := trajmatch.NewIndex(cloneAll(db), opt)
+			if err != nil {
+				b.Fatal(err)
 			}
-			var lat []float64
-			var buildMs, adoptMs, replayed float64
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				t, err := trajmatch.NewIndex(trajmatch.GenerateTaxi(trajmatch.DefaultTaxiConfig(n)),
-					trajmatch.IndexOptions{Parallel: true, Seed: 1})
-				if err != nil {
+			var dels []float64
+			for i := 0; sw.stride > 0 && i*sw.stride < len(db); i++ {
+				start := time.Now()
+				if !maintained.Delete(db[i*sw.stride].ID) {
+					b.Fatalf("delete %d: not found", db[i*sw.stride].ID)
+				}
+				dels = append(dels, float64(time.Since(start))/float64(time.Millisecond))
+				if err := maintained.Insert(extra[i].Clone()); err != nil {
 					b.Fatal(err)
 				}
-				b.StartTimer()
-				for j := 0; t.MemStats().FoldIns < 2; j++ {
-					start := time.Now()
-					if err := t.Insert(extra[j]); err != nil {
-						b.Fatal(err)
-					}
-					took := time.Since(start)
-					lat = append(lat, float64(took)/float64(time.Millisecond))
-					time.Sleep(insertPace - took)
-				}
-				ms := t.MemStats()
-				buildMs, adoptMs, replayed = ms.BuildMs, ms.AdoptMs, float64(ms.Replayed)
-				if done := t.RebuildDone(); done != nil {
-					<-done // leave no build running into the next arm
+			}
+			for _, tr := range extra[:sw.insert] {
+				if err := maintained.Insert(tr.Clone()); err != nil {
+					b.Fatal(err)
 				}
 			}
-			sort.Float64s(lat)
-			b.ReportMetric(lat[len(lat)-1], "max-ms/insert")
-			b.ReportMetric(lat[len(lat)*99/100], "p99-ms/insert")
-			b.ReportMetric(buildMs, "build-ms")
-			b.ReportMetric(adoptMs, "adopt-ms")
-			b.ReportMetric(replayed, "replayed")
+			fresh, err := trajmatch.NewIndex(cloneAll(maintained.All()), opt)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.Run("maintained", func(b *testing.B) {
+				runArm(b, maintained, knn)
+				if len(dels) > 0 {
+					sort.Float64s(dels)
+					sum := 0.0
+					for _, d := range dels {
+						sum += d
+					}
+					b.ReportMetric(1000*sum/float64(len(dels)), "mean-us/delete")
+					b.ReportMetric(dels[len(dels)-1], "max-ms/delete")
+					b.ReportMetric(dels[len(dels)*99/100], "p99-ms/delete")
+				}
+			})
+			b.Run("fresh", func(b *testing.B) { runArm(b, fresh, knn) })
 		})
 	}
+}
+
+// cloneAll returns copies of ts, so an index owns headers no other index
+// shares.
+func cloneAll(ts []*trajmatch.Trajectory) []*trajmatch.Trajectory {
+	out := make([]*trajmatch.Trajectory, len(ts))
+	for i, t := range ts {
+		out[i] = t.Clone()
+	}
+	return out
 }
 
 // BenchmarkKNNASL is BenchmarkKNN10k's tree-vs-scan pair on the second

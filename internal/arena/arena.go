@@ -24,6 +24,7 @@ package arena
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"trajmatch/internal/geom"
 	"trajmatch/internal/tbox"
@@ -110,9 +111,10 @@ func Build(members []*traj.Trajectory) *Arena {
 		a.byID[m.ID] = int32(i)
 	}
 	if err := a.deriveBoxLens(); err != nil {
-		// The members are valid, and AppendRects builds each box as the
-		// union of a run of the member's own segments, so the walk
-		// cannot fail.
+		// The members are valid, AppendRects builds each box as the
+		// union of a run of the member's own segments, and the length
+		// and bbox above are the ones the walk derives, so it cannot
+		// fail.
 		panic(err)
 	}
 	a.prime(members)
@@ -161,14 +163,18 @@ func appendBounds(dst, rects []float64) []float64 {
 }
 
 // deriveBoxLens fills boxLens through chargeSegments, and checks every
-// member's samples as Insert checks a new member's: traj.Validate over
-// its points, and its coordinate slabs equal to them. The slabs of a
-// decoded file come from another process, or another machine, so this
-// is the loader's one sample check. A sample Validate refuses, slabs
-// that disagree, or a segment no box contains (boxes that are not the
-// member's) is ErrCorrupt.
+// member as Insert checks a new member and Build summarises it: its
+// samples pass traj.Validate and its coordinate slabs equal them, its
+// stored length is the sum of its segments' lengths, and its stored bbox
+// is the union of its boxes. The slabs of a decoded file come from
+// another process, or another machine, so this is the loader's one
+// member check. A sample Validate refuses, slabs that disagree, a
+// segment no box contains (boxes that are not the member's), or a length
+// or bbox the member's own samples and boxes do not give is ErrCorrupt:
+// a screen over a wrong length or bbox could reject a true neighbour.
 func (a *Arena) deriveBoxLens() error {
 	a.boxLens = make([]float64, len(a.boxes)/4)
+	var bb [4]float64
 	for m := range a.ids {
 		p0, p1, b0, b1 := a.offs[m], a.offs[m+1], a.boxOffs[m], a.boxOffs[m+1]
 		pts, xs, ys := a.pts[p0:p1], a.xs[p0:p1], a.ys[p0:p1]
@@ -180,8 +186,15 @@ func (a *Arena) deriveBoxLens() error {
 				return fmt.Errorf("%w: member %d: coordinate slabs disagree with sample %d", ErrCorrupt, m, j)
 			}
 		}
-		if seg := chargeSegments(xs, ys, a.boxes[4*b0:4*b1], a.boxLens[b0:b1]); seg >= 0 {
+		length, seg := chargeSegments(xs, ys, a.boxes[4*b0:4*b1], a.boxLens[b0:b1])
+		if seg >= 0 {
 			return fmt.Errorf("%w: member %d: segment %d lies in none of its boxes", ErrCorrupt, m, seg)
+		}
+		if length != a.lens[m] {
+			return fmt.Errorf("%w: member %d: stored length %v, its segments sum to %v", ErrCorrupt, m, a.lens[m], length)
+		}
+		if got := appendBounds(bb[:0], a.boxes[4*b0:4*b1]); !slices.Equal(got, a.bbox[4*m:4*m+4]) {
+			return fmt.Errorf("%w: member %d: stored bbox %v, its boxes span %v", ErrCorrupt, m, a.bbox[4*m:4*m+4], got)
 		}
 	}
 	return nil
@@ -189,16 +202,17 @@ func (a *Arena) deriveBoxLens() error {
 
 // chargeSegments adds the length of every segment of the samples xs, ys
 // to lens[k] of the first box k of rects, at or after its predecessor's,
-// that contains both its end points, and returns -1; or the index of the
-// first segment no remaining box contains. Any assignment of segments to
-// boxes containing them makes the member side admissible (its argument
-// only needs the segment's geometry to lie inside the box it is charged
-// to); this walk is the cheapest one that always succeeds on boxes
-// AppendRects made, because box k is the union of the k-th run of
-// consecutive segments and so the walk never gets ahead of a segment's
-// own run.
-func chargeSegments(xs, ys, rects, lens []float64) int {
-	k := 0
+// that contains both its end points, and returns the samples' length,
+// the segment lengths summed in order exactly as traj.Length sums them,
+// and -1; or the index of the first segment no remaining box contains.
+// Any assignment of segments to boxes containing them makes the member
+// side admissible (its argument only needs the segment's geometry to lie
+// inside the box it is charged to); this walk is the cheapest one that
+// always succeeds on boxes AppendRects made, because box k is the union
+// of the k-th run of consecutive segments and so the walk never gets
+// ahead of a segment's own run.
+func chargeSegments(xs, ys, rects, lens []float64) (float64, int) {
+	k, length := 0, 0.0
 	for p := 0; p+1 < len(xs); p++ {
 		ax, ay, bx, by := xs[p], ys[p], xs[p+1], ys[p+1]
 		for ; k < len(lens); k++ {
@@ -208,11 +222,16 @@ func chargeSegments(xs, ys, rects, lens []float64) int {
 			}
 		}
 		if k == len(lens) {
-			return p
+			return length, p
 		}
-		lens[k] += math.Sqrt((bx-ax)*(bx-ax) + (by-ay)*(by-ay))
+		// geom.Point.Dist's expression, operand for operand, so the sum
+		// is traj.Length's bit for bit.
+		dx, dy := ax-bx, ay-by
+		l := math.Sqrt(dx*dx + dy*dy)
+		lens[k] += l
+		length += l
 	}
-	return -1
+	return length, -1
 }
 
 // Index returns the arena index of tr: the entry under tr's ID, when it

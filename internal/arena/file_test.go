@@ -121,8 +121,11 @@ func TestFileRoundTrip(t *testing.T) {
 	}
 }
 
-// TestBoxLensDerived pins the member-side weights: per member they sum to
-// its length (every segment is charged to exactly one box), a box never
+// TestBoxLensDerived pins the member-side weights and the walk that
+// derives them: the walk's own sum of the segment lengths is
+// traj.Length's bit for bit, on members near the origin and far from it;
+// per member the weights sum to its length (every segment is charged to
+// exactly one box), a box never
 // weighs more than it can hold, and since they are derived from xs/ys and
 // boxes rather than stored, a reloaded arena — mapped or heap-decoded —
 // must re-derive them bit for bit. A file whose boxes no longer contain
@@ -142,7 +145,27 @@ func TestBoxLensDerived(t *testing.T) {
 		}
 		members = append(members, traj.New(100+i, pts))
 	}
+	for i := 0; i < 6; i++ { // far from the origin, steps across six decades
+		var pts []traj.Point
+		x, y := 1e7*rng.NormFloat64(), 1e7*rng.NormFloat64()
+		for j := 0; j < 30; j++ {
+			step := math.Pow(10, float64(rng.Intn(6))-2)
+			x, y = x+step*rng.NormFloat64(), y+step*rng.NormFloat64()
+			pts = append(pts, traj.P(x, y, float64(j)))
+		}
+		members = append(members, traj.New(200+i, pts))
+	}
 	a := Build(members)
+	for i, m := range members {
+		// The walk's length is the one decode compares the stored length
+		// with: it must be traj.Length's, bit for bit, as computed on a
+		// header whose length nothing has cached.
+		v, s := m.View(), m.Summary()
+		got, seg := chargeSegments(v.X, v.Y, s.Boxes, make([]float64, len(s.BoxLens)))
+		if want := traj.New(m.ID, m.Points).Length(); seg >= 0 || math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("member %d: walk length %v (miss %d), traj.Length %v", i, got, seg, want)
+		}
+	}
 	for i, m := range members {
 		s := m.Summary()
 		if n := len(s.BoxLens); 4*n != len(s.Boxes) || n > MemberBoxes {

@@ -15,7 +15,7 @@ import (
 // heap arm's files from a snapshot that records a sketch, so it adds
 // the per-shard sketch builds a prefiltered engine's boot runs. The
 // churned arm heap-boots the same corpus after a quarter of it was
-// replaced by Delete and Insert with rebuilds off: its files hold the
+// replaced by Delete and Insert and never rebuilt: its files hold the
 // live members only, as a fresh build's do, and its members come back
 // arena-resident. -short (what CI runs) drops the 100k corpus to 5k to
 // keep the setup cheap.
@@ -42,9 +42,9 @@ func BenchmarkSnapshotBoot(b *testing.B) {
 	if err := pf.SaveSnapshot(pfDir); err != nil {
 		b.Fatal(err)
 	}
-	// A quarter of the corpus replaced, with no rebuild to fold the
+	// A quarter of the corpus replaced, and no rebuild to fold the
 	// inserts into the arena before the save.
-	ch, err := NewEngineFromDB(testDB(n, 71), trajtree.Options{Seed: 1, RebuildRatio: -1}, Options{CacheSize: -1, Shards: 4})
+	ch, err := NewEngineFromDB(testDB(n, 71), trajtree.Options{Seed: 1}, Options{CacheSize: -1, Shards: 4})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -24,8 +24,8 @@
 //
 // Trajectories hash to one of N shards per metric (router.go; placement
 // is shared across metrics), each behind its own RWMutex (shard.go), so
-// an Insert/Delete/Rebuild stalls only the queries on its own shard
-// instead of the whole index, and bulk builds construct shards in
+// an Insert/Delete, or a Rebuild's swap, stalls only the queries on its
+// own shard instead of the whole index, and bulk builds construct shards in
 // parallel. A k-NN query fans out across its metric's shards sharing
 // one atomically tightening k-th-best bound (backend.SharedBound): the
 // moment any shard's local answer set fills, every other shard's
@@ -822,21 +822,24 @@ func (e *Engine) requireMutable() error {
 	return nil
 }
 
-// Rebuild reconstructs every shard of every mutable metric from its
-// current members as a rolling update: shards rebuild strictly one at a
-// time, each in the background (trajtree/rebuild.go) — a shard keeps
-// answering and taking updates while its new tree is built, and is
-// write-locked only to start the build and to swap the result in. One
-// at a time keeps the build from competing with serving for more than
-// the CPUs a single build takes. Like Insert it requires every loaded
-// backend to be mutable.
+// Rebuild re-packs every shard of every mutable metric from its current
+// members, one shard at a time. Each shard keeps answering while its new
+// tree is built, and is write-locked only to swap the result in
+// (shard.rebuild). Each shard's re-pack holds mutMu, so writes — inserts,
+// deletes, appends and seals, on every shard — wait for at most one
+// shard's build. One shard at a time keeps the build from competing with
+// serving for more than the CPUs a single build takes. Like Insert it
+// requires every loaded backend to be mutable.
 func (e *Engine) Rebuild() error {
 	if err := e.requireMutable(); err != nil {
 		return err
 	}
 	for _, ms := range e.sets {
 		for _, s := range ms.shards {
-			if err := s.rebuild(&e.gen); err != nil {
+			e.mutMu.Lock()
+			err := s.rebuild(&e.gen)
+			e.mutMu.Unlock()
+			if err != nil {
 				return fmt.Errorf("server: metric %q: %w", ms.name, err)
 			}
 		}
@@ -845,29 +848,15 @@ func (e *Engine) Rebuild() error {
 	return nil
 }
 
-// waitRebuilds blocks until no shard has a background build running. The
-// builds are left for whoever updates the shard next to adopt.
-func (e *Engine) waitRebuilds() {
-	for _, ms := range e.sets {
-		for _, s := range ms.shards {
-			if done := s.rebuildDone(); done != nil {
-				<-done
-			}
-		}
-	}
-}
-
 // ShardStats is one shard's slice of the index shape on GET /v1/stats.
 type ShardStats struct {
 	Shard  int `json:"shard"`
 	Size   int `json:"size"`
 	Height int `json:"height"`
 	// Mem is the shard's memory layout: arena slab residency (bytes,
-	// member and sample counts, mmap versus heap), the overlay count
-	// (members inserted since the last rebuild, not yet slab-resident),
-	// how many rebuilds have folded an overlay in, whether one is being
-	// built now, and what the last one cost (build_ms in the background,
-	// adopt_ms under the shard's write lock). Tree-backed shards only.
+	// member and sample counts, mmap versus heap) and the overlay count
+	// (members inserted since the last rebuild or load, not yet
+	// slab-resident). Tree-backed shards only.
 	Mem *trajtree.MemStats `json:"mem,omitempty"`
 }
 

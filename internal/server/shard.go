@@ -3,7 +3,6 @@ package server
 import (
 	"fmt"
 	"io"
-	"log"
 	"sync"
 
 	"trajmatch/internal/backend"
@@ -27,7 +26,7 @@ func treeOf(be backend.Backend) (*trajtree.Tree, bool) {
 // its readers. Queries fan out across shards taking each shard's read
 // lock individually, so an Insert/Delete on one shard stalls only the 1/N
 // of the search space it owns while the other shards keep answering; a
-// rebuild stalls nothing but the swap at its end.
+// rebuild stalls the shard's readers only for the swap at its end.
 //
 // The optional operations — sub-trajectory search, mutation, persistence
 // — are capability-gated: the shard type-asserts the corresponding
@@ -118,32 +117,17 @@ func (s *shard) lookup(id int) *traj.Trajectory {
 // bumps the engine generation, still under it, when fn reports a change —
 // so any query that observes the change also observes the new generation
 // (the result-cache consistency argument in engine.go depends on this
-// ordering). A tree adopts a finished background rebuild inside such a
-// call; update logs it once the lock is released.
+// ordering).
 func (s *shard) update(op string, gen *engineGen, fn func(backend.Mutable) (bool, error)) (bool, error) {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	m, ok := s.be.(backend.Mutable)
 	if !ok {
-		s.mu.Unlock()
 		return false, fmt.Errorf("%s %w", op, backend.ErrNotSupported)
-	}
-	tree, _ := treeOf(s.be)
-	var before, after trajtree.MemStats
-	if tree != nil {
-		before = tree.MemStats()
 	}
 	changed, err := fn(m)
 	if changed {
 		gen.bump()
-	}
-	if tree != nil {
-		after = tree.MemStats()
-	}
-	size := s.be.Size()
-	s.mu.Unlock()
-	if after.FoldIns != before.FoldIns {
-		log.Printf("rebuild adopted during %s: %d members, built in %.0f ms, %.2f ms under the lock replaying %d",
-			op, size, after.BuildMs, after.AdoptMs, after.Replayed)
 	}
 	return changed, err
 }
@@ -162,42 +146,26 @@ func (s *shard) delete(id int, gen *engineGen) (bool, error) {
 	})
 }
 
-// rebuild holds the write lock only to start the tree's background build
-// and, once that has finished, to adopt it; in between the shard answers
-// and takes updates as usual. An update may adopt the build first, and
-// then nothing is left to do here.
+// rebuild re-packs a tree-backed shard. The new tree is built beside the
+// live one with no shard lock held, so the shard keeps answering; the
+// write lock is taken only to swap it in. The caller holds the engine's
+// mutMu, so no write reaches the tree while it is read for the build.
 func (s *shard) rebuild(gen *engineGen) error {
-	var tree *trajtree.Tree
-	var done <-chan struct{}
-	_, err := s.update("rebuild", gen, func(m backend.Mutable) (bool, error) {
-		var ok bool
-		if tree, ok = treeOf(s.be); !ok {
-			err := m.Rebuild()
-			return err == nil, err
-		}
-		tree.StartRebuild()
-		done = tree.RebuildDone()
-		return false, nil
-	})
-	if err != nil || tree == nil {
+	s.mu.RLock()
+	tree, ok := treeOf(s.be)
+	s.mu.RUnlock()
+	if !ok {
+		return fmt.Errorf("rebuild %w", backend.ErrNotSupported)
+	}
+	swap, err := tree.Repack()
+	if err != nil {
 		return err
 	}
-	<-done
 	_, err = s.update("rebuild", gen, func(backend.Mutable) (bool, error) {
-		return tree.AdoptRebuild()
+		swap()
+		return true, nil
 	})
 	return err
-}
-
-// rebuildDone returns the channel a tree-backed shard's background build
-// closes when it has finished, nil when none is running.
-func (s *shard) rebuildDone() <-chan struct{} {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if tree, ok := treeOf(s.be); ok {
-		return tree.RebuildDone()
-	}
-	return nil
 }
 
 // snapshot writes a tree-backed shard's file under the read lock, so a

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
@@ -115,11 +116,14 @@ type snapshotManifest struct {
 
 // manifestEnvelope is what MANIFEST.json actually holds: the manifest
 // plus a CRC32C guarding it. The checksum is computed over the
-// manifest's canonical (compact json.Marshal) encoding and verified by
-// re-encoding the parsed manifest the same way, so any corruption that
-// changes what the loader would act on — a flipped digit in a size, a
-// damaged field name — fails verification, while insignificant
-// whitespace does not have to survive byte-exactly.
+// manifest's compact json.Marshal encoding and verified over the stored
+// manifest compacted again (json.Compact undoes the envelope's
+// indentation exactly), so any damage to the manifest's bytes — a flipped
+// digit in a size, a damaged field name, even one whose value is the
+// zero value the loader would default to — fails verification, while
+// insignificant whitespace does not have to survive byte-exactly. A
+// field that a later build no longer has (the tree options'
+// RebuildRatio) is checked like any other and then ignored.
 type manifestEnvelope struct {
 	CRC32C   uint32          `json:"crc32c"`
 	Manifest json.RawMessage `json:"manifest"`
@@ -408,17 +412,14 @@ func readManifest(fsys faultfs.FS, dir string) (snapshotManifest, error) {
 	if err := json.Unmarshal(env.Manifest, &man); err != nil {
 		return snapshotManifest{}, fmt.Errorf("manifest: %w", err)
 	}
-	// The version is judged before the checksum: the checksum is over
-	// this build's re-encoding of the manifest, which an older layout's
-	// extra fields would fail for the wrong reason.
 	if man.Version != snapshotVersion {
 		return snapshotManifest{}, unsupported(man.Version)
 	}
-	canon, err := json.Marshal(man)
-	if err != nil {
+	var canon bytes.Buffer
+	if err := json.Compact(&canon, env.Manifest); err != nil {
 		return snapshotManifest{}, fmt.Errorf("manifest: %w", err)
 	}
-	if sum := crc32.Checksum(canon, snapCRC); sum != env.CRC32C {
+	if sum := crc32.Checksum(canon.Bytes(), snapCRC); sum != env.CRC32C {
 		return snapshotManifest{}, fmt.Errorf("manifest: checksum mismatch (recorded %08x, computed %08x): snapshot corrupt",
 			env.CRC32C, sum)
 	}

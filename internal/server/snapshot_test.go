@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
@@ -138,6 +139,61 @@ func TestSnapshotRejectsBadManifest(t *testing.T) {
 		if _, err := LoadSnapshot(dir, Options{}); err == nil || !strings.Contains(err.Error(), "re-save the snapshot from a live engine") {
 			t.Fatalf("%s: err = %v, want the re-save message", old, err)
 		}
+	}
+}
+
+// TestManifestChecksumCoversStoredBytes pins what the manifest checksum
+// covers: the stored manifest's own bytes, compacted. A manifest saved
+// while the tree options still had RebuildRatio records that field; its
+// checksum covers it, so it verifies, and the loader then ignores it. A
+// damaged key name fails verification even where the field's value is
+// the zero value the loader would default to.
+func TestManifestChecksumCoversStoredBytes(t *testing.T) {
+	e, err := NewEngineFromDB(testDB(40, 5), trajtree.Options{Seed: 1, LeafSize: 5}, Options{CacheSize: -1, Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := e.SaveSnapshot(dir); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, manifestName)
+	saved, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var env manifestEnvelope
+	if err := json.Unmarshal(saved, &env); err != nil {
+		t.Fatal(err)
+	}
+	var compact bytes.Buffer
+	if err := json.Compact(&compact, env.Manifest); err != nil {
+		t.Fatal(err)
+	}
+	older := bytes.Replace(compact.Bytes(), []byte(`"Seed":`), []byte(`"RebuildRatio":0.25,"Seed":`), 1)
+	raw, err := json.MarshalIndent(manifestEnvelope{CRC32C: crc32.Checksum(older, snapCRC), Manifest: older}, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := LoadSnapshot(dir, Options{CacheSize: -1})
+	if err != nil {
+		t.Fatalf("manifest recording RebuildRatio: %v", err)
+	}
+	if loaded.Size() != e.Size() {
+		t.Fatalf("loaded %d members, saved %d", loaded.Size(), e.Size())
+	}
+	damaged := bytes.Replace(saved, []byte(`"Parallel"`), []byte(`"Par\u00e1llel"`), 1)
+	if bytes.Equal(damaged, saved) {
+		t.Fatal("the manifest names no Parallel option")
+	}
+	if err := os.WriteFile(path, damaged, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadSnapshot(dir, Options{CacheSize: -1}); err == nil || !strings.Contains(err.Error(), "checksum mismatch") {
+		t.Fatalf("damaged key name: err = %v, want a checksum mismatch", err)
 	}
 }
 

@@ -38,7 +38,10 @@ func TestV1StatsMemorySection(t *testing.T) {
 		if !ok {
 			t.Fatalf("shard %d: no mem section: %#v", i, sh)
 		}
-		for _, key := range []string{"arena", "overlay", "fold_ins", "rebuild_in_flight", "build_ms", "adopt_ms", "replayed"} {
+		if len(mem) != 2 {
+			t.Fatalf("shard %d: mem holds %d keys, want arena and overlay: %#v", i, len(mem), mem)
+		}
+		for _, key := range []string{"arena", "overlay"} {
 			if _, ok := mem[key]; !ok {
 				t.Fatalf("shard %d: mem missing key %q: %#v", i, key, mem)
 			}
@@ -68,13 +71,12 @@ func TestV1StatsMemorySection(t *testing.T) {
 	}
 
 	// Inserts land in the heap overlay; a rebuild folds them into fresh
-	// slabs and bumps the fold-in counter. Both transitions must be
-	// visible through the endpoint.
+	// slabs. Both transitions must be visible through the endpoint.
 	nt := traj.New(9_900_001, db[0].Points)
 	if err := e.Insert(nt); err != nil {
 		t.Fatal(err)
 	}
-	overlayTotal := func() (o, f float64) {
+	overlayTotal := func() (o float64) {
 		var st Stats
 		if r := postGet(t, srv, "/v1/stats", &st); r.StatusCode != http.StatusOK {
 			t.Fatalf("status %d", r.StatusCode)
@@ -84,22 +86,21 @@ func TestV1StatsMemorySection(t *testing.T) {
 				t.Fatalf("shard %d lost its mem section", ss.Shard)
 			}
 			o += float64(ss.Mem.Overlay)
-			f += float64(ss.Mem.FoldIns)
 		}
-		return o, f
+		return o
 	}
-	if o, _ := overlayTotal(); o != 1 {
+	if o := overlayTotal(); o != 1 {
 		t.Fatalf("overlay after insert = %v, want 1", o)
 	}
 	if err := e.Rebuild(); err != nil {
 		t.Fatal(err)
 	}
-	if o, f := overlayTotal(); o != 0 || f < 1 {
-		t.Fatalf("after rebuild overlay=%v fold_ins=%v, want 0 and >=1", o, f)
+	if o := overlayTotal(); o != 0 {
+		t.Fatalf("overlay after rebuild = %v, want 0", o)
 	}
 	for _, ss := range e.Stats().PerShard {
-		if ss.Mem.RebuildInFlight || ss.Mem.BuildMs <= 0 || ss.Mem.Replayed != 0 {
-			t.Fatalf("shard %d after an explicit rebuild: %+v", ss.Shard, ss.Mem)
+		if ss.Mem.Arena.Members != ss.Size {
+			t.Fatalf("shard %d after a rebuild: %+v, want all %d members in the arena", ss.Shard, ss.Mem, ss.Size)
 		}
 	}
 }

@@ -156,13 +156,12 @@ func (e *Engine) replayRecord(rec wal.Record) error {
 }
 
 // Close releases the engine's durable resources: it stops the
-// background sealer, waits for background rebuilds so that no goroutine
-// outlives the engine, then flushes and fsyncs the write-ahead log (under
-// every sync policy) and closes it. Queries still work after Close;
-// mutations fail. Engines without a WAL stop at the rebuilds.
+// background sealer, so that no goroutine outlives the engine, then
+// flushes and fsyncs the write-ahead log (under every sync policy) and
+// closes it. Queries still work after Close; mutations fail. Engines
+// without a WAL stop at the sealer.
 func (e *Engine) Close() error {
 	e.stopSealer()
-	e.waitRebuilds()
 	if e.wal == nil {
 		return nil
 	}

@@ -209,7 +209,11 @@ func fromSnapshot(snap *arena.Snapshot) (*Tree, uint32, error) {
 				if err != nil {
 					return nil, err
 				}
-				n.children = append(n.children, c)
+				// Files saved while Delete left emptied children in
+				// place still hold them.
+				if len(c.members) > 0 {
+					n.children = append(n.children, c)
+				}
 			}
 			return n, nil
 		}

@@ -262,7 +262,7 @@ func TestArenaRoundTripWithOverlay(t *testing.T) {
 // copy of itself before and after a round trip. The deleted member's own
 // header, inserted again, is resident again.
 func TestArenaReusedIDIsOverlay(t *testing.T) {
-	tree, err := New(taxiTrips(300, 1, 0), Options{Seed: 1, RebuildRatio: -1})
+	tree, err := New(taxiTrips(300, 1, 0), Options{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -67,9 +67,12 @@ type loadArenaSeed struct {
 // empty tree, the built tree after deletes and inserts, two files whose
 // single overwritten node-record word (boxOff, memberCount of node 3)
 // used to wrap an int64 range check and panic the loader, one whose
-// first member box was moved off the segment it summarises, and two
-// whose first member's second sample is one Insert refuses: a NaN X, and
-// a timestamp before the first sample's.
+// first member box was moved off the segment it summarises, two whose
+// first member's second sample is one Insert refuses (a NaN X, and a
+// timestamp before the first sample's), and two whose first member's
+// stored screen summary no longer matches its samples and boxes: a bbox
+// whose MaxX was moved below the member, and a length of 0. Either made
+// the member screen reject true neighbours before decode checked them.
 func loadArenaSeeds(t *testing.T) map[string]loadArenaSeed {
 	t.Helper()
 	trips := func(firstID int, shift float64) []*traj.Trajectory {
@@ -81,7 +84,7 @@ func loadArenaSeeds(t *testing.T) map[string]loadArenaSeed {
 		}
 		return out
 	}
-	opt := Options{LeafSize: 2, PivotCandidates: 6, RebuildRatio: -1, Seed: 1}
+	opt := Options{LeafSize: 2, PivotCandidates: 6, Seed: 1}
 	built, err := New(trips(0, 0), opt)
 	if err != nil {
 		t.Fatal(err)
@@ -118,6 +121,8 @@ func loadArenaSeeds(t *testing.T) map[string]loadArenaSeed {
 		"corrupt-box-lost-segment": {lostBox, "lies in none of its boxes"},
 		"nan-sample":               {resealed(t, valid, "pts", 3, math.Float64bits(math.NaN())), traj.ErrNonFinite.Error()},
 		"time-reversed":            {resealed(t, valid, "pts", 5, math.Float64bits(-10)), traj.ErrTimeNotSorted.Error()},
+		"damaged-bbox":             {resealed(t, valid, "bbox", 2, math.Float64bits(-1e6)), "stored bbox"},
+		"damaged-lens":             {resealed(t, valid, "lens", 0, 0), "stored length"},
 	}
 }
 

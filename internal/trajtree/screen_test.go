@@ -1,6 +1,7 @@
 package trajtree
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -41,7 +42,10 @@ func boundCorpora() map[string][2][]*traj.Trajectory {
 // TestBoundsAdmissibleOnTree checks every bound the searches prune with
 // against the exact distances, on real trees — built, then grown by
 // inserts so node boxes have been extended in place and an overlay
-// exists — under both the averaged and the cumulative distance:
+// exists; and built, then maintained through the replacement of every
+// member (each deleted, and a shifted copy inserted), so emptied nodes
+// were dropped and stale boxes refit — under both the averaged and the
+// cumulative distance:
 //
 //	(a) node screen ≤ LowerBound(q, seq) ≤ raw EDwP(q, T) for every T
 //	    under the node, and the normalised node bound ≤ the tree's
@@ -55,83 +59,121 @@ func boundCorpora() map[string][2][]*traj.Trajectory {
 func TestBoundsAdmissibleOnTree(t *testing.T) {
 	slack := func(d float64) float64 { return 1e-9 * (1 + d) }
 	inf := math.Inf(1)
-	for name, c := range boundCorpora() {
+	for _, a := range admissibilityTrees(t) {
+		name, tree := a.name, a.tree
+		var scr core.SegScreen
+		insertedRejected := 0
+		for _, q := range a.queries {
+			scr.Reset(q)
+			qLen := q.Length()
+			raw, sub := map[int]float64{}, map[int]float64{}
+			for _, m := range tree.root.members {
+				raw[m.ID], sub[m.ID] = core.Distance(q, m), core.SubDistance(q, m)
+				d, _ := tree.DistanceBetween(q, m, inf, nil)
+				if tree.screenMember(&scr, false, qLen, m, d) {
+					t.Fatalf("%s: member %d rejected at its own distance %v", name, m.ID, d)
+				}
+				if tree.screenMember(&scr, true, qLen, m, sub[m.ID]) {
+					t.Fatalf("%s: member %d rejected at its own EDwPsub %v", name, m.ID, sub[m.ID])
+				}
+				s := m.Summary()
+				qs := core.ScreenLowerBound(&scr, s.Boxes, inf)
+				both := core.ScreenMemberSide(&scr, s.Boxes, s.BoxLens, qs, inf)
+				if both > raw[m.ID]+slack(raw[m.ID]) {
+					t.Fatalf("%s: member %d: two-sided screen %v (query side %v) exceeds EDwP %v", name, m.ID, both, qs, raw[m.ID])
+				}
+				if qs > sub[m.ID]+slack(sub[m.ID]) {
+					t.Fatalf("%s: member %d: query-side screen %v exceeds EDwPsub %v", name, m.ID, qs, sub[m.ID])
+				}
+				if both <= 0 {
+					continue
+				}
+				if !tree.screenMember(&scr, false, qLen, m, both/2/tree.denom(false, qLen, m.Length())) {
+					t.Fatalf("%s: member %d kept at half its two-sided screen %v", name, m.ID, both)
+				}
+				if _, ok := tree.arenaIndex(m); !ok {
+					insertedRejected++
+				}
+			}
+			var walk func(n *node)
+			walk = func(n *node) {
+				screen := core.ScreenLowerBound(&scr, n.seq.Rects(), inf)
+				lb := core.LowerBound(q, n.seq)
+				if screen > lb+slack(lb) {
+					t.Fatalf("%s: node screen %v exceeds LowerBound %v", name, screen, lb)
+				}
+				nb := nodeBound(&scr, tree.denom(false, qLen, n.maxLen), n, inf)
+				for _, m := range n.members {
+					if lb > raw[m.ID]+slack(raw[m.ID]) {
+						t.Fatalf("%s: LowerBound %v exceeds EDwP %v of member %d", name, lb, raw[m.ID], m.ID)
+					}
+					if screen > sub[m.ID]+slack(sub[m.ID]) {
+						t.Fatalf("%s: node screen %v exceeds EDwPsub %v of member %d", name, screen, sub[m.ID], m.ID)
+					}
+					if d, _ := tree.DistanceBetween(q, m, inf, nil); nb > d+slack(d) {
+						t.Fatalf("%s: node bound %v exceeds distance %v of member %d", name, nb, d, m.ID)
+					}
+				}
+				for _, ch := range n.children {
+					walk(ch)
+				}
+			}
+			walk(tree.root)
+		}
+		if insertedRejected == 0 {
+			t.Fatalf("%s: no inserted member was ever screened", name)
+		}
+	}
+}
+
+// admissibilityTree is one tree TestBoundsAdmissibleOnTree checks, with
+// the queries of its corpus.
+type admissibilityTree struct {
+	name    string
+	tree    *Tree
+	queries []*traj.Trajectory
+}
+
+// admissibilityTrees makes, per corpus and per distance, the grown tree
+// and the replaced one TestBoundsAdmissibleOnTree checks.
+func admissibilityTrees(t *testing.T) []admissibilityTree {
+	t.Helper()
+	var out []admissibilityTree
+	for corpus, c := range boundCorpora() {
 		for _, cumulative := range []bool{false, true} {
-			db, queries := cloneAll(c[0]), c[1]
+			opt := Options{Seed: 1, LeafSize: 6, Cumulative: cumulative}
+			db := cloneAll(c[0])
 			hold := len(db) / 8
-			tree, err := New(db[hold:], Options{Seed: 1, LeafSize: 6, Cumulative: cumulative, RebuildRatio: -1})
+			grown, err := New(db[hold:], opt)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, tr := range db[:hold] {
-				if err := tree.Insert(tr); err != nil {
+				if err := grown.Insert(tr); err != nil {
 					t.Fatal(err)
 				}
 			}
-			var scr core.SegScreen
-			insertedRejected := 0
-			for _, q := range queries {
-				scr.Reset(q)
-				qLen := q.Length()
-				raw, sub := map[int]float64{}, map[int]float64{}
-				for _, m := range tree.root.members {
-					raw[m.ID], sub[m.ID] = core.Distance(q, m), core.SubDistance(q, m)
-					d, _ := tree.DistanceBetween(q, m, inf, nil)
-					if tree.screenMember(&scr, false, qLen, m, d) {
-						t.Fatalf("%s: member %d rejected at its own distance %v", name, m.ID, d)
-					}
-					if tree.screenMember(&scr, true, qLen, m, sub[m.ID]) {
-						t.Fatalf("%s: member %d rejected at its own EDwPsub %v", name, m.ID, sub[m.ID])
-					}
-					s := m.Summary()
-					qs := core.ScreenLowerBound(&scr, s.Boxes, inf)
-					both := core.ScreenMemberSide(&scr, s.Boxes, s.BoxLens, qs, inf)
-					if both > raw[m.ID]+slack(raw[m.ID]) {
-						t.Fatalf("%s: member %d: two-sided screen %v (query side %v) exceeds EDwP %v", name, m.ID, both, qs, raw[m.ID])
-					}
-					if qs > sub[m.ID]+slack(sub[m.ID]) {
-						t.Fatalf("%s: member %d: query-side screen %v exceeds EDwPsub %v", name, m.ID, qs, sub[m.ID])
-					}
-					if both <= 0 {
-						continue
-					}
-					if !tree.screenMember(&scr, false, qLen, m, both/2/tree.denom(false, qLen, m.Length())) {
-						t.Fatalf("%s: member %d kept at half its two-sided screen %v", name, m.ID, both)
-					}
-					if _, ok := tree.arenaIndex(m); !ok {
-						insertedRejected++
-					}
-				}
-				var walk func(n *node)
-				walk = func(n *node) {
-					screen := core.ScreenLowerBound(&scr, n.seq.Rects(), inf)
-					lb := core.LowerBound(q, n.seq)
-					if screen > lb+slack(lb) {
-						t.Fatalf("%s: node screen %v exceeds LowerBound %v", name, screen, lb)
-					}
-					nb := nodeBound(&scr, tree.denom(false, qLen, n.maxLen), n, inf)
-					for _, m := range n.members {
-						if lb > raw[m.ID]+slack(raw[m.ID]) {
-							t.Fatalf("%s: LowerBound %v exceeds EDwP %v of member %d", name, lb, raw[m.ID], m.ID)
-						}
-						if screen > sub[m.ID]+slack(sub[m.ID]) {
-							t.Fatalf("%s: node screen %v exceeds EDwPsub %v of member %d", name, screen, sub[m.ID], m.ID)
-						}
-						if d, _ := tree.DistanceBetween(q, m, inf, nil); nb > d+slack(d) {
-							t.Fatalf("%s: node bound %v exceeds distance %v of member %d", name, nb, d, m.ID)
-						}
-					}
-					for _, ch := range n.children {
-						walk(ch)
-					}
-				}
-				walk(tree.root)
+			replaced, err := New(cloneAll(c[0]), opt)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if insertedRejected == 0 {
-				t.Fatalf("%s: no inserted member was ever screened", name)
+			ids := make([]int, len(db))
+			shifted := cloneAll(c[0])
+			for i, tr := range shifted {
+				ids[i] = tr.ID
+				tr.ID += 10_000_000
+				for j := range tr.Points {
+					tr.Points[j].X += float64(i%5 - 2)
+					tr.Points[j].Y += float64(i%3 - 1)
+				}
 			}
+			replace(t, replaced, ids, shifted)
+			label := fmt.Sprintf("%s, cumulative %v", corpus, cumulative)
+			out = append(out, admissibilityTree{label + ", grown", grown, c[1]},
+				admissibilityTree{label + ", replaced", replaced, c[1]})
 		}
 	}
+	return out
 }
 
 // TestInsertedMemberIsFound pins the single source of truth of a node's
@@ -141,7 +183,7 @@ func TestBoundsAdmissibleOnTree(t *testing.T) {
 // its nodes by rects captured before the insert would prune the path to it
 // and answer without it.
 func TestInsertedMemberIsFound(t *testing.T) {
-	tree, err := New(testDB(rand.New(rand.NewSource(141)), 120), Options{Seed: 1, LeafSize: 5, RebuildRatio: -1})
+	tree, err := New(testDB(rand.New(rand.NewSource(141)), 120), Options{Seed: 1, LeafSize: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +227,7 @@ func TestSearchKNNInExactOverAllCandidates(t *testing.T) {
 			db = append(db, c)
 		}
 		built := append(db[:200:200], db[260:264]...)
-		tree, err := New(built, Options{Seed: 1, LeafSize: 6, Cumulative: cumulative, RebuildRatio: -1})
+		tree, err := New(built, Options{Seed: 1, LeafSize: 6, Cumulative: cumulative})
 		if err != nil {
 			t.Fatal(err)
 		}

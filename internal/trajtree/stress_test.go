@@ -6,16 +6,13 @@ import (
 	"testing"
 )
 
-// Interleaved inserts and deletes with invariant checks and exact-kNN
-// verification after every batch: the failure-injection test for the
-// update path of Section IV-F.
+// Interleaved inserts and deletes, with a re-pack every third batch, and
+// invariant checks and exact-kNN verification after every batch: the
+// failure-injection test for the update path of Section IV-F.
 func TestInterleavedUpdatesStayExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(131))
 	pool := testDB(rng, 200)
-	opt := testOptions()
-	opt.RebuildRatio = 0.5
-
-	tree, err := New(pool[:80], opt)
+	tree, err := New(pool[:80], testOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,6 +47,11 @@ func TestInterleavedUpdatesStayExact(t *testing.T) {
 				t.Fatalf("batch %d: delete of present ID %d failed", batch, victim)
 			}
 			inTree[victim] = false
+		}
+		if batch%3 == 2 {
+			if err := tree.Rebuild(); err != nil {
+				t.Fatalf("batch %d: %v", batch, err)
+			}
 		}
 		// Invariants and exactness.
 		if err := tree.checkInvariants(); err != nil {

@@ -46,12 +46,11 @@ func everySummary(t *testing.T, label string, tree *Tree) {
 // a trajectory became a member — bulk-built, inserted, inserted under a
 // deleted member's ID, its own header deleted and inserted again, loaded
 // from an arena file onto the heap or from a mapping (inserted members
-// included), grown into a tree that never had an arena, or adopted from
-// a rebuild, with inserts landing while the build was in flight — it
-// carries a summary bit-identical to arena.Summarize of its own samples.
+// included), grown into a tree that never had an arena, rebuilt, or
+// inserted after a rebuild — it carries a summary bit-identical to arena.Summarize of its own samples.
 func TestEveryMemberCarriesItsSummary(t *testing.T) {
 	db := taxiTrips(300, 1, 0)
-	tree, err := New(db, Options{Seed: 1, LeafSize: 6, RebuildRatio: -1})
+	tree, err := New(db, Options{Seed: 1, LeafSize: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,19 +87,19 @@ func TestEveryMemberCarriesItsSummary(t *testing.T) {
 	}
 	everySummary(t, "grown without an arena", grown)
 
-	tree.StartRebuild()
+	if err := tree.Rebuild(); err != nil {
+		t.Fatal(err)
+	}
+	everySummary(t, "rebuilt", tree)
 	for _, tr := range taxiTrips(10, 5, 2_000) {
 		if err := tree.Insert(tr); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := tree.Rebuild(); err != nil {
-		t.Fatal(err)
-	}
 	if tree.MemStats().Overlay != 10 {
-		t.Fatalf("overlay %d after adopting a build that missed 10 inserts, want 10", tree.MemStats().Overlay)
+		t.Fatalf("overlay %d after 10 inserts into a rebuilt tree, want 10", tree.MemStats().Overlay)
 	}
-	everySummary(t, "adopted", tree)
+	everySummary(t, "inserted after a rebuild", tree)
 }
 
 // TestLoadRefusesInvalidSamples pins the loader's check of every
@@ -112,7 +111,7 @@ func TestEveryMemberCarriesItsSummary(t *testing.T) {
 // readers, not a member whose kernels and screens read garbage. The
 // damaged sample is the second of the first member in the slabs.
 func TestLoadRefusesInvalidSamples(t *testing.T) {
-	tree, err := New(taxiTrips(40, 1, 0), Options{Seed: 1, LeafSize: 6, RebuildRatio: -1})
+	tree, err := New(taxiTrips(40, 1, 0), Options{Seed: 1, LeafSize: 6})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,12 +12,11 @@
 // bound cannot beat the current k-th best distance.
 //
 // A Tree is immutable under queries and safe for concurrent searches;
-// Insert, Delete and the rebuild calls require external serialisation.
-// Package server wraps a Tree in an RWMutex-guarded engine that provides
-// exactly that serialisation for concurrent workloads. The one goroutine
-// a Tree owns is a rebuild's background build (rebuild.go): it reads only
-// immutable point data and its result replaces the root only inside one
-// of those serialised calls.
+// Insert, Delete and Rebuild require external serialisation. Package
+// server wraps a Tree in an RWMutex-guarded engine that provides exactly
+// that serialisation for concurrent workloads. A Tree owns no goroutine:
+// updates maintain it where they change it, and Rebuild re-packs it only
+// when asked (update.go).
 package trajtree
 
 import (
@@ -61,11 +60,6 @@ type Options struct {
 	// Cumulative switches query distances from EDwPavg (Eq. 4, the paper's
 	// experimental default) to cumulative EDwP.
 	Cumulative bool
-	// RebuildRatio triggers an automatic rebuild when
-	// inserts+deletes > ratio × size. 0 means the default of 0.25;
-	// negative disables auto-rebuild. The rebuild builds in the
-	// background and is swapped in by a later update (rebuild.go).
-	RebuildRatio float64
 	// Seed drives all randomised choices, making builds reproducible.
 	Seed int64
 	// Parallel enables concurrent subtree construction.
@@ -94,19 +88,19 @@ func (o Options) withDefaults() Options {
 	if o.PivotCandidates == 0 {
 		o.PivotCandidates = 64
 	}
-	if o.RebuildRatio == 0 {
-		o.RebuildRatio = 0.25
-	}
 	return o
 }
 
 // node is a TrajTree node: the tBoxSeq summary its parent bounds it by,
-// its subtree's members and the longest member's length.
+// its subtree's members and the longest member's length. dels counts the
+// deletes below the node since seq was last fit (refit, update.go); it
+// is not saved, so a loaded node starts at 0.
 type node struct {
 	seq      *tbox.Seq
 	children []*node
 	members  []*traj.Trajectory
 	maxLen   float64
+	dels     int
 }
 
 func (n *node) leaf() bool { return len(n.children) == 0 }
@@ -116,7 +110,6 @@ type Tree struct {
 	root *node
 	opt  Options
 	size int
-	mods int // inserts + deletes since the last build or rebuild trigger
 	rng  *rand.Rand
 
 	// byID indexes the root's member list by trajectory ID, overlay
@@ -131,29 +124,13 @@ type Tree struct {
 	// Rebuild, or by a save and load. Only MemStats reads it (the overlay
 	// count and the slab residency); Save writes the members themselves.
 	ar      *arena.Arena
-	overlay int    // live members without an arena entry
-	foldIns uint64 // rebuilds that folded an overlay into new slabs
-
-	// Rebuild state (rebuild.go): rb is the build in flight, last what
-	// the most recent adoption cost. background marks a tree that is
-	// itself a rebuild's product: it is built on one CPU fewer and never
-	// starts a rebuild of its own. hook is nil outside tests.
-	rb         *rebuild
-	last       RebuildStats
-	background bool
-	hook       func(rebuildEvent)
+	overlay int // live members without an arena entry
 }
 
 // New bulk-loads a TrajTree over db. Every trajectory must have at least
 // two points and a unique ID; New returns an error otherwise.
 func New(db []*traj.Trajectory, opt Options) (*Tree, error) {
-	return newTree(db, opt, false)
-}
-
-// newTree is New; background marks the build of a rebuild (Tree.background).
-func newTree(db []*traj.Trajectory, opt Options, background bool) (*Tree, error) {
 	tr := newTreeShell(opt, len(db))
-	tr.background = background
 	for _, t := range db {
 		if err := t.Validate(); err != nil {
 			return nil, fmt.Errorf("trajtree: trajectory %d: %w", t.ID, err)
@@ -310,27 +287,18 @@ func screenExceeds(scr *core.SegScreen, sub bool, rects, lens []float64, raw flo
 }
 
 // MemStats describes the tree's memory layout for the stats endpoint:
-// the arena's slab residency, the overlay and fold-in counters, and the
-// rebuild in flight and last adopted.
+// the arena's slab residency and the overlay count.
 type MemStats struct {
 	Arena arena.MemStats `json:"arena"`
 	// Overlay counts live members not resident in the arena —
-	// trajectories inserted since the members of the last (re)build were
-	// frozen, or since the tree was loaded.
+	// trajectories inserted since the last (re)build or load.
 	Overlay int `json:"overlay"`
-	// FoldIns counts rebuilds that folded an overlay into fresh slabs.
-	FoldIns uint64 `json:"fold_ins"`
-	// RebuildInFlight reports a background build started and not yet
-	// adopted.
-	RebuildInFlight bool `json:"rebuild_in_flight"`
-	RebuildStats
 }
 
 // MemStats returns the tree's memory-layout counters. Like every Tree
 // accessor it requires the caller to serialise updates against reads.
 func (t *Tree) MemStats() MemStats {
-	return MemStats{Arena: t.ar.Stats(), Overlay: t.overlay, FoldIns: t.foldIns,
-		RebuildInFlight: t.rb != nil, RebuildStats: t.last}
+	return MemStats{Arena: t.ar.Stats(), Overlay: t.overlay}
 }
 
 // build constructs the subtree over ts, whose summary seq (already
@@ -349,8 +317,8 @@ func (t *Tree) build(ts []*traj.Trajectory, seq *tbox.Seq, parallel bool) *node 
 		var wg sync.WaitGroup
 		// Every child draws from its own stream, derived from the seed, so
 		// the cap changes scheduling only: the tree is the same at every
-		// cap, and the one a background build of the same members makes.
-		sem := make(chan struct{}, buildSlots(t.background))
+		// cap.
+		sem := make(chan struct{}, buildSlots())
 		for i := range groups {
 			wg.Add(1)
 			go func(i int) {
@@ -371,15 +339,8 @@ func (t *Tree) build(ts []*traj.Trajectory, seq *tbox.Seq, parallel bool) *node 
 }
 
 // buildSlots is how many subtrees a parallel build constructs at once:
-// one per P of the scheduler, the count the engine sizes its pools by,
-// and one fewer for a background build, which leaves that P to serving.
-func buildSlots(background bool) int {
-	n := runtime.GOMAXPROCS(0)
-	if background {
-		return max(1, n-1)
-	}
-	return n
-}
+// one per P of the scheduler, the count the engine sizes its pools by.
+func buildSlots() int { return runtime.GOMAXPROCS(0) }
 
 func maxLength(ts []*traj.Trajectory) float64 {
 	var max float64
@@ -405,7 +366,9 @@ func (t *Tree) String() string {
 }
 
 // checkInvariants walks the tree verifying structural invariants; tests use
-// it after builds and updates.
+// it after builds and updates, and the loader on every file. No non-root
+// node is empty: Delete drops a child it empties, and the loader the empty
+// nodes of a file saved before Delete did.
 func (t *Tree) checkInvariants() error {
 	if t.root == nil {
 		if t.size != 0 {
@@ -416,6 +379,9 @@ func (t *Tree) checkInvariants() error {
 	count := 0
 	var walk func(n *node) error
 	walk = func(n *node) error {
+		if n != t.root && len(n.members) == 0 {
+			return fmt.Errorf("empty non-root node")
+		}
 		if n.leaf() {
 			count += len(n.members)
 			for _, m := range n.members {

@@ -3,6 +3,7 @@ package trajtree
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -167,6 +168,18 @@ func TestKNNParallelBuildSameAnswers(t *testing.T) {
 	}
 }
 
+// TestBuildSlots pins the parallel build's concurrency to the
+// scheduler's Ps, not the machine's CPUs: a single P is shared.
+func TestBuildSlots(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2, 4} {
+		runtime.GOMAXPROCS(procs)
+		if got := buildSlots(); got != procs {
+			t.Errorf("GOMAXPROCS %d: %d slots, want %d", procs, got, procs)
+		}
+	}
+}
+
 func TestKNNKLargerThanDB(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	db := testDB(rng, 12)
@@ -190,9 +203,7 @@ func TestKNNKLargerThanDB(t *testing.T) {
 func TestInsertThenQuery(t *testing.T) {
 	rng := rand.New(rand.NewSource(78))
 	db := testDB(rng, 60)
-	opt := testOptions()
-	opt.RebuildRatio = -1 // exercise the incremental path, not rebuilds
-	tree, err := New(db[:40], opt)
+	tree, err := New(db[:40], testOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,9 +262,7 @@ func TestInsertIntoEmpty(t *testing.T) {
 func TestDelete(t *testing.T) {
 	rng := rand.New(rand.NewSource(80))
 	db := testDB(rng, 50)
-	opt := testOptions()
-	opt.RebuildRatio = -1
-	tree, err := New(db, opt)
+	tree, err := New(db, testOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,33 +289,6 @@ func TestDelete(t *testing.T) {
 	}
 	if len(got) != 49 {
 		t.Errorf("kNN returned %d results, want 49", len(got))
-	}
-}
-
-func TestAutoRebuild(t *testing.T) {
-	rng := rand.New(rand.NewSource(81))
-	db := testDB(rng, 40)
-	opt := testOptions()
-	opt.RebuildRatio = 0.1
-	tree, err := New(db[:30], opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, tr := range db[30:] {
-		if err := tree.Insert(tr); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// A rebuild resets the modification counter, so after 10 inserts the
-	// counter must show fewer than 10 if any rebuild fired.
-	if tree.mods >= 10 {
-		t.Errorf("auto-rebuild did not trigger: mods = %d", tree.mods)
-	}
-	if tree.Size() != 40 {
-		t.Errorf("Size = %d, want 40", tree.Size())
-	}
-	if err := tree.checkInvariants(); err != nil {
-		t.Fatal(err)
 	}
 }
 
