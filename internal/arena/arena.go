@@ -24,7 +24,6 @@ package arena
 import (
 	"fmt"
 	"math"
-	"slices"
 
 	"trajmatch/internal/geom"
 	"trajmatch/internal/tbox"
@@ -45,11 +44,9 @@ type Arena struct {
 	ys   []float64
 	offs []int64
 
-	// Per-member identity and summaries.
+	// Per-member identity.
 	ids    []int64
 	labels []int64
-	lens   []float64 // total spatial length (traj.Length)
-	bbox   []float64 // 4 per member: MinX, MinY, MaxX, MaxY
 
 	// Coarsened per-member box sequences (tbox.FromTrajectory with the
 	// MemberBoxes budget), flattened: member i's rects are
@@ -57,10 +54,15 @@ type Arena struct {
 	// quadruples.
 	boxes   []float64
 	boxOffs []int64
-	// boxLens[k] is the length of the owning member's segments assigned
-	// to box k of the boxes slab — the weights of the member side of the
-	// screen (core.ScreenMemberSide). Derived from xs/ys and boxes by
-	// deriveBoxLens at Build and at decode alike; never stored.
+
+	// The rest of each member's summary, derived from xs/ys and boxes by
+	// derive at Build and at decode alike, and never stored: its total
+	// spatial length (traj.Length's bits), its bbox (the union of its
+	// boxes, 4 values per member), and boxLens[k], the length of the
+	// owning member's segments assigned to box k of the boxes slab — the
+	// weights of the member side of the screen (core.ScreenMemberSide).
+	lens    []float64
+	bbox    []float64
 	boxLens []float64
 
 	byID map[int]int32
@@ -83,8 +85,6 @@ func Build(members []*traj.Trajectory) *Arena {
 		boxOffs: make([]int64, 1, len(members)+1),
 		ids:     make([]int64, 0, len(members)),
 		labels:  make([]int64, 0, len(members)),
-		lens:    make([]float64, 0, len(members)),
-		bbox:    make([]float64, 0, 4*len(members)),
 		byID:    make(map[int]int32, len(members)),
 	}
 	total := 0
@@ -103,18 +103,13 @@ func Build(members []*traj.Trajectory) *Arena {
 		a.offs = append(a.offs, int64(len(a.pts)))
 		a.ids = append(a.ids, int64(m.ID))
 		a.labels = append(a.labels, int64(m.Label))
-		a.lens = append(a.lens, m.Length())
-		first := len(a.boxes)
 		a.boxes = tbox.AppendRects(a.boxes, m, MemberBoxes)
-		a.bbox = appendBounds(a.bbox, a.boxes[first:])
 		a.boxOffs = append(a.boxOffs, int64(len(a.boxes)/4))
 		a.byID[m.ID] = int32(i)
 	}
-	if err := a.deriveBoxLens(); err != nil {
-		// The members are valid, AppendRects builds each box as the
-		// union of a run of the member's own segments, and the length
-		// and bbox above are the ones the walk derives, so it cannot
-		// fail.
+	if err := a.derive(); err != nil {
+		// The members are valid and AppendRects builds each box as the
+		// union of a run of the member's own segments, so it cannot fail.
 		panic(err)
 	}
 	a.prime(members)
@@ -162,20 +157,21 @@ func appendBounds(dst, rects []float64) []float64 {
 	return append(dst, bb.Min.X, bb.Min.Y, bb.Max.X, bb.Max.Y)
 }
 
-// deriveBoxLens fills boxLens through chargeSegments, and checks every
-// member as Insert checks a new member and Build summarises it: its
-// samples pass traj.Validate and its coordinate slabs equal them, its
-// stored length is the sum of its segments' lengths, and its stored bbox
-// is the union of its boxes. The slabs of a decoded file come from
+// derive fills lens, bbox and boxLens, in one slab: each member's length
+// and boxLens through chargeSegments, its bbox through appendBounds, the
+// values Summarize gives an inserted member. It checks every member as
+// Insert checks a new one: its samples pass traj.Validate and its
+// coordinate slabs equal them. The slabs of a decoded file come from
 // another process, or another machine, so this is the loader's one
-// member check. A sample Validate refuses, slabs that disagree, a
-// segment no box contains (boxes that are not the member's), or a length
-// or bbox the member's own samples and boxes do not give is ErrCorrupt:
-// a screen over a wrong length or bbox could reject a true neighbour.
-func (a *Arena) deriveBoxLens() error {
-	a.boxLens = make([]float64, len(a.boxes)/4)
-	var bb [4]float64
-	for m := range a.ids {
+// member check. A sample Validate refuses, slabs that disagree, or a
+// segment no box contains (boxes that are not the member's) is
+// ErrCorrupt: a screen over boxes that miss the member could reject a
+// true neighbour.
+func (a *Arena) derive() error {
+	n, nb := len(a.ids), len(a.boxes)/4
+	slab := make([]float64, 5*n+nb)
+	a.lens, a.bbox, a.boxLens = slab[:n:n], slab[n:n:5*n], slab[5*n:]
+	for m := range n {
 		p0, p1, b0, b1 := a.offs[m], a.offs[m+1], a.boxOffs[m], a.boxOffs[m+1]
 		pts, xs, ys := a.pts[p0:p1], a.xs[p0:p1], a.ys[p0:p1]
 		if err := (&traj.Trajectory{Points: pts}).Validate(); err != nil {
@@ -190,12 +186,8 @@ func (a *Arena) deriveBoxLens() error {
 		if seg >= 0 {
 			return fmt.Errorf("%w: member %d: segment %d lies in none of its boxes", ErrCorrupt, m, seg)
 		}
-		if length != a.lens[m] {
-			return fmt.Errorf("%w: member %d: stored length %v, its segments sum to %v", ErrCorrupt, m, a.lens[m], length)
-		}
-		if got := appendBounds(bb[:0], a.boxes[4*b0:4*b1]); !slices.Equal(got, a.bbox[4*m:4*m+4]) {
-			return fmt.Errorf("%w: member %d: stored bbox %v, its boxes span %v", ErrCorrupt, m, a.bbox[4*m:4*m+4], got)
-		}
+		a.lens[m] = length
+		a.bbox = appendBounds(a.bbox, a.boxes[4*b0:4*b1])
 	}
 	return nil
 }

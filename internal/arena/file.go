@@ -11,14 +11,16 @@
 //
 //	[8]  magic "TRARENA1"
 //	[8]  uint64 meta length
-//	[..] meta JSON: {"version":3,"sections":[{name,off,len}...],"extra":...}
+//	[..] meta JSON: {"version":4,"sections":[{name,off,len}...],"extra":...}
 //	     (zero-padded to the next 8-byte boundary)
-//	[..] sections, in the order pts xs ys offs ids labels lens bbox boxes
-//	     boxoffs (the slabs) nboxes nmeta children members (the tree)
+//	[..] sections, in the order pts xs ys offs ids labels boxes boxoffs
+//	     (the slabs) nboxes nmeta children members (the tree)
 //	[4]  uint32 CRC32C (Castagnoli) over every preceding byte
 //
 // Sections are raw arrays: float64 and int64 values, and traj.Point
-// records as three float64s. Every section offset is 8-aligned, so on a
+// records as three float64s. Each fact has one home: a member's length,
+// bbox and box weights are derived from its samples and boxes at decode,
+// not stored beside them. Every section offset is 8-aligned, so on a
 // little-endian machine a verified mapping can be reinterpreted in place
 // with unsafe.Slice; other machines (and mmap failures) fall back to a
 // decode-copy that reads the same bytes through encoding/binary.
@@ -54,12 +56,13 @@ const (
 	fileMagic = "TRARENA1"
 	// fileVersion 2 dropped the vantage-point sections and the four
 	// node-record words that indexed them; version 3 dropped the overlay
-	// sections and the negative member refs into them. Files of an
-	// earlier version are refused.
-	fileVersion = 3
+	// sections and the negative member refs into them; version 4 dropped
+	// the lens and bbox sections, each node box's MinL and the node
+	// record's insert count. Files of an earlier version are refused.
+	fileVersion = 4
 	// NMetaStride is the number of int64s in one node's metadata record
 	// inside the nmeta section (see package trajtree for field order).
-	NMetaStride = 8
+	NMetaStride = 7
 )
 
 var fileCRC = crc32.MakeTable(crc32.Castagnoli)
@@ -68,7 +71,7 @@ var fileCRC = crc32.MakeTable(crc32.Castagnoli)
 // named sections next to the slabs. The arena package treats it as
 // opaque arrays; package trajtree defines the per-node record layout.
 type TreeSection struct {
-	NBoxes   []float64 // node summary boxes, 5 per box: MinX, MinY, MaxX, MaxY, MinL
+	NBoxes   []float64 // node summary boxes, 4 per box: MinX, MinY, MaxX, MaxY
 	NMeta    []int64   // NMetaStride int64s per node
 	Children []int64   // child node indices, flat
 	Members  []int64   // member refs, flat: the member's index in the file's slabs
@@ -161,8 +164,6 @@ func sections(members []*traj.Trajectory, ts *TreeSection) []section {
 		{"offs", n + 1, prefix(func(m *traj.Trajectory) int { return len(m.Points) })},
 		{"ids", n, each(func(b []byte, m *traj.Trajectory) []byte { return putI64(b, int64(m.ID)) })},
 		{"labels", n, each(func(b []byte, m *traj.Trajectory) []byte { return putI64(b, int64(m.Label)) })},
-		{"lens", n, each(func(b []byte, m *traj.Trajectory) []byte { return putF64s(b, m.Summary().Length) })},
-		{"bbox", 4 * n, each(func(b []byte, m *traj.Trajectory) []byte { return putF64s(b, m.Summary().BBox) })},
 		{"boxes", boxes, each(func(b []byte, m *traj.Trajectory) []byte { return putF64s(b, m.Summary().Boxes) })},
 		{"boxoffs", n + 1, prefix(func(m *traj.Trajectory) int { return len(m.Summary().Boxes) / 4 })},
 		{"nboxes", len(ts.NBoxes), func(fw *fileWriter) { fw.f64s(ts.NBoxes) }},
@@ -380,8 +381,6 @@ func decode(b []byte, mapped bool) (*Snapshot, error) {
 	a.offs = alias[int64](get("offs"), 8)
 	a.ids = alias[int64](get("ids"), 8)
 	a.labels = alias[int64](get("labels"), 8)
-	a.lens = alias[float64](get("lens"), 8)
-	a.bbox = alias[float64](get("bbox"), 8)
 	a.boxes = alias[float64](get("boxes"), 8)
 	a.boxOffs = alias[int64](get("boxoffs"), 8)
 	ts.NBoxes = alias[float64](get("nboxes"), 8)
@@ -394,7 +393,7 @@ func decode(b []byte, mapped bool) (*Snapshot, error) {
 	if err := a.check(); err != nil {
 		return nil, err
 	}
-	if err := a.deriveBoxLens(); err != nil {
+	if err := a.derive(); err != nil {
 		return nil, err
 	}
 	if err := ts.check(a); err != nil {
@@ -462,10 +461,9 @@ func hostLittleEndian() bool {
 // not localise (it never happens for files Encode wrote).
 func (a *Arena) check() error {
 	n := len(a.ids)
-	if len(a.offs) != n+1 || len(a.boxOffs) != n+1 ||
-		len(a.labels) != n || len(a.lens) != n || len(a.bbox) != 4*n {
-		return fmt.Errorf("%w: member tables disagree (%d ids, %d offs, %d boxoffs, %d labels, %d lens, %d bbox)",
-			ErrCorrupt, n, len(a.offs), len(a.boxOffs), len(a.labels), len(a.lens), len(a.bbox))
+	if len(a.offs) != n+1 || len(a.boxOffs) != n+1 || len(a.labels) != n {
+		return fmt.Errorf("%w: member tables disagree (%d ids, %d offs, %d boxoffs, %d labels)",
+			ErrCorrupt, n, len(a.offs), len(a.boxOffs), len(a.labels))
 	}
 	if a.offs[0] != 0 || a.boxOffs[0] != 0 {
 		return fmt.Errorf("%w: offset tables must start at 0", ErrCorrupt)
@@ -496,9 +494,9 @@ func (ts *TreeSection) check(a *Arena) error {
 	for ni := 0; ni < nodes; ni++ {
 		m := ts.NMeta[ni*NMetaStride : (ni+1)*NMetaStride]
 		boxOff, boxCount := m[0], m[1]
-		childOff, childCount := m[3], m[4]
-		memberOff, memberCount := m[5], m[6]
-		if !window(boxOff, boxCount, len(ts.NBoxes)/5) {
+		childOff, childCount := m[2], m[3]
+		memberOff, memberCount := m[4], m[5]
+		if !window(boxOff, boxCount, len(ts.NBoxes)/4) {
 			return fmt.Errorf("%w: node %d box range out of bounds", ErrCorrupt, ni)
 		}
 		if !window(childOff, childCount, len(ts.Children)) {

@@ -33,8 +33,8 @@ func testMembers(n int) []*traj.Trajectory {
 
 func testTreeSection() *TreeSection {
 	return &TreeSection{
-		NBoxes:   []float64{0, 0, 1, 1, 0.5},
-		NMeta:    []int64{0, 1, 3, 0, 0, 0, 2, 0},
+		NBoxes:   []float64{0, 0, 1, 1},
+		NMeta:    []int64{0, 1, 0, 0, 0, 2, 0},
 		Members:  []int64{0, 1},
 		Children: nil,
 	}
@@ -60,8 +60,8 @@ func encodeTestFile(t *testing.T) (string, *Arena, *TreeSection) {
 	return path, a, ts
 }
 
-// TestFileRoundTrip pins that Open returns bit-identical slabs and tree
-// payload, whether mapped or heap-decoded.
+// TestFileRoundTrip pins that Open returns bit-identical slabs, derived
+// summaries and tree payload, whether mapped or heap-decoded.
 func TestFileRoundTrip(t *testing.T) {
 	path, a, ts := encodeTestFile(t)
 	snap, err := Open(path)
@@ -157,9 +157,9 @@ func TestBoxLensDerived(t *testing.T) {
 	}
 	a := Build(members)
 	for i, m := range members {
-		// The walk's length is the one decode compares the stored length
-		// with: it must be traj.Length's, bit for bit, as computed on a
-		// header whose length nothing has cached.
+		// The walk's length is the one Build and decode install as the
+		// member's: it must be traj.Length's, bit for bit, as computed on
+		// a header whose length nothing has cached.
 		v, s := m.View(), m.Summary()
 		got, seg := chargeSegments(v.X, v.Y, s.Boxes, make([]float64, len(s.BoxLens)))
 		if want := traj.New(m.ID, m.Points).Length(); seg >= 0 || math.Float64bits(got) != math.Float64bits(want) {

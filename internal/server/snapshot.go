@@ -57,12 +57,13 @@ import (
 // the reboot invariant.
 
 // snapshotVersion is bumped whenever the manifest layout, the per-shard
-// file format, or the placement hash changes incompatibly. Version 5
-// holds one shard-NNNN.arena file per shard (arena format 3: each live
-// member once in the slabs, no overlay sections) and one checksum array;
-// directories of earlier versions are rejected with a clear error
-// (re-save from a live engine to upgrade).
-const snapshotVersion = 5
+// file format, or the placement hash changes incompatibly. Version 6
+// holds one shard-NNNN.arena file per shard (arena format 4: each live
+// member once in the slabs, no overlay sections, no stored lengths,
+// bboxes or MinL) and one checksum array; directories of earlier
+// versions are rejected with a clear error (re-save from a live engine
+// to upgrade).
+const snapshotVersion = 6
 
 // manifestName is the manifest file inside a snapshot directory.
 const manifestName = "MANIFEST.json"

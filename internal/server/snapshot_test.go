@@ -124,13 +124,15 @@ func TestSnapshotRejectsBadManifest(t *testing.T) {
 
 	// A version-2 directory (enveloped manifest, gob streams beside the
 	// arena files), a version-3 one (arena files carrying vantage-point
-	// sections) and a version-4 one (arena files carrying overlay
-	// sections) are refused with the upgrade instruction, not reported as
-	// corrupt and not migrated.
+	// sections), a version-4 one (arena files carrying overlay sections)
+	// and a version-5 one (arena files storing lengths, bboxes and MinL)
+	// are refused with the upgrade instruction, not reported as corrupt
+	// and not migrated.
 	for _, old := range [][]byte{
 		[]byte(`{"version":2,"shards":1,"tree_options":{},"sizes":[3],"checksums":[1],"arena_checksums":[2],"saved_at":"2026-01-01T00:00:00Z"}`),
 		[]byte(`{"version":3,"shards":1,"tree_options":{"Theta":0.8},"sizes":[3],"checksums":[1],"saved_at":"2026-01-01T00:00:00Z"}`),
 		[]byte(`{"version":4,"shards":1,"tree_options":{"Theta":0.8},"sizes":[3],"checksums":[1],"saved_at":"2026-01-01T00:00:00Z"}`),
+		[]byte(`{"version":5,"shards":1,"tree_options":{"Theta":0.8},"sizes":[3],"checksums":[1],"saved_at":"2026-01-01T00:00:00Z"}`),
 	} {
 		raw, _ = json.Marshal(manifestEnvelope{CRC32C: crc32.Checksum(old, snapCRC), Manifest: old})
 		if err := os.WriteFile(filepath.Join(dir, manifestName), raw, 0o644); err != nil {

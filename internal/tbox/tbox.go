@@ -1,6 +1,7 @@
 // Package tbox implements the paper's trajectory bounding boxes
 // (Definitions 4–5): st-boxes and trajectory box sequences (tBoxSeqs), the
-// summaries TrajTree stores at its internal nodes.
+// summaries TrajTree stores at its internal nodes. An st-box here is its
+// rectangle alone: the MinL Definition 4 adds is read by no bound.
 //
 // A Seq is created from a pivot trajectory (one box per segment, the
 // paper's createTBoxSeq(T)) and grows by absorbing further trajectories:
@@ -21,18 +22,18 @@ import (
 	"trajmatch/internal/traj"
 )
 
-// Seq is a trajectory box sequence (Definition 5): st-boxes
-// (Definition 4), each a spatial bounding rectangle together with the
-// minimum length of the segments it encloses.
+// Seq is a trajectory box sequence (Definition 5): its st-boxes'
+// spatial bounding rectangles. Definition 4 also gives each st-box a
+// MinL, the shortest segment it encloses; no bound reads it (the screens
+// charge the query side, and the member side's weights are derived per
+// member by package arena), so a Seq does not keep it.
 //
 // The rectangles live in one flat slab, the layout core.ScreenLowerBound
-// scans, and the slab is the only copy: Insert and coarsen rewrite it in
-// place, so the bound a search computes can never lag the boxes the
-// sequence holds.
+// scans, and the slab is the Seq: Insert and coarsen rewrite it in place,
+// so the bound a search computes can never lag the boxes the sequence
+// holds.
 type Seq struct {
 	rects []float64 // 4 per box: MinX, MinY, MaxX, MaxY
-	minL  []float64 // per box: minimum length over enclosed segment pieces
-	count int       // trajectories absorbed
 }
 
 var _ core.Boxes = (*Seq)(nil)
@@ -42,18 +43,7 @@ var _ core.Boxes = (*Seq)(nil)
 // repeatedly merging the adjacent pair whose union grows the least, keeping
 // lower-bound evaluation cheap on long pivots.
 func FromTrajectory(t *traj.Trajectory, maxBoxes int) *Seq {
-	n := t.NumSegments()
-	if n == 0 {
-		return &Seq{}
-	}
-	s := &Seq{rects: AppendRects(make([]float64, 0, 4*n), t, 0), minL: make([]float64, n), count: 1}
-	for i := range n {
-		s.minL[i] = t.Segment(i).Length()
-	}
-	if maxBoxes > 0 {
-		s.rects, s.minL = coarsen(s.rects, s.minL, maxBoxes)
-	}
-	return s
+	return &Seq{rects: AppendRects(make([]float64, 0, 4*t.NumSegments()), t, maxBoxes)}
 }
 
 // AppendRects appends to dst the rects of FromTrajectory(t, maxBoxes), 4
@@ -67,22 +57,18 @@ func AppendRects(dst []float64, t *traj.Trajectory, maxBoxes int) []float64 {
 		dst = append(dst, r.Min.X, r.Min.Y, r.Max.X, r.Max.Y)
 	}
 	if maxBoxes > 0 {
-		rects, _ := coarsen(dst[start:], nil, maxBoxes)
-		dst = dst[:start+len(rects)]
+		dst = dst[:start+len(coarsen(dst[start:], maxBoxes))]
 	}
 	return dst
 }
 
 // FromFlat reassembles a Seq from its rect slab (MinX, MinY, MaxX, MaxY
-// per box) and per-box minimum lengths, for deserialisation; the Seq
-// takes ownership of both. count records how many trajectories the
-// original sequence had absorbed.
-func FromFlat(rects, minL []float64, count int) *Seq {
-	return &Seq{rects: rects, minL: minL, count: count}
-}
+// per box), for deserialisation; the Seq takes ownership of it, and
+// Insert rewrites it in place.
+func FromFlat(rects []float64) *Seq { return &Seq{rects: rects} }
 
 // Len implements core.Boxes.
-func (s *Seq) Len() int { return len(s.minL) }
+func (s *Seq) Len() int { return len(s.rects) / 4 }
 
 // Rect implements core.Boxes.
 func (s *Seq) Rect(i int) geom.Rect { return rectAt(s.rects, i) }
@@ -103,12 +89,6 @@ func putRect(rects []float64, i int, r geom.Rect) {
 // until the next Insert.
 func (s *Seq) Rects() []float64 { return s.rects }
 
-// MinLen returns the i-th box's minimum enclosed segment length.
-func (s *Seq) MinLen(i int) float64 { return s.minL[i] }
-
-// Count returns how many trajectories the sequence has absorbed.
-func (s *Seq) Count() int { return s.count }
-
 // assignStack is the number of segments whose assignment ExpansionCost and
 // Insert keep on their stack; longer trajectories fall back to the heap.
 const assignStack = 64
@@ -117,7 +97,7 @@ const assignStack = 64
 // cause — the argmin criterion of Algorithm 1, line 11 — without modifying
 // the sequence.
 func (s *Seq) ExpansionCost(t *traj.Trajectory) float64 {
-	if len(s.minL) == 0 {
+	if len(s.rects) == 0 {
 		return t.Bounds().Area()
 	}
 	// The assignment is monotone in box order, so the segments a box
@@ -146,12 +126,12 @@ func (s *Seq) ExpansionCost(t *traj.Trajectory) float64 {
 }
 
 // Insert absorbs t into the sequence, extending the assigned boxes to
-// contain its segments and updating their MinL.
+// contain its segments.
 func (s *Seq) Insert(t *traj.Trajectory) {
 	if t.NumSegments() == 0 {
 		return
 	}
-	if len(s.minL) == 0 {
+	if len(s.rects) == 0 {
 		*s = *FromTrajectory(t, 0)
 		return
 	}
@@ -159,33 +139,30 @@ func (s *Seq) Insert(t *traj.Trajectory) {
 	for i, j := range core.AssignSegmentsInto(buf[:0], t, s) {
 		e := t.Segment(i)
 		putRect(s.rects, j, s.Rect(j).ExtendPoint(e.S1.XY()).ExtendPoint(e.S2.XY()))
-		if l := e.Length(); l < s.minL[j] {
-			s.minL[j] = l
-		}
 	}
-	s.count++
 }
 
 // Contains reports whether every segment of t lies inside a monotone
 // assignment of boxes — the containment invariant. It is used by tests and
 // failure-injection checks, not on the query path.
 func (s *Seq) Contains(t *traj.Trajectory) bool {
-	if t.NumSegments() == 0 || len(s.minL) == 0 {
-		return len(s.minL) > 0 || t.NumSegments() == 0
+	n := s.Len()
+	if t.NumSegments() == 0 || n == 0 {
+		return n > 0 || t.NumSegments() == 0
 	}
 	// Greedy monotone check: each segment must fit in some box at or after
 	// the previous segment's box.
 	j := 0
 	for i := 0; i < t.NumSegments(); i++ {
 		e := t.Segment(i)
-		for j < len(s.minL) {
+		for j < n {
 			r := s.Rect(j)
 			if r.Contains(e.S1.XY()) && r.Contains(e.S2.XY()) {
 				break
 			}
 			j++
 		}
-		if j == len(s.minL) {
+		if j == n {
 			return false
 		}
 	}
@@ -194,9 +171,8 @@ func (s *Seq) Contains(t *traj.Trajectory) bool {
 
 // coarsen merges adjacent boxes of a rect slab until at most max remain,
 // each merge picking the pair whose union adds the least area, and
-// returns the shortened slab; the per-box minL, when not nil, merges
-// alongside.
-func coarsen(rects, minL []float64, max int) ([]float64, []float64) {
+// returns the shortened slab.
+func coarsen(rects []float64, max int) []float64 {
 	for len(rects) > 4*max {
 		bestI := -1
 		bestGrow := math.Inf(1)
@@ -211,12 +187,8 @@ func coarsen(rects, minL []float64, max int) ([]float64, []float64) {
 		i := bestI
 		putRect(rects, i, rectAt(rects, i).Union(rectAt(rects, i+1)))
 		rects = append(rects[:4*(i+1)], rects[4*(i+2):]...)
-		if minL != nil {
-			minL[i] = math.Min(minL[i], minL[i+1])
-			minL = append(minL[:i+1], minL[i+2:]...)
-		}
 	}
-	return rects, minL
+	return rects
 }
 
 // Build constructs a tBoxSeq over a set of trajectories following the
@@ -237,8 +209,8 @@ func Build(ts []*traj.Trajectory, maxBoxes int) *Seq {
 // (in 2-D a box's volume is its area, Definition 5).
 func (s *Seq) String() string {
 	var vol float64
-	for i := range s.minL {
+	for i := range s.Len() {
 		vol += s.Rect(i).Area()
 	}
-	return fmt.Sprintf("tBoxSeq[%d boxes, %d trajs, vol %.2f]", len(s.minL), s.count, vol)
+	return fmt.Sprintf("tBoxSeq[%d boxes, vol %.2f]", s.Len(), vol)
 }

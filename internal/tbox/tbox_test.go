@@ -37,11 +37,8 @@ func TestFromTrajectoryBoxes(t *testing.T) {
 	if got := s.Rect(0); got != geom.RectOf(pt(0, 0), pt(3, 0)) {
 		t.Errorf("box 0 = %v", got)
 	}
-	if got := s.MinLen(0); got != 3 {
-		t.Errorf("MinL(0) = %v, want 3", got)
-	}
-	if got := s.MinLen(1); got != 4 {
-		t.Errorf("MinL(1) = %v, want 4", got)
+	if got := s.Rect(1); got != geom.RectOf(pt(3, 0), pt(3, 4)) {
+		t.Errorf("box 1 = %v", got)
 	}
 	if !s.Contains(tr) {
 		t.Error("own trajectory not contained")
@@ -72,9 +69,6 @@ func TestInsertMaintainsContainment(t *testing.T) {
 			if !s.Contains(m) {
 				t.Fatalf("member %d escaped its tBoxSeq", m.ID)
 			}
-		}
-		if s.Count() != len(group) {
-			t.Errorf("Count = %d, want %d", s.Count(), len(group))
 		}
 	}
 }
@@ -141,8 +135,7 @@ func TestExpansionCostDeterministic(t *testing.T) {
 func withEmptyBox(rng *rand.Rand, s *Seq) *Seq {
 	e := geom.Empty()
 	at := 4 * rng.Intn(s.Len())
-	return FromFlat(append(append(slices.Clone(s.rects[:at]), e.Min.X, e.Min.Y, e.Max.X, e.Max.Y), s.rects[at:]...),
-		append(slices.Clone(s.minL), math.Inf(1)), s.count)
+	return FromFlat(append(append(slices.Clone(s.rects[:at]), e.Min.X, e.Min.Y, e.Max.X, e.Max.Y), s.rects[at:]...))
 }
 
 // TestExpansionCostMatchesPointwise pins the flat growth loop to the

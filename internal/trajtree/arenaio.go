@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 
 	"trajmatch/internal/arena"
 	"trajmatch/internal/tbox"
@@ -17,16 +18,18 @@ import (
 // file mapping (LoadArena) or one heap buffer (Load) — and rebuilds only
 // the node structures, an O(members + nodes) warm boot.
 //
-// Per-node metadata record (arena.NMetaStride int64s, in nmeta order):
+// The nboxes section is every node's tbox.Seq rect slab, concatenated
+// in nmeta order. Per-node metadata record (arena.NMetaStride int64s, in
+// nmeta order, which is pre-order: the root, when there is one, is node
+// 0):
 //
-//	0 boxOff     offset into nboxes, in 5-float box units
+//	0 boxOff     offset into nboxes, in 4-float box units
 //	1 boxCount
-//	2 seqCount   tbox.Seq insert count
-//	3 childOff   offset into children
-//	4 childCount
-//	5 memberOff  offset into members
-//	6 memberCount
-//	7 maxLenBits math.Float64bits of the node's maxLen
+//	2 childOff   offset into children
+//	3 childCount
+//	4 memberOff  offset into members
+//	5 memberCount
+//	6 maxLenBits math.Float64bits of the node's maxLen
 //
 // The slabs hold the root's members, each once and in the root's order,
 // written from the members' own samples and summaries (arena.Encode). A
@@ -36,12 +39,10 @@ import (
 // is arena-resident: a restart folds the overlay into the arena.
 
 // arenaExtra is the tree-level metadata stored in the snapshot's meta
-// header.
+// header. The tree's size is its slabs' member count.
 type arenaExtra struct {
 	Version int     `json:"version"`
 	Options Options `json:"options"`
-	Size    int     `json:"size"`
-	Root    int64   `json:"root"` // node index; -1 when empty
 }
 
 // Save writes the tree to w; Load and LoadArena read it back answering
@@ -55,7 +56,7 @@ func (t *Tree) Save(w io.Writer) error {
 // in (the value Load and LoadArena report back), which the snapshot
 // manifest records to tell one save's files from another's.
 func (t *Tree) SaveCRC(w io.Writer) (uint32, error) {
-	extra := arenaExtra{Version: 1, Options: t.opt, Size: t.size, Root: -1}
+	extra := arenaExtra{Version: 1, Options: t.opt}
 	var ts arena.TreeSection
 	var members []*traj.Trajectory
 	if t.root != nil {
@@ -69,15 +70,11 @@ func (t *Tree) SaveCRC(w io.Writer) (uint32, error) {
 		var flatten func(n *node) (int64, error)
 		flatten = func(n *node) (int64, error) {
 			rec := make([]int64, arena.NMetaStride)
-			rec[0] = int64(len(ts.NBoxes) / 5)
+			rec[0] = int64(len(ts.NBoxes) / 4)
 			rec[1] = int64(n.seq.Len())
-			rec[2] = int64(n.seq.Count())
-			for i := 0; i < n.seq.Len(); i++ {
-				r := n.seq.Rect(i)
-				ts.NBoxes = append(ts.NBoxes, r.Min.X, r.Min.Y, r.Max.X, r.Max.Y, n.seq.MinLen(i))
-			}
-			rec[5] = int64(len(ts.Members))
-			rec[6] = int64(len(n.members))
+			ts.NBoxes = append(ts.NBoxes, n.seq.Rects()...)
+			rec[4] = int64(len(ts.Members))
+			rec[5] = int64(len(n.members))
 			for _, m := range n.members {
 				ref, ok := refs[m]
 				if !ok {
@@ -85,12 +82,12 @@ func (t *Tree) SaveCRC(w io.Writer) (uint32, error) {
 				}
 				ts.Members = append(ts.Members, ref)
 			}
-			rec[7] = int64(math.Float64bits(n.maxLen))
+			rec[6] = int64(math.Float64bits(n.maxLen))
 			idx := int64(len(ts.NMeta) / arena.NMetaStride)
 			ts.NMeta = append(ts.NMeta, rec...)
 			rec = ts.NMeta[idx*arena.NMetaStride:]
-			rec[3] = int64(len(ts.Children))
-			rec[4] = int64(len(n.children))
+			rec[2] = int64(len(ts.Children))
+			rec[3] = int64(len(n.children))
 			// Reserve the child window before recursing so each node's
 			// children stay contiguous.
 			base := len(ts.Children)
@@ -104,11 +101,9 @@ func (t *Tree) SaveCRC(w io.Writer) (uint32, error) {
 			}
 			return idx, nil
 		}
-		root, err := flatten(t.root)
-		if err != nil {
+		if _, err := flatten(t.root); err != nil {
 			return 0, err
 		}
-		extra.Root = root
 	}
 	raw, err := json.Marshal(extra)
 	if err != nil {
@@ -167,62 +162,50 @@ func fromSnapshot(snap *arena.Snapshot) (*Tree, uint32, error) {
 	}
 	a, ts := snap.Arena, snap.Tree
 	members := a.Members()
-	if extra.Size != len(members) {
-		return nil, 0, fmt.Errorf("trajtree: load: size %d for %d members: %w", extra.Size, len(members), arena.ErrCorrupt)
-	}
-	t := newTreeShell(extra.Options, extra.Size)
-	if extra.Root >= 0 {
-		nNodes := len(ts.NMeta) / arena.NMetaStride
-		if extra.Root >= int64(nNodes) {
-			return nil, 0, fmt.Errorf("trajtree: load: root %d of %d nodes: %w", extra.Root, nNodes, arena.ErrCorrupt)
-		}
+	t := newTreeShell(extra.Options, len(members))
+	if nNodes := len(ts.NMeta) / arena.NMetaStride; nNodes > 0 {
+		// Each node's boxes, members and children are capped windows of
+		// one table each, so an update that grows a node's list
+		// reallocates it instead of writing into its neighbour's. The
+		// boxes are a heap copy: a mapped file is read-only, and
+		// Seq.Insert rewrites them in place.
 		nodes := make([]node, nNodes)
-		built := make([]bool, nNodes)
-		var build func(i int64) (*node, error)
-		build = func(i int64) (*node, error) {
-			if built[i] {
-				// A node reachable twice means the child table encodes a
-				// DAG or a cycle; refuse rather than recurse forever.
-				return nil, fmt.Errorf("trajtree: load: node %d reached twice: %w", i, arena.ErrCorrupt)
-			}
-			built[i] = true
+		seqs := make([]tbox.Seq, nNodes)
+		rects := slices.Clone(ts.NBoxes)
+		refs := make([]*traj.Trajectory, len(ts.Members))
+		kids := make([]*node, len(ts.Children))
+		named := make([]bool, nNodes)
+		for i := range nodes {
 			rec := ts.NMeta[i*arena.NMetaStride : (i+1)*arena.NMetaStride]
-			n := &nodes[i]
-			// The file interleaves each box's rect with its MinL; the Seq
-			// keeps the rects as one slab of their own.
-			rects, minL := make([]float64, 0, 4*rec[1]), make([]float64, rec[1])
-			for bi := range minL {
-				v := ts.NBoxes[(rec[0]+int64(bi))*5:]
-				rects = append(rects, v[:4]...)
-				minL[bi] = v[4]
-			}
-			n.seq = tbox.FromFlat(rects, minL, int(rec[2]))
-			n.maxLen = math.Float64frombits(uint64(rec[7]))
-			if rec[6] > 0 {
-				n.members = make([]*traj.Trajectory, rec[6])
-				for mi := range n.members {
-					n.members[mi] = members[ts.Members[rec[5]+int64(mi)]]
+			b0, b1 := 4*rec[0], 4*(rec[0]+rec[1])
+			c0, c1 := rec[2], rec[2]+rec[3]
+			m0, m1 := rec[4], rec[4]+rec[5]
+			// A member entry in two nodes' windows would let a Delete
+			// from one node's list shift the other's.
+			for k := m0; k < m1; k++ {
+				if refs[k] != nil {
+					return nil, 0, fmt.Errorf("trajtree: load: member entry %d in two nodes: %w", k, arena.ErrCorrupt)
 				}
+				refs[k] = members[ts.Members[k]]
 			}
-			for ci := int64(0); ci < rec[4]; ci++ {
-				c, err := build(ts.Children[rec[3]+ci])
-				if err != nil {
-					return nil, err
+			// A child named twice (by two entries, or by one entry two
+			// windows share), or the root named as a child, makes the
+			// nodes a DAG or a cycle: refuse it rather than walk it
+			// forever.
+			for k := c0; k < c1; k++ {
+				c := ts.Children[k]
+				if c == 0 || named[c] {
+					return nil, 0, fmt.Errorf("trajtree: load: node %d reached twice: %w", c, arena.ErrCorrupt)
 				}
-				// Files saved while Delete left emptied children in
-				// place still hold them.
-				if len(c.members) > 0 {
-					n.children = append(n.children, c)
-				}
+				named[c] = true
+				kids[k] = &nodes[c]
 			}
-			return n, nil
+			seqs[i] = *tbox.FromFlat(rects[b0:b1:b1])
+			nodes[i] = node{seq: &seqs[i], children: kids[c0:c1:c1], members: refs[m0:m1:m1],
+				maxLen: math.Float64frombits(uint64(rec[6]))}
 		}
-		root, err := build(extra.Root)
-		if err != nil {
-			return nil, 0, err
-		}
-		t.root = root
-		for _, m := range root.members {
+		t.root = &nodes[0]
+		for _, m := range t.root.members {
 			t.byID[m.ID] = m
 		}
 	}

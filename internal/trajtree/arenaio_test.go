@@ -15,6 +15,7 @@ import (
 	"testing"
 
 	"trajmatch/internal/arena"
+	"trajmatch/internal/raceflag"
 	"trajmatch/internal/traj"
 )
 
@@ -356,8 +357,9 @@ func TestArenaEmptyTree(t *testing.T) {
 // re-encoded with a valid checksum, as a hostile peer could serve it. The
 // first is a member count one short of the leaves below (a member the
 // tree would silently lose); the others are the words whose range checks
-// used to wrap around int64 and pass. The last file's slabs hold a
-// member no node refers to.
+// used to wrap around int64 and pass. One more empties a non-root node,
+// which no tree holds since Delete drops the nodes it empties. The last
+// file's slabs hold a member no node refers to.
 func TestArenaLoadCorrupt(t *testing.T) {
 	rng := rand.New(rand.NewSource(113))
 	tree, err := New(testDB(rng, 60), testOptions())
@@ -403,7 +405,7 @@ func TestArenaLoadCorrupt(t *testing.T) {
 	}
 	node := 0 // the root holds every member
 	for off := 0; off < len(snap.Tree.NMeta); off += arena.NMetaStride {
-		if snap.Tree.NMeta[off+6] > snap.Tree.NMeta[node+6] {
+		if snap.Tree.NMeta[off+5] > snap.Tree.NMeta[node+5] {
 			node = off
 		}
 	}
@@ -412,12 +414,15 @@ func TestArenaLoadCorrupt(t *testing.T) {
 		word int
 		val  int64
 	}{
-		{"memberCount one short of the leaves", 6, snap.Tree.NMeta[node+6] - 1},
-		{"memberCount 2^63-1", 6, math.MaxInt64},
+		{"memberCount one short of the leaves", 5, snap.Tree.NMeta[node+5] - 1},
+		{"memberCount 2^63-1", 5, math.MaxInt64},
 		{"boxOff 2^63-1", 0, math.MaxInt64},
 	} {
 		check("resealed "+c.name, resealed(t, good, "nmeta", node+c.word, uint64(c.val)))
 	}
+	// Node 1 is the root's first child (nmeta is in pre-order): a
+	// non-root node may not be empty.
+	check("resealed empty non-root node", resealed(t, good, "nmeta", arena.NMetaStride+5, 0))
 	// Slabs holding one member more than the tree: a file holds exactly
 	// the tree's members.
 	var extra bytes.Buffer
@@ -429,22 +434,56 @@ func TestArenaLoadCorrupt(t *testing.T) {
 	check("a member no node holds", extra.Bytes())
 }
 
-// TestArenaRejectsVersion1 is the format gate: a file in the layout that
-// carried vantage-point sections (arena version 1, a 12-word node record)
-// is refused as corrupt by both readers rather than misread. The fixture
-// is a fresh save with its meta version rewritten and the trailer
-// re-sealed, so nothing but the version can fail.
-func TestArenaRejectsVersion1(t *testing.T) { checkArenaVersionRefused(t, 1) }
+// TestLoadAllocBudget fences the heap load's allocations: the node
+// structures are carved out of a handful of tables (the nodes, their
+// Seqs, one heap copy of every node's boxes, one member table and one
+// child table, each node a capped window of each), so what a load
+// allocates grows with the members and not with the nodes.
+func TestLoadAllocBudget(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("alloc counts are not meaningful under -race")
+	}
+	tree, err := New(taxiTrips(2000, 1, 0), Options{Seed: 1, Parallel: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := saveBytes(t, tree)
+	n := testing.AllocsPerRun(5, func() {
+		if _, _, err := Load(bytes.NewReader(b)); err != nil {
+			t.Fatal(err)
+		}
+	})
+	// Measured 2 073 over 2 000 members and 1 181 nodes: one view header
+	// per member (traj.Trajectory.Prime), plus the slabs, the tables and
+	// the two ID maps. Copying each node's boxes on its own cost one
+	// allocation per node more, and two with a per-box MinL beside them.
+	members := float64(tree.Size())
+	if budget := 1.05*members + 64; n > budget {
+		t.Errorf("Load allocates %v for %v members, budget %v", n, members, budget)
+	}
+}
 
-// TestArenaRejectsVersion2 refuses the layout whose overlay sections
-// held inline samples of members without an arena entry, referenced by
-// negative member refs.
-func TestArenaRejectsVersion2(t *testing.T) { checkArenaVersionRefused(t, 2) }
+// TestArenaRejectsOldVersions is the format gate: a file in an earlier
+// layout is refused as corrupt by both readers rather than misread. The
+// fixture is a fresh save with its meta version rewritten and the
+// trailer re-sealed, so nothing but the version can fail.
+func TestArenaRejectsOldVersions(t *testing.T) {
+	for _, c := range []struct {
+		version int
+		layout  string
+	}{
+		{1, "vantage-point sections, a 12-word node record"},
+		{2, "overlay sections of inline samples, named by negative member refs"},
+		{3, "stored lens and bbox sections, MinL per node box, an 8-word node record"},
+	} {
+		t.Run(c.layout, func(t *testing.T) { checkArenaVersionRefused(t, c.version) })
+	}
+}
 
 // TestArenaRejectsFutureVersion holds the gate from the other side: a
 // file from a newer writer, whose layout this reader cannot know, is
-// refused the same way rather than read as version 3.
-func TestArenaRejectsFutureVersion(t *testing.T) { checkArenaVersionRefused(t, 4) }
+// refused the same way rather than read as version 4.
+func TestArenaRejectsFutureVersion(t *testing.T) { checkArenaVersionRefused(t, 5) }
 
 // checkArenaVersionRefused saves a fresh tree, rewrites the file's meta
 // version to the single digit v and re-seals the trailer, then requires
@@ -459,7 +498,7 @@ func checkArenaVersionRefused(t *testing.T, v int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The meta JSON opens with {"version":3, — same length as the rewrite.
+	// The meta JSON opens with {"version":4, — same length as the rewrite.
 	copy(b[16:], fmt.Sprintf(`{"version":%d,`, v))
 	binary.LittleEndian.PutUint32(b[len(b)-4:], crc32.Checksum(b[:len(b)-4], crc32.MakeTable(crc32.Castagnoli)))
 	p := filepath.Join(t.TempDir(), fmt.Sprintf("v%d.arena", v))

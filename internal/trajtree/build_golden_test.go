@@ -11,48 +11,47 @@ import (
 )
 
 // buildGolden holds the sha256 of Tree.Save for each build case of
-// TestBuildBytesGolden. The values were last re-captured when the tree
-// options lost RebuildRatio: the meta header's options no longer name
-// it, and in the five unchurned trees all fourteen sections stayed
-// byte-identical; the churned tree's slab sections did too, and its four
-// tree sections moved with its tree (treeGolden). They were re-captured
-// before that when arena format 3
-// dropped the overlay sections: the meta header lost their four entries,
-// and the churned tree's slabs now hold its live members instead of the
-// arena it was built with plus its inserts. treeGolden passed unmodified
-// across that change, and the five unchurned trees' fourteen sections
-// stayed byte-identical to the format-2 files. Before that, the values
-// were captured from the build path as it was before the pivot scan was
-// bounded and screened and the box growth loop flattened: equality here
-// is what proves those changes build the same tree. The values are a
-// read-only fixture: a deliberate change to the tree a build makes
-// re-captures them outside the tree, from the code that defines the new
-// build, and says so.
+// TestBuildBytesGolden. The values were last re-captured for arena format
+// 4, and for nothing else: each new file is its format-3 predecessor with
+// the lens and bbox sections removed, every node box's MinL dropped from
+// nboxes, the insert count dropped from every node record, and the size
+// and root dropped from the meta header's extra, every other section
+// byte for byte. Before that they were re-captured when the tree options
+// lost RebuildRatio, which moved only the meta header and the churned
+// tree's four tree sections (with its tree, treeGolden); when arena
+// format 3 dropped the overlay sections, across which treeGolden passed
+// unmodified; and they were first captured from the build path as it was
+// before the pivot scan was bounded and screened and the box growth loop
+// flattened: equality here is what proves those changes build the same
+// tree. The values are a read-only fixture: a deliberate change to the
+// tree a build makes re-captures them outside the tree, from the code
+// that defines the new build, and says so.
 var buildGolden = map[string]string{
-	"taxi2k/serial":           "834ac5b96afa0e856ea1b6f64e9a7faf90079157c9781321214b702da69b0e38",
-	"taxi2k/parallel":         "4b100a918b909bd1ebee6eceba748b2f5a46e62dea9c1754e0417388e2ad638d",
-	"taxi2k/parallel/rebuilt": "4b100a918b909bd1ebee6eceba748b2f5a46e62dea9c1754e0417388e2ad638d",
-	"churned":                 "4d21acb2dd5c82d1b53235154e4c94f46218ce57efae3ef35274bdb611989696",
-	"churned/rebuilt":         "4842e5bfb47e3d1432e30991ca42e95278afa6f83a883c372e8f24116a03f7d8",
-	"asl":                     "c6187f4048a10914fc0c7ac027b2e7fdfe6280a2a07c83fb852f301d2be7625f",
+	"taxi2k/serial":           "d610976433bd8308c8be0a23c7a3f89230928dffa34a96a4f0dd415303ad63e2",
+	"taxi2k/parallel":         "01bf13b4570f81e525730a0659eb7099a7510f5af4b4de77606829064f93a270",
+	"taxi2k/parallel/rebuilt": "01bf13b4570f81e525730a0659eb7099a7510f5af4b4de77606829064f93a270",
+	"churned":                 "d361de3bc862b38cdb9426d85d803bd48cca6afe8d9156b9fd7657a16ea61ce3",
+	"churned/rebuilt":         "72837a361c8dd8d36b443c427fada32eb2a482f1549efb8a46b96862f3053b4d",
+	"asl":                     "6912476dbe5a9f942793de51130928a5bdf9398ee6462019bc6344d2ce49994d",
 }
 
 // treeGolden holds the sha256 of treeDigest for each build case of
 // TestBuildBytesGolden. Unlike the file bytes, the digest does not move
 // with the snapshot format, so it is what proves a format change saves
-// and builds the same trees. Captured from the build and save code of
-// arena format 2; a read-only fixture, like buildGolden. Only "churned"
-// was re-captured since, when Delete began to maintain the tree: the
-// churn's deletes now drop the nodes they empty and refit the boxes they
-// make stale. Every other digest, the rebuilt churned tree's included,
-// passed unmodified.
+// and builds the same trees. A read-only fixture, like buildGolden. The
+// values were last re-captured when tbox.Seq lost MinL and its insert
+// count, which the digest no longer hashes: they are the digests the
+// code before that change gives under the same digest, so the trees are
+// unchanged. Before that, only "churned" was re-captured, when Delete
+// began to maintain the tree: the churn's deletes drop the nodes they
+// empty and refit the boxes they make stale.
 var treeGolden = map[string]string{
-	"taxi2k/serial":           "ff7176ce7308728245e103d81dcb48dd96666ed7763fec20bb9239ec992c10a2",
-	"taxi2k/parallel":         "cb25eba63a7cbfc9bab6c08dff524f7612e3b051390070697d820113ebe26400",
-	"taxi2k/parallel/rebuilt": "cb25eba63a7cbfc9bab6c08dff524f7612e3b051390070697d820113ebe26400",
-	"churned":                 "ad9e7032558fb23a53ad1f400c0e9f26845416f4c5781e2beaaf9c1cfe5f8e40",
-	"churned/rebuilt":         "d6325ea52f43e3bba614fa629a204ed831dc3b1521ced8b87d176f55e7d4ee78",
-	"asl":                     "3463b9a7237cbedd629fa017c7878801ac8ef1313fc2ef8a14b7cefcd9f4ed38",
+	"taxi2k/serial":           "476d602a8ef208e6e7007ac4a4bb17a820629ea50bbd8150434798df7a34f7d7",
+	"taxi2k/parallel":         "e3026746349e48ba3c2159c5ba8f8ec60b8bfc231c78663a8b298f8674834145",
+	"taxi2k/parallel/rebuilt": "e3026746349e48ba3c2159c5ba8f8ec60b8bfc231c78663a8b298f8674834145",
+	"churned":                 "6e099ddf66ef0d572a1c448874c10c85cf0f2e342c69da70312f92d8a45362a5",
+	"churned/rebuilt":         "e5262ae7eae54b20a54e94aed80e7227393f009d228834f08cc21c73ae58318e",
+	"asl":                     "a432b97b1dbb15244467da321f8537841df970644fd3e9ae7c61525a1d33ed06",
 }
 
 // goldenTrees hands each build case to visit in turn: serial and
@@ -98,8 +97,8 @@ func TestBuildBytesGolden(t *testing.T) {
 }
 
 // TestBuildTreeGolden pins the same trees independently of any file
-// format: every node's boxes and MinL bits, Seq insert count, maxLen
-// bits, member IDs in order and children in order. Each tree must also
+// format: every node's box bits, maxLen bits, member IDs in order and
+// children in order. Each tree must also
 // come back from a save and a heap load with the same digest.
 func TestBuildTreeGolden(t *testing.T) {
 	goldenTrees(t, func(name string, tree *Tree) {
@@ -122,11 +121,10 @@ func treeDigest(tree *Tree) string {
 		word(uint64(n.seq.Len()))
 		for i := 0; i < n.seq.Len(); i++ {
 			r := n.seq.Rect(i)
-			for _, v := range []float64{r.Min.X, r.Min.Y, r.Max.X, r.Max.Y, n.seq.MinLen(i)} {
+			for _, v := range []float64{r.Min.X, r.Min.Y, r.Max.X, r.Max.Y} {
 				word(math.Float64bits(v))
 			}
 		}
-		word(uint64(n.seq.Count()))
 		word(math.Float64bits(n.maxLen))
 		word(uint64(len(n.members)))
 		for _, m := range n.members {

@@ -28,7 +28,7 @@ import (
 // samples, the node records. Load must return an error wrapping
 // arena.ErrCorrupt or a tree that answers a search; it must never panic.
 //
-// The committed corpus (testdata/fuzz/FuzzLoadArena, arena format 3) is
+// The committed corpus (testdata/fuzz/FuzzLoadArena, arena format 4) is
 // made by loadArenaSeeds, and TestFuzzLoadArenaSeeds says what each seed
 // must do.
 func FuzzLoadArena(f *testing.F) {
@@ -69,10 +69,11 @@ type loadArenaSeed struct {
 // used to wrap an int64 range check and panic the loader, one whose
 // first member box was moved off the segment it summarises, two whose
 // first member's second sample is one Insert refuses (a NaN X, and a
-// timestamp before the first sample's), and two whose first member's
-// stored screen summary no longer matches its samples and boxes: a bbox
-// whose MaxX was moved below the member, and a length of 0. Either made
-// the member screen reject true neighbours before decode checked them.
+// timestamp before the first sample's), and two whose node windows
+// overlap: node 1's child window on the root's, which used to make node 1
+// its own child and overflow the stack of the load's invariant walk, and
+// a leaf's member window on the root's, which a Delete would shift under
+// the other node.
 func loadArenaSeeds(t *testing.T) map[string]loadArenaSeed {
 	t.Helper()
 	trips := func(firstID int, shift float64) []*traj.Trajectory {
@@ -112,17 +113,32 @@ func loadArenaSeeds(t *testing.T) map[string]loadArenaSeed {
 	for i, v := range []float64{-1e6, -1e6, -999_999, -999_999} {
 		lostBox = resealed(t, lostBox, "boxes", i, math.Float64bits(v))
 	}
+	snap, err := arena.Decode(slices.Clone(valid))
+	if err != nil {
+		t.Fatal(err)
+	}
+	nm := snap.Tree.NMeta
+	leaf := -1 // the leaf of the longest member, so its maxLen covers any member
+	for off := 0; off < len(nm); off += arena.NMetaStride {
+		if nm[off+3] == 0 && (leaf < 0 || math.Float64frombits(uint64(nm[off+6])) > math.Float64frombits(uint64(nm[leaf+6]))) {
+			leaf = off
+		}
+	}
+	// Node 1 (the root's first child, nmeta being pre-order) given the
+	// root's first child entry as its own one child: itself.
+	selfChild := resealed(t, valid, "nmeta", arena.NMetaStride+2, uint64(nm[2]))
+	selfChild = resealed(t, selfChild, "nmeta", arena.NMetaStride+3, 1)
 	return map[string]loadArenaSeed{
 		"valid":                    {file: valid},
 		"empty":                    {file: saveBytes(t, empty)},
 		"churned":                  {file: saveBytes(t, churned)},
 		"crash-boxoff-bounds":      {resealed(t, valid, "nmeta", 3*arena.NMetaStride+0, math.MaxInt64), "box range out of bounds"},
-		"crash-membercount-bounds": {resealed(t, valid, "nmeta", 3*arena.NMetaStride+6, math.MaxInt64), "member range out of bounds"},
+		"crash-membercount-bounds": {resealed(t, valid, "nmeta", 3*arena.NMetaStride+5, math.MaxInt64), "member range out of bounds"},
 		"corrupt-box-lost-segment": {lostBox, "lies in none of its boxes"},
 		"nan-sample":               {resealed(t, valid, "pts", 3, math.Float64bits(math.NaN())), traj.ErrNonFinite.Error()},
 		"time-reversed":            {resealed(t, valid, "pts", 5, math.Float64bits(-10)), traj.ErrTimeNotSorted.Error()},
-		"damaged-bbox":             {resealed(t, valid, "bbox", 2, math.Float64bits(-1e6)), "stored bbox"},
-		"damaged-lens":             {resealed(t, valid, "lens", 0, 0), "stored length"},
+		"shared-child-window":      {selfChild, "node 1 reached twice"},
+		"shared-member-window":     {resealed(t, valid, "nmeta", leaf+4, uint64(nm[4])), "in two nodes"},
 	}
 }
 
