@@ -449,7 +449,7 @@ func BenchmarkShardedKNN(b *testing.B) {
 	}
 }
 
-// BenchmarkPrefilterKNN measures the sketch/LSH candidate prefilter
+// BenchmarkPrefilterKNN measures the sketch candidate prefilter
 // against the exact engine on corpora large enough for candidate
 // generation to matter (ISSUE 6). Same EDwP engine, same resampled
 // queries (the paper's inconsistent-sampling premise: each probe is a

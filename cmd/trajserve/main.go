@@ -42,11 +42,11 @@
 // standard net/http/pprof handlers are mounted under /debug/pprof/ for
 // live CPU, heap and contention profiling.
 //
-// With -prefilter, the server builds the sketch/LSH candidate prefilter
-// at boot (one sketch index per shard, with the sketch package's default
-// parameters and the grid cell size derived from the corpus). Queries
-// opt in per request with "prefilter": true on a knn search: each
-// shard's sketch admits a small candidate set and the backend verifies
+// With -prefilter, the server builds the sketch candidate prefilter at
+// boot (one grid-cell index per shard, its cell size derived from the
+// corpus). Queries opt in per request with "prefilter": true on a knn
+// search: each shard's sketch admits the members sharing the most grid
+// cells with the query as a small candidate set and the backend verifies
 // it exactly, trading a little recall for a large cut in exact distance
 // evaluations; with_stats then reports prefilter_candidates and
 // prefilter_skipped.
@@ -205,7 +205,7 @@ func newFlagSet(c *config, r *rawFlags) *flag.FlagSet {
 	fs.DurationVar(&c.nodeTimeout, "node-timeout", 10*time.Second, "per-node request timeout of the router fan-out, and of -fetch-snapshot transfers")
 	fs.StringVar(&c.fetchSnapshot, "fetch-snapshot", "", "warm-boot source: ship this peer's (node URL or directory) snapshot into -snapshot before boot, one verified file per served shard, unless a snapshot is already there")
 	fs.BoolVar(&c.version, "version", false, "print build, role and placement information as JSON and exit")
-	fs.BoolVar(&e.Prefilter, "prefilter", false, "build the sketch/LSH candidate prefilter; queries opt in with \"prefilter\": true")
+	fs.BoolVar(&e.Prefilter, "prefilter", false, "build the sketch candidate prefilter; queries opt in with \"prefilter\": true")
 	return fs
 }
 
@@ -364,9 +364,7 @@ func bootEngine(cfg config) (*trajmatch.Engine, http.Handler) {
 		log.Printf("background sealer armed: folding live tracks idle longer than %v", eopt.SealAfter)
 	}
 	if engine.PrefilterEnabled() {
-		p := engine.SketchParams()
-		log.Printf("prefilter enabled: cell %.1f, shingle %d, %d hashes in %d bands, min candidates %d",
-			p.CellSize, p.Shingle, p.Hashes, p.Bands, p.MinCands)
+		log.Printf("prefilter enabled: cell %.1f", engine.SketchParams().CellSize)
 	}
 
 	hopt := trajmatch.HandlerOptions{QueryTimeout: cfg.queryTimeout}

@@ -117,16 +117,20 @@ func Build(members []*traj.Trajectory) *Arena {
 }
 
 // prime re-points each member at its slab window and installs its view
-// and screen summary as capped windows into the slabs.
+// and screen summary as capped windows into the slabs. The views and
+// summaries themselves live in one table each, so priming makes two
+// allocations whatever the member count.
 func (a *Arena) prime(members []*traj.Trajectory) {
+	views := make([]traj.View, len(members))
 	sums := make([]traj.Summary, len(members))
 	for i, m := range members {
 		start, end := a.offs[i], a.offs[i+1]
 		b0, b1 := a.boxOffs[i], a.boxOffs[i+1]
 		sums[i] = traj.Summary{BBox: a.bbox[4*i : 4*i+4 : 4*i+4], Length: a.lens[i : i+1 : i+1],
 			Boxes: a.boxes[4*b0 : 4*b1 : 4*b1], BoxLens: a.boxLens[b0:b1:b1]}
+		views[i] = traj.View{X: a.xs[start:end:end], Y: a.ys[start:end:end]}
 		m.Points = a.pts[start:end:end]
-		m.Prime(traj.View{X: a.xs[start:end:end], Y: a.ys[start:end:end]}, &sums[i])
+		m.Prime(&views[i], &sums[i])
 	}
 }
 

@@ -2,33 +2,6 @@ package backend
 
 import "trajmatch/internal/traj"
 
-// CandidateInfo reports how a prefilter candidate set was assembled; the
-// engine folds it into the per-query Stats.
-type CandidateInfo struct {
-	// LSHHits is how many candidates the banded signature probes alone
-	// admitted.
-	LSHHits int
-	// Widened reports that the overlap ranking added members beyond the
-	// LSH hits to reach the requested floor.
-	Widened bool
-	// FullScan reports that the index was smaller than the requested
-	// floor, so every member was admitted (the prefilter degrades to
-	// the exact scan on tiny shards).
-	FullScan bool
-}
-
-// CandidateSource produces small candidate ID sets for a query — the
-// sketch/LSH prefilter side of the two-stage filter-and-verify search.
-// The returned IDs must be sorted ascending and deterministic for a
-// fixed (members, parameters, query, want). A CandidateSource trades
-// recall for work: it may miss true neighbours, but every ID it returns
-// is verified exactly, so answers are always exact over the admitted
-// set. The engine owns the source (one per shard, shared across
-// metrics, since candidacy depends on geometry alone).
-type CandidateSource interface {
-	Candidates(q *traj.Trajectory, want int) ([]int, CandidateInfo)
-}
-
 // CandidateSearcher is the capability a Backend implements to opt into
 // prefiltered search: exact k-NN restricted to an externally supplied
 // candidate set. ids must be sorted ascending; IDs not present in the

@@ -94,17 +94,17 @@ type Options struct {
 	// decode the same file, verify it the same, fail the same, and load
 	// identical state.
 	Mmap bool
-	// Prefilter builds the sketch/LSH candidate prefilter at boot: one
+	// Prefilter builds the sketch candidate prefilter at boot: one
 	// sketch index per shard, shared across every loaded metric.
 	// Queries still opt in per request (Query.Prefilter) — an engine
 	// with the prefilter enabled answers non-prefiltered queries
 	// byte-identically to one without it.
 	Prefilter bool
-	// Sketch parameterises the prefilter; zero-value fields take the
-	// sketch package defaults, and a zero CellSize is derived from the
-	// full corpus before sharding (like EDR's ε, it is whole-corpus
-	// state every shard must agree on). Ignored unless Prefilter is set
-	// or a loaded snapshot recorded prefilter parameters.
+	// Sketch parameterises the prefilter; a zero CellSize is derived
+	// from the full corpus before sharding (like EDR's ε, it is
+	// whole-corpus state every shard must agree on). Ignored unless
+	// Prefilter is set or a loaded snapshot recorded prefilter
+	// parameters.
 	Sketch sketch.Params
 	// WALDir, when non-empty, enables the write-ahead log: every
 	// accepted mutation is appended (and, under WALSync's policy, made
@@ -910,7 +910,7 @@ type Stats struct {
 	// corpus the sketch excluded before any exact work.
 	backend.Stats
 
-	// Prefilter reports whether the sketch/LSH candidate prefilter is
+	// Prefilter reports whether the sketch candidate prefilter is
 	// enabled.
 	Prefilter bool `json:"prefilter"`
 

@@ -23,12 +23,11 @@ import (
 // the exact same prefilter from the manifest's recorded parameters.
 
 // resolveSketchParams fixes the whole-corpus sketch parameters: derive
-// CellSize from the full database when unset, fill defaults, validate.
+// CellSize from the full database when unset, validate.
 func resolveSketchParams(db []*traj.Trajectory, p sketch.Params) (sketch.Params, error) {
 	if p.CellSize == 0 {
 		p.CellSize = sketch.DeriveCellSize(db)
 	}
-	p = p.WithDefaults()
 	if err := p.Validate(); err != nil {
 		return p, fmt.Errorf("server: prefilter: %w", err)
 	}
@@ -76,21 +75,21 @@ func (e *Engine) SketchParams() sketch.Params {
 }
 
 // prefilterWant is how many candidates the engine requests per shard:
-// 8·k or 1/24 of the shard, whichever is larger (and floored below by
-// the params' MinCands, inside Candidates). The slack over k is what
-// keeps recall high — the sketch only has to rank a true neighbour into
-// the admitted set by signature and cell overlap, not into the top k —
-// and the size-proportional floor keeps recall from collapsing as the
-// corpus grows while still capping the verified population at ~4% of
-// the shard (the verifiers' own lower bounds then cut actual kernel
-// evaluations well below that).
+// 8·k or 1/24 of the shard, whichever is larger, and never fewer than
+// minCands. The slack over k is what keeps recall high — the sketch only
+// has to rank a true neighbour into the admitted set by cell overlap,
+// not into the top k — and the size-proportional floor keeps recall
+// from collapsing as the corpus grows while still capping the verified
+// population at ~4% of the shard (the verifiers' own lower bounds then
+// cut actual kernel evaluations well below that).
 func prefilterWant(k, size int) int {
-	w := 8 * k
-	if f := size / 24; f > w {
-		w = f
-	}
-	return w
+	return max(minCands, 8*k, size/24)
 }
+
+// minCands is the per-shard floor of a candidate request: a shard of at
+// most this many members is scanned in full, which is exact by
+// construction.
+const minCands = 32
 
 // prefilterShard answers one shard's slice of a prefiltered k-NN query:
 // sketch candidates first, then exact verification restricted to them,
@@ -103,7 +102,7 @@ func (e *Engine) prefilterShard(s *shard, ix *sketch.Index, q *traj.Trajectory, 
 	// write landing between them cannot make the two describe different
 	// shard states.
 	size := s.size()
-	ids, _ := ix.Candidates(q, prefilterWant(req.K, size))
+	ids := ix.Candidates(q, prefilterWant(req.K, size))
 	res, st, truncated, err := s.searchKNNIn(q, ids, req.K, bound, ctl)
 	st.PrefilterCandidates += len(ids)
 	if skipped := size - len(ids); skipped > 0 {

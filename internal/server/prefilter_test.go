@@ -247,7 +247,7 @@ func TestPrefilterMutationSync(t *testing.T) {
 		}
 		if lastDeleted != nil {
 			si := shardIndex(lastDeleted.ID, len(e.sketches))
-			cands, _ := e.sketches[si].Candidates(lastDeleted, 1<<30) // full scan: every remaining member
+			cands := e.sketches[si].Candidates(lastDeleted, 1<<30) // full scan: every remaining member
 			for _, id := range cands {
 				if id == lastDeleted.ID {
 					t.Fatalf("step %d: deleted T%d still a sketch candidate", step, lastDeleted.ID)
@@ -374,8 +374,8 @@ func TestPrefilterSnapshotRoundTrip(t *testing.T) {
 		q := db[(it*13)%len(db)].Clone()
 		q.ID = 7_000_000 + it
 		for si := range e.sketches {
-			want, _ := e.sketches[si].Candidates(q, 40)
-			got, _ := loaded.sketches[si].Candidates(q, 40)
+			want := e.sketches[si].Candidates(q, 40)
+			got := loaded.sketches[si].Candidates(q, 40)
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("it=%d shard %d: candidate sets diverged after reload:\ngot  %v\nwant %v", it, si, got, want)
 			}
@@ -586,10 +586,9 @@ func TestPrefilterRebootAfterReplay(t *testing.T) {
 						}
 						for _, q := range queries {
 							for _, k := range []int{10, 40, 125} {
-								gi, gs := got.sketches[si].Candidates(q, k)
-								wi, ws := want.sketches[si].Candidates(q, k)
-								if !slices.Equal(gi, wi) || gs != ws {
-									t.Fatalf("shard %d query %d want %d: candidates %v %+v, pre-crash %v %+v", si, q.ID, k, gi, gs, wi, ws)
+								gi, wi := got.sketches[si].Candidates(q, k), want.sketches[si].Candidates(q, k)
+								if !slices.Equal(gi, wi) {
+									t.Fatalf("shard %d query %d want %d: candidates %v, pre-crash %v", si, q.ID, k, gi, wi)
 								}
 							}
 						}

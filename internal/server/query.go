@@ -74,7 +74,7 @@ type Query struct {
 	// 0 means unlimited.
 	MaxEvals int `json:"max_evals,omitempty"`
 
-	// Prefilter routes a KindKNN query through the sketch/LSH candidate
+	// Prefilter routes a KindKNN query through the sketch candidate
 	// prefilter: each shard's sketch admits a small candidate set and
 	// the backend verifies it exactly under the shared bound. The
 	// answer is exact over the admitted candidates; the approximation

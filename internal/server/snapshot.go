@@ -124,7 +124,8 @@ type snapshotManifest struct {
 // zero value the loader would default to — fails verification, while
 // insignificant whitespace does not have to survive byte-exactly. A
 // field that a later build no longer has (the tree options'
-// RebuildRatio) is checked like any other and then ignored.
+// RebuildRatio, the sketch's MinHash-LSH settings) is checked like any
+// other and then ignored.
 type manifestEnvelope struct {
 	CRC32C   uint32          `json:"crc32c"`
 	Manifest json.RawMessage `json:"manifest"`

@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -146,12 +147,17 @@ func TestSnapshotRejectsBadManifest(t *testing.T) {
 
 // TestManifestChecksumCoversStoredBytes pins what the manifest checksum
 // covers: the stored manifest's own bytes, compacted. A manifest saved
-// while the tree options still had RebuildRatio records that field; its
-// checksum covers it, so it verifies, and the loader then ignores it. A
-// damaged key name fails verification even where the field's value is
-// the zero value the loader would default to.
+// while the tree options still had RebuildRatio records that field, and
+// one saved while the sketch still had MinHash-LSH settings records
+// shingle, hashes, bands, min_cands and seed beside the cell size. The
+// checksum covers them, so the manifest verifies; the loader then
+// ignores them, re-arms the prefilter at the recorded cell size and
+// answers prefiltered k-NN as the saving engine did. A damaged key name
+// fails verification even where the field's value is the zero value the
+// loader would default to.
 func TestManifestChecksumCoversStoredBytes(t *testing.T) {
-	e, err := NewEngineFromDB(testDB(40, 5), trajtree.Options{Seed: 1, LeafSize: 5}, Options{CacheSize: -1, Shards: 2})
+	db := testDB(120, 5)
+	e, err := NewEngineFromDB(db, trajtree.Options{Seed: 1, LeafSize: 5}, Options{CacheSize: -1, Shards: 2, Prefilter: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,6 +179,12 @@ func TestManifestChecksumCoversStoredBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 	older := bytes.Replace(compact.Bytes(), []byte(`"Seed":`), []byte(`"RebuildRatio":0.25,"Seed":`), 1)
+	i := bytes.Index(older, []byte(`"sketch":{`))
+	if i < 0 {
+		t.Fatal("the manifest records no sketch")
+	}
+	j := i + bytes.IndexByte(older[i:], '}')
+	older = slices.Concat(older[:j], []byte(`,"shingle":2,"hashes":64,"bands":16,"min_cands":32,"seed":1`), older[j:])
 	raw, err := json.MarshalIndent(manifestEnvelope{CRC32C: crc32.Checksum(older, snapCRC), Manifest: older}, "", "  ")
 	if err != nil {
 		t.Fatal(err)
@@ -182,10 +194,23 @@ func TestManifestChecksumCoversStoredBytes(t *testing.T) {
 	}
 	loaded, err := LoadSnapshot(dir, Options{CacheSize: -1})
 	if err != nil {
-		t.Fatalf("manifest recording RebuildRatio: %v", err)
+		t.Fatalf("manifest recording RebuildRatio and MinHash-LSH settings: %v", err)
 	}
 	if loaded.Size() != e.Size() {
 		t.Fatalf("loaded %d members, saved %d", loaded.Size(), e.Size())
+	}
+	if !loaded.PrefilterEnabled() || loaded.SketchParams() != e.SketchParams() {
+		t.Fatalf("prefilter %v at %+v, saved at %+v", loaded.PrefilterEnabled(), loaded.SketchParams(), e.SketchParams())
+	}
+	for _, q := range db[:10] {
+		query := Query{Kind: KindKNN, K: 3, Prefilter: true, WithStats: true}
+		got, want := search(t, loaded, q, query), search(t, e, q, query)
+		sameResults(t, fmt.Sprintf("prefiltered KNN q%d", q.ID), asTreeResults(got.Results), asTreeResults(want.Results))
+		if g, w := got.Stats, want.Stats; g.PrefilterSkipped == 0 ||
+			g.PrefilterCandidates != w.PrefilterCandidates || g.PrefilterSkipped != w.PrefilterSkipped {
+			t.Fatalf("q%d: %d candidates, %d skipped; saved engine %d, %d",
+				q.ID, g.PrefilterCandidates, g.PrefilterSkipped, w.PrefilterCandidates, w.PrefilterSkipped)
+		}
 	}
 	damaged := bytes.Replace(saved, []byte(`"Parallel"`), []byte(`"Par\u00e1llel"`), 1)
 	if bytes.Equal(damaged, saved) {

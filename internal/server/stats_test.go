@@ -8,7 +8,6 @@ import (
 	"sort"
 	"testing"
 
-	"trajmatch/internal/sketch"
 	"trajmatch/internal/traj"
 	"trajmatch/internal/trajtree"
 )
@@ -77,9 +76,10 @@ func TestEngineAccumulatesKernelStats(t *testing.T) {
 
 // TestStatsJSONKeys pins the JSON key sets of GET /v1/stats (top level
 // and per_metric row) and of a with_stats answer's stats object: clients
-// read every work counter under its snake_case name in all three. A
-// small prefilter floor makes the query skip members, so the omitempty
-// prefilter pair is present everywhere.
+// read every work counter under its snake_case name in all three. Each
+// shard holds more members than the prefilter's 32-candidate floor, so
+// the query skips members and the omitempty prefilter pair is present
+// everywhere.
 func TestStatsJSONKeys(t *testing.T) {
 	counters := []string{"distance_calls", "early_abandons", "lower_bound_calls", "nodes_pruned",
 		"nodes_visited", "prefilter_candidates", "prefilter_skipped", "screen_rejects"}
@@ -88,9 +88,9 @@ func TestStatsJSONKeys(t *testing.T) {
 		"snapshots", "stream", "workers"}
 	wantMetric := []string{"cache_hits", "capabilities", "metric", "queries"}
 
-	db := testDB(60, 7)
+	db := testDB(100, 7)
 	e, err := NewMultiEngineFromDB(db, multiSpecs(db, trajtree.Options{Seed: 1, LeafSize: 5}),
-		Options{CacheSize: -1, Shards: 2, Prefilter: true, Sketch: sketch.Params{MinCands: 5}})
+		Options{CacheSize: -1, Shards: 2, Prefilter: true})
 	if err != nil {
 		t.Fatal(err)
 	}

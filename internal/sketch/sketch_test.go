@@ -1,6 +1,7 @@
 package sketch
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -12,11 +13,11 @@ import (
 )
 
 func testParams() Params {
-	return Params{CellSize: 200, Shingle: 2, Hashes: 64, Bands: 16, MinCands: 8, Seed: 1}
+	return Params{CellSize: 200}
 }
 
 // tokens is tr's ordered fine-pitch token sequence, the input of the
-// shingles and of the fine posting keys.
+// fine posting keys.
 func (ix *Index) tokens(tr *traj.Trajectory) []uint64 {
 	return tokensAt(nil, tr, ix.p.CellSize)
 }
@@ -31,14 +32,10 @@ func mustIndex(t *testing.T, p Params) *Index {
 }
 
 func TestParamsValidate(t *testing.T) {
-	if err := (Params{CellSize: 100}.WithDefaults()).Validate(); err != nil {
-		t.Fatalf("defaults should validate: %v", err)
+	if err := (Params{CellSize: 100}).Validate(); err != nil {
+		t.Fatalf("a positive cell size should validate: %v", err)
 	}
-	bad := []Params{
-		{CellSize: 0, Shingle: 2, Hashes: 64, Bands: 16, MinCands: 8, Seed: 1},
-		{CellSize: -5, Shingle: 2, Hashes: 64, Bands: 16, MinCands: 8, Seed: 1},
-		{CellSize: 100, Shingle: 2, Hashes: 65, Bands: 16, MinCands: 8, Seed: 1},
-	}
+	bad := []Params{{CellSize: 0}, {CellSize: -5}, {CellSize: math.Inf(1)}}
 	for i, p := range bad {
 		if err := p.Validate(); err == nil {
 			t.Errorf("case %d: expected validation error for %+v", i, p)
@@ -60,20 +57,33 @@ func TestDeriveCellSizeDegenerate(t *testing.T) {
 	}
 }
 
-// Signatures are a function of geometry and parameters alone: equal
-// geometry (even under a different ID) produces equal signatures, and
-// two indexes with equal parameters agree.
-func TestSignatureDeterministic(t *testing.T) {
-	db := synth.Taxi(synth.DefaultTaxi(20))
+// Posting keys and candidate sets are a function of geometry and
+// parameters alone: equal geometry under a different ID files the same
+// keys, and two indexes with equal parameters return the same members.
+func TestKeysDeterministic(t *testing.T) {
+	const shift = 10_000
+	db := synth.Taxi(synth.DefaultTaxi(60))
 	a := mustIndex(t, testParams())
 	b := mustIndex(t, testParams())
 	for _, tr := range db {
 		clone := tr.Clone()
-		clone.ID = tr.ID + 10_000
-		sa := a.signature(nil, a.shingles(nil, a.tokens(tr)))
-		sb := b.signature(nil, b.shingles(nil, b.tokens(clone)))
-		if !reflect.DeepEqual(sa, sb) {
-			t.Fatalf("trajectory %d: signatures differ for equal geometry", tr.ID)
+		clone.ID = tr.ID + shift
+		ma, mb := a.prep(tr), b.prep(clone)
+		if !reflect.DeepEqual(ma.cellToks, mb.cellToks) || !reflect.DeepEqual(ma.coarseToks, mb.coarseToks) {
+			t.Fatalf("trajectory %d: posting keys differ for equal geometry", tr.ID)
+		}
+		a.Insert(tr)
+		b.Insert(clone)
+	}
+	for _, q := range db[:10] {
+		ca, cb := a.Candidates(q, 16), b.Candidates(q, 16)
+		if len(ca) != len(cb) {
+			t.Fatalf("query %d: %d vs %d candidates", q.ID, len(ca), len(cb))
+		}
+		for i := range ca {
+			if ca[i]+shift != cb[i] {
+				t.Fatalf("query %d: candidates %v vs %v (shifted by %d)", q.ID, ca, cb, shift)
+			}
 		}
 	}
 }
@@ -137,19 +147,19 @@ func TestCandidatesDeterministicAndSorted(t *testing.T) {
 		ix.Insert(tr)
 	}
 	q := db[17]
-	first, _ := ix.Candidates(q, 40)
+	first := ix.Candidates(q, 40)
 	if !sort.IntsAreSorted(first) {
 		t.Fatal("candidates not sorted")
 	}
 	for i := 0; i < 5; i++ {
-		again, _ := ix.Candidates(q, 40)
+		again := ix.Candidates(q, 40)
 		if !reflect.DeepEqual(first, again) {
 			t.Fatalf("candidate set not deterministic across calls: %v vs %v", first, again)
 		}
 	}
 	// The query itself is indexed and must always be its own candidate:
 	// it shares every cell with itself, so the overlap ranking admits it
-	// first, and its bands collide trivially.
+	// first.
 	found := false
 	for _, id := range first {
 		if id == q.ID {
@@ -167,11 +177,7 @@ func TestCandidatesSmallIndexFullScan(t *testing.T) {
 	for _, tr := range db {
 		ix.Insert(tr)
 	}
-	ids, st := ix.Candidates(db[0], 32)
-	if !st.FullScan {
-		t.Fatal("expected full-scan degradation on a tiny index")
-	}
-	if len(ids) != len(db) {
+	if ids := ix.Candidates(db[0], 32); len(ids) != len(db) {
 		t.Fatalf("full scan returned %d of %d members", len(ids), len(db))
 	}
 }
@@ -190,7 +196,7 @@ func TestMutationOracle(t *testing.T) {
 		live[tr.ID] = tr
 	}
 	check := func(q *traj.Trajectory) {
-		ids, _ := ix.Candidates(q, 25)
+		ids := ix.Candidates(q, 25)
 		for _, id := range ids {
 			if _, ok := live[id]; !ok {
 				t.Fatalf("candidate %d is not a live member", id)
@@ -249,7 +255,7 @@ func TestConcurrentCandidates(t *testing.T) {
 	}()
 	for i := 0; i < 200; i++ {
 		q := db[i%60]
-		ids, _ := ix.Candidates(q, 20)
+		ids := ix.Candidates(q, 20)
 		if !sort.IntsAreSorted(ids) {
 			t.Fatalf("query %d: candidates not sorted: %v", q.ID, ids)
 		}
@@ -291,8 +297,8 @@ func TestReinsertReplaces(t *testing.T) {
 	// the replacement must have reused the one slot.
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	if len(ix.bands) != 0 || len(ix.cells) != 0 || len(ix.coarse) != 0 {
-		t.Fatalf("leaked buckets after delete: %d bands, %d cells, %d coarse", len(ix.bands), len(ix.cells), len(ix.coarse))
+	if len(ix.cells) != 0 || len(ix.coarse) != 0 {
+		t.Fatalf("leaked posting lists after delete: %d cells, %d coarse", len(ix.cells), len(ix.coarse))
 	}
 	if len(ix.slots) != 1 || len(ix.free) != 1 {
 		t.Fatalf("slot table %d, free list %d after one member came and went; want 1 and 1", len(ix.slots), len(ix.free))
@@ -361,7 +367,7 @@ func checkSlots(t *testing.T, ix *Index) {
 		if used[s] {
 			t.Fatalf("slot %d is both live and free", s)
 		}
-		if m := ix.slots[s]; m.bandKeys != nil || m.cellToks != nil || m.coarseToks != nil {
+		if m := ix.slots[s]; m.cellToks != nil || m.coarseToks != nil {
 			t.Fatalf("free slot %d still holds keys", s)
 		}
 		used[s] = true
@@ -371,7 +377,6 @@ func checkSlots(t *testing.T, ix *Index) {
 		post map[uint64][]int32
 		keys func(m member) []uint64
 	}{
-		{"bands", ix.bands, func(m member) []uint64 { return m.bandKeys }},
 		{"cells", ix.cells, func(m member) []uint64 { return m.cellToks }},
 		{"coarse", ix.coarse, func(m member) []uint64 { return m.coarseToks }},
 	} {

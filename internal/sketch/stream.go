@@ -22,7 +22,6 @@ type Stream struct {
 // resolved). Equal params produce streams whose tokens are comparable
 // with an equal-params Index.
 func NewStream(p Params) (*Stream, error) {
-	p = p.WithDefaults()
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}

@@ -33,7 +33,7 @@ func streamWalkTraj(rng *rand.Rand, n int) []traj.Point {
 func TestStreamMatchesIndexAtEveryPrefix(t *testing.T) {
 	for _, chunk := range []int{1, 3, 7} {
 		rng := rand.New(rand.NewSource(int64(200 + chunk)))
-		p := Params{CellSize: 10, Shingle: 2, Hashes: 32, Bands: 8, MinCands: 8, Seed: 42}
+		p := Params{CellSize: 10}
 		ix := mustIndex(t, p)
 		s, err := NewStream(p)
 		if err != nil {
@@ -65,7 +65,7 @@ func TestStreamMatchesIndexAtEveryPrefix(t *testing.T) {
 // nor break chunked/whole equivalence (they suppress the interior walk
 // of adjacent segments exactly as Index's tokenizer does).
 func TestStreamNonFinitePoints(t *testing.T) {
-	p := Params{CellSize: 10, Shingle: 2, Hashes: 32, Bands: 8, MinCands: 8, Seed: 7}
+	p := Params{CellSize: 10}
 	ix := mustIndex(t, p)
 	pts := []traj.Point{
 		{X: 0, Y: 0, T: 0},
@@ -93,7 +93,7 @@ func TestStreamNonFinitePoints(t *testing.T) {
 // TestPatternTokens: the registry-side fingerprint equals the distinct
 // token set of the index tokenizer.
 func TestPatternTokens(t *testing.T) {
-	p := Params{CellSize: 10, Shingle: 2, Hashes: 32, Bands: 8, MinCands: 8, Seed: 7}
+	p := Params{CellSize: 10}
 	ix := mustIndex(t, p)
 	rng := rand.New(rand.NewSource(9))
 	tr := &traj.Trajectory{ID: 3, Points: streamWalkTraj(rng, 40)}

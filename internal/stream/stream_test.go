@@ -15,7 +15,7 @@ import (
 func pt(x, y, t float64) traj.Point { return traj.Point{X: x, Y: y, T: t} }
 
 func testBuffer(onChange func()) *Buffer {
-	p := sketch.Params{CellSize: 10, Seed: 1}.WithDefaults()
+	p := sketch.Params{CellSize: 10}
 	return NewBuffer(onChange, &p)
 }
 

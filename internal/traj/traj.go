@@ -165,9 +165,10 @@ func (t *Trajectory) View() View {
 // summary (typically aliasing arena slabs), and the summary's length as
 // the cached total spatial length. The values must equal what View,
 // Length and arena.Summarize would compute — Prime only changes where the
-// memory lives, never a result.
-func (t *Trajectory) Prime(v View, s *Summary) {
-	t.view.Store(&v)
+// memory lives, never a result. Both are stored by pointer, so v and s
+// must not change afterwards.
+func (t *Trajectory) Prime(v *View, s *Summary) {
+	t.view.Store(v)
 	t.length.Store(&s.Length[0])
 	t.summary.Store(s)
 }

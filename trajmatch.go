@@ -206,8 +206,9 @@ var ErrInvalidQuery = server.ErrInvalidQuery
 // EngineOptions configure an Engine; the zero value enables a 1024-entry
 // cache, GOMAXPROCS batch workers and a single shard. Set Shards for
 // per-shard update locking and parallel builds, SnapshotDir to arm
-// POST /v1/snapshot, Prefilter (optionally tuning Sketch) to build the
-// sketch/LSH candidate prefilter that Query.Prefilter opts into, and
+// POST /v1/snapshot, Prefilter (optionally fixing Sketch's grid pitch)
+// to build the sketch candidate prefilter that Query.Prefilter opts
+// into, and
 // WALDir (with WALSync choosing the durability point) to log every
 // accepted mutation before acknowledgement and replay the log on boot.
 type EngineOptions = server.Options
