@@ -135,7 +135,10 @@ func runArm(b *testing.B, t *trajmatch.Index, arm searchArm) {
 // ID-order scan, so TrajTree-vs-scan is read off one command. It is also the
 // harness for CPU profiles of the exact-search path at a size where the
 // index prunes (go test -run '^$' -bench 'KNN10k/knn' -cpuprofile ...);
-// its work counters repeat exactly from run to run.
+// its work counters repeat exactly from run to run. Per k-NN query they
+// read 414.8 distance calls, 390.8 abandons, 185.1 kernel starts, 2 811
+// bound calls and 89.6 nodes visited; range starts 142.5 kernels and
+// subknn 218.1.
 func BenchmarkKNN10k(b *testing.B) {
 	db := trajmatch.GenerateTaxi(trajmatch.DefaultTaxiConfig(10000))
 	qcfg := trajmatch.DefaultTaxiConfig(210)

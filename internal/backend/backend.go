@@ -57,12 +57,17 @@ type Stats struct {
 	// before any kernel started; DistanceCalls - ScreenRejects is the
 	// number of kernel starts. Zero for backends without a member screen.
 	ScreenRejects int `json:"screen_rejects"`
-	// LowerBoundCalls counts admissible lower-bound evaluations.
+	// LowerBoundCalls counts admissible lower-bound evaluations that
+	// admit a candidate to the search or cut it: in the tree, the node
+	// bounds of internal nodes and the bounding-box screens of leaf
+	// members; in a flat scan, one per candidate.
 	LowerBoundCalls int `json:"lower_bound_calls"`
-	// NodesVisited counts index nodes expanded during the search.
+	// NodesVisited counts index nodes expanded during the search (in the
+	// tree, internal nodes and a leaf root).
 	NodesVisited int `json:"nodes_visited"`
 	// NodesPruned counts nodes or candidates discarded by a bound test
-	// without an exact evaluation.
+	// without an exact evaluation: those a bound cut, and those still
+	// queued when the limit stopped the search.
 	NodesPruned int `json:"nodes_pruned"`
 	// PrefilterCandidates counts the candidates the sketch prefilter
 	// admitted for exact verification (zero, and absent on the wire,

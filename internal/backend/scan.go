@@ -32,9 +32,9 @@ func SortCands(cands []Cand) {
 // the tightest admissible limit (Limit), counts an abandoned evaluation,
 // offers an exact distance to the (distance, ID) answer set, and
 // publishes every tightening through the shared bound. ScanKNN drives it
-// over bound-ordered candidates and the tree descent over its leaves, so
-// which candidates enter an answer is decided by this one step whatever
-// produced them.
+// over bound-ordered candidates and the tree descent over the members it
+// takes off its queue, so which candidates enter an answer is decided by
+// this one step whatever produced them.
 type Verifier struct {
 	ans       *KBest
 	bound     *SharedBound

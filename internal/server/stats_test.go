@@ -8,6 +8,7 @@ import (
 	"sort"
 	"testing"
 
+	"trajmatch/internal/backend"
 	"trajmatch/internal/traj"
 	"trajmatch/internal/trajtree"
 )
@@ -55,20 +56,33 @@ func TestEngineAccumulatesKernelStats(t *testing.T) {
 		t.Errorf("queries %d, want %d", after.Queries, 1+len(qs))
 	}
 
-	// Range search accumulates too, and a tight radius forces abandons.
-	rst := search(t, e, q, Query{Kind: KindRange, Radius: 1e-6}).Stats
+	// Range searches accumulate too. Each runs at half its query's
+	// 5th-nearest distance, so members whose bounding boxes pass the
+	// radius still lie beyond it: the verify step abandons them, and its
+	// member screen decides some before any kernel starts. (A radius
+	// near 0 shows neither: the members' bounding boxes cut every member
+	// but the query's source before the verify step.)
+	var rst backend.Stats
+	for i := 3; i < len(db); i += 19 {
+		rq := db[i].Clone()
+		rq.ID = 920_000 + i
+		fifth := search(t, e, rq, Query{Kind: KindKNN, K: 5}).Results[4].Dist
+		before := e.Stats()
+		st := search(t, e, rq, Query{Kind: KindRange, Radius: fifth / 2}).Stats
+		rst.Add(st)
+		got := e.Stats()
+		if got.EarlyAbandons != before.EarlyAbandons+st.EarlyAbandons {
+			t.Errorf("early abandons %d, want %d", got.EarlyAbandons, before.EarlyAbandons+st.EarlyAbandons)
+		}
+		if got.ScreenRejects != before.ScreenRejects+st.ScreenRejects {
+			t.Errorf("screen rejects %d, want %d", got.ScreenRejects, before.ScreenRejects+st.ScreenRejects)
+		}
+	}
+	if rst.EarlyAbandons == 0 || rst.ScreenRejects == 0 {
+		t.Errorf("range searches inside the 5th-nearest distance abandoned %d, screened %d: want both", rst.EarlyAbandons, rst.ScreenRejects)
+	}
+	// The per-metric row carries the same count.
 	final := e.Stats()
-	if rst.EarlyAbandons == 0 {
-		t.Error("tight-radius range search never abandoned")
-	}
-	if final.EarlyAbandons != after.EarlyAbandons+rst.EarlyAbandons {
-		t.Errorf("early abandons %d, want %d", final.EarlyAbandons, after.EarlyAbandons+rst.EarlyAbandons)
-	}
-	// At that radius the member screen decides most of them before any
-	// kernel starts, and the per-metric row carries the same count.
-	if rst.ScreenRejects == 0 || final.ScreenRejects != after.ScreenRejects+rst.ScreenRejects {
-		t.Errorf("screen rejects %d after a range search with %d, before %d", final.ScreenRejects, rst.ScreenRejects, after.ScreenRejects)
-	}
 	if pm := final.PerMetric[0]; pm.ScreenRejects != final.ScreenRejects {
 		t.Errorf("per-metric screen rejects %d, engine total %d", pm.ScreenRejects, final.ScreenRejects)
 	}

@@ -148,23 +148,50 @@ func Build(db []*traj.Trajectory, p Params) (*Index, error) {
 	}
 	clear(ms[len(ix.slots):])
 	var wg sync.WaitGroup
-	for _, f := range []struct {
-		post map[uint64][]int32
-		keys func(*member) []uint64
-	}{
-		{ix.cells, func(m *member) []uint64 { return m.cellToks }},
-		{ix.coarse, func(m *member) []uint64 { return m.coarseToks }},
-	} {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for s := range ix.slots {
-				file(f.post, f.keys(&ix.slots[s]), int32(s))
-			}
-		}()
-	}
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		ix.cells = fileAll(ix.slots, func(m *member) []uint64 { return m.cellToks })
+	}()
+	go func() {
+		defer wg.Done()
+		ix.coarse = fileAll(ix.slots, func(m *member) []uint64 { return m.coarseToks })
+	}()
 	wg.Wait()
 	return ix, nil
+}
+
+// fileAll returns the posting lists of slots under keys: each list holds
+// its slots in slot order, as filing them one at a time would. A counting
+// pass sizes every list first, so the lists are capped windows of one
+// slab, each filled once: a later Insert that grows a list reallocates it
+// instead of writing into its neighbour's. The counting pass keeps each
+// key's count as its list's length, over one scratch array of len(slots)
+// that no list writes to: a member files each key once, so no count
+// exceeds it, and the map holds the keys once, as the result does.
+func fileAll(slots []member, keys func(*member) []uint64) map[uint64][]int32 {
+	post := make(map[uint64][]int32)
+	counts := make([]int32, len(slots))
+	total := 0
+	for s := range slots {
+		ks := keys(&slots[s])
+		for _, k := range ks {
+			post[k] = counts[:len(post[k])+1]
+		}
+		total += len(ks)
+	}
+	slab := make([]int32, 0, total)
+	for k, list := range post {
+		n := len(slab)
+		slab = slab[:n+len(list)]
+		post[k] = slab[n:n:len(slab)]
+	}
+	for s := range slots {
+		for _, k := range keys(&slots[s]) {
+			post[k] = append(post[k], int32(s))
+		}
+	}
+	return post
 }
 
 // Size returns the number of indexed trajectories.

@@ -208,6 +208,22 @@ func fromSnapshot(snap *arena.Snapshot) (*Tree, uint32, error) {
 		for _, m := range t.root.members {
 			t.byID[m.ID] = m
 		}
+		// The leaves' slab records are derived from the members' summaries,
+		// as a build makes them, into capped windows of one table.
+		leafMembers := 0
+		for i := range nodes {
+			if nodes[i].leaf() {
+				leafMembers += len(nodes[i].members)
+			}
+		}
+		slab := make([]float64, 0, slabStride*leafMembers)
+		for i := range nodes {
+			if n := &nodes[i]; n.leaf() {
+				s0 := len(slab)
+				slab = appendSlab(slab, n.members)
+				n.slab = slab[s0:len(slab):len(slab)]
+			}
+		}
 	}
 	if err := t.checkInvariants(); err != nil {
 		return nil, 0, fmt.Errorf("trajtree: load: %v: %w", err, arena.ErrCorrupt)

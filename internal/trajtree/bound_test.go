@@ -1,6 +1,7 @@
 package trajtree
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sync"
@@ -158,6 +159,77 @@ func TestSharedBoundPartitionsMatchSingleTree(t *testing.T) {
 					}
 				}
 				sameResults(t, "merged partitions", merged.Results(), want)
+			}
+		}
+	}
+}
+
+// TestSeededAtKthKeepsTies seeds the shared bound at exactly the k-th
+// distance of the unseeded search and requires the unseeded answer, for
+// k-NN and sub k-NN, on a corpus of exact ties at positive distances
+// whose member screens are tight. Each query is a straight line; the
+// corpus holds copies of it shifted sideways by h, on both sides, so a
+// whole group ties at distance 4·h·len (raw) and k cuts the group. On
+// such a pair both tiers of the two-sided screen equal the distance
+// itself, up to the rounding of a different sum: a member whose screen
+// lands an ulp above the limit must still reach the kernel and the ID
+// tie-break.
+func TestSeededAtKthKeepsTies(t *testing.T) {
+	rng := rand.New(rand.NewSource(119))
+	var db, queries []*traj.Trajectory
+	id := 0
+	for qi := 0; qi < 24; qi++ {
+		x0, y0 := rng.Float64()*1000, rng.Float64()*1000
+		step := 0.1 + rng.Float64()*7
+		n := 3 + rng.Intn(6)
+		line := func(id int, dy float64) *traj.Trajectory {
+			pts := make([]traj.Point, n)
+			for i := range pts {
+				pts[i] = traj.P(x0+step*float64(i)+0.37*float64(i*i%3), y0+dy, float64(i))
+			}
+			return traj.New(id, pts)
+		}
+		queries = append(queries, line(9_000_000+qi, 0))
+		h := 0.01 + rng.Float64()*3
+		for c := 0; c < 6; c++ {
+			dy := h
+			if c%2 == 1 {
+				dy = -h
+			}
+			db = append(db, line(id, dy))
+			id++
+		}
+		db = append(db, line(id, 4*h))
+		id++
+	}
+	for _, cumulative := range []bool{false, true} {
+		opt := testOptions()
+		opt.Cumulative = cumulative
+		tree, err := New(db, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for qi, q := range queries {
+			for _, k := range []int{2, 3, 5} {
+				label := fmt.Sprintf("cumulative=%v query %d k=%d", cumulative, qi, k)
+				want, _, _, err := tree.SearchKNN(q, k, nil, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, _, _, err := tree.SearchKNN(q, k, backend.NewSharedBound(want[k-1].Dist), nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sameResults(t, label+" knn seeded at the k-th distance", got, want)
+				want, _, _, err = tree.SearchSub(q, k, nil, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, _, _, err = tree.SearchSub(q, k, backend.NewSharedBound(want[k-1].Dist), nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sameResults(t, label+" subknn seeded at the k-th distance", got, want)
 			}
 		}
 	}

@@ -19,9 +19,10 @@ var _ backend.CandidateSearcher = (*Tree)(nil)
 // variant); the scan evaluates in tightest-first order and prunes
 // against the running k-th best and the shared bound before starting a
 // kernel. Every candidate goes through the verify step the descent's
-// leaves use (backend.Verifier), so handed every member it answers
-// exactly as SearchKNN does, ties included. IDs not present in the tree
-// are skipped silently; truncation and error semantics match SearchKNN.
+// members go through (backend.Verifier), so handed every member it
+// answers exactly as SearchKNN does, ties included. IDs not present in
+// the tree are skipped silently; truncation and error semantics match
+// SearchKNN.
 func (t *Tree) SearchKNNIn(q *traj.Trajectory, ids []int, k int, bound *SharedBound, ctl *Ctl) ([]Result, Stats, bool, error) {
 	var st Stats
 	if t.root == nil || k <= 0 || len(ids) == 0 {

@@ -340,3 +340,118 @@ func TestRefitBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// checkSlabs verifies that every leaf's slab holds its members' bounding
+// boxes and lengths, in member order, and that no internal node has one.
+func checkSlabs(t *testing.T, label string, tree *Tree) {
+	t.Helper()
+	if tree.root == nil {
+		return
+	}
+	var walk func(n *node)
+	walk = func(n *node) {
+		if !n.leaf() {
+			if n.slab != nil {
+				t.Fatalf("%s: internal node carries a slab of %d values", label, len(n.slab))
+			}
+			for _, c := range n.children {
+				walk(c)
+			}
+			return
+		}
+		if len(n.slab) != slabStride*len(n.members) {
+			t.Fatalf("%s: leaf slab of %d values for %d members", label, len(n.slab), len(n.members))
+		}
+		for i, m := range n.members {
+			s := m.Summary()
+			want := []float64{s.BBox[0], s.BBox[1], s.BBox[2], s.BBox[3], s.Length[0]}
+			if got := n.slab[slabStride*i : slabStride*(i+1)]; !slices.Equal(got, want) {
+				t.Fatalf("%s: leaf record %d is %v, member %d has %v", label, i, got, m.ID, want)
+			}
+		}
+	}
+	walk(tree.root)
+}
+
+// TestLeafSlabsMatchMembers follows the leaves' slabs through everything
+// that makes or changes a leaf: a parallel build, inserts into an empty
+// tree up to a split of its root leaf, deletes down to emptied and
+// dropped leaves, a re-pack, both loaders, and updates to a loaded tree,
+// whose slabs are capped windows of one table.
+func TestLeafSlabsMatchMembers(t *testing.T) {
+	opt := Options{Seed: 1, LeafSize: 4, Parallel: true}
+	db := taxiTrips(300, 3, 0)
+	tree, err := New(db, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkSlabs(t, "built", tree)
+
+	grown, err := New(nil, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, tr := range taxiTrips(12, 4, 10_000) {
+		if err := grown.Insert(tr); err != nil {
+			t.Fatal(err)
+		}
+		checkSlabs(t, fmt.Sprintf("insert %d into an empty tree", i), grown)
+	}
+	if grown.root.leaf() {
+		t.Fatal("12 inserts at leaf size 4 never split the root leaf")
+	}
+
+	// Delete whole leaves, so they empty and go, and every third member
+	// elsewhere, so others shrink from the middle.
+	var leaves []*node
+	var collect func(n *node)
+	collect = func(n *node) {
+		if n.leaf() {
+			leaves = append(leaves, n)
+		}
+		for _, c := range n.children {
+			collect(c)
+		}
+	}
+	collect(tree.root)
+	var ids []int
+	for _, l := range leaves[:3] {
+		for _, m := range l.members {
+			ids = append(ids, m.ID)
+		}
+	}
+	for id := 1; id < len(db); id += 3 {
+		if !slices.Contains(ids, id) {
+			ids = append(ids, id)
+		}
+	}
+	before := nodeCount(tree.root)
+	for _, id := range ids {
+		if !tree.Delete(id) {
+			t.Fatalf("delete %d: not found", id)
+		}
+		checkSlabs(t, fmt.Sprintf("delete %d", id), tree)
+	}
+	if nodeCount(tree.root) >= before {
+		t.Fatalf("deletes emptied no leaf: %d nodes, %d before", nodeCount(tree.root), before)
+	}
+
+	for label, loaded := range map[string]*Tree{"heap-loaded": loadHeap(t, tree), "arena-loaded": loadArena(t, tree)} {
+		checkSlabs(t, label, loaded)
+		all := loaded.All()
+		for i, tr := range taxiTrips(20, 5, 20_000) {
+			if !loaded.Delete(all[2*i].ID) {
+				t.Fatalf("%s: delete %d: not found", label, all[2*i].ID)
+			}
+			if err := loaded.Insert(tr); err != nil {
+				t.Fatal(err)
+			}
+			checkSlabs(t, fmt.Sprintf("%s, update %d", label, i), loaded)
+		}
+	}
+
+	if err := tree.Rebuild(); err != nil {
+		t.Fatal(err)
+	}
+	checkSlabs(t, "re-packed", tree)
+}

@@ -1,8 +1,8 @@
 package trajtree
 
-// The node queue of Algorithm 2: a min-heap ordering index nodes by
-// lower bound. The running k-NN answer set is backend.KBest, held by the
-// shared verify step.
+// The queue of Algorithm 2: a min-heap ordering index nodes and leaf
+// members by lower bound. The running k-NN answer set is backend.KBest,
+// held by the shared verify step.
 
 // item pairs a payload with its priority.
 type item[T any] struct {

@@ -51,7 +51,7 @@ func boundCorpora() map[string][2][]*traj.Trajectory {
 //	    under the node, and the normalised node bound ≤ the tree's
 //	    distance;
 //	(b) query side + member side over the member's own summary ≤ raw
-//	    EDwP, and screenMember never rejects a member at a limit it
+//	    EDwP, and the member screen never rejects a member at a limit it
 //	    meets but does reject it below its two-sided screen — inserted
 //	    members included, which some query must see rejected;
 //	(c) the raw query-side screen, over a node's rects and over a
@@ -70,10 +70,10 @@ func TestBoundsAdmissibleOnTree(t *testing.T) {
 			for _, m := range tree.root.members {
 				raw[m.ID], sub[m.ID] = core.Distance(q, m), core.SubDistance(q, m)
 				d, _ := tree.DistanceBetween(q, m, inf, nil)
-				if tree.screenMember(&scr, false, qLen, m, d) {
+				if memberRejected(tree, &scr, false, qLen, m, d) {
 					t.Fatalf("%s: member %d rejected at its own distance %v", name, m.ID, d)
 				}
-				if tree.screenMember(&scr, true, qLen, m, sub[m.ID]) {
+				if memberRejected(tree, &scr, true, qLen, m, sub[m.ID]) {
 					t.Fatalf("%s: member %d rejected at its own EDwPsub %v", name, m.ID, sub[m.ID])
 				}
 				s := m.Summary()
@@ -88,7 +88,7 @@ func TestBoundsAdmissibleOnTree(t *testing.T) {
 				if both <= 0 {
 					continue
 				}
-				if !tree.screenMember(&scr, false, qLen, m, both/2/tree.denom(false, qLen, m.Length())) {
+				if !memberRejected(tree, &scr, false, qLen, m, both/2/tree.denom(false, qLen, m.Length())) {
 					t.Fatalf("%s: member %d kept at half its two-sided screen %v", name, m.ID, both)
 				}
 				if _, ok := tree.arenaIndex(m); !ok {
@@ -124,6 +124,16 @@ func TestBoundsAdmissibleOnTree(t *testing.T) {
 			t.Fatalf("%s: no inserted member was ever screened", name)
 		}
 	}
+}
+
+// memberRejected reports whether either tier of the descent's member
+// screen rejects m at limit: the bounding box the descent queues a member
+// at, or the box sequence it screens the member at when it first takes
+// it off the queue.
+func memberRejected(tree *Tree, scr *core.SegScreen, sub bool, qLen float64, m *traj.Trajectory, limit float64) bool {
+	s := m.Summary()
+	lim := memberLimit(limit, tree.denom(sub, qLen, m.Length()))
+	return memberScreen(scr, sub, s.BBox, s.Length, lim) > lim || memberScreen(scr, sub, s.Boxes, s.BoxLens, lim) > lim
 }
 
 // admissibilityTree is one tree TestBoundsAdmissibleOnTree checks, with

@@ -25,9 +25,10 @@ func NewCtl(ctx context.Context, maxEvals int) *Ctl { return backend.NewCtl(ctx,
 // SearchKNN returns the exact k nearest trajectories to q under EDwPavg
 // (or cumulative EDwP when Options.Cumulative is set), sorted by
 // (distance, ID) — an exact tie at the k-th distance is decided by ID —
-// together with query statistics. It implements
-// Algorithm 2: best-first traversal ordered by tBoxSeq lower bounds from
-// an empty answer set. Every exact evaluation passes the current k-th best
+// together with query statistics. It implements Algorithm 2:
+// best-first traversal from an empty answer set, ordered by the tBoxSeq
+// lower bounds of internal nodes and the screens of leaf members, which
+// share one queue. Every exact evaluation passes the current k-th best
 // distance to the bounded kernel, which abandons the dynamic program as
 // soon as the candidate provably cannot enter the answer set
 // (Stats.EarlyAbandons counts those); the answer is that of the

@@ -2,7 +2,8 @@
 // exact k-nearest-neighbour queries under EDwP. Every node summarises its
 // subtree with a trajectory box sequence (package tbox) whose EDwPsub-style
 // lower bound prunes the search — Theorem 2, in the flat relaxation
-// core.ScreenLowerBound. Leaves hold the trajectories. The vantage-point
+// core.ScreenLowerBound. Leaves hold the trajectories, which the search
+// bounds one by one, each by its own screen summary. The vantage-point
 // descriptors of Section IV-E are not served: they only seeded the k-th
 // best distance, which the descent's own bounds reach as cheaply, and the
 // paper's UB-Factor experiments compute them in package eval.
@@ -92,18 +93,37 @@ func (o Options) withDefaults() Options {
 }
 
 // node is a TrajTree node: the tBoxSeq summary its parent bounds it by,
-// its subtree's members and the longest member's length. dels counts the
+// its subtree's members and the longest member's length. A leaf also
+// carries slab, one slabStride record per member in member order (its
+// bounding box and its length, from its summary), which the descent
+// screens the members at without touching them (query.go); an internal
+// node's slab is nil. A leaf's own seq bounds nothing in a search: it
+// serves Insert's child choice, refit and the file. dels counts the
 // deletes below the node since seq was last fit (refit, update.go); it
 // is not saved, so a loaded node starts at 0.
 type node struct {
 	seq      *tbox.Seq
 	children []*node
 	members  []*traj.Trajectory
+	slab     []float64
 	maxLen   float64
 	dels     int
 }
 
 func (n *node) leaf() bool { return len(n.children) == 0 }
+
+// slabStride is the width of a leaf's slab record: the member's bounding
+// box (MinX, MinY, MaxX, MaxY) and its length.
+const slabStride = 5
+
+// appendSlab appends the slab records of ms, in order, to dst.
+func appendSlab(dst []float64, ms []*traj.Trajectory) []float64 {
+	for _, m := range ms {
+		s := m.Summary()
+		dst = append(dst, s.BBox[0], s.BBox[1], s.BBox[2], s.BBox[3], s.Length[0])
+	}
+	return dst
+}
 
 // Tree is the TrajTree index.
 type Tree struct {
@@ -234,35 +254,39 @@ func nodeBound(scr *core.SegScreen, den float64, n *node, limit float64) float64
 	return core.ScreenLowerBound(scr, n.seq.Rects(), raw) / den
 }
 
-// screenMember is the leaf-level lower-bound screen: it reports whether
-// tr's screen summary, which every member carries (built, loaded and
-// inserted alike), proves that evaluating tr cannot beat limit — i.e.
-// that the bounded kernel would abandon the evaluation. A true return is
-// therefore behaviour-preserving: the caller skips work whose outcome is
-// already known, never a candidate that could enter the answer. The raw
-// limit is inflated by a relative 1e-9 so the screen's float rounding
-// (~1e-13 relative) can never flip a decision the kernel — whose own
-// epsilon is 1e-12 — would have taken the other way.
-//
-// Two tiers, both over flat summary windows: the single bounding box
-// (O(len q)) rejects far-away members, the coarsened box sequence
-// (O(len q · MemberBoxes), early-exiting) rejects most of the rest. Each
-// tier sums the query side and, for the whole-trajectory distances, the
-// member side on top of it; EDwPsub does not consume the member, so sub
-// searches get the query side alone.
-func (t *Tree) screenMember(scr *core.SegScreen, sub bool, qLen float64, tr *traj.Trajectory, limit float64) bool {
-	if math.IsInf(limit, 1) {
-		return false
-	}
-	s := tr.Summary()
-	den := t.denom(sub, qLen, s.Length[0])
+// memberLimit translates limit into the raw domain of a member screen
+// whose divisor is den (denom of the member's length). A screen above
+// the returned value proves that evaluating the member cannot beat
+// limit — that the bounded kernel would abandon it — so rejecting the
+// member there skips work whose outcome is already known, never a
+// candidate that could enter the answer. The raw limit is inflated by a
+// relative 1e-9 so the screen's float rounding (~1e-13 relative) can
+// never flip a decision the kernel — whose own epsilon is 1e-12 — would
+// have taken the other way. A member whose divisor is not positive (it
+// and the query both of zero length) is never rejected: +Inf.
+func memberLimit(limit, den float64) float64 {
 	if den <= 0 {
-		return false
+		return math.Inf(1)
 	}
 	raw := limit * den
-	raw += raw * 1e-9
-	return screenExceeds(scr, sub, s.BBox, s.Length, raw) ||
-		screenExceeds(scr, sub, s.Boxes, s.BoxLens, raw)
+	return raw + raw*1e-9
+}
+
+// memberScreen is one tier of the member screen, over flat windows of a
+// member's summary: the query side over rects and, for the
+// whole-trajectory distances, the member side weighted by lens on top of
+// it; EDwPsub does not consume the member, so sub searches get the query
+// side alone. Like core.ScreenLowerBound it early-exits once it passes
+// raw: the value is exact whenever it does not exceed raw. The descent
+// runs two tiers: the single bounding box (O(len q), from the leaf's
+// slab) when it queues a member, the coarsened box sequence
+// (O(len q · MemberBoxes)) when it first takes the member off the queue.
+func memberScreen(scr *core.SegScreen, sub bool, rects, lens []float64, raw float64) float64 {
+	sum := core.ScreenLowerBound(scr, rects, raw)
+	if sum <= raw && !sub {
+		sum = core.ScreenMemberSide(scr, rects, lens, sum, raw)
+	}
+	return sum
 }
 
 // arenaIndex returns the arena index of member tr; false for the
@@ -273,17 +297,6 @@ func (t *Tree) arenaIndex(tr *traj.Trajectory) (int, bool) {
 		return 0, false
 	}
 	return t.ar.Index(tr)
-}
-
-// screenExceeds reports whether the screen of one trajectory's rects —
-// the query side, plus the member side weighted by lens unless sub —
-// passes the raw limit.
-func screenExceeds(scr *core.SegScreen, sub bool, rects, lens []float64, raw float64) bool {
-	sum := core.ScreenLowerBound(scr, rects, raw)
-	if sum <= raw && !sub {
-		sum = core.ScreenMemberSide(scr, rects, lens, sum, raw)
-	}
-	return sum > raw
 }
 
 // MemStats describes the tree's memory layout for the stats endpoint:
@@ -305,12 +318,15 @@ func (t *Tree) MemStats() MemStats {
 // containing all of ts) becomes the node's tBoxSeq.
 func (t *Tree) build(ts []*traj.Trajectory, seq *tbox.Seq, parallel bool) *node {
 	n := &node{seq: seq, members: ts, maxLen: maxLength(ts)}
-	if len(ts) <= t.opt.LeafSize {
-		return n
+	var groups [][]*traj.Trajectory
+	var seqs []*tbox.Seq
+	if len(ts) > t.opt.LeafSize {
+		groups, seqs = t.partition(ts)
 	}
-	groups, seqs := t.partition(ts)
 	if len(groups) < 2 {
-		return n // cannot split further; oversized leaf
+		// A leaf, oversized when Algorithm 1 cannot split it further.
+		n.slab = appendSlab(make([]float64, 0, slabStride*len(ts)), ts)
+		return n
 	}
 	n.children = make([]*node, len(groups))
 	if parallel {

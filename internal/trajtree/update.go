@@ -58,6 +58,7 @@ func (t *Tree) Insert(tr *traj.Trajectory) error {
 		t.root = &node{
 			seq:     tbox.FromTrajectory(tr, t.opt.MaxBoxes),
 			members: []*traj.Trajectory{tr},
+			slab:    appendSlab(nil, []*traj.Trajectory{tr}),
 			maxLen:  tr.Length(),
 		}
 		t.size = 1
@@ -75,6 +76,7 @@ func (t *Tree) insertAt(n *node, tr *traj.Trajectory) {
 		n.maxLen = l
 	}
 	if n.leaf() {
+		n.slab = appendSlab(n.slab, n.members[len(n.members)-1:]) // tr's record
 		if len(n.members) > t.opt.LeafSize {
 			t.splitLeaf(n)
 		}
@@ -85,12 +87,14 @@ func (t *Tree) insertAt(n *node, tr *traj.Trajectory) {
 }
 
 // splitLeaf re-partitions an overflowing leaf in place, turning it into an
-// internal node when Algorithm 1 finds at least two pivots.
+// internal node when Algorithm 1 finds at least two pivots; the new
+// leaves below it carry the slab records.
 func (t *Tree) splitLeaf(n *node) {
 	groups, seqs := t.partition(n.members)
 	if len(groups) < 2 {
 		return // stays an oversized leaf
 	}
+	n.slab = nil
 	n.children = make([]*node, len(groups))
 	for i := range groups {
 		n.children[i] = t.build(groups[i], seqs[i], false)
@@ -127,7 +131,9 @@ func (t *Tree) deleteFrom(n *node, m *traj.Trajectory, budget *int) bool {
 	if idx < 0 {
 		return false
 	}
-	if !n.leaf() {
+	if n.leaf() {
+		n.slab = slices.Delete(n.slab, slabStride*idx, slabStride*(idx+1))
+	} else {
 		ci := 0
 		for ci < len(n.children) && !t.deleteFrom(n.children[ci], m, budget) {
 			ci++
