@@ -161,26 +161,18 @@ func BenchmarkKNN10k(b *testing.B) {
 
 // BenchmarkKNN10kChurned prices the maintained tree against a fresh
 // build: BenchmarkKNN10k's corpus churned with no rebuild, so that Delete
-// and Insert alone maintain the tree, in four sweeps — 25, 50 and 100 %
-// of its trips replaced (every fourth, every second, every one, each
-// through one Delete and one Insert) and the corpus doubled by Insert
-// alone (grow100). Each sweep runs the 140 k-NN queries on the maintained
-// tree (arm maintained) and on a fresh build over the same members (arm
-// fresh), and reports their work counters per query; the maintained arm
-// also reports the mean, the slowest and the 99th-percentile Delete of
-// its churn. Under -short only replace25 runs.
+// and Insert alone maintain the tree, in four sweeps (churnSweep) — 25,
+// 50 and 100 % of its trips replaced (every fourth, every second, every
+// one, each through one Delete and one Insert) and the corpus doubled by
+// Insert alone (grow100). Under -short only replace25 runs.
 func BenchmarkKNN10kChurned(b *testing.B) {
 	db := trajmatch.GenerateTaxi(trajmatch.DefaultTaxiConfig(10000))
 	cfg := trajmatch.DefaultTaxiConfig(len(db))
 	cfg.Seed += 31
 	extra := trajmatch.GenerateTaxi(cfg)
-	for i, tr := range extra {
-		tr.ID = 3_000_000 + i
-	}
 	qcfg := trajmatch.DefaultTaxiConfig(210)
 	qcfg.Seed += 7919
 	knn := searchArm{"knn", trajmatch.GenerateTaxi(qcfg)[:140], knnArm}
-	opt := trajmatch.IndexOptions{Parallel: true, Seed: 1}
 	sweeps := []struct {
 		name           string
 		stride, insert int // replace every stride-th trip (0: none), then insert extra[:insert]
@@ -189,47 +181,61 @@ func BenchmarkKNN10kChurned(b *testing.B) {
 		sweeps = sweeps[:1]
 	}
 	for _, sw := range sweeps {
-		b.Run(sw.name, func(b *testing.B) {
-			maintained, err := trajmatch.NewIndex(cloneAll(db), opt)
-			if err != nil {
-				b.Fatal(err)
-			}
-			var dels []float64
-			for i := 0; sw.stride > 0 && i*sw.stride < len(db); i++ {
-				start := time.Now()
-				if !maintained.Delete(db[i*sw.stride].ID) {
-					b.Fatalf("delete %d: not found", db[i*sw.stride].ID)
-				}
-				dels = append(dels, float64(time.Since(start))/float64(time.Millisecond))
-				if err := maintained.Insert(extra[i].Clone()); err != nil {
-					b.Fatal(err)
-				}
-			}
-			for _, tr := range extra[:sw.insert] {
-				if err := maintained.Insert(tr.Clone()); err != nil {
-					b.Fatal(err)
-				}
-			}
-			fresh, err := trajmatch.NewIndex(cloneAll(maintained.All()), opt)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.Run("maintained", func(b *testing.B) {
-				runArm(b, maintained, knn)
-				if len(dels) > 0 {
-					sort.Float64s(dels)
-					sum := 0.0
-					for _, d := range dels {
-						sum += d
-					}
-					b.ReportMetric(1000*sum/float64(len(dels)), "mean-us/delete")
-					b.ReportMetric(dels[len(dels)-1], "max-ms/delete")
-					b.ReportMetric(dels[len(dels)*99/100], "p99-ms/delete")
-				}
-			})
-			b.Run("fresh", func(b *testing.B) { runArm(b, fresh, knn) })
-		})
+		b.Run(sw.name, func(b *testing.B) { churnSweep(b, db, extra, sw.stride, sw.insert, knn) })
 	}
+}
+
+// churnSweep replaces every stride-th trip of db (none when stride is 0)
+// through one Delete and one Insert of the next trip of extra, then
+// inserts extra[:insert], with no rebuild. It runs knn on the maintained
+// index (arm maintained) and on a fresh build over the same members (arm
+// fresh) and reports their work counters per query; the maintained arm
+// also reports the mean, the slowest and the 99th-percentile Delete of
+// the churn. The index inserts copies of extra, moved to IDs past db's.
+func churnSweep(b *testing.B, db, extra []*trajmatch.Trajectory, stride, insert int, knn searchArm) {
+	extra = cloneAll(extra)
+	for i, tr := range extra {
+		tr.ID = 3_000_000 + i
+	}
+	opt := trajmatch.IndexOptions{Parallel: true, Seed: 1}
+	maintained, err := trajmatch.NewIndex(cloneAll(db), opt)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var dels []float64
+	for i := 0; stride > 0 && i*stride < len(db); i++ {
+		start := time.Now()
+		if !maintained.Delete(db[i*stride].ID) {
+			b.Fatalf("delete %d: not found", db[i*stride].ID)
+		}
+		dels = append(dels, float64(time.Since(start))/float64(time.Millisecond))
+		if err := maintained.Insert(extra[i]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for _, tr := range extra[:insert] {
+		if err := maintained.Insert(tr); err != nil {
+			b.Fatal(err)
+		}
+	}
+	fresh, err := trajmatch.NewIndex(cloneAll(maintained.All()), opt)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("maintained", func(b *testing.B) {
+		runArm(b, maintained, knn)
+		if len(dels) > 0 {
+			sort.Float64s(dels)
+			sum := 0.0
+			for _, d := range dels {
+				sum += d
+			}
+			b.ReportMetric(1000*sum/float64(len(dels)), "mean-us/delete")
+			b.ReportMetric(dels[len(dels)-1], "max-ms/delete")
+			b.ReportMetric(dels[len(dels)*99/100], "p99-ms/delete")
+		}
+	})
+	b.Run("fresh", func(b *testing.B) { runArm(b, fresh, knn) })
 }
 
 // cloneAll returns copies of ts, so an index owns headers no other index
@@ -261,6 +267,36 @@ func BenchmarkKNNASL(b *testing.B) {
 	runSearchArms(b, db, []searchArm{
 		{"knn", queries, knnArm},
 		{"scan", queries, scanArm},
+	})
+}
+
+// BenchmarkKNNASLChurned is BenchmarkKNN10kChurned's replace100 sweep
+// (churnSweep) on ASL gestures, where a Delete that refit node boxes
+// stalled longest. The default ASL config is drawn with twice its
+// recordings per sign, so that every sign has recordings to spare: the
+// first of each sign is a query, the next 26 are indexed (2 548, as many
+// as BenchmarkKNNASL indexes), and each indexed gesture is replaced,
+// through one Delete and one Insert, by one of the following 26
+// recordings of the same sign.
+func BenchmarkKNNASLChurned(b *testing.B) {
+	cfg := trajmatch.DefaultASLConfig()
+	n := cfg.Instances
+	cfg.Instances *= 2
+	var db, extra, queries []*trajmatch.Trajectory
+	seen := map[int]int{}
+	for _, tr := range trajmatch.GenerateASL(cfg) {
+		switch k := seen[tr.Label]; {
+		case k == 0:
+			queries = append(queries, tr)
+		case k < n:
+			db = append(db, tr)
+		case k < 2*n-1:
+			extra = append(extra, tr)
+		}
+		seen[tr.Label]++
+	}
+	b.Run("replace100", func(b *testing.B) {
+		churnSweep(b, db, extra, 1, 0, searchArm{"knn", queries, knnArm})
 	})
 }
 

@@ -14,9 +14,9 @@ import (
 
 // TestRebuildRace is the race acceptance test of the maintained trees and
 // of the operator's re-pack: readers fan out over two shards while one
-// writer churns both (its deletes drop emptied nodes and refit stale
-// boxes), a second goroutine asks for rebuilds through POST /v1/rebuild
-// and a third saves snapshots. Every reader's probe is an untouched base
+// writer churns both (its deletes drop the nodes they empty), a second
+// goroutine asks for rebuilds through POST /v1/rebuild and a third saves
+// snapshots. Every reader's probe is an untouched base
 // member, so its own trajectory at distance 0 must lead every answer
 // whichever tree serves it. Run with -race.
 func TestRebuildRace(t *testing.T) {

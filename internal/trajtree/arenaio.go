@@ -204,19 +204,16 @@ func fromSnapshot(snap *arena.Snapshot) (*Tree, uint32, error) {
 			nodes[i] = node{seq: &seqs[i], children: kids[c0:c1:c1], members: refs[m0:m1:m1],
 				maxLen: math.Float64frombits(uint64(rec[6]))}
 		}
+		if err := nestedWindows(ts, len(members)); err != nil {
+			return nil, 0, fmt.Errorf("trajtree: load: %v: %w", err, arena.ErrCorrupt)
+		}
 		t.root = &nodes[0]
 		for _, m := range t.root.members {
 			t.byID[m.ID] = m
 		}
 		// The leaves' slab records are derived from the members' summaries,
 		// as a build makes them, into capped windows of one table.
-		leafMembers := 0
-		for i := range nodes {
-			if nodes[i].leaf() {
-				leafMembers += len(nodes[i].members)
-			}
-		}
-		slab := make([]float64, 0, slabStride*leafMembers)
+		slab := make([]float64, 0, slabStride*len(members))
 		for i := range nodes {
 			if n := &nodes[i]; n.leaf() {
 				s0 := len(slab)
@@ -230,4 +227,47 @@ func fromSnapshot(snap *arena.Snapshot) (*Tree, uint32, error) {
 	}
 	t.ar = a
 	return t, snap.CRC, nil
+}
+
+// nestedWindows checks that the member windows under the root nest as a
+// build makes them. A window that lists another subtree's member in
+// place of its own leaves a member in two leaves, where a search answers
+// it twice, or off its node's path, where Delete cannot reach it. The
+// walk numbers the leaves in pre-order and checks a node after its
+// children, so a node's subtree holds the leaves numbered above lo:
+// owner stamps each member with the last leaf so far that lists it, and
+// every internal node must list distinct members stamped by its subtree
+// (seen holds the last internal node that listed a member). With the
+// window sizes checkInvariants matches (an internal node lists as many
+// members as its children, the root all n), that puts each member in
+// exactly one leaf and every internal node's subtree in its window.
+func nestedWindows(ts arena.TreeSection, n int) error {
+	owner, seen := make([]int, n), make([]int, n)
+	leaves := 0
+	var walk func(i int64) error
+	walk = func(i int64) error {
+		rec := ts.NMeta[i*arena.NMetaStride:]
+		window := ts.Members[rec[4] : rec[4]+rec[5]]
+		if rec[3] == 0 {
+			leaves++
+			for _, m := range window {
+				owner[m] = leaves
+			}
+			return nil
+		}
+		lo := leaves
+		for _, c := range ts.Children[rec[2] : rec[2]+rec[3]] {
+			if err := walk(c); err != nil {
+				return err
+			}
+		}
+		for _, m := range window {
+			if owner[m] <= lo || seen[m] == int(i)+1 {
+				return fmt.Errorf("node %d lists member %d twice or outside its subtree", i, m)
+			}
+			seen[m] = int(i) + 1
+		}
+		return nil
+	}
+	return walk(0)
 }

@@ -11,8 +11,11 @@ import (
 )
 
 // buildGolden holds the sha256 of Tree.Save for each build case of
-// TestBuildBytesGolden. The values were last re-captured for arena format
-// 4, and for nothing else: each new file is its format-3 predecessor with
+// TestBuildBytesGolden. Only "churned" was last re-captured, with
+// treeGolden's, when Delete stopped refitting the boxes and maxLens it
+// makes stale: the churn's deletes now leave them as they were. Before
+// that every value was re-captured for arena format 4, and for nothing
+// else: each new file is its format-3 predecessor with
 // the lens and bbox sections removed, every node box's MinL dropped from
 // nboxes, the insert count dropped from every node record, and the size
 // and root dropped from the meta header's extra, every other section
@@ -30,7 +33,7 @@ var buildGolden = map[string]string{
 	"taxi2k/serial":           "d610976433bd8308c8be0a23c7a3f89230928dffa34a96a4f0dd415303ad63e2",
 	"taxi2k/parallel":         "01bf13b4570f81e525730a0659eb7099a7510f5af4b4de77606829064f93a270",
 	"taxi2k/parallel/rebuilt": "01bf13b4570f81e525730a0659eb7099a7510f5af4b4de77606829064f93a270",
-	"churned":                 "d361de3bc862b38cdb9426d85d803bd48cca6afe8d9156b9fd7657a16ea61ce3",
+	"churned":                 "98d8a3fa81037c57d1def66b6ecd4e5702ade42965ac473630c9aeee94cda1eb",
 	"churned/rebuilt":         "72837a361c8dd8d36b443c427fada32eb2a482f1549efb8a46b96862f3053b4d",
 	"asl":                     "6912476dbe5a9f942793de51130928a5bdf9398ee6462019bc6344d2ce49994d",
 }
@@ -42,14 +45,15 @@ var buildGolden = map[string]string{
 // values were last re-captured when tbox.Seq lost MinL and its insert
 // count, which the digest no longer hashes: they are the digests the
 // code before that change gives under the same digest, so the trees are
-// unchanged. Before that, only "churned" was re-captured, when Delete
-// began to maintain the tree: the churn's deletes drop the nodes they
-// empty and refit the boxes they make stale.
+// unchanged. "churned" alone was re-captured twice: when Delete began
+// to maintain the tree, dropping the nodes it empties and refitting the
+// boxes it makes stale, and again when it stopped refitting, so the
+// churn's deletes leave every box and maxLen as they were.
 var treeGolden = map[string]string{
 	"taxi2k/serial":           "476d602a8ef208e6e7007ac4a4bb17a820629ea50bbd8150434798df7a34f7d7",
 	"taxi2k/parallel":         "e3026746349e48ba3c2159c5ba8f8ec60b8bfc231c78663a8b298f8674834145",
 	"taxi2k/parallel/rebuilt": "e3026746349e48ba3c2159c5ba8f8ec60b8bfc231c78663a8b298f8674834145",
-	"churned":                 "6e099ddf66ef0d572a1c448874c10c85cf0f2e342c69da70312f92d8a45362a5",
+	"churned":                 "1ff77f747cee091baaedd21537cbb4ce3a2029b8d00abee920b21a3ab75b9b14",
 	"churned/rebuilt":         "e5262ae7eae54b20a54e94aed80e7227393f009d228834f08cc21c73ae58318e",
 	"asl":                     "a432b97b1dbb15244467da321f8537841df970644fd3e9ae7c61525a1d33ed06",
 }
@@ -85,7 +89,7 @@ func goldenTrees(t *testing.T, visit func(name string, tree *Tree)) {
 }
 
 // TestBuildBytesGolden pins the bytes of the trees New, Rebuild and the
-// updates — Insert-time leaf splits, Delete's drops and refits — make
+// updates — Insert-time leaf splits, Delete's drops — make
 // (goldenTrees).
 func TestBuildBytesGolden(t *testing.T) {
 	goldenTrees(t, func(name string, tree *Tree) {

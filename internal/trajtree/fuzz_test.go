@@ -73,7 +73,12 @@ type loadArenaSeed struct {
 // overlap: node 1's child window on the root's, which used to make node 1
 // its own child and overflow the stack of the load's invariant walk, and
 // a leaf's member window on the root's, which a Delete would shift under
-// the other node.
+// the other node. Two more name in one node's window a member that lives
+// in another subtree, in place of one of its own, which used to load: in
+// a leaf's window, where a search answers the member twice and never the
+// one it displaced, and in an internal node's, where Delete cannot reach
+// the displaced member that Lookup finds; a third names one of an
+// internal node's own members twice, in place of another.
 func loadArenaSeeds(t *testing.T) map[string]loadArenaSeed {
 	t.Helper()
 	trips := func(firstID int, shift float64) []*traj.Trajectory {
@@ -128,6 +133,28 @@ func loadArenaSeeds(t *testing.T) map[string]loadArenaSeed {
 	// root's first child entry as its own one child: itself.
 	selfChild := resealed(t, valid, "nmeta", arena.NMetaStride+2, uint64(nm[2]))
 	selfChild = resealed(t, selfChild, "nmeta", arena.NMetaStride+3, 1)
+	// stranger returns the node record at off with its first member entry
+	// overwritten by the first member of the root that its window does
+	// not list.
+	stranger := func(off int) []byte {
+		window := snap.Tree.Members[nm[off+4] : nm[off+4]+nm[off+5]]
+		for _, r := range snap.Tree.Members[nm[4] : nm[4]+nm[5]] {
+			if !slices.Contains(window, r) {
+				return resealed(t, valid, "members", int(nm[off+4]), uint64(r))
+			}
+		}
+		t.Fatal("node lists every member of the root")
+		return nil
+	}
+	inner := -1 // an internal node below the root
+	for off := arena.NMetaStride; off < len(nm) && inner < 0; off += arena.NMetaStride {
+		if nm[off+3] > 0 {
+			inner = off
+		}
+	}
+	if inner < 0 {
+		t.Fatal("no internal node below the root")
+	}
 	return map[string]loadArenaSeed{
 		"valid":                    {file: valid},
 		"empty":                    {file: saveBytes(t, empty)},
@@ -139,6 +166,9 @@ func loadArenaSeeds(t *testing.T) map[string]loadArenaSeed {
 		"time-reversed":            {resealed(t, valid, "pts", 5, math.Float64bits(-10)), traj.ErrTimeNotSorted.Error()},
 		"shared-child-window":      {selfChild, "node 1 reached twice"},
 		"shared-member-window":     {resealed(t, valid, "nmeta", leaf+4, uint64(nm[4])), "in two nodes"},
+		"leaf-lists-stranger":      {stranger(leaf), "twice or outside its subtree"},
+		"inner-lists-stranger":     {stranger(inner), "twice or outside its subtree"},
+		"inner-lists-twice":        {resealed(t, valid, "members", int(nm[inner+4]), uint64(snap.Tree.Members[nm[inner+4]+1])), "twice or outside its subtree"},
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"math"
-	"math/rand"
 	"slices"
 	"sort"
 	"testing"
@@ -81,6 +80,26 @@ func exactEverywhere(t *testing.T, label string, tree *Tree, queries []*traj.Tra
 	}
 }
 
+// summary is a copy of a node's tBoxSeq rects and maxLen.
+type summary struct {
+	rects  []float64
+	maxLen float64
+}
+
+// summaries copies the summary of every node under n, n included.
+func summaries(n *node) map[*node]summary {
+	out := map[*node]summary{}
+	var walk func(n *node)
+	walk = func(n *node) {
+		out[n] = summary{slices.Clone(n.seq.Rects()), n.maxLen}
+		for _, c := range n.children {
+			walk(c)
+		}
+	}
+	walk(n)
+	return out
+}
+
 // nodeCount returns the number of nodes under n, n included.
 func nodeCount(n *node) int {
 	c := 1
@@ -91,11 +110,12 @@ func nodeCount(n *node) int {
 }
 
 // TestMaintainedTreeNoEmptyNodes replaces every member of a tree, a
-// quarter at a time, and then deletes them all. After every step the
-// invariants hold (no non-root node is empty), every member lies in the
-// tBoxSeq of every node on its path, refits have run, and every search
-// kind answers exactly. Deleting the last member leaves an empty root
-// that takes inserts again.
+// quarter at a time, and then deletes them all. No Delete changes the
+// tBoxSeq or maxLen of a node it leaves standing, and after every step
+// the invariants hold (no non-root node is empty), every member lies in
+// the tBoxSeq of every node on its path, and every search kind answers
+// exactly. Deleting the last member leaves an empty root that takes
+// inserts again.
 func TestMaintainedTreeNoEmptyNodes(t *testing.T) {
 	const n = 400
 	tree, err := New(taxiTrips(n, 1, 0), Options{Seed: 1, LeafSize: 6})
@@ -105,31 +125,27 @@ func TestMaintainedTreeNoEmptyNodes(t *testing.T) {
 	built := nodeCount(tree.root)
 	fresh := taxiTrips(n, 31, 2_000_000)
 	queries := taxiTrips(4, 7920, 5_000_000)
-	refits := 0
 	for q := 0; q < 4; q++ {
-		ids := make([]int, n/4)
-		for i := range ids {
-			ids[i] = q*n/4 + i
-		}
-		before := map[*node]*tbox.Seq{}
-		var keep func(n *node)
-		keep = func(n *node) {
-			before[n] = n.seq
-			for _, c := range n.children {
-				keep(c)
+		for i := q * n / 4; i < (q+1)*n/4; i++ {
+			before := summaries(tree.root)
+			if !tree.Delete(i) {
+				t.Fatalf("delete %d: not found", i)
+			}
+			for nd, s := range summaries(tree.root) {
+				if b := before[nd]; b.maxLen != s.maxLen || !slices.Equal(b.rects, s.rects) {
+					t.Fatalf("delete %d changed the summary of a node it left standing", i)
+				}
+			}
+			if err := tree.Insert(fresh[i]); err != nil {
+				t.Fatal(err)
 			}
 		}
-		keep(tree.root)
-		replace(t, tree, ids, fresh[q*n/4:(q+1)*n/4])
 		label := fmt.Sprintf("%d%% replaced", 25*(q+1))
 		if err := tree.checkInvariants(); err != nil {
 			t.Fatalf("%s: %v", label, err)
 		}
 		var walk func(n *node)
 		walk = func(n *node) {
-			if s, ok := before[n]; ok && s != n.seq {
-				refits++
-			}
 			for _, m := range n.members {
 				if !n.seq.Contains(m) {
 					t.Fatalf("%s: member %d outside its node's boxes", label, m.ID)
@@ -141,9 +157,6 @@ func TestMaintainedTreeNoEmptyNodes(t *testing.T) {
 		}
 		walk(tree.root)
 		exactEverywhere(t, label, tree, queries)
-	}
-	if refits == 0 {
-		t.Fatal("no node was refit")
 	}
 	// The fully replaced tree has no more nodes than a built one would
 	// hold at twice the size: emptied nodes went.
@@ -172,11 +185,55 @@ func TestMaintainedTreeNoEmptyNodes(t *testing.T) {
 	exactEverywhere(t, "regrown", tree, queries)
 }
 
-// TestRefitOfUntouchedNodeIsItsSeq pins what makes a refit change only
-// what deletes made stale: on a built tree, and on one grown by inserts
-// (which extend the boxes on their path and split leaves), tbox.Build over
-// any node's members — the pivot first — reproduces the node's tBoxSeq
-// bit for bit.
+// TestReplacedTreeStartsFreshKernels pins why Delete leaves the boxes on
+// its path as they were: a 2 000-trip taxi tree whose every member is
+// replaced by a Delete and an Insert, and never rebuilt, starts exactly
+// the kernels (DistanceCalls − ScreenRejects) a fresh build over the same
+// members starts, query by query, for the 210 queries of the bench
+// request set as unbounded 10-NN searches. The descent starts kernels in
+// member-bound order whatever the node boxes look like, so stale boxes
+// cost bound calls, not kernels; a descent for which they cost kernels
+// again fails here.
+func TestReplacedTreeStartsFreshKernels(t *testing.T) {
+	opt := Options{Seed: 1, Parallel: true}
+	tree, err := New(taxiTrips(2000, 1, 0), opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := make([]int, tree.Size())
+	for i := range ids {
+		ids[i] = i
+	}
+	replace(t, tree, ids, taxiTrips(len(ids), 32, 3_000_000))
+	heads := tree.All()
+	for i, m := range heads {
+		heads[i] = traj.New(m.ID, m.Points)
+	}
+	fresh, err := New(heads, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, q := range taxiTrips(210, 7920, 5_000_000) {
+		_, a, _, err := tree.SearchKNN(q, 10, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, b, _, err := fresh.SearchKNN(q, 10, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ka, kb := a.DistanceCalls-a.ScreenRejects, b.DistanceCalls-b.ScreenRejects; ka != kb {
+			t.Errorf("query %d: %d kernel starts on the replaced tree, %d on a fresh build", i, ka, kb)
+		}
+	}
+}
+
+// TestRefitOfUntouchedNodeIsItsSeq pins what Insert keeps of a build: on
+// a built tree, and on one grown by inserts (which extend the boxes on
+// their path and split leaves), every node's tBoxSeq is tbox.Build over
+// its member list, bit for bit. So an insert extends a node's boxes as a
+// build over the longer list would, and the member list carries the
+// order the boxes were built in: tbox.Seq.Insert depends on it.
 func TestRefitOfUntouchedNodeIsItsSeq(t *testing.T) {
 	tree, err := New(taxiTrips(300, 1, 0), Options{Seed: 1, LeafSize: 6})
 	if err != nil {
@@ -201,144 +258,6 @@ func TestRefitOfUntouchedNodeIsItsSeq(t *testing.T) {
 		}
 	}
 	check("grown")
-}
-
-// TestRefitSchedule pins when Delete refits and what a refit changes. A
-// leaf keeps its tBoxSeq and maxLen until the deletes since its last fit
-// exceed refitShare of its members; the refit then fits both to the
-// members left, so deleting the longest member first shrinks maxLen. The
-// root is never refit: half the tree deleted leaves its summary as built.
-func TestRefitSchedule(t *testing.T) {
-	tree, err := New(taxiTrips(300, 1, 0), Options{Seed: 1, LeafSize: 6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var leaf *node
-	var find func(n *node)
-	find = func(n *node) {
-		if leaf != nil {
-			return
-		}
-		if n != tree.root && n.leaf() && len(n.members) >= 5 {
-			leaf = n
-		}
-		for _, c := range n.children {
-			find(c)
-		}
-	}
-	find(tree.root)
-	if leaf == nil {
-		t.Fatal("no leaf of five or more members")
-	}
-	order := slices.Clone(leaf.members)
-	sort.Slice(order, func(i, j int) bool { return order[i].Length() > order[j].Length() })
-	dels, refits := 0, 0
-	for _, m := range order[:len(order)-1] {
-		seq, maxLen := leaf.seq, leaf.maxLen
-		if !tree.Delete(m.ID) {
-			t.Fatalf("delete %d: not found", m.ID)
-		}
-		dels++
-		due := float64(dels) > refitShare*float64(len(leaf.members))
-		if refit := leaf.seq != seq; refit != due {
-			t.Fatalf("%d deletes since the last fit over %d members: refit %v, want %v", dels, len(leaf.members), refit, due)
-		}
-		if !due {
-			if leaf.maxLen != maxLen {
-				t.Fatalf("maxLen %v changed to %v without a refit", maxLen, leaf.maxLen)
-			}
-			continue
-		}
-		dels, refits = 0, refits+1
-		if want := maxLength(leaf.members); leaf.maxLen != want || want >= maxLen {
-			t.Fatalf("refit leaf: maxLen %v, want %v below the stale %v", leaf.maxLen, want, maxLen)
-		}
-		for _, m := range leaf.members {
-			if !leaf.seq.Contains(m) {
-				t.Fatalf("member %d outside the refit boxes", m.ID)
-			}
-		}
-	}
-	if refits == 0 {
-		t.Fatal("the leaf was never refit")
-	}
-
-	rootSeq, rootLen := tree.root.seq, tree.root.maxLen
-	for _, m := range tree.All()[:tree.Size()/2] {
-		if !tree.Delete(m.ID) {
-			t.Fatalf("delete %d: not found", m.ID)
-		}
-	}
-	if tree.root.seq != rootSeq || tree.root.maxLen != rootLen {
-		t.Fatal("the root was refit")
-	}
-	if err := tree.checkInvariants(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestRefitBudget pins the cap on one Delete's refit work: the members
-// of the nodes a Delete refits sum to at most refitBudget, so a node
-// over the budget keeps its summary however many of its members go. The
-// tree has two pivots per node, so a root child holds a few thousand
-// members; the deletes fall below the largest one, which comes due while
-// it is still over the budget.
-func TestRefitBudget(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	tree, err := New(testDB(rng, 6000), Options{Seed: 1, LeafSize: 256, MaxFanout: 2, PivotCandidates: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	big := tree.root.children[0]
-	for _, c := range tree.root.children {
-		if len(c.members) > len(big.members) {
-			big = c
-		}
-	}
-	if len(big.members) <= refitBudget {
-		t.Fatalf("largest root child holds %d members, not over the budget of %d", len(big.members), refitBudget)
-	}
-	type fit struct {
-		n   *node
-		seq *tbox.Seq
-	}
-	var fits []fit
-	var walk func(n *node)
-	walk = func(n *node) {
-		fits = append(fits, fit{n, n.seq})
-		for _, c := range n.children {
-			walk(c)
-		}
-	}
-	refits, capped := 0, false
-	victims := slices.Clone(big.members)
-	rng.Shuffle(len(victims), func(i, j int) { victims[i], victims[j] = victims[j], victims[i] })
-	for _, m := range victims[:len(victims)/3] {
-		fits = fits[:0]
-		walk(tree.root)
-		if !tree.Delete(m.ID) {
-			t.Fatalf("delete %d: not found", m.ID)
-		}
-		spent := 0
-		for _, f := range fits {
-			if f.n.seq != f.seq {
-				spent += len(f.n.members)
-				refits++
-			}
-		}
-		if spent > refitBudget {
-			t.Fatalf("delete %d refit %d members, over the budget of %d", m.ID, spent, refitBudget)
-		}
-		if len(big.members) > refitBudget && float64(big.dels) > refitShare*float64(len(big.members)) {
-			capped = true
-		}
-	}
-	if !capped || refits == 0 {
-		t.Fatalf("large node due over the budget: %v; %d refits; want true and some", capped, refits)
-	}
-	if err := tree.checkInvariants(); err != nil {
-		t.Fatal(err)
-	}
 }
 
 // checkSlabs verifies that every leaf's slab holds its members' bounding

@@ -44,8 +44,8 @@ func boundCorpora() map[string][2][]*traj.Trajectory {
 // inserts so node boxes have been extended in place and an overlay
 // exists; and built, then maintained through the replacement of every
 // member (each deleted, and a shifted copy inserted), so emptied nodes
-// were dropped and stale boxes refit — under both the averaged and the
-// cumulative distance:
+// were dropped and the boxes left are stale — under both the averaged
+// and the cumulative distance:
 //
 //	(a) node screen ≤ LowerBound(q, seq) ≤ raw EDwP(q, T) for every T
 //	    under the node, and the normalised node bound ≤ the tree's

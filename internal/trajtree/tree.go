@@ -98,16 +98,14 @@ func (o Options) withDefaults() Options {
 // bounding box and its length, from its summary), which the descent
 // screens the members at without touching them (query.go); an internal
 // node's slab is nil. A leaf's own seq bounds nothing in a search: it
-// serves Insert's child choice, refit and the file. dels counts the
-// deletes below the node since seq was last fit (refit, update.go); it
-// is not saved, so a loaded node starts at 0.
+// serves Insert's child choice and the file. Delete leaves seq and maxLen
+// as they were (update.go): they still cover every member left.
 type node struct {
 	seq      *tbox.Seq
 	children []*node
 	members  []*traj.Trajectory
 	slab     []float64
 	maxLen   float64
-	dels     int
 }
 
 func (n *node) leaf() bool { return len(n.children) == 0 }

@@ -9,26 +9,6 @@ import (
 	"trajmatch/internal/traj"
 )
 
-// refitShare is the share of a node's members that deletes below it must
-// exceed, since its tBoxSeq was last fit, before Delete refits the node
-// (refit). At 1/4 a 10 000-trip taxi tree with all of its members
-// replaced, and never rebuilt, stays within +9 % of a fresh build's
-// distance calls and +2 % of its bound calls; at 1/2 (without
-// refitBudget) distance calls read +9.2 % (docs/ARCHITECTURE.md,
-// "Maintenance").
-const refitShare = 0.25
-
-// refitBudget caps the members one Delete may refit, summed over the
-// nodes on its path, so the stall a refit puts on the shard's readers is
-// bounded by the budget, not by the corpus: a node over the budget is
-// never refit, and one whose turn comes after the budget is spent waits
-// for a later delete below it. Refits run bottom-up, so the small nodes
-// near the deleted member go first. On taxi trips the slowest Delete
-// that refits took about 6 ms in a 10 000-trip tree and 13 ms in a
-// 100 000-trip one, against 119 ms there without the budget
-// (docs/ARCHITECTURE.md, "Maintenance").
-const refitBudget = 2048
-
 // Insert adds a trajectory to the index following Section IV-F: the new
 // trajectory descends to the child whose tBoxSeq expands the least, every
 // node on the path absorbs it into its summary (existing pivots are
@@ -102,14 +82,15 @@ func (t *Tree) splitLeaf(n *node) {
 }
 
 // Delete removes the trajectory with the given ID from every node on its
-// path (Section IV-F) and maintains the path where the delete made it
-// stale: a child left without members is dropped, and a node whose
-// deletes since its last fit exceed refitShare of its members is refit,
-// within refitBudget. It reports whether the ID was present.
+// path (Section IV-F) and drops a child the delete leaves without
+// members. The boxes and maxLens on the path stay as they were: they
+// still cover every member left, so every bound stays admissible, and
+// the descent starts kernels in member-bound order whatever the node
+// boxes look like (docs/ARCHITECTURE.md, "Maintenance"). Rebuild re-packs
+// on request. It reports whether the ID was present.
 func (t *Tree) Delete(id int) bool {
 	m := t.byID[id]
-	budget := refitBudget
-	if m == nil || !t.deleteFrom(t.root, m, &budget) {
+	if m == nil || !deleteFrom(t.root, m) {
 		return false
 	}
 	delete(t.byID, id)
@@ -121,12 +102,9 @@ func (t *Tree) Delete(id int) bool {
 }
 
 // deleteFrom removes member m from n and from the one child path that
-// holds it, bottom-up, so a node refits over children already refit.
-// Every node on the path lists the same header, so the search compares
-// pointers and never touches the members it skips. The root is never
-// refit: the descent enters it unbounded (query.go), so its summary
-// bounds nothing. A refit spends its node's member count from budget.
-func (t *Tree) deleteFrom(n *node, m *traj.Trajectory, budget *int) bool {
+// holds it. Every node on the path lists the same header, so the search
+// compares pointers and never touches the members it skips.
+func deleteFrom(n *node, m *traj.Trajectory) bool {
 	idx := slices.Index(n.members, m)
 	if idx < 0 {
 		return false
@@ -135,7 +113,7 @@ func (t *Tree) deleteFrom(n *node, m *traj.Trajectory, budget *int) bool {
 		n.slab = slices.Delete(n.slab, slabStride*idx, slabStride*(idx+1))
 	} else {
 		ci := 0
-		for ci < len(n.children) && !t.deleteFrom(n.children[ci], m, budget) {
+		for ci < len(n.children) && !deleteFrom(n.children[ci], m) {
 			ci++
 		}
 		if ci == len(n.children) {
@@ -146,33 +124,7 @@ func (t *Tree) deleteFrom(n *node, m *traj.Trajectory, budget *int) bool {
 		}
 	}
 	n.members = slices.Delete(n.members, idx, idx+1)
-	if n == t.root || len(n.members) == 0 {
-		return true
-	}
-	if n.dels++; float64(n.dels) > refitShare*float64(len(n.members)) && len(n.members) <= *budget {
-		*budget -= len(n.members)
-		t.refit(n)
-	}
 	return true
-}
-
-// refit rebuilds n's tBoxSeq and maxLen from its current members, the
-// way a build summarises a group: tbox.Build over the member list, whose
-// first entry is still the pivot on a node no delete has reached, so the
-// refit changes only what deletes made stale. Every member lies in the
-// new boxes by construction. An internal node's maxLen is its children's
-// largest, so no child's exceeds its parent's.
-func (t *Tree) refit(n *node) {
-	n.seq = tbox.Build(n.members, t.opt.MaxBoxes)
-	n.dels = 0
-	if n.leaf() {
-		n.maxLen = maxLength(n.members)
-		return
-	}
-	n.maxLen = 0
-	for _, c := range n.children {
-		n.maxLen = max(n.maxLen, c.maxLen)
-	}
 }
 
 // Rebuild re-packs the index: Repack, then the swap, in one serialised
